@@ -20,13 +20,7 @@ import numpy as np
 
 from conftest import print_table, save_results
 from repro.features.paper10 import Paper10FeatureExtractor
-from repro.kernels import (
-    COMPILED_STATUS,
-    available_backends,
-    get_kernel,
-    kernel_contract,
-    registered_kernels,
-)
+from repro.kernels import available_backends, get_kernel, registered_kernels
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "").strip() not in ("", "0")
 
@@ -65,10 +59,19 @@ def _kernel_input(name: str, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((N_WINDOWS, n))
 
 
-def _kernel_params(name: str) -> dict:
-    # The first registered contract parameter set is always one the
-    # extractors actually use.
-    return dict(kernel_contract(name).params[0])
+#: The parameter set each kernel is timed under.
+KERNEL_PARAMS = {
+    "approximate_entropy": {"m": 2, "k": 0.2},
+    "band_powers": {
+        "fs": 256.0,
+        "bands": ((4.0, 8.0), (0.0, 128.0), (0.5, 4.0)),
+    },
+    "dwt_details": {"level": 2},
+    "permutation_entropy": {"order": 3},
+    "renyi_entropy": {"alpha": 2.0},
+    "sample_entropy": {"m": 2, "k": 0.2},
+    "shannon_entropy": {},
+}
 
 
 def test_kernel_backends_speed():
@@ -77,13 +80,12 @@ def test_kernel_backends_speed():
     payload: dict = {
         "quick": QUICK,
         "n_windows": N_WINDOWS,
-        "compiled_status": COMPILED_STATUS,
         "kernels": {},
     }
 
     for name in sorted(registered_kernels()):
         windows = _kernel_input(name, rng)
-        params = _kernel_params(name)
+        params = KERNEL_PARAMS[name]
         timings = {}
         for backend in available_backends(name):
             impl = get_kernel(name, prefer=backend)
@@ -95,11 +97,6 @@ def test_kernel_backends_speed():
                 f"{ref * 1e3:.1f}",
                 f"{timings['vectorized'] * 1e3:.1f}",
                 f"{ref / timings['vectorized']:.1f}x",
-                (
-                    f"{ref / timings['compiled']:.1f}x"
-                    if "compiled" in timings
-                    else "-"
-                ),
             ]
         )
         payload["kernels"][name] = {
@@ -124,7 +121,6 @@ def test_kernel_backends_speed():
             f"{e2e['reference'] * 1e3:.1f}",
             f"{e2e['vectorized'] * 1e3:.1f}",
             f"{speedup:.1f}x",
-            "-",
         ]
     )
     payload["end_to_end"] = {**e2e, "speedup": speedup}
@@ -132,7 +128,7 @@ def test_kernel_backends_speed():
     print_table(
         f"Feature kernels: {N_WINDOWS} windows"
         + (" (quick)" if QUICK else ""),
-        ["kernel", "ref ms", "vec ms", "vec speedup", "compiled speedup"],
+        ["kernel", "ref ms", "vec ms", "vec speedup"],
         rows,
     )
     save_results("bench_kernels" + ("_quick" if QUICK else ""), payload)

@@ -1,4 +1,4 @@
-"""Kernel registry walkthrough: backends, parity gates, and plans.
+"""Kernel registry walkthrough: backends, bitwise parity, and plans.
 
 Shows the feature-kernel registry end to end:
 
@@ -7,11 +7,9 @@ Shows the feature-kernel registry end to end:
 2. the bitwise-parity contract — the vectorized backend reproduces the
    looped scalar reference bit for bit, which is what keeps cohort
    reports byte-identical across backends;
-3. the registration gate — a diverging implementation is *refused* with
-   :class:`~repro.exceptions.KernelError` and never becomes resolvable;
-4. plans — the precomputed wavelet filter banks and embedding grids the
+3. plans — the precomputed wavelet filter banks and embedding grids the
    batched kernels share across windows;
-5. the end-to-end effect on :class:`Paper10FeatureExtractor` batches.
+4. the end-to-end effect on :class:`Paper10FeatureExtractor` batches.
 
 Run:
     PYTHONPATH=src python examples/kernel_backends.py
@@ -22,14 +20,10 @@ import time
 
 import numpy as np
 
-from repro.exceptions import KernelError
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import (
-    COMPILED_STATUS,
-    available_backends,
     embedding_plan,
     get_kernel,
-    register_kernel,
     registered_kernels,
     wavelet_plan,
 )
@@ -40,7 +34,7 @@ rng = np.random.default_rng(7)
 print("registered kernels:")
 for name, backends in registered_kernels().items():
     print(f"  {name:22s} {backends}")
-print(f"compiled backend: {COMPILED_STATUS}\n")
+print()
 
 windows = rng.standard_normal((64, 64))  # 64 windows of a DWT subband
 
@@ -54,34 +48,20 @@ finally:
     del os.environ["REPRO_KERNEL_BACKEND"]
 print("env-selected reference :", ref_rows[0])
 
-# prefer= beats both; "compiled" safely degrades when numba is absent.
-compiled = get_kernel("sample_entropy", prefer="compiled")
-print("prefer='compiled' resolves:", compiled(windows, m=2, k=0.2)[0], "\n")
-
 # ── 2. The parity contract is bitwise, not approximate ──────────────────
+# prefer= beats both the default and the environment.
 vec = get_kernel("sample_entropy", prefer="vectorized")(windows, m=2, k=0.2)
 assert np.array_equal(vec, ref_rows)
 print("vectorized == reference bitwise:", np.array_equal(vec, ref_rows), "\n")
 
-# ── 3. A wrong implementation cannot register ───────────────────────────
-def off_by_a_little(batch, **kwargs):
-    return get_kernel("sample_entropy", prefer="reference")(batch, **kwargs) + 1e-6
-
-try:
-    register_kernel("sample_entropy", "compiled", off_by_a_little)
-except KernelError as err:
-    print(f"registration refused: {err}")
-assert get_kernel("sample_entropy", prefer="compiled") is not off_by_a_little
-print("backends unchanged:", available_backends("sample_entropy"), "\n")
-
-# ── 4. Plans: shared precomputed state ──────────────────────────────────
+# ── 3. Plans: shared precomputed state ──────────────────────────────────
 plan = wavelet_plan(wavelet=4, level=7)  # filter bank built once, cached
 details = plan.details_batch(rng.standard_normal((8, 1024)))
 print("DWT plan levels:", sorted(details), "level-7 shape:", details[7].shape)
 print("embedding grid (n=6, m=2, delay=2):")
 print(embedding_plan(6, 2, delay=2), "\n")
 
-# ── 5. End to end: the paper's 10 features, batched ─────────────────────
+# ── 4. End to end: the paper's 10 features, batched ─────────────────────
 extractor = Paper10FeatureExtractor()
 batch = rng.standard_normal((120, 2, 1024))  # 2 minutes of 256 Hz windows
 

@@ -5,7 +5,7 @@ The package is organized as one subpackage per subsystem:
 
 * :mod:`repro.core` — the paper's contribution: Algorithm 1 (a-posteriori
   seizure labeling), the deviation metric and the evaluation protocol;
-* :mod:`repro.signals` — DWT / spectral / filtering / windowing substrate;
+* :mod:`repro.signals` — DWT / spectral / windowing substrate;
 * :mod:`repro.entropy` — permutation, Rényi, sample/approximate, Shannon;
 * :mod:`repro.data` — synthetic CHB-MIT-like cohort, records, EDF I/O;
 * :mod:`repro.features` — the 10 selected features, the e-Glass 54-feature

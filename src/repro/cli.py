@@ -1271,36 +1271,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass  # non-unix loop: fall back to KeyboardInterrupt
         try:
             if config.workers > 1:
-                pool = ServiceShardPool(config)
-                host, port = await pool.serve(args.host, args.port)
-                print(
-                    f"repro service listening on {host}:{port} "
-                    f"({config.workers} worker shards, "
-                    f"queue depth {config.queue_depth}, "
-                    f"backpressure {config.backpressure})",
-                    flush=True,
-                )
-                try:
-                    await wait_for_exit(stop_requested)
-                finally:
-                    # stop() drains every shard before shutdown, so a
-                    # SIGTERM mid-stream still decides admitted chunks;
-                    # the final merged snapshot is the exit report.
-                    snapshot = await pool.stop()
-                return snapshot
-            service = DetectionService(config)
-            host, port = await service.serve(args.host, args.port)
+                server = ServiceShardPool(config)
+                shards = f"{config.workers} worker shards, "
+            else:
+                server, shards = DetectionService(config), ""
+            host, port = await server.serve(args.host, args.port)
             print(
                 f"repro service listening on {host}:{port} "
-                f"(queue depth {config.queue_depth}, "
+                f"({shards}queue depth {config.queue_depth}, "
                 f"backpressure {config.backpressure})",
                 flush=True,
             )
             try:
                 await wait_for_exit(stop_requested)
             finally:
-                await service.stop()  # drains admitted chunks first
-            return service.snapshot()
+                # stop() drains admitted chunks before shutdown, so a
+                # SIGTERM mid-stream still decides them; its final
+                # snapshot is the exit report.
+                snapshot = await server.stop()
+            return snapshot
         finally:
             for sig in installed:
                 loop.remove_signal_handler(sig)

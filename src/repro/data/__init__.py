@@ -39,7 +39,6 @@ from .montage import (
     PAPER_PAIRS,
     BipolarPair,
     bipolar_from_referential,
-    montage_graph,
 )
 from .patients import PAPER_PATIENTS, PatientProfile, patient_by_id
 from .records import EEGRecord, SeizureAnnotation
@@ -91,7 +90,6 @@ __all__ = [
     "PAPER_PAIRS",
     "BipolarPair",
     "bipolar_from_referential",
-    "montage_graph",
     "PAPER_PATIENTS",
     "PatientProfile",
     "patient_by_id",

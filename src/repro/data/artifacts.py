@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sig
 
 from ..exceptions import DataError
 from .synthetic import smooth_envelope
@@ -80,6 +79,10 @@ def generate_artifact(
     peak = spec.amplitude_gain * background_rms_uv
 
     if spec.kind == "muscle":
+        # Deferred: scipy.signal costs ~1 s to import, and only this
+        # branch needs it, so ``import repro`` stays numpy-only.
+        from scipy import signal as _sig
+
         nyq = fs / 2.0
         hi = min(70.0, 0.95 * nyq)
         sos = _sig.butter(4, [20.0 / nyq, hi / nyq], btype="band", output="sos")

@@ -2,17 +2,14 @@
 
 The paper targets minimally invasive wearables (e-Glass and ear-EEG) that
 record only two hidden bipolar channels: **F7T3** and **F8T4**
-(Sec. III).  This module names the 10-20 electrodes, models their scalp
-adjacency as a graph (useful for montage sanity checks and for deriving
-bipolar channels from referential recordings), and exposes the canonical
-channel pair used throughout the library.
+(Sec. III).  This module names the 10-20 electrodes, derives bipolar
+channels from referential recordings, and exposes the canonical channel
+pair used throughout the library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..exceptions import DataError
 
@@ -22,7 +19,6 @@ __all__ = [
     "F7T3",
     "F8T4",
     "PAPER_PAIRS",
-    "montage_graph",
     "bipolar_from_referential",
 ]
 
@@ -35,22 +31,6 @@ ELECTRODES_1020: tuple[str, ...] = (
     "T5", "P3", "Pz", "P4", "T6",
     "O1", "O2",
 )
-
-#: Scalp adjacency (neighbouring sites) for the 10-20 layout.  Two sites
-#: are adjacent when no other electrode lies between them on the standard
-#: head diagram.
-_ADJACENCY: tuple[tuple[str, str], ...] = (
-    ("Fp1", "Fp2"), ("Fp1", "F7"), ("Fp1", "F3"), ("Fp1", "Fz"),
-    ("Fp2", "F4"), ("Fp2", "F8"), ("Fp2", "Fz"),
-    ("F7", "F3"), ("F3", "Fz"), ("Fz", "F4"), ("F4", "F8"),
-    ("F7", "T3"), ("F3", "C3"), ("Fz", "Cz"), ("F4", "C4"), ("F8", "T4"),
-    ("T3", "C3"), ("C3", "Cz"), ("Cz", "C4"), ("C4", "T4"),
-    ("T3", "T5"), ("C3", "P3"), ("Cz", "Pz"), ("C4", "P4"), ("T4", "T6"),
-    ("T5", "P3"), ("P3", "Pz"), ("Pz", "P4"), ("P4", "T6"),
-    ("T5", "O1"), ("P3", "O1"), ("Pz", "O1"), ("Pz", "O2"), ("P4", "O2"),
-    ("T6", "O2"), ("O1", "O2"),
-)
-
 
 @dataclass(frozen=True)
 class BipolarPair:
@@ -81,19 +61,6 @@ F8T4 = BipolarPair("F8", "T4")
 
 #: Channel ordering used by every record in this library.
 PAPER_PAIRS: tuple[BipolarPair, BipolarPair] = (F7T3, F8T4)
-
-
-def montage_graph() -> nx.Graph:
-    """Scalp adjacency graph of the 10-20 montage.
-
-    Nodes are electrode names; edges join neighbouring scalp sites.  Used
-    to validate that a requested bipolar derivation is physically local
-    (adjacent sites), as the wearable platforms require.
-    """
-    g = nx.Graph()
-    g.add_nodes_from(ELECTRODES_1020)
-    g.add_edges_from(_ADJACENCY)
-    return g
 
 
 def bipolar_from_referential(

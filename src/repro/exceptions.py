@@ -44,10 +44,9 @@ class FeatureError(ReproError):
 
 
 class KernelError(FeatureError):
-    """Raised by the feature-kernel registry: unknown kernel or backend
-    names, a backend requested via ``REPRO_KERNEL_BACKEND`` that is not
-    registered, or a non-reference implementation that fails its
-    differential parity contract at registration time."""
+    """Raised by the feature-kernel registry: an unknown kernel name, or
+    an unknown backend name passed as ``prefer`` or set in
+    ``REPRO_KERNEL_BACKEND``."""
 
 
 class LabelingError(ReproError):

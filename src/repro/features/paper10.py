@@ -105,9 +105,8 @@ class Paper10FeatureExtractor(FeatureExtractor):
 
         Resolves each feature's kernel from :mod:`repro.kernels` (honoring
         ``REPRO_KERNEL_BACKEND``), so batch, streaming and engine
-        extraction share one implementation.  Every registered backend is
-        parity-gated against the looped :meth:`extract_window` path, and
-        the shipped ``vectorized`` backend reproduces it bit-for-bit.
+        extraction share one implementation.  Both backends reproduce the
+        looped :meth:`extract_window` path bit-for-bit.
         """
         from ..kernels import get_kernel
 

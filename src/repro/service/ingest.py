@@ -105,8 +105,11 @@ class DetectionService:
         if self._consumer is None:
             self._consumer = asyncio.create_task(self._consume())
 
-    async def stop(self) -> None:
-        """Drain outstanding work, then cancel the consumer and server."""
+    async def stop(self) -> dict:
+        """Drain outstanding work, then cancel the consumer and server;
+        returns the final telemetry snapshot (as
+        :meth:`ServiceShardPool.stop <repro.service.fleet.ServiceShardPool.stop>`
+        does)."""
         await self.drain()
         if self._server is not None:
             self._server.close()
@@ -119,6 +122,7 @@ class DetectionService:
             except asyncio.CancelledError:
                 pass
             self._consumer = None
+        return self.snapshot()
 
     async def drain(self) -> None:
         """Wait until every admitted chunk has been decided."""

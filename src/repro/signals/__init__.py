@@ -1,18 +1,11 @@
-"""Signal-processing substrate: DWT, spectral estimation, filters, windows.
+"""Signal-processing substrate: DWT, spectral estimation, windows.
 
 These are the primitives the paper's feature extraction is built from
 (Sec. III-A): a Daubechies-4 multilevel DWT, band-power estimation in the
-canonical EEG bands, preprocessing filters, and the 4-second / 75%-overlap
-sliding-window geometry.
+canonical EEG bands, and the 4-second / 75%-overlap sliding-window
+geometry.
 """
 
-from .filters import (
-    EEGPreprocessor,
-    butter_bandpass,
-    butter_highpass,
-    butter_lowpass,
-    notch,
-)
 from .spectral import (
     EEG_BANDS,
     band_power,
@@ -24,7 +17,6 @@ from .spectral import (
     total_power,
     welch_psd,
 )
-from .resample import decimate, resample_record, resample_to
 from .wavelet import (
     daubechies_filter,
     dwt_max_level,
@@ -38,11 +30,6 @@ from .wavelet import (
 from .windowing import WindowSpec, sliding_windows, window_count, window_matrix
 
 __all__ = [
-    "EEGPreprocessor",
-    "butter_bandpass",
-    "butter_highpass",
-    "butter_lowpass",
-    "notch",
     "EEG_BANDS",
     "band_power",
     "median_frequency",
@@ -60,9 +47,6 @@ __all__ = [
     "subband_frequencies",
     "wavedec",
     "waverec",
-    "decimate",
-    "resample_record",
-    "resample_to",
     "WindowSpec",
     "sliding_windows",
     "window_count",

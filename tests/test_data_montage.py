@@ -10,7 +10,6 @@ from repro.data.montage import (
     PAPER_PAIRS,
     BipolarPair,
     bipolar_from_referential,
-    montage_graph,
 )
 from repro.exceptions import DataError
 
@@ -37,25 +36,6 @@ class TestBipolarPair:
 
     def test_str_form(self):
         assert str(F7T3) == "F7-T3"
-
-
-class TestMontageGraph:
-    def test_nodes_and_connectivity(self):
-        g = montage_graph()
-        assert set(g.nodes) == set(ELECTRODES_1020)
-        import networkx as nx
-
-        assert nx.is_connected(g)
-
-    def test_paper_pairs_are_adjacent(self):
-        # The wearable derivations use physically neighbouring sites.
-        g = montage_graph()
-        assert g.has_edge("F7", "T3")
-        assert g.has_edge("F8", "T4")
-
-    def test_distant_sites_not_adjacent(self):
-        g = montage_graph()
-        assert not g.has_edge("Fp1", "O2")
 
 
 class TestBipolarDerivation:

@@ -500,11 +500,11 @@ class TestShortRecordContract:
 class TestKernelBackendParity:
     """Cohort reports are byte-identical under every kernel backend.
 
-    This is the registry's load-bearing guarantee: because each
-    non-reference backend is parity-gated bitwise at registration,
-    switching ``REPRO_KERNEL_BACKEND`` can never change a report.  A
-    serial executor keeps the env override in-process so monkeypatch
-    reaches the extraction code directly.
+    This is the registry's load-bearing guarantee: because the
+    vectorized backend is bitwise identical to the reference (the kernel
+    parity suite checks it), switching ``REPRO_KERNEL_BACKEND`` can never
+    change a report.  A serial executor keeps the env override
+    in-process so monkeypatch reaches the extraction code directly.
     """
 
     TASKS = (RecordTask(1, 0, 0), RecordTask(8, 0, 0))
@@ -526,15 +526,9 @@ class TestKernelBackendParity:
         default = self._report_json(dataset, monkeypatch, None)
         assert ref == vec == default
 
-    def test_compiled_request_byte_identical(self, dataset, monkeypatch):
-        # With numba absent the registry degrades per-kernel; either way
-        # the report must not change.
-        compiled = self._report_json(dataset, monkeypatch, "compiled")
-        default = self._report_json(dataset, monkeypatch, None)
-        assert compiled == default
-
     def test_invalid_backend_fails_loud(self, dataset, monkeypatch):
         from repro.exceptions import KernelError
 
-        with pytest.raises((KernelError, EngineError)):
-            self._report_json(dataset, monkeypatch, "turbo")
+        for backend in ("turbo", "compiled"):
+            with pytest.raises((KernelError, EngineError)):
+                self._report_json(dataset, monkeypatch, backend)

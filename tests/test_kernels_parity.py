@@ -1,10 +1,9 @@
 """Differential parity harness for the batched feature-kernel registry.
 
-Every non-reference backend in :mod:`repro.kernels` is gated against the
-looped scalar reference *at registration*; this suite re-runs that gate
-with a larger, independently seeded case battery, checks the shipped
-``vectorized`` backend bitwise (not just within tolerance), and pins the
-registry's resolution, refusal, and fallback semantics.
+The shipped ``vectorized`` backend of every kernel in
+:mod:`repro.kernels` is checked *bitwise* against the looped scalar
+reference on a seeded case battery, and the registry's resolution and
+refusal semantics are pinned.
 """
 
 from __future__ import annotations
@@ -17,26 +16,61 @@ from repro.entropy.sample import embedding_indices, sample_entropy
 from repro.exceptions import FeatureError, KernelError, SignalError
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import (
-    BACKENDS,
     ENV_BACKEND,
     available_backends,
-    contract_battery,
     embedding_plan,
     get_kernel,
     hann_window,
     kernel_backend_from_env,
-    kernel_contract,
-    register_kernel,
     registered_kernels,
     wavelet_plan,
 )
-from repro.kernels import registry as kernels_registry
 from repro.features.wavelet_features import dwt_details as scalar_dwt_details
 
 KERNELS = sorted(registered_kernels())
 
+#: Per-kernel parameter sets and base window lengths of the battery.
+CONTRACTS = {
+    "sample_entropy": (
+        ({"m": 2, "k": 0.2}, {"m": 2, "k": 0.35}, {"m": 3}, {"m": 2, "r": 0.5}),
+        (4, 8, 16, 48),
+    ),
+    "approximate_entropy": (
+        ({"m": 2, "k": 0.2}, {"m": 3, "k": 0.35}),
+        (4, 8, 16, 48),
+    ),
+    "permutation_entropy": (
+        (
+            {"order": 3},
+            {"order": 5},
+            {"order": 7},
+            {"order": 3, "delay": 2},
+            {"order": 5, "normalize": False},
+        ),
+        (4, 8, 16, 64),
+    ),
+    "renyi_entropy": (
+        (
+            {"alpha": 2.0},
+            {"alpha": 1.0},
+            {"alpha": 0.5, "bins": 8, "normalize": True},
+            {"alpha": 3.0, "bins": 32},
+        ),
+        (8, 16, 64),
+    ),
+    "shannon_entropy": (({}, {"bins": 8, "normalize": True}), (8, 16, 64)),
+    "dwt_details": (({"level": 2}, {"level": 7}), (256, 257)),
+    "band_powers": (
+        (
+            {"fs": 256.0, "bands": ((4.0, 8.0), (0.0, 128.0), (0.5, 4.0))},
+            {"fs": 64.0, "bands": ((0.5, 4.0), "theta", (0.0, 32.0))},
+        ),
+        (64, 256),
+    ),
+}
+
 #: Kernels whose battery windows are long enough to embed/decompose at
-#: arbitrary lengths are exercised on extra lengths beyond the contract.
+#: arbitrary lengths are exercised on extra lengths beyond the base ones.
 EXTRA_LENGTHS = {
     "sample_entropy": (5, 33, 129),
     "approximate_entropy": (5, 33, 129),
@@ -48,11 +82,48 @@ EXTRA_LENGTHS = {
 }
 
 
+def contract_battery(
+    n_samples: tuple[int, ...], n_windows: int = 7, seed: int = 2019
+) -> list[np.ndarray]:
+    """Deterministic batched input battery.
+
+    One ``(n_windows, n)`` array per window length and case family:
+    white noise, constant rows, ramps, sparse spikes on a flat baseline,
+    a sinusoid mix, and float32-quantized noise — NaN-free by
+    construction, covering the signal shapes the extractors actually
+    see (DWT subbands, raw windows) plus the degenerate ones
+    (zero-variance, barely-embeddable short series).
+    """
+    rng = np.random.default_rng(seed)
+    cases: list[np.ndarray] = []
+    for n in n_samples:
+        cases.append(rng.standard_normal((n_windows, n)))
+        cases.append(np.tile(rng.standard_normal((n_windows, 1)), (1, n)))
+        ramp = np.arange(n, dtype=float)[None, :] * rng.uniform(
+            0.1, 3.0, (n_windows, 1)
+        )
+        cases.append(ramp - ramp.mean(axis=1, keepdims=True))
+        spikes = np.zeros((n_windows, n))
+        for i in range(n_windows):
+            hits = rng.integers(0, n, size=max(1, n // 8))
+            spikes[i, hits] = rng.standard_normal(hits.size) * 10.0
+        cases.append(spikes)
+        t = np.arange(n) / 256.0
+        cases.append(
+            np.sin(2 * np.pi * rng.uniform(1.0, 40.0, (n_windows, 1)) * t)
+            + 0.1 * rng.standard_normal((n_windows, n))
+        )
+        cases.append(
+            rng.standard_normal((n_windows, n)).astype(np.float32).astype(float)
+        )
+    return cases
+
+
 def _battery(name):
-    """A bigger, differently-seeded battery than the registration gate."""
-    contract = kernel_contract(name)
-    lengths = tuple(contract.n_samples) + EXTRA_LENGTHS.get(name, ())
-    return contract, contract_battery(lengths, n_windows=11, seed=97)
+    """The kernel's parameter sets and a larger, seed-97 battery."""
+    params, lengths = CONTRACTS[name]
+    lengths = lengths + EXTRA_LENGTHS.get(name, ())
+    return params, contract_battery(lengths, n_windows=11, seed=97)
 
 
 def _pairs(ref_out, out):
@@ -63,6 +134,17 @@ def _pairs(ref_out, out):
             yield np.asarray(ref_out[key]), np.asarray(out[key])
     else:
         yield np.asarray(ref_out), np.asarray(out)
+
+
+def _assert_bitwise(name, params_sets, battery):
+    reference = get_kernel(name, prefer="reference")
+    vectorized = get_kernel(name, prefer="vectorized")
+    for params in params_sets:
+        for windows in battery:
+            ref_out = reference(windows, **params)
+            out = vectorized(windows, **params)
+            for ref_arr, arr in _pairs(ref_out, out):
+                np.testing.assert_array_equal(arr, ref_arr)
 
 
 class TestDifferentialHarness:
@@ -88,58 +170,29 @@ class TestDifferentialHarness:
         """The shipped vectorized backend must match the reference
         bit-for-bit — that is what keeps cohort reports byte-identical
         across ``REPRO_KERNEL_BACKEND`` values."""
-        reference = get_kernel(name, prefer="reference")
-        vectorized = get_kernel(name, prefer="vectorized")
-        contract, battery = _battery(name)
-        for params in contract.params:
-            for windows in battery:
-                ref_out = reference(windows, **params)
-                out = vectorized(windows, **params)
-                for ref_arr, arr in _pairs(ref_out, out):
-                    np.testing.assert_array_equal(arr, ref_arr)
+        _assert_bitwise(name, *_battery(name))
 
     @pytest.mark.parametrize("name", KERNELS)
-    def test_every_registered_backend_within_contract(self, name):
-        """Any other backend (e.g. compiled, when numba is present) must
-        agree within its contract tolerances on the full battery."""
-        reference = get_kernel(name, prefer="reference")
-        contract, battery = _battery(name)
-        others = [
-            b
-            for b in available_backends(name)
-            if b not in ("reference", "vectorized")
-        ]
-        if not others:
-            pytest.skip(f"only reference/vectorized registered for {name!r}")
-        for backend in others:
-            impl = get_kernel(name, prefer=backend)
-            for params in contract.params:
-                for windows in battery:
-                    for ref_arr, arr in _pairs(
-                        reference(windows, **params), impl(windows, **params)
-                    ):
-                        np.testing.assert_allclose(
-                            arr,
-                            ref_arr,
-                            rtol=contract.rtol,
-                            atol=contract.atol,
-                        )
+    def test_vectorized_is_bitwise_identical_on_base_battery(self, name):
+        """The battery at its defaults (seed 2019, 7 windows, base
+        lengths only), beside the larger seed-97 battery above."""
+        params, lengths = CONTRACTS[name]
+        _assert_bitwise(name, params, contract_battery(lengths))
 
     @pytest.mark.parametrize("name", KERNELS)
     def test_strided_and_float32_inputs_match_contiguous(self, name):
         """Kernels normalize input layout: a strided view and its
         contiguous copy produce bitwise-identical results."""
-        contract, _ = _battery(name)
+        params, lengths = CONTRACTS[name]
         rng = np.random.default_rng(1234)
-        n = max(contract.n_samples)
+        n = max(lengths)
         base = rng.standard_normal((9, 2 * n))
         strided = base[::2, ::2]  # non-contiguous in both axes
         assert not strided.flags["C_CONTIGUOUS"]
-        params = dict(contract.params[0])
         kern = get_kernel(name)
         for ref_arr, arr in _pairs(
-            kern(np.ascontiguousarray(strided), **params),
-            kern(strided, **params),
+            kern(np.ascontiguousarray(strided), **params[0]),
+            kern(strided, **params[0]),
         ):
             np.testing.assert_array_equal(arr, ref_arr)
 
@@ -147,10 +200,10 @@ class TestDifferentialHarness:
     def test_batch_size_invariance(self, name):
         """Row ``i`` of a batched call equals the single-row call — no
         cross-window leakage through the batched reductions."""
-        contract, _ = _battery(name)
+        params_sets, lengths = CONTRACTS[name]
         rng = np.random.default_rng(777)
-        windows = rng.standard_normal((8, max(contract.n_samples)))
-        params = dict(contract.params[-1])
+        windows = rng.standard_normal((8, max(lengths)))
+        params = params_sets[-1]
         kern = get_kernel(name)
         full = kern(windows, **params)
         for i in (0, 3, 7):
@@ -197,11 +250,12 @@ class TestRegistryResolution:
         assert vec is not ref
 
     def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "turbo")
-        with pytest.raises(KernelError, match="REPRO_KERNEL_BACKEND"):
-            kernel_backend_from_env()
-        with pytest.raises(KernelError):
-            get_kernel("sample_entropy")
+        for value in ("turbo", "compiled"):
+            monkeypatch.setenv(ENV_BACKEND, value)
+            with pytest.raises(KernelError, match="REPRO_KERNEL_BACKEND"):
+                kernel_backend_from_env()
+            with pytest.raises(KernelError):
+                get_kernel("sample_entropy")
 
     def test_blank_env_means_default(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "  ")
@@ -212,87 +266,13 @@ class TestRegistryResolution:
             get_kernel("does_not_exist")
         with pytest.raises(KernelError, match="unknown kernel"):
             available_backends("does_not_exist")
-        with pytest.raises(KernelError, match="unknown kernel"):
-            kernel_contract("does_not_exist")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KernelError, match="unknown kernel backend"):
             get_kernel("sample_entropy", prefer="turbo")
 
-    def test_compiled_request_always_resolves(self):
-        """``prefer='compiled'`` degrades per-kernel instead of failing,
-        so REPRO_KERNEL_BACKEND=compiled works without numba."""
-        for name in KERNELS:
-            impl = get_kernel(name, prefer="compiled")
-            if "compiled" not in available_backends(name):
-                assert impl is get_kernel(name, prefer="vectorized")
-
     def test_kernel_error_is_a_feature_error(self):
         assert issubclass(KernelError, FeatureError)
-
-
-class TestRegistrationGate:
-    def test_non_reference_first_is_refused(self):
-        with pytest.raises(KernelError, match="no reference"):
-            register_kernel(
-                "never_registered", "vectorized", lambda windows: windows
-            )
-        assert "never_registered" not in registered_kernels()
-
-    def test_reference_requires_contract(self):
-        with pytest.raises(KernelError, match="contract"):
-            register_kernel(
-                "never_registered", "reference", lambda windows: windows
-            )
-        assert "never_registered" not in registered_kernels()
-
-    def test_contract_only_on_reference(self):
-        with pytest.raises(KernelError, match="reference registration"):
-            register_kernel(
-                "sample_entropy",
-                "compiled",
-                lambda windows, **kw: windows,
-                contract=kernel_contract("sample_entropy"),
-            )
-
-    def test_wrong_implementation_is_refused_and_not_registered(self):
-        """A backend that diverges from the reference fails the parity
-        gate with KernelError and leaves the registry untouched."""
-        before = available_backends("sample_entropy")
-
-        def wrong(windows, **kwargs):
-            windows = np.asarray(windows, dtype=float)
-            return np.full(windows.shape[0], 123.0)
-
-        with pytest.raises(KernelError, match="parity"):
-            register_kernel("sample_entropy", "compiled", wrong)
-        assert available_backends("sample_entropy") == before
-
-    def test_wrong_shape_is_refused(self):
-        before = available_backends("shannon_entropy")
-
-        def wrong_shape(windows, **kwargs):
-            windows = np.asarray(windows, dtype=float)
-            return np.zeros((windows.shape[0], 2))
-
-        with pytest.raises(KernelError, match="shape"):
-            register_kernel("shannon_entropy", "compiled", wrong_shape)
-        assert available_backends("shannon_entropy") == before
-
-    def test_correct_implementation_registers_and_is_resolvable(self):
-        """A genuinely equivalent backend passes the gate; clean up the
-        registry afterwards so other tests see the shipped state."""
-        name = "renyi_entropy"
-        vectorized = get_kernel(name, prefer="vectorized")
-        try:
-            register_kernel(name, "compiled", vectorized)
-            assert "compiled" in available_backends(name)
-            assert get_kernel(name, prefer="compiled") is vectorized
-        finally:
-            kernels_registry._REGISTRY[name].pop("compiled", None)
-
-    def test_backends_tuple_is_canonical(self):
-        assert BACKENDS == ("vectorized", "compiled", "reference")
 
 
 class TestEntropyEdgeCases:

@@ -112,11 +112,13 @@ class TestInProcessAsync:
             await service.start()
             await service.open_session("p")
             await service.ingest("p", np.zeros((2, 6 * FS)))
-            await service.stop()  # must decide the queued chunk first
-            return service.manager.poll_events("p")
+            snapshot = await service.stop()  # must decide the queued chunk first
+            return snapshot, service.manager.poll_events("p")
 
-        events = run(go())
+        snapshot, events = run(go())
         assert len(events) == 3
+        # stop() returns the final snapshot, like ServiceShardPool.stop().
+        assert snapshot["windows"]["decided"] == 3
 
 
 class TestSocketProtocol:
