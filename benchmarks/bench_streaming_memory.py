@@ -3,8 +3,9 @@
 Measures what the streaming-first refactor buys on a long monitoring
 record: the *batch* mode materializes the full synthesized record and
 batch-extracts features (the pre-refactor worker), while the *stream*
-mode runs the engine's actual data plane — one streaming pass to key the
-cache (:func:`source_cache_key`) and one through the streaming extractor
+mode runs the engine's actual data plane — the cache key
+(:func:`source_cache_key`, the source's recipe digest: no signal pass)
+and one streaming pass through the extractor
 (:func:`extract_features_from_source`) — without the signal ever
 existing as one array.
 
@@ -71,15 +72,11 @@ class MeanPowerExtractor:
     channel_names = ("F7T3", "F8T4")
     n_features = 4
 
-    def extract_window(self, window, fs):
-        return np.array(
-            [
-                window[0].mean(),
-                float(window[0] @ window[0]) / window.shape[1],
-                window[1].mean(),
-                float(window[1] @ window[1]) / window.shape[1],
-            ]
-        )
+    def extract_batch(self, windows, fs):
+        """(n_windows, 2, n_samples) -> (n_windows, 4) feature rows."""
+        mean = windows.mean(axis=2)
+        power = np.einsum("wcs,wcs->wc", windows, windows) / windows.shape[2]
+        return np.column_stack([mean[:, 0], power[:, 0], mean[:, 1], power[:, 1]])
 
 
 def run_batch(fs: float, hours: float) -> dict:
@@ -97,7 +94,7 @@ def run_batch(fs: float, hours: float) -> dict:
 
 
 def run_stream(fs: float, hours: float) -> dict:
-    """The engine's data plane: digest pass + streaming extraction."""
+    """The engine's data plane: recipe key + streaming extraction."""
     from repro.engine import extract_features_from_source, source_cache_key
     from repro.signals.windowing import WindowSpec
 
@@ -111,7 +108,7 @@ def run_stream(fs: float, hours: float) -> dict:
         "n_samples": source.n_samples,
         "n_windows": feats.n_windows,
         "signal_mb": source.n_samples * source.n_channels * 8 / 1e6,
-        "digest": key[3][:8],
+        "recipe_digest": key[3][:8],
     }
 
 

@@ -8,9 +8,9 @@ of bounded chunks.  This example walks the layers by hand and shows the
 bit-identity contract at every step:
 
     RecordSource (synthetic | EDF | array)
+        |  synthetic: recipe digest (no signal pass)  -> cache/store key
+        |  EDF/array: content digest (chunk-invariant) -> cache/store key
         |  iter_chunks(chunk_s)            O(chunk) signal in flight
-        v
-    content digest (per channel, chunk-invariant)   -> cache/store key
         v
     StreamingFeatureExtractor (4 s window / 1 s hop)
         v
@@ -35,6 +35,7 @@ def main() -> None:
     print(f"source: {source}")
     print(f"true seizure: [{truth.onset_s:.0f}, {truth.offset_s:.0f}] s")
     print(f"recipe: entropy key + {len(source.patches)} overlay patch(es)")
+    print(f"recipe digest (its cache/store identity): {source.recipe_digest()}")
 
     chunk_s = 30.0
     peak = 0

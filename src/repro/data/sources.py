@@ -25,14 +25,18 @@ Three implementations, each bit-identical to its batch counterpart:
   for backward compatibility, so every batch caller is also a source
   caller.
 
-:func:`record_content_digest` is the cache/store identity of streamed
+A record's cache/store identity is :meth:`RecordSource.recipe_digest`
+when the source has one — a synthetic record is a pure function of its
+recipe, so hashing the recipe costs microseconds and no signal pass —
+and otherwise :func:`record_content_digest`, the identity of streamed
 content: per-channel digests folded into one, invariant to the chunk
-size used to stream — a disk-store entry written at ``--chunk-s 60``
-hits at ``--chunk-s 5`` and from the batch path alike.
+size used to stream.  Either way a disk-store entry written at
+``--chunk-s 60`` hits at ``--chunk-s 5``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from abc import ABC, abstractmethod
@@ -43,7 +47,7 @@ import numpy as np
 
 from ..exceptions import DataError
 from .records import EEGRecord, SeizureAnnotation, duration_window_labels
-from .synthetic import BackgroundEEGModel
+from .synthetic import GENERATOR_VERSION, BackgroundEEGModel
 from . import edf as _edf
 
 __all__ = [
@@ -120,6 +124,12 @@ class RecordSource(ABC):
         self, chunk_s: float = DEFAULT_SOURCE_CHUNK_S
     ) -> Iterator[np.ndarray]:
         """Yield the signal as successive (n_channels, <=chunk) arrays."""
+
+    def recipe_digest(self) -> str | None:
+        """A cheap identity that fixes the signal without streaming it,
+        or ``None`` when only the content itself can (files, arrays):
+        the cache then keys by :func:`record_content_digest`."""
+        return None
 
     @property
     def duration_s(self) -> float:
@@ -227,6 +237,25 @@ class SignalPatch:
             )
 
 
+@functools.lru_cache(maxsize=1)
+def _numpy_build() -> str:
+    """numpy's version plus the SIMD target each float64 ufunc loop runs
+    on in this process.  Transcendental loops (``exp``, ``sin``) round
+    differently per target, so one recipe synthesizes different bits on
+    an AVX-512 host than on an AVX2 one; a store shared between the two
+    must miss, as the content digest would."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0
+        return np.__version__
+    targets = sorted(
+        (name, sig, info["current"])
+        for name, loops in opt_func_info(signature="float64").items()
+        for sig, info in loops.items()
+    )
+    return f"{np.__version__} {targets}"
+
+
 class SyntheticRecordSource(RecordSource):
     """A Sec. VI-A evaluation record as a bounded-memory stream.
 
@@ -287,6 +316,30 @@ class SyntheticRecordSource(RecordSource):
         self.annotations = tuple(annotations)
         self.patient_id = patient_id
         self.record_id = record_id
+
+    def recipe_digest(self) -> str:
+        """Hex digest of everything that fixes the streamed samples.
+
+        The generator version, the numpy build, the background model,
+        entropy key and geometry, and every patch (channel, start,
+        shape, dtype and wave bytes, in application order).  Equal
+        digests mean equal waveforms on any host, so the feature cache
+        and disk store key synthetic records by it and never synthesize
+        a record just to hash it.  Channel names and annotations are
+        metadata, not signal, and stay out (as in the content digest).
+        """
+        h = hashlib.blake2b(digest_size=16)
+        h.update(repr((
+            GENERATOR_VERSION, _numpy_build(), self.model, self.entropy,
+            self.n_samples, self.fs, self.n_channels,
+        )).encode())
+        for patch in self.patches:
+            wave = np.ascontiguousarray(patch.wave)
+            h.update(repr((
+                patch.channel, patch.start, wave.shape, wave.dtype.str,
+            )).encode())
+            h.update(wave.tobytes())
+        return h.hexdigest()
 
     def iter_chunks(
         self, chunk_s: float = DEFAULT_SOURCE_CHUNK_S

@@ -37,6 +37,7 @@ from ..exceptions import DataError
 
 __all__ = [
     "GEN_BLOCK_S",
+    "GENERATOR_VERSION",
     "BackgroundEEGModel",
     "block_spans",
     "draw_block_entropy",
@@ -48,6 +49,14 @@ __all__ = [
 #: property of the *waveform definition*, not of any consumer's chunk
 #: size: streaming at 0.5 s or 600 s chunks re-slices the same blocks.
 GEN_BLOCK_S = 60.0
+
+#: Version of the waveform definition.  Bump it with any edit that
+#: changes the samples generated for a fixed recipe: synthetic sources
+#: are cached by recipe (:meth:`~repro.data.sources.SyntheticRecordSource
+#: .recipe_digest`), so a stale version would serve features of the old
+#: waveform.  History: 1, direct-convolution envelope; 2, running-sum
+#: envelope.
+GENERATOR_VERSION = 2
 
 
 def draw_block_entropy(rng: np.random.Generator) -> tuple[int, ...]:
@@ -104,6 +113,14 @@ def pink_noise(
     return shaped / sd
 
 
+def _moving_average(x: np.ndarray, k: int) -> np.ndarray:
+    """``np.convolve(x, np.ones(k) / k, mode="valid")`` in O(n): each
+    mean is a difference of running sums (equal to the direct form to
+    ~1e-14 for unit-variance input)."""
+    sums = np.concatenate(([0.0], np.cumsum(x)))
+    return (sums[k:] - sums[:-k]) / k
+
+
 def smooth_envelope(
     n: int, rng: np.random.Generator, fs: float, timescale_s: float = 4.0
 ) -> np.ndarray:
@@ -117,10 +134,9 @@ def smooth_envelope(
         raise DataError(f"timescale must be positive, got {timescale_s}")
     kernel = max(2, int(round(timescale_s * fs)))
     raw = rng.standard_normal(n + 2 * kernel)
-    box = np.ones(kernel) / kernel
     # Two moving-average passes (triangular kernel): kills the per-sample
     # jitter a single box filter leaves behind.
-    sm = np.convolve(np.convolve(raw, box, mode="valid"), box, mode="valid")[:n]
+    sm = _moving_average(_moving_average(raw, kernel), kernel)[:n]
     sm = (sm - sm.mean()) / (sm.std() + 1e-12)
     return 1.0 / (1.0 + np.exp(-2.0 * sm))
 

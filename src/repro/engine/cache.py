@@ -7,18 +7,23 @@ detector evaluating a record the labeler already windowed, repeated
 engine runs in one session.  :class:`FeatureCache` memoizes the full
 feature matrix per (record, extractor, spec) triple with LRU eviction.
 
-The record component of the key includes a content digest, not just the
-``record_id``: hand-built records often carry empty ids, and a stale hit
-on different samples would silently corrupt results.  The digest is
-:func:`~repro.data.sources.record_content_digest` — computed by
+The record component of the key includes a digest that fixes the
+samples, not just the ``record_id``: hand-built records often carry
+empty ids, and a stale hit on different samples would silently corrupt
+results.  A synthetic source is keyed by its
+:meth:`~repro.data.sources.RecordSource.recipe_digest` (generator
+version, numpy build, model, entropy key, geometry and overlay patches),
+which costs no signal pass at all.  Sources without a recipe (EDF files,
+in-memory arrays) are keyed by
+:func:`~repro.data.sources.record_content_digest`, computed by
 *streaming* the source in bounded chunks (one blake2b per channel,
-folded), so keying a multi-hour record costs O(chunk) memory, and the
-value is invariant to the chunk size used: a disk-store entry written at
-one ``--chunk-s`` hits at any other, and from the batch path alike.
+folded).  Both digests are invariant to the chunk size, so a disk-store
+entry written at one ``--chunk-s`` hits at any other.
 
-Keying a source therefore costs one cheap streaming pass (generation or
-file decode plus hashing); extraction on a miss streams a second pass.
-Both passes are bounded-memory; neither ever holds the full signal.
+A synthetic record is therefore streamed once on a miss (through the
+extractor) and never on a hit; a file or array is streamed once to key
+it and once more on a miss.  Every pass is bounded-memory; none ever
+holds the full signal.
 """
 
 from __future__ import annotations
@@ -74,16 +79,19 @@ def source_cache_key(
 ) -> tuple:
     """Build the exact-identity cache key for one extraction call.
 
-    The record contributes id, geometry and a streamed content digest;
-    the extractor contributes its class, feature names *and* instance
-    configuration: two ``Paper10FeatureExtractor`` instances with
-    different ``renyi_alpha`` produce different matrices under the same
-    feature names, and must never hit each other's entries.  ``chunk_s``
-    tunes only the digest pass's working set — it never changes the key
-    (the digest is chunk-invariant), because chunking never changes the
-    extracted matrix.
+    The record contributes id, geometry and its recipe digest, or a
+    streamed content digest when it has no recipe; the extractor
+    contributes its class, feature names *and* instance configuration:
+    two ``Paper10FeatureExtractor`` instances with different
+    ``renyi_alpha`` produce different matrices under the same feature
+    names, and must never hit each other's entries.  ``chunk_s`` tunes
+    only the content-digest pass's working set — it never changes the
+    key (the digest is chunk-invariant), because chunking never changes
+    the extracted matrix.
     """
-    digest = record_content_digest(source, chunk_s)
+    digest = source.recipe_digest()
+    if digest is None:
+        digest = record_content_digest(source, chunk_s)
     return (
         source.record_id,
         (source.n_channels, source.n_samples),
@@ -150,9 +158,9 @@ class FeatureCache:
     ) -> FeatureMatrix:
         """Return the cached matrix or extract (streamed) and cache it.
 
-        The record's signal is only ever touched in bounded chunks: one
-        streaming pass keys the lookup, and a miss streams a second pass
-        through the extractor.  Raises
+        The record's signal is only ever touched in bounded chunks: a
+        miss streams it through the extractor, and a source without a
+        recipe digest is streamed once more to key the lookup.  Raises
         :class:`~repro.exceptions.FeatureError` for records shorter than
         one window — the short-record contract propagates unchanged
         through the cache.

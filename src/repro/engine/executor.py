@@ -169,10 +169,11 @@ class _WorkerContext:
 
         The task resolves to a :class:`~repro.data.sources
         .SyntheticRecordSource`, not a record: the worker only ever
-        touches the signal in bounded chunks (one streaming pass keys
-        the cache, a miss streams a second pass through the extractor),
-        and scoring consumes source *metadata* — the full waveform is
-        never materialized anywhere in the engine data plane.
+        touches the signal in bounded chunks (the cache keys it by
+        recipe, so only a miss streams it, once, through the
+        extractor), and scoring consumes source *metadata* — the full
+        waveform is never materialized anywhere in the engine data
+        plane.
         """
         cfg = self.config
         source = cfg.dataset.sample_source(

@@ -7,6 +7,11 @@ digest is invariant to chunking — so cache/store keys cannot depend on
 how a record was streamed.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,11 +23,17 @@ from repro.data import (
 from repro.data.sources import (
     ArrayRecordSource,
     EDFRecordSource,
+    SignalPatch,
     SyntheticRecordSource,
     rechunk,
     record_content_digest,
 )
-from repro.data.synthetic import GEN_BLOCK_S, block_spans
+from repro.data.synthetic import (
+    GEN_BLOCK_S,
+    GENERATOR_VERSION,
+    BackgroundEEGModel,
+    block_spans,
+)
 from repro.exceptions import DataError
 
 #: Chunk sizes spanning sub-second, non-aligned, the generation block,
@@ -119,8 +130,6 @@ class TestSyntheticRecordSource:
 
     def test_patch_validation(self, dataset):
         source = dataset.sample_source(1, 0, 0)
-        from repro.data.sources import SignalPatch
-
         with pytest.raises(DataError, match="does not fit"):
             SyntheticRecordSource(
                 model=source.model,
@@ -205,3 +214,130 @@ class TestContentDigest:
         assert record_content_digest(swapped) != record_content_digest(
             sample_record
         )
+
+
+def pinned_source(**overrides) -> SyntheticRecordSource:
+    """A small fixed recipe: 90 s at 64 Hz, one patch on channel 1."""
+    fs = 64.0
+    recipe = dict(
+        model=BackgroundEEGModel(line_noise_uv=5.0),
+        entropy=(11, 22, 33, 44),
+        n_samples=int(90 * fs),
+        fs=fs,
+        patches=(
+            SignalPatch(1, 2000, 25.0 * np.sin(2 * np.pi * 3.0 * np.arange(640) / fs)),
+        ),
+    )
+    recipe.update(overrides)
+    return SyntheticRecordSource(**recipe)
+
+
+#: ``record_content_digest(pinned_source())`` at the pinned generator
+#: version, by the SIMD target numpy's float64 ``exp``/``sin`` loops run
+#: on (AVX-512 rounds differently from AVX2 and the x86-64-v2 baseline).
+PINNED_VERSION = 2
+PINNED_DIGESTS = {
+    "X86_V4": "29750b9d260b7e4efa8e0d2d173c7dec",
+    "X86_V3": "3d5e1cc1c1958c5f8ad6de2a9c8d8695",
+    "baseline(X86_V2)": "3d5e1cc1c1958c5f8ad6de2a9c8d8695",
+}
+
+
+class TestRecipeDigest:
+    """Synthetic sources are cached by recipe, so the recipe digest must
+    change whenever the waveform can."""
+
+    def test_stale_entry_guard(self):
+        # A store keyed by recipe serves whatever was extracted under the
+        # same recipe digest.  Any edit that changes the waveform must
+        # therefore bump GENERATOR_VERSION, and this pin with it.
+        introspect = pytest.importorskip("numpy.lib.introspect")
+        loops = introspect.opt_func_info(func_name="^(exp|sin)$", signature="float64")
+        targets = {loops[name]["dd"]["current"] for name in ("exp", "sin")}
+        target = targets.pop() if len(targets) == 1 else None
+        digest = record_content_digest(pinned_source())
+        if target not in PINNED_DIGESTS:
+            pytest.skip(f"no pin for float64 exp/sin on {loops}: {digest}")
+        assert (GENERATOR_VERSION, digest) == (
+            PINNED_VERSION, PINNED_DIGESTS[target]
+        ), "the waveform changed: bump GENERATOR_VERSION and re-pin"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"entropy": (11, 22, 33, 45)},
+            {"n_samples": int(90 * 64.0) + 1},
+            {"fs": 65.0},
+            {"n_channels": 3},
+        ],
+        ids=["entropy", "n_samples", "fs", "n_channels"],
+    )
+    def test_geometry_and_entropy_change_digest(self, overrides):
+        assert pinned_source(**overrides).recipe_digest() != (
+            pinned_source().recipe_digest()
+        )
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(BackgroundEEGModel)]
+    )
+    def test_every_model_field_changes_digest(self, field):
+        model = BackgroundEEGModel(line_noise_uv=5.0)
+        changed = dataclasses.replace(model, **{field: getattr(model, field) + 0.125})
+        assert pinned_source(model=changed).recipe_digest() != (
+            pinned_source().recipe_digest()
+        )
+
+    def test_every_patch_detail_changes_digest(self):
+        base = pinned_source()
+        (patch,) = base.patches
+        wave = patch.wave.copy()
+        wave[17] = np.nextafter(wave[17], np.inf)
+        variants = [
+            SignalPatch(0, patch.start, patch.wave),
+            SignalPatch(patch.channel, patch.start + 1, patch.wave),
+            SignalPatch(patch.channel, patch.start, wave),
+        ]
+        digests = {pinned_source(patches=(v,)).recipe_digest() for v in variants}
+        digests.add(base.recipe_digest())
+        assert len(digests) == len(variants) + 1
+
+    def test_patch_order_changes_digest(self):
+        a = SignalPatch(0, 100, np.ones(8))
+        b = SignalPatch(1, 300, np.full(8, 2.0))
+        assert pinned_source(patches=(a, b)).recipe_digest() != (
+            pinned_source(patches=(b, a)).recipe_digest()
+        )
+
+    def test_metadata_does_not_change_digest(self):
+        assert pinned_source(record_id="x", patient_id="y").recipe_digest() == (
+            pinned_source().recipe_digest()
+        )
+
+    def test_independent_builds_agree(self, dataset):
+        again = SyntheticEEGDataset(duration_range_s=(300.0, 360.0))
+        assert dataset.sample_source(2, 1, 0).recipe_digest() == (
+            again.sample_source(2, 1, 0).recipe_digest()
+        )
+        assert dataset.sample_source(2, 1, 0).recipe_digest() != (
+            dataset.sample_source(2, 1, 1).recipe_digest()
+        )
+
+    def test_stable_across_processes(self, dataset):
+        # No salted hash() anywhere: a fresh interpreter agrees.
+        code = (
+            "from repro.data import SyntheticEEGDataset\n"
+            "ds = SyntheticEEGDataset(duration_range_s=(300.0, 360.0))\n"
+            "print(ds.sample_source(2, 1, 0).recipe_digest())\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.strip()
+        assert out == dataset.sample_source(2, 1, 0).recipe_digest()
+
+    def test_sources_without_a_recipe(self, sample_record, tmp_path):
+        path = tmp_path / "rec.edf"
+        write_edf(sample_record, path)
+        assert ArrayRecordSource(sample_record).recipe_digest() is None
+        assert EDFRecordSource(path).recipe_digest() is None

@@ -46,6 +46,29 @@ class TestSmoothEnvelope:
         with pytest.raises(DataError):
             smooth_envelope(100, rng, FS, timescale_s=0.0)
 
+    @pytest.mark.parametrize(
+        "n, fs, timescale_s",
+        [
+            (500, 1.0, 2.0),  # kernel 2
+            (int(60 * FS), FS, 3.0),  # kernel 768, one generation block
+            (100, FS, 3.0),  # n < kernel
+            (1, FS, 3.0),  # a single sample
+        ],
+        ids=["kernel-2", "kernel-768", "n-below-kernel", "n-1"],
+    )
+    def test_matches_direct_convolution(self, n, fs, timescale_s):
+        # The running-sum form must reproduce the double box filter it
+        # replaced, written out here with np.convolve.
+        env = smooth_envelope(n, np.random.default_rng(7), fs, timescale_s)
+        kernel = max(2, int(round(timescale_s * fs)))
+        raw = np.random.default_rng(7).standard_normal(n + 2 * kernel)
+        box = np.ones(kernel) / kernel
+        sm = np.convolve(np.convolve(raw, box, mode="valid"), box, mode="valid")[:n]
+        sm = (sm - sm.mean()) / (sm.std() + 1e-12)
+        expected = 1.0 / (1.0 + np.exp(-2.0 * sm))
+        assert env.shape == (n,)
+        assert np.allclose(env, expected, rtol=0.0, atol=1e-12)
+
 
 class TestBackgroundModel:
     def test_shape_and_amplitude(self, rng):

@@ -197,6 +197,65 @@ class TestChunkSizeInvariance:
         assert np.array_equal(tiny.values, batch.values)
 
 
+class TestStreamingPassCount:
+    """How often a record's signal is produced per engine record.
+
+    A synthetic source is keyed by its recipe, so it is synthesized once
+    on a miss (through the extractor) and never on a store hit; a source
+    without a recipe is still streamed once to key it."""
+
+    TASKS = (RecordTask(1, 0, 0), RecordTask(8, 0, 0))
+
+    @staticmethod
+    def count_passes(monkeypatch, cls):
+        calls = {"n": 0}
+        original = cls.iter_chunks
+
+        def counting(self, *args, **kwargs):
+            calls["n"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "iter_chunks", counting)
+        return calls
+
+    def test_synthetic_miss_streams_once_and_store_hit_never(
+        self, dataset, monkeypatch, tmp_path
+    ):
+        from repro.data.sources import SyntheticRecordSource
+
+        calls = self.count_passes(monkeypatch, SyntheticRecordSource)
+        store_dir = str(tmp_path / "store")
+        first = CohortEngine(dataset, executor="serial", store_dir=store_dir)
+        first.run(self.TASKS)
+        assert first.cache_stats()["store"]["misses"] == len(self.TASKS)
+        assert calls["n"] == len(self.TASKS)
+
+        calls["n"] = 0
+        second = CohortEngine(dataset, executor="serial", store_dir=store_dir)
+        second.run(self.TASKS)
+        assert second.cache_stats()["store"]["hits"] == len(self.TASKS)
+        assert calls["n"] == 0
+
+    def test_memory_miss_streams_once(self, dataset, monkeypatch):
+        from repro.data.sources import SyntheticRecordSource
+
+        calls = self.count_passes(monkeypatch, SyntheticRecordSource)
+        engine = CohortEngine(dataset, executor="serial")
+        engine.run(self.TASKS)
+        assert engine.cache_stats()["misses"] == len(self.TASKS)
+        assert calls["n"] == len(self.TASKS)
+
+    def test_array_source_miss_streams_twice(self, sample_record, monkeypatch):
+        from repro.data.sources import ArrayRecordSource
+
+        calls = self.count_passes(monkeypatch, ArrayRecordSource)
+        cache = FeatureCache(capacity=2)
+        cache.get_or_extract(sample_record, Paper10FeatureExtractor(), WindowSpec(4.0, 1.0))
+        assert calls["n"] == 2  # content digest + extraction
+        cache.get_or_extract(sample_record, Paper10FeatureExtractor(), WindowSpec(4.0, 1.0))
+        assert calls["n"] == 3  # a memory hit still digests the content
+
+
 class TestEngineParity:
     """Engine output == sequential pipeline, at workers=1 and workers=4."""
 
