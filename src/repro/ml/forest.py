@@ -5,6 +5,10 @@ random forest algorithm [28]" over the e-Glass features (Sec. III-C).
 This implementation composes :class:`~repro.ml.tree.DecisionTreeClassifier`
 with bootstrap resampling and per-node sqrt-feature sampling; probabilities
 are averaged across trees (soft voting).
+
+Fitting or loading a forest compiles its trees into one
+:class:`~repro.ml.tree.NodeTable`, so scoring walks all trees at once in
+a fixed number of vectorized steps.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ModelError
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, NodeTable, frozen
 
 __all__ = ["RandomForestClassifier"]
 
@@ -65,6 +69,10 @@ class RandomForestClassifier:
         self.random_state = random_state
         self.trees_: list[DecisionTreeClassifier] = []
         self.classes_: np.ndarray | None = None
+        # Scoring table of all trees and its leaf distributions padded to
+        # classes_, set by fit() / from_state().
+        self._table: NodeTable | None = None
+        self._proba = frozen(np.empty((0, 0)), float)
 
     def fit(self, values: np.ndarray, labels: np.ndarray) -> "RandomForestClassifier":
         values, labels = DecisionTreeClassifier._check_xy(values, labels)
@@ -90,7 +98,35 @@ class RandomForestClassifier:
             )
             tree.fit(values[idx], labels[idx])
             self.trees_.append(tree)
+        self._compile()
         return self
+
+    def _compile(self) -> None:
+        """Concatenate the trees into one scoring table.
+
+        Each tree's leaf distributions are zero-padded to the forest's
+        ``classes_`` (a bootstrap replica can miss a class entirely).
+        """
+        assert self.classes_ is not None
+        classes = self.classes_
+        if classes.ndim != 1 or not np.all(classes[1:] > classes[:-1]):
+            raise ModelError("bad forest state: classes must be sorted and unique")
+        padded = []
+        for tree in self.trees_:
+            assert tree.classes_ is not None
+            cols = np.searchsorted(classes, tree.classes_)
+            if np.any(cols >= classes.size) or not np.array_equal(
+                classes[cols], tree.classes_
+            ):
+                raise ModelError(
+                    f"bad forest state: tree classes {tree.classes_.tolist()} "
+                    f"not among forest classes {classes.tolist()}"
+                )
+            rows = np.zeros((tree.n_nodes, classes.size))
+            rows[:, cols] += tree.leaf_proba
+            padded.append(rows)
+        self._proba = frozen(np.concatenate(padded), float)
+        self._table = NodeTable.concat([tree.table for tree in self.trees_])
 
     def _bootstrap_indices(
         self, labels: np.ndarray, n: int, rng: np.random.Generator
@@ -113,24 +149,19 @@ class RandomForestClassifier:
     def predict_proba(self, values: np.ndarray) -> np.ndarray:
         """Forest probability: the average of per-tree leaf distributions.
 
-        Tree class columns are aligned to the forest's ``classes_`` (a
-        bootstrap replica can miss a class entirely).
+        The leaf rows are summed in tree order (``cumsum`` is sequential,
+        where ``sum`` would reduce pairwise), so the result is bitwise
+        the per-tree accumulation ``acc[:, cols] += tree_proba``.
         """
-        if not self.trees_ or self.classes_ is None:
+        if self._table is None:
             raise ModelError("forest is not fitted; call fit() first")
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ModelError(f"expected (n, F) features, got {values.shape}")
-        acc = np.zeros((values.shape[0], self.classes_.size))
-        for tree in self.trees_:
-            proba = tree.predict_proba(values)
-            assert tree.classes_ is not None
-            cols = np.searchsorted(self.classes_, tree.classes_)
-            acc[:, cols] += proba
-        return acc / len(self.trees_)
+        leaf_rows = self._proba[self._table.leaves(values)]
+        return np.cumsum(leaf_rows, axis=1)[:, -1] / len(self.trees_)
 
     def predict(self, values: np.ndarray) -> np.ndarray:
-        assert self.classes_ is not None or self.predict_proba(values) is not None
         proba = self.predict_proba(values)
         assert self.classes_ is not None
         return self.classes_[np.argmax(proba, axis=1)]
@@ -162,7 +193,9 @@ class RandomForestClassifier:
     @classmethod
     def from_state(cls, state: dict) -> "RandomForestClassifier":
         """Rebuild a fitted forest from :meth:`to_state` output; the
-        rebuilt ensemble scores bit-identically to the original."""
+        rebuilt ensemble scores bit-identically to the original.  Each
+        tree state is validated by
+        :meth:`DecisionTreeClassifier.from_state`."""
         try:
             forest = cls(
                 n_estimators=state.get("n_estimators", len(state["trees"])),
@@ -179,8 +212,9 @@ class RandomForestClassifier:
                 DecisionTreeClassifier.from_state(tree)
                 for tree in state["trees"]
             ]
+            if not forest.trees_:
+                raise ModelError("bad forest state: no trees")
+            forest._compile()
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"bad forest state: {exc}") from None
-        if not forest.trees_:
-            raise ModelError("bad forest state: no trees")
         return forest

@@ -6,18 +6,111 @@ clean-room CART implementation: binary splits chosen by Gini impurity with
 a vectorized sort-and-scan search, depth/leaf-size regularization, and
 per-node random feature subsampling (the hook the forest uses).
 
-The implementation stores the tree in flat arrays (feature, threshold,
-children, leaf distribution) so prediction is a tight loop rather than
-object-graph traversal.
+A fitted tree is a set of frozen numpy node arrays (feature, threshold,
+children, leaf distribution), built once at the end of :meth:`fit` or in
+:meth:`from_state`.  Scoring walks a :class:`NodeTable` derived from them
+at the same moment: leaves point at themselves, so every row takes the
+same fixed number of vectorized steps and no per-call rebuild remains.
+The forest concatenates its trees' tables and walks them all at once.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import ModelError
 
-__all__ = ["DecisionTreeClassifier"]
+__all__ = ["DecisionTreeClassifier", "NodeTable"]
+
+
+def frozen(values, dtype) -> np.ndarray:
+    """A read-only numpy copy of ``values``."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """The scoring form of one or more trees, nodes concatenated.
+
+    A leaf points at itself and reads column 0, so ``depth`` steps from
+    the ``roots`` land every row on its leaf whatever its path length.
+    A row goes left when ``value <= threshold`` (NaN goes right).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    depth: int
+    width: int  # feature columns the splits read: max split feature + 1
+
+    @classmethod
+    def of_tree(
+        cls,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+    ) -> "NodeTable":
+        """Table of one validated tree (root 0, leaves marked ``-1``)."""
+        leaf = feature < 0
+        ids = np.arange(feature.size)
+        depth, level = 0, np.zeros(1, dtype=np.int64)
+        while True:
+            level = level[~leaf[level]]
+            if level.size == 0:
+                break
+            level = np.concatenate([left[level], right[level]])
+            depth += 1
+        return cls(
+            feature=frozen(np.where(leaf, 0, feature), np.int64),
+            threshold=threshold,
+            left=frozen(np.where(leaf, ids, left), np.int64),
+            right=frozen(np.where(leaf, ids, right), np.int64),
+            roots=frozen([0], np.int64),
+            depth=depth,
+            width=int(feature.max()) + 1,
+        )
+
+    @classmethod
+    def concat(cls, tables: Sequence["NodeTable"]) -> "NodeTable":
+        """One table walking every tree of ``tables`` at once."""
+        offsets = np.cumsum([0] + [t.feature.size for t in tables[:-1]])
+
+        def shifted(name: str) -> np.ndarray:
+            parts = [getattr(t, name) + o for t, o in zip(tables, offsets)]
+            return frozen(np.concatenate(parts), np.int64)
+
+        return cls(
+            feature=frozen(np.concatenate([t.feature for t in tables]), np.int64),
+            threshold=frozen(np.concatenate([t.threshold for t in tables]), float),
+            left=shifted("left"),
+            right=shifted("right"),
+            roots=shifted("roots"),
+            depth=max(t.depth for t in tables),
+            width=max(t.width for t in tables),
+        )
+
+    def leaves(self, values: np.ndarray) -> np.ndarray:
+        """Leaf node of every row in every tree, shape (n_rows, n_trees)."""
+        n_rows, n_cols = values.shape
+        if n_cols < self.width:
+            raise ModelError(
+                f"splits read {self.width} feature columns, got {n_cols}"
+            )
+        flat = values.ravel()
+        base = np.arange(0, n_rows * n_cols, n_cols)[:, None]
+        node = np.tile(self.roots, (n_rows, 1))
+        for _ in range(self.depth):
+            go_left = flat[base + self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return node
 
 
 class DecisionTreeClassifier:
@@ -57,12 +150,14 @@ class DecisionTreeClassifier:
         self.max_features = max_features
         self.random_state = random_state
         self.classes_: np.ndarray | None = None
-        # Flat tree arrays, filled by fit().
-        self._feature: list[int] = []
-        self._threshold: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._proba: list[np.ndarray] = []
+        # Frozen node arrays (leaves have feature and children -1) and
+        # their scoring table, set by fit() / from_state().
+        self._feature = frozen([], np.int64)
+        self._threshold = frozen([], float)
+        self._left = frozen([], np.int64)
+        self._right = frozen([], np.int64)
+        self._proba = frozen(np.empty((0, 0)), float)
+        self._table: NodeTable | None = None
 
     # ------------------------------------------------------------------
     # Fitting
@@ -86,8 +181,11 @@ class DecisionTreeClassifier:
         else:
             raise ModelError(f"invalid max_features {self.max_features!r}")
 
-        self._feature, self._threshold = [], []
-        self._left, self._right, self._proba = [], [], []
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        proba: list[np.ndarray] = []
 
         # Iterative growth: stack of (sample_indices, depth, parent_slot).
         # parent_slot is (node_id, 'left'|'right') to patch after creation.
@@ -96,13 +194,19 @@ class DecisionTreeClassifier:
         ]
         while stack:
             idx, depth, parent = stack.pop()
-            node_id = self._new_node(encoded[idx], n_classes)
+            node_id = len(feature)
+            counts = np.bincount(encoded[idx], minlength=n_classes).astype(float)
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            proba.append(counts / counts.sum())
             if parent is not None:
                 pid, side = parent
                 if side == "left":
-                    self._left[pid] = node_id
+                    left[pid] = node_id
                 else:
-                    self._right[pid] = node_id
+                    right[pid] = node_id
 
             if self._should_stop(encoded[idx], depth):
                 continue
@@ -110,20 +214,59 @@ class DecisionTreeClassifier:
             if split is None:
                 continue
             feat, thr, left_idx, right_idx = split
-            self._feature[node_id] = feat
-            self._threshold[node_id] = thr
+            feature[node_id] = feat
+            threshold[node_id] = thr
             stack.append((right_idx, depth + 1, (node_id, "right")))
             stack.append((left_idx, depth + 1, (node_id, "left")))
+        self._set_nodes(feature, threshold, left, right, proba)
         return self
 
-    def _new_node(self, node_labels: np.ndarray, n_classes: int) -> int:
-        counts = np.bincount(node_labels, minlength=n_classes).astype(float)
-        self._feature.append(-1)
-        self._threshold.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._proba.append(counts / counts.sum())
-        return len(self._feature) - 1
+    def _set_nodes(self, feature, threshold, left, right, proba) -> None:
+        """Freeze the node arrays, check they form a tree as :meth:`fit`
+        grows one, and build the scoring table.
+
+        Children come after their parent, so a valid state has no cycle
+        and its walk always ends; every rule failure is a
+        :class:`ModelError` here rather than a hang or an ``IndexError``
+        at the first scored row.
+        """
+        assert self.classes_ is not None
+        feature = frozen(feature, np.int64)
+        threshold = frozen(threshold, float)
+        left = frozen(left, np.int64)
+        right = frozen(right, np.int64)
+        proba = frozen(proba, float)
+        n = feature.size
+        if n == 0:
+            raise ModelError("bad tree state: empty tree")
+        if any(a.shape != (n,) for a in (feature, threshold, left, right)):
+            raise ModelError("bad tree state: node arrays differ in length")
+        if proba.shape != (n, self.classes_.size):
+            raise ModelError(
+                f"bad tree state: proba must be {n} rows of "
+                f"{self.classes_.size} classes, got shape {proba.shape}"
+            )
+        if not np.all(np.isfinite(threshold)):
+            raise ModelError("bad tree state: non-finite threshold")
+        if not (np.all(np.isfinite(proba)) and np.all(proba >= 0.0)):
+            raise ModelError("bad tree state: leaf distribution not finite and >= 0")
+        leaf = feature == -1
+        if np.any(feature < -1):
+            raise ModelError("bad tree state: internal node with negative feature")
+        if np.any(left[leaf] != -1) or np.any(right[leaf] != -1):
+            raise ModelError("bad tree state: leaf with children")
+        ids = np.flatnonzero(~leaf)
+        for child in (left[ids], right[ids]):
+            if np.any(child <= ids) or np.any(child >= n):
+                raise ModelError(
+                    "bad tree state: child index not in (node_id, n_nodes)"
+                )
+        children = np.sort(np.concatenate([left[ids], right[ids]]))
+        if not np.array_equal(children, np.arange(1, n)):
+            raise ModelError("bad tree state: node without exactly one parent")
+        self._feature, self._threshold = feature, threshold
+        self._left, self._right, self._proba = left, right, proba
+        self._table = NodeTable.of_tree(feature, threshold, left, right)
 
     def _should_stop(self, node_labels: np.ndarray, depth: int) -> bool:
         if node_labels.size < self.min_samples_split:
@@ -198,21 +341,8 @@ class DecisionTreeClassifier:
     def predict_proba(self, values: np.ndarray) -> np.ndarray:
         """Class-probability estimates, shape (n, n_classes)."""
         values = self._check_fitted_x(values)
-        feature = np.asarray(self._feature)
-        threshold = np.asarray(self._threshold)
-        left = np.asarray(self._left)
-        right = np.asarray(self._right)
-        proba = np.vstack(self._proba)
-
-        node = np.zeros(values.shape[0], dtype=np.int64)
-        active = feature[node] >= 0
-        while active.any():
-            rows = np.where(active)[0]
-            cur = node[rows]
-            go_left = values[rows, feature[cur]] <= threshold[cur]
-            node[rows] = np.where(go_left, left[cur], right[cur])
-            active = feature[node] >= 0
-        return proba[node]
+        assert self._table is not None
+        return self._proba[self._table.leaves(values)[:, 0]]
 
     def predict(self, values: np.ndarray) -> np.ndarray:
         """Predicted class labels."""
@@ -222,19 +352,26 @@ class DecisionTreeClassifier:
 
     @property
     def n_nodes(self) -> int:
-        return len(self._feature)
+        return self._feature.size
 
     @property
     def depth(self) -> int:
         """Actual depth of the grown tree."""
-        if not self._feature:
+        if self._table is None:
             raise ModelError("tree is not fitted")
-        depths = np.zeros(len(self._feature), dtype=int)
-        for node_id in range(len(self._feature)):
-            for child in (self._left[node_id], self._right[node_id]):
-                if child >= 0:
-                    depths[child] = depths[node_id] + 1
-        return int(depths.max())
+        return self._table.depth
+
+    @property
+    def table(self) -> NodeTable:
+        """The frozen scoring table (leaf ``i`` is node ``i``)."""
+        if self._table is None:
+            raise ModelError("tree is not fitted")
+        return self._table
+
+    @property
+    def leaf_proba(self) -> np.ndarray:
+        """Frozen per-node class distributions, columns ``classes_``."""
+        return self._proba
 
     # ------------------------------------------------------------------
     # Serialization (live detector hot-swap / cross-process shipping)
@@ -250,11 +387,11 @@ class DecisionTreeClassifier:
             raise ModelError("tree is not fitted; nothing to serialize")
         return {
             "classes": self.classes_.tolist(),
-            "feature": list(self._feature),
-            "threshold": list(self._threshold),
-            "left": list(self._left),
-            "right": list(self._right),
-            "proba": [row.tolist() for row in self._proba],
+            "feature": self._feature.tolist(),
+            "threshold": self._threshold.tolist(),
+            "left": self._left.tolist(),
+            "right": self._right.tolist(),
+            "proba": self._proba.tolist(),
             "max_depth": self.max_depth,
             "min_samples_split": self.min_samples_split,
             "min_samples_leaf": self.min_samples_leaf,
@@ -267,7 +404,9 @@ class DecisionTreeClassifier:
 
         The training ``random_state`` is deliberately not shipped (a
         generator is not state-portable); the rebuilt tree predicts
-        identically and can only be refit with an explicit seed.
+        identically and can only be refit with an explicit seed.  States
+        arrive off the wire, so the node arrays are validated as in
+        :meth:`_set_nodes` and a malformed one raises :class:`ModelError`.
         """
         try:
             tree = cls(
@@ -277,17 +416,14 @@ class DecisionTreeClassifier:
                 max_features=state.get("max_features"),
             )
             tree.classes_ = np.asarray(state["classes"])
-            tree._feature = [int(v) for v in state["feature"]]
-            tree._threshold = [float(v) for v in state["threshold"]]
-            tree._left = [int(v) for v in state["left"]]
-            tree._right = [int(v) for v in state["right"]]
-            tree._proba = [
-                np.asarray(row, dtype=float) for row in state["proba"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
+            if tree.classes_.ndim != 1 or tree.classes_.size < 1:
+                raise ModelError("bad tree state: classes must be a non-empty list")
+            tree._set_nodes(
+                state["feature"], state["threshold"], state["left"],
+                state["right"], state["proba"],
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad tree state: {exc}") from None
-        if not tree._feature or tree.classes_.size < 1:
-            raise ModelError("bad tree state: empty tree")
         return tree
 
     # ------------------------------------------------------------------
@@ -310,7 +446,7 @@ class DecisionTreeClassifier:
         return values, labels
 
     def _check_fitted_x(self, values: np.ndarray) -> np.ndarray:
-        if self.classes_ is None:
+        if self._table is None:
             raise ModelError("tree is not fitted; call fit() first")
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:

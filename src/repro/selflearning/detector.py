@@ -75,7 +75,19 @@ class RealTimeDetector:
         if self.min_consecutive < 1:
             raise ModelError("min_consecutive must be >= 1")
         self._scaler = ZScoreScaler()
-        self._forest: RandomForestClassifier | None = None
+        self._forest = None
+
+    @property
+    def _forest(self) -> RandomForestClassifier | None:
+        return self._fitted_forest
+
+    @_forest.setter
+    def _forest(self, forest: RandomForestClassifier | None) -> None:
+        # Installing a forest resolves its seizure-class column once, so
+        # scoring never searches classes_ and a forest without class 1 is
+        # refused here rather than at the first scored window.
+        self._pos_col = 0 if forest is None else _positive_column(forest)
+        self._fitted_forest = forest
 
     # ------------------------------------------------------------------
     # Training
@@ -90,8 +102,7 @@ class RealTimeDetector:
             max_depth=self.max_depth,
             class_weight="balanced",
             random_state=self.seed,
-        )
-        self._forest.fit(values, training_set.labels)
+        ).fit(values, training_set.labels)
         return self
 
     @property
@@ -132,7 +143,12 @@ class RealTimeDetector:
 
     @classmethod
     def from_state(cls, state: dict) -> "RealTimeDetector":
-        """Rebuild a fitted detector from :meth:`to_state` output."""
+        """Rebuild a fitted detector from :meth:`to_state` output.
+
+        Raises :class:`ModelError` for a state that could not score: a
+        malformed forest, a forest without the seizure class ``1``, or
+        scaler ``mean`` / ``std`` not both the extractor's width.
+        """
         from ..features.paper10 import Paper10FeatureExtractor
 
         extractors = {
@@ -163,6 +179,14 @@ class RealTimeDetector:
             raise ModelError(f"bad detector state: missing {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ModelError(f"bad detector state: {exc}") from None
+        n_features = detector.extractor.n_features
+        for name in ("mean", "std"):
+            shape = getattr(detector._scaler, f"{name}_").shape
+            if shape != (n_features,):
+                raise ModelError(
+                    f"bad detector state: scaler {name} has shape {shape}, "
+                    f"extractor has {n_features} features"
+                )
         return detector
 
     # ------------------------------------------------------------------
@@ -180,10 +204,7 @@ class RealTimeDetector:
         if self._forest is None:
             raise ModelError("detector is not fitted; call fit() first")
         values = self._scaler.transform(np.asarray(values, dtype=float))
-        proba = self._forest.predict_proba(values)
-        assert self._forest.classes_ is not None
-        pos_col = int(np.where(self._forest.classes_ == 1)[0][0])
-        return proba[:, pos_col]
+        return self._forest.predict_proba(values)[:, self._pos_col]
 
     def window_probabilities(self, record: EEGRecord) -> np.ndarray:
         """Per-window seizure probability over a record."""
@@ -234,8 +255,18 @@ class RealTimeDetector:
         if self._forest is None:
             raise ModelError("detector is not fitted; call fit() first")
         values = self._scaler.transform(feats.values)
-        proba = self._forest.predict_proba(values)
-        assert self._forest.classes_ is not None
-        pos_col = int(np.where(self._forest.classes_ == 1)[0][0])
-        pred = (proba[:, pos_col] >= self.threshold).astype(np.int64)
+        proba = self._forest.predict_proba(values)[:, self._pos_col]
+        pred = (proba >= self.threshold).astype(np.int64)
         return classification_report(labels, pred)
+
+
+def _positive_column(forest: RandomForestClassifier) -> int:
+    """Column of the seizure class ``1`` in ``forest.predict_proba``."""
+    assert forest.classes_ is not None
+    hits = np.flatnonzero(forest.classes_ == 1)
+    if hits.size == 0:
+        raise ModelError(
+            f"forest classes {forest.classes_.tolist()} "
+            f"lack the seizure class 1"
+        )
+    return int(hits[0])

@@ -1,5 +1,7 @@
 """Unit tests for the random forest."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,98 @@ class TestValidation:
     def test_zero_estimators_raises(self):
         with pytest.raises(ModelError):
             RandomForestClassifier(n_estimators=0)
+
+
+def walked_proba(tree_state, x):
+    """Leaf distributions of one serialized tree, walked row by row in
+    plain Python — independent of the compiled node table."""
+    feature, threshold = tree_state["feature"], tree_state["threshold"]
+    left, right = tree_state["left"], tree_state["right"]
+    out = []
+    for row in x:
+        node = 0
+        while feature[node] >= 0:
+            go_left = row[feature[node]] <= threshold[node]
+            node = left[node] if go_left else right[node]
+        out.append(tree_state["proba"][node])
+    return np.array(out, dtype=float).reshape(len(x), len(tree_state["classes"]))
+
+
+def reference_proba(forest, x):
+    """The per-tree soft vote, accumulated in tree order."""
+    acc = np.zeros((x.shape[0], forest.classes_.size))
+    for tree in forest.trees_:
+        proba = tree.predict_proba(x)
+        assert np.array_equal(proba, walked_proba(tree.to_state(), x))
+        cols = np.searchsorted(forest.classes_, tree.classes_)
+        acc[:, cols] += proba
+    return acc / len(forest.trees_)
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestReferenceParity:
+    """The compiled forest table scores bitwise like the per-tree loop."""
+
+    @pytest.fixture()
+    def three_class_forest(self, rng):
+        x = rng.standard_normal((90, 5))
+        y = np.zeros(90, dtype=int)
+        y[:30] = 1
+        y[:3] = 2  # rare: plain bootstraps miss it
+        x[y == 1, 0] += 1.5
+        x[y == 2, 1] += 3.0
+        # Shallow trees keep mixed leaves, so leaf probabilities are
+        # inexact fractions and the summation order shows in the bits.
+        forest = RandomForestClassifier(
+            n_estimators=25, max_depth=3, min_samples_leaf=4, random_state=4
+        ).fit(x, y)
+        assert any(t.classes_.size < 3 for t in forest.trees_)
+        return forest
+
+    @pytest.fixture()
+    def probe(self, rng):
+        x = 2.0 * rng.standard_normal((64, 5))
+        x[rng.random(x.shape) < 0.1] = np.nan
+        x[rng.random(x.shape) < 0.05] = np.inf
+        x[rng.random(x.shape) < 0.05] = -np.inf
+        x[0] = np.nan
+        x[1] = np.inf
+        x[2] = -np.inf
+        return x
+
+    def test_batch_matches_reference(self, three_class_forest, probe):
+        assert np.array_equal(
+            bits(three_class_forest.predict_proba(probe)),
+            bits(reference_proba(three_class_forest, probe)),
+        )
+
+    def test_rows_alone_match_the_batch(self, three_class_forest, probe):
+        batch = three_class_forest.predict_proba(probe)
+        for i in range(probe.shape[0]):
+            alone = three_class_forest.predict_proba(probe[i : i + 1])
+            assert np.array_equal(bits(alone), bits(batch[i : i + 1]))
+
+    def test_json_round_trip_matches_reference(self, three_class_forest, probe):
+        state = three_class_forest.to_state()
+        rebuilt = RandomForestClassifier.from_state(json.loads(json.dumps(state)))
+        assert np.array_equal(
+            bits(rebuilt.predict_proba(probe)),
+            bits(reference_proba(three_class_forest, probe)),
+        )
+        assert json.dumps(rebuilt.to_state()) == json.dumps(state)
+
+    def test_balanced_binary_forest(self, rng, probe):
+        x, y = blobs(rng, n=200, sep=1.0, f=5)
+        forest = RandomForestClassifier(
+            n_estimators=20, max_depth=3, class_weight="balanced", random_state=0
+        ).fit(x, y)
+        assert np.array_equal(
+            bits(forest.predict_proba(probe)),
+            bits(reference_proba(forest, probe)),
+        )
+
+    def test_empty_batch(self, three_class_forest):
+        assert three_class_forest.predict_proba(np.empty((0, 5))).shape == (0, 3)

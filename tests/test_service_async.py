@@ -271,6 +271,70 @@ class TestSocketProtocol:
         assert eof == b""  # server hung up after the protocol violation
 
 
+    def test_swap_with_cyclic_tree_is_refused_and_forest_keeps_deciding(
+        self, sample_record, fitted_detector
+    ):
+        """A ``swap_detector`` whose forest holds a cyclic tree (one that
+        would spin the scorer forever) gets an error frame at swap time;
+        the session keeps deciding with the forest it was opened with."""
+        from repro.service import ForestWindowDetector
+
+        n, half, step = 12 * FS, 6 * FS, 2 * FS
+        record = type(sample_record)(
+            data=sample_record.data[:, :n], fs=sample_record.fs
+        )
+        expected = [
+            d.to_dict() for d in batch_window_decisions(
+                record, ForestWindowDetector(fitted_detector)
+            )
+        ]
+        state = fitted_detector.to_state()
+        cyclic = json.loads(json.dumps(state))
+        cyclic["forest"]["trees"][0].update(
+            feature=[0, -1], threshold=[0.0, 0.0], left=[0, -1],
+            right=[1, -1], proba=[[0.5, 0.5], [1.0, 0.0]],
+        )
+
+        async def go():
+            async with DetectionService() as service:
+                host, port = await service.serve()
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    opened = await request(
+                        reader, writer,
+                        {"op": "open", "session": "p", "state": state},
+                    )
+                    assert opened["ok"]
+                    replies = []
+                    for seq, lo in enumerate(range(0, n, step)):
+                        if lo == half:
+                            replies.append(await request(
+                                reader, writer,
+                                {"op": "swap_detector", "state": cyclic},
+                            ))
+                        reply = await request(
+                            reader, writer,
+                            chunk_frame("p", seq, record.data[:, lo : lo + step]),
+                        )
+                        assert reply["ok"] and reply["accepted"]
+                    polled = await request(
+                        reader, writer, {"op": "poll", "session": "p"}
+                    )
+                    closed = await request(
+                        reader, writer, {"op": "close", "session": "p"}
+                    )
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                return replies, polled, closed
+
+        (swap,), polled, closed = run(go())
+        assert not swap["ok"] and swap["code"] == "protocol"
+        assert "child" in swap["error"]
+        assert polled["events"] + closed["trailing_events"] == expected
+        assert closed["error"] is None
+
+
 class TestConcurrentClients:
     """Several client connections sharing one service: interleaved
     frames stay correlated per stream, one client's errors never leak
