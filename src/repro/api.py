@@ -185,9 +185,11 @@ def start_service(
     ``workers == 1`` yields the single-process
     :class:`DetectionService`; larger values yield a
     :class:`~repro.service.fleet.ServiceShardPool` hosting sessions
-    across that many worker processes — both expose the same async API
-    (open/ingest/poll/close/drain) and ``serve(host, port)`` socket
-    front-end, and both work as async context managers.  The returned
+    across that many worker processes.  Both serve the same socket
+    protocol from the same verb table and work as async context
+    managers; in process, ``open_session`` takes a detector object on
+    the former and a serialized state on the latter, and ``snapshot()``
+    is sync on the former and a coroutine on the latter.  The returned
     service is constructed but not yet running.
     """
     if config is None:

@@ -1225,8 +1225,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     import signal as signal_module
 
+    from .api import start_service
     from .service.fleet import ServiceShardPool
-    from .service.ingest import DetectionService
 
     if args.max_seconds is not None and args.max_seconds <= 0:
         print("error: --max-seconds must be positive", file=sys.stderr)
@@ -1270,11 +1270,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass  # non-unix loop: fall back to KeyboardInterrupt
         try:
-            if config.workers > 1:
-                server = ServiceShardPool(config)
-                shards = f"{config.workers} worker shards, "
-            else:
-                server, shards = DetectionService(config), ""
+            server = start_service(config)
+            shards = (
+                f"{server.n_workers} worker shards, "
+                if isinstance(server, ServiceShardPool)
+                else ""
+            )
             host, port = await server.serve(args.host, args.port)
             print(
                 f"repro service listening on {host}:{port} "

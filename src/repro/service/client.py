@@ -145,13 +145,8 @@ class ServiceClient:
         self, session_id: str, chunk: np.ndarray, seq: int | None = None
     ) -> IngestResult:
         """Push one sample chunk; returns the admission verdict."""
-        reply = self.request(chunk_message(session_id, seq, chunk))
-        return IngestResult(
-            session_id=reply["session_id"],
-            accepted=reply["accepted"],
-            queued=reply["queued"],
-            shed=reply["shed"],
-            reason=reply["reason"],
+        return IngestResult.from_reply(
+            self.request(chunk_message(session_id, seq, chunk))
         )
 
     def poll(
@@ -166,18 +161,8 @@ class ServiceClient:
 
     def close(self, session_id: str) -> SessionSummary:
         """Finalize a session; returns its summary with trailing events."""
-        reply = self.request({"op": "close", "session": str(session_id)})
-        return SessionSummary(
-            session_id=reply["session_id"],
-            windows=reply["windows"],
-            chunks=reply["chunks"],
-            samples=reply["samples"],
-            shed=reply["shed"],
-            trailing_events=tuple(
-                WindowDecision(**event)
-                for event in reply["trailing_events"]
-            ),
-            error=reply["error"],
+        return SessionSummary.from_reply(
+            self.request({"op": "close", "session": str(session_id)})
         )
 
     def telemetry(self) -> dict:

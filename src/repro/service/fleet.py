@@ -5,13 +5,15 @@ session's feature extraction and forest scoring on one core behind the
 GIL.  :class:`ServiceShardPool` breaks that ceiling without touching the
 session code: the parent process keeps the single client-facing socket
 listener, and N worker *processes* each host their own
-:class:`~repro.service.manager.SessionManager` plus consumer thread —
-the exact single-process service, N times over.
+:class:`~repro.service.manager.SessionManager` plus consumer thread,
+answering frames with :func:`shard_dispatch` — the one verb table the
+single-process service answers with too (it documents the wire
+protocol).
 
 Routing is session-sticky by construction: :meth:`ServiceShardPool
 .shard_of` hashes the session id with SHA-256 (stable across processes,
 runs, and machines — never the salted builtin ``hash``), so *every*
-chunk of a session lands on the same shard and the shard replays the
+chunk of a session lands on the same shard and the shard runs the
 identical code path the single-process service runs.  That extends the
 PR 7 parity contract across the pool: per-session decision streams are
 byte-identical to the single-process service for any chunking and any
@@ -66,7 +68,6 @@ the kind of latent corruption this service cannot afford).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -104,7 +105,7 @@ from .session import (
 )
 from .telemetry import ServiceTelemetry
 
-__all__ = ["ServiceShardPool", "shard_index_of"]
+__all__ = ["ServiceShardPool", "shard_dispatch", "shard_index_of"]
 
 #: How long the parent waits for every spawned worker to connect back
 #: and say hello before declaring the fleet broken.  Spawn re-imports
@@ -127,29 +128,60 @@ def shard_index_of(session_id: str, n_shards: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Worker side (runs in the spawned shard process)
+# The verb table (runs in every shard, and in the single-process service)
 # ---------------------------------------------------------------------------
+#: Verbs answered only once every admitted chunk is decided (so a swap
+#: lands at a window boundary); the pool's own verbs drain too.
+BARRIER_OPS = frozenset({"poll", "close", "swap_detector"})
+POOL_OPS = frozenset({"drain", "shutdown"})
+
+
 def shard_dispatch(
     manager: SessionManager, dirty: "queue.Queue[str | None]", message: dict
 ) -> dict:
-    """Serve one IPC frame against a shard's session manager.
+    """Answer one frame against a session manager: the service's only
+    verb table, and its wire-protocol reference.
 
-    The synchronous twin of :meth:`DetectionService._dispatch` — same
-    ops, same response shapes, same error-frame discipline — plus the
-    pool-internal ``drain`` and ``shutdown`` verbs.  Module-level and
-    transport-free so the backpressure/error surface is unit-testable
-    without spawning a process.
+    ``dirty`` is the consumer's queue as ``put(session_id)`` (after an
+    admitted chunk) and ``join()`` (the barrier before
+    :data:`BARRIER_OPS` and :data:`POOL_OPS`): a shard's
+    :class:`queue.Queue`, or the single-process service's asyncio queue
+    after it drained it on the event loop.
+
+    Requests are JSON objects with an ``op`` field (the ``hello``
+    handshake is answered earlier, by :mod:`repro.service.admission`):
+
+    ``{"op": "open", "session": id, "state": detector?}``
+        Register a session, scoring with the serialized
+        :meth:`~repro.selflearning.detector.RealTimeDetector.to_state`
+        forest when ``state`` is given.
+    ``{"op": "chunk", "session": id, "seq": n?, "shape": [c, n], "data": b64}``
+        One signal chunk (:func:`~repro.service.framing.chunk_message`);
+        replies with the :class:`IngestResult`.
+    ``{"op": "poll", "session": id, "max": k?}``
+        Drain up to ``k`` decided windows.
+    ``{"op": "close", "session": id}``
+        Finalize; replies with the :class:`SessionSummary`.
+    ``{"op": "swap_detector", "state": detector}``
+        Hot-swap every open session, and the default for new ones.
+    ``{"op": "telemetry", "samples": bool?}``
+        The snapshot; ``samples`` adds the latency reservoir.
+    ``{"op": "drain"}`` / ``{"op": "shutdown"}``
+        Wait until every admitted chunk is decided; ``shutdown`` also
+        returns the final snapshot with samples.
+
+    ``samples``, ``drain`` and ``shutdown`` are the pool's own; client
+    frames never carry them this far.  Every reply is ``{"ok": true,
+    ...}`` or the :func:`~repro.service.framing.error_frame`; a
+    malformed frame fails its own request, never the connection.
     """
-
-    def drain() -> None:
-        dirty.join()
-
     try:
         op = message.get("op")
+        if op in BARRIER_OPS or op in POOL_OPS:
+            dirty.join()
         if op == "open":
-            detector = None
-            if message.get("state") is not None:
-                detector = detector_from_state(message["state"])
+            state = message.get("state")
+            detector = None if state is None else detector_from_state(state)
             session = manager.open_session(str(message["session"]), detector)
             return {"ok": True, "session": session.session_id}
         if op == "chunk":
@@ -160,26 +192,15 @@ def shard_dispatch(
             )
             if result.accepted:
                 dirty.put(result.session_id)
-            return {"ok": True, **dataclasses.asdict(result)}
+            return result.to_reply()
         if op == "poll":
-            drain()
             events = manager.poll_events(
                 str(message["session"]), message.get("max")
             )
             return {"ok": True, "events": [e.to_dict() for e in events]}
         if op == "close":
-            drain()
-            summary = manager.close_session(str(message["session"]))
-            body = dataclasses.asdict(summary)
-            body["trailing_events"] = [
-                e.to_dict() for e in summary.trailing_events
-            ]
-            return {"ok": True, **body}
+            return manager.close_session(str(message["session"])).to_reply()
         if op == "swap_detector":
-            # Drain first so the swap point is deterministic: every
-            # admitted chunk is decided by the old detector, everything
-            # after by the new — a window boundary by lock discipline.
-            drain()
             swapped = manager.swap_detector(
                 detector_from_state(message["state"])
             )
@@ -192,10 +213,8 @@ def shard_dispatch(
                 ),
             }
         if op == "drain":
-            drain()
             return {"ok": True}
         if op == "shutdown":
-            drain()
             return {
                 "ok": True,
                 "telemetry": manager.snapshot(include_samples=True),
@@ -207,16 +226,31 @@ def shard_dispatch(
         return error_frame(exc)
 
 
+def consume(
+    manager: SessionManager, dirty: "queue.Queue[str | None]"
+) -> None:
+    """A shard's consumer loop: decide one queued chunk per dirty entry,
+    until a ``None`` sentinel."""
+    while True:
+        session_id = dirty.get()
+        try:
+            if session_id is None:
+                return
+            manager.pump(session_id, max_chunks=1)
+        except ServiceError:
+            pass  # closed with chunks in flight — accounted at close
+        finally:
+            dirty.task_done()
+
+
 def _shard_worker_main(
     shard_index: int, socket_path: str, config: ServiceConfig
 ) -> None:
     """One shard process: a SessionManager, a consumer thread, a frame loop.
 
-    Mirrors the single-process service's split exactly — the frame loop
-    is the producer (admission only, so backpressure verdicts return
-    immediately), the consumer thread decides queued chunks one at a
-    time — just with a process boundary where the asyncio task boundary
-    used to be.
+    The frame loop is the producer (admission only, so backpressure
+    verdicts return immediately); the consumer thread decides queued
+    chunks one at a time.
     """
     # Termination is the parent's job (shutdown frame, then EOF): a
     # terminal SIGINT/SIGTERM aimed at the process group must not kill
@@ -226,23 +260,12 @@ def _shard_worker_main(
 
     manager = SessionManager(config)
     dirty: "queue.Queue[str | None]" = queue.Queue()
-
-    def consume() -> None:
-        while True:
-            session_id = dirty.get()
-            try:
-                if session_id is None:
-                    return
-                manager.pump(session_id, max_chunks=1)
-            except ServiceError:
-                pass  # closed with chunks in flight — accounted at close
-            finally:
-                dirty.task_done()
-
-    consumer = threading.Thread(
-        target=consume, name=f"shard-{shard_index}-consumer", daemon=True
-    )
-    consumer.start()
+    threading.Thread(
+        target=consume,
+        args=(manager, dirty),
+        name=f"shard-{shard_index}-consumer",
+        daemon=True,
+    ).start()
 
     conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     conn.connect(socket_path)
@@ -419,13 +442,13 @@ class ServiceShardPool:
     and returns the final merged telemetry snapshot.  Also usable as an
     async context manager.
 
-    The in-process async API mirrors :class:`~repro.service.ingest
-    .DetectionService` (open/ingest/poll/close/drain) with the same
-    result types, so benchmarks and tests can swap one for the other;
-    sessions run the config's default detector or a serialized
-    :meth:`RealTimeDetector.to_state` payload (exactly the socket
-    protocol's capability — a live in-memory detector object cannot
-    cross a process boundary).
+    The in-process async API has the verbs and result types of
+    :class:`~repro.service.ingest.DetectionService`
+    (open/ingest/poll/close/swap/drain), with two differences: sessions
+    run the config's default detector or a serialized
+    :meth:`RealTimeDetector.to_state` payload (a live in-memory detector
+    object cannot cross a process boundary), and :meth:`snapshot` is a
+    coroutine (it asks every shard).
 
     With ``config.replay_buffer >= 1`` (the default) the pool is
     self-healing: a dead worker is respawned and its sessions re-homed
@@ -919,7 +942,7 @@ class ServiceShardPool:
         return reply
 
     # ------------------------------------------------------------------
-    # In-process async API (mirrors DetectionService)
+    # In-process async API (see the class docstring)
     # ------------------------------------------------------------------
     async def open_session(
         self, session_id: str, state: dict | None = None
@@ -936,13 +959,8 @@ class ServiceShardPool:
         """Offer one chunk to the owning shard; the admission verdict
         (including backpressure) comes back as the shard's own
         :class:`IngestResult`, unchanged."""
-        reply = await self._checked(chunk_message(session_id, seq, chunk))
-        return IngestResult(
-            session_id=reply["session_id"],
-            accepted=reply["accepted"],
-            queued=reply["queued"],
-            shed=reply["shed"],
-            reason=reply["reason"],
+        return IngestResult.from_reply(
+            await self._checked(chunk_message(session_id, seq, chunk))
         )
 
     async def poll_events(
@@ -955,20 +973,8 @@ class ServiceShardPool:
         return [WindowDecision(**event) for event in reply["events"]]
 
     async def close_session(self, session_id: str) -> SessionSummary:
-        reply = await self._checked({
-            "op": "close", "session": str(session_id),
-        })
-        return SessionSummary(
-            session_id=reply["session_id"],
-            windows=reply["windows"],
-            chunks=reply["chunks"],
-            samples=reply["samples"],
-            shed=reply["shed"],
-            trailing_events=tuple(
-                WindowDecision(**event)
-                for event in reply["trailing_events"]
-            ),
-            error=reply["error"],
+        return SessionSummary.from_reply(
+            await self._checked({"op": "close", "session": str(session_id)})
         )
 
     async def _checked(self, message: dict) -> dict:
@@ -1076,24 +1082,18 @@ class ServiceShardPool:
         service would have produced.
         """
         op = message.get("op")
-        if op == "telemetry":
-            try:
+        try:
+            if op == "telemetry":
                 return {"ok": True, "telemetry": await self.snapshot()}
-            except ReproError as exc:
-                return error_frame(exc)
-        if op == "swap_detector":
-            try:
+            if op == "swap_detector":
                 swapped = await self.swap_detector(message["state"])
                 return {"ok": True, "sessions": swapped}
-            except KeyError as exc:
-                return error_frame(f"missing field {exc}")
-            except ReproError as exc:
-                return error_frame(exc)
-        if op in ("open", "chunk", "poll", "close"):
-            if message.get("session") is None:
-                return error_frame("missing field 'session'")
-            try:
+            if op in ("open", "chunk", "poll", "close"):
+                if message.get("session") is None:
+                    return error_frame("missing field 'session'")
                 return await self._session_request(message)
-            except ReproError as exc:
-                return error_frame(exc)
-        return error_frame(ServiceError(f"unknown op {op!r}"))
+            raise ServiceError(f"unknown op {op!r}")
+        except KeyError as exc:
+            return error_frame(f"missing field {exc}")
+        except ReproError as exc:
+            return error_frame(exc)

@@ -9,64 +9,33 @@ unchanged — a full queue surfaces the manager's
 :class:`~repro.service.manager.IngestResult` to the async caller and as
 an error frame to socket clients.
 
-Wire protocol (one frame per message, both directions)::
-
-    [4-byte big-endian payload length][UTF-8 JSON payload]
-
-Requests are JSON objects with an ``op`` field:
-
-``{"op": "hello", "version": 1, "token": t?}``
-    The versioned handshake (see :mod:`repro.service.admission`).
-    Optional while auth is disabled — versionless legacy clients skip
-    it — and mandatory (with a configured token) when the service has
-    ``auth_tokens``.
-``{"op": "open", "session": id, "state": detector?}``
-    Register a session; ``state`` optionally carries a serialized
-    :meth:`~repro.selflearning.detector.RealTimeDetector.to_state`
-    payload so the session scores with that fitted forest.
-``{"op": "chunk", "session": id, "seq": n, "shape": [c, n], "data": b64}``
-    One signal chunk; ``data`` is base64 of the row-major float64
-    samples.  The response carries the ingest result (accepted / queued
-    / shed).
-``{"op": "poll", "session": id, "max": k?}``
-    Drain up to ``k`` decided windows.
-``{"op": "close", "session": id}``
-    Finalize; the response carries the session summary (including the
-    short-stream error, if any) and trailing events.
-``{"op": "swap_detector", "state": detector}``
-    Drain, then hot-swap every open session (and the default for new
-    ones) to the serialized detector — at a window boundary, without
-    dropping a session.
-``{"op": "telemetry"}``
-    The service telemetry snapshot.
-
-Every response is ``{"ok": true, ...}`` or the structured error frame
-``{"ok": false, "error": message, "code": ServiceErrorCode}`` — a
-malformed frame fails its own request, never the connection (fatal
-admission denials close it cleanly after the error frame).
+Wire protocol: one length-prefixed JSON frame per message, both
+directions (:mod:`repro.service.framing`).  The verbs and their replies
+are documented on :func:`~repro.service.fleet.shard_dispatch`, the one
+verb table this service and every shard of the multi-process pool
+answer with; the ``hello`` handshake is :mod:`repro.service.admission`'s.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import json
+import types
 
 import numpy as np
 
-from ..exceptions import ReproError, ServiceError
+from ..exceptions import ServiceError
 from .admission import AdmissionGate, serve_connection
 from .config import ServiceConfig
-from .framing import (
-    MAX_FRAME_BYTES,
-    decode_chunk,
-    error_frame,
-)
+from .fleet import BARRIER_OPS, POOL_OPS, shard_dispatch
+from .framing import MAX_FRAME_BYTES, decode_chunk, error_frame
 from .manager import IngestResult, SessionManager
-from .session import WindowDetector, detector_from_state
-from .telemetry import telemetry_to_json
+from .session import WindowDetector
 
-__all__ = ["DetectionService", "MAX_FRAME_BYTES"]
+__all__ = [
+    "DetectionService",
+    "MAX_FRAME_BYTES",
+    "decode_chunk",  # re-exported: perfbench/layertrace.py wraps it by name
+]
 
 
 class DetectionService:
@@ -90,6 +59,11 @@ class DetectionService:
         )
         self.gate = AdmissionGate(self.manager.config, self.manager.telemetry)
         self._dirty: asyncio.Queue[str] = asyncio.Queue()
+        # The put()/join() view shard_dispatch takes; join() has nothing
+        # to wait for, as _dispatch drains before every barrier verb.
+        self._drained = types.SimpleNamespace(
+            put=self._dirty.put_nowait, join=lambda: None
+        )
         self._consumer: asyncio.Task | None = None
         self._server: asyncio.base_events.Server | None = None
 
@@ -209,49 +183,15 @@ class DetectionService:
         await serve_connection(reader, writer, self.gate, self._dispatch)
 
     async def _dispatch(self, message: dict) -> dict:
-        try:
-            op = message.get("op")
-            if op == "open":
-                detector = None
-                if message.get("state") is not None:
-                    detector = detector_from_state(message["state"])
-                session = await self.open_session(
-                    str(message["session"]), detector
-                )
-                return {"ok": True, "session": session.session_id}
-            if op == "chunk":
-                result = await self.ingest(
-                    str(message["session"]),
-                    decode_chunk(message),
-                    seq=message.get("seq"),
-                )
-                return {"ok": True, **dataclasses.asdict(result)}
-            if op == "poll":
-                await self.drain()
-                events = await self.poll_events(
-                    str(message["session"]), message.get("max")
-                )
-                return {"ok": True, "events": [e.to_dict() for e in events]}
-            if op == "close":
-                await self.drain()
-                summary = await self.close_session(str(message["session"]))
-                body = dataclasses.asdict(summary)
-                body["trailing_events"] = [
-                    e.to_dict() for e in summary.trailing_events
-                ]
-                return {"ok": True, **body}
-            if op == "swap_detector":
-                swapped = await self.swap_detector(
-                    detector_from_state(message["state"])
-                )
-                return {"ok": True, "sessions": swapped}
-            if op == "telemetry":
-                return {
-                    "ok": True,
-                    "telemetry": json.loads(telemetry_to_json(self.snapshot())),
-                }
-            raise ServiceError(f"unknown op {op!r}")
-        except KeyError as exc:
-            return error_frame(f"missing field {exc}")
-        except ReproError as exc:
-            return error_frame(exc)
+        """Answer one client frame with :func:`shard_dispatch`, keeping
+        only the transport's part: refuse the pool-internal verbs and
+        the telemetry ``samples`` flag, and drain on the event loop
+        before a barrier verb so other connections stay served."""
+        op = message.get("op")
+        if op in POOL_OPS:
+            return error_frame(ServiceError(f"unknown op {op!r}"))
+        if op in BARRIER_OPS:
+            await self.drain()
+        elif op == "telemetry":
+            message = {"op": "telemetry"}
+        return shard_dispatch(self.manager, self._drained, message)

@@ -27,6 +27,7 @@ share one manager.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import deque
@@ -58,6 +59,15 @@ class IngestResult:
     shed: int = 0
     reason: str = ""
 
+    def to_reply(self) -> dict:
+        """The ``chunk`` verb's ok-reply."""
+        return {"ok": True, **dataclasses.asdict(self)}
+
+    @classmethod
+    def from_reply(cls, reply: dict) -> "IngestResult":
+        """Inverse of :meth:`to_reply`."""
+        return cls(**{f.name: reply[f.name] for f in dataclasses.fields(cls)})
+
 
 @dataclass(frozen=True)
 class SessionSummary:
@@ -76,6 +86,23 @@ class SessionSummary:
     shed: int
     trailing_events: tuple[WindowDecision, ...]
     error: str | None = None
+
+    def to_reply(self) -> dict:
+        """The ``close`` verb's ok-reply."""
+        return dict(
+            dataclasses.asdict(self),
+            ok=True,
+            trailing_events=[e.to_dict() for e in self.trailing_events],
+        )
+
+    @classmethod
+    def from_reply(cls, reply: dict) -> "SessionSummary":
+        """Inverse of :meth:`to_reply`."""
+        fields = {f.name: reply[f.name] for f in dataclasses.fields(cls)}
+        fields["trailing_events"] = tuple(
+            WindowDecision(**event) for event in reply["trailing_events"]
+        )
+        return cls(**fields)
 
 
 class _SessionState:
@@ -175,6 +202,11 @@ class SessionManager:
         means the transport lost or reordered data and the stream-time
         feature geometry would silently shear).
 
+        A chunk the detector could never decide — not ``(n_channels,
+        n)`` samples, or holding NaN/inf — raises
+        :class:`~repro.exceptions.ServiceError` before it is admitted,
+        so it takes no ``seq`` and never reaches the consumer.
+
         Returns the :class:`IngestResult`; under the ``reject`` policy a
         full queue returns ``accepted=False`` (or raises
         :class:`~repro.exceptions.BackpressureError` when ``strict``).
@@ -183,6 +215,16 @@ class SessionManager:
         chunk = np.asarray(chunk, dtype=float)
         if chunk.ndim == 1:
             chunk = chunk[None, :]
+        if chunk.ndim != 2 or chunk.shape[0] != self.config.n_channels:
+            raise ServiceError(
+                f"session {session_id!r}: chunk must be "
+                f"({self.config.n_channels}, n) samples, got {chunk.shape}"
+            )
+        if not np.isfinite(chunk).all():
+            raise ServiceError(
+                f"session {session_id!r}: chunk contains NaN or infinite "
+                f"samples"
+            )
         with state.lock:
             if state.session.closed:
                 raise ServiceError(f"session {session_id!r} is closed")

@@ -23,6 +23,7 @@ kernel backends) to the live path.
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
@@ -293,9 +294,13 @@ class DetectorSession:
 
     def poll_events(self, max_events: int | None = None) -> list[WindowDecision]:
         """Drain buffered decisions (oldest first), up to ``max_events``."""
-        if max_events is not None and max_events < 1:
+        if max_events is not None and (
+            isinstance(max_events, bool)
+            or not isinstance(max_events, numbers.Integral)
+            or max_events < 1
+        ):
             raise ServiceError(
-                f"max_events must be >= 1 or None, got {max_events}"
+                f"max_events must be an int >= 1 or None, got {max_events!r}"
             )
         take = (
             len(self._events)

@@ -26,7 +26,7 @@ from repro.service import (
     batch_window_decisions,
     shard_index_of,
 )
-from repro.service.fleet import shard_dispatch
+from repro.service.fleet import consume, shard_dispatch
 from repro.service.framing import chunk_message
 
 FS = 256
@@ -43,26 +43,6 @@ async def request(reader, writer, message):
     await writer.drain()
     (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
     return json.loads(await reader.readexactly(length))
-
-
-def start_consumer(manager, dirty):
-    """The exact consumer loop `_shard_worker_main` runs."""
-
-    def consume():
-        while True:
-            session_id = dirty.get()
-            try:
-                if session_id is None:
-                    return
-                manager.pump(session_id, max_chunks=1)
-            except ServiceError:
-                pass
-            finally:
-                dirty.task_done()
-
-    thread = threading.Thread(target=consume, daemon=True)
-    thread.start()
-    return thread
 
 
 class TestRouting:
@@ -149,7 +129,7 @@ class TestShardDispatch:
         )
         manager = SessionManager(ServiceConfig())
         dirty = queue.Queue()
-        start_consumer(manager, dirty)
+        threading.Thread(target=consume, args=(manager, dirty), daemon=True).start()
         shard_dispatch(manager, dirty, {"op": "open", "session": "p"})
         for seq in range(4):
             lo = seq * 5 * FS
@@ -327,3 +307,131 @@ class TestShardPool:
         assert merged["chunks"]["ingested"] == 4
         assert not bad_op["ok"] and "bogus" in bad_op["error"]
         assert not missing["ok"] and "session" in missing["error"]
+
+
+class TestOneWireProtocol:
+    """The single-process service and a 1-worker pool answer every frame
+    with the same verb table, so a client sees the same reply bytes from
+    either — including for malformed frames, which get a coded error
+    frame and never kill the connection or the shard."""
+
+    @staticmethod
+    def frames(record, state):
+        data = record.data
+
+        def chunk(seq, block):
+            return chunk_message("p", seq, block)
+
+        nan = data[:, : 5 * FS].copy()
+        nan[1, 7] = np.nan
+        inf = data[:, : 5 * FS].copy()
+        inf[0, 3] = -np.inf
+        # A barrier verb (poll/close/swap) precedes every admitted chunk,
+        # so `queued` does not depend on consumer timing.
+        return [
+            {"op": "open", "session": "p"},
+            {"op": "open", "session": "p"},  # duplicate
+            {"op": "open"},  # missing field
+            {"op": "open", "session": "q", "state": {"kind": "x"}},
+            {"op": "open", "session": "q", "state": 5},
+            chunk(0, data[:, : 5 * FS]),
+            {"op": "poll", "session": "p"},
+            chunk(1, data[:, 5 * FS : 10 * FS]),
+            {"op": "poll", "session": "p", "max": "1"},
+            {"op": "poll", "session": "p", "max": [1]},
+            {"op": "poll", "session": "p", "max": 1.5},  # events buffered
+            {"op": "poll", "session": "p", "max": True},
+            {"op": "poll", "session": "p", "max": 0},
+            {"op": "poll", "session": "p", "max": 2},
+            chunk(2, nan),
+            chunk(2, inf),
+            chunk(2, np.zeros((3, 5 * FS))),  # wrong channel count
+            chunk(2, data[:, 10 * FS : 15 * FS]),  # seq 2 was not used up
+            {"op": "swap_detector", "state": {"kind": "x"}},
+            {"op": "swap_detector"},
+            {"op": "swap_detector", "state": state},
+            chunk(3, data[:, 15 * FS : 20 * FS]),
+            chunk_message("ghost", 0, data[:, : FS]),
+            {"op": "bogus"},
+            {"op": "drain"},
+            {"op": "shutdown"},
+            {"op": "poll", "session": "p"},
+            {"op": "close", "session": "p"},
+            {"op": "close", "session": "p"},  # already closed
+        ]
+
+    @staticmethod
+    async def exchange(server, frames):
+        """Send every frame on one connection; return each raw reply
+        payload, then the telemetry reply (which differs by design: the
+        pool's is a merged fleet view)."""
+        host, port = await server.serve()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            replies = []
+            for message in frames + [{"op": "telemetry", "samples": True}]:
+                payload = json.dumps(message).encode()
+                writer.write(_LEN.pack(len(payload)) + payload)
+                await writer.drain()
+                (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+                replies.append(await reader.readexactly(length))
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        return replies[:-1], json.loads(replies[-1])
+
+    def test_both_transports_reply_identically(
+        self, sample_record, fitted_detector
+    ):
+        from repro.service import DetectionService
+
+        frames = self.frames(sample_record, fitted_detector.to_state())
+
+        async def single():
+            async with DetectionService(ServiceConfig()) as service:
+                return await self.exchange(service, frames)
+
+        async def pooled():
+            async with ServiceShardPool(ServiceConfig(workers=1)) as pool:
+                return await self.exchange(pool, frames)
+
+        single_replies, single_telemetry = run(single())
+        pool_replies, pool_telemetry = run(pooled())
+        assert single_replies == pool_replies
+        replies = [json.loads(r) for r in single_replies]
+        for frame, reply in zip(frames, replies):
+            assert isinstance(reply["ok"], bool), (frame["op"], reply)
+            if not reply["ok"]:
+                assert reply["code"] == "protocol", (frame["op"], reply)
+        by_op = {}
+        for frame, reply in zip(frames, replies):
+            by_op.setdefault(frame["op"], []).append(reply)
+        assert [r["ok"] for r in by_op["open"]] == [True] + [False] * 4
+        chunks = by_op["chunk"]
+        assert [r["ok"] for r in chunks] == [True, True] + [False] * 3 + [
+            True, True, False,
+        ]
+        assert all(r["queued"] == 1 for r in chunks if r["ok"])
+        assert "NaN or infinite" in chunks[2]["error"]
+        assert "NaN or infinite" in chunks[3]["error"]
+        assert "(2, n) samples" in chunks[4]["error"]
+        bad_max = by_op["poll"][1:6]
+        assert not any(r["ok"] for r in bad_max)
+        assert "'1'" in bad_max[0]["error"]
+        assert "1.5" in bad_max[2]["error"]
+        assert [r["ok"] for r in by_op["swap_detector"]] == [
+            False, False, True,
+        ]
+        assert by_op["swap_detector"][2]["sessions"] == 1
+        for op in ("bogus", "drain", "shutdown"):
+            assert by_op[op] == [
+                {"ok": False, "error": f"unknown op {op!r}", "code": "protocol"}
+            ]
+        assert [r["ok"] for r in by_op["close"]] == [True, False]
+        assert by_op["close"][0]["error"] is None
+        assert by_op["close"][0]["chunks"] == 4
+        # Nothing killed the shard, and the samples flag stayed internal.
+        assert single_telemetry["ok"] and pool_telemetry["ok"]
+        assert pool_telemetry["telemetry"]["resilience"]["shard_restarts"] == 0
+        assert "samples_ms" not in single_telemetry["telemetry"]["latency"]
+        assert "samples_ms" not in pool_telemetry["telemetry"]["latency"]

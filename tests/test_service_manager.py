@@ -71,6 +71,34 @@ class TestLifecycle:
             manager.ingest("a", chunk())
 
 
+class TestUndecidableChunks:
+    """A chunk the detector would fail on is refused at ingest: it once
+    killed the consumer and left every later barrier blocked."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_refused(self, bad):
+        manager = SessionManager()
+        manager.open_session("a")
+        block = chunk(5.0)
+        block[1, 10] = bad
+        with pytest.raises(ServiceError, match="NaN or infinite"):
+            manager.ingest("a", block, seq=0)
+        assert manager.queue_depth("a") == 0
+        # The refused chunk took no sequence number.
+        assert manager.ingest("a", chunk(5.0), seq=0).accepted
+        assert manager.pump("a") == 2
+
+    @pytest.mark.parametrize("shape", [(3, FS), (1, FS), (FS,), (2, 2, FS)])
+    def test_wrong_channel_count_is_refused(self, shape):
+        manager = SessionManager()
+        manager.open_session("a")
+        with pytest.raises(ServiceError, match=r"\(2, n\) samples"):
+            manager.ingest("a", np.zeros(shape), seq=0)
+        assert manager.queue_depth("a") == 0
+        assert manager.snapshot()["chunks"]["ingested"] == 0
+        assert manager.ingest("a", chunk(), seq=0).accepted
+
+
 class TestOrdering:
     def test_sequenced_ingest_accepts_in_order(self):
         manager = SessionManager()

@@ -30,7 +30,7 @@ from repro.service import (
     batch_window_decisions,
     shard_index_of,
 )
-from repro.service.fleet import shard_dispatch
+from repro.service.fleet import consume, shard_dispatch
 from repro.service.framing import chunk_message
 
 FS = 256
@@ -42,24 +42,6 @@ def run(coro):
 
 def truncated(record, n_samples):
     return type(record)(data=record.data[:, :n_samples], fs=record.fs)
-
-
-def start_consumer(manager, dirty):
-    """The exact consumer loop the spawned shard worker runs."""
-
-    def consume():
-        while True:
-            session_id = dirty.get()
-            try:
-                if session_id is None:
-                    return
-                manager.pump(session_id, max_chunks=1)
-            except ServiceError:
-                pass
-            finally:
-                dirty.task_done()
-
-    threading.Thread(target=consume, daemon=True).start()
 
 
 async def kill_shard(pool, index):
@@ -223,7 +205,7 @@ class TestHotSwap:
         config = ServiceConfig(queue_depth=64)
         manager = SessionManager(config)
         dirty = queue.Queue()
-        start_consumer(manager, dirty)
+        threading.Thread(target=consume, args=(manager, dirty), daemon=True).start()
         n = 10 * FS
         forest_batch = batch_window_decisions(
             truncated(sample_record, n),

@@ -1,5 +1,7 @@
 """DetectorSession: push/poll lifecycle and the batch-parity contract."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,23 @@ class TestLifecycle:
     def test_poll_events_bad_max_raises(self):
         with pytest.raises(ServiceError):
             DetectorSession("t").poll_events(max_events=0)
+
+    @pytest.mark.parametrize("bad", ["1", [1], 1.5, True, 2.0])
+    def test_poll_events_mistyped_max_is_a_service_error(
+        self, sample_record, bad
+    ):
+        # With events buffered, a float once reached range() as a
+        # TypeError that escaped every dispatch error handler.
+        session = DetectorSession("t")
+        session.push_chunk(sample_record.data[:, : 10 * 256])
+        with pytest.raises(ServiceError, match=re.escape(repr(bad))):
+            session.poll_events(max_events=bad)
+        assert session.pending_events == 7  # nothing drained
+
+    def test_poll_events_accepts_numpy_ints(self, sample_record):
+        session = DetectorSession("t")
+        session.push_chunk(sample_record.data[:, : 10 * 256])
+        assert len(session.poll_events(max_events=np.int64(2))) == 2
 
     def test_push_after_finalize_raises(self, sample_record):
         session = DetectorSession("t")
