@@ -57,6 +57,7 @@ from .data.sampling import (
 )
 from .engine import (
     DEFAULT_CHUNK_S,
+    EXECUTORS,
     SHARD_STRATEGIES,
     CohortCheckpoint,
     CohortEngine,
@@ -90,28 +91,40 @@ _PAPER_SAMPLES_PER_SEIZURE = 100
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
-    """The cohort scale/filter knobs, shared by the shard subcommands
-    (same semantics and precedence as ``repro cohort``)."""
+    """The cohort scale/filter knobs, shared by ``repro cohort``,
+    ``repro checkpoint merge`` and the shard subcommands (same semantics
+    and precedence everywhere)."""
     parser.add_argument(
         "--patients",
         default="",
         help="comma-separated patient ids (default: the full cohort)",
     )
     parser.add_argument(
-        "--samples", type=int, default=None,
-        help="samples per seizure (as for cohort)",
+        "--samples",
+        type=int,
+        default=None,
+        help="samples per seizure (default: $REPRO_SAMPLES_PER_SEIZURE, "
+        "else 1; --paper-scale switches the fallback to 100)",
     )
     parser.add_argument(
-        "--duration-min", type=float, default=None,
-        help="minimum record duration in minutes (as for cohort)",
+        "--duration-min",
+        type=float,
+        default=None,
+        help="minimum record duration in minutes (default 8)",
     )
     parser.add_argument(
-        "--duration-max", type=float, default=None,
-        help="maximum record duration in minutes (as for cohort)",
+        "--duration-max",
+        type=float,
+        default=None,
+        help="maximum record duration in minutes (default 15; with no "
+        "explicit durations, $REPRO_PAPER_DURATIONS=1 or --paper-scale "
+        "selects the paper's 30-60 min)",
     )
     parser.add_argument(
-        "--paper-scale", action="store_true",
-        help="Sec. VI-A paper scale (as for cohort)",
+        "--paper-scale",
+        action="store_true",
+        help="run the Sec. VI-A protocol at paper scale: 100 samples "
+        "per seizure, 30-60 min records (explicit flags still win)",
     )
 
 
@@ -206,18 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cohort = sub.add_parser(
         "cohort", help="parallel cohort evaluation (Table I/II rollup)"
     )
-    p_cohort.add_argument(
-        "--patients",
-        default="",
-        help="comma-separated patient ids (default: the full cohort)",
-    )
-    p_cohort.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="samples per seizure (default: $REPRO_SAMPLES_PER_SEIZURE, "
-        "else 1; --paper-scale switches the fallback to 100)",
-    )
+    _add_scale_args(p_cohort)
     p_cohort.add_argument(
         "--workers",
         type=int,
@@ -226,29 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cohort.add_argument(
         "--executor",
-        choices=("process", "thread", "serial"),
+        choices=EXECUTORS,
         default=None,
         help="pool kind (default: $REPRO_ENGINE_EXECUTOR, else process)",
-    )
-    p_cohort.add_argument(
-        "--duration-min",
-        type=float,
-        default=None,
-        help="minimum record duration in minutes (default 8)",
-    )
-    p_cohort.add_argument(
-        "--duration-max",
-        type=float,
-        default=None,
-        help="maximum record duration in minutes (default 15; with no "
-        "explicit durations, $REPRO_PAPER_DURATIONS=1 or --paper-scale "
-        "selects the paper's 30-60 min)",
-    )
-    p_cohort.add_argument(
-        "--paper-scale",
-        action="store_true",
-        help="run the Sec. VI-A protocol at paper scale: 100 samples "
-        "per seizure, 30-60 min records (explicit flags still win)",
     )
     p_cohort.add_argument(
         "--store",
@@ -312,6 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         "merge",
         help="merge shard journals of one work list into a single "
         "resumable checkpoint",
+        description="Merge shard journals of one work list into a single "
+        "resumable checkpoint. Without scale flags the shards must agree "
+        "on one work digest, which the merged journal keeps; any scale "
+        "flag switches the merged journal's work digest to the full work "
+        "list those flags describe, resolved as for `repro cohort`.",
     )
     p_merge.add_argument(
         "sources",
@@ -326,29 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="destination checkpoint (must not exist; written atomically)",
     )
-    p_merge.add_argument(
-        "--patients",
-        default="",
-        help="the merged run's cohort filter (as for `repro cohort`); "
-        "any scale flag switches the merged journal's work digest to "
-        "the full work list those flags describe",
-    )
-    p_merge.add_argument(
-        "--samples", type=int, default=None,
-        help="samples per seizure of the merged run (as for cohort)",
-    )
-    p_merge.add_argument(
-        "--duration-min", type=float, default=None,
-        help="minimum record duration in minutes (as for cohort)",
-    )
-    p_merge.add_argument(
-        "--duration-max", type=float, default=None,
-        help="maximum record duration in minutes (as for cohort)",
-    )
-    p_merge.add_argument(
-        "--paper-scale", action="store_true",
-        help="merged run at Sec. VI-A paper scale (as for cohort)",
-    )
+    _add_scale_args(p_merge)
 
     p_shard = sub.add_parser(
         "shard",
@@ -388,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "a .ckpt suffix)",
     )
     p_srun.add_argument(
-        "--executor", choices=("process", "thread", "serial"), default=None,
+        "--executor", choices=EXECUTORS, default=None,
         help="pool kind inside this shard (default: "
         "$REPRO_ENGINE_EXECUTOR, else process)",
     )
@@ -459,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         "parallelism comes from concurrent shards)",
     )
     p_sorch.add_argument(
-        "--executor", choices=("process", "thread", "serial"), default=None,
+        "--executor", choices=EXECUTORS, default=None,
         help="pool kind inside each shard (default: "
         "$REPRO_ENGINE_EXECUTOR, else process)",
     )

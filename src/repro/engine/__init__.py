@@ -49,6 +49,7 @@ from .chunked import (
 )
 from .executor import (
     ENV_EXECUTOR,
+    EXECUTORS,
     CohortEngine,
     EngineConfig,
     default_executor,
@@ -77,6 +78,7 @@ __all__ = [
     "DEFAULT_CHUNK_S",
     "DEFAULT_COMPACT_DEAD_LINES",
     "ENV_EXECUTOR",
+    "EXECUTORS",
     "SHARD_STRATEGIES",
     "CohortCheckpoint",
     "CohortEngine",

@@ -76,10 +76,13 @@ from .report import CohortReport, RecordOutcome
 from .store import DiskFeatureStore
 from .tasks import RecordTask, cohort_tasks
 
-__all__ = ["EngineConfig", "CohortEngine", "ENV_EXECUTOR", "default_executor"]
+__all__ = [
+    "EngineConfig", "CohortEngine", "ENV_EXECUTOR", "EXECUTORS",
+    "default_executor",
+]
 
 #: Supported executor kinds.
-_EXECUTORS = ("process", "thread", "serial")
+EXECUTORS = ("process", "thread", "serial")
 
 #: Environment variable selecting the default pool backend (CI runs the
 #: engine suites under both ``process`` and ``thread``).
@@ -96,9 +99,9 @@ def default_executor() -> str:
     raw = os.environ.get(ENV_EXECUTOR, "").strip().lower()
     if not raw:
         return "process"
-    if raw not in _EXECUTORS:
+    if raw not in EXECUTORS:
         raise EngineError(
-            f"{ENV_EXECUTOR} must be one of {_EXECUTORS}, got {raw!r}"
+            f"{ENV_EXECUTOR} must be one of {EXECUTORS}, got {raw!r}"
         )
     return raw
 
@@ -341,9 +344,9 @@ class CohortEngine:
             executor = (
                 settings.engine_executor if settings else default_executor()
             )
-        if executor not in _EXECUTORS:
+        if executor not in EXECUTORS:
             raise EngineError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
+                f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
         if max_workers is not None and max_workers < 1:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
@@ -451,9 +454,9 @@ class CohortEngine:
         """
         if executor is None:
             executor = self.executor
-        elif executor not in _EXECUTORS:
+        elif executor not in EXECUTORS:
             raise EngineError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
+                f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
         if max_failures is not None and max_failures < 0:
             raise EngineError(

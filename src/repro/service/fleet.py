@@ -55,7 +55,8 @@ Shutdown drains: :meth:`ServiceShardPool.stop` sends every shard a
 replying with its final telemetry snapshot — so close-mid-stream (and
 ``repro serve`` catching SIGTERM) still yields full trailing decisions.
 The merged fleet snapshot (:meth:`ServiceTelemetry.merge`) is the
-return value: one fleet-wide p50/p95/p99/jitter/shed view plus
+return value: every shard ships its latency bucket counts, and summing
+them gives one exact fleet-wide p50/p95/p99/jitter/shed view plus
 per-shard breakdowns, with the parent's own admission/resilience
 counters folded in.
 
@@ -164,16 +165,18 @@ def shard_dispatch(
         Finalize; replies with the :class:`SessionSummary`.
     ``{"op": "swap_detector", "state": detector}``
         Hot-swap every open session, and the default for new ones.
-    ``{"op": "telemetry", "samples": bool?}``
-        The snapshot; ``samples`` adds the latency reservoir.
+    ``{"op": "telemetry"}``
+        The :meth:`~repro.service.telemetry.ServiceTelemetry.snapshot`,
+        latency bucket counts included.
     ``{"op": "drain"}`` / ``{"op": "shutdown"}``
         Wait until every admitted chunk is decided; ``shutdown`` also
-        returns the final snapshot with samples.
+        returns the final snapshot.
 
-    ``samples``, ``drain`` and ``shutdown`` are the pool's own; client
-    frames never carry them this far.  Every reply is ``{"ok": true,
-    ...}`` or the :func:`~repro.service.framing.error_frame`; a
-    malformed frame fails its own request, never the connection.
+    ``drain`` and ``shutdown`` are the pool's own; client frames never
+    carry them this far.  A missing or null ``session`` answers
+    ``missing field 'session'``.  Every reply is ``{"ok": true, ...}``
+    or the :func:`~repro.service.framing.error_frame`; a malformed
+    frame fails its own request, never the connection.
     """
     try:
         op = message.get("op")
@@ -182,11 +185,11 @@ def shard_dispatch(
         if op == "open":
             state = message.get("state")
             detector = None if state is None else detector_from_state(state)
-            session = manager.open_session(str(message["session"]), detector)
+            session = manager.open_session(_session_of(message), detector)
             return {"ok": True, "session": session.session_id}
         if op == "chunk":
             result = manager.ingest(
-                str(message["session"]),
+                _session_of(message),
                 decode_chunk(message),
                 seq=message.get("seq"),
             )
@@ -195,35 +198,33 @@ def shard_dispatch(
             return result.to_reply()
         if op == "poll":
             events = manager.poll_events(
-                str(message["session"]), message.get("max")
+                _session_of(message), message.get("max")
             )
             return {"ok": True, "events": [e.to_dict() for e in events]}
         if op == "close":
-            return manager.close_session(str(message["session"])).to_reply()
+            return manager.close_session(_session_of(message)).to_reply()
         if op == "swap_detector":
             swapped = manager.swap_detector(
                 detector_from_state(message["state"])
             )
             return {"ok": True, "sessions": swapped}
-        if op == "telemetry":
-            return {
-                "ok": True,
-                "telemetry": manager.snapshot(
-                    include_samples=bool(message.get("samples"))
-                ),
-            }
+        if op in ("telemetry", "shutdown"):
+            return {"ok": True, "telemetry": manager.snapshot()}
         if op == "drain":
             return {"ok": True}
-        if op == "shutdown":
-            return {
-                "ok": True,
-                "telemetry": manager.snapshot(include_samples=True),
-            }
         raise ServiceError(f"unknown op {op!r}")
     except KeyError as exc:
         return error_frame(f"missing field {exc}")
     except ReproError as exc:
         return error_frame(exc)
+
+
+def _session_of(message: dict) -> str:
+    """The frame's session id; a null one counts as missing."""
+    session = message.get("session")
+    if session is None:
+        raise KeyError("session")
+    return str(session)
 
 
 def consume(
@@ -998,7 +999,12 @@ class ServiceShardPool:
         the default for sessions opened later.  Returns the total
         sessions swapped across the fleet.
         """
-        state = detector_state_of(detector)
+        return await self._swap_state(detector_state_of(detector))
+
+    async def _swap_state(self, state) -> int:
+        """Broadcast one serialized detector state, unchecked: each
+        shard validates it, so a bad wire ``state`` gets the shard's
+        own error frame, as on the single-process service."""
         if not self._started:
             raise ServiceError("shard pool is not started")
         total = 0
@@ -1040,7 +1046,7 @@ class ServiceShardPool:
             raise ServiceError("shard pool is not started")
         replies = await asyncio.gather(
             *(
-                self._shard_request(index, {"op": "telemetry", "samples": True})
+                self._shard_request(index, {"op": "telemetry"})
                 for index in range(self.n_workers)
             ),
             return_exceptions=True,
@@ -1086,7 +1092,7 @@ class ServiceShardPool:
             if op == "telemetry":
                 return {"ok": True, "telemetry": await self.snapshot()}
             if op == "swap_detector":
-                swapped = await self.swap_detector(message["state"])
+                swapped = await self._swap_state(message["state"])
                 return {"ok": True, "sessions": swapped}
             if op in ("open", "chunk", "poll", "close"):
                 if message.get("session") is None:

@@ -184,14 +184,12 @@ class DetectionService:
 
     async def _dispatch(self, message: dict) -> dict:
         """Answer one client frame with :func:`shard_dispatch`, keeping
-        only the transport's part: refuse the pool-internal verbs and
-        the telemetry ``samples`` flag, and drain on the event loop
-        before a barrier verb so other connections stay served."""
+        only the transport's part: refuse the pool-internal verbs, and
+        drain on the event loop before a barrier verb so other
+        connections stay served."""
         op = message.get("op")
         if op in POOL_OPS:
             return error_frame(ServiceError(f"unknown op {op!r}"))
         if op in BARRIER_OPS:
             await self.drain()
-        elif op == "telemetry":
-            message = {"op": "telemetry"}
         return shard_dispatch(self.manager, self._drained, message)

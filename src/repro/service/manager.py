@@ -394,6 +394,6 @@ class SessionManager:
         return [self.close_session(sid) for sid in self.session_ids]
 
     # ------------------------------------------------------------------
-    def snapshot(self, include_samples: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """Telemetry snapshot (see :meth:`ServiceTelemetry.snapshot`)."""
-        return self.telemetry.snapshot(include_samples=include_samples)
+        return self.telemetry.snapshot()

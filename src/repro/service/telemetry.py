@@ -4,8 +4,15 @@ Every layer of the ingest path reports into one
 :class:`ServiceTelemetry` object: sessions opened/closed, chunks
 admitted/shed/rejected, queue depth high-water marks, windows decided,
 and — the SLO core — per-chunk ingest→decision latency.  A snapshot
-reduces the samples to p50/p95/p99/max, mean, and jitter (population
+reduces the latencies to p50/p95/p99/max, mean, and jitter (population
 standard deviation), the numbers a latency SLO is written against.
+
+Latencies are counted, not kept: each one lands in a fixed log-spaced
+bucket (:data:`BUCKETS_PER_OCTAVE` per doubling above 1 µs), and only
+the exact maximum is held beside the counts.  Every figure covers every
+decided chunk since start in O(buckets) memory, and the reduced
+p50/p95/p99/mean come within 2^(1/128) − 1 (0.55 %) of exact.  Every
+snapshot exports the counts under ``latency.buckets``.
 
 Snapshots serialize canonically (:func:`telemetry_to_json`: sorted keys,
 fixed separators, latencies rounded to microsecond precision) so tooling
@@ -14,68 +21,98 @@ can diff two exports byte-for-byte — the same discipline
 *values* are wall-clock measurements and therefore vary run to run; the
 *encoding* of any given snapshot never does.
 
-Thread-safety: counters and the sample ring are guarded by one lock, so
+Thread-safety: counters and bucket counts are guarded by one lock, so
 the asyncio front-end, worker threads, and a synchronous replayer can
 share a collector.
 
 A fleet of collectors (one per shard of the multi-process pool) reduces
-to a single view through :meth:`ServiceTelemetry.merge`: counters sum,
-high-water marks max, and percentiles are recomputed over the pooled
-latency samples each shard exports with ``snapshot(
-include_samples=True)`` — one fleet-wide p50/p95/p99/jitter/shed view
-plus per-shard breakdowns, byte-stable under the same canonical
-encoding.
+to a single view through :meth:`ServiceTelemetry.merge`: counters and
+bucket counts sum, high-water marks and the latency max take the max.
+Summing counts is exact, so the merged percentiles are the ones a
+single collector fed every shard's stream would report — one
+fleet-wide p50/p95/p99/jitter/shed view plus per-shard breakdowns,
+byte-stable under the same canonical encoding.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
-from collections import deque
-
-import numpy as np
 
 from ..exceptions import ServiceError
 
 __all__ = [
-    "DEFAULT_MAX_SAMPLES",
+    "BUCKETS_PER_OCTAVE",
     "LatencySummary",
     "ServiceTelemetry",
+    "bucket_of",
     "telemetry_to_json",
 ]
 
-#: Latency samples retained for percentile estimation.  A bounded ring:
-#: past the cap the oldest samples roll off (the snapshot reports both
-#: the retained and the total count, so truncation is never silent).
-DEFAULT_MAX_SAMPLES = 100_000
+#: Latency histogram resolution: bucket ``b`` holds latencies in
+#: ``[2^(b/64), 2^((b+1)/64))`` µs, so 1 µs to 1 h fits in 2,032
+#: buckets and a bucket's geometric middle is within 2^(1/128) − 1 of
+#: anything in it.
+BUCKETS_PER_OCTAVE = 64
 
 #: Snapshot schema version, bumped on any key change so tooling can
 #: detect exports it does not understand.  v2 added the ``admission``
 #: (handshake/auth/quota) and ``resilience`` (shard restart/re-homing)
-#: sections.
-SCHEMA_VERSION = 2
+#: sections; v3 replaced the sample reservoir with ``latency.buckets``
+#: and dropped ``latency.total``.
+SCHEMA_VERSION = 3
+
+
+def bucket_of(latency_s: float) -> int:
+    """The histogram bucket of one latency: ``floor(64 · log2(t / 1 µs))``,
+    with anything at or under 1 µs in bucket 0."""
+    us = latency_s * 1e6
+    return int(BUCKETS_PER_OCTAVE * math.log2(us)) if us > 1.0 else 0
 
 
 class LatencySummary:
-    """Percentile reduction of a latency sample set (milliseconds)."""
+    """Percentile reduction of latency bucket counts (milliseconds).
 
-    __slots__ = ("count", "p50_ms", "p95_ms", "p99_ms", "mean_ms",
-                 "max_ms", "jitter_ms")
+    Each bucket reads back as its geometric middle, capped at the exact
+    ``max_ms``; percentiles are nearest-rank.  The reduction is a pure
+    function of ``(buckets, max_ms)``, so equal counts give equal bytes.
+    """
 
-    def __init__(self, samples_s: "deque[float] | list[float]") -> None:
-        arr = np.asarray(samples_s, dtype=float) * 1e3
-        self.count = int(arr.size)
-        if arr.size == 0:
+    __slots__ = ("buckets", "count", "p50_ms", "p95_ms", "p99_ms",
+                 "mean_ms", "max_ms", "jitter_ms")
+
+    def __init__(self, buckets: dict[int, int], max_ms: float) -> None:
+        self.buckets = {b: n for b, n in sorted(buckets.items()) if n}
+        self.count = sum(self.buckets.values())
+        self.max_ms = max_ms if self.count else 0.0
+        if not self.count:
             self.p50_ms = self.p95_ms = self.p99_ms = 0.0
-            self.mean_ms = self.max_ms = self.jitter_ms = 0.0
+            self.mean_ms = self.jitter_ms = 0.0
             return
-        p50, p95, p99 = np.percentile(arr, (50.0, 95.0, 99.0))
-        self.p50_ms = float(p50)
-        self.p95_ms = float(p95)
-        self.p99_ms = float(p99)
-        self.mean_ms = float(arr.mean())
-        self.max_ms = float(arr.max())
-        self.jitter_ms = float(arr.std())
+        values = {
+            b: min(2.0 ** ((b + 0.5) / BUCKETS_PER_OCTAVE) / 1e3, max_ms)
+            for b in self.buckets
+        }
+        self.p50_ms, self.p95_ms, self.p99_ms = (
+            self._rank(values, percent) for percent in (50, 95, 99)
+        )
+        self.mean_ms = sum(
+            n * values[b] for b, n in self.buckets.items()
+        ) / self.count
+        self.jitter_ms = math.sqrt(sum(
+            n * (values[b] - self.mean_ms) ** 2
+            for b, n in self.buckets.items()
+        ) / self.count)
+
+    def _rank(self, values: dict[int, float], percent: int) -> float:
+        rank = max(1, -(-percent * self.count // 100))  # integer ceil
+        seen = 0
+        for b, n in self.buckets.items():
+            seen += n
+            if seen >= rank:
+                break
+        return values[b]
 
     def to_dict(self) -> dict:
         return {
@@ -86,20 +123,17 @@ class LatencySummary:
             "mean_ms": round(self.mean_ms, 3),
             "max_ms": round(self.max_ms, 3),
             "jitter_ms": round(self.jitter_ms, 3),
+            "buckets": {str(b): n for b, n in self.buckets.items()},
         }
 
 
 class ServiceTelemetry:
-    """Shared counters + latency reservoir for one service instance."""
+    """Shared counters + latency histogram for one service instance."""
 
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples < 1:
-            raise ServiceError(
-                f"max_samples must be >= 1, got {max_samples}"
-            )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._samples: deque[float] = deque(maxlen=max_samples)
-        self._latency_total = 0
+        self._buckets: dict[int, int] = {}
+        self._max_s = 0.0
         self.sessions_opened = 0
         self.sessions_closed = 0
         self.sessions_active = 0
@@ -149,12 +183,13 @@ class ServiceTelemetry:
     def chunk_decided(self, latency_s: float, n_windows: int) -> None:
         """One queued chunk fully processed: ingest→decision latency
         plus the number of windows it completed."""
+        bucket = bucket_of(latency_s)
         with self._lock:
             self.chunks_processed += 1
             self.queue_depth -= 1
             self.windows_decided += n_windows
-            self._samples.append(latency_s)
-            self._latency_total += 1
+            self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+            self._max_s = max(self._max_s, latency_s)
 
     # ------------------------------------------------------------------
     def handshake_ok(self) -> None:
@@ -190,30 +225,21 @@ class ServiceTelemetry:
     # ------------------------------------------------------------------
     def latency(self) -> LatencySummary:
         with self._lock:
-            return LatencySummary(list(self._samples))
+            return self._latency_locked()
 
-    def snapshot(self, include_samples: bool = False) -> dict:
-        """Point-in-time plain-data export of every counter.
+    def _latency_locked(self) -> LatencySummary:
+        # The max is rounded to the µs first, exactly as merge() reads it
+        # back, so a merged view reduces to the same bytes.
+        return LatencySummary(self._buckets, round(self._max_s * 1e3, 3))
+
+    def snapshot(self) -> dict:
+        """Point-in-time plain-data export of every counter and of the
+        latency bucket counts.
 
         The layout is flat dict-of-dicts with stable keys; see
         :func:`telemetry_to_json` for the canonical byte encoding.
-
-        ``include_samples`` additionally exports the retained latency
-        reservoir under ``latency.samples_ms`` (each sample rounded to
-        microsecond precision, like the percentile fields) — what a
-        shard ships to the parent so :meth:`merge` can compute *exact*
-        fleet-wide percentiles instead of averaging per-shard ones.
         """
         with self._lock:
-            samples = list(self._samples)
-            latency = dict(
-                LatencySummary(samples).to_dict(),
-                total=self._latency_total,
-            )
-            if include_samples:
-                latency["samples_ms"] = [
-                    round(s * 1e3, 3) for s in samples
-                ]
             return {
                 "schema": SCHEMA_VERSION,
                 "sessions": {
@@ -242,7 +268,7 @@ class ServiceTelemetry:
                     "sessions_rehomed": self.sessions_rehomed,
                     "sessions_lost": self.sessions_lost,
                 },
-                "latency": latency,
+                "latency": self._latency_locked().to_dict(),
             }
 
     # ------------------------------------------------------------------
@@ -251,17 +277,14 @@ class ServiceTelemetry:
         """Fold per-shard snapshots into one fleet-wide view.
 
         Counters sum, queue depth sums, the high-water mark is the max
-        across shards, and the latency distribution is reduced over the
-        *pooled* samples (every input produced by ``snapshot(
-        include_samples=True)``) — so the merged p50/p95/p99/jitter are
-        exact over the retained reservoir, not an average of per-shard
-        percentiles.  Snapshots exported without samples still merge;
-        their chunks are simply absent from the pooled percentiles
-        (visible as ``latency.count < latency.total``).
+        across shards, and the latency bucket counts sum, with the max
+        taken over the shards' maxima — so the merged p50/p95/p99/jitter
+        are exactly those of one collector fed every shard's stream, not
+        an average of per-shard percentiles.
 
         The merged view keeps the single-service schema and adds
         ``workers`` (input count) plus ``shards`` (the per-shard
-        breakdowns, samples stripped), and serializes byte-stably
+        snapshots, buckets included), and serializes byte-stably
         through :func:`telemetry_to_json` — identical inputs always
         produce identical bytes.
         """
@@ -277,19 +300,14 @@ class ServiceTelemetry:
         def total(group: str, key: str) -> int:
             return sum(s[group][key] for s in snapshots)
 
-        pooled_ms: list[float] = []
+        buckets: dict[int, int] = {}
         for snap in snapshots:
-            pooled_ms.extend(snap["latency"].get("samples_ms", ()))
-        latency = LatencySummary([ms / 1e3 for ms in pooled_ms])
-        shards = []
-        for snap in snapshots:
-            trimmed = dict(snap)
-            trimmed["latency"] = {
-                k: v
-                for k, v in snap["latency"].items()
-                if k != "samples_ms"
-            }
-            shards.append(trimmed)
+            for bucket, n in snap["latency"]["buckets"].items():
+                buckets[int(bucket)] = buckets.get(int(bucket), 0) + n
+        latency = LatencySummary(
+            buckets,
+            max((s["latency"]["max_ms"] for s in snapshots), default=0.0),
+        )
         return {
             "schema": SCHEMA_VERSION,
             "workers": len(snapshots),
@@ -322,11 +340,8 @@ class ServiceTelemetry:
                 "sessions_rehomed": total("resilience", "sessions_rehomed"),
                 "sessions_lost": total("resilience", "sessions_lost"),
             },
-            "latency": dict(
-                latency.to_dict(),
-                total=sum(s["latency"]["total"] for s in snapshots),
-            ),
-            "shards": shards,
+            "latency": latency.to_dict(),
+            "shards": snapshots,
         }
 
 

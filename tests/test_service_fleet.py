@@ -154,7 +154,7 @@ class TestShardDispatch:
         assert shutdown["ok"]
         telemetry = shutdown["telemetry"]
         assert telemetry["chunks"]["processed"] == 4
-        assert "samples_ms" in telemetry["latency"]
+        assert sum(telemetry["latency"]["buckets"].values()) == 4
         dirty.put(None)
 
 
@@ -332,6 +332,7 @@ class TestOneWireProtocol:
             {"op": "open", "session": "p"},
             {"op": "open", "session": "p"},  # duplicate
             {"op": "open"},  # missing field
+            {"op": "open", "session": None},  # null counts as missing
             {"op": "open", "session": "q", "state": {"kind": "x"}},
             {"op": "open", "session": "q", "state": 5},
             chunk(0, data[:, : 5 * FS]),
@@ -349,8 +350,12 @@ class TestOneWireProtocol:
             chunk(2, data[:, 10 * FS : 15 * FS]),  # seq 2 was not used up
             {"op": "swap_detector", "state": {"kind": "x"}},
             {"op": "swap_detector"},
+            {"op": "swap_detector", "state": 5},
+            {"op": "swap_detector", "state": []},
+            {"op": "swap_detector", "state": "x"},
             {"op": "swap_detector", "state": state},
             chunk(3, data[:, 15 * FS : 20 * FS]),
+            dict(chunk(4, data[:, 20 * FS : 25 * FS]), session=None),
             chunk_message("ghost", 0, data[:, : FS]),
             {"op": "bogus"},
             {"op": "drain"},
@@ -358,6 +363,8 @@ class TestOneWireProtocol:
             {"op": "poll", "session": "p"},
             {"op": "close", "session": "p"},
             {"op": "close", "session": "p"},  # already closed
+            {"op": "poll", "session": None},
+            {"op": "close", "session": None},
         ]
 
     @staticmethod
@@ -369,7 +376,7 @@ class TestOneWireProtocol:
         reader, writer = await asyncio.open_connection(host, port)
         try:
             replies = []
-            for message in frames + [{"op": "telemetry", "samples": True}]:
+            for message in frames + [{"op": "telemetry"}]:
                 payload = json.dumps(message).encode()
                 writer.write(_LEN.pack(len(payload)) + payload)
                 await writer.drain()
@@ -406,11 +413,16 @@ class TestOneWireProtocol:
         by_op = {}
         for frame, reply in zip(frames, replies):
             by_op.setdefault(frame["op"], []).append(reply)
-        assert [r["ok"] for r in by_op["open"]] == [True] + [False] * 4
+        assert [r["ok"] for r in by_op["open"]] == [True] + [False] * 5
+        missing = {
+            "ok": False, "error": "missing field 'session'", "code": "protocol"
+        }
+        assert by_op["open"][3] == missing
         chunks = by_op["chunk"]
         assert [r["ok"] for r in chunks] == [True, True] + [False] * 3 + [
-            True, True, False,
+            True, True, False, False,
         ]
+        assert chunks[7] == missing
         assert all(r["queued"] == 1 for r in chunks if r["ok"])
         assert "NaN or infinite" in chunks[2]["error"]
         assert "NaN or infinite" in chunks[3]["error"]
@@ -419,19 +431,24 @@ class TestOneWireProtocol:
         assert not any(r["ok"] for r in bad_max)
         assert "'1'" in bad_max[0]["error"]
         assert "1.5" in bad_max[2]["error"]
-        assert [r["ok"] for r in by_op["swap_detector"]] == [
-            False, False, True,
-        ]
-        assert by_op["swap_detector"][2]["sessions"] == 1
+        swaps = by_op["swap_detector"]
+        assert [r["ok"] for r in swaps] == [False] * 5 + [True]
+        for reply, kind in zip(swaps[2:5], ("int", "list", "str")):
+            assert reply["error"] == (
+                f"detector state must be a JSON object, got {kind}"
+            )
+        assert swaps[5]["sessions"] == 1
         for op in ("bogus", "drain", "shutdown"):
             assert by_op[op] == [
                 {"ok": False, "error": f"unknown op {op!r}", "code": "protocol"}
             ]
-        assert [r["ok"] for r in by_op["close"]] == [True, False]
+        assert [r["ok"] for r in by_op["close"]] == [True, False, False]
+        assert by_op["close"][2] == by_op["poll"][-1] == missing
         assert by_op["close"][0]["error"] is None
         assert by_op["close"][0]["chunks"] == 4
-        # Nothing killed the shard, and the samples flag stayed internal.
+        # Nothing killed the shard, and both count every decided chunk.
         assert single_telemetry["ok"] and pool_telemetry["ok"]
         assert pool_telemetry["telemetry"]["resilience"]["shard_restarts"] == 0
-        assert "samples_ms" not in single_telemetry["telemetry"]["latency"]
-        assert "samples_ms" not in pool_telemetry["telemetry"]["latency"]
+        for reply in (single_telemetry, pool_telemetry):
+            latency = reply["telemetry"]["latency"]
+            assert latency["count"] == sum(latency["buckets"].values()) == 4
