@@ -3,7 +3,7 @@
 Produces the same distances as :func:`repro.core.algorithm.
 a_posteriori_reference` (property-tested to numerical precision) while
 reducing the dominant cost from O(L^2 * W * F) to
-O(F * L log L  +  L * W^2 * F / grid_step).
+O(F * L log L  +  L * W * F).
 
 Decomposition
 -------------
@@ -22,10 +22,12 @@ window ``i``.  The three pieces are computed as:
   the rank of ``v`` among the sorted grid values ``g`` and ``P`` their
   prefix sums;
 * window sums of ``S_f`` with a cumulative sum;
-* the correction ``C`` window-by-window, chunked over windows so the
-  broadcast temporaries stay cache-sized.  Within one window the grid
-  intersection has at most ``ceil(W / grid_step) + 1`` points, hence the
-  O(L * W^2 * F / grid_step) term.
+* the correction ``C`` per grid point rather than per window: each grid
+  point ``g`` lies in the ``W`` windows starting in ``(g - W, g]``, and
+  their sums of ``|X[p, f] - X[g, f]|`` are differences of one cumulative
+  sum over the ``2W - 1`` points around ``g``.  That is ``2W - 1`` terms
+  for each of the ``ceil(L / grid_step)`` grid points, hence the
+  O(L * W * F) term.
 """
 
 from __future__ import annotations
@@ -57,46 +59,39 @@ def grid_distance_sums(features: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _window_grid_correction(
-    features: np.ndarray,
-    window_length: int,
-    grid_step: int,
-    chunk: int = 128,
+    features: np.ndarray, window_length: int, grid_step: int
 ) -> np.ndarray:
     """``C[i, f] = sum_{p in win_i} sum_{k in grid ∩ win_i} |X[p,f]-X[k,f]|``.
 
-    Windows are processed in chunks; within a chunk, windows are grouped
-    by ``i % grid_step`` because all windows of one residue class contain
-    the same *number* of grid points, allowing a rectangular gather.
+    Summed per grid point instead of per window: grid point ``g`` lies
+    in window ``i`` exactly when ``g - W < i <= g``.  One cumulative sum
+    over the band ``|X[q,f] - X[g,f]|``, ``q in [g - W + 1, g + W - 1]``,
+    gives each of those ``W`` window sums as a difference of two cumsum
+    entries, and one ``np.bincount`` per feature scatters them onto the
+    window starts in ``[0, L - W)``: ``ceil(L / grid_step) * (2W - 1)``
+    terms per feature in place of a per-window gather.
     """
     length, n_feat = features.shape
     w = window_length
     n_win = length - w
+    grid = np.arange(0, length, grid_step)
+    band = grid[:, None] + np.arange(1 - w, w)  # (m, 2W - 1) point indices
+    outside = (band < 0) | (band >= length)
+    band = np.clip(band, 0, length - 1)
+    # Band offset j starts window g - W + 1 + j, whose sum is
+    # cums[j + W] - cums[j].
+    starts = grid[:, None] + np.arange(1 - w, 1)  # (m, W)
+    kept = (starts >= 0) & (starts < n_win)
+    starts = starts[kept]
+    cums = np.zeros((grid.size, 2 * w))
     out = np.empty((n_win, n_feat))
-    offsets_w = np.arange(w)
-
-    starts = np.arange(n_win)
-    for residue in range(grid_step):
-        idx = starts[starts % grid_step == residue]
-        if idx.size == 0:
-            continue
-        # Grid indices inside [i, i+w): from ceil(i/s)*s up, same count for
-        # every i of this residue class *except* near the array tail where
-        # the count never changes (grid covers [0, L) uniformly), so the
-        # count is exactly floor((i+w-1)/s) - ceil(i/s) + 1 — constant
-        # within the class.
-        first = -(-idx // grid_step) * grid_step  # ceil to multiple
-        count = (idx[0] + w - 1 - first[0]) // grid_step + 1
-        if count <= 0:
-            out[idx] = 0.0
-            continue
-        grid_offsets = np.arange(count) * grid_step
-        for c0 in range(0, idx.size, chunk):
-            block = idx[c0 : c0 + chunk]
-            fb = first[c0 : c0 + chunk]
-            win_vals = features[block[:, None] + offsets_w[None, :]]  # (b, w, F)
-            grid_vals = features[fb[:, None] + grid_offsets[None, :]]  # (b, g, F)
-            diff = np.abs(win_vals[:, :, None, :] - grid_vals[:, None, :, :])
-            out[block] = diff.sum(axis=(1, 2))
+    for f in range(n_feat):
+        x = features[:, f]
+        diff = np.abs(x[band] - x[grid, None])
+        diff[outside] = 0.0
+        np.cumsum(diff, axis=1, out=cums[:, 1:])
+        sums = cums[:, w:] - cums[:, :w]
+        out[:, f] = np.bincount(starts, weights=sums[kept], minlength=n_win)
     return out
 
 

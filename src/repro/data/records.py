@@ -245,11 +245,9 @@ def interval_window_labels(
     """
     if not 0.0 < min_overlap <= 1.0:
         raise DataError(f"min_overlap must be in (0, 1], got {min_overlap}")
-    labels = np.zeros(max(n_windows, 0), dtype=np.int64)
-    for i in range(labels.size):
-        t0 = i * step_s
-        t1 = t0 + window_s
-        inter = sum(a.intersection_s(t0, t1) for a in annotations)
-        if inter >= min_overlap * window_s:
-            labels[i] = 1
-    return labels
+    t0 = np.arange(max(n_windows, 0)) * step_s
+    t1 = t0 + window_s
+    inter = np.zeros(t0.size)
+    for a in annotations:
+        inter += np.maximum(0.0, np.minimum(a.offset_s, t1) - np.maximum(a.onset_s, t0))
+    return (inter >= min_overlap * window_s).astype(np.int64)

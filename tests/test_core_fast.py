@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.algorithm import a_posteriori_reference
-from repro.core.fast import a_posteriori_fast, grid_distance_sums
+from repro.core.fast import (
+    _window_grid_correction,
+    a_posteriori_fast,
+    grid_distance_sums,
+)
 from repro.exceptions import LabelingError
 
 
@@ -26,6 +30,41 @@ class TestGridDistanceSums:
         for f in range(2):
             naive = np.abs(x[:, f][:, None] - x[:, f][None, :]).sum(axis=1)
             assert np.allclose(fast[:, f], naive)
+
+
+def brute_correction(x, window, step):
+    """Triple loop over windows, window points and in-window grid points."""
+    length, n_feat = x.shape
+    out = np.zeros((length - window, n_feat))
+    for i in range(length - window):
+        inside = [k for k in range(0, length, step) if i <= k < i + window]
+        for p in range(i, i + window):
+            for k in inside:
+                out[i] += np.abs(x[p] - x[k])
+    return out
+
+
+class TestWindowGridCorrection:
+    @pytest.mark.parametrize(
+        "length,window,step",
+        [
+            (12, 10, 4),  # L - W < s
+            (30, 3, 5),  # W < s: some windows hold no grid point
+            (20, 1, 3),  # W = 1: every term is |x_g - x_g|
+            (25, 6, 1),  # s = 1: the grid is every point
+            (40, 4, 9),  # s > 2W: most windows hold no grid point
+            (15, 14, 4),  # L - W = 1: a single window
+            (37, 11, 4),
+            (50, 17, 3),
+        ],
+    )
+    def test_matches_brute_force(self, rng, length, window, step):
+        x = rng.standard_normal((length, 3))
+        np.testing.assert_allclose(
+            _window_grid_correction(x, window, step),
+            brute_correction(x, window, step),
+            rtol=1e-12,
+        )
 
 
 class TestEquivalence:

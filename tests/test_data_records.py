@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.records import EEGRecord, SeizureAnnotation
+from repro.data.records import EEGRecord, SeizureAnnotation, interval_window_labels
 from repro.exceptions import DataError
 
 FS = 256.0
@@ -141,3 +141,49 @@ class TestMasks:
         rec = make_record(10.0)
         with pytest.raises(DataError):
             rec.window_labels(4.0, 0.0)
+
+
+def scalar_window_labels(annotations, n_windows, window_s, step_s, min_overlap=0.5):
+    """Window-by-window oracle built on ``SeizureAnnotation.intersection_s``."""
+    labels = np.zeros(max(n_windows, 0), dtype=np.int64)
+    for i in range(labels.size):
+        t0 = i * step_s
+        t1 = t0 + window_s
+        inter = sum(a.intersection_s(t0, t1) for a in annotations)
+        if inter >= min_overlap * window_s:
+            labels[i] = 1
+    return labels
+
+
+class TestIntervalWindowLabels:
+    @pytest.mark.parametrize(
+        "annotations,n_windows,window_s,step_s,min_overlap",
+        [
+            ([SeizureAnnotation(2.0, 6.0)], 0, 4.0, 1.0, 0.5),  # zero windows
+            ([], 30, 4.0, 1.0, 0.5),  # no annotations
+            # two overlapping annotations: their overlaps add up
+            ([SeizureAnnotation(10.0, 14.0), SeizureAnnotation(12.0, 19.5)], 40, 4.0, 1.0, 0.5),
+            ([SeizureAnnotation(3.0, 8.0)], 20, 4.0, 1.0, 0.5),  # ends on a window edge
+            ([SeizureAnnotation(3.0, 11.0)], 20, 4.0, 1.0, 1.0),  # full overlap required
+            ([SeizureAnnotation(1.25, 9.75), SeizureAnnotation(20.0, 22.0)], 60, 2.0, 0.5, 0.3),
+        ],
+    )
+    def test_matches_scalar_oracle(self, annotations, n_windows, window_s, step_s, min_overlap):
+        labels = interval_window_labels(annotations, n_windows, window_s, step_s, min_overlap)
+        expected = scalar_window_labels(annotations, n_windows, window_s, step_s, min_overlap)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, expected)
+
+    def test_random_cases_match_scalar_oracle(self, rng):
+        for _ in range(200):
+            n_windows = int(rng.integers(0, 120))
+            annotations = []
+            for _ in range(int(rng.integers(0, 5))):
+                onset = float(rng.integers(0, 120)) + float(rng.choice([0.0, 0.5, rng.random()]))
+                annotations.append(SeizureAnnotation(onset, onset + float(rng.integers(1, 30))))
+            min_overlap = float(rng.choice([0.25, 0.3, 0.5, 1.0]))
+            args = (annotations, n_windows, 4.0, 1.0, min_overlap)
+            assert np.array_equal(interval_window_labels(*args), scalar_window_labels(*args))
+
+    def test_negative_window_count_is_empty(self):
+        assert interval_window_labels([SeizureAnnotation(0.0, 5.0)], -3, 4.0, 1.0).size == 0
