@@ -40,11 +40,11 @@ def bench_file(workload: str) -> str:
     return os.path.join(ROOT, f"BENCH_{area}.json")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
     """One untraced perfbench run: its ``(details, result)`` lines."""
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+         "--workload", workload, "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.splitlines()
@@ -58,8 +58,9 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
-def entry(workload: str, runs: list[tuple[dict, dict]], seed: int, seconds: float) -> dict:
-    env = runs[0][0]["environment"]
+def entry(workload: str, runs: list[tuple[dict, dict]]) -> dict:
+    details = runs[0][0]
+    env = details["environment"]
     results = [result for _, result in runs]
     metrics = {}
     if all(r["correct"] for r in results):
@@ -73,8 +74,8 @@ def entry(workload: str, runs: list[tuple[dict, dict]], seed: int, seconds: floa
         "git_sha": env["git_sha"],
         "src_lines": env["src_lines"],
         "nproc": env["nproc"],
-        "seed": seed,
-        "seconds": seconds,
+        "seed": details["seed"],
+        "seconds": details["seconds"],
         "repeats": len(runs),
         "correct": all(r["correct"] for r in results),
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -99,7 +100,6 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
     parser.add_argument("--checkout", action="append", default=None)
     parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument("--seconds", type=float, default=10.0)
     args = parser.parse_args()
     if args.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
@@ -109,13 +109,13 @@ def main() -> int:
         runs: dict[str, list] = {c: [] for c in checkouts}
         for rnd in range(args.repeats):
             for checkout in checkouts[::-1] if rnd % 2 else checkouts:
-                details, result = run_once(checkout, workload, args.seed, args.seconds)
+                details, result = run_once(checkout, workload, args.seed)
                 runs[checkout].append((details, result))
                 value = result["metrics"].get("media_s_per_cpu_s", {}).get("value")
                 print(f"{workload} round {rnd} {checkout}: correct={result['correct']} "
                       f"media_s_per_cpu_s={value}", flush=True)
         for checkout in checkouts:
-            new = entry(workload, runs[checkout], args.seed, args.seconds)
+            new = entry(workload, runs[checkout])
             append(bench_file(workload), new)
             print(json.dumps(new), flush=True)
     return 0
