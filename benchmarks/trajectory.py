@@ -40,11 +40,11 @@ def bench_file(workload: str) -> str:
     return os.path.join(ROOT, f"BENCH_{area}.json")
 
 
-def run_once(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
+def run_once(checkout: str, workload: str) -> tuple[dict, dict]:
     """One untraced perfbench run: its ``(details, result)`` lines."""
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed)],
+         "--workload", workload],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.splitlines()
@@ -99,7 +99,6 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--repeats", type=int, default=MIN_REPEATS)
     parser.add_argument("--checkout", action="append", default=None)
-    parser.add_argument("--seed", type=int, default=2019)
     args = parser.parse_args()
     if args.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
@@ -109,7 +108,7 @@ def main() -> int:
         runs: dict[str, list] = {c: [] for c in checkouts}
         for rnd in range(args.repeats):
             for checkout in checkouts[::-1] if rnd % 2 else checkouts:
-                details, result = run_once(checkout, workload, args.seed)
+                details, result = run_once(checkout, workload)
                 runs[checkout].append((details, result))
                 value = result["metrics"].get("media_s_per_cpu_s", {}).get("value")
                 print(f"{workload} round {rnd} {checkout}: correct={result['correct']} "

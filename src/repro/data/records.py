@@ -58,9 +58,11 @@ class SeizureAnnotation:
         """True if the annotation intersects the interval [t0, t1)."""
         return self.onset_s < t1 and self.offset_s > t0
 
-    def intersection_s(self, t0: float, t1: float) -> float:
-        """Length (s) of the overlap with [t0, t1)."""
-        return max(0.0, min(self.offset_s, t1) - max(self.onset_s, t0))
+    def intersection_s(
+        self, t0: float | np.ndarray, t1: float | np.ndarray
+    ) -> float | np.ndarray:
+        """Length (s) of the overlap with [t0, t1); scalars or arrays."""
+        return np.maximum(0.0, np.minimum(self.offset_s, t1) - np.maximum(self.onset_s, t0))
 
 
 @dataclass
@@ -249,5 +251,5 @@ def interval_window_labels(
     t1 = t0 + window_s
     inter = np.zeros(t0.size)
     for a in annotations:
-        inter += np.maximum(0.0, np.minimum(a.offset_s, t1) - np.maximum(a.onset_s, t0))
+        inter += a.intersection_s(t0, t1)
     return (inter >= min_overlap * window_s).astype(np.int64)
