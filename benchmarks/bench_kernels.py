@@ -13,11 +13,14 @@ not.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
+from unittest import mock
 
 import numpy as np
 
+import repro.kernels
 from conftest import print_table, save_results
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import available_backends, get_kernel, registered_kernels
@@ -104,16 +107,16 @@ def test_kernel_backends_speed():
         }
 
     # End-to-end: the full 10-feature batch under each backend — the
-    # path every cohort, streaming and shard extraction takes.
+    # path every cohort, streaming and shard extraction takes.  The
+    # extractor looks `repro.kernels.get_kernel` up per call, so
+    # patching that name selects the backend for the whole batch.
     extractor = Paper10FeatureExtractor()
     batch = rng.standard_normal((N_WINDOWS, 2, WINDOW_SAMPLES))
     e2e = {}
     for backend in ("reference", "vectorized"):
-        os.environ["REPRO_KERNEL_BACKEND"] = backend
-        try:
+        preferring = functools.partial(get_kernel, prefer=backend)
+        with mock.patch.object(repro.kernels, "get_kernel", preferring):
             e2e[backend] = _best_of(extractor.extract_batch, batch, 256.0)
-        finally:
-            os.environ.pop("REPRO_KERNEL_BACKEND", None)
     speedup = e2e["reference"] / e2e["vectorized"]
     rows.append(
         [

@@ -29,11 +29,12 @@ from repro.core import (
     score_seizure,
 )
 from repro.data import (
+    DEFAULT_DURATION_RANGE_S,
+    DEFAULT_SAMPLES_PER_SEIZURE,
     SyntheticEEGDataset,
-    duration_range_from_env,
     iter_evaluation_samples,
-    samples_per_seizure_from_env,
 )
+from repro.settings import ReproSettings
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -62,7 +63,10 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
 @pytest.fixture(scope="session")
 def bench_dataset() -> SyntheticEEGDataset:
     """The evaluation cohort at bench-scale record durations."""
-    return SyntheticEEGDataset(duration_range_s=duration_range_from_env())
+    settings = ReproSettings.from_env()
+    return SyntheticEEGDataset(
+        duration_range_s=settings.resolve_duration_range(DEFAULT_DURATION_RANGE_S)
+    )
 
 
 @pytest.fixture(scope="session")
@@ -71,8 +75,10 @@ def cohort_evaluation(bench_dataset):
 
     Returns (CohortScore, seconds_elapsed, samples_per_seizure).
     """
-    samples_per_seizure = samples_per_seizure_from_env()
-    labeler = APosterioriLabeler(method="fast")
+    samples_per_seizure = ReproSettings.from_env().resolve_samples(
+        DEFAULT_SAMPLES_PER_SEIZURE
+    )
+    labeler = APosterioriLabeler()
     per_seizure: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
     start = time.perf_counter()
     for sample in iter_evaluation_samples(bench_dataset, samples_per_seizure):

@@ -2,8 +2,8 @@
 
 Shows the feature-kernel registry end to end:
 
-1. resolution — which backend a kernel call actually runs, and the three
-   ways to choose one (default, ``REPRO_KERNEL_BACKEND``, ``prefer=``);
+1. resolution — which backend a kernel call actually runs: the default
+   (vectorized), or the one a caller names with ``prefer=``;
 2. the bitwise-parity contract — the vectorized backend reproduces the
    looped scalar reference bit for bit, which is what keeps cohort
    reports byte-identical across backends;
@@ -15,7 +15,6 @@ Run:
     PYTHONPATH=src python examples/kernel_backends.py
 """
 
-import os
 import time
 
 import numpy as np
@@ -41,16 +40,11 @@ windows = rng.standard_normal((64, 64))  # 64 windows of a DWT subband
 sampen = get_kernel("sample_entropy")  # default: vectorized
 print("default backend row 0:", sampen(windows, m=2, k=0.2)[0])
 
-os.environ["REPRO_KERNEL_BACKEND"] = "reference"  # env override
-try:
-    ref_rows = get_kernel("sample_entropy")(windows, m=2, k=0.2)
-finally:
-    del os.environ["REPRO_KERNEL_BACKEND"]
-print("env-selected reference :", ref_rows[0])
+ref_rows = get_kernel("sample_entropy", prefer="reference")(windows, m=2, k=0.2)
+print("reference backend row 0:", ref_rows[0])
 
 # ── 2. The parity contract is bitwise, not approximate ──────────────────
-# prefer= beats both the default and the environment.
-vec = get_kernel("sample_entropy", prefer="vectorized")(windows, m=2, k=0.2)
+vec = get_kernel("sample_entropy")(windows, m=2, k=0.2)
 assert np.array_equal(vec, ref_rows)
 print("vectorized == reference bitwise:", np.array_equal(vec, ref_rows), "\n")
 

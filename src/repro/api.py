@@ -147,7 +147,7 @@ def evaluate_cohort(
     durations or an explicit range is given).
 
     Extra keyword arguments go to :class:`~repro.engine.executor
-    .CohortEngine` (``method``, ``store_dir``, ...); the report is the
+    .CohortEngine` (``grid_step``, ``store_dir``, ...); the report is the
     engine's usual :class:`~repro.engine.report.CohortReport`.
     """
     settings = settings or ReproSettings.from_env()

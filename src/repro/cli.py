@@ -50,11 +50,7 @@ from .core.deviation import deviation, normalized_deviation
 from .core.labeling import APosterioriLabeler
 from .data.dataset import SyntheticEEGDataset
 from .data.edf import load_record
-from .data.sampling import (
-    PAPER_DURATION_RANGE_S,
-    duration_range_from_env,
-    samples_per_seizure_from_env,
-)
+from .data.sampling import PAPER_DURATION_RANGE_S
 from .engine import (
     DEFAULT_CHUNK_S,
     EXECUTORS,
@@ -66,7 +62,6 @@ from .engine import (
     cohort_tasks,
     collect_shards,
     config_digest,
-    default_executor,
     load_plan,
     merge_checkpoints,
     merge_shards,
@@ -79,6 +74,7 @@ from .engine import (
 )
 from .exceptions import ReproError
 from .platform.battery import WearablePlatform
+from .settings import BACKPRESSURE_POLICIES, ReproSettings
 
 __all__ = ["build_parser", "main", "resolve_cohort_scale"]
 
@@ -142,7 +138,7 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         "$REPRO_SERVICE_QUEUE_DEPTH, else 64)",
     )
     parser.add_argument(
-        "--backpressure", choices=("reject", "shed-oldest"), default=None,
+        "--backpressure", choices=BACKPRESSURE_POLICIES, default=None,
         help="full-queue policy (default: $REPRO_SERVICE_BACKPRESSURE, "
         "else reject)",
     )
@@ -191,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         required=True,
         help="expert prior: the patient's average seizure duration (s)",
-    )
-    p_label.add_argument(
-        "--method",
-        choices=("fast", "reference"),
-        default="fast",
-        help="Algorithm 1 implementation (default: fast)",
     )
 
     p_sim = sub.add_parser("simulate", help="label a synthetic cohort record")
@@ -580,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     record = load_record(args.basepath)
-    labeler = APosterioriLabeler(method=args.method)
+    labeler = APosterioriLabeler()
     result = labeler.label(record, args.avg_duration)
     ann = result.annotation
     diag = label_confidence(result.detection)
@@ -617,28 +607,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def resolve_cohort_scale(
-    args: argparse.Namespace,
+    args: argparse.Namespace, settings: ReproSettings | None = None
 ) -> tuple[int, tuple[float, float]]:
     """Resolve (samples_per_seizure, duration_range_s) for ``cohort``.
 
-    Precedence, per knob: explicit CLI flag > environment variable
-    (:envvar:`REPRO_SAMPLES_PER_SEIZURE` / :envvar:`REPRO_PAPER_DURATIONS`)
-    > ``--paper-scale``'s Sec. VI-A values > the CLI's laptop defaults.
-    Raises ``ValueError`` on a non-positive env sample count; range
-    validity is checked by the caller (NaN handling stays with the
-    dataset).
+    Precedence, per knob: explicit CLI flag > the ``settings`` snapshot
+    (:envvar:`REPRO_SAMPLES_PER_SEIZURE` / :envvar:`REPRO_PAPER_DURATIONS`;
+    default: :meth:`ReproSettings.from_env`) > ``--paper-scale``'s
+    Sec. VI-A values > the CLI's laptop defaults.  Raises ``ValueError``
+    on a malformed env value; range validity is checked by the caller
+    (NaN handling stays with the dataset).
     """
+    settings = settings or ReproSettings.from_env()
     samples = args.samples
     if samples is None:
-        samples = samples_per_seizure_from_env(
+        samples = settings.resolve_samples(
             _PAPER_SAMPLES_PER_SEIZURE if args.paper_scale else 1
         )
-    fallback = (
+    fallback = settings.resolve_duration_range(
         PAPER_DURATION_RANGE_S
         if args.paper_scale
         else (_CLI_DURATION_MIN * 60.0, _CLI_DURATION_MAX * 60.0)
     )
-    fallback = duration_range_from_env(fallback)
     # A single explicit bound keeps the resolved (paper or laptop) value
     # for the other one, so `--paper-scale --duration-max 45` means
     # 30-45 min, not 8-45.
@@ -684,7 +674,7 @@ def _print_report_table(report) -> None:
 
 
 def _validated_cohort_scale(
-    args: argparse.Namespace,
+    args: argparse.Namespace, settings: ReproSettings
 ) -> tuple[int, tuple[float, float], list[int] | None]:
     """Resolve *and validate* the shared cohort scale/filter flags.
 
@@ -694,7 +684,7 @@ def _validated_cohort_scale(
     them depends on identical resolution).  Raises ``ValueError``; the
     handlers print it as the usual clean error.
     """
-    samples, duration_range_s = resolve_cohort_scale(args)
+    samples, duration_range_s = resolve_cohort_scale(args, settings)
     if duration_range_s[0] <= 0 or duration_range_s[1] < duration_range_s[0]:
         raise ValueError("invalid duration range")
     if samples < 1:
@@ -717,8 +707,11 @@ def _write_report_json(path: str, report) -> int:
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
     try:
-        samples, duration_range_s, patient_ids = _validated_cohort_scale(args)
-    except ValueError as exc:
+        settings = ReproSettings.from_env()
+        samples, duration_range_s, patient_ids = _validated_cohort_scale(
+            args, settings
+        )
+    except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.chunk_s is not None and args.chunk_s <= 0:
@@ -754,7 +747,7 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
             )
             return 2
     try:
-        executor = args.executor or default_executor()
+        executor = args.executor or settings.engine_executor
         dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
         engine = CohortEngine(
             dataset,
@@ -863,7 +856,9 @@ def _resolve_shard_cohort(args: argparse.Namespace):
     Raises ``ValueError`` for bad flag values (caller prints and exits
     2, matching the other commands).
     """
-    samples, duration_range_s, patient_ids = _validated_cohort_scale(args)
+    samples, duration_range_s, patient_ids = _validated_cohort_scale(
+        args, ReproSettings.from_env()
+    )
     dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
     engine = CohortEngine(dataset, executor="serial")
     tasks = cohort_tasks(

@@ -19,7 +19,7 @@ from ..features.base import FeatureExtractor, FeatureMatrix
 from ..features.extraction import extract_features
 from ..features.paper10 import Paper10FeatureExtractor
 from ..signals.windowing import WindowSpec
-from .algorithm import DetectionResult, a_posteriori_reference
+from .algorithm import DetectionResult
 from .fast import a_posteriori_fast
 
 __all__ = ["LabelingResult", "APosterioriLabeler"]
@@ -56,8 +56,6 @@ class APosterioriLabeler:
     spec:
         Window geometry; defaults to 4 s windows, 1 s step, making feature
         indices equal to seconds.
-    method:
-        ``"fast"`` (default) or ``"reference"`` — numerically identical.
     grid_step:
         Outside-point subsampling (paper: 4).
     """
@@ -66,14 +64,10 @@ class APosterioriLabeler:
         self,
         extractor: FeatureExtractor | None = None,
         spec: WindowSpec | None = None,
-        method: str = "fast",
         grid_step: int = 4,
     ) -> None:
-        if method not in ("fast", "reference"):
-            raise LabelingError(f"method must be 'fast' or 'reference', got {method!r}")
         self.extractor = extractor or Paper10FeatureExtractor()
         self.spec = spec or WindowSpec(length_s=4.0, step_s=1.0)
-        self.method = method
         self.grid_step = grid_step
 
     # ------------------------------------------------------------------
@@ -92,13 +86,7 @@ class APosterioriLabeler:
         self, features: np.ndarray, window_length: int
     ) -> DetectionResult:
         """Run Algorithm 1 directly on an (L, F) array."""
-        if self.method == "fast":
-            return a_posteriori_fast(
-                features, window_length, grid_step=self.grid_step
-            )
-        return a_posteriori_reference(
-            features, window_length, grid_step=self.grid_step
-        )
+        return a_posteriori_fast(features, window_length, grid_step=self.grid_step)
 
     def label_matrix(
         self,

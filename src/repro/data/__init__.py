@@ -47,9 +47,7 @@ from .sampling import (
     DEFAULT_SAMPLES_PER_SEIZURE,
     PAPER_DURATION_RANGE_S,
     EvaluationSample,
-    duration_range_from_env,
     iter_evaluation_samples,
-    samples_per_seizure_from_env,
 )
 from .seizures import SeizureMorphology, generate_ictal, insert_seizure
 from .synthetic import (
@@ -99,9 +97,7 @@ __all__ = [
     "DEFAULT_DURATION_RANGE_S",
     "DEFAULT_SAMPLES_PER_SEIZURE",
     "PAPER_DURATION_RANGE_S",
-    "duration_range_from_env",
     "iter_evaluation_samples",
-    "samples_per_seizure_from_env",
     "SeizureMorphology",
     "generate_ictal",
     "insert_seizure",

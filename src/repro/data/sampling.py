@@ -13,7 +13,6 @@ replicate the original scale — see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,14 +22,7 @@ from .records import EEGRecord
 __all__ = [
     "EvaluationSample",
     "iter_evaluation_samples",
-    "samples_per_seizure_from_env",
-    "duration_range_from_env",
 ]
-
-#: Environment variable controlling samples per seizure (paper: 100).
-ENV_SAMPLES = "REPRO_SAMPLES_PER_SEIZURE"
-#: Environment variable selecting the paper's 30-60 min durations.
-ENV_PAPER_DURATIONS = "REPRO_PAPER_DURATIONS"
 
 #: Repository defaults chosen so the full 45-seizure harness finishes in
 #: minutes rather than hours.
@@ -46,43 +38,6 @@ class EvaluationSample:
     event: SeizureEvent
     sample_index: int
     record: EEGRecord
-
-
-def samples_per_seizure_from_env(default: int = DEFAULT_SAMPLES_PER_SEIZURE) -> int:
-    """Resolve the per-seizure sample count from the environment."""
-    raw = os.environ.get(ENV_SAMPLES, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_SAMPLES} must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{ENV_SAMPLES} must be >= 1, got {value}")
-    return value
-
-
-def duration_range_from_env(
-    default: tuple[float, float] = DEFAULT_DURATION_RANGE_S,
-) -> tuple[float, float]:
-    """Resolve the record duration range from the environment.
-
-    ``REPRO_PAPER_DURATIONS=1`` (or ``true``/``yes``, any case) selects
-    the paper's 30-60 minutes.  An unrecognized value raises rather than
-    silently running laptop-sized records through an expensive
-    paper-scale session.
-    """
-    raw = os.environ.get(ENV_PAPER_DURATIONS, "").strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return PAPER_DURATION_RANGE_S
-    if raw in ("", "0", "false", "no", "off"):
-        return default
-    raise ValueError(
-        f"{ENV_PAPER_DURATIONS} must be a boolean flag (1/true/yes or "
-        f"0/false/no), got {raw!r}"
-    )
 
 
 def iter_evaluation_samples(

@@ -47,13 +47,7 @@ from .chunked import (
     extract_features_chunked,
     extract_features_from_source,
 )
-from .executor import (
-    ENV_EXECUTOR,
-    EXECUTORS,
-    CohortEngine,
-    EngineConfig,
-    default_executor,
-)
+from .executor import EXECUTORS, CohortEngine, EngineConfig
 from .report import CohortReport, PatientSummary, RecordOutcome
 from .selflearning import SelfLearningDriver, SelfLearningTask
 from .sharding import (
@@ -77,7 +71,6 @@ from .tasks import RecordTask, cohort_tasks
 __all__ = [
     "DEFAULT_CHUNK_S",
     "DEFAULT_COMPACT_DEAD_LINES",
-    "ENV_EXECUTOR",
     "EXECUTORS",
     "SHARD_STRATEGIES",
     "CohortCheckpoint",
@@ -98,7 +91,6 @@ __all__ = [
     "cohort_tasks",
     "collect_shards",
     "config_digest",
-    "default_executor",
     "extract_features_chunked",
     "extract_features_from_source",
     "feature_cache_key",

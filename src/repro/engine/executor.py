@@ -62,7 +62,7 @@ from ..data.sources import RecordSource
 from ..exceptions import EngineError
 from ..features.base import FeatureExtractor
 from ..ml.metrics import classification_report
-from ..settings import ReproSettings
+from ..settings import EXECUTORS, ReproSettings
 from ..signals.windowing import WindowSpec
 from .cache import FeatureCache
 from .checkpoint import (
@@ -76,34 +76,7 @@ from .report import CohortReport, RecordOutcome
 from .store import DiskFeatureStore
 from .tasks import RecordTask, cohort_tasks
 
-__all__ = [
-    "EngineConfig", "CohortEngine", "ENV_EXECUTOR", "EXECUTORS",
-    "default_executor",
-]
-
-#: Supported executor kinds.
-EXECUTORS = ("process", "thread", "serial")
-
-#: Environment variable selecting the default pool backend (CI runs the
-#: engine suites under both ``process`` and ``thread``).
-ENV_EXECUTOR = "REPRO_ENGINE_EXECUTOR"
-
-
-def default_executor() -> str:
-    """Resolve the default executor kind from the environment.
-
-    An unset/empty variable means ``"process"`` (true parallelism for
-    the numpy/Python mix of the extractors); an unknown value raises
-    rather than silently running on the wrong backend.
-    """
-    raw = os.environ.get(ENV_EXECUTOR, "").strip().lower()
-    if not raw:
-        return "process"
-    if raw not in EXECUTORS:
-        raise EngineError(
-            f"{ENV_EXECUTOR} must be one of {EXECUTORS}, got {raw!r}"
-        )
-    return raw
+__all__ = ["EngineConfig", "CohortEngine", "EXECUTORS"]
 
 
 @dataclass(frozen=True)
@@ -117,7 +90,6 @@ class EngineConfig:
     dataset: SyntheticEEGDataset
     extractor: FeatureExtractor | None = None
     spec: WindowSpec = field(default_factory=lambda: WindowSpec(4.0, 1.0))
-    method: str = "fast"
     grid_step: int = 4
     chunk_s: float = DEFAULT_CHUNK_S
     cache_capacity: int = 8
@@ -142,7 +114,6 @@ class _WorkerContext:
         self.labeler = APosterioriLabeler(
             extractor=config.extractor,
             spec=config.spec,
-            method=config.method,
             grid_step=config.grid_step,
         )
         store = (
@@ -289,9 +260,8 @@ class CohortEngine:
         ``"process"`` (true parallelism for the numpy/Python mix of the
         feature extractors), ``"thread"``, or ``"serial"`` (no pool —
         the reference path the parity tests compare against).  ``None``
-        (the default) resolves via :envvar:`REPRO_ENGINE_EXECUTOR`,
-        falling back to ``"process"``.
-    extractor / spec / method / grid_step:
+        (the default) takes ``settings.engine_executor``.
+    extractor / spec / grid_step:
         Pipeline configuration, as for
         :class:`~repro.core.labeling.APosterioriLabeler`.
     chunk_s / cache_capacity / min_overlap:
@@ -316,10 +286,10 @@ class CohortEngine:
     settings:
         A resolved :class:`~repro.settings.ReproSettings` snapshot
         supplying the default executor kind when ``executor`` is not
-        given — long-lived hosts (the detection service) resolve the
-        environment once and thread the same snapshot everywhere,
-        instead of re-reading :envvar:`REPRO_ENGINE_EXECUTOR` per
-        engine.  ``None`` keeps the per-call environment lookup.
+        given — long-lived hosts resolve the environment once and
+        thread the same snapshot everywhere.  ``None`` takes a fresh
+        :meth:`ReproSettings.from_env` snapshot, which fails on any
+        malformed ``REPRO_*`` value.
     """
 
     def __init__(
@@ -331,7 +301,6 @@ class CohortEngine:
         settings: "ReproSettings | None" = None,
         extractor: FeatureExtractor | None = None,
         spec: WindowSpec | None = None,
-        method: str = "fast",
         grid_step: int = 4,
         chunk_s: float = DEFAULT_CHUNK_S,
         cache_capacity: int = 8,
@@ -341,9 +310,7 @@ class CohortEngine:
         checkpoint_compact_dead_lines: int | None = DEFAULT_COMPACT_DEAD_LINES,
     ) -> None:
         if executor is None:
-            executor = (
-                settings.engine_executor if settings else default_executor()
-            )
+            executor = (settings or ReproSettings.from_env()).engine_executor
         if executor not in EXECUTORS:
             raise EngineError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
@@ -373,7 +340,6 @@ class CohortEngine:
             dataset=dataset,
             extractor=extractor,
             spec=spec or WindowSpec(4.0, 1.0),
-            method=method,
             grid_step=grid_step,
             chunk_s=chunk_s,
             cache_capacity=cache_capacity,

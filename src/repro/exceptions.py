@@ -45,8 +45,7 @@ class FeatureError(ReproError):
 
 class KernelError(FeatureError):
     """Raised by the feature-kernel registry: an unknown kernel name, or
-    an unknown backend name passed as ``prefer`` or set in
-    ``REPRO_KERNEL_BACKEND``."""
+    an unknown backend name passed as ``prefer``."""
 
 
 class LabelingError(ReproError):

@@ -103,9 +103,9 @@ class Paper10FeatureExtractor(FeatureExtractor):
     def extract_batch(self, windows: np.ndarray, fs: float) -> np.ndarray:
         """All windows at once, through the batched feature kernels.
 
-        Resolves each feature's kernel from :mod:`repro.kernels` (honoring
-        ``REPRO_KERNEL_BACKEND``), so batch, streaming and engine
-        extraction share one implementation.  Both backends reproduce the
+        Resolves each feature's kernel through ``repro.kernels.get_kernel``
+        at call time, so batch, streaming and engine extraction share one
+        implementation.  Both backends reproduce the
         looped :meth:`extract_window` path bit-for-bit.
         """
         from ..kernels import get_kernel

@@ -6,11 +6,14 @@ Two backends ship for every kernel:
 - ``vectorized`` — batched numpy implementations engineered to be
   bitwise-identical to the reference; the default backend.
 
-Select a backend globally with ``REPRO_KERNEL_BACKEND=reference |
-vectorized`` or per call via ``get_kernel(name, prefer=...)``.  Because
-the two backends agree bit-for-bit (``tests/test_kernels_parity.py``
-checks it), a cohort run produces byte-identical reports under either
-choice — the engine parity suite enforces exactly that.
+Production code always resolves the default; a caller picks the other
+backend per call with ``get_kernel(name, prefer="reference")``.
+Feature extractors look ``get_kernel`` up on this module at call time,
+so a test can reroute a whole cohort run to the reference loops by
+patching ``repro.kernels.get_kernel``.  Because the two backends agree
+bit-for-bit (``tests/test_kernels_parity.py`` checks it), a cohort run
+produces byte-identical reports under either — the engine parity suite
+enforces exactly that.
 """
 
 from __future__ import annotations
@@ -18,18 +21,14 @@ from __future__ import annotations
 from .plans import WaveletPlan, embedding_plan, hann_window, wavelet_plan
 from .registry import (
     BACKENDS,
-    ENV_BACKEND,
     available_backends,
     get_kernel,
-    kernel_backend_from_env,
     registered_kernels,
 )
 
 __all__ = [
-    "ENV_BACKEND",
     "BACKENDS",
     "get_kernel",
-    "kernel_backend_from_env",
     "available_backends",
     "registered_kernels",
     "WaveletPlan",

@@ -4,8 +4,8 @@ Each kernel here simply maps the corresponding scalar implementation
 (:mod:`repro.entropy`, :mod:`repro.features.wavelet_features`,
 :mod:`repro.signals.spectral`) over the window rows.  This is the
 ground truth every other backend is differentially gated against at
-registration time, and the backend ``REPRO_KERNEL_BACKEND=reference``
-selects — byte-for-byte the pre-registry behavior of the extractors.
+registration time, and the backend ``get_kernel(name, prefer="reference")``
+returns — byte-for-byte the pre-registry behavior of the extractors.
 """
 
 from __future__ import annotations

@@ -16,20 +16,20 @@ array of per-window series and returns one value row per window (or a
 dict of per-level arrays, for the DWT kernel).
 
 The bitwise identity is what keeps cohort reports byte-identical across
-``REPRO_KERNEL_BACKEND`` values; ``tests/test_kernels_parity.py``
-enforces it on a seeded battery of signal shapes.
+backends; ``tests/test_kernels_parity.py`` enforces it on a seeded
+battery of signal shapes.
 
 Resolution
 ----------
-:func:`get_kernel` picks a backend per call: an explicit ``prefer``
-argument wins, then the ``REPRO_KERNEL_BACKEND`` environment variable,
-then ``vectorized``.  An unknown backend name raises
-:class:`~repro.exceptions.KernelError`.
+:func:`get_kernel` returns the ``vectorized`` implementation unless the
+caller names a backend with ``prefer``.  There is no global switch:
+production extraction always runs ``vectorized``, and the ``reference``
+loops serve as the tests' oracle.  An unknown kernel or backend name
+raises :class:`~repro.exceptions.KernelError`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 from ..exceptions import KernelError
@@ -37,17 +37,11 @@ from . import reference as _ref
 from . import vectorized as _vec
 
 __all__ = [
-    "ENV_BACKEND",
     "BACKENDS",
     "get_kernel",
-    "kernel_backend_from_env",
     "available_backends",
     "registered_kernels",
 ]
-
-#: Environment variable selecting the kernel backend for every
-#: registry-resolved kernel (``reference`` | ``vectorized``).
-ENV_BACKEND = "REPRO_KERNEL_BACKEND"
 
 #: Backend names; the first is the default.
 BACKENDS = ("vectorized", "reference")
@@ -70,40 +64,21 @@ _REGISTRY: dict[str, dict[str, Callable]] = {
 }
 
 
-def kernel_backend_from_env() -> str | None:
-    """The backend named by ``REPRO_KERNEL_BACKEND``, or None when unset.
-
-    An unknown value raises immediately rather than silently running a
-    different backend.
-    """
-    raw = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if not raw:
-        return None
-    if raw not in BACKENDS:
-        raise KernelError(
-            f"{ENV_BACKEND} must be one of {BACKENDS}, got {raw!r}"
-        )
-    return raw
-
-
 def get_kernel(name: str, prefer: str | None = None) -> Callable:
-    """Resolve the implementation of kernel ``name``.
-
-    ``prefer`` overrides the ``REPRO_KERNEL_BACKEND`` environment
-    variable, which overrides the default (``vectorized``).
-    """
+    """Resolve the implementation of kernel ``name``: the ``prefer``
+    backend when given, else the default (``vectorized``)."""
     try:
         versions = _REGISTRY[name]
     except KeyError:
         raise KernelError(
             f"unknown kernel {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-    requested = prefer if prefer is not None else kernel_backend_from_env()
+    backend = BACKENDS[0] if prefer is None else prefer
     try:
-        return versions[BACKENDS[0] if requested is None else requested]
+        return versions[backend]
     except KeyError:
         raise KernelError(
-            f"unknown kernel backend {requested!r}; use one of {BACKENDS}"
+            f"unknown kernel backend {backend!r}; use one of {BACKENDS}"
         ) from None
 
 

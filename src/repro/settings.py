@@ -1,21 +1,19 @@
-"""One documented home for every ``REPRO_*`` environment knob.
+"""The one reader of every ``REPRO_*`` environment knob.
 
-The knobs grew organically, one module at a time: the kernel registry
-reads :envvar:`REPRO_KERNEL_BACKEND`, the engine reads
-:envvar:`REPRO_ENGINE_EXECUTOR`, the sampling protocol reads
-:envvar:`REPRO_SAMPLES_PER_SEIZURE` / :envvar:`REPRO_PAPER_DURATIONS`,
-and the real-time service adds :envvar:`REPRO_SERVICE_QUEUE_DEPTH` /
-:envvar:`REPRO_SERVICE_BACKPRESSURE` /
-:envvar:`REPRO_SERVICE_WORKERS`.  :class:`ReproSettings` resolves
-them all in one place — through the *same* validating parsers each
-subsystem uses, so a bad value fails identically whether it is read here
-or at the point of use — and is threaded as the default-provider into
-:class:`~repro.engine.executor.CohortEngine` (``settings=``) and
-:meth:`~repro.service.config.ServiceConfig.from_settings`.
+Ten knobs configure the package: the engine's default pool kind
+(:envvar:`REPRO_ENGINE_EXECUTOR`), the evaluation scale
+(:envvar:`REPRO_SAMPLES_PER_SEIZURE` / :envvar:`REPRO_PAPER_DURATIONS`)
+and seven real-time service knobs (``REPRO_SERVICE_*``).  No other
+module reads them: :meth:`ReproSettings.from_env` parses them, with one
+typed helper per value shape, and every entry point takes its defaults
+from the resulting snapshot — :class:`~repro.engine.executor
+.CohortEngine` (``settings=``), :meth:`~repro.service.config
+.ServiceConfig.from_settings`, :mod:`repro.api` and the ``repro`` CLI.
 
-``ReproSettings.from_env()`` is a snapshot: it captures the environment
-once, so a long-lived process (the detection service) keeps consistent
-configuration even if the environment mutates underneath it.
+A snapshot captures the environment once, so a long-lived process (the
+detection service) keeps a consistent configuration even if the
+environment changes underneath it.  ``from_env(mapping)`` parses the
+given mapping and never reads or writes ``os.environ``.
 """
 
 from __future__ import annotations
@@ -24,9 +22,12 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .exceptions import ServiceError
+from .exceptions import EngineError, ServiceError
 
 __all__ = [
+    "ENV_ENGINE_EXECUTOR",
+    "ENV_SAMPLES_PER_SEIZURE",
+    "ENV_PAPER_DURATIONS",
     "ENV_SERVICE_QUEUE_DEPTH",
     "ENV_SERVICE_BACKPRESSURE",
     "ENV_SERVICE_WORKERS",
@@ -34,12 +35,20 @@ __all__ = [
     "ENV_SERVICE_MAX_SESSIONS",
     "ENV_SERVICE_CHUNK_RATE",
     "ENV_SERVICE_REPLAY_BUFFER",
+    "EXECUTORS",
     "BACKPRESSURE_POLICIES",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_REPLAY_BUFFER",
     "ReproSettings",
 ]
 
+#: Default pool kind of :class:`~repro.engine.executor.CohortEngine`
+#: (CI runs the engine suites under both ``process`` and ``thread``).
+ENV_ENGINE_EXECUTOR = "REPRO_ENGINE_EXECUTOR"
+#: Evaluation samples per seizure (paper: 100).
+ENV_SAMPLES_PER_SEIZURE = "REPRO_SAMPLES_PER_SEIZURE"
+#: Boolean flag selecting the paper's 30-60 min record durations.
+ENV_PAPER_DURATIONS = "REPRO_PAPER_DURATIONS"
 #: Bounded per-session ingest queue depth of the detection service.
 ENV_SERVICE_QUEUE_DEPTH = "REPRO_SERVICE_QUEUE_DEPTH"
 #: Backpressure policy when a session's ingest queue is full.
@@ -54,6 +63,10 @@ ENV_SERVICE_MAX_SESSIONS = "REPRO_SERVICE_MAX_SESSIONS"
 ENV_SERVICE_CHUNK_RATE = "REPRO_SERVICE_CHUNK_RATE"
 #: Per-session replay journal depth for shard re-homing (0 = off).
 ENV_SERVICE_REPLAY_BUFFER = "REPRO_SERVICE_REPLAY_BUFFER"
+
+#: Engine executor kinds; the first is the default.  ``process`` gives
+#: true parallelism for the numpy/Python mix of the extractors.
+EXECUTORS = ("process", "thread", "serial")
 
 #: ``reject`` refuses the new chunk (the caller sees a rejected
 #: IngestResult / BackpressureError); ``shed-oldest`` drops the oldest
@@ -70,107 +83,76 @@ DEFAULT_QUEUE_DEPTH = 64
 DEFAULT_REPLAY_BUFFER = 256
 
 
-def _queue_depth_from(env: Mapping[str, str]) -> int:
-    raw = env.get(ENV_SERVICE_QUEUE_DEPTH, "").strip()
+def _int_at_least(
+    env: Mapping[str, str],
+    name: str,
+    minimum: int,
+    default: int | None,
+    error: type[Exception],
+) -> int | None:
+    """``env[name]`` as an integer ``>= minimum``; blank means ``default``."""
+    raw = env.get(name, "").strip()
     if not raw:
-        return DEFAULT_QUEUE_DEPTH
+        return default
     try:
-        depth = int(raw)
+        value = int(raw)
     except ValueError:
-        raise ServiceError(
-            f"{ENV_SERVICE_QUEUE_DEPTH} must be an integer, got {raw!r}"
-        ) from None
-    if depth < 1:
-        raise ServiceError(
-            f"{ENV_SERVICE_QUEUE_DEPTH} must be >= 1, got {depth}"
-        )
-    return depth
+        raise error(f"{name} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
-def _workers_from(env: Mapping[str, str]) -> int:
-    raw = env.get(ENV_SERVICE_WORKERS, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ServiceError(
-            f"{ENV_SERVICE_WORKERS} must be an integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ServiceError(
-            f"{ENV_SERVICE_WORKERS} must be >= 1, got {workers}"
-        )
-    return workers
-
-
-def _auth_tokens_from(env: Mapping[str, str]) -> tuple[str, ...]:
-    raw = env.get(ENV_SERVICE_AUTH_TOKENS, "")
-    tokens = tuple(part.strip() for part in raw.split(",") if part.strip())
-    return tokens
-
-
-def _max_sessions_from(env: Mapping[str, str]) -> int:
-    raw = env.get(ENV_SERVICE_MAX_SESSIONS, "").strip()
-    if not raw:
-        return 0
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ServiceError(
-            f"{ENV_SERVICE_MAX_SESSIONS} must be an integer, got {raw!r}"
-        ) from None
-    if limit < 0:
-        raise ServiceError(
-            f"{ENV_SERVICE_MAX_SESSIONS} must be >= 0, got {limit}"
-        )
-    return limit
-
-
-def _chunk_rate_from(env: Mapping[str, str]) -> float:
-    raw = env.get(ENV_SERVICE_CHUNK_RATE, "").strip()
+def _non_negative_float(
+    env: Mapping[str, str], name: str, error: type[Exception]
+) -> float:
+    """``env[name]`` as a float ``>= 0`` (NaN refused); blank means 0."""
+    raw = env.get(name, "").strip()
     if not raw:
         return 0.0
     try:
-        rate = float(raw)
+        value = float(raw)
     except ValueError:
-        raise ServiceError(
-            f"{ENV_SERVICE_CHUNK_RATE} must be a number, got {raw!r}"
-        ) from None
-    if rate < 0 or rate != rate:  # NaN guard
-        raise ServiceError(
-            f"{ENV_SERVICE_CHUNK_RATE} must be >= 0, got {raw!r}"
-        )
-    return rate
+        raise error(f"{name} must be a number, got {raw!r}") from None
+    if not value >= 0:
+        raise error(f"{name} must be >= 0, got {raw!r}")
+    return value
 
 
-def _replay_buffer_from(env: Mapping[str, str]) -> int:
-    raw = env.get(ENV_SERVICE_REPLAY_BUFFER, "").strip()
+def _choice(
+    env: Mapping[str, str],
+    name: str,
+    choices: tuple[str, ...],
+    error: type[Exception],
+) -> str:
+    """``env[name]`` (any case) as one of ``choices``; blank means the
+    first choice."""
+    raw = env.get(name, "").strip().lower()
     if not raw:
-        return DEFAULT_REPLAY_BUFFER
-    try:
-        depth = int(raw)
-    except ValueError:
-        raise ServiceError(
-            f"{ENV_SERVICE_REPLAY_BUFFER} must be an integer, got {raw!r}"
-        ) from None
-    if depth < 0:
-        raise ServiceError(
-            f"{ENV_SERVICE_REPLAY_BUFFER} must be >= 0, got {depth}"
-        )
-    return depth
-
-
-def _backpressure_from(env: Mapping[str, str]) -> str:
-    raw = env.get(ENV_SERVICE_BACKPRESSURE, "").strip().lower()
-    if not raw:
-        return "reject"
-    if raw not in BACKPRESSURE_POLICIES:
-        raise ServiceError(
-            f"{ENV_SERVICE_BACKPRESSURE} must be one of "
-            f"{BACKPRESSURE_POLICIES}, got {raw!r}"
-        )
+        return choices[0]
+    if raw not in choices:
+        raise error(f"{name} must be one of {choices}, got {raw!r}")
     return raw
+
+
+def _flag(env: Mapping[str, str], name: str, error: type[Exception]) -> bool:
+    """``env[name]`` as a boolean.  An unrecognized value raises rather
+    than silently picking a side."""
+    raw = env.get(name, "").strip().lower()
+    if raw in ("1", "true", "yes", "on"):
+        return True
+    if raw in ("", "0", "false", "no", "off"):
+        return False
+    raise error(
+        f"{name} must be a boolean flag (1/true/yes or 0/false/no), "
+        f"got {raw!r}"
+    )
+
+
+def _tokens(env: Mapping[str, str], name: str) -> tuple[str, ...]:
+    """``env[name]`` split on commas, blanks dropped."""
+    raw = env.get(name, "")
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
 @dataclass(frozen=True)
@@ -179,9 +161,6 @@ class ReproSettings:
 
     Attributes
     ----------
-    kernel_backend:
-        :envvar:`REPRO_KERNEL_BACKEND` — ``None`` when unset (the
-        registry then picks its default preference order).
     engine_executor:
         :envvar:`REPRO_ENGINE_EXECUTOR` resolved to a concrete kind
         (``process`` when unset).
@@ -217,7 +196,6 @@ class ReproSettings:
         resilience).
     """
 
-    kernel_backend: str | None = None
     engine_executor: str = "process"
     samples_per_seizure: int | None = None
     paper_durations: bool = False
@@ -264,54 +242,42 @@ class ReproSettings:
     def from_env(cls, env: Mapping[str, str] | None = None) -> "ReproSettings":
         """Resolve every knob from ``env`` (default: ``os.environ``).
 
-        Delegates to the canonical per-subsystem parsers, so validation
-        behavior (which raw values raise, and with what message) is
-        defined exactly once.  The imports are local to keep this module
-        a leaf the rest of the package can import freely.
+        A malformed value raises the error type its subsystem uses:
+        ``EngineError`` for the executor, ``ValueError`` for the
+        evaluation scale, ``ServiceError`` for the service knobs.
         """
-        from .data.sampling import (
-            ENV_SAMPLES,
-            PAPER_DURATION_RANGE_S,
-            duration_range_from_env,
-            samples_per_seizure_from_env,
-        )
-        from .engine.executor import default_executor
-        from .kernels.registry import kernel_backend_from_env
-
         if env is None:
             env = os.environ
-            kernel = kernel_backend_from_env()
-            executor = default_executor()
-            samples = (
-                samples_per_seizure_from_env(0)
-                if env.get(ENV_SAMPLES, "")
-                else None
-            )
-            # The sentinel default cannot equal the paper range, so the
-            # resolver's return value doubles as the boolean.
-            paper = (
-                duration_range_from_env((0.0, 0.0)) == PAPER_DURATION_RANGE_S
-            )
-        else:
-            # The canonical parsers read os.environ; for an explicit
-            # mapping (tests, frozen snapshots) run them under a patched
-            # view without mutating the process environment.
-            import unittest.mock
-
-            with unittest.mock.patch.dict(os.environ, env, clear=True):
-                return cls.from_env(None)
         return cls(
-            kernel_backend=kernel,
-            engine_executor=executor,
-            samples_per_seizure=samples,
-            paper_durations=paper,
-            service_queue_depth=_queue_depth_from(env),
-            service_backpressure=_backpressure_from(env),
-            service_workers=_workers_from(env),
-            service_auth_tokens=_auth_tokens_from(env),
-            service_max_sessions=_max_sessions_from(env),
-            service_chunk_rate=_chunk_rate_from(env),
-            service_replay_buffer=_replay_buffer_from(env),
+            engine_executor=_choice(
+                env, ENV_ENGINE_EXECUTOR, EXECUTORS, EngineError
+            ),
+            samples_per_seizure=_int_at_least(
+                env, ENV_SAMPLES_PER_SEIZURE, 1, None, ValueError
+            ),
+            paper_durations=_flag(env, ENV_PAPER_DURATIONS, ValueError),
+            service_queue_depth=_int_at_least(
+                env, ENV_SERVICE_QUEUE_DEPTH, 1, DEFAULT_QUEUE_DEPTH,
+                ServiceError,
+            ),
+            service_backpressure=_choice(
+                env, ENV_SERVICE_BACKPRESSURE, BACKPRESSURE_POLICIES,
+                ServiceError,
+            ),
+            service_workers=_int_at_least(
+                env, ENV_SERVICE_WORKERS, 1, 1, ServiceError
+            ),
+            service_auth_tokens=_tokens(env, ENV_SERVICE_AUTH_TOKENS),
+            service_max_sessions=_int_at_least(
+                env, ENV_SERVICE_MAX_SESSIONS, 0, 0, ServiceError
+            ),
+            service_chunk_rate=_non_negative_float(
+                env, ENV_SERVICE_CHUNK_RATE, ServiceError
+            ),
+            service_replay_buffer=_int_at_least(
+                env, ENV_SERVICE_REPLAY_BUFFER, 0, DEFAULT_REPLAY_BUFFER,
+                ServiceError,
+            ),
         )
 
     # ------------------------------------------------------------------

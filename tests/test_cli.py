@@ -6,12 +6,12 @@ import pytest
 
 from repro.cli import build_parser, main, resolve_cohort_scale
 from repro.data import save_record
-from repro.data.sampling import (
+from repro.data.sampling import PAPER_DURATION_RANGE_S
+from repro.settings import (
+    ENV_ENGINE_EXECUTOR,
     ENV_PAPER_DURATIONS,
-    ENV_SAMPLES,
-    PAPER_DURATION_RANGE_S,
+    ENV_SAMPLES_PER_SEIZURE,
 )
-from repro.engine.executor import ENV_EXECUTOR
 
 
 class TestParser:
@@ -64,15 +64,6 @@ class TestLabel:
         assert code == 0
         assert "detected seizure" in out
         assert "delta =" in out  # expert summary was loaded and compared
-
-    def test_reference_method(self, tmp_path, dataset, capsys):
-        record = dataset.generate_sample(6, 0, 0)
-        base = tmp_path / "rec"
-        save_record(record, base)
-        code = main(
-            ["label", str(base), "--avg-duration", "40", "--method", "reference"]
-        )
-        assert code == 0
 
 
 class TestCohort:
@@ -162,7 +153,7 @@ class TestCohortScaleResolution:
 
     @pytest.fixture(autouse=True)
     def clean_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_SAMPLES, raising=False)
+        monkeypatch.delenv(ENV_SAMPLES_PER_SEIZURE, raising=False)
         monkeypatch.delenv(ENV_PAPER_DURATIONS, raising=False)
 
     def test_laptop_defaults(self):
@@ -171,7 +162,7 @@ class TestCohortScaleResolution:
         assert durations == (480.0, 900.0)
 
     def test_env_samples_knob(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLES, "100")
+        monkeypatch.setenv(ENV_SAMPLES_PER_SEIZURE, "100")
         samples, _ = resolve_cohort_scale(self.parse())
         assert samples == 100
 
@@ -187,7 +178,7 @@ class TestCohortScaleResolution:
         assert durations == PAPER_DURATION_RANGE_S
 
     def test_explicit_flags_beat_env_and_paper_scale(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLES, "100")
+        monkeypatch.setenv(ENV_SAMPLES_PER_SEIZURE, "100")
         monkeypatch.setenv(ENV_PAPER_DURATIONS, "1")
         samples, durations = resolve_cohort_scale(
             self.parse(
@@ -211,19 +202,19 @@ class TestCohortScaleResolution:
         assert durations == (1800.0, 2700.0)
 
     def test_non_numeric_env_samples_names_the_knob(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_SAMPLES, "ten")
+        monkeypatch.setenv(ENV_SAMPLES_PER_SEIZURE, "ten")
         code = main(["cohort", "--patients", "8", "--executor", "serial"])
         assert code == 2
-        assert ENV_SAMPLES in capsys.readouterr().err
+        assert ENV_SAMPLES_PER_SEIZURE in capsys.readouterr().err
 
     def test_bad_env_samples_errors_cleanly(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_SAMPLES, "0")
+        monkeypatch.setenv(ENV_SAMPLES_PER_SEIZURE, "0")
         code = main(["cohort", "--patients", "8", "--executor", "serial"])
         assert code == 2
-        assert ENV_SAMPLES in capsys.readouterr().err
+        assert ENV_SAMPLES_PER_SEIZURE in capsys.readouterr().err
 
     def test_env_samples_drive_a_run(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_SAMPLES, "2")
+        monkeypatch.setenv(ENV_SAMPLES_PER_SEIZURE, "2")
         code = main(
             [
                 "cohort",
@@ -238,7 +229,7 @@ class TestCohortScaleResolution:
         assert "cohort: 8 records" in out  # 4 seizures x 2 samples
 
     def test_env_executor_selects_backend(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_EXECUTOR, "serial")
+        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "serial")
         code = main(
             [
                 "cohort",
@@ -252,10 +243,10 @@ class TestCohortScaleResolution:
         assert "(serial," in out
 
     def test_invalid_env_executor_errors_cleanly(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_EXECUTOR, "fleet")
+        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "fleet")
         code = main(["cohort", "--patients", "8"])
         assert code == 2
-        assert ENV_EXECUTOR in capsys.readouterr().err
+        assert ENV_ENGINE_EXECUTOR in capsys.readouterr().err
 
 
 class TestCohortResumability:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.algorithm import a_posteriori_reference
 from repro.core.deviation import deviation
 from repro.core.labeling import APosterioriLabeler
 from repro.exceptions import LabelingError
@@ -15,10 +16,6 @@ def labeler():
 
 
 class TestConfiguration:
-    def test_invalid_method_raises(self):
-        with pytest.raises(LabelingError):
-            APosterioriLabeler(method="magic")
-
     def test_window_length_conversion(self, labeler):
         assert labeler.window_length_for(55.0) == 55
         assert labeler.window_length_for(0.4) == 1
@@ -62,9 +59,17 @@ class TestLabeling:
     def test_reference_and_fast_labelers_agree(self, dataset):
         record = dataset.generate_sample(6, 0, 0)
         prior = dataset.mean_seizure_duration(6)
-        fast = APosterioriLabeler(method="fast").label(record, prior)
-        ref = APosterioriLabeler(method="reference").label(record, prior)
-        assert fast.annotation.onset_s == ref.annotation.onset_s
+        labeler = APosterioriLabeler()
+        fast = labeler.label(record, prior)
+        ref = a_posteriori_reference(
+            fast.features.values,
+            labeler.window_length_for(prior),
+            grid_step=labeler.grid_step,
+        )
+        assert fast.detection.position == ref.position
+        np.testing.assert_allclose(
+            fast.detection.distances, ref.distances, rtol=0, atol=1e-10
+        )
 
     def test_record_too_short_raises(self, labeler, dataset):
         record = dataset.generate_seizure_free(1, 30.0, 1)

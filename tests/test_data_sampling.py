@@ -1,60 +1,89 @@
 """Unit tests for the Sec. VI-A evaluation-sample iteration."""
 
+import re
+
 import pytest
 
 from repro.data.sampling import (
     DEFAULT_DURATION_RANGE_S,
-    ENV_PAPER_DURATIONS,
-    ENV_SAMPLES,
+    DEFAULT_SAMPLES_PER_SEIZURE,
     PAPER_DURATION_RANGE_S,
-    duration_range_from_env,
     iter_evaluation_samples,
-    samples_per_seizure_from_env,
+)
+from repro.settings import (
+    ENV_PAPER_DURATIONS,
+    ENV_SAMPLES_PER_SEIZURE,
+    ReproSettings,
 )
 
 
+def samples_from(env):
+    return ReproSettings.from_env(env).resolve_samples(
+        DEFAULT_SAMPLES_PER_SEIZURE
+    )
+
+
+def durations_from(env):
+    return ReproSettings.from_env(env).resolve_duration_range(
+        DEFAULT_DURATION_RANGE_S
+    )
+
+
 class TestEnvKnobs:
-    def test_default_sample_count(self, monkeypatch):
-        monkeypatch.delenv(ENV_SAMPLES, raising=False)
-        assert samples_per_seizure_from_env() == 3
+    """The evaluation-scale knobs, parsed by :class:`ReproSettings`."""
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLES, "100")
-        assert samples_per_seizure_from_env() == 100
+    def test_default_sample_count(self):
+        assert samples_from({}) == 3
 
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLES, "0")
-        with pytest.raises(ValueError):
-            samples_per_seizure_from_env()
+    def test_env_override(self):
+        assert samples_from({ENV_SAMPLES_PER_SEIZURE: "100"}) == 100
 
-    def test_duration_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_PAPER_DURATIONS, raising=False)
-        assert duration_range_from_env() == DEFAULT_DURATION_RANGE_S
+    def test_invalid_env_raises(self):
+        with pytest.raises(
+            ValueError,
+            match=re.escape("REPRO_SAMPLES_PER_SEIZURE must be >= 1, got 0"),
+        ):
+            samples_from({ENV_SAMPLES_PER_SEIZURE: "0"})
 
-    def test_paper_durations_flag(self, monkeypatch):
-        monkeypatch.setenv(ENV_PAPER_DURATIONS, "1")
-        assert duration_range_from_env() == PAPER_DURATION_RANGE_S
+    def test_duration_default(self):
+        assert durations_from({}) == DEFAULT_DURATION_RANGE_S
 
-    def test_paper_durations_flag_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(ENV_PAPER_DURATIONS, "True")
-        assert duration_range_from_env() == PAPER_DURATION_RANGE_S
+    def test_paper_durations_flag(self):
+        assert durations_from({ENV_PAPER_DURATIONS: "1"}) == PAPER_DURATION_RANGE_S
 
-    def test_explicit_off_values(self, monkeypatch):
+    def test_paper_durations_flag_is_case_insensitive(self):
+        assert (
+            durations_from({ENV_PAPER_DURATIONS: "True"})
+            == PAPER_DURATION_RANGE_S
+        )
+
+    def test_explicit_off_values(self):
         for off in ("0", "false", "NO", "off"):
-            monkeypatch.setenv(ENV_PAPER_DURATIONS, off)
-            assert duration_range_from_env() == DEFAULT_DURATION_RANGE_S
+            assert (
+                durations_from({ENV_PAPER_DURATIONS: off})
+                == DEFAULT_DURATION_RANGE_S
+            )
 
-    def test_unrecognized_flag_raises(self, monkeypatch):
+    def test_unrecognized_flag_raises(self):
         # A typo'd flag must not silently run laptop-sized records
         # through a paper-scale session.
-        monkeypatch.setenv(ENV_PAPER_DURATIONS, "maybe")
-        with pytest.raises(ValueError, match=ENV_PAPER_DURATIONS):
-            duration_range_from_env()
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "REPRO_PAPER_DURATIONS must be a boolean flag (1/true/yes "
+                "or 0/false/no), got 'maybe'"
+            ),
+        ):
+            durations_from({ENV_PAPER_DURATIONS: "maybe"})
 
-    def test_non_numeric_samples_names_the_knob(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLES, "ten")
-        with pytest.raises(ValueError, match=ENV_SAMPLES):
-            samples_per_seizure_from_env()
+    def test_non_numeric_samples_names_the_knob(self):
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "REPRO_SAMPLES_PER_SEIZURE must be an integer, got 'ten'"
+            ),
+        ):
+            samples_from({ENV_SAMPLES_PER_SEIZURE: "ten"})
 
 
 class TestIteration:

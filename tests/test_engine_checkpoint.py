@@ -88,12 +88,20 @@ class TestJournalFormat:
         engine = CohortEngine(dataset, executor="serial")
         assert work_list_digest(tasks) == work_list_digest(tuple(tasks))
         assert work_list_digest(tasks) != work_list_digest(tasks[:2])
-        other = CohortEngine(dataset, executor="thread", method="fast")
+        other = CohortEngine(dataset, executor="thread", chunk_s=7.0)
         # Scheduling knobs do not change the config digest...
         assert config_digest(engine.config) == config_digest(other.config)
         # ...outcome-changing knobs do.
-        reference = CohortEngine(dataset, executor="serial", method="reference")
-        assert config_digest(engine.config) != config_digest(reference.config)
+        coarser = CohortEngine(dataset, executor="serial", grid_step=8)
+        assert config_digest(engine.config) != config_digest(coarser.config)
+
+    def test_default_config_digest_is_pinned(self):
+        # Journals and shard manifests on disk carry this digest; a
+        # change here would orphan every one of them.
+        from repro.data import SyntheticEEGDataset
+
+        engine = CohortEngine(SyntheticEEGDataset(), executor="serial")
+        assert config_digest(engine.config) == "c727ef5bb16e42e703cee622e4b8c8fb"
 
 
 class TestResumeSkipsCompleted:
@@ -415,7 +423,7 @@ class TestForeignJournalRejection:
     def test_different_config_rejected(self, dataset, tasks, tmp_path):
         path = tmp_path / "run.ckpt"
         CohortEngine(dataset, executor="serial").run(tasks, checkpoint=path)
-        other = CohortEngine(dataset, executor="serial", method="reference")
+        other = CohortEngine(dataset, executor="serial", grid_step=8)
         with pytest.raises(CheckpointError, match="different run"):
             other.run(tasks, checkpoint=path)
 

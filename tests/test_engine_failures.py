@@ -9,18 +9,17 @@ list is an empty report rather than an error.
 """
 
 import json
+import re
 
 import pytest
 
-from repro.engine import (
-    CohortEngine,
-    CohortReport,
-    RecordOutcome,
-    RecordTask,
-    default_executor,
+from repro.engine import CohortEngine, CohortReport, RecordOutcome, RecordTask
+from repro.exceptions import EngineError, ServiceError
+from repro.settings import (
+    ENV_ENGINE_EXECUTOR,
+    ENV_SERVICE_QUEUE_DEPTH,
+    ReproSettings,
 )
-from repro.engine.executor import ENV_EXECUTOR
-from repro.exceptions import EngineError
 
 #: Three healthy records plus one poisoned coordinate (patient 1 has no
 #: seizure 999, so the dataset raises inside the worker) and one record
@@ -206,22 +205,39 @@ class TestFailureOutcomeShape:
 
 
 class TestExecutorEnvKnob:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_EXECUTOR, raising=False)
-        assert default_executor() == "process"
+    def test_default_without_env(self):
+        assert ReproSettings.from_env({}).engine_executor == "process"
 
     def test_env_selects_backend(self, monkeypatch, dataset):
-        monkeypatch.setenv(ENV_EXECUTOR, "thread")
-        assert default_executor() == "thread"
+        env = {ENV_ENGINE_EXECUTOR: "thread"}
+        assert ReproSettings.from_env(env).engine_executor == "thread"
+        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "thread")
         assert CohortEngine(dataset).executor == "thread"
 
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_EXECUTOR, "fleet")
-        with pytest.raises(EngineError, match=ENV_EXECUTOR):
-            default_executor()
+    def test_invalid_env_raises(self, monkeypatch, dataset):
+        message = re.escape(
+            "REPRO_ENGINE_EXECUTOR must be one of "
+            "('process', 'thread', 'serial'), got 'fleet'"
+        )
+        with pytest.raises(EngineError, match=message):
+            ReproSettings.from_env({ENV_ENGINE_EXECUTOR: "fleet"})
+        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "fleet")
+        with pytest.raises(EngineError, match=message):
+            CohortEngine(dataset)
 
     def test_explicit_kind_wins_over_env(self, monkeypatch, dataset):
-        monkeypatch.setenv(ENV_EXECUTOR, "thread")
+        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "thread")
+        assert CohortEngine(dataset, executor="serial").executor == "serial"
+
+    def test_malformed_service_knob_fails_default_engine(
+        self, monkeypatch, dataset
+    ):
+        # The default executor comes from a full settings snapshot, so
+        # any malformed REPRO_* value fails loudly; an explicit kind
+        # never reads the environment.
+        monkeypatch.setenv(ENV_SERVICE_QUEUE_DEPTH, "zero")
+        with pytest.raises(ServiceError, match=ENV_SERVICE_QUEUE_DEPTH):
+            CohortEngine(dataset)
         assert CohortEngine(dataset, executor="serial").executor == "serial"
 
 

@@ -561,33 +561,36 @@ class TestKernelBackendParity:
 
     This is the registry's load-bearing guarantee: because the
     vectorized backend is bitwise identical to the reference (the kernel
-    parity suite checks it), switching ``REPRO_KERNEL_BACKEND`` can never
-    change a report.  A serial executor keeps the env override
-    in-process so monkeypatch reaches the extraction code directly.
+    parity suite checks it), the backend can never change a report.
+    Extraction resolves kernels through ``repro.kernels.get_kernel`` at
+    call time, so patching that name reroutes a whole run; a serial
+    executor keeps the patch in-process.
     """
 
     TASKS = (RecordTask(1, 0, 0), RecordTask(8, 0, 0))
 
     def _report_json(self, dataset, monkeypatch, backend):
-        from repro.kernels import ENV_BACKEND
+        import repro.kernels
+        from repro.kernels.registry import get_kernel
 
-        if backend is None:
-            monkeypatch.delenv(ENV_BACKEND, raising=False)
-        else:
-            monkeypatch.setenv(ENV_BACKEND, backend)
-        return CohortEngine(dataset, executor="serial").run(self.TASKS).to_json()
+        resolved = set()
+
+        def preferring(name, prefer=None):
+            impl = get_kernel(name, prefer or backend)
+            resolved.add(impl.__module__)
+            return impl
+
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.kernels, "get_kernel", preferring)
+            report = CohortEngine(dataset, executor="serial").run(self.TASKS)
+        return report.to_json(), resolved
 
     def test_reference_vectorized_and_default_byte_identical(
         self, dataset, monkeypatch
     ):
-        ref = self._report_json(dataset, monkeypatch, "reference")
-        vec = self._report_json(dataset, monkeypatch, "vectorized")
-        default = self._report_json(dataset, monkeypatch, None)
+        ref, ref_modules = self._report_json(dataset, monkeypatch, "reference")
+        vec, vec_modules = self._report_json(dataset, monkeypatch, "vectorized")
+        default, default_modules = self._report_json(dataset, monkeypatch, None)
+        assert ref_modules == {"repro.kernels.reference"}
+        assert vec_modules == default_modules == {"repro.kernels.vectorized"}
         assert ref == vec == default
-
-    def test_invalid_backend_fails_loud(self, dataset, monkeypatch):
-        from repro.exceptions import KernelError
-
-        for backend in ("turbo", "compiled"):
-            with pytest.raises((KernelError, EngineError)):
-                self._report_json(dataset, monkeypatch, backend)

@@ -16,12 +16,10 @@ from repro.entropy.sample import embedding_indices, sample_entropy
 from repro.exceptions import FeatureError, KernelError, SignalError
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import (
-    ENV_BACKEND,
     available_backends,
     embedding_plan,
     get_kernel,
     hann_window,
-    kernel_backend_from_env,
     registered_kernels,
     wavelet_plan,
 )
@@ -169,7 +167,7 @@ class TestDifferentialHarness:
     def test_vectorized_is_bitwise_identical(self, name):
         """The shipped vectorized backend must match the reference
         bit-for-bit — that is what keeps cohort reports byte-identical
-        across ``REPRO_KERNEL_BACKEND`` values."""
+        across backends."""
         _assert_bitwise(name, *_battery(name))
 
     @pytest.mark.parametrize("name", KERNELS)
@@ -213,8 +211,7 @@ class TestDifferentialHarness:
 
 
 class TestRegistryResolution:
-    def test_default_prefers_vectorized(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
+    def test_default_prefers_vectorized(self):
         assert get_kernel("sample_entropy") is get_kernel(
             "sample_entropy", prefer="vectorized"
         )
@@ -223,43 +220,6 @@ class TestRegistryResolution:
         ref = get_kernel("sample_entropy", prefer="reference")
         vec = get_kernel("sample_entropy", prefer="vectorized")
         assert ref is not vec
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "reference")
-        assert kernel_backend_from_env() == "reference"
-        assert get_kernel("sample_entropy") is get_kernel(
-            "sample_entropy", prefer="reference"
-        )
-
-    def test_prefer_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "reference")
-        assert get_kernel("sample_entropy", prefer="vectorized") is get_kernel(
-            "sample_entropy", prefer="vectorized"
-        )
-        assert get_kernel(
-            "sample_entropy", prefer="vectorized"
-        ) is not get_kernel("sample_entropy", prefer="reference")
-
-    def test_env_read_at_call_time(self, monkeypatch):
-        """The environment override is honored per call, not cached at
-        import — engine workers spawned mid-session see the live value."""
-        monkeypatch.setenv(ENV_BACKEND, "vectorized")
-        vec = get_kernel("permutation_entropy")
-        monkeypatch.setenv(ENV_BACKEND, "reference")
-        ref = get_kernel("permutation_entropy")
-        assert vec is not ref
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        for value in ("turbo", "compiled"):
-            monkeypatch.setenv(ENV_BACKEND, value)
-            with pytest.raises(KernelError, match="REPRO_KERNEL_BACKEND"):
-                kernel_backend_from_env()
-            with pytest.raises(KernelError):
-                get_kernel("sample_entropy")
-
-    def test_blank_env_means_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "  ")
-        assert kernel_backend_from_env() is None
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(KernelError, match="unknown kernel"):

@@ -1,29 +1,75 @@
 """ReproSettings: one snapshot for every REPRO_* environment knob."""
 
+import ast
+import os
+import re
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.data.sampling import PAPER_DURATION_RANGE_S
 from repro.exceptions import EngineError, ServiceError
 from repro.service import ServiceConfig
 from repro.settings import (
     DEFAULT_QUEUE_DEPTH,
+    DEFAULT_REPLAY_BUFFER,
+    ENV_ENGINE_EXECUTOR,
+    ENV_PAPER_DURATIONS,
+    ENV_SAMPLES_PER_SEIZURE,
+    ENV_SERVICE_AUTH_TOKENS,
     ENV_SERVICE_BACKPRESSURE,
+    ENV_SERVICE_CHUNK_RATE,
+    ENV_SERVICE_MAX_SESSIONS,
     ENV_SERVICE_QUEUE_DEPTH,
+    ENV_SERVICE_REPLAY_BUFFER,
     ENV_SERVICE_WORKERS,
     ReproSettings,
+)
+
+SRC = Path(repro.__file__).parent
+ALL_KNOBS = (
+    ENV_ENGINE_EXECUTOR,
+    ENV_SAMPLES_PER_SEIZURE,
+    ENV_PAPER_DURATIONS,
+    ENV_SERVICE_QUEUE_DEPTH,
+    ENV_SERVICE_BACKPRESSURE,
+    ENV_SERVICE_WORKERS,
+    ENV_SERVICE_AUTH_TOKENS,
+    ENV_SERVICE_MAX_SESSIONS,
+    ENV_SERVICE_CHUNK_RATE,
+    ENV_SERVICE_REPLAY_BUFFER,
 )
 
 
 class TestDefaults:
     def test_empty_env_gives_defaults(self):
         settings = ReproSettings.from_env({})
-        assert settings.kernel_backend is None
+        assert settings == ReproSettings()
         assert settings.engine_executor == "process"
         assert settings.samples_per_seizure is None
         assert settings.paper_durations is False
         assert settings.service_queue_depth == DEFAULT_QUEUE_DEPTH
         assert settings.service_backpressure == "reject"
         assert settings.service_workers == 1
+        assert settings.service_auth_tokens == ()
+        assert settings.service_max_sessions == 0
+        assert settings.service_chunk_rate == 0.0
+        assert settings.service_replay_buffer == DEFAULT_REPLAY_BUFFER
+
+    def test_ten_knobs(self):
+        import repro.settings as module
+
+        names = {v for k, v in vars(module).items() if k.startswith("ENV_")}
+        assert names == set(ALL_KNOBS)
+        assert len(ALL_KNOBS) == len(ReproSettings.__dataclass_fields__) == 10
+
+    def test_blank_values_mean_unset(self):
+        env = {name: "  " for name in ALL_KNOBS}
+        assert ReproSettings.from_env(env) == ReproSettings()
 
     def test_to_dict(self):
         body = ReproSettings.from_env({}).to_dict()
@@ -36,26 +82,34 @@ class TestFromEnv:
     def test_resolves_every_knob(self):
         settings = ReproSettings.from_env(
             {
-                "REPRO_KERNEL_BACKEND": "reference",
-                "REPRO_ENGINE_EXECUTOR": "thread",
-                "REPRO_SAMPLES_PER_SEIZURE": "7",
-                "REPRO_PAPER_DURATIONS": "1",
+                ENV_ENGINE_EXECUTOR: "Thread",
+                ENV_SAMPLES_PER_SEIZURE: "7",
+                ENV_PAPER_DURATIONS: "1",
                 ENV_SERVICE_QUEUE_DEPTH: "16",
                 ENV_SERVICE_BACKPRESSURE: "shed-oldest",
                 ENV_SERVICE_WORKERS: "4",
+                ENV_SERVICE_AUTH_TOKENS: " alpha, ,beta ",
+                ENV_SERVICE_MAX_SESSIONS: "3",
+                ENV_SERVICE_CHUNK_RATE: "12.5",
+                ENV_SERVICE_REPLAY_BUFFER: "0",
             }
         )
-        assert settings.kernel_backend == "reference"
-        assert settings.engine_executor == "thread"
-        assert settings.samples_per_seizure == 7
-        assert settings.paper_durations is True
-        assert settings.service_queue_depth == 16
-        assert settings.service_backpressure == "shed-oldest"
-        assert settings.service_workers == 4
+        assert settings == ReproSettings(
+            engine_executor="thread",
+            samples_per_seizure=7,
+            paper_durations=True,
+            service_queue_depth=16,
+            service_backpressure="shed-oldest",
+            service_workers=4,
+            service_auth_tokens=("alpha", "beta"),
+            service_max_sessions=3,
+            service_chunk_rate=12.5,
+            service_replay_buffer=0,
+        )
 
     def test_reads_process_environment_by_default(self, monkeypatch):
         monkeypatch.setenv(ENV_SERVICE_QUEUE_DEPTH, "5")
-        monkeypatch.setenv("REPRO_ENGINE_EXECUTOR", "serial")
+        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "serial")
         settings = ReproSettings.from_env()
         assert settings.service_queue_depth == 5
         assert settings.engine_executor == "serial"
@@ -83,8 +137,126 @@ class TestFromEnv:
             ReproSettings.from_env({ENV_SERVICE_WORKERS: "0"})
 
     def test_bad_executor_uses_canonical_parser(self):
-        with pytest.raises(EngineError):
-            ReproSettings.from_env({"REPRO_ENGINE_EXECUTOR": "gpu"})
+        with pytest.raises(EngineError, match=ENV_ENGINE_EXECUTOR):
+            ReproSettings.from_env({ENV_ENGINE_EXECUTOR: "gpu"})
+
+    @pytest.mark.parametrize(
+        "name, raw, error, message",
+        [
+            (ENV_ENGINE_EXECUTOR, "gpu", EngineError,
+             "REPRO_ENGINE_EXECUTOR must be one of "
+             "('process', 'thread', 'serial'), got 'gpu'"),
+            (ENV_SAMPLES_PER_SEIZURE, "ten", ValueError,
+             "REPRO_SAMPLES_PER_SEIZURE must be an integer, got 'ten'"),
+            (ENV_SAMPLES_PER_SEIZURE, "0", ValueError,
+             "REPRO_SAMPLES_PER_SEIZURE must be >= 1, got 0"),
+            (ENV_PAPER_DURATIONS, "maybe", ValueError,
+             "REPRO_PAPER_DURATIONS must be a boolean flag (1/true/yes or "
+             "0/false/no), got 'maybe'"),
+            (ENV_SERVICE_QUEUE_DEPTH, "zero", ServiceError,
+             "REPRO_SERVICE_QUEUE_DEPTH must be an integer, got 'zero'"),
+            (ENV_SERVICE_QUEUE_DEPTH, "0", ServiceError,
+             "REPRO_SERVICE_QUEUE_DEPTH must be >= 1, got 0"),
+            (ENV_SERVICE_BACKPRESSURE, "Drop", ServiceError,
+             "REPRO_SERVICE_BACKPRESSURE must be one of "
+             "('reject', 'shed-oldest'), got 'drop'"),
+            (ENV_SERVICE_WORKERS, "many", ServiceError,
+             "REPRO_SERVICE_WORKERS must be an integer, got 'many'"),
+            (ENV_SERVICE_WORKERS, "0", ServiceError,
+             "REPRO_SERVICE_WORKERS must be >= 1, got 0"),
+            (ENV_SERVICE_MAX_SESSIONS, "1.5", ServiceError,
+             "REPRO_SERVICE_MAX_SESSIONS must be an integer, got '1.5'"),
+            (ENV_SERVICE_MAX_SESSIONS, "-1", ServiceError,
+             "REPRO_SERVICE_MAX_SESSIONS must be >= 0, got -1"),
+            (ENV_SERVICE_CHUNK_RATE, "fast", ServiceError,
+             "REPRO_SERVICE_CHUNK_RATE must be a number, got 'fast'"),
+            (ENV_SERVICE_CHUNK_RATE, "-2", ServiceError,
+             "REPRO_SERVICE_CHUNK_RATE must be >= 0, got '-2'"),
+            (ENV_SERVICE_CHUNK_RATE, "nan", ServiceError,
+             "REPRO_SERVICE_CHUNK_RATE must be >= 0, got 'nan'"),
+            (ENV_SERVICE_REPLAY_BUFFER, "lots", ServiceError,
+             "REPRO_SERVICE_REPLAY_BUFFER must be an integer, got 'lots'"),
+            (ENV_SERVICE_REPLAY_BUFFER, "-1", ServiceError,
+             "REPRO_SERVICE_REPLAY_BUFFER must be >= 0, got -1"),
+        ],
+    )
+    def test_malformed_value_message(self, name, raw, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ReproSettings.from_env({name: raw})
+
+
+class TestEnvIsolation:
+    """``from_env(mapping)`` parses the mapping and nothing else."""
+
+    def test_mapping_leaves_process_environment_alone(self, monkeypatch):
+        # Another thread must never see the process environment change
+        # while a snapshot of an explicit mapping is taken.
+        monkeypatch.setenv("SETTINGS_TEST_SENTINEL", "present")
+        done = threading.Event()
+        polls = []
+
+        def poll():
+            while not done.is_set():
+                polls.append(os.environ.get("SETTINGS_TEST_SENTINEL"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        poller = threading.Thread(target=poll)
+        poller.start()
+        try:
+            deadline = time.perf_counter() + 0.3
+            while time.perf_counter() < deadline:
+                ReproSettings.from_env({ENV_SERVICE_QUEUE_DEPTH: "3"})
+        finally:
+            done.set()
+            poller.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+        assert not poller.is_alive()
+        assert polls
+        assert set(polls) == {"present"}
+
+    def test_only_settings_reads_the_environment(self):
+        """No module but :mod:`repro.settings` reads ``os.environ`` or
+        names a ``REPRO_*`` variable.  The one exception is the shard
+        launcher copying the environment for its child processes."""
+        readers = []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            if rel == "settings.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=rel)
+            exempt = set()
+            for node in ast.walk(tree):
+                if (
+                    rel == "engine/sharding.py"
+                    and isinstance(node, ast.FunctionDef)
+                    and node.name == "_environment"
+                ):
+                    exempt.update(range(node.lineno, node.end_lineno + 1))
+            for node in ast.walk(tree):
+                reads = isinstance(node, ast.Attribute) and node.attr in (
+                    "environ", "environb", "getenv",
+                )
+                names = isinstance(node, ast.Constant) and bool(
+                    re.fullmatch(r"REPRO_[A-Z_]+", str(node.value))
+                )
+                if reads or names:
+                    readers.append((rel, node.lineno, node.lineno in exempt))
+        # The launcher's `dict(os.environ)` copy is the only exempt read.
+        assert sum(exempt for _, _, exempt in readers) == 1
+        assert [(rel, line) for rel, line, exempt in readers if not exempt] == []
+
+    def test_no_unittest_import_in_src(self):
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                assert not any(
+                    n.split(".")[0] == "unittest" for n in names
+                ), path
 
 
 class TestValidation:
