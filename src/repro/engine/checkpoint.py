@@ -160,9 +160,9 @@ def config_digest(config) -> str:
             extractor_id,
             float(config.spec.length_s),
             float(config.spec.step_s),
-            # Algorithm 1 had a "reference" twin once; the slot keeps
-            # its "fast" literal so existing journals and shard
-            # manifests keep their config digest.
+            # A constant (the engine runs one Algorithm 1), kept in the
+            # tuple so existing journals and shard manifests keep their
+            # config digest.
             "fast",
             config.grid_step,
             float(config.min_overlap),

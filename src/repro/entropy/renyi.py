@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from ..exceptions import SignalError
+from .shannon import binnable
 
 __all__ = ["renyi_entropy"]
 
@@ -42,7 +43,8 @@ def renyi_entropy(
     Returns
     -------
     float
-        Entropy in bits.  Empty or constant series carry no amplitude
+        Entropy in bits.  Empty, constant or subnormal-spread series
+        (see :func:`~repro.entropy.shannon.binnable`) carry no amplitude
         information and return 0.0.
     """
     if alpha <= 0:
@@ -52,7 +54,7 @@ def renyi_entropy(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
-    if x.size == 0 or np.ptp(x) == 0.0:
+    if x.size == 0 or not binnable(x, bins):
         return 0.0
     counts, _ = np.histogram(x, bins=bins)
     p = counts[counts > 0] / x.size

@@ -16,18 +16,31 @@ from ..signals.spectral import welch_psd
 __all__ = ["shannon_entropy", "spectral_entropy"]
 
 
+def binnable(x: np.ndarray, bins: int) -> bool:
+    """Whether the range of non-empty ``x`` cuts into ``bins`` equal-width
+    bins of nonzero width.
+
+    False for a constant series, and for a spread so small (subnormal)
+    that neighbouring edges coincide, where ``np.histogram`` raises.
+    Neither carries amplitude information.
+    """
+    edges = np.linspace(x.min(), x.max(), bins + 1)
+    return bool(np.all(edges[:-1] < edges[1:]))
+
+
 def shannon_entropy(x: np.ndarray, bins: int = 16, normalize: bool = False) -> float:
     """Shannon entropy (bits) of the histogram distribution of ``x``.
 
-    Constant or empty series return 0.0; ``normalize`` maps to [0, 1] by
-    dividing by ``log2(bins)``.
+    Empty, constant or subnormal-spread series (see :func:`binnable`)
+    return 0.0; ``normalize`` maps to [0, 1] by dividing by
+    ``log2(bins)``.
     """
     if bins < 2:
         raise SignalError(f"need at least 2 histogram bins, got {bins}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
-    if x.size == 0 or np.ptp(x) == 0.0:
+    if x.size == 0 or not binnable(x, bins):
         return 0.0
     counts, _ = np.histogram(x, bins=bins)
     p = counts[counts > 0] / x.size

@@ -240,6 +240,12 @@ def permutation_entropy_vectorized(
 # ---------------------------------------------------------------------------
 
 
+def _binnable_rows(windows: np.ndarray, bins: int) -> np.ndarray:
+    """Indices of the rows :func:`repro.entropy.shannon.binnable` accepts."""
+    edges = np.linspace(windows.min(axis=1), windows.max(axis=1), bins + 1, axis=1)
+    return np.nonzero(np.all(edges[:, :-1] < edges[:, 1:], axis=1))[0]
+
+
 def _histogram_rows(windows: np.ndarray, bins: int) -> np.ndarray:
     """``np.histogram(row, bins)[0]`` for every row, batched.
 
@@ -289,7 +295,7 @@ def shannon_entropy_vectorized(
     out = np.zeros(n_windows)
     if n == 0:
         return out
-    live = np.nonzero(np.ptp(windows, axis=1) != 0.0)[0]
+    live = _binnable_rows(windows, bins)
     if live.size == 0:
         return out
     counts = _histogram_rows(windows[live], bins)
@@ -316,7 +322,7 @@ def renyi_entropy_vectorized(
     out = np.zeros(n_windows)
     if n == 0:
         return out
-    live = np.nonzero(np.ptp(windows, axis=1) != 0.0)[0]
+    live = _binnable_rows(windows, bins)
     if live.size == 0:
         return out
     counts = _histogram_rows(windows[live], bins)

@@ -254,6 +254,17 @@ class TestEntropyEdgeCases:
         out = get_kernel(name, prefer=backend)(windows)
         np.testing.assert_array_equal(out, np.zeros(4))
 
+    @pytest.mark.parametrize("name", ("renyi_entropy", "shannon_entropy"))
+    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
+    def test_subnormal_spread_is_zero(self, name, backend):
+        # A range too small for 16 finite-width bins (np.histogram
+        # raises on it) counts as constant; a normal row beside it is
+        # unaffected.
+        windows = np.array([[5e-324, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        out = get_kernel(name, prefer=backend)(windows)
+        assert out[0] == 0.0
+        assert out[1] == 2.0
+
     @pytest.mark.parametrize("backend", ("reference", "vectorized"))
     def test_window_shorter_than_embedding_is_zero(self, backend, rng):
         # n < m + 2: the scalar contract returns 0.0; batched paths agree.
