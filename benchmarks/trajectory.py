@@ -5,8 +5,10 @@ appends one entry per workload (and per checkout) to a root
 ``BENCH_<area>.json``: ``BENCH_engine.json`` for the cohort workloads,
 ``BENCH_service.json`` for the service ones.  An entry holds the git
 sha, the ``src/`` line count and ``nproc`` from perfbench's details
-line, and the median, interquartile range and every run of
-``media_s_per_cpu_s``, ``setup_s`` and ``peak_rss_mb``.
+line, the median, interquartile range and every run of
+``media_s_per_cpu_s``, ``setup_s`` and ``peak_rss_mb``, and each run's
+parity verdict and operation counts (``correct``, ``attempted``,
+``failed``), since a run is also judged by its failed share.
 
 Usage::
 
@@ -78,6 +80,10 @@ def entry(workload: str, runs: list[tuple[dict, dict]]) -> dict:
         "seconds": details["seconds"],
         "repeats": len(runs),
         "correct": all(r["correct"] for r in results),
+        "runs": [
+            {k: r[k] for k in ("correct", "attempted", "failed")}
+            for r in results
+        ],
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "metrics": metrics,
     }

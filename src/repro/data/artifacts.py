@@ -5,7 +5,7 @@ Table II) to "large bursts of noise in the signal near the epileptic
 seizure" — high-amplitude artifacts that dominate the feature-space
 distance and steal the argmax from the true seizure.  To reproduce both
 the typical behaviour *and* this failure mode, the data substrate can
-inject three artifact families:
+inject four artifact families:
 
 * ``muscle``  — high-frequency (20-70 Hz) EMG bursts,
 * ``movement`` — large slow (0.5-2 Hz) electrode-motion swings,
@@ -36,7 +36,7 @@ class ArtifactSpec:
     Attributes
     ----------
     kind:
-        One of ``"muscle"``, ``"movement"``, ``"pop"``.
+        One of ``"muscle"``, ``"movement"``, ``"rhythmic"``, ``"pop"``.
     start_s:
         Burst onset, in seconds of record time.
     duration_s:

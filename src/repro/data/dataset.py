@@ -21,6 +21,7 @@ experiment can be replayed exactly from its configuration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from ..exceptions import DataError
 from .artifacts import ArtifactSpec, artifact_waveforms
 from .patients import PAPER_PATIENTS, PatientProfile
 from .records import EEGRecord, SeizureAnnotation
-from .seizures import generate_ictal, insert_seizure, seizure_overlay
+from .seizures import LazySeizureOverlay, generate_ictal, insert_seizure
 from .sources import SignalPatch, SyntheticRecordSource
 from .synthetic import draw_block_entropy
 
@@ -169,9 +170,11 @@ class SyntheticEEGDataset:
         """The streaming form of one Sec. VI-A test sample.
 
         Builds the record's *recipe* — placement draws, the background
-        block-entropy key, and the small precomputed seizure/artifact
-        overlays — without generating a single background sample, so the
-        cohort engine can stream a multi-hour record in bounded chunks.
+        block-entropy key, the small precomputed artifact overlays and
+        the seizure overlay's draw — without generating a single
+        background sample or shaping the seizure, so the cohort engine
+        can key a record for free and stream a multi-hour one in bounded
+        chunks.
         :meth:`generate_sample` is exactly ``sample_source(...)
         .materialize()``; the two can never drift apart.
         """
@@ -197,17 +200,21 @@ class SyntheticEEGDataset:
         # full-record pass just to scale the overlays.
         bg_rms = prof.background.nominal_rms()
 
-        ictal = generate_ictal(seiz_s, self.fs, prof.morphology, bg_rms, rng)
+        # Keyed by its draw and shaped only if the record is streamed: a
+        # store hit never pays for the ictal FFTs.
+        overlay = LazySeizureOverlay(seiz_s, self.fs, prof.morphology, bg_rms, rng)
         onset_sample = int(round(onset_s * self.fs))
-        overlay = seizure_overlay(ictal, self.fs)
-        if onset_sample < 0 or onset_sample + overlay.shape[1] > n_samples:
+        if onset_sample < 0 or onset_sample + overlay.n_samples > n_samples:
             raise DataError(
-                f"seizure [{onset_sample}, {onset_sample + overlay.shape[1]}) "
+                f"seizure [{onset_sample}, {onset_sample + overlay.n_samples}) "
                 f"does not fit in record of {n_samples} samples"
             )
         patches = [
-            SignalPatch(ch, onset_sample, overlay[ch])
-            for ch in range(overlay.shape[0])
+            SignalPatch(
+                ch, onset_sample, functools.partial(overlay.row, ch),
+                size=overlay.n_samples, recipe=overlay.recipe,
+            )
+            for ch in range(overlay.n_channels)
         ]
 
         if event.has_artifact:

@@ -21,9 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
-from .synthetic import pink_noise
+from .synthetic import shape_pink
 
-__all__ = ["SeizureMorphology", "generate_ictal", "insert_seizure", "seizure_overlay"]
+__all__ = [
+    "LazySeizureOverlay",
+    "SeizureMorphology",
+    "draw_ictal",
+    "generate_ictal",
+    "insert_seizure",
+    "seizure_overlay",
+    "shape_ictal",
+]
 
 
 @dataclass(frozen=True)
@@ -74,25 +82,51 @@ def _sharpen(wave: np.ndarray, exponent: float) -> np.ndarray:
     return np.sign(wave) * np.abs(wave) ** exponent
 
 
-def generate_ictal(
-    duration_s: float,
-    fs: float,
-    morphology: SeizureMorphology,
-    background_rms_uv: float,
-    rng: np.random.Generator,
-    n_channels: int = 2,
-) -> np.ndarray:
-    """Generate the ictal discharge of shape (n_channels, duration*fs).
-
-    The two channels carry the same discharge with channel-specific phase
-    lag and gain (seizures in the temporal lobes project to both F7T3 and
-    F8T4 with asymmetric amplitude).
-    """
+def _ictal_samples(duration_s: float, fs: float) -> int:
     if duration_s <= 0:
         raise DataError(f"duration must be positive, got {duration_s}")
     n = int(round(duration_s * fs))
     if n < 8:
         raise DataError("seizure too short to synthesize (<8 samples)")
+    return n
+
+
+def draw_ictal(
+    n_samples: int, rng: np.random.Generator, n_channels: int = 2
+) -> tuple[float, list[tuple[float, float, np.ndarray]]]:
+    """Draw one discharge's random inputs from ``rng``: the waxing phase
+    and, per channel, ``(lag, gain, white)`` — ``white`` being the
+    unshaped roughness noise.
+
+    This is the one place the draw order is defined: the waxing phase,
+    then per channel the lag, the gain (every channel but the first) and
+    ``n_samples`` white samples.  Running it alone advances ``rng``
+    exactly as :func:`generate_ictal` does, at no FFT cost.
+    """
+    waxing_phase = rng.uniform(0, 2 * np.pi)
+    channels = []
+    for ch in range(n_channels):
+        lag = rng.uniform(0.0, np.pi / 4) * ch
+        gain = 1.0 if ch == 0 else rng.uniform(0.6, 1.0)
+        channels.append((lag, gain, rng.standard_normal(n_samples)))
+    return waxing_phase, channels
+
+
+def shape_ictal(
+    draw: tuple[float, list[tuple[float, float, np.ndarray]]],
+    duration_s: float,
+    fs: float,
+    morphology: SeizureMorphology,
+    background_rms_uv: float,
+) -> np.ndarray:
+    """Shape a drawn discharge into its (n_channels, n_samples) waveform.
+
+    The channels carry the same discharge with channel-specific phase
+    lag and gain (seizures in the temporal lobes project to both F7T3
+    and F8T4 with asymmetric amplitude).
+    """
+    waxing_phase, channels = draw
+    n = channels[0][2].size
     t = np.arange(n) / fs
     frac = t / duration_s
 
@@ -106,19 +140,79 @@ def generate_ictal(
     bf = morphology.buildup_fraction
     env = np.minimum(1.0, np.minimum(frac / bf, (1.0 - frac) / bf))
     env = np.clip(env, 0.0, 1.0)
-    waxing = 1.0 + 0.25 * np.sin(2 * np.pi * 0.15 * t + rng.uniform(0, 2 * np.pi))
+    waxing = 1.0 + 0.25 * np.sin(2 * np.pi * 0.15 * t + waxing_phase)
     env = env * waxing
 
     peak_uv = morphology.amplitude_gain * background_rms_uv
     chans = []
-    for ch in range(n_channels):
-        lag = rng.uniform(0.0, np.pi / 4) * ch
-        gain = 1.0 if ch == 0 else rng.uniform(0.6, 1.0)
+    for lag, gain, white in channels:
         wave = _sharpen(np.sin(phase - lag), morphology.sharpness)
-        rough = pink_noise(n, rng, exponent=0.7, fs=fs)
+        rough = shape_pink(white, exponent=0.7, fs=fs)
         mix = (1.0 - morphology.chaos) * wave + morphology.chaos * rough
         chans.append(gain * peak_uv * env * mix)
     return np.vstack(chans)
+
+
+def generate_ictal(
+    duration_s: float,
+    fs: float,
+    morphology: SeizureMorphology,
+    background_rms_uv: float,
+    rng: np.random.Generator,
+    n_channels: int = 2,
+) -> np.ndarray:
+    """Generate the ictal discharge of shape (n_channels, duration*fs):
+    :func:`shape_ictal` of :func:`draw_ictal`."""
+    draw = draw_ictal(_ictal_samples(duration_s, fs), rng, n_channels)
+    return shape_ictal(draw, duration_s, fs, morphology, background_rms_uv)
+
+
+class LazySeizureOverlay:
+    """The :func:`seizure_overlay` of one discharge, kept as its draw.
+
+    Construction saves ``rng``'s state just before the ictal draw, then
+    advances ``rng`` through the same draws (:func:`draw_ictal`, no FFT)
+    so whatever the caller draws next is unchanged.  :meth:`rows` re-runs
+    the draw from the saved state and shapes it, once; nothing of the
+    draw is held in between.  :attr:`recipe` is everything that fixes
+    the rows, so a record can be keyed without shaping them.
+    """
+
+    def __init__(
+        self,
+        duration_s: float,
+        fs: float,
+        morphology: SeizureMorphology,
+        background_rms_uv: float,
+        rng: np.random.Generator,
+        n_channels: int = 2,
+    ) -> None:
+        self.n_samples = _ictal_samples(duration_s, fs)
+        self.n_channels = n_channels
+        self._state = rng.bit_generator.state
+        draw_ictal(self.n_samples, rng, n_channels)
+        self._shape_args = (duration_s, fs, morphology, background_rms_uv)
+        self.recipe = (
+            "ictal", repr(self._state), duration_s, fs, morphology,
+            background_rms_uv, n_channels,
+        )
+        self._rows: np.ndarray | None = None
+
+    def rows(self) -> np.ndarray:
+        """The (n_channels, n_samples) overlay, shaped on first call."""
+        if self._rows is None:
+            bit_generator = getattr(np.random, self._state["bit_generator"])()
+            bit_generator.state = self._state
+            duration_s, fs, morphology, rms = self._shape_args
+            ictal = generate_ictal(
+                duration_s, fs, morphology, rms,
+                np.random.Generator(bit_generator), self.n_channels,
+            )
+            self._rows = seizure_overlay(ictal, fs)
+        return self._rows
+
+    def row(self, channel: int) -> np.ndarray:
+        return self.rows()[channel]
 
 
 def seizure_overlay(

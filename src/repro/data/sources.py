@@ -13,8 +13,10 @@ Three implementations, each bit-identical to its batch counterpart:
 * :class:`SyntheticRecordSource` — the Sec. VI-A evaluation record as a
   stream: background blocks regenerated from deterministic per-block RNG
   substreams (:func:`repro.data.synthetic.draw_block_entropy` keying),
-  with the small seizure/artifact overlays precomputed and mixed into
-  each chunk.  ``concat(iter_chunks(any chunk size)) ==
+  with the small seizure/artifact overlays mixed into each chunk.
+  Artifact overlays are precomputed; the seizure overlay is held as its
+  draw (the generator state before it) and shaped on the first chunk it
+  touches.  ``concat(iter_chunks(any chunk size)) ==
   SyntheticEEGDataset.generate_sample(...).data`` — in fact the batch
   path *is* :meth:`materialize`.
 * :class:`EDFRecordSource` — incremental EDF reading: the header is
@@ -27,8 +29,10 @@ Three implementations, each bit-identical to its batch counterpart:
 
 A record's cache/store identity is :meth:`RecordSource.recipe_digest`
 when the source has one — a synthetic record is a pure function of its
-recipe, so hashing the recipe costs microseconds and no signal pass —
-and otherwise :func:`record_content_digest`, the identity of streamed
+recipe, so hashing the recipe costs microseconds and no signal pass;
+the seizure overlay enters it as its recipe (saved generator state,
+duration, morphology, background level), not its samples, so keying a
+record synthesizes nothing — and otherwise :func:`record_content_digest`, the identity of streamed
 content: per-channel digests folded into one, invariant to the chunk
 size used to stream.  Either way a disk-store entry written at
 ``--chunk-s 60`` hits at ``--chunk-s 5``.
@@ -40,8 +44,7 @@ import functools
 import hashlib
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -208,23 +211,54 @@ class ArrayRecordSource(RecordSource):
         return self.record
 
 
-@dataclass(frozen=True)
 class SignalPatch:
-    """A precomputed additive overlay on one channel of the background.
+    """An additive overlay on one channel of the background.
 
     The synthesized record is *defined* as background blocks plus
     patches applied in list order; because patches are pure additions on
     fixed sample spans, applying each chunk's overlapping slices in that
     same order reproduces the batch result bit for bit.
+
+    ``wave`` is the channel's waveform, or a zero-argument callable that
+    shapes it.  A callable is called on the first :meth:`apply` that
+    overlaps the patch, and its result is kept; it needs ``size`` and
+    ``recipe`` (a ``repr``-stable value that fixes the wave, hashed by
+    :meth:`SyntheticRecordSource.recipe_digest` in place of the wave's
+    bytes).  A patch given its array is the case already shaped: its
+    size is the array's and its identity is its bytes.
     """
 
-    channel: int
-    start: int
-    wave: np.ndarray
+    __slots__ = ("channel", "start", "size", "recipe", "_wave")
+
+    def __init__(
+        self,
+        channel: int,
+        start: int,
+        wave: np.ndarray | Callable[[], np.ndarray],
+        size: int | None = None,
+        recipe: object = None,
+    ) -> None:
+        if callable(wave):
+            if size is None or recipe is None:
+                raise DataError("a deferred patch needs its size and recipe")
+        else:
+            wave = np.asarray(wave)
+            size = wave.size
+        self.channel = channel
+        self.start = start
+        self.size = int(size)
+        self.recipe = recipe
+        self._wave = wave
+
+    @property
+    def wave(self) -> np.ndarray:
+        if callable(self._wave):
+            self._wave = self._wave()
+        return self._wave
 
     @property
     def stop(self) -> int:
-        return self.start + self.wave.size
+        return self.start + self.size
 
     def apply(self, chunk: np.ndarray, chunk_start: int) -> None:
         """Add this patch's overlap with ``chunk`` (in place)."""
@@ -261,8 +295,9 @@ class SyntheticRecordSource(RecordSource):
 
     Holds the record's *recipe*: the background model plus the entropy
     key seeding its generation blocks, and the small seizure/artifact
-    overlays (seconds to minutes of waveform) precomputed by
-    :meth:`SyntheticEEGDataset.sample_source`.  Streaming regenerates
+    overlay patches (seconds to minutes of waveform) built by
+    :meth:`SyntheticEEGDataset.sample_source`; a deferred patch is
+    shaped on the first chunk it overlaps.  Streaming regenerates
     background blocks on the fly and mixes in each patch's overlap, so
     peak signal memory is one generation block + one chunk regardless of
     record duration — and ``materialize()`` *is* the batch
@@ -321,8 +356,12 @@ class SyntheticRecordSource(RecordSource):
         """Hex digest of everything that fixes the streamed samples.
 
         The generator version, the numpy build, the background model,
-        entropy key and geometry, and every patch (channel, start,
-        shape, dtype and wave bytes, in application order).  Equal
+        entropy key and geometry, and every patch in application order:
+        its channel, start and size, then its ``recipe`` when it has one
+        (a seizure overlay's tag, saved generator state, duration,
+        ``fs``, morphology and background level) or else its shape,
+        dtype and wave bytes.  Hashing a recipe instead of the wave
+        means keying a record shapes none of its overlays.  Equal
         digests mean equal waveforms on any host, so the feature cache
         and disk store key synthetic records by it and never synthesize
         a record just to hash it.  Channel names and annotations are
@@ -334,6 +373,11 @@ class SyntheticRecordSource(RecordSource):
             self.n_samples, self.fs, self.n_channels,
         )).encode())
         for patch in self.patches:
+            if patch.recipe is not None:
+                h.update(repr((
+                    patch.channel, patch.start, patch.size, patch.recipe,
+                )).encode())
+                continue
             wave = np.ascontiguousarray(patch.wave)
             h.update(repr((
                 patch.channel, patch.start, wave.shape, wave.dtype.str,

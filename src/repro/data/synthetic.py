@@ -42,6 +42,7 @@ __all__ = [
     "block_spans",
     "draw_block_entropy",
     "pink_noise",
+    "shape_pink",
     "smooth_envelope",
 ]
 
@@ -54,8 +55,11 @@ GEN_BLOCK_S = 60.0
 #: changes the samples generated for a fixed recipe: synthetic sources
 #: are cached by recipe (:meth:`~repro.data.sources.SyntheticRecordSource
 #: .recipe_digest`), so a stale version would serve features of the old
-#: waveform.  History: 1, direct-convolution envelope; 2, running-sum
-#: envelope.
+#: waveform.  The recipe of a seizure overlay is its draw (the generator
+#: state before it, the duration and the morphology), not its samples,
+#: so an edit to the ictal shaping (:func:`repro.data.seizures
+#: .shape_ictal`, :func:`shape_pink`, the cross-fade) must bump it too.
+#: History: 1, direct-convolution envelope; 2, running-sum envelope.
 GENERATOR_VERSION = 2
 
 
@@ -92,14 +96,23 @@ def pink_noise(
     n: int, rng: np.random.Generator, exponent: float = 1.0, fs: float = 256.0,
     f_floor: float = 0.3,
 ) -> np.ndarray:
-    """Generate 1/f^exponent noise of unit variance via FFT shaping.
+    """Generate 1/f^exponent noise of unit variance: :func:`shape_pink`
+    of ``n`` white samples drawn from ``rng``."""
+    if n < 2:
+        raise DataError(f"need at least 2 samples, got {n}")
+    return shape_pink(rng.standard_normal(n), exponent, fs, f_floor)
+
+
+def shape_pink(
+    white: np.ndarray, exponent: float = 1.0, fs: float = 256.0,
+    f_floor: float = 0.3,
+) -> np.ndarray:
+    """Shape a white vector to 1/f^exponent noise of unit variance via FFT.
 
     ``f_floor`` flattens the spectrum below that frequency so the variance
     does not blow up at DC (scalp EEG is AC-coupled anyway).
     """
-    if n < 2:
-        raise DataError(f"need at least 2 samples, got {n}")
-    white = rng.standard_normal(n)
+    n = white.size
     spec = np.fft.rfft(white)
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     shaping = np.ones_like(freqs)

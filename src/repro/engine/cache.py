@@ -13,15 +13,18 @@ empty ids, and a stale hit on different samples would silently corrupt
 results.  A synthetic source is keyed by its
 :meth:`~repro.data.sources.RecordSource.recipe_digest` (generator
 version, numpy build, model, entropy key, geometry and overlay patches),
-which costs no signal pass at all.  Sources without a recipe (EDF files,
+which costs no signal pass at all: artifact patches enter it by their
+bytes, and the seizure overlay by its recipe (the generator state saved
+before its draw, duration, morphology and background level), so keying
+a record never shapes its seizure.  Sources without a recipe (EDF files,
 in-memory arrays) are keyed by
 :func:`~repro.data.sources.record_content_digest`, computed by
 *streaming* the source in bounded chunks (one blake2b per channel,
 folded).  Both digests are invariant to the chunk size, so a disk-store
 entry written at one ``--chunk-s`` hits at any other.
 
-A synthetic record is therefore streamed once on a miss (through the
-extractor) and never on a hit; a file or array is streamed once to key
+A synthetic record is therefore streamed (and its seizure shaped) once
+on a miss, through the extractor, and never on a hit; a file or array is streamed once to key
 it and once more on a miss.  Every pass is bounded-memory; none ever
 holds the full signal.
 """

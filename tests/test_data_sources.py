@@ -8,6 +8,7 @@ how a record was streamed.
 """
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -19,6 +20,13 @@ from repro.data import (
     SyntheticEEGDataset,
     read_edf,
     write_edf,
+)
+from repro.data.dataset import _PURPOSE_SAMPLE
+from repro.data.seizures import (
+    LazySeizureOverlay,
+    SeizureMorphology,
+    generate_ictal,
+    seizure_overlay,
 )
 from repro.data.sources import (
     ArrayRecordSource,
@@ -33,6 +41,7 @@ from repro.data.synthetic import (
     GENERATOR_VERSION,
     BackgroundEEGModel,
     block_spans,
+    draw_block_entropy,
 )
 from repro.exceptions import DataError
 
@@ -153,6 +162,75 @@ class TestSyntheticRecordSource:
             next(source.iter_chunks(0.0))
 
 
+#: (patient, seizure) of a clean record, one with the Table-II outlier
+#: artifact (``artifact_near_seizure``) and one with clutter bursts.
+LAZY_CASES = [(1, 0), (3, 0), (2, 0)]
+LAZY_IDS = ["clean", "artifact", "clutter"]
+
+
+def at_ictal_step(dataset, patient, seizure):
+    """The sample generator of ``(patient, seizure, 0)`` advanced through
+    the draws :meth:`SyntheticEEGDataset.sample_source` makes before the
+    ictal one, with the arguments of that ictal draw."""
+    prof = dataset.profile(patient)
+    seiz_s = dataset.event(patient, seizure).duration_s
+    rng = dataset._rng(patient, seizure, 0, _PURPOSE_SAMPLE)
+    duration_s = float(rng.uniform(*dataset.duration_range_s))
+    margin_s = max(10.0, 0.02 * duration_s)
+    rng.uniform(margin_s, duration_s - seiz_s - margin_s)
+    draw_block_entropy(rng)
+    args = (seiz_s, dataset.fs, prof.morphology, prof.background.nominal_rms())
+    return rng, args
+
+
+class TestLazySeizureOverlay:
+    """The seizure overlay is kept as its draw and shaped on first use;
+    it must equal the eager overlay and leave the generator where the
+    eager draw leaves it."""
+
+    @pytest.mark.parametrize("case", LAZY_CASES, ids=LAZY_IDS)
+    def test_patch_waves_equal_the_eager_overlay(self, dataset, case):
+        rng, args = at_ictal_step(dataset, *case)
+        eager = seizure_overlay(generate_ictal(*args, rng), dataset.fs)
+        source = dataset.sample_source(*case)
+        seizure = [p for p in source.patches if p.recipe is not None]
+        assert [p.channel for p in seizure] == [0, 1]
+        for patch in seizure:
+            assert patch.wave.tobytes() == eager[patch.channel].tobytes()
+
+    @pytest.mark.parametrize("case", LAZY_CASES, ids=LAZY_IDS)
+    def test_generator_ends_where_the_eager_draw_ends(self, dataset, case):
+        eager_rng, args = at_ictal_step(dataset, *case)
+        generate_ictal(*args, eager_rng)
+        lazy_rng, _ = at_ictal_step(dataset, *case)
+        LazySeizureOverlay(*args, lazy_rng)
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+        assert lazy_rng.random() == eager_rng.random()
+
+    @pytest.mark.parametrize("case", LAZY_CASES, ids=LAZY_IDS)
+    def test_materialize_is_chunk_invariant(self, dataset, case):
+        # A fresh source per chunk size, so each one shapes its overlay
+        # on a different first chunk.
+        records = [
+            dataset.sample_source(*case).materialize(chunk_s)
+            for chunk_s in (1.0, 37.0, 600.0)
+        ]
+        for rec in records[1:]:
+            assert np.array_equal(rec.data, records[0].data)
+
+    def test_keying_shapes_nothing(self, dataset, monkeypatch):
+        from repro.data import seizures
+
+        def boom(*args, **kwargs):
+            raise AssertionError("seizure overlay shaped")
+
+        monkeypatch.setattr(seizures, "shape_ictal", boom)
+        source = dataset.sample_source(2, 1, 0)
+        source.recipe_digest()
+        with pytest.raises(AssertionError, match="shaped"):
+            source.materialize()
+
+
 class TestArrayRecordSource:
     @pytest.mark.parametrize("chunk_s", CHUNK_SIZES)
     def test_chunks_reassemble(self, sample_record, chunk_s):
@@ -232,6 +310,27 @@ def pinned_source(**overrides) -> SyntheticRecordSource:
     return SyntheticRecordSource(**recipe)
 
 
+def lazy_seizure_source(
+    duration_s: float = 20.0,
+    morphology: SeizureMorphology = SeizureMorphology(),
+    background: BackgroundEEGModel = BackgroundEEGModel(line_noise_uv=5.0),
+    seed: int = 5,
+) -> SyntheticRecordSource:
+    """:func:`pinned_source` carrying a lazy seizure overlay instead of its
+    eager patch, placed and built as ``sample_source`` builds it."""
+    overlay = LazySeizureOverlay(
+        duration_s, 64.0, morphology, background.nominal_rms(),
+        np.random.default_rng(seed),
+    )
+    return pinned_source(patches=tuple(
+        SignalPatch(
+            ch, 1000, functools.partial(overlay.row, ch),
+            size=overlay.n_samples, recipe=overlay.recipe,
+        )
+        for ch in range(overlay.n_channels)
+    ))
+
+
 #: ``record_content_digest(pinned_source())`` at the pinned generator
 #: version, by the SIMD target numpy's float64 ``exp``/``sin`` loops run
 #: on (AVX-512 rounds differently from AVX2 and the x86-64-v2 baseline).
@@ -242,6 +341,20 @@ PINNED_DIGESTS = {
     "baseline(X86_V2)": "3d5e1cc1c1958c5f8ad6de2a9c8d8695",
 }
 
+#: ``record_content_digest`` of :func:`pinned_sample_source`, whose
+#: seizure overlay is keyed by its draw rather than its bytes: a change
+#: to the ictal shaping moves this pin even though no recipe digest
+#: moves.
+PINNED_SAMPLE_DIGESTS = {
+    "X86_V4": "5243217bf8fccc89765954e51bfe6ee7",
+}
+
+
+def pinned_sample_source() -> SyntheticRecordSource:
+    """A short dataset sample (300 s at 64 Hz) with a lazy ictal overlay."""
+    dataset = SyntheticEEGDataset(fs=64.0, duration_range_s=(300.0, 300.0))
+    return dataset.sample_source(1, 0, 0)
+
 
 class TestRecipeDigest:
     """Synthetic sources are cached by recipe, so the recipe digest must
@@ -250,17 +363,23 @@ class TestRecipeDigest:
     def test_stale_entry_guard(self):
         # A store keyed by recipe serves whatever was extracted under the
         # same recipe digest.  Any edit that changes the waveform must
-        # therefore bump GENERATOR_VERSION, and this pin with it.
+        # therefore bump GENERATOR_VERSION, and these pins with it.
         introspect = pytest.importorskip("numpy.lib.introspect")
         loops = introspect.opt_func_info(func_name="^(exp|sin)$", signature="float64")
         targets = {loops[name]["dd"]["current"] for name in ("exp", "sin")}
         target = targets.pop() if len(targets) == 1 else None
         digest = record_content_digest(pinned_source())
+        sample = record_content_digest(pinned_sample_source())
         if target not in PINNED_DIGESTS:
-            pytest.skip(f"no pin for float64 exp/sin on {loops}: {digest}")
+            pytest.skip(f"no pin for float64 exp/sin on {loops}: {digest}, {sample}")
         assert (GENERATOR_VERSION, digest) == (
             PINNED_VERSION, PINNED_DIGESTS[target]
         ), "the waveform changed: bump GENERATOR_VERSION and re-pin"
+        if target not in PINNED_SAMPLE_DIGESTS:
+            pytest.skip(f"no sample pin for float64 exp/sin on {target}: {sample}")
+        assert (GENERATOR_VERSION, sample) == (
+            PINNED_VERSION, PINNED_SAMPLE_DIGESTS[target]
+        ), "the seizure overlay changed: bump GENERATOR_VERSION and re-pin"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -300,6 +419,40 @@ class TestRecipeDigest:
         digests = {pinned_source(patches=(v,)).recipe_digest() for v in variants}
         digests.add(base.recipe_digest())
         assert len(digests) == len(variants) + 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            *(
+                {"morphology": dataclasses.replace(
+                    SeizureMorphology(),
+                    **{f.name: getattr(SeizureMorphology(), f.name) + 0.125},
+                )}
+                for f in dataclasses.fields(SeizureMorphology)
+            ),
+            {"duration_s": 20.001},  # same sample count: only the recipe moves
+            {"background": BackgroundEEGModel(amplitude_uv=31.0, line_noise_uv=5.0)},
+            {"seed": 6},
+        ],
+        ids=[
+            *(f"morphology.{f.name}" for f in dataclasses.fields(SeizureMorphology)),
+            "duration", "bg_rms", "saved_state",
+        ],
+    )
+    def test_every_seizure_recipe_input_changes_digest(self, overrides):
+        # The lazy overlay is hashed by its recipe, not its bytes, so
+        # every input of the draw and the shaping must reach the digest.
+        assert lazy_seizure_source(**overrides).recipe_digest() != (
+            lazy_seizure_source().recipe_digest()
+        )
+
+    def test_lazy_overlay_matches_its_eager_patches(self):
+        lazy = lazy_seizure_source()
+        eager = pinned_source(patches=tuple(
+            SignalPatch(p.channel, p.start, p.wave.copy()) for p in lazy.patches
+        ))
+        assert record_content_digest(lazy) == record_content_digest(eager)
+        assert lazy.recipe_digest() != eager.recipe_digest()
 
     def test_patch_order_changes_digest(self):
         a = SignalPatch(0, 100, np.ones(8))

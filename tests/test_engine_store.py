@@ -367,6 +367,27 @@ class TestVerifyAndGC:
 
 
 class TestCacheIntegration:
+    def test_store_hit_synthesizes_nothing(self, dataset, tmp_path, monkeypatch):
+        # A warm run keys every record by recipe and loads its features:
+        # neither the background nor the seizure overlay may be shaped.
+        from repro.data import seizures, synthetic
+        from repro.engine import CohortEngine
+
+        patients = [2, 8]  # artifact and clutter bursts; a clean patient
+        cold = CohortEngine(
+            dataset, executor="serial", store_dir=str(tmp_path)
+        ).run(patient_ids=patients)
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("pink noise shaped on a store hit")
+
+        monkeypatch.setattr(synthetic, "shape_pink", no_synthesis)
+        monkeypatch.setattr(seizures, "shape_pink", no_synthesis)
+        warm = CohortEngine(
+            dataset, executor="serial", store_dir=str(tmp_path)
+        ).run(patient_ids=patients)
+        assert warm.to_json() == cold.to_json()
+
     def test_cold_then_restored(self, tmp_path, sample_record, extractor):
         store = DiskFeatureStore(tmp_path)
         cache = FeatureCache(capacity=4, store=store)
