@@ -15,8 +15,8 @@ Three implementations, each bit-identical to its batch counterpart:
   substreams (:func:`repro.data.synthetic.draw_block_entropy` keying),
   with the small seizure/artifact overlays mixed into each chunk.
   Artifact overlays are precomputed; the seizure overlay is held as its
-  draw (the generator state before it) and shaped on the first chunk it
-  touches.  ``concat(iter_chunks(any chunk size)) ==
+  draw (the generator state before it) and shaped when the record is
+  first streamed.  ``concat(iter_chunks(any chunk size)) ==
   SyntheticEEGDataset.generate_sample(...).data`` — in fact the batch
   path *is* :meth:`materialize`.
 * :class:`EDFRecordSource` — incremental EDF reading: the header is
@@ -220,8 +220,8 @@ class SignalPatch:
     same order reproduces the batch result bit for bit.
 
     ``wave`` is the channel's waveform, or a zero-argument callable that
-    shapes it.  A callable is called on the first :meth:`apply` that
-    overlaps the patch, and its result is kept; it needs ``size`` and
+    shapes it.  A callable is called once, by the first :meth:`shape`,
+    and its result is kept; it needs ``size`` and
     ``recipe`` (a ``repr``-stable value that fixes the wave, hashed by
     :meth:`SyntheticRecordSource.recipe_digest` in place of the wave's
     bytes).  A patch given its array is the case already shaped: its
@@ -250,11 +250,15 @@ class SignalPatch:
         self.recipe = recipe
         self._wave = wave
 
-    @property
-    def wave(self) -> np.ndarray:
+    def shape(self) -> np.ndarray:
+        """The wave, shaped now if it was deferred."""
         if callable(self._wave):
             self._wave = self._wave()
         return self._wave
+
+    @property
+    def wave(self) -> np.ndarray:
+        return self.shape()
 
     @property
     def stop(self) -> int:
@@ -296,8 +300,8 @@ class SyntheticRecordSource(RecordSource):
     Holds the record's *recipe*: the background model plus the entropy
     key seeding its generation blocks, and the small seizure/artifact
     overlay patches (seconds to minutes of waveform) built by
-    :meth:`SyntheticEEGDataset.sample_source`; a deferred patch is
-    shaped on the first chunk it overlaps.  Streaming regenerates
+    :meth:`SyntheticEEGDataset.sample_source`; deferred patches are
+    shaped when streaming starts.  Streaming regenerates
     background blocks on the fly and mixes in each patch's overlap, so
     peak signal memory is one generation block + one chunk regardless of
     record duration — and ``materialize()`` *is* the batch
@@ -389,6 +393,10 @@ class SyntheticRecordSource(RecordSource):
         self, chunk_s: float = DEFAULT_SOURCE_CHUNK_S
     ) -> Iterator[np.ndarray]:
         step = self.chunk_samples(chunk_s)
+        # Deferred patches are shaped before the first background block
+        # exists, so their temporaries never stack on a block in flight.
+        for patch in self.patches:
+            patch.shape()
         blocks = self.model.iter_blocks(
             self.n_samples, self.fs, self.entropy, self.n_channels
         )

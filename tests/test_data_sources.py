@@ -209,8 +209,8 @@ class TestLazySeizureOverlay:
 
     @pytest.mark.parametrize("case", LAZY_CASES, ids=LAZY_IDS)
     def test_materialize_is_chunk_invariant(self, dataset, case):
-        # A fresh source per chunk size, so each one shapes its overlay
-        # on a different first chunk.
+        # A fresh source per chunk size, so each stream shapes its own
+        # overlay.
         records = [
             dataset.sample_source(*case).materialize(chunk_s)
             for chunk_s in (1.0, 37.0, 600.0)
