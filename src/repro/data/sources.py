@@ -32,9 +32,10 @@ when the source has one — a synthetic record is a pure function of its
 recipe, so hashing the recipe costs microseconds and no signal pass;
 the seizure overlay enters it as its recipe (saved generator state,
 duration, morphology, background level), not its samples, so keying a
-record synthesizes nothing — and otherwise :func:`record_content_digest`, the identity of streamed
-content: per-channel digests folded into one, invariant to the chunk
-size used to stream.  Either way a disk-store entry written at
+record synthesizes nothing — and otherwise
+:func:`record_content_digest`, the identity of streamed content:
+per-channel digests folded into one, invariant to the chunk size used
+to stream.  Either way a disk-store entry written at
 ``--chunk-s 60`` hits at ``--chunk-s 5``.
 """
 
@@ -221,8 +222,8 @@ class SignalPatch:
 
     ``wave`` is the channel's waveform, or a zero-argument callable that
     shapes it.  A callable is called once, by the first :meth:`shape`,
-    and its result is kept; it needs ``size`` and
-    ``recipe`` (a ``repr``-stable value that fixes the wave, hashed by
+    and its result is kept; it needs ``size`` and ``recipe`` (a
+    ``repr``-stable value that fixes the wave, hashed by
     :meth:`SyntheticRecordSource.recipe_digest` in place of the wave's
     bytes).  A patch given its array is the case already shaped: its
     size is the array's and its identity is its bytes.
@@ -301,9 +302,9 @@ class SyntheticRecordSource(RecordSource):
     key seeding its generation blocks, and the small seizure/artifact
     overlay patches (seconds to minutes of waveform) built by
     :meth:`SyntheticEEGDataset.sample_source`; deferred patches are
-    shaped when streaming starts.  Streaming regenerates
-    background blocks on the fly and mixes in each patch's overlap, so
-    peak signal memory is one generation block + one chunk regardless of
+    shaped when streaming starts.  Streaming regenerates background
+    blocks on the fly and mixes in each patch's overlap, so peak signal
+    memory is one generation block + one chunk regardless of
     record duration — and ``materialize()`` *is* the batch
     ``generate_sample`` result.
     """
