@@ -8,6 +8,12 @@ ratio is asserted (>= 3x): it compares two backends inside one process,
 so it stays meaningful on shared CI runners where absolute timings do
 not.
 
+The same path is also timed per call at the batch sizes the system
+actually issues — 1 window (a live session's closing window), 4 (a
+replayed 4 s chunk) and 57 (a cohort chunk) — and at 1 window the
+vectorized path is asserted no slower than the reference loop, again
+as an in-process best-of-N comparison.
+
 ``REPRO_BENCH_QUICK=1`` shrinks the batch for the CI smoke leg.
 """
 
@@ -42,11 +48,19 @@ SPEEDUP_FLOOR = 3.0
 
 REPEATS = 2 if QUICK else 5
 
+#: Per-call batch sizes of the service-live, service-replay and cohort
+#: extraction paths.
+SMALL_BATCHES = (1, 4, 57)
+#: Best-of-N repeats of a 1-window call (fewer for larger batches): a
+#: call takes about a millisecond, so many repeats stay cheap and tame
+#: scheduler noise.
+SMALL_REPEATS = 50 if QUICK else 200
 
-def _best_of(fn, *args, **kwargs) -> float:
+
+def _best_of(fn, *args, repeats: int = REPEATS, **kwargs) -> float:
     fn(*args, **kwargs)  # warm-up: plan caches, allocator
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
@@ -75,6 +89,21 @@ KERNEL_PARAMS = {
     "sample_entropy": {"m": 2, "k": 0.2},
     "shannon_entropy": {},
 }
+
+
+def _paper10_per_backend(extractor, batch, repeats: int) -> dict:
+    """Best-of-``repeats`` seconds of one ``extract_batch`` call per
+    backend.  The extractor looks ``repro.kernels.get_kernel`` up per
+    call, so patching that name selects the backend for the whole
+    batch."""
+    timings = {}
+    for backend in ("reference", "vectorized"):
+        preferring = functools.partial(get_kernel, prefer=backend)
+        with mock.patch.object(repro.kernels, "get_kernel", preferring):
+            timings[backend] = _best_of(
+                extractor.extract_batch, batch, 256.0, repeats=repeats
+            )
+    return timings
 
 
 def test_kernel_backends_speed():
@@ -107,16 +136,10 @@ def test_kernel_backends_speed():
         }
 
     # End-to-end: the full 10-feature batch under each backend — the
-    # path every cohort, streaming and shard extraction takes.  The
-    # extractor looks `repro.kernels.get_kernel` up per call, so
-    # patching that name selects the backend for the whole batch.
+    # path every cohort, streaming and shard extraction takes.
     extractor = Paper10FeatureExtractor()
     batch = rng.standard_normal((N_WINDOWS, 2, WINDOW_SAMPLES))
-    e2e = {}
-    for backend in ("reference", "vectorized"):
-        preferring = functools.partial(get_kernel, prefer=backend)
-        with mock.patch.object(repro.kernels, "get_kernel", preferring):
-            e2e[backend] = _best_of(extractor.extract_batch, batch, 256.0)
+    e2e = _paper10_per_backend(extractor, batch, REPEATS)
     speedup = e2e["reference"] / e2e["vectorized"]
     rows.append(
         [
@@ -127,6 +150,24 @@ def test_kernel_backends_speed():
         ]
     )
     payload["end_to_end"] = {**e2e, "speedup": speedup}
+
+    # Per-call cost at the service and cohort batch sizes, where fixed
+    # numpy dispatch rather than per-window math sets the price.
+    payload["small_batches"] = {}
+    for n in SMALL_BATCHES:
+        per_call = _paper10_per_backend(
+            extractor, batch[:n], max(5, SMALL_REPEATS // n)
+        )
+        ratio = per_call["reference"] / per_call["vectorized"]
+        rows.append(
+            [
+                f"paper10 {n}-window call",
+                f"{per_call['reference'] * 1e3:.2f}",
+                f"{per_call['vectorized'] * 1e3:.2f}",
+                f"{ratio:.2f}x",
+            ]
+        )
+        payload["small_batches"][n] = {**per_call, "speedup": ratio}
 
     print_table(
         f"Feature kernels: {N_WINDOWS} windows"
@@ -139,6 +180,11 @@ def test_kernel_backends_speed():
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized end-to-end extraction only {speedup:.2f}x faster than "
         f"reference (floor {SPEEDUP_FLOOR:.0f}x)"
+    )
+    single = payload["small_batches"][1]
+    assert single["vectorized"] <= single["reference"], (
+        f"a 1-window vectorized call takes {single['vectorized'] * 1e3:.3f} "
+        f"ms, slower than the reference's {single['reference'] * 1e3:.3f} ms"
     )
 
 

@@ -111,36 +111,33 @@ class Paper10FeatureExtractor(FeatureExtractor):
         from ..kernels import get_kernel
 
         windows = self._check_batch(windows)
-        if windows.shape[0] == 0:
+        n_windows = windows.shape[0]
+        if n_windows == 0:
             return np.empty((0, self.n_features))
-        f7t3 = windows[:, 0]
-        f8t4 = windows[:, 1]
 
-        details = get_kernel("dwt_details")(f8t4, level=self._dwt_level)
+        details = get_kernel("dwt_details")(windows[:, 1], level=self._dwt_level)
 
-        # One PSD per channel feeds all band powers, as in extract_window.
-        band_powers = get_kernel("band_powers")
-        nyquist = (0.0, fs / 2.0)
-        bp0 = band_powers(f7t3, fs=fs, bands=("theta", nyquist, "delta"))
-        bp1 = band_powers(f8t4, fs=fs, bands=("theta", nyquist))
-        theta0, total0, delta0 = bp0[:, 0], bp0[:, 1], bp0[:, 2]
-        theta1, total1 = bp1[:, 0], bp1[:, 1]
+        # One PSD per channel feeds all band powers, as in extract_window:
+        # a single call over the F7T3 rows stacked on the F8T4 rows (the
+        # kernel's rows are independent lanes).  F8T4's delta is unused.
+        pair = windows[:, :2].transpose(1, 0, 2).reshape(
+            2 * n_windows, windows.shape[2]
+        )
+        bp = get_kernel("band_powers")(
+            pair, fs=fs, bands=("theta", (0.0, fs / 2.0), "delta")
+        )
+        theta, total = bp[:, 0], bp[:, 1]
         # Guarded relative powers: same division (or 0.0) per window as
         # the scalar path, with the dummy divisor never reaching output.
-        rel0 = np.where(
-            total0 > 0, theta0 / np.where(total0 > 0, total0, 1.0), 0.0
-        )
-        rel1 = np.where(
-            total1 > 0, theta1 / np.where(total1 > 0, total1, 1.0), 0.0
-        )
+        rel = np.where(total > 0, theta / np.where(total > 0, total, 1.0), 0.0)
 
         perm = get_kernel("permutation_entropy")
         return np.column_stack(
             [
-                theta0,
-                rel0,
-                delta0,
-                rel1,
+                theta[:n_windows],
+                rel[:n_windows],
+                bp[:n_windows, 2],
+                rel[n_windows:],
                 perm(details[7], order=5),
                 perm(details[7], order=7),
                 perm(details[6], order=7),

@@ -18,7 +18,14 @@ enforces exactly that.
 
 from __future__ import annotations
 
-from .plans import WaveletPlan, embedding_plan, hann_window, wavelet_plan
+from .plans import (
+    BandPlan,
+    WaveletPlan,
+    band_plan,
+    embedding_plan,
+    hann_window,
+    wavelet_plan,
+)
 from .registry import (
     BACKENDS,
     available_backends,
@@ -35,4 +42,6 @@ __all__ = [
     "wavelet_plan",
     "embedding_plan",
     "hann_window",
+    "BandPlan",
+    "band_plan",
 ]

@@ -3,10 +3,12 @@
 The per-window reference path rebuilds the same state for every window:
 ``daubechies_filter`` re-runs its spectral factorization (polynomial
 root finding!) twice per DWT level, embedding index grids are re-built
-per entropy call, and the Welch window is re-generated per PSD.  A plan
-computes each of these once per (parameter set) and shares it across
-every window of a record — and across records, via small keyed caches —
-so the batched kernels spend their time on signal math only.
+per entropy call, and the Welch window, its normalization and every
+band's bin selection are re-derived per PSD.  A plan computes each of
+these once per (parameter set) and shares it across every window of a
+record — and across records and calls, via small keyed caches — so the
+batched kernels spend their time on signal math only, which is what a
+1-window service call can afford.
 
 Everything cached here is a pure function of its key, so sharing is
 invisible to results (the parity suites enforce this).
@@ -15,14 +17,23 @@ invisible to results (the parity suites enforce this).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from ..entropy.sample import embedding_indices
-from ..exceptions import FeatureError
+from ..exceptions import FeatureError, SignalError
+from ..signals.spectral import EEG_BANDS
 from ..signals.wavelet import daubechies_filter, quadrature_mirror
 
-__all__ = ["WaveletPlan", "wavelet_plan", "embedding_plan", "hann_window"]
+__all__ = [
+    "WaveletPlan",
+    "wavelet_plan",
+    "embedding_plan",
+    "hann_window",
+    "BandPlan",
+    "band_plan",
+]
 
 
 @lru_cache(maxsize=64)
@@ -43,16 +54,109 @@ def hann_window(n: int) -> np.ndarray:
     return win
 
 
+class BandPlan(NamedTuple):
+    """Everything a Welch band-power call derives from its geometry.
+
+    ``norm`` is the PSD normalization ``fs * sum(hann(n) ** 2)``.  Each
+    ``bands`` entry is ``(bins, spacing)``: either the band's bin slice
+    with the ``np.diff`` of its frequencies (trapezoid integration), or
+    — for a band covering fewer than 2 bins — the nearest bin's index
+    with the bin width (the scalar path's rectangle fallback).
+    """
+
+    norm: float
+    bands: tuple[tuple[slice | int, np.ndarray | float], ...]
+
+
+@lru_cache(maxsize=32)
+def band_plan(
+    n: int, fs: float, bands: tuple[tuple[float, float] | str, ...]
+) -> BandPlan:
+    """Cached :class:`BandPlan` of ``n``-sample windows at ``fs`` Hz,
+    replicating :func:`repro.signals.spectral.band_power_from_psd`'s bin
+    selection per band.
+
+    Raises
+    ------
+    SignalError
+        For an invalid ``(lo, hi)`` band; an unknown band name raises
+        ``KeyError``, as in the scalar path.
+    """
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    entries = []
+    for band in bands:
+        lo, hi = EEG_BANDS[band] if isinstance(band, str) else band
+        if not 0 <= lo < hi:
+            raise SignalError(f"invalid band ({lo}, {hi})")
+        # freqs ascends, so the in-band bins are one contiguous run.
+        inside = np.nonzero((freqs >= lo) & (freqs <= hi))[0]
+        if inside.size < 2:
+            nearest = int(np.argmin(np.abs(freqs - 0.5 * (lo + hi))))
+            entries.append((nearest, freqs[1] - freqs[0]))
+        else:
+            bins = slice(int(inside[0]), int(inside[-1]) + 1)
+            spacing = np.diff(freqs[bins])
+            spacing.setflags(write=False)
+            entries.append((bins, spacing))
+    return BandPlan(fs * np.sum(hann_window(n) ** 2), tuple(entries))
+
+
+@lru_cache(maxsize=64)
+def _polyphase_schedule(
+    n: int, taps: int, level: int
+) -> tuple[tuple[np.ndarray, int], ...]:
+    """Per-level ``(index, half)`` pairs of a ``level``-deep DWT of
+    ``n``-sample rows.
+
+    ``index`` is the read-only ``(2, half + (taps - 1) // 2)`` polyphase
+    gather of that level's input: row ``p`` holds the sample positions
+    ``2 * j + p`` of the circularly wrapped, edge-repeat-padded input,
+    so tap ``t`` of output ``j`` reads ``index[t % 2, j + t // 2]``.
+    ``half`` is the level's output length.
+
+    Raises
+    ------
+    FeatureError
+        At the first level whose input has fewer than 2 samples.
+    """
+    schedule = []
+    for lvl in range(1, level + 1):
+        if n < 2:
+            raise FeatureError(
+                f"signal too short for {level}-level decomposition "
+                f"(ran out of samples at level {lvl})"
+            )
+        even = n + n % 2
+        half = even // 2
+        pos = 2 * np.arange(half + (taps - 1) // 2) + np.arange(2)[:, None]
+        # Circular wrap over the padded length; the pad sample (position
+        # n of an odd-length input) repeats the last real one.
+        index = np.minimum(pos % even, n - 1)
+        index.setflags(write=False)
+        schedule.append((index, half))
+        n = half
+    return tuple(schedule)
+
+
 class WaveletPlan:
-    """One record's (or one window geometry's) DWT execution plan.
+    """One window geometry's DWT execution plan.
 
     Holds the analysis filter bank — the Daubechies scaling filter ``h``
-    and its quadrature mirror ``g``, built once instead of per window —
-    and runs the batched multilevel decomposition.  The batched single
-    level reproduces ``repro.signals.wavelet.dwt_single`` bit-for-bit:
-    same circular padding, same tap order (accumulated ascending, the
-    accumulation order of ``np.convolve``'s small-kernel path), same
-    dyadic downsampling phase.
+    and its quadrature mirror ``g``, built once instead of per window,
+    stacked as the ``(2, K)`` bank ``[h; g]`` — and runs the batched
+    multilevel decomposition.
+
+    Each level gathers its input once into a polyphase layout: the even
+    and odd samples of the circularly wrapped (and, for odd lengths,
+    edge-repeat-padded) level input, each a contiguous lane per row.
+    Tap ``t`` of the dyadically downsampled correlation then reads one
+    shifted slice of the ``t % 2`` phase, and one pass applies the
+    stacked bank column ``[h[t]; g[t]]`` to it, writing approximation
+    and detail together into a ``(2, rows, half)`` accumulator.  Taps
+    are accumulated in place in ascending order, multiply then add —
+    the accumulation order of ``np.convolve``'s small-kernel path — so
+    every row reproduces ``repro.signals.wavelet.dwt_single``
+    bit-for-bit.
     """
 
     def __init__(self, wavelet: int = 4, level: int = 7) -> None:
@@ -64,34 +168,16 @@ class WaveletPlan:
         self.g = quadrature_mirror(self.h)
         self.h.setflags(write=False)
         self.g.setflags(write=False)
-
-    def _single(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batched single-level periodized DWT of ``(n_windows, n)`` rows."""
-        n = x.shape[1]
-        if n < 2:
-            raise FeatureError(
-                f"signal too short for {self.level}-level decomposition"
-            )
-        if n % 2:
-            x = np.concatenate([x, x[:, -1:]], axis=1)  # edge-repeat pad
-            n += 1
-        k = self.h.size
-        reps = int(np.ceil((k - 1) / n))
-        xp = np.concatenate([x] * (1 + reps), axis=1)[:, : n + k - 1]
-        view = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::2, :]
-        approx = self.h[0] * view[:, :, 0]
-        detail = self.g[0] * view[:, :, 0]
-        for tap in range(1, k):
-            approx = approx + self.h[tap] * view[:, :, tap]
-            detail = detail + self.g[tap] * view[:, :, tap]
-        return approx, detail
+        bank = np.stack([self.h, self.g])
+        # One (2, 1, 1) column per tap, broadcast over (2, rows, half).
+        self._taps = tuple(bank[:, t, None, None] for t in range(bank.shape[1]))
 
     def details_batch(self, windows: np.ndarray) -> dict[int, np.ndarray]:
         """Detail coefficients of every window, keyed by level.
 
         ``windows`` is ``(n_windows, n_samples)``; each value is the
-        ``(n_windows, n_coeffs_at_level)`` detail array — row ``i``
-        bitwise equal to ``dwt_details(windows[i], level)[lvl]``.
+        C-contiguous ``(n_windows, n_coeffs_at_level)`` detail array —
+        row ``i`` bitwise equal to ``dwt_details(windows[i], level)[lvl]``.
 
         Raises
         ------
@@ -105,22 +191,29 @@ class WaveletPlan:
             raise FeatureError(
                 f"expected (n_windows, n_samples) windows, got {windows.shape}"
             )
-        if windows.shape[1] < 2:
+        rows, n = windows.shape
+        if n < 2:
             raise FeatureError(
                 f"signal too short for {self.level}-level decomposition "
-                f"({windows.shape[1]} samples per window)"
+                f"({n} samples per window)"
             )
         if not np.all(np.isfinite(windows)):
             raise FeatureError("window contains NaN or infinite samples")
+        taps = self._taps
         approx = windows
         details: dict[int, np.ndarray] = {}
-        for lvl in range(1, self.level + 1):
-            approx, det = self._single(approx)
-            # The tap accumulation inherits the strided layout of the
-            # sliding-window view; hand downstream kernels (and the next
-            # level) plain C-contiguous arrays.
-            details[lvl] = np.ascontiguousarray(det)
-            approx = np.ascontiguousarray(approx)
+        schedule = _polyphase_schedule(n, len(taps), self.level)
+        for lvl, (index, half) in enumerate(schedule, start=1):
+            poly = np.take(approx, index, axis=1)  # (rows, 2, half + (K-1)//2)
+            acc = np.empty((2, rows, half))
+            term = np.empty((2, rows, half))
+            np.multiply(taps[0], poly[:, 0, :half], out=acc)
+            for t in range(1, len(taps)):
+                shift = t // 2
+                np.multiply(taps[t], poly[:, t % 2, shift : shift + half], out=term)
+                acc += term
+            approx = acc[0]
+            details[lvl] = acc[1]
         return details
 
 

@@ -24,6 +24,17 @@ bits the per-window reference produces.  Three rules make that work:
    corrections) so the counts match ``np.histogram`` everywhere,
    including its pathological rounding cases.
 
+The DWT kernel follows rule 1 through its accumulation order.  Each
+level gathers its wrapped (odd lengths edge-repeat-padded) input once
+into a polyphase layout — the even and the odd samples, a contiguous
+lane each per row — and runs one pass per filter tap: the stacked
+``(2, K)`` bank ``[h; g]`` multiplies the tap's shifted phase slice
+and the product is added in place to a ``(2, rows, half)``
+approximation/detail accumulator, taps in ascending order.  That is
+the scalar correlation's multiply-then-add sequence per output, so
+every coefficient matches bit-for-bit (see
+:class:`~repro.kernels.plans.WaveletPlan`).
+
 ``tests/test_kernels_parity.py`` verifies all of this bitwise against
 the reference on a seeded battery of signal shapes.
 """
@@ -36,8 +47,7 @@ import numpy as np
 
 from ..entropy.permutation import lehmer_codes
 from ..exceptions import SignalError
-from ..signals.spectral import EEG_BANDS
-from .plans import embedding_plan, hann_window, wavelet_plan
+from .plans import band_plan, embedding_plan, hann_window, wavelet_plan
 from .reference import _check_windows
 
 __all__ = [
@@ -54,49 +64,42 @@ __all__ = [
 #: tensors, so huge batches of long windows never materialize at once.
 _CHUNK_BYTES = 48_000_000
 
+#: Input bytes per block of Welch rows: bounds the spectral temporaries
+#: of a large batch (and keeps them cache-resident) while a service-size
+#: batch still runs as one block.
+_PSD_CHUNK_BYTES = 256 * 1024
+
 
 # ---------------------------------------------------------------------------
 # Template matching (sample / approximate entropy)
 # ---------------------------------------------------------------------------
 
 
-def _match_counts(
-    windows: np.ndarray,
-    idx: np.ndarray,
-    r_rows: np.ndarray,
-    per_template: bool,
-) -> np.ndarray:
-    """Chebyshev template-match counts per window.
+def _template_distances(windows: np.ndarray, m: int):
+    """Yield ``(rows, dist, dist_next)`` for each chunk of ``windows``.
 
-    With ``per_template=False``: ordered pairs ``i != j`` within
-    tolerance (sample entropy's ``A``/``B`` counters).  With
-    ``per_template=True``: per-template counts *including* the self
-    match (approximate entropy's ``C_i``).  Pure integer output, so any
-    chunking is exact.
+    ``dist`` holds, per window, the Chebyshev distances between all its
+    length-``m`` templates and ``dist_next`` those between all its
+    length-``m + 1`` templates.  Both come from one ``(rows, n, n)``
+    tensor of sample distances ``|x_i - x_j|``: lane ``t`` of a template
+    pair ``(i, j)`` is entry ``(i + t, j + t)``, so ``dist`` is the
+    running ``np.maximum`` of ``m`` diagonally shifted blocks, and
+    ``dist_next`` extends the first ``n - m`` templates by lane ``m``
+    with one more maximum.  Every entry is the same ``|a - b|`` the
+    scalar embedding differences produce, and a maximum is exact, so
+    the counts derived from them are too.  Needs ``n >= m + 1``.
     """
-    n_windows = windows.shape[0]
-    n_vec, m = idx.shape
-    out_shape = (n_windows, n_vec) if per_template else (n_windows,)
-    out = np.zeros(out_shape, dtype=np.int64)
-    if n_vec < 2:
-        if per_template and n_vec == 1:
-            out[:] = 1
-        return out
-    per_row = n_vec * n_vec * 9 + n_vec * m * 8
-    chunk = max(1, _CHUNK_BYTES // per_row)
+    n_windows, n = windows.shape
+    n_vec = n - m + 1
+    chunk = max(1, _CHUNK_BYTES // (26 * n * n))
     for s in range(0, n_windows, chunk):
-        emb = windows[s : s + chunk][:, idx]  # (c, n_vec, m)
-        lane = emb[:, :, 0]
-        dist = np.abs(lane[:, :, None] - lane[:, None, :])
+        x = windows[s : s + chunk]
+        pair = np.abs(x[:, :, None] - x[:, None, :])
+        dist = pair[:, :n_vec, :n_vec]
         for t in range(1, m):
-            lane = emb[:, :, t]
-            np.maximum(dist, np.abs(lane[:, :, None] - lane[:, None, :]), out=dist)
-        hits = dist <= r_rows[s : s + chunk, None, None]
-        if per_template:
-            out[s : s + chunk] = hits.sum(axis=2)
-        else:
-            out[s : s + chunk] = hits.sum(axis=(1, 2)) - n_vec
-    return out
+            dist = np.maximum(dist, pair[:, t : t + n_vec, t : t + n_vec])
+        dist_next = np.maximum(dist[:, :-1, :-1], pair[:, m:, m:])
+        yield slice(s, s + chunk), dist, dist_next
 
 
 def _prepare_tolerance(
@@ -142,22 +145,18 @@ def sample_entropy_vectorized(
     if live.size == 0:
         return out
     n = windows.shape[1]
-    sub = windows[live]
-    b = _match_counts(sub, embedding_plan(n, m), r_rows[live], False)
-    a = _match_counts(sub, embedding_plan(n, m + 1), r_rows[live], False)
+    n_vec = n - m + 1
+    r_live = r_rows[live, None, None]
+    b = np.empty(live.size, dtype=np.int64)
+    a = np.empty(live.size, dtype=np.int64)
+    # Ordered pairs i != j within tolerance: all hits minus self-matches.
+    for rows, dist, dist_next in _template_distances(windows[live], m):
+        b[rows] = (dist <= r_live[rows]).sum(axis=(1, 2)) - n_vec
+        a[rows] = (dist_next <= r_live[rows]).sum(axis=(1, 2)) - (n_vec - 1)
     out[live] = [
         _sampen_value(int(bi), int(ai), n, m) for bi, ai in zip(b, a)
     ]
     return out
-
-
-def _phi_rows(windows: np.ndarray, mm: int, r_rows: np.ndarray) -> np.ndarray:
-    """ApEn's phi(mm) for every row: mean log self-inclusive match rate."""
-    n = windows.shape[1]
-    idx = embedding_plan(n, mm)
-    counts = _match_counts(windows, idx, r_rows, per_template=True)
-    fracs = counts / idx.shape[0]
-    return np.mean(np.log(fracs), axis=1)
 
 
 def approximate_entropy_vectorized(
@@ -167,10 +166,18 @@ def approximate_entropy_vectorized(
     out, live, r_rows = _prepare_tolerance(windows, m, k, r)
     if live.size == 0:
         return out
-    sub = windows[live]
-    out[live] = _phi_rows(sub, m, r_rows[live]) - _phi_rows(
-        sub, m + 1, r_rows[live]
-    )
+    n_vec = windows.shape[1] - m + 1
+    r_live = r_rows[live, None, None]
+    # Per-template match counts, self-match included (ApEn's C_i).
+    counts = np.empty((live.size, n_vec), dtype=np.int64)
+    counts_next = np.empty((live.size, n_vec - 1), dtype=np.int64)
+    for rows, dist, dist_next in _template_distances(windows[live], m):
+        counts[rows] = (dist <= r_live[rows]).sum(axis=2)
+        counts_next[rows] = (dist_next <= r_live[rows]).sum(axis=2)
+    # phi: mean log self-inclusive match rate per row.
+    phi = np.mean(np.log(counts / n_vec), axis=1)
+    phi_next = np.mean(np.log(counts_next / (n_vec - 1)), axis=1)
+    out[live] = phi - phi_next
     return out
 
 
@@ -364,35 +371,36 @@ def band_powers_vectorized(
         raise SignalError("signal contains NaN or infinite values")
     if fs <= 0:
         raise SignalError(f"sampling frequency must be positive, got {fs}")
-    # Single full-window Hann segment per row — the extractors' Welch
-    # configuration (nperseg = window length, so no averaging).
+    plan = band_plan(n, fs, bands)
     win = hann_window(n)
-    norm = fs * np.sum(win**2)
-    seg = windows - windows.mean(axis=1, keepdims=True)
-    psd = (np.abs(np.fft.rfft(seg * win, axis=1)) ** 2) / norm
-    psd[:, 1:] *= 2.0
-    if n % 2 == 0:
-        psd[:, -1] /= 2.0
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     out = np.empty((n_windows, len(bands)))
-    for col, band in enumerate(bands):
-        lo, hi = EEG_BANDS[band] if isinstance(band, str) else band
-        if not 0 <= lo < hi:
-            raise SignalError(f"invalid band ({lo}, {hi})")
-        mask = (freqs >= lo) & (freqs <= hi)
-        if mask.sum() < 2:
-            idx = int(np.argmin(np.abs(freqs - 0.5 * (lo + hi))))
-            out[:, col] = psd[:, idx] * (freqs[1] - freqs[0])
-        else:
-            # np.trapezoid's formula, spelled out: its internal broadcast
-            # product comes back non-C-ordered for 2-D input, and numpy's
-            # strided axis-1 reduction rounds differently than the 1-D
-            # sums the reference takes.  Forcing the addends contiguous
-            # restores the reference's exact pairwise reduction.
-            yband = psd[:, mask]
-            xband = freqs[mask]
-            addends = np.ascontiguousarray(
-                np.diff(xband) * (yband[:, 1:] + yband[:, :-1]) / 2.0
-            )
-            out[:, col] = addends.sum(axis=1)
+    chunk = max(1, _PSD_CHUNK_BYTES // (8 * n))
+    for s in range(0, n_windows, chunk):
+        # Single full-window Hann segment per row — the extractors' Welch
+        # configuration (nperseg = window length, so no averaging).  The
+        # in-place steps round exactly like their out-of-place spelling.
+        rows = windows[s : s + chunk]
+        seg = rows - rows.mean(axis=1, keepdims=True)
+        seg *= win
+        psd = np.abs(np.fft.rfft(seg, axis=1))
+        np.square(psd, out=psd)
+        psd /= plan.norm
+        psd[:, 1:] *= 2.0
+        if n % 2 == 0:
+            psd[:, -1] /= 2.0
+        for col, (bins, spacing) in enumerate(plan.bands):
+            if isinstance(bins, int):
+                out[s : s + chunk, col] = psd[:, bins] * spacing
+            else:
+                # np.trapezoid's formula, spelled out: its internal
+                # broadcast product comes back non-C-ordered for 2-D
+                # input, and numpy's strided axis-1 reduction rounds
+                # differently than the 1-D sums the reference takes.
+                # Forcing the addends contiguous restores the
+                # reference's exact pairwise reduction.
+                yband = psd[:, bins]
+                addends = np.ascontiguousarray(
+                    spacing * (yband[:, 1:] + yband[:, :-1]) / 2.0
+                )
+                out[s : s + chunk, col] = addends.sum(axis=1)
     return out

@@ -17,6 +17,7 @@ from repro.exceptions import FeatureError, KernelError, SignalError
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import (
     available_backends,
+    band_plan,
     embedding_plan,
     get_kernel,
     hann_window,
@@ -61,6 +62,9 @@ CONTRACTS = {
     "band_powers": (
         (
             {"fs": 256.0, "bands": ((4.0, 8.0), (0.0, 128.0), (0.5, 4.0))},
+            # (10.0, 10.1) covers fewer than 2 bins at every battery
+            # length: the nearest-bin fallback.
+            {"fs": 256.0, "bands": ((10.0, 10.1), "delta", (60.0, 61.0))},
             {"fs": 64.0, "bands": ((0.5, 4.0), "theta", (0.0, 32.0))},
         ),
         (64, 256),
@@ -355,6 +359,24 @@ class TestShortWindowContract:
         with pytest.raises(FeatureError, match="too short"):
             stream.push(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "path", ("reference", "vectorized", "batch", "scalar", "window")
+    )
+    def test_deep_level_runs_out(self, path, rng):
+        # 32 samples halve to 1 by level 6 of a 7-level decomposition:
+        # past the entry check, only the per-level check catches it.
+        windows = rng.standard_normal((2, 2, 32))
+        extractor = Paper10FeatureExtractor()
+        with pytest.raises(FeatureError, match="too short.*level 6"):
+            if path in ("reference", "vectorized"):
+                get_kernel("dwt_details", prefer=path)(windows[:, 1], level=7)
+            elif path == "batch":
+                extractor.extract_batch(windows, 256.0)
+            elif path == "scalar":
+                scalar_dwt_details(windows[0, 1], level=7)
+            else:
+                extractor.extract_window(windows[0], 256.0)
+
     def test_batch_rejects_nan(self):
         extractor = Paper10FeatureExtractor()
         windows = np.zeros((2, 2, 1024))
@@ -387,6 +409,30 @@ class TestPlans:
         win = hann_window(1024)
         assert not win.flags.writeable
         np.testing.assert_array_equal(win, np.hanning(1024))
+
+    def test_band_plan_cached_and_read_only(self):
+        bands = ("theta", (0.0, 128.0))
+        plan = band_plan(1024, 256.0, bands)
+        assert band_plan(1024, 256.0, bands) is plan
+        bins, spacing = plan.bands[0]
+        assert not spacing.flags.writeable
+
+    def test_band_plan_keyed_on_rate_and_bands(self, rng):
+        # One window length under two rates and two band tuples: a plan
+        # keyed on the length alone would reuse the first one's norm
+        # and bins.
+        windows = rng.standard_normal((3, 256))
+        reference = get_kernel("band_powers", prefer="reference")
+        vectorized = get_kernel("band_powers", prefer="vectorized")
+        for fs in (256.0, 100.0):
+            for bands in (
+                ("theta", (0.0, fs / 2.0)),
+                ((1.0, 1.1), (2.0, 30.0), "delta"),
+            ):
+                np.testing.assert_array_equal(
+                    vectorized(windows, fs=fs, bands=bands),
+                    reference(windows, fs=fs, bands=bands),
+                )
 
     def test_wavelet_plan_cached(self):
         assert wavelet_plan(4, 7) is wavelet_plan(4, 7)
