@@ -7,8 +7,7 @@ per entropy call, and the Welch window, its normalization and every
 band's bin selection are re-derived per PSD.  A plan computes each of
 these once per (parameter set) and shares it across every window of a
 record — and across records and calls, via small keyed caches — so the
-batched kernels spend their time on signal math only, which is what a
-1-window service call can afford.
+batched kernels spend their time on signal math only.
 
 Everything cached here is a pure function of its key, so sharing is
 invisible to results (the parity suites enforce this).

@@ -414,7 +414,7 @@ class TestPlans:
         bands = ("theta", (0.0, 128.0))
         plan = band_plan(1024, 256.0, bands)
         assert band_plan(1024, 256.0, bands) is plan
-        bins, spacing = plan.bands[0]
+        _, spacing = plan.bands[0]
         assert not spacing.flags.writeable
 
     def test_band_plan_keyed_on_rate_and_bands(self, rng):
