@@ -35,7 +35,8 @@ import time
 import numpy as np
 
 #: Full scale: a 24-hour 2-channel record at a wearable-ish 64 Hz
-#: (~88 MB of float64 signal; batch insertion transiently doubles it).
+#: (~88 MB of float64 signal; materializing it transiently doubles that,
+#: since the streamed chunks are all held until they are concatenated).
 FULL = {"fs": 64.0, "hours": 24.0}
 #: Quick scale for the CI smoke job: 16 hours at 64 Hz (~59 MB signal —
 #: large enough that the O(record) vs O(chunk) gap dwarfs the shared

@@ -5,12 +5,7 @@ rationale): a deterministic synthetic cohort of 9 patients / 45 seizures
 with paper-matched structure, plus EDF-format persistence.
 """
 
-from .artifacts import (
-    ArtifactSpec,
-    artifact_waveforms,
-    generate_artifact,
-    inject_artifact,
-)
+from .artifacts import ArtifactSpec, artifact_waveforms, generate_artifact
 from .dataset import SeizureEvent, SyntheticEEGDataset
 from .edf import (
     EDFHeader,
@@ -49,7 +44,7 @@ from .sampling import (
     EvaluationSample,
     iter_evaluation_samples,
 )
-from .seizures import SeizureMorphology, generate_ictal, insert_seizure
+from .seizures import SeizureMorphology, generate_ictal
 from .synthetic import (
     GEN_BLOCK_S,
     BackgroundEEGModel,
@@ -63,7 +58,6 @@ __all__ = [
     "ArtifactSpec",
     "artifact_waveforms",
     "generate_artifact",
-    "inject_artifact",
     "SeizureEvent",
     "SyntheticEEGDataset",
     "EDFHeader",
@@ -100,7 +94,6 @@ __all__ = [
     "iter_evaluation_samples",
     "SeizureMorphology",
     "generate_ictal",
-    "insert_seizure",
     "GEN_BLOCK_S",
     "BackgroundEEGModel",
     "block_spans",

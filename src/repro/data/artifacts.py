@@ -4,8 +4,11 @@ Sec. VI-A attributes the three mislabeled seizures (patients 2, 3, 4 in
 Table II) to "large bursts of noise in the signal near the epileptic
 seizure" — high-amplitude artifacts that dominate the feature-space
 distance and steal the argmax from the true seizure.  To reproduce both
-the typical behaviour *and* this failure mode, the data substrate can
-inject four artifact families:
+the typical behaviour *and* this failure mode, a synthetic record can
+carry four artifact families, each as additive per-channel patches
+(:func:`artifact_waveforms`) that its
+:class:`~repro.data.sources.SyntheticRecordSource` mixes into the
+streamed background:
 
 * ``muscle``  — high-frequency (20-70 Hz) EMG bursts,
 * ``movement`` — large slow (0.5-2 Hz) electrode-motion swings,
@@ -24,7 +27,7 @@ import numpy as np
 from ..exceptions import DataError
 from .synthetic import smooth_envelope
 
-__all__ = ["ArtifactSpec", "artifact_waveforms", "generate_artifact", "inject_artifact"]
+__all__ = ["ArtifactSpec", "artifact_waveforms", "generate_artifact"]
 
 _KINDS = ("muscle", "movement", "rhythmic", "pop")
 
@@ -79,14 +82,24 @@ def generate_artifact(
     peak = spec.amplitude_gain * background_rms_uv
 
     if spec.kind == "muscle":
-        # Deferred: scipy.signal costs ~1 s to import, and only this
-        # branch needs it, so ``import repro`` stays numpy-only.
-        from scipy import signal as _sig
-
-        nyq = fs / 2.0
-        hi = min(70.0, 0.95 * nyq)
-        sos = _sig.butter(4, [20.0 / nyq, hi / nyq], btype="band", output="sos")
-        noise = _sig.sosfilt(sos, rng.standard_normal(n))
+        # White noise band-limited by an FFT mask, as shape_pink shapes
+        # the pink floor: every bin outside [20, hi] Hz is zeroed.
+        hi = min(70.0, 0.95 * fs / 2.0)
+        if hi <= 20.0:
+            raise DataError(
+                f"a muscle burst needs a sampling rate above "
+                f"{2 * 20.0 / 0.95:.1f} Hz for its 20 Hz band edge, got {fs:g} Hz"
+            )
+        freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+        outside = (freqs < 20.0) | (freqs > hi)
+        if outside.all():
+            raise DataError(
+                f"a {n}-sample muscle burst at {fs:g} Hz has no frequency "
+                f"in its 20-{hi:g} Hz band"
+            )
+        spectrum = np.fft.rfft(rng.standard_normal(n))
+        spectrum[outside] = 0.0
+        noise = np.fft.irfft(spectrum, n=n)
         noise /= noise.std() + 1e-12
         env = smooth_envelope(n, rng, fs, timescale_s=max(0.25, spec.duration_s / 6))
         wave = noise * env
@@ -138,10 +151,11 @@ def artifact_waveforms(
 ) -> list[tuple[int, int, np.ndarray]]:
     """The per-channel additive patches one burst injects.
 
-    Returns ``(channel, start_sample, waveform)`` triples in the exact
-    channel (and hence RNG-draw) order :func:`inject_artifact` uses, so a
-    streaming record source can precompute the small burst waveforms once
-    and mix them into signal chunks bit-identically to batch injection.
+    Returns ``(channel, start_sample, waveform)`` triples in channel
+    order, which is also the RNG-draw order: each affected channel gets
+    an independently generated waveform (muscle artifacts are not
+    coherent across electrodes).  A streaming record source precomputes
+    these small waveforms once and mixes them into every signal chunk.
     """
     i0 = int(round(spec.start_s * fs))
     n = int(round(spec.duration_s * fs))
@@ -159,25 +173,3 @@ def artifact_waveforms(
             (ch, i0, generate_artifact(spec, fs, background_rms_uv, rng))
         )
     return patches
-
-
-def inject_artifact(
-    data: np.ndarray,
-    spec: ArtifactSpec,
-    fs: float,
-    background_rms_uv: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Return a copy of ``data`` (channels, samples) with the artifact added.
-
-    Each affected channel receives an independently generated waveform
-    (muscle artifacts are not coherent across electrodes).
-    """
-    if data.ndim != 2:
-        raise DataError(f"data must be (channels, samples), got {data.shape}")
-    out = data.copy()
-    for ch, i0, wave in artifact_waveforms(
-        spec, fs, background_rms_uv, rng, data.shape[0], data.shape[1]
-    ):
-        out[ch, i0 : i0 + wave.size] += wave
-    return out

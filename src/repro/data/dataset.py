@@ -14,6 +14,14 @@ this reproduction.  It exposes:
 * :meth:`generate_monitoring_record` — long multi-seizure records for the
   closed-loop self-learning simulation (Fig. 1).
 
+Every record is made one way: its streaming form
+(:meth:`~SyntheticEEGDataset.sample_source`,
+:meth:`~SyntheticEEGDataset.seizure_free_source`,
+:meth:`~SyntheticEEGDataset.monitoring_source`) builds a
+:class:`~repro.data.sources.SyntheticRecordSource` recipe — background
+entropy key plus overlay patches — and each ``generate_*`` method is
+that source's ``materialize()``.
+
 Determinism: every record is derived from
 ``SeedSequence([root_seed, patient, seizure, sample, purpose])`` so any
 experiment can be replayed exactly from its configuration.
@@ -30,7 +38,7 @@ from ..exceptions import DataError
 from .artifacts import ArtifactSpec, artifact_waveforms
 from .patients import PAPER_PATIENTS, PatientProfile
 from .records import EEGRecord, SeizureAnnotation
-from .seizures import LazySeizureOverlay, generate_ictal, insert_seizure
+from .seizures import LazySeizureOverlay
 from .sources import SignalPatch, SyntheticRecordSource
 from .synthetic import draw_block_entropy
 
@@ -203,19 +211,7 @@ class SyntheticEEGDataset:
         # Keyed by its draw and shaped only if the record is streamed: a
         # store hit never pays for the ictal FFTs.
         overlay = LazySeizureOverlay(seiz_s, self.fs, prof.morphology, bg_rms, rng)
-        onset_sample = int(round(onset_s * self.fs))
-        if onset_sample < 0 or onset_sample + overlay.n_samples > n_samples:
-            raise DataError(
-                f"seizure [{onset_sample}, {onset_sample + overlay.n_samples}) "
-                f"does not fit in record of {n_samples} samples"
-            )
-        patches = [
-            SignalPatch(
-                ch, onset_sample, functools.partial(overlay.row, ch),
-                size=overlay.n_samples, recipe=overlay.recipe,
-            )
-            for ch in range(overlay.n_channels)
-        ]
+        patches = self._seizure_patches(overlay, int(round(onset_s * self.fs)))
 
         if event.has_artifact:
             patches += self._outlier_artifact_patches(
@@ -255,6 +251,20 @@ class SyntheticEEGDataset:
         return self.sample_source(
             patient_id, seizure_index, sample_index, duration_range_s
         ).materialize()
+
+    @staticmethod
+    def _seizure_patches(
+        overlay: LazySeizureOverlay, onset_sample: int
+    ) -> list[SignalPatch]:
+        """One deferred patch per channel of a seizure overlay; the
+        record's source checks that they fit."""
+        return [
+            SignalPatch(
+                ch, onset_sample, functools.partial(overlay.row, ch),
+                size=overlay.n_samples, recipe=overlay.recipe,
+            )
+            for ch in range(overlay.n_channels)
+        ]
 
     def _outlier_artifact_patches(
         self,
@@ -367,19 +377,22 @@ class SyntheticEEGDataset:
             patient_id, duration_s, sample_index
         ).materialize()
 
-    def generate_monitoring_record(
+    def monitoring_source(
         self,
         patient_id: int,
         duration_s: float,
         seizure_indices: list[int],
         sample_index: int = 0,
         min_gap_s: float = 600.0,
-    ) -> EEGRecord:
-        """A long record containing several seizures, for the Fig. 1
-        closed-loop simulation.
+    ) -> SyntheticRecordSource:
+        """The streaming form of one long multi-seizure record, for the
+        Fig. 1 closed-loop simulation.
 
         Seizures (by inventory index) are placed in order with at least
-        ``min_gap_s`` between them and from the record edges.
+        ``min_gap_s`` between them and from the record edges; the slack
+        is split randomly across the gaps.  Like :meth:`sample_source`,
+        this builds the record's recipe — the background entropy key and
+        one lazy overlay per seizure — without generating a sample.
         """
         prof = self.profile(patient_id)
         rng = self._rng(patient_id, 0, sample_index, _PURPOSE_MONITOR)
@@ -392,30 +405,47 @@ class SyntheticEEGDataset:
                 f"with {min_gap_s:.0f}s gaps (need >= {needed:.0f}s)"
             )
 
-        background = prof.background.generate(duration_s, self.fs, rng)
-        bg_rms = float(background.std())
+        entropy = draw_block_entropy(rng)
+        bg_rms = prof.background.nominal_rms()
         slack = duration_s - needed
         # Split the slack randomly across the gaps (Dirichlet-like).
         parts = rng.uniform(0.5, 1.5, size=len(events) + 1)
         parts = parts / parts.sum() * slack
-        data = background
+        patches: list[SignalPatch] = []
         anns: list[SeizureAnnotation] = []
         cursor = min_gap_s + parts[0]
         for i, event in enumerate(events):
-            ictal = generate_ictal(
-                event.duration_s, self.fs, prof.morphology, bg_rms, rng
-            )
-            data = insert_seizure(
-                data, ictal, int(round(cursor * self.fs)), self.fs
+            patches += self._seizure_patches(
+                LazySeizureOverlay(
+                    event.duration_s, self.fs, prof.morphology, bg_rms, rng
+                ),
+                int(round(cursor * self.fs)),
             )
             anns.append(
                 SeizureAnnotation(onset_s=cursor, offset_s=cursor + event.duration_s)
             )
             cursor += event.duration_s + min_gap_s + parts[i + 1]
-        return EEGRecord(
-            data=data,
+        return SyntheticRecordSource(
+            model=prof.background,
+            entropy=entropy,
+            n_samples=int(round(duration_s * self.fs)),
             fs=self.fs,
-            annotations=anns,
+            patches=tuple(patches),
+            annotations=tuple(anns),
             patient_id=f"P{patient_id:02d}",
             record_id=f"P{patient_id:02d}_MON_R{sample_index:03d}",
         )
+
+    def generate_monitoring_record(
+        self,
+        patient_id: int,
+        duration_s: float,
+        seizure_indices: list[int],
+        sample_index: int = 0,
+        min_gap_s: float = 600.0,
+    ) -> EEGRecord:
+        """A long record containing several seizures: exactly
+        ``monitoring_source(...).materialize()``."""
+        return self.monitoring_source(
+            patient_id, duration_s, seizure_indices, sample_index, min_gap_s
+        ).materialize()

@@ -12,6 +12,13 @@ The generator is parametric per patient (frequency range, amplitude gain,
 sharpness) so that the nine :mod:`repro.data.patients` profiles have
 distinguishable, personalized seizure morphologies — the premise of the
 paper's personalized-training argument.
+
+A record never holds its seizure as samples until it is streamed:
+:class:`LazySeizureOverlay` keeps a discharge as its draw, and its rows
+are the :func:`seizure_overlay` of :func:`generate_ictal` — the
+cross-faded additive patches a
+:class:`~repro.data.sources.SyntheticRecordSource` mixes into the
+background.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ __all__ = [
     "SeizureMorphology",
     "draw_ictal",
     "generate_ictal",
-    "insert_seizure",
     "seizure_overlay",
     "shape_ictal",
 ]
@@ -218,14 +224,16 @@ class LazySeizureOverlay:
 def seizure_overlay(
     ictal: np.ndarray, fs: float, crossfade_s: float = 1.0
 ) -> np.ndarray:
-    """The additive waveform :func:`insert_seizure` mixes into background.
+    """The additive waveform a seizure adds to the background.
 
     The discharge is cross-faded over ``crossfade_s`` at both ends so no
     step discontinuity marks the boundary (a step would be a trivially
     detectable artifact and would flatter the labeling algorithm).  The
     overlay depends only on the ictal waveform — never on the background
-    it lands on — which is what lets the streaming record sources apply
-    it chunk-by-chunk, bit-identical to the batch insertion.
+    it lands on — which is what lets a
+    :class:`~repro.data.sources.SyntheticRecordSource` add it as one
+    patch per channel, chunk by chunk.  Returns a new array; ``ictal``
+    is not modified.
     """
     if ictal.ndim != 2:
         raise DataError("ictal must be (channels, samples)")
@@ -237,32 +245,3 @@ def seizure_overlay(
         window[:fade_n] = ramp
         window[-fade_n:] = ramp[::-1]
     return ictal * window[None, :]
-
-
-def insert_seizure(
-    background: np.ndarray,
-    ictal: np.ndarray,
-    onset_sample: int,
-    fs: float,
-    crossfade_s: float = 1.0,
-) -> np.ndarray:
-    """Additively insert an ictal discharge into background EEG.
-
-    The mixed-in waveform is :func:`seizure_overlay` (cross-faded at both
-    ends).  Returns a new array; the inputs are not modified.
-    """
-    if background.ndim != 2 or ictal.ndim != 2:
-        raise DataError("background and ictal must be (channels, samples)")
-    if background.shape[0] != ictal.shape[0]:
-        raise DataError("channel count mismatch between background and ictal")
-    n_ict = ictal.shape[1]
-    if onset_sample < 0 or onset_sample + n_ict > background.shape[1]:
-        raise DataError(
-            f"seizure [{onset_sample}, {onset_sample + n_ict}) does not fit in "
-            f"record of {background.shape[1]} samples"
-        )
-    out = background.copy()
-    out[:, onset_sample : onset_sample + n_ict] += seizure_overlay(
-        ictal, fs, crossfade_s
-    )
-    return out

@@ -10,15 +10,16 @@ the full waveform.
 
 Three implementations, each bit-identical to its batch counterpart:
 
-* :class:`SyntheticRecordSource` — the Sec. VI-A evaluation record as a
-  stream: background blocks regenerated from deterministic per-block RNG
-  substreams (:func:`repro.data.synthetic.draw_block_entropy` keying),
-  with the small seizure/artifact overlays mixed into each chunk.
-  Artifact overlays are precomputed; the seizure overlay is held as its
-  draw (the generator state before it) and shaped when the record is
-  first streamed.  ``concat(iter_chunks(any chunk size)) ==
-  SyntheticEEGDataset.generate_sample(...).data`` — in fact the batch
-  path *is* :meth:`materialize`.
+* :class:`SyntheticRecordSource` — every synthetic record (Sec. VI-A
+  evaluation samples, seizure-free records, Fig. 1 monitoring records)
+  as a stream: background blocks regenerated from deterministic
+  per-block RNG substreams (:func:`repro.data.synthetic.draw_block_entropy`
+  keying), with the small seizure/artifact overlays mixed into each
+  chunk.  Artifact overlays are precomputed; a seizure overlay is held
+  as its draw (the generator state before it) and shaped when the
+  record is first streamed.  ``concat(iter_chunks(any chunk size)) ==
+  SyntheticEEGDataset.generate_sample(...).data`` — in fact every
+  ``generate_*`` record *is* :meth:`materialize`.
 * :class:`EDFRecordSource` — incremental EDF reading: the header is
   parsed from a bounded read, data records are decoded in groups, and
   ``concat(iter_chunks(...)) == read_edf(path).data`` (``read_edf`` is
@@ -218,7 +219,7 @@ class SignalPatch:
     The synthesized record is *defined* as background blocks plus
     patches applied in list order; because patches are pure additions on
     fixed sample spans, applying each chunk's overlapping slices in that
-    same order reproduces the batch result bit for bit.
+    same order gives the same bits at every chunk size.
 
     ``wave`` is the channel's waveform, or a zero-argument callable that
     shapes it.  A callable is called once, by the first :meth:`shape`,
@@ -296,17 +297,17 @@ def _numpy_build() -> str:
 
 
 class SyntheticRecordSource(RecordSource):
-    """A Sec. VI-A evaluation record as a bounded-memory stream.
+    """A synthetic record as a bounded-memory stream.
 
     Holds the record's *recipe*: the background model plus the entropy
     key seeding its generation blocks, and the small seizure/artifact
-    overlay patches (seconds to minutes of waveform) built by
-    :meth:`SyntheticEEGDataset.sample_source`; deferred patches are
-    shaped when streaming starts.  Streaming regenerates background
-    blocks on the fly and mixes in each patch's overlap, so peak signal
-    memory is one generation block + one chunk regardless of
-    record duration — and ``materialize()`` *is* the batch
-    ``generate_sample`` result.
+    overlay patches (seconds to minutes of waveform) built by one of
+    :class:`~repro.data.dataset.SyntheticEEGDataset`'s ``*_source``
+    methods; deferred patches are shaped when streaming starts.
+    Streaming regenerates background blocks on the fly and mixes in each
+    patch's overlap, so peak signal memory is one generation block + one
+    chunk regardless of record duration — and ``materialize()`` *is* the
+    matching ``generate_*`` result.
     """
 
     def __init__(

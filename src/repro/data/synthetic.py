@@ -19,10 +19,9 @@ so records are exactly reproducible from a seed.
 Generation is *block-based*: a record is defined as the concatenation of
 fixed :data:`GEN_BLOCK_S`-second blocks, each a pure function of a small
 entropy key (drawn once from the caller's generator) plus the block
-index.  The batch path (:meth:`BackgroundEEGModel.generate`) and the
-streaming path (:meth:`BackgroundEEGModel.iter_blocks`, consumed by
-:class:`repro.data.sources.SyntheticRecordSource`) therefore produce
-bit-identical samples — a multi-hour record can be streamed in bounded
+index.  :meth:`BackgroundEEGModel.iter_blocks` yields them one at a time
+to :class:`repro.data.sources.SyntheticRecordSource`, the one path every
+synthetic record is made by, so a multi-hour record streams in bounded
 chunks without ever materializing the full waveform.
 """
 
@@ -234,9 +233,8 @@ class BackgroundEEGModel:
 
         Each block is an (n_channels, block_samples) array and a pure
         function of ``(entropy, block_index)``; concatenating every block
-        is *the* definition of the record's background waveform (what
-        :meth:`generate` returns).  Peak memory is one block, whatever
-        the record duration.
+        is *the* definition of the record's background waveform.  Peak
+        memory is one block, whatever the record duration.
         """
         if fs <= 0:
             raise DataError(f"sampling rate must be positive, got {fs}")
@@ -260,18 +258,3 @@ class BackgroundEEGModel:
                 t = (start + np.arange(n)) / fs
                 out += self.line_noise_uv * np.sin(2 * np.pi * 50.0 * t)
             yield out
-
-    def generate(
-        self, duration_s: float, fs: float, rng: np.random.Generator,
-        n_channels: int = 2,
-    ) -> np.ndarray:
-        """Return background EEG of shape (n_channels, duration_s * fs)."""
-        if duration_s <= 0:
-            raise DataError(f"duration must be positive, got {duration_s}")
-        if fs <= 0:
-            raise DataError(f"sampling rate must be positive, got {fs}")
-        n = int(round(duration_s * fs))
-        entropy = draw_block_entropy(rng)
-        return np.concatenate(
-            list(self.iter_blocks(n, fs, entropy, n_channels)), axis=1
-        )

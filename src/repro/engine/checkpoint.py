@@ -91,6 +91,49 @@ def _emit_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _header_line(work_digest: str | None, config_digest: str | None) -> str:
+    """A journal's first line: its kind, format version and run digests."""
+    return _emit_line(
+        {
+            "kind": _KIND,
+            "version": CohortCheckpoint.VERSION,
+            "work": work_digest,
+            "config": config_digest,
+        }
+    )
+
+
+def _write_journal(
+    path: Path,
+    work_digest: str | None,
+    config_digest: str | None,
+    outcomes: dict[tuple[int, int, int], RecordOutcome],
+    failure: str,
+) -> int:
+    """Write a whole journal atomically: the header, then one line per
+    outcome in task order, to a temp file renamed over ``path`` (a crash
+    mid-write leaves any old file intact).  Returns the size in bytes;
+    an OS error removes the temp file and raises
+    ``CheckpointError(f"{failure}: {exc}")``."""
+    lines = [_header_line(work_digest, config_digest)]
+    lines += [
+        _emit_line({"outcome": asdict(outcomes[key])}) for key in sorted(outcomes)
+    ]
+    blob = "".join(lines).encode()
+    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise CheckpointError(f"{failure}: {exc}")
+    return len(blob)
+
+
 def _is_checkpoint_header(raw: str) -> bool:
     """Lenient kind probe: does this line even *claim* to be a cohort
     checkpoint header?  Deliberately ignores the checksum — a bit-flipped
@@ -279,30 +322,10 @@ def merge_checkpoints(
             )
         work_digest = works.pop()
 
-    lines = [
-        _emit_line(
-            {
-                "kind": _KIND,
-                "version": CohortCheckpoint.VERSION,
-                "work": work_digest,
-                "config": configs.pop(),
-            }
-        )
-    ]
-    for key in sorted(merged):
-        lines.append(_emit_line({"outcome": asdict(merged[key])}))
-    blob = "".join(lines).encode()
-    tmp = dest.with_name(dest.name + f".tmp-{os.getpid()}")
-    try:
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(blob)
-        os.replace(tmp, dest)
-    except OSError as exc:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise CheckpointError(f"cannot write merged checkpoint {dest}: {exc}")
+    _write_journal(
+        dest, work_digest, configs.pop(), merged,
+        f"cannot write merged checkpoint {dest}",
+    )
     return {
         "sources": len(headers),
         "outcomes": len(merged),
@@ -503,14 +526,7 @@ class CohortCheckpoint:
                 self.auto_compactions += 1
             except CheckpointError:
                 pass
-        header = _emit_line(
-            {
-                "kind": _KIND,
-                "version": type(self).VERSION,
-                "work": work_digest,
-                "config": config_digest,
-            }
-        )
+        header = _header_line(work_digest, config_digest)
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if done or self._has_valid_header(header):
@@ -623,33 +639,11 @@ class CohortCheckpoint:
                 f"{self.path} has no valid checkpoint header to compact; "
                 f"a missing or reset journal re-runs everything anyway"
             )
-        dropped = self.dropped
-        lines = [
-            _emit_line(
-                {
-                    "kind": _KIND,
-                    "version": type(self).VERSION,
-                    "work": header.get("work"),
-                    "config": header.get("config"),
-                }
-            )
-        ]
-        for key in sorted(done):
-            lines.append(_emit_line({"outcome": asdict(done[key])}))
-        blob = "".join(lines).encode()
-        tmp = self.path.with_name(self.path.name + f".tmp-{os.getpid()}")
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise CheckpointError(
-                f"cannot compact checkpoint {self.path}: {exc}"
-            )
-        return {"kept": len(done), "dropped": dropped, "bytes": len(blob)}
+        size = _write_journal(
+            self.path, header.get("work"), header.get("config"), done,
+            f"cannot compact checkpoint {self.path}",
+        )
+        return {"kept": len(done), "dropped": self.dropped, "bytes": size}
 
     # ------------------------------------------------------------------
     def outcome_count(self) -> int:

@@ -3,8 +3,9 @@
 The paper's selected features include total and relative band powers in the
 delta ([0.5, 4] Hz) and theta ([4, 8] Hz) bands (Sec. III-A).  This module
 implements the estimators from first principles on top of ``numpy.fft`` —
-the test suite cross-checks them against ``scipy.signal`` — and provides
-the band-power helpers used by the feature extractors.
+``tests/test_signals_spectral.py`` cross-checks them against a reference
+signal-processing library — and provides the band-power helpers used by
+the feature extractors.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def periodogram(
     xw = x * win
     spec = np.fft.rfft(xw)
     # Normalization: divide by fs * sum(win^2) so the one-sided integral of
-    # the PSD equals the windowed signal power (same as scipy's density
+    # the PSD equals the windowed signal power (the standard "density"
     # scaling).
     psd = (np.abs(spec) ** 2) / (fs * np.sum(win**2))
     psd[1:] *= 2.0

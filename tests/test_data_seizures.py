@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data.seizures import SeizureMorphology, generate_ictal, insert_seizure
+from repro.data.seizures import SeizureMorphology, generate_ictal, seizure_overlay
+from repro.data.sources import SignalPatch, SyntheticRecordSource
+from repro.data.synthetic import BackgroundEEGModel
 from repro.exceptions import DataError
 from repro.signals.spectral import band_power, peak_frequency
 
@@ -69,39 +71,62 @@ class TestGenerateIctal:
             generate_ictal(-5.0, FS, SeizureMorphology(), 30.0, rng)
 
 
+def place(record_s, ictal, onset_sample, crossfade_s=1.0):
+    """A zero background of ``record_s`` seconds with the seizure's
+    overlay added at ``onset_sample``, one patch per channel."""
+    out = np.zeros((ictal.shape[0], int(record_s * FS)))
+    for ch, row in enumerate(seizure_overlay(ictal, FS, crossfade_s)):
+        SignalPatch(ch, onset_sample, row).apply(out, 0)
+    return out
+
+
+def source_with(ictal, onset_sample, n_samples, n_channels=2):
+    """A record source carrying the seizure's overlay patches."""
+    return SyntheticRecordSource(
+        model=BackgroundEEGModel(),
+        entropy=(0, 0, 0, 0),
+        n_samples=n_samples,
+        fs=FS,
+        patches=tuple(
+            SignalPatch(ch, onset_sample, row)
+            for ch, row in enumerate(seizure_overlay(ictal, FS))
+        ),
+        n_channels=n_channels,
+    )
+
+
 class TestInsertSeizure:
+    """Placing a discharge in a record: the cross-faded overlay, and the
+    record source's check that its patches fit."""
+
     def test_inserted_energy(self, rng):
-        bg = np.zeros((2, int(60 * FS)))
         ict = generate_ictal(10.0, FS, SeizureMorphology(), 30.0, rng)
-        out = insert_seizure(bg, ict, int(20 * FS), FS)
+        out = place(60.0, ict, int(20 * FS))
         assert out[:, : int(19 * FS)].std() == 0.0
+        assert out[:, int(30 * FS) :].std() == 0.0
         assert out[:, int(22 * FS) : int(28 * FS)].std() > 0.0
 
     def test_inputs_not_modified(self, rng):
-        bg = np.zeros((2, int(30 * FS)))
         ict = generate_ictal(5.0, FS, SeizureMorphology(), 30.0, rng)
         before = ict.copy()
-        insert_seizure(bg, ict, 0, FS)
+        overlay = seizure_overlay(ict, FS)
         assert np.array_equal(ict, before)
-        assert bg.std() == 0.0
+        assert not np.shares_memory(overlay, ict)
 
     def test_crossfade_softens_boundaries(self, rng):
-        bg = np.zeros((2, int(60 * FS)))
         ict = np.ones((2, int(10 * FS))) * 100.0
-        out = insert_seizure(bg, ict, int(20 * FS), FS, crossfade_s=1.0)
+        out = place(60.0, ict, int(20 * FS), crossfade_s=1.0)
         onset_idx = int(20 * FS)
         # First inserted sample is faded near zero, mid-seizure is full.
         assert abs(out[0, onset_idx]) < 1.0
         assert np.isclose(out[0, onset_idx + int(5 * FS)], 100.0)
 
     def test_out_of_bounds_raises(self, rng):
-        bg = np.zeros((2, int(10 * FS)))
         ict = generate_ictal(5.0, FS, SeizureMorphology(), 30.0, rng)
-        with pytest.raises(DataError):
-            insert_seizure(bg, ict, int(8 * FS), FS)
+        with pytest.raises(DataError, match="does not fit"):
+            source_with(ict, int(8 * FS), int(10 * FS))
 
     def test_channel_mismatch_raises(self, rng):
-        bg = np.zeros((3, int(30 * FS)))
         ict = generate_ictal(5.0, FS, SeizureMorphology(), 30.0, rng)
-        with pytest.raises(DataError):
-            insert_seizure(bg, ict, 0, FS)
+        with pytest.raises(DataError, match="channel"):
+            source_with(ict, 0, int(30 * FS), n_channels=1)

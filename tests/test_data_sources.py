@@ -21,7 +21,7 @@ from repro.data import (
     read_edf,
     write_edf,
 )
-from repro.data.dataset import _PURPOSE_SAMPLE
+from repro.data.dataset import _PURPOSE_MONITOR, _PURPOSE_SAMPLE
 from repro.data.seizures import (
     LazySeizureOverlay,
     SeizureMorphology,
@@ -108,6 +108,14 @@ class TestSyntheticRecordSource:
         assert np.array_equal(rec.data, sample_record.data)
         assert rec.annotations == sample_record.annotations
 
+    def test_materialize_is_generate_monitoring_record(self, dataset):
+        batch = dataset.generate_monitoring_record(*MONITORING)
+        rec = dataset.monitoring_source(*MONITORING).materialize(chunk_s=13.7)
+        assert np.array_equal(rec.data, batch.data)
+        assert rec.annotations == batch.annotations
+        assert rec.record_id == batch.record_id == "P01_MON_R000"
+        assert rec.channel_names == batch.channel_names
+
     def test_artifact_and_clutter_patients_stream_identically(self, dataset):
         # Patient 2 schedules the Table-II outlier burst *and* clutter:
         # the patch path with overlapping families must still be exact.
@@ -167,6 +175,18 @@ class TestSyntheticRecordSource:
 LAZY_CASES = [(1, 0), (3, 0), (2, 0)]
 LAZY_IDS = ["clean", "artifact", "clutter"]
 
+#: ``monitoring_source`` arguments of a short two-seizure Fig. 1 record:
+#: patient, duration, seizure indices, sample index, minimum gap.
+MONITORING = (1, 1200.0, [0, 1], 0, 120.0)
+
+
+def lazy_source(dataset, case):
+    """A fresh source of a ``LAZY_CASES`` sample, or of the
+    ``MONITORING`` record for ``case == "monitoring"``."""
+    if case == "monitoring":
+        return dataset.monitoring_source(*MONITORING)
+    return dataset.sample_source(*case)
+
 
 def at_ictal_step(dataset, patient, seizure):
     """The sample generator of ``(patient, seizure, 0)`` advanced through
@@ -207,12 +227,36 @@ class TestLazySeizureOverlay:
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
         assert lazy_rng.random() == eager_rng.random()
 
-    @pytest.mark.parametrize("case", LAZY_CASES, ids=LAZY_IDS)
+    def test_monitoring_waves_follow_the_draw_order(self, dataset):
+        # Entropy key, then the slack parts, then each seizure's ictal
+        # draw, every overlay scaled by the nominal background level.
+        patient, duration_s, indices, sample, _ = MONITORING
+        prof = dataset.profile(patient)
+        rng = dataset._rng(patient, 0, sample, _PURPOSE_MONITOR)
+        draw_block_entropy(rng)
+        rng.uniform(0.5, 1.5, size=len(indices) + 1)
+        source = dataset.monitoring_source(*MONITORING)
+        assert len(source.patches) == 2 * len(indices)
+        for i, k in enumerate(indices):
+            eager = seizure_overlay(
+                generate_ictal(
+                    dataset.event(patient, k).duration_s, dataset.fs,
+                    prof.morphology, prof.background.nominal_rms(), rng,
+                ),
+                dataset.fs,
+            )
+            for patch in source.patches[2 * i : 2 * i + 2]:
+                assert patch.recipe is not None
+                assert patch.wave.tobytes() == eager[patch.channel].tobytes()
+
+    @pytest.mark.parametrize(
+        "case", LAZY_CASES + ["monitoring"], ids=LAZY_IDS + ["monitoring"]
+    )
     def test_materialize_is_chunk_invariant(self, dataset, case):
         # A fresh source per chunk size, so each stream shapes its own
         # overlay.
         records = [
-            dataset.sample_source(*case).materialize(chunk_s)
+            lazy_source(dataset, case).materialize(chunk_s)
             for chunk_s in (1.0, 37.0, 600.0)
         ]
         for rec in records[1:]:
@@ -225,10 +269,13 @@ class TestLazySeizureOverlay:
             raise AssertionError("seizure overlay shaped")
 
         monkeypatch.setattr(seizures, "shape_ictal", boom)
-        source = dataset.sample_source(2, 1, 0)
-        source.recipe_digest()
-        with pytest.raises(AssertionError, match="shaped"):
-            source.materialize()
+        for source in (
+            dataset.sample_source(2, 1, 0),
+            dataset.monitoring_source(*MONITORING),
+        ):
+            source.recipe_digest()
+            with pytest.raises(AssertionError, match="shaped"):
+                source.materialize()
 
 
 class TestArrayRecordSource:

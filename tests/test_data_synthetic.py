@@ -3,11 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.data.synthetic import BackgroundEEGModel, pink_noise, smooth_envelope
+from repro.data.synthetic import (
+    BackgroundEEGModel,
+    draw_block_entropy,
+    pink_noise,
+    smooth_envelope,
+)
 from repro.exceptions import DataError
 from repro.signals.spectral import band_power
 
 FS = 256.0
+
+
+def background(model, duration_s, rng, n_channels=2):
+    """The background of a ``duration_s`` record: its concatenated
+    generation blocks under an entropy key drawn from ``rng``."""
+    blocks = model.iter_blocks(
+        int(round(duration_s * FS)), FS, draw_block_entropy(rng), n_channels
+    )
+    return np.concatenate(list(blocks), axis=1)
 
 
 class TestPinkNoise:
@@ -73,37 +87,37 @@ class TestSmoothEnvelope:
 class TestBackgroundModel:
     def test_shape_and_amplitude(self, rng):
         model = BackgroundEEGModel(amplitude_uv=30.0)
-        data = model.generate(20.0, FS, rng)
+        data = background(model, 20.0, rng)
         assert data.shape == (2, int(20 * FS))
         assert np.isclose(data.std(axis=1), 30.0, rtol=0.05).all()
 
     def test_channels_partially_correlated(self, rng):
         model = BackgroundEEGModel(shared_fraction=0.5)
-        data = model.generate(60.0, FS, rng)
+        data = background(model, 60.0, rng)
         corr = np.corrcoef(data)[0, 1]
         assert 0.1 < corr < 0.9
 
     def test_zero_shared_fraction_decorrelates(self, rng):
         model = BackgroundEEGModel(shared_fraction=0.0)
-        data = model.generate(60.0, FS, rng)
+        data = background(model, 60.0, rng)
         assert abs(np.corrcoef(data)[0, 1]) < 0.15
 
     def test_alpha_band_present(self, rng):
         model = BackgroundEEGModel(alpha_fraction=1.5)
         weak = BackgroundEEGModel(alpha_fraction=0.0)
-        strong_data = model.generate(60.0, FS, rng)[0]
-        weak_data = weak.generate(60.0, FS, rng)[0]
+        strong_data = background(model, 60.0, rng)[0]
+        weak_data = background(weak, 60.0, rng)[0]
         strong_rel = band_power(strong_data, FS, "alpha") / strong_data.var()
         weak_rel = band_power(weak_data, FS, "alpha") / weak_data.var()
         assert strong_rel > weak_rel
 
     def test_line_noise_injection(self, rng):
         model = BackgroundEEGModel(line_noise_uv=20.0)
-        data = model.generate(20.0, FS, rng)[0]
+        data = background(model, 20.0, rng)[0]
         assert band_power(data, FS, (49.0, 51.0)) > band_power(data, FS, (44.0, 46.0))
 
     def test_n_channels(self, rng):
-        data = BackgroundEEGModel().generate(5.0, FS, rng, n_channels=4)
+        data = background(BackgroundEEGModel(), 5.0, rng, n_channels=4)
         assert data.shape[0] == 4
 
     @pytest.mark.parametrize(
@@ -120,4 +134,4 @@ class TestBackgroundModel:
 
     def test_invalid_duration_raises(self, rng):
         with pytest.raises(DataError):
-            BackgroundEEGModel().generate(0.0, FS, rng)
+            background(BackgroundEEGModel(), 0.0, rng)

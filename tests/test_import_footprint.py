@@ -1,9 +1,9 @@
 """``import repro`` loads numpy and nothing else from outside the stdlib.
 
-scipy is imported lazily by the one code path that needs it (muscle
-artifact synthesis), so every process — CLI, engine worker, service
-shard — starts without paying for it.  Checked in a fresh interpreter,
-because this test process has long since imported scipy elsewhere.
+numpy is the package's only runtime dependency; scipy is test-only (the
+spectral cross-checks), so no process — CLI, engine worker, service
+shard — ever loads it.  Checked in a fresh interpreter, because this
+test process has long since imported scipy elsewhere.
 """
 
 from __future__ import annotations
