@@ -24,10 +24,10 @@ def lehmer_codes(ranks: np.ndarray) -> np.ndarray:
     """Factorial-number-system rank of each permutation (row) of ``ranks``.
 
     ``ranks`` holds one permutation of ``0..order-1`` per row; the result is
-    the lexicographic rank in ``[0, order!)``.  Shared by the per-window
-    path below and the batched kernel backends (which reshape their
-    ``(n_windows, n_vectors, order)`` rank tensors to rows), so both encode
-    ordinal patterns with the exact same integer arithmetic.
+    the lexicographic rank in ``[0, order!)``: digit ``j`` counts the later
+    ranks below rank ``j`` and weighs ``(order - 1 - j)!``.  This is the
+    per-window encoder; the vectorized kernel computes the same digits by
+    comparing the samples directly (see :mod:`repro.kernels.vectorized`).
     """
     n_vec, order = ranks.shape
     codes = np.zeros(n_vec, dtype=np.int64)
@@ -43,7 +43,9 @@ def ordinal_patterns(x: np.ndarray, order: int, delay: int = 1) -> np.ndarray:
     Each length-``order`` subsequence ``x[t], x[t+delay], ...`` is mapped to
     the lexicographic rank of its argsort permutation, an integer in
     ``[0, order!)``.  Ties are broken by temporal order (stable argsort),
-    the standard Bandt-Pompe convention.
+    the standard Bandt-Pompe convention.  inf is an ordinary (extreme)
+    value; a series containing NaN has no defined order and raises
+    :class:`~repro.exceptions.SignalError`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -52,6 +54,8 @@ def ordinal_patterns(x: np.ndarray, order: int, delay: int = 1) -> np.ndarray:
         raise SignalError(f"permutation order must be >= 2, got {order}")
     if delay < 1:
         raise SignalError(f"delay must be >= 1, got {delay}")
+    if np.isnan(x).any():
+        raise SignalError("ordinal patterns are undefined for NaN samples")
     n_vec = x.size - (order - 1) * delay
     if n_vec < 1:
         return np.empty(0, dtype=np.int64)
@@ -89,6 +93,11 @@ def permutation_entropy(
         ``(order - 1) * delay + 1`` carry no ordinal information and return
         0.0 — this happens by design for deep DWT levels of short windows
         and must not abort feature extraction.
+
+    Raises
+    ------
+    SignalError
+        If ``x`` contains NaN (see :func:`ordinal_patterns`).
     """
     codes = ordinal_patterns(x, order, delay)
     if codes.size == 0:

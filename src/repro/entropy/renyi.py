@@ -61,7 +61,7 @@ def renyi_entropy(
     if abs(alpha - 1.0) < 1e-12:
         h = float(-(p * np.log2(p)).sum())
     else:
-        h = float(math.log2((p**alpha).sum()) / (1.0 - alpha))
+        h = float(np.log2((p**alpha).sum()) / (1.0 - alpha))
     if normalize:
         h /= math.log2(bins)
     return h

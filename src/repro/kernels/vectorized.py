@@ -5,10 +5,9 @@ operations, but is engineered so each output row carries the *exact*
 bits the per-window reference produces.  Three rules make that work:
 
 1. **Elementwise and per-lane operations batch freely.**  Subtraction,
-   multiplication, division, ``log``/``log2``, comparisons, stable
-   argsort along the last axis, and ``rfft`` along rows all act per
-   element or per 1-D lane, so a batched call equals a loop of scalar
-   calls bit-for-bit.
+   multiplication, division, ``log``/``log2``, comparisons and ``rfft``
+   along rows all act per element or per 1-D lane, so a batched call
+   equals a loop of scalar calls bit-for-bit.
 2. **Reductions must see the same operand sequence.**  numpy reduces
    with pairwise summation whose tree depends on the reduced length, so
    sums/means/stds are taken along ``axis=1`` of contiguous rows with
@@ -19,10 +18,18 @@ bits the per-window reference produces.  Three rules make that work:
    compacted ``(rows, length)`` array.
 3. **Integer work is exact.**  Template-match counts, ordinal-pattern
    Lehmer codes and histogram bin indices are integers; any evaluation
-   order gives identical values.  Histogram bins replicate numpy's own
-   fast path (linspace edges, truncating index map, boundary
-   corrections) so the counts match ``np.histogram`` everywhere,
-   including its pathological rounding cases.
+   order gives identical values.  Lehmer digit ``j`` of an embedded
+   vector is the count of later samples strictly below sample ``j``,
+   which is exactly the reference's stable-argsort tie rule, so one
+   ``(rows, vectors, order, order)`` comparison tensor times a fixed
+   factorial weight vector (an integer matmul) gives the reference's
+   codes without sorting (NaN has no order and is refused, as in the
+   reference).  Histogram bins replicate numpy's own fast path: each
+   row's edges are computed once with the formula scalar ``linspace``
+   uses (``arange(bins + 1) * step + min``, last edge ``max``), decide
+   whether the row is binnable at all, and feed the truncating index
+   map's boundary corrections, so the counts match ``np.histogram``
+   everywhere, including its pathological rounding cases.
 
 The DWT kernel follows rule 1 through its accumulation order.  Each
 level gathers its wrapped (odd lengths edge-repeat-padded) input once
@@ -42,10 +49,10 @@ the reference on a seeded battery of signal shapes.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ..entropy.permutation import lehmer_codes
 from ..exceptions import SignalError
 from .plans import band_plan, embedding_plan, hann_window, wavelet_plan
 from .reference import _check_windows
@@ -186,6 +193,18 @@ def approximate_entropy_vectorized(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _lehmer_weights(order: int) -> np.ndarray:
+    """Cached (read-only) flattened ``(order, order)`` digit weights:
+    entry ``(j, k)`` is ``(order - 1 - j)!`` where ``k > j``, else 0."""
+    weights = np.zeros((order, order), dtype=np.int64)
+    for j in range(order - 1):
+        weights[j, j + 1 :] = math.factorial(order - 1 - j)
+    weights = weights.reshape(order * order)
+    weights.setflags(write=False)
+    return weights
+
+
 def permutation_entropy_vectorized(
     windows: np.ndarray,
     order: int = 5,
@@ -197,6 +216,8 @@ def permutation_entropy_vectorized(
         raise SignalError(f"permutation order must be >= 2, got {order}")
     if delay < 1:
         raise SignalError(f"delay must be >= 1, got {delay}")
+    if np.isnan(windows).any():
+        raise SignalError("ordinal patterns are undefined for NaN samples")
     n_windows, n = windows.shape
     out = np.zeros(n_windows)
     idx = embedding_plan(n, order, delay)
@@ -204,18 +225,19 @@ def permutation_entropy_vectorized(
     if n_vec < 1 or n_windows == 0:
         return out
 
+    weights = _lehmer_weights(order)
     codes = np.empty((n_windows, n_vec), dtype=np.int64)
-    chunk = max(1, _CHUNK_BYTES // (n_vec * order * 32))
+    # Per embedded vector: its float64 samples, the bool comparison
+    # tensor and the int64 copy of it the matmul casts to.
+    chunk = max(1, _CHUNK_BYTES // (n_vec * order * (9 * order + 8)))
     for s in range(0, n_windows, chunk):
-        # One flat (rows, order) matrix of all embedded vectors in the
-        # chunk: its lanes are exactly the reference's per-window
-        # embedding rows, so the double stable argsort and the shared
-        # Lehmer encoding produce identical pattern codes.
-        emb = windows[s : s + chunk][:, idx].reshape(-1, order)
-        ranks = np.argsort(
-            np.argsort(emb, axis=1, kind="stable"), axis=1, kind="stable"
-        )
-        codes[s : s + chunk] = lehmer_codes(ranks).reshape(-1, n_vec)
+        # Lehmer digit j of an embedded vector counts the later samples
+        # strictly below sample j: exactly the stable-argsort ranks'
+        # "smaller to the right" count, ties included, so one comparison
+        # tensor and an exact integer matmul give the reference's codes.
+        emb = windows[s : s + chunk][:, idx]
+        lower = emb[..., None, :] < emb[..., :, None]
+        codes[s : s + chunk] = lower.reshape(-1, n_vec, order * order) @ weights
 
     # Per-row pattern frequencies by run-length over sorted codes; the
     # ascending-value order matches np.unique's.  Rows are grouped by
@@ -247,37 +269,59 @@ def permutation_entropy_vectorized(
 # ---------------------------------------------------------------------------
 
 
-def _binnable_rows(windows: np.ndarray, bins: int) -> np.ndarray:
-    """Indices of the rows :func:`repro.entropy.shannon.binnable` accepts."""
-    edges = np.linspace(windows.min(axis=1), windows.max(axis=1), bins + 1, axis=1)
-    return np.nonzero(np.all(edges[:, :-1] < edges[:, 1:], axis=1))[0]
+@lru_cache(maxsize=16)
+def _edge_ramp(bins: int) -> np.ndarray:
+    """Cached (read-only) ``arange(bins + 1)`` in float64."""
+    ramp = np.arange(bins + 1, dtype=float)
+    ramp.setflags(write=False)
+    return ramp
 
 
-def _histogram_rows(windows: np.ndarray, bins: int) -> np.ndarray:
-    """``np.histogram(row, bins)[0]`` for every row, batched.
+def _histogram_rows(
+    windows: np.ndarray, bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(live, counts)``: the rows :func:`repro.entropy.shannon.binnable`
+    accepts and ``np.histogram(row, bins)[0]`` of each, batched.
 
-    Replicates numpy's equal-width fast path — linspace edges over the
-    row's [min, max], truncated linear index map, then the two boundary
-    corrections against the actual edge values — so the counts agree
-    with the scalar call even where the linear map rounds across a bin
-    edge.  Rows must have nonzero range.
+    Each row's edges follow scalar ``np.linspace`` over its [min, max]:
+    ``arange(bins + 1) * step + min`` with ``step = (max - min) / bins``
+    and the last edge set to ``max``.  A row is live when its edges
+    strictly increase.  (Where the step is 0, scalar linspace switches
+    to another formula, but no edges over such a range can strictly
+    increase; here they all collapse onto ``min``, so such a row is dead
+    under either formula and every row's verdict is its own.)  The counts
+    replicate numpy's equal-width fast path — truncated linear index
+    map, then the two boundary corrections against the same edges — so
+    they agree with the scalar call even where the linear map rounds
+    across a bin edge.
     """
-    n_windows, n = windows.shape
     first = windows.min(axis=1)
     last = windows.max(axis=1)
-    edges = np.linspace(first, last, bins + 1, axis=1)
-    f = ((windows - first[:, None]) / (last - first)[:, None]) * bins
+    span = last - first
+    step = span / bins
+    edges = _edge_ramp(bins) * step[:, None]
+    edges += first[:, None]
+    edges[:, -1] = last
+    live = np.flatnonzero((edges[:, :-1] < edges[:, 1:]).all(axis=1))
+    if live.size < windows.shape[0]:
+        windows, first, span, edges = (
+            windows[live], first[live], span[live], edges[live]
+        )
+    f = ((windows - first[:, None]) / span[:, None]) * bins
     indices = f.astype(np.intp)
-    indices[indices == bins] -= 1
-    indices[windows < np.take_along_axis(edges, indices, axis=1)] -= 1
-    too_high = (
-        windows >= np.take_along_axis(edges, indices + 1, axis=1)
-    ) & (indices != bins - 1)
-    indices[too_high] += 1
-    flat = indices + (np.arange(n_windows, dtype=np.intp) * bins)[:, None]
-    return np.bincount(flat.ravel(), minlength=n_windows * bins).reshape(
-        n_windows, bins
+    # f never exceeds bins, so this is numpy's "index == bins -> bins - 1".
+    np.minimum(indices, bins - 1, out=indices)
+    # Row r's edge i is entry r * (bins + 1) + i of the flat edges.
+    row = np.arange(live.size, dtype=np.intp)[:, None]
+    flat_edges = edges.ravel()
+    row_edges = row * (bins + 1)
+    indices -= windows < flat_edges[indices + row_edges]
+    indices += (windows >= flat_edges[indices + row_edges + 1]) & (
+        indices != bins - 1
     )
+    flat = (indices + row * bins).ravel()
+    counts = np.bincount(flat, minlength=live.size * bins)
+    return live, counts.reshape(live.size, bins)
 
 
 def _positive_p_groups(counts: np.ndarray, n: int):
@@ -302,10 +346,7 @@ def shannon_entropy_vectorized(
     out = np.zeros(n_windows)
     if n == 0:
         return out
-    live = _binnable_rows(windows, bins)
-    if live.size == 0:
-        return out
-    counts = _histogram_rows(windows[live], bins)
+    live, counts = _histogram_rows(windows, bins)
     for rows, p in _positive_p_groups(counts, n):
         h = -np.sum(p * np.log2(p), axis=1)
         if normalize:
@@ -329,10 +370,7 @@ def renyi_entropy_vectorized(
     out = np.zeros(n_windows)
     if n == 0:
         return out
-    live = _binnable_rows(windows, bins)
-    if live.size == 0:
-        return out
-    counts = _histogram_rows(windows[live], bins)
+    live, counts = _histogram_rows(windows, bins)
     shannon_limit = abs(alpha - 1.0) < 1e-12
     for rows, p in _positive_p_groups(counts, n):
         if shannon_limit:

@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data import SyntheticEEGDataset
+
+#: Opt-in deep run of the property and differential suites
+#: (``--hypothesis-profile=deep``); the default profile stays in force
+#: otherwise.
+settings.register_profile(
+    "deep", derandomize=True, max_examples=2000, deadline=None
+)
 
 
 @pytest.fixture()

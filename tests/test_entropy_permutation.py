@@ -49,6 +49,22 @@ class TestOrdinalPatterns:
         with pytest.raises(SignalError):
             ordinal_patterns(np.ones((3, 3)), 3)
 
+    def test_nan_raises(self):
+        # Stable argsort would rank NaN highest while every comparison
+        # with NaN is false: an ordinal pattern with NaN is undefined.
+        x = np.array([0.3, np.nan, 0.1, 0.7, 0.2, np.nan, 0.5, 0.9])
+        with pytest.raises(SignalError, match="NaN"):
+            ordinal_patterns(x, order=3)
+        with pytest.raises(SignalError, match="NaN"):
+            permutation_entropy(x, order=3)
+
+    def test_inf_is_an_ordinary_value(self):
+        x = np.array([np.inf, 1.0, -np.inf, 2.0])
+        np.testing.assert_array_equal(
+            ordinal_patterns(x, order=2),
+            ordinal_patterns(np.array([9.0, 1.0, -9.0, 2.0]), order=2),
+        )
+
 
 class TestPermutationEntropy:
     def test_monotone_series_zero_entropy(self):

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.entropy.permutation import permutation_entropy
+from repro.entropy.renyi import renyi_entropy
 from repro.entropy.sample import embedding_indices, sample_entropy
 from repro.exceptions import FeatureError, KernelError, SignalError
 from repro.features.paper10 import Paper10FeatureExtractor
@@ -91,8 +94,8 @@ def contract_battery(
 
     One ``(n_windows, n)`` array per window length and case family:
     white noise, constant rows, ramps, sparse spikes on a flat baseline,
-    a sinusoid mix, and float32-quantized noise — NaN-free by
-    construction, covering the signal shapes the extractors actually
+    a sinusoid mix, float32-quantized noise and tie-heavy noise rounded
+    to half-units — NaN-free by construction, covering the signal shapes the extractors actually
     see (DWT subbands, raw windows) plus the degenerate ones
     (zero-variance, barely-embeddable short series).
     """
@@ -118,6 +121,7 @@ def contract_battery(
         cases.append(
             rng.standard_normal((n_windows, n)).astype(np.float32).astype(float)
         )
+        cases.append(np.round(2.0 * rng.standard_normal((n_windows, n))))
     return cases
 
 
@@ -258,16 +262,48 @@ class TestEntropyEdgeCases:
         out = get_kernel(name, prefer=backend)(windows)
         np.testing.assert_array_equal(out, np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "windows, expected",
+        (
+            # A range too small for 16 finite-width bins (np.histogram
+            # raises on it) counts as constant; a normal row beside it
+            # is unaffected.
+            ([[5e-324, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]], [0.0, 2.0]),
+            # A constant row in the same batch must not change how the
+            # subnormal row's edges are computed (an array-endpoint
+            # linspace switches formula for every row when any row's
+            # step is 0, which once scored this row 0.678 / 0.811).
+            ([[0.0, 24 * 5e-324, 0.0, 0.0], [3.25] * 4], [0.0, 0.0]),
+        ),
+    )
     @pytest.mark.parametrize("name", ("renyi_entropy", "shannon_entropy"))
     @pytest.mark.parametrize("backend", ("reference", "vectorized"))
-    def test_subnormal_spread_is_zero(self, name, backend):
-        # A range too small for 16 finite-width bins (np.histogram
-        # raises on it) counts as constant; a normal row beside it is
-        # unaffected.
-        windows = np.array([[5e-324, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
-        out = get_kernel(name, prefer=backend)(windows)
-        assert out[0] == 0.0
-        assert out[1] == 2.0
+    def test_subnormal_spread_is_zero(self, name, backend, windows, expected):
+        out = get_kernel(name, prefer=backend)(np.array(windows))
+        np.testing.assert_array_equal(out, expected)
+        for row, value in zip(windows, expected):
+            assert get_kernel(name, prefer=backend)(np.array([row]))[0] == value
+
+    def test_renyi_power_sum_log_matches_scalar(self):
+        # np.log2 and math.log2 of this row's power sum differ in the
+        # last bit; the scalar path takes np.log2, as the kernel does.
+        row = np.array([10.0, 15, 16, 9, 38, 1, 29, 30, 17])
+        expected = float.fromhex("0x1.0bc41dbaf5450p+1")
+        assert renyi_entropy(row) == expected
+        for backend in ("reference", "vectorized"):
+            out = get_kernel("renyi_entropy", prefer=backend)(row[None, :])
+            assert out[0] == expected
+
+    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
+    def test_permutation_nan_raises_inf_does_not(self, backend):
+        kern = get_kernel("permutation_entropy", prefer=backend)
+        row = np.array([0.3, np.nan, 0.1, 0.7, 0.2, np.nan, 0.5, 0.9])
+        with pytest.raises(SignalError, match="NaN"):
+            kern(np.stack([np.zeros(8), row]), order=3)
+        infs = np.array([[np.inf, 1.0, -np.inf, 2.0, np.inf, 0.0, 3.0, 3.0]])
+        finite = np.array([[9.0, 1.0, -9.0, 2.0, 9.0, 0.0, 3.0, 3.0]])
+        np.testing.assert_array_equal(kern(infs, order=3), kern(finite, order=3))
+        assert kern(infs, order=3)[0] == permutation_entropy(infs[0], order=3)
 
     @pytest.mark.parametrize("backend", ("reference", "vectorized"))
     def test_window_shorter_than_embedding_is_zero(self, backend, rng):
@@ -322,6 +358,74 @@ class TestEntropyEdgeCases:
         np.testing.assert_array_equal(
             grid, [[0, 2], [1, 3], [2, 4], [3, 5]]
         )
+
+
+#: Differential fuzz targets: every histogram and ordinal-pattern kernel
+#: configuration the extractors use, plus order 3.
+FUZZ_CASES = (
+    ("permutation_entropy", {"order": 3}),
+    ("permutation_entropy", {"order": 5}),
+    ("permutation_entropy", {"order": 7}),
+    ("renyi_entropy", {"alpha": 2.0}),
+    ("shannon_entropy", {}),
+)
+
+
+@st.composite
+def mixed_batches(draw):
+    """A ``(rows, n)`` batch whose rows each come from one family:
+    normal, constant, subnormal-spread, few-level quantized (tie-heavy)
+    or +-1e300."""
+    n = draw(st.integers(1, 40))
+    families = draw(
+        st.lists(
+            st.sampled_from(
+                ("normal", "constant", "subnormal", "quantized", "huge")
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows = []
+    for family in families:
+        if family == "normal":
+            row = draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+        elif family == "constant":
+            row = np.full(n, draw(st.floats(-1e3, 1e3)))
+        elif family == "subnormal":
+            steps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 40)))
+            row = steps * 5e-324
+        elif family == "quantized":
+            levels = draw(hnp.arrays(np.int64, n, elements=st.integers(-2, 2)))
+            row = levels / 2.0
+        else:
+            row = draw(
+                hnp.arrays(
+                    float,
+                    n,
+                    elements=st.sampled_from((-1e300, 1e300, 0.0, 1.0)),
+                )
+            )
+        rows.append(row.astype(float))
+    return np.stack(rows)
+
+
+class TestDifferentialFuzz:
+    """Generated batches mixing degenerate and ordinary rows: the
+    vectorized kernels must equal the reference bitwise.  CI reruns this
+    class under the ``deep`` hypothesis profile (see conftest.py)."""
+
+    @settings(deadline=None)
+    @given(windows=mixed_batches())
+    @example(windows=np.array([[10.0, 15, 16, 9, 38, 1, 29, 30, 17]]))
+    @example(windows=np.array([[0.0, 24 * 5e-324, 0.0, 0.0], [3.25] * 4]))
+    def test_vectorized_equals_reference(self, windows):
+        for name, params in FUZZ_CASES:
+            ref = get_kernel(name, prefer="reference")(windows, **params)
+            out = get_kernel(name, prefer="vectorized")(windows, **params)
+            np.testing.assert_array_equal(
+                out.view(np.int64), ref.view(np.int64), err_msg=name
+            )
 
 
 class TestShortWindowContract:
