@@ -277,7 +277,7 @@ def _edge_ramp(bins: int) -> np.ndarray:
     return ramp
 
 
-def _histogram_rows(
+def _live_histograms(
     windows: np.ndarray, bins: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(live, counts)``: the rows :func:`repro.entropy.shannon.binnable`
@@ -346,7 +346,7 @@ def shannon_entropy_vectorized(
     out = np.zeros(n_windows)
     if n == 0:
         return out
-    live, counts = _histogram_rows(windows, bins)
+    live, counts = _live_histograms(windows, bins)
     for rows, p in _positive_p_groups(counts, n):
         h = -np.sum(p * np.log2(p), axis=1)
         if normalize:
@@ -370,7 +370,7 @@ def renyi_entropy_vectorized(
     out = np.zeros(n_windows)
     if n == 0:
         return out
-    live, counts = _histogram_rows(windows, bins)
+    live, counts = _live_histograms(windows, bins)
     shannon_limit = abs(alpha - 1.0) < 1e-12
     for rows, p in _positive_p_groups(counts, n):
         if shannon_limit:

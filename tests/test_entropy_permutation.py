@@ -58,13 +58,6 @@ class TestOrdinalPatterns:
         with pytest.raises(SignalError, match="NaN"):
             permutation_entropy(x, order=3)
 
-    def test_inf_is_an_ordinary_value(self):
-        x = np.array([np.inf, 1.0, -np.inf, 2.0])
-        np.testing.assert_array_equal(
-            ordinal_patterns(x, order=2),
-            ordinal_patterns(np.array([9.0, 1.0, -9.0, 2.0]), order=2),
-        )
-
 
 class TestPermutationEntropy:
     def test_monotone_series_zero_entropy(self):

@@ -95,9 +95,9 @@ def contract_battery(
     One ``(n_windows, n)`` array per window length and case family:
     white noise, constant rows, ramps, sparse spikes on a flat baseline,
     a sinusoid mix, float32-quantized noise and tie-heavy noise rounded
-    to half-units — NaN-free by construction, covering the signal shapes the extractors actually
-    see (DWT subbands, raw windows) plus the degenerate ones
-    (zero-variance, barely-embeddable short series).
+    to half-units — NaN-free by construction, covering the signal shapes
+    the extractors actually see (DWT subbands, raw windows) plus the
+    degenerate ones (zero-variance, barely-embeddable short series).
     """
     rng = np.random.default_rng(seed)
     cases: list[np.ndarray] = []
@@ -262,9 +262,11 @@ class TestEntropyEdgeCases:
         out = get_kernel(name, prefer=backend)(windows)
         np.testing.assert_array_equal(out, np.zeros(4))
 
-    @pytest.mark.parametrize(
-        "windows, expected",
-        (
+    @pytest.mark.parametrize("name", ("renyi_entropy", "shannon_entropy"))
+    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
+    def test_subnormal_spread_is_zero(self, name, backend):
+        kern = get_kernel(name, prefer=backend)
+        cases = (
             # A range too small for 16 finite-width bins (np.histogram
             # raises on it) counts as constant; a normal row beside it
             # is unaffected.
@@ -274,15 +276,11 @@ class TestEntropyEdgeCases:
             # linspace switches formula for every row when any row's
             # step is 0, which once scored this row 0.678 / 0.811).
             ([[0.0, 24 * 5e-324, 0.0, 0.0], [3.25] * 4], [0.0, 0.0]),
-        ),
-    )
-    @pytest.mark.parametrize("name", ("renyi_entropy", "shannon_entropy"))
-    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
-    def test_subnormal_spread_is_zero(self, name, backend, windows, expected):
-        out = get_kernel(name, prefer=backend)(np.array(windows))
-        np.testing.assert_array_equal(out, expected)
-        for row, value in zip(windows, expected):
-            assert get_kernel(name, prefer=backend)(np.array([row]))[0] == value
+        )
+        for windows, expected in cases:
+            np.testing.assert_array_equal(kern(np.array(windows)), expected)
+            for row, value in zip(windows, expected):
+                assert kern(np.array([row]))[0] == value
 
     def test_renyi_power_sum_log_matches_scalar(self):
         # np.log2 and math.log2 of this row's power sum differ in the
