@@ -26,7 +26,7 @@ def main() -> None:
     dataset = SyntheticEEGDataset(duration_range_s=(300.0, 360.0))
 
     # The one-liner: the facade builds the engine, resolves environment
-    # knobs (executor kind, samples per seizure) once, and runs the
+    # knobs (samples per seizure, record durations) once, and runs the
     # cohort.  Everything below unpacks what this call does.
     facade_report = api.evaluate_cohort(
         dataset, patient_ids=[1, 8], max_workers=4

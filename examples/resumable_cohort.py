@@ -10,9 +10,9 @@ Walks through the PR 2 machinery end to end:
 3. a poisoned work list — the bad record becomes a failure row in the
    report instead of killing the pool, and the re-run still reuses the
    good records' cached features;
-4. the self-learning loop fanned through the engine driver, with the
-   per-record labeling phase parallel and results identical to the
-   sequential pipeline.
+4. the self-learning loop over two monitoring records, observed one
+   after another: each record sees the detector its predecessors
+   trained.
 
 Run:
     python examples/resumable_cohort.py
@@ -27,8 +27,6 @@ import tempfile
 from repro import (
     CohortEngine,
     RecordTask,
-    SelfLearningDriver,
-    SelfLearningTask,
     SyntheticEEGDataset,
     cohort_tasks,
 )
@@ -72,8 +70,8 @@ def main() -> None:
         # The good records were still served from the store.
         assert tolerant.cache_stats()["store"]["hits"] == len(tasks)
 
-    # --- 4. the self-learning loop through the engine: labeling fans
-    # out per record, retraining stays serial and deterministic.
+    # --- 4. the self-learning loop: records are observed in order, and
+    # retraining after each one is deterministic.
     free = [dataset.generate_seizure_free(8, 180.0, k) for k in range(2)]
     pipeline = SelfLearningPipeline(
         labeler=APosterioriLabeler(),
@@ -85,14 +83,15 @@ def main() -> None:
         min_train_seizures=2,
         lookback_s=450.0,
     )
-    driver = SelfLearningDriver(pipeline, dataset, max_workers=4)
-    scenario = [
-        SelfLearningTask(8, 1800.0, (0, 1), min_gap_s=500.0),
-        SelfLearningTask(8, 1800.0, (2, 3), sample_index=1, min_gap_s=500.0),
-    ]
+    scenario = [((0, 1), 0), ((2, 3), 1)]  # (seizure indices, sample)
     print("\nself-learning scenario (parallel labeling phase):")
-    for task, rep in zip(scenario, driver.run(scenario)):
-        print(f"  record {task.seizure_indices}: "
+    for seizures, sample in scenario:
+        record = dataset.generate_monitoring_record(
+            8, 1800.0, seizure_indices=list(seizures),
+            sample_index=sample, min_gap_s=500.0,
+        )
+        rep = pipeline.observe_record(record)
+        print(f"  record {seizures}: "
               f"{rep.n_detected}/{rep.n_seizures} detected, "
               f"{rep.n_self_labels} self-labels, retrained={rep.retrained}")
     print(f"detector retrained {pipeline.n_retrainings} time(s)")

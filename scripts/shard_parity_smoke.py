@@ -1,7 +1,6 @@
 """Shard-parity smoke test: 1 node vs 3 orchestrated shards, one killed.
 
-Run by the ``shard-parity`` CI job on both pool backends (and runnable
-locally):
+Run by the ``shard-parity`` CI job (and runnable locally):
 
 1. baseline:    an uninterrupted single-node ``repro cohort`` run,
    report JSON saved;
@@ -23,9 +22,8 @@ kill, digest-validated collect, and the merge/report path — which the
 in-process suite (tests/test_engine_sharding.py) covers with
 deterministic interruption instead.
 
-The pool backend *inside* each shard follows ``REPRO_ENGINE_EXECUTOR``
-(the CI job sets it per matrix leg), so the parity claim is proven over
-both process and thread pools.
+The baseline and the killed shard run on the engine's default process
+pool (2 workers); the orchestrated shards run one worker each.
 
 Usage::
 

@@ -58,8 +58,6 @@ from .engine import (
     DiskFeatureStore,
     FeatureCache,
     RecordTask,
-    SelfLearningDriver,
-    SelfLearningTask,
     ShardLauncher,
     ShardSpec,
     cohort_tasks,
@@ -180,8 +178,6 @@ __all__ = [
     "DiskFeatureStore",
     "FeatureCache",
     "RecordTask",
-    "SelfLearningDriver",
-    "SelfLearningTask",
     "ShardLauncher",
     "ShardSpec",
     "cohort_tasks",

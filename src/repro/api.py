@@ -139,9 +139,10 @@ def evaluate_cohort(
     """Run the Sec. VI-A cohort evaluation on the parallel engine.
 
     One call wires the environment-resolved :class:`ReproSettings`
-    through engine construction and the run: the executor kind, the
-    samples-per-seizure count, and the paper-vs-quick record durations
-    all follow the settings snapshot unless explicitly overridden.
+    through the run: the samples-per-seizure count and the
+    paper-vs-quick record durations follow the settings snapshot unless
+    explicitly overridden.  ``executor`` (default ``"process"``) and
+    ``max_workers`` go to the engine.
     ``quick=True`` shrinks records to :data:`QUICK_DURATION_RANGE_S` for
     smoke-test runtimes (ignored when the settings demand paper
     durations or an explicit range is given).
@@ -160,7 +161,6 @@ def evaluate_cohort(
         )
     engine = CohortEngine(
         dataset,
-        settings=settings,
         executor=executor,
         max_workers=max_workers,
         **engine_kwargs,

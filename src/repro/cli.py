@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTORS,
         default=None,
-        help="pool kind (default: $REPRO_ENGINE_EXECUTOR, else process)",
+        help="pool kind (default: process)",
     )
     p_cohort.add_argument(
         "--store",
@@ -344,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srun.add_argument(
         "--executor", choices=EXECUTORS, default=None,
-        help="pool kind inside this shard (default: "
-        "$REPRO_ENGINE_EXECUTOR, else process)",
+        help="pool kind inside this shard (default: process)",
     )
     p_srun.add_argument(
         "--workers", type=int, default=None,
@@ -415,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sorch.add_argument(
         "--executor", choices=EXECUTORS, default=None,
-        help="pool kind inside each shard (default: "
-        "$REPRO_ENGINE_EXECUTOR, else process)",
+        help="pool kind inside each shard (default: process)",
     )
     p_sorch.add_argument(
         "--store", default="", metavar="DIR",
@@ -707,9 +705,8 @@ def _write_report_json(path: str, report) -> int:
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
     try:
-        settings = ReproSettings.from_env()
         samples, duration_range_s, patient_ids = _validated_cohort_scale(
-            args, settings
+            args, ReproSettings.from_env()
         )
     except (ValueError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -747,12 +744,11 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
             )
             return 2
     try:
-        executor = args.executor or settings.engine_executor
         dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
         engine = CohortEngine(
             dataset,
             max_workers=args.workers,
-            executor=executor,
+            executor=args.executor,
             chunk_s=args.chunk_s if args.chunk_s is not None else DEFAULT_CHUNK_S,
             store_dir=args.store or None,
         )
@@ -786,8 +782,8 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
                 f"  task {failure.key}: {failure.error}",
                 file=sys.stderr,
             )
+    fresh = report.n_records + report.n_failures - resumed_records
     if checkpoint:
-        fresh = report.n_records + report.n_failures - resumed_records
         print(
             f"checkpoint: {resumed_records} record(s) restored from "
             f"{args.checkpoint}, {fresh} processed this run"
@@ -798,9 +794,8 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
                 f"reached {checkpoint.compact_dead_lines})"
             )
     print(
-        f"executed in {elapsed:.1f} s ({executor}, "
-        f"{engine.effective_workers(report.n_records + report.n_failures)} "
-        f"worker(s))"
+        f"executed in {elapsed:.1f} s ({engine.executor}, "
+        f"{engine.effective_workers(fresh)} worker(s))"
     )
     if args.json:
         return _write_report_json(args.json, report)

@@ -1,14 +1,14 @@
 """Cohort-scale parallel execution engine.
 
 Fans the full per-record pipeline (synthesize -> extract -> label ->
-score) out across :mod:`concurrent.futures` worker pools with chunked,
-memory-bounded feature extraction and a two-tier (memory + disk) feature
-cache, while guaranteeing results identical to the sequential pipeline
-for any worker count (the equivalence contract the parity tests
-enforce).  Runs are fault-tolerant — per-task exceptions become report
-rows, not pool aborts — and resumable via the persistent feature store.
+score) out across a process pool with chunked, memory-bounded feature
+extraction and a two-tier (memory + disk) feature cache, while
+guaranteeing results identical to the sequential pipeline for any
+worker count (the equivalence contract the parity tests enforce).
+Runs are fault-tolerant — per-task exceptions become report rows, not
+pool aborts — and resumable via the persistent feature store.
 
-* :class:`CohortEngine` — the executor (process / thread / serial);
+* :class:`CohortEngine` — the executor (process pool or serial);
 * :class:`RecordTask` / :func:`cohort_tasks` — the shardable work list;
 * :class:`CohortReport` — deterministic Table I/II-style aggregation,
   including the per-task failures section;
@@ -28,9 +28,11 @@ rows, not pool aborts — and resumable via the persistent feature store.
   checkpointed run, :func:`collect_shards` / :func:`merge_shards` /
   :func:`merged_report` validate and fold the shard journals back, and
   :class:`ShardLauncher` / :func:`orchestrate` drive the whole loop over
-  local subprocess "machines";
-* :class:`SelfLearningDriver` / :class:`SelfLearningTask` — the closed
-  self-learning loop with its per-record labeling phase fanned out.
+  local subprocess "machines".
+
+The Fig. 1 self-learning loop is not here: each record must see the
+detector its predecessors trained, so it runs record by record through
+:meth:`~repro.selflearning.pipeline.SelfLearningPipeline.observe_record`.
 """
 
 from .cache import FeatureCache, feature_cache_key, source_cache_key
@@ -49,7 +51,6 @@ from .chunked import (
 )
 from .executor import EXECUTORS, CohortEngine, EngineConfig
 from .report import CohortReport, PatientSummary, RecordOutcome
-from .selflearning import SelfLearningDriver, SelfLearningTask
 from .sharding import (
     SHARD_STRATEGIES,
     ShardLauncher,
@@ -82,8 +83,6 @@ __all__ = [
     "PatientSummary",
     "RecordOutcome",
     "RecordTask",
-    "SelfLearningDriver",
-    "SelfLearningTask",
     "ShardLauncher",
     "ShardSpec",
     "ShardStatus",

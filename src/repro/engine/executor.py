@@ -4,7 +4,8 @@
 task's deterministic coordinates to a streaming
 :class:`~repro.data.sources.RecordSource`, extract features chunk-by-
 chunk (via the in-process cache), run Algorithm 1, score against the
-expert annotation — out across a :mod:`concurrent.futures` worker pool.
+expert annotation — out across a process pool, or runs it task by task
+in the calling process (``serial``).
 Workers never materialize a record: signal flows source -> chunks ->
 streaming extractor, so per-worker signal memory is O(chunk) whatever
 the record duration.
@@ -46,12 +47,9 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from ..core.deviation import deviation, normalized_deviation
@@ -62,7 +60,7 @@ from ..data.sources import RecordSource
 from ..exceptions import EngineError
 from ..features.base import FeatureExtractor
 from ..ml.metrics import classification_report
-from ..settings import EXECUTORS, ReproSettings
+from ..settings import EXECUTORS
 from ..signals.windowing import WindowSpec
 from .cache import FeatureCache
 from .checkpoint import (
@@ -257,15 +255,16 @@ class CohortEngine:
     max_workers:
         Pool size (default: the machine's CPU count).
     executor:
-        ``"process"`` (true parallelism for the numpy/Python mix of the
-        feature extractors), ``"thread"``, or ``"serial"`` (no pool —
-        the reference path the parity tests compare against).  ``None``
-        (the default) takes ``settings.engine_executor``.
+        ``"process"`` (the default when ``None``: true parallelism for
+        the numpy/Python mix of the feature extractors) or ``"serial"``
+        (no pool — the reference path the parity tests compare against).
     extractor / spec / grid_step:
         Pipeline configuration, as for
         :class:`~repro.core.labeling.APosterioriLabeler`.
     chunk_s / cache_capacity / min_overlap:
-        See :class:`EngineConfig`.
+        See :class:`EngineConfig`.  ``chunk_s`` must be finite and
+        positive, ``cache_capacity`` and ``grid_step`` at least 1; a bad
+        value raises :class:`EngineError` here, before any worker starts.
     store_dir:
         Directory of the persistent feature store.  When set, workers
         read/write feature matrices there (write-temp-then-rename, so a
@@ -283,13 +282,6 @@ class CohortEngine:
         dead journal lines, the journal is compacted before new appends
         (``None`` disables; a :class:`CohortCheckpoint` object passed to
         :meth:`run` keeps its own setting).
-    settings:
-        A resolved :class:`~repro.settings.ReproSettings` snapshot
-        supplying the default executor kind when ``executor`` is not
-        given — long-lived hosts resolve the environment once and
-        thread the same snapshot everywhere.  ``None`` takes a fresh
-        :meth:`ReproSettings.from_env` snapshot, which fails on any
-        malformed ``REPRO_*`` value.
     """
 
     def __init__(
@@ -298,7 +290,6 @@ class CohortEngine:
         *,
         max_workers: int | None = None,
         executor: str | None = None,
-        settings: "ReproSettings | None" = None,
         extractor: FeatureExtractor | None = None,
         spec: WindowSpec | None = None,
         grid_step: int = 4,
@@ -310,7 +301,7 @@ class CohortEngine:
         checkpoint_compact_dead_lines: int | None = DEFAULT_COMPACT_DEAD_LINES,
     ) -> None:
         if executor is None:
-            executor = (settings or ReproSettings.from_env()).engine_executor
+            executor = EXECUTORS[0]
         if executor not in EXECUTORS:
             raise EngineError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
@@ -333,6 +324,14 @@ class CohortEngine:
             raise EngineError(
                 f"min_overlap must be in (0, 1], got {min_overlap}"
             )
+        if not (math.isfinite(chunk_s) and chunk_s > 0):
+            raise EngineError(f"chunk_s must be finite and > 0, got {chunk_s}")
+        if cache_capacity < 1:
+            raise EngineError(
+                f"cache_capacity must be >= 1, got {cache_capacity}"
+            )
+        if grid_step < 1:
+            raise EngineError(f"grid_step must be >= 1, got {grid_step}")
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.executor = executor
         self.checkpoint_compact_dead_lines = checkpoint_compact_dead_lines
@@ -347,8 +346,8 @@ class CohortEngine:
             store_dir=str(store_dir) if store_dir else None,
             store_max_bytes=store_max_bytes,
         )
-        #: Serial/thread context, built lazily and reused across runs so
-        #: the feature cache persists in-process.
+        #: In-process context (serial and single-worker runs), built
+        #: lazily and reused across runs so the feature cache persists.
         self._context: _WorkerContext | None = None
 
     # ------------------------------------------------------------------
@@ -359,7 +358,7 @@ class CohortEngine:
 
     def cache_stats(self) -> dict[str, int]:
         """Feature-cache counters of the in-process context (serial and
-        thread runs; process workers keep their own caches)."""
+        single-worker runs; process workers keep their own caches)."""
         return self._local_context().cache.stats()
 
     # ------------------------------------------------------------------
@@ -541,18 +540,13 @@ class CohortEngine:
                     raise strict_error()
             return outcomes
 
-        if executor == "thread":
-            pool = ThreadPoolExecutor(max_workers=n_workers)
-            run_one = self._local_context().process_safe
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_worker,
-                initargs=(self.config,),
-            )
-            run_one = _run_task
+        pool = ProcessPoolExecutor(
+            max_workers=n_workers,
+            initializer=_init_worker,
+            initargs=(self.config,),
+        )
         try:
-            futures = [pool.submit(run_one, task) for task in pending]
+            futures = [pool.submit(_run_task, task) for task in pending]
             for future in as_completed(futures):
                 if not admit(future.result()):
                     pool.shutdown(wait=False, cancel_futures=True)

@@ -55,12 +55,12 @@ class SelfLearningReport:
 class AnnotationAssessment:
     """One seizure's evaluation against the *frozen* detector state.
 
-    This is the parallelizable half of :meth:`observe_record`: given a
-    fixed detector, assessing each annotation (did the detector catch
-    it? if not, where does the a-posteriori labeler place it?) is a pure,
-    independent computation — the engine's self-learning driver fans it
-    out across a pool.  State mutation (buffer, retraining, event log)
-    happens afterwards, serially, in :meth:`apply_assessments`.
+    This is the read-only half of :meth:`observe_record`: given a fixed
+    detector, assessing each annotation (did the detector catch it? if
+    not, where does the a-posteriori labeler place it?) is a pure,
+    independent computation.  State mutation (buffer, retraining, event
+    log) happens afterwards, in annotation order, in
+    :meth:`apply_assessments`.
     """
 
     annotation: SeizureAnnotation
@@ -142,12 +142,10 @@ class SelfLearningPipeline:
         patient have a seizure the detector did not alert on".
 
         Internally this is assess-then-apply: every annotation is first
-        evaluated against the frozen detector (:meth:`assess_annotation`,
-        here serially; the engine driver runs the same calls in
-        parallel), then the assessments mutate pipeline state in
-        canonical order (:meth:`apply_assessments`).  Both callers share
-        the exact same code path, which is what makes the parallel
-        driver byte-identical to this method by construction.
+        evaluated against the frozen detector (:meth:`assess_annotation`),
+        then the assessments mutate pipeline state in canonical order
+        (:meth:`apply_assessments`).  Records must be observed one after
+        another: each sees the detector its predecessors trained.
         """
         assessments = [
             self.assess_annotation(record, ann) for ann in record.annotations

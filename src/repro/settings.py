@@ -1,13 +1,11 @@
 """The one reader of every ``REPRO_*`` environment knob.
 
-Ten knobs configure the package: the engine's default pool kind
-(:envvar:`REPRO_ENGINE_EXECUTOR`), the evaluation scale
+Nine knobs configure the package: the evaluation scale
 (:envvar:`REPRO_SAMPLES_PER_SEIZURE` / :envvar:`REPRO_PAPER_DURATIONS`)
 and seven real-time service knobs (``REPRO_SERVICE_*``).  No other
 module reads them: :meth:`ReproSettings.from_env` parses them, with one
 typed helper per value shape, and every entry point takes its defaults
-from the resulting snapshot — :class:`~repro.engine.executor
-.CohortEngine` (``settings=``), :meth:`~repro.service.config
+from the resulting snapshot — :meth:`~repro.service.config
 .ServiceConfig.from_settings`, :mod:`repro.api` and the ``repro`` CLI.
 
 A snapshot captures the environment once, so a long-lived process (the
@@ -22,10 +20,9 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .exceptions import EngineError, ServiceError
+from .exceptions import ServiceError
 
 __all__ = [
-    "ENV_ENGINE_EXECUTOR",
     "ENV_SAMPLES_PER_SEIZURE",
     "ENV_PAPER_DURATIONS",
     "ENV_SERVICE_QUEUE_DEPTH",
@@ -42,9 +39,6 @@ __all__ = [
     "ReproSettings",
 ]
 
-#: Default pool kind of :class:`~repro.engine.executor.CohortEngine`
-#: (CI runs the engine suites under both ``process`` and ``thread``).
-ENV_ENGINE_EXECUTOR = "REPRO_ENGINE_EXECUTOR"
 #: Evaluation samples per seizure (paper: 100).
 ENV_SAMPLES_PER_SEIZURE = "REPRO_SAMPLES_PER_SEIZURE"
 #: Boolean flag selecting the paper's 30-60 min record durations.
@@ -65,8 +59,9 @@ ENV_SERVICE_CHUNK_RATE = "REPRO_SERVICE_CHUNK_RATE"
 ENV_SERVICE_REPLAY_BUFFER = "REPRO_SERVICE_REPLAY_BUFFER"
 
 #: Engine executor kinds; the first is the default.  ``process`` gives
-#: true parallelism for the numpy/Python mix of the extractors.
-EXECUTORS = ("process", "thread", "serial")
+#: true parallelism for the numpy/Python mix of the extractors;
+#: ``serial`` runs every task in the calling process.
+EXECUTORS = ("process", "serial")
 
 #: ``reject`` refuses the new chunk (the caller sees a rejected
 #: IngestResult / BackpressureError); ``shed-oldest`` drops the oldest
@@ -161,9 +156,6 @@ class ReproSettings:
 
     Attributes
     ----------
-    engine_executor:
-        :envvar:`REPRO_ENGINE_EXECUTOR` resolved to a concrete kind
-        (``process`` when unset).
     samples_per_seizure:
         :envvar:`REPRO_SAMPLES_PER_SEIZURE` — ``None`` when unset, so
         each caller keeps its own documented fallback (the CLI's 1, the
@@ -196,7 +188,6 @@ class ReproSettings:
         resilience).
     """
 
-    engine_executor: str = "process"
     samples_per_seizure: int | None = None
     paper_durations: bool = False
     service_queue_depth: int = DEFAULT_QUEUE_DEPTH
@@ -243,15 +234,12 @@ class ReproSettings:
         """Resolve every knob from ``env`` (default: ``os.environ``).
 
         A malformed value raises the error type its subsystem uses:
-        ``EngineError`` for the executor, ``ValueError`` for the
-        evaluation scale, ``ServiceError`` for the service knobs.
+        ``ValueError`` for the evaluation scale, ``ServiceError`` for
+        the service knobs.
         """
         if env is None:
             env = os.environ
         return cls(
-            engine_executor=_choice(
-                env, ENV_ENGINE_EXECUTOR, EXECUTORS, EngineError
-            ),
             samples_per_seizure=_int_at_least(
                 env, ENV_SAMPLES_PER_SEIZURE, 1, None, ValueError
             ),

@@ -63,8 +63,8 @@ def counter(monkeypatch):
 
     Shared by the fail-fast and checkpoint suites to assert that
     cancelled/skipped work truly never ran.  Counts only in-process
-    execution (serial and thread backends); process-pool workers do not
-    see the patch.
+    execution (serial and single-worker runs); process-pool workers keep
+    their own copy of the count.
     """
     from repro.engine import executor as executor_module
 

@@ -77,13 +77,15 @@ class TestEvaluateCohort:
         assert report.to_json()
 
     def test_settings_thread_through(self, dataset):
+        # The snapshot sets the scale: two samples per seizure.
         report = api.evaluate_cohort(
             dataset,
-            settings=ReproSettings(engine_executor="serial"),
+            settings=ReproSettings(samples_per_seizure=2),
             quick=True,
             patient_ids=[8],
+            executor="serial",
         )
-        assert report.n_records > 0
+        assert report.n_records == 2 * dataset.profile(8).n_seizures
 
 
 class TestStartService:

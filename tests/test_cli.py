@@ -1,17 +1,14 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main, resolve_cohort_scale
 from repro.data import save_record
 from repro.data.sampling import PAPER_DURATION_RANGE_S
-from repro.settings import (
-    ENV_ENGINE_EXECUTOR,
-    ENV_PAPER_DURATIONS,
-    ENV_SAMPLES_PER_SEIZURE,
-)
+from repro.settings import ENV_PAPER_DURATIONS, ENV_SAMPLES_PER_SEIZURE
 
 
 class TestParser:
@@ -27,6 +24,21 @@ class TestParser:
         args = build_parser().parse_args(["simulate"])
         assert args.patient == 1
         assert args.duration_min == 8.0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cohort"], ["shard", "run", "shard-000.json"],
+         ["shard", "orchestrate", "--out-dir", "plan"]],
+    )
+    @pytest.mark.parametrize("kind", ["fleet", "thread"])
+    def test_executor_choice_refuses_unknown_kind(self, command, kind, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, "--executor", kind])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{kind}'" in err
+        # Newer argparse versions print the choices without quotes.
+        assert re.search(r"choose from '?process'?, '?serial'?\)", err)
 
 
 class TestSimulate:
@@ -228,25 +240,6 @@ class TestCohortScaleResolution:
         assert code == 0
         assert "cohort: 8 records" in out  # 4 seizures x 2 samples
 
-    def test_env_executor_selects_backend(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "serial")
-        code = main(
-            [
-                "cohort",
-                "--patients", "8",
-                "--duration-min", "5",
-                "--duration-max", "6",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "(serial," in out
-
-    def test_invalid_env_executor_errors_cleanly(self, monkeypatch, capsys):
-        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "fleet")
-        code = main(["cohort", "--patients", "8"])
-        assert code == 2
-        assert ENV_ENGINE_EXECUTOR in capsys.readouterr().err
 
 
 class TestCohortResumability:
@@ -300,6 +293,23 @@ class TestCohortResumability:
         assert code == 0
         assert "4 record(s) restored" in out
         assert "0 processed this run" in out
+        assert first.read_bytes() == resumed.read_bytes()
+
+        # A partial resume on a 2-worker pool: the summary names the
+        # engine's kind and counts workers over the fresh records only
+        # (one fresh record runs in-process, on one worker).
+        lines = ckpt.read_text().splitlines(keepends=True)
+        ckpt.write_text("".join(lines[:-1]))
+        argv = self._cohort_args(
+            "--checkpoint", str(ckpt), "--resume", "--json", str(resumed)
+        )
+        argv[argv.index("serial")] = "process"
+        code = main(argv + ["--workers", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "3 record(s) restored" in out
+        assert "1 processed this run" in out
+        assert "(process, 1 worker(s))" in out
         assert first.read_bytes() == resumed.read_bytes()
 
     def test_existing_checkpoint_without_resume_errors(self, tmp_path, capsys):

@@ -88,7 +88,9 @@ class TestJournalFormat:
         engine = CohortEngine(dataset, executor="serial")
         assert work_list_digest(tasks) == work_list_digest(tuple(tasks))
         assert work_list_digest(tasks) != work_list_digest(tasks[:2])
-        other = CohortEngine(dataset, executor="thread", chunk_s=7.0)
+        other = CohortEngine(
+            dataset, executor="process", max_workers=2, chunk_s=7.0
+        )
         # Scheduling knobs do not change the config digest...
         assert config_digest(engine.config) == config_digest(other.config)
         # ...outcome-changing knobs do.
@@ -118,7 +120,7 @@ class TestResumeSkipsCompleted:
         assert counter["n"] == len(tasks)  # nothing re-processed
         assert report.to_json() == baseline
 
-    @pytest.mark.parametrize("resume_backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("resume_backend", ["serial", "process"])
     def test_kill_and_resume_parity(
         self, dataset, tasks, baseline, tmp_path, monkeypatch, resume_backend
     ):
@@ -136,23 +138,6 @@ class TestResumeSkipsCompleted:
         )
         report = engine.run(tasks, checkpoint=path)
         assert report.to_json() == baseline
-
-    def test_interrupted_thread_run_resumes(
-        self, dataset, tasks, baseline, tmp_path, monkeypatch
-    ):
-        # Same contract with the interruption under a thread pool: the
-        # journal holds whatever completed before the die, never a
-        # partial line that breaks the resume.
-        path = tmp_path / "run.ckpt"
-        interrupt_after(monkeypatch, 2)
-        engine = CohortEngine(dataset, executor="thread", max_workers=2)
-        with pytest.raises(KeyboardInterrupt):
-            engine.run(tasks, checkpoint=path)
-        monkeypatch.undo()
-        resumed = CohortEngine(dataset, executor="serial").run(
-            tasks, checkpoint=path
-        )
-        assert resumed.to_json() == baseline
 
     def test_resume_executes_only_the_remainder(
         self, dataset, tasks, baseline, tmp_path, counter

@@ -38,7 +38,7 @@ class TestByteIdenticalReports:
             assert engine.run(TASKS).to_json() == baseline_json
 
     def test_executor_kinds_agree(self, dataset, baseline_json):
-        for kind in ("serial", "thread", "process"):
+        for kind in ("serial", "process"):
             engine = CohortEngine(dataset, max_workers=2, executor=kind)
             assert engine.run(TASKS).to_json() == baseline_json
 

@@ -9,17 +9,11 @@ list is an empty report rather than an error.
 """
 
 import json
-import re
 
 import pytest
 
 from repro.engine import CohortEngine, CohortReport, RecordOutcome, RecordTask
-from repro.exceptions import EngineError, ServiceError
-from repro.settings import (
-    ENV_ENGINE_EXECUTOR,
-    ENV_SERVICE_QUEUE_DEPTH,
-    ReproSettings,
-)
+from repro.exceptions import EngineError
 
 #: Three healthy records plus one poisoned coordinate (patient 1 has no
 #: seizure 999, so the dataset raises inside the worker) and one record
@@ -68,7 +62,7 @@ class TestFailureCapture:
 
     @pytest.mark.parametrize(
         "executor,workers",
-        [("serial", 1), ("thread", 2), ("process", 1), ("process", 4)],
+        [("serial", 1), ("process", 1), ("process", 4)],
     )
     def test_byte_identical_across_backends(
         self, dataset, mixed_baseline, executor, workers
@@ -157,15 +151,20 @@ class TestFailFastCancellation:
             CohortEngine(dataset, executor="serial").run(tasks, max_failures=0)
         assert counter["n"] == 1
 
-    def test_thread_pool_cancels_remainder(self, dataset, counter):
-        # One worker makes the streaming order deterministic: the first
-        # completed future is the poisoned one, everything else must be
-        # cancelled before it starts.
-        tasks = self._poison_first(6)
-        engine = CohortEngine(dataset, max_workers=1, executor="thread")
+    def test_process_pool_cancels_remainder(self, dataset, tmp_path):
+        # Pool workers do not report to the in-process counter, so the
+        # shared feature store counts instead: every record a worker
+        # actually extracts leaves one entry.  The poisoned record fails
+        # at once; only the few tasks already handed to a worker may
+        # still run, the rest are cancelled before they start.
+        tasks = self._poison_first(12)
+        store = tmp_path / "store"
+        engine = CohortEngine(
+            dataset, max_workers=2, executor="process", store_dir=str(store)
+        )
         with pytest.raises(EngineError, match="cancelling the rest"):
             engine.run(tasks, max_failures=0)
-        assert counter["n"] < len(tasks)
+        assert len(list(store.glob("*.feat"))) < len(tasks) - 1
 
     def test_tolerant_run_still_attempts_everything(self, dataset, counter):
         tasks = self._poison_first(2)
@@ -203,42 +202,6 @@ class TestFailureOutcomeShape:
         assert report.outcomes == (ok,)
         assert report.failures == (bad,)
 
-
-class TestExecutorEnvKnob:
-    def test_default_without_env(self):
-        assert ReproSettings.from_env({}).engine_executor == "process"
-
-    def test_env_selects_backend(self, monkeypatch, dataset):
-        env = {ENV_ENGINE_EXECUTOR: "thread"}
-        assert ReproSettings.from_env(env).engine_executor == "thread"
-        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "thread")
-        assert CohortEngine(dataset).executor == "thread"
-
-    def test_invalid_env_raises(self, monkeypatch, dataset):
-        message = re.escape(
-            "REPRO_ENGINE_EXECUTOR must be one of "
-            "('process', 'thread', 'serial'), got 'fleet'"
-        )
-        with pytest.raises(EngineError, match=message):
-            ReproSettings.from_env({ENV_ENGINE_EXECUTOR: "fleet"})
-        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "fleet")
-        with pytest.raises(EngineError, match=message):
-            CohortEngine(dataset)
-
-    def test_explicit_kind_wins_over_env(self, monkeypatch, dataset):
-        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "thread")
-        assert CohortEngine(dataset, executor="serial").executor == "serial"
-
-    def test_malformed_service_knob_fails_default_engine(
-        self, monkeypatch, dataset
-    ):
-        # The default executor comes from a full settings snapshot, so
-        # any malformed REPRO_* value fails loudly; an explicit kind
-        # never reads the environment.
-        monkeypatch.setenv(ENV_SERVICE_QUEUE_DEPTH, "zero")
-        with pytest.raises(ServiceError, match=ENV_SERVICE_QUEUE_DEPTH):
-            CohortEngine(dataset)
-        assert CohortEngine(dataset, executor="serial").executor == "serial"
 
 
 class TestResumableWithFailures:

@@ -10,6 +10,7 @@ streaming and batch extraction paths.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ from repro.ml.metrics import classification_report
 from repro.signals.windowing import WindowSpec
 
 FS = 256.0
+
+#: What the engine says when refusing a pool kind it does not have.
+REFUSED_KIND = "executor must be one of ('process', 'serial')"
 
 #: A small multi-patient cohort: two patients, two records each.
 COHORT_TASKS = (
@@ -141,15 +145,12 @@ class TestChunkSizeInvariance:
         baseline = (
             CohortEngine(dataset, executor="serial").run(self.TASKS).to_json()
         )
-        for executor in ("thread", "process"):
-            report = (
-                CohortEngine(
-                    dataset, max_workers=2, executor=executor, chunk_s=5.0
-                )
-                .run(self.TASKS)
-                .to_json()
-            )
-            assert report == baseline
+        report = (
+            CohortEngine(dataset, max_workers=2, executor="process", chunk_s=5.0)
+            .run(self.TASKS)
+            .to_json()
+        )
+        assert report == baseline
 
     def test_store_keys_invariant_to_chunk_size(self, dataset, tmp_path):
         # A disk store populated at one --chunk-s must serve every other:
@@ -280,10 +281,6 @@ class TestEngineParity:
         engine = CohortEngine(dataset, max_workers=4, executor="process")
         self.check_report(engine.run(COHORT_TASKS), expected)
 
-    def test_workers_4_thread(self, dataset, expected):
-        engine = CohortEngine(dataset, max_workers=4, executor="thread")
-        self.check_report(engine.run(COHORT_TASKS), expected)
-
     def test_run_sequential_matches(self, dataset, expected):
         engine = CohortEngine(dataset, max_workers=4, executor="process")
         self.check_report(engine.run_sequential(COHORT_TASKS), expected)
@@ -294,8 +291,9 @@ class TestEngineParity:
 
 class TestEngineValidation:
     def test_unknown_executor(self, dataset):
-        with pytest.raises(EngineError, match="executor"):
-            CohortEngine(dataset, executor="fleet")
+        for kind in ("fleet", "thread"):
+            with pytest.raises(EngineError, match=re.escape(REFUSED_KIND)):
+                CohortEngine(dataset, executor=kind)
 
     def test_bad_worker_count(self, dataset):
         with pytest.raises(EngineError, match="max_workers"):
@@ -313,10 +311,28 @@ class TestEngineValidation:
         assert payload["median_delta_s"] == 0.0
 
     def test_run_rejects_unknown_executor_override(self, dataset):
-        with pytest.raises(EngineError, match="executor"):
-            CohortEngine(dataset, executor="serial").run(
-                COHORT_TASKS, executor="fleet"
-            )
+        engine = CohortEngine(dataset, executor="serial")
+        for kind in ("fleet", "thread"):
+            with pytest.raises(EngineError, match=re.escape(REFUSED_KIND)):
+                engine.run(COHORT_TASKS, executor=kind)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("chunk_s", 0.0),
+            ("chunk_s", -1.0),
+            ("chunk_s", float("nan")),
+            ("chunk_s", float("inf")),
+            ("cache_capacity", 0),
+            ("grid_step", 0),
+            ("min_overlap", 0.0),
+        ],
+    )
+    def test_rejects_bad_pipeline_knob(self, dataset, knob, value):
+        # Refused at construction, before any record is synthesized or
+        # any pool worker starts.
+        with pytest.raises(EngineError, match=knob):
+            CohortEngine(dataset, executor="process", **{knob: value})
 
     def test_effective_workers(self, dataset):
         engine = CohortEngine(dataset, max_workers=8, executor="process")

@@ -12,12 +12,11 @@ import pytest
 
 import repro
 from repro.data.sampling import PAPER_DURATION_RANGE_S
-from repro.exceptions import EngineError, ServiceError
+from repro.exceptions import ServiceError
 from repro.service import ServiceConfig
 from repro.settings import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_REPLAY_BUFFER,
-    ENV_ENGINE_EXECUTOR,
     ENV_PAPER_DURATIONS,
     ENV_SAMPLES_PER_SEIZURE,
     ENV_SERVICE_AUTH_TOKENS,
@@ -32,7 +31,6 @@ from repro.settings import (
 
 SRC = Path(repro.__file__).parent
 ALL_KNOBS = (
-    ENV_ENGINE_EXECUTOR,
     ENV_SAMPLES_PER_SEIZURE,
     ENV_PAPER_DURATIONS,
     ENV_SERVICE_QUEUE_DEPTH,
@@ -49,7 +47,6 @@ class TestDefaults:
     def test_empty_env_gives_defaults(self):
         settings = ReproSettings.from_env({})
         assert settings == ReproSettings()
-        assert settings.engine_executor == "process"
         assert settings.samples_per_seizure is None
         assert settings.paper_durations is False
         assert settings.service_queue_depth == DEFAULT_QUEUE_DEPTH
@@ -60,12 +57,12 @@ class TestDefaults:
         assert settings.service_chunk_rate == 0.0
         assert settings.service_replay_buffer == DEFAULT_REPLAY_BUFFER
 
-    def test_ten_knobs(self):
+    def test_nine_knobs(self):
         import repro.settings as module
 
         names = {v for k, v in vars(module).items() if k.startswith("ENV_")}
         assert names == set(ALL_KNOBS)
-        assert len(ALL_KNOBS) == len(ReproSettings.__dataclass_fields__) == 10
+        assert len(ALL_KNOBS) == len(ReproSettings.__dataclass_fields__) == 9
 
     def test_blank_values_mean_unset(self):
         env = {name: "  " for name in ALL_KNOBS}
@@ -73,7 +70,6 @@ class TestDefaults:
 
     def test_to_dict(self):
         body = ReproSettings.from_env({}).to_dict()
-        assert body["engine_executor"] == "process"
         assert body["service_queue_depth"] == DEFAULT_QUEUE_DEPTH
         assert body["service_workers"] == 1
 
@@ -82,7 +78,6 @@ class TestFromEnv:
     def test_resolves_every_knob(self):
         settings = ReproSettings.from_env(
             {
-                ENV_ENGINE_EXECUTOR: "Thread",
                 ENV_SAMPLES_PER_SEIZURE: "7",
                 ENV_PAPER_DURATIONS: "1",
                 ENV_SERVICE_QUEUE_DEPTH: "16",
@@ -95,7 +90,6 @@ class TestFromEnv:
             }
         )
         assert settings == ReproSettings(
-            engine_executor="thread",
             samples_per_seizure=7,
             paper_durations=True,
             service_queue_depth=16,
@@ -109,10 +103,10 @@ class TestFromEnv:
 
     def test_reads_process_environment_by_default(self, monkeypatch):
         monkeypatch.setenv(ENV_SERVICE_QUEUE_DEPTH, "5")
-        monkeypatch.setenv(ENV_ENGINE_EXECUTOR, "serial")
+        monkeypatch.setenv(ENV_SAMPLES_PER_SEIZURE, "3")
         settings = ReproSettings.from_env()
         assert settings.service_queue_depth == 5
-        assert settings.engine_executor == "serial"
+        assert settings.samples_per_seizure == 3
 
     def test_snapshot_does_not_track_later_env_changes(self, monkeypatch):
         monkeypatch.setenv(ENV_SERVICE_QUEUE_DEPTH, "5")
@@ -136,16 +130,9 @@ class TestFromEnv:
         with pytest.raises(ServiceError):
             ReproSettings.from_env({ENV_SERVICE_WORKERS: "0"})
 
-    def test_bad_executor_uses_canonical_parser(self):
-        with pytest.raises(EngineError, match=ENV_ENGINE_EXECUTOR):
-            ReproSettings.from_env({ENV_ENGINE_EXECUTOR: "gpu"})
-
     @pytest.mark.parametrize(
         "name, raw, error, message",
         [
-            (ENV_ENGINE_EXECUTOR, "gpu", EngineError,
-             "REPRO_ENGINE_EXECUTOR must be one of "
-             "('process', 'thread', 'serial'), got 'gpu'"),
             (ENV_SAMPLES_PER_SEIZURE, "ten", ValueError,
              "REPRO_SAMPLES_PER_SEIZURE must be an integer, got 'ten'"),
             (ENV_SAMPLES_PER_SEIZURE, "0", ValueError,
@@ -284,21 +271,6 @@ class TestResolvers:
 
 
 class TestThreading:
-    def test_engine_uses_settings_executor(self, dataset):
-        from repro.engine import CohortEngine
-
-        engine = CohortEngine(
-            dataset, settings=ReproSettings(engine_executor="thread")
-        )
-        assert engine.executor == "thread"
-        # An explicit kind still wins over the snapshot.
-        engine = CohortEngine(
-            dataset,
-            executor="serial",
-            settings=ReproSettings(engine_executor="thread"),
-        )
-        assert engine.executor == "serial"
-
     def test_service_config_from_settings(self):
         settings = ReproSettings(
             service_queue_depth=4, service_backpressure="shed-oldest"
