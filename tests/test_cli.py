@@ -300,11 +300,12 @@ class TestCohortResumability:
         # (one fresh record runs in-process, on one worker).
         lines = ckpt.read_text().splitlines(keepends=True)
         ckpt.write_text("".join(lines[:-1]))
-        argv = self._cohort_args(
-            "--checkpoint", str(ckpt), "--resume", "--json", str(resumed)
+        code = main(
+            self._cohort_args(
+                "--checkpoint", str(ckpt), "--resume", "--json", str(resumed),
+                "--executor", "process", "--workers", "2",
+            )
         )
-        argv[argv.index("serial")] = "process"
-        code = main(argv + ["--workers", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "3 record(s) restored" in out
