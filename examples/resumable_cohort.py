@@ -84,7 +84,7 @@ def main() -> None:
         lookback_s=450.0,
     )
     scenario = [((0, 1), 0), ((2, 3), 1)]  # (seizure indices, sample)
-    print("\nself-learning scenario (parallel labeling phase):")
+    print("\nself-learning scenario:")
     for seizures, sample in scenario:
         record = dataset.generate_monitoring_record(
             8, 1800.0, seizure_indices=list(seizures),

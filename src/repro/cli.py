@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Three commands cover the library's main entry points without writing any
+Nine commands cover the library's main entry points without writing any
 code:
 
 * ``label``    — run the a-posteriori labeling algorithm on an EDF record
@@ -35,11 +35,25 @@ code:
 * ``serve``    — run the real-time detection service's length-prefixed
   socket front-end (:mod:`repro.service`) until interrupted or
   ``--max-seconds`` elapses.
+
+Exit codes:
+
+* 0 — success;
+* 1 — ``store verify`` found a corrupt or stale entry, or ``shard
+  collect`` found the plan incomplete;
+* 2 — bad input: a one-line ``error: <message>`` on stderr (argparse's
+  own usage errors exit 2 as well).
+
+The handlers only parse and print.  Each value is checked once, by the
+library call that owns it, and the handlers let its error propagate:
+:func:`main` is the one place that reports a
+:class:`~repro.exceptions.ReproError`, ``ValueError`` or ``OSError``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -58,6 +72,7 @@ from .engine import (
     CohortCheckpoint,
     CohortEngine,
     DiskFeatureStore,
+    ShardLauncher,
     ShardSpec,
     cohort_tasks,
     collect_shards,
@@ -585,9 +600,6 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.duration_min <= 0 or args.duration_max < args.duration_min:
-        print("error: invalid duration range", file=sys.stderr)
-        return 2
     dataset = SyntheticEEGDataset(
         duration_range_s=(args.duration_min * 60.0, args.duration_max * 60.0)
     )
@@ -613,8 +625,8 @@ def resolve_cohort_scale(
     (:envvar:`REPRO_SAMPLES_PER_SEIZURE` / :envvar:`REPRO_PAPER_DURATIONS`;
     default: :meth:`ReproSettings.from_env`) > ``--paper-scale``'s
     Sec. VI-A values > the CLI's laptop defaults.  Raises ``ValueError``
-    on a malformed env value; range validity is checked by the caller
-    (NaN handling stays with the dataset).
+    on a malformed env value; the range and the sample count are checked
+    by the dataset and the work list built from them.
     """
     settings = settings or ReproSettings.from_env()
     samples = args.samples
@@ -671,64 +683,41 @@ def _print_report_table(report) -> None:
     )
 
 
-def _validated_cohort_scale(
-    args: argparse.Namespace, settings: ReproSettings
+def _cohort_scale(
+    args: argparse.Namespace,
 ) -> tuple[int, tuple[float, float], list[int] | None]:
-    """Resolve *and validate* the shared cohort scale/filter flags.
+    """Resolve the shared cohort scale/filter flags over the environment.
 
     The single source of truth for every command that must agree with
     ``repro cohort`` on what a set of scale flags means (``cohort``,
     ``checkpoint merge``, the ``shard`` family — byte parity between
-    them depends on identical resolution).  Raises ``ValueError``; the
-    handlers print it as the usual clean error.
+    them depends on identical resolution).
     """
-    samples, duration_range_s = resolve_cohort_scale(args, settings)
-    if duration_range_s[0] <= 0 or duration_range_s[1] < duration_range_s[0]:
-        raise ValueError("invalid duration range")
-    if samples < 1:
-        raise ValueError("--samples must be >= 1")
+    samples, duration_range_s = resolve_cohort_scale(
+        args, ReproSettings.from_env()
+    )
     return samples, duration_range_s, _parse_patient_ids(args.patients)
 
 
-def _write_report_json(path: str, report) -> int:
+def _write_report_json(path: str, report) -> None:
     """Write the canonical report JSON (shared by cohort / shard merge /
     shard orchestrate, whose outputs must stay byte-compatible)."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 2
+    with open(path, "w") as fh:
+        fh.write(report.to_json())
     print(f"report JSON written to {path}")
-    return 0
 
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
-    try:
-        samples, duration_range_s, patient_ids = _validated_cohort_scale(
-            args, ReproSettings.from_env()
-        )
-    except (ValueError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.chunk_s is not None and args.chunk_s <= 0:
-        print("error: --chunk-s must be positive", file=sys.stderr)
-        return 2
+    samples, duration_range_s, patient_ids = _cohort_scale(args)
     if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
+        raise ValueError("--resume requires --checkpoint")
     if args.compact and not args.checkpoint:
-        print("error: --compact requires --checkpoint", file=sys.stderr)
-        return 2
+        raise ValueError("--compact requires --checkpoint")
     checkpoint = None
     if args.checkpoint:
         checkpoint = CohortCheckpoint(args.checkpoint)
         if args.compact:
-            try:
-                result = checkpoint.compact()
-            except ReproError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            result = checkpoint.compact()
             print(
                 f"checkpoint {args.checkpoint}: kept {result['kept']} "
                 f"outcome(s), dropped {result['dropped']} dead line(s), "
@@ -736,39 +725,28 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
             )
             return 0
         if checkpoint.path.exists() and not args.resume:
-            print(
-                f"error: checkpoint {args.checkpoint} already exists; "
+            raise ValueError(
+                f"checkpoint {args.checkpoint} already exists; "
                 f"pass --resume to continue that run or delete the file "
-                f"to start over",
-                file=sys.stderr,
+                f"to start over"
             )
-            return 2
-    try:
-        dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
-        engine = CohortEngine(
-            dataset,
-            max_workers=args.workers,
-            executor=args.executor,
-            chunk_s=args.chunk_s if args.chunk_s is not None else DEFAULT_CHUNK_S,
-            store_dir=args.store or None,
-        )
-        resumed_records = checkpoint.outcome_count() if checkpoint else 0
-        start = time.perf_counter()
-        report = engine.run(
-            samples_per_seizure=samples,
-            patient_ids=patient_ids,
-            max_failures=None if args.max_failures < 0 else args.max_failures,
-            checkpoint=checkpoint,
-        )
-        elapsed = time.perf_counter() - start
-    except ReproError as exc:
-        # DataError from the dataset configuration, EngineError for bad
-        # engine configuration, for runs whose failure count crosses
-        # --max-failures (the message lists every failure observed
-        # before cancellation), and CheckpointError for a journal
-        # written by a different work list or configuration.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
+    engine = CohortEngine(
+        dataset,
+        max_workers=args.workers,
+        executor=args.executor,
+        chunk_s=args.chunk_s if args.chunk_s is not None else DEFAULT_CHUNK_S,
+        store_dir=args.store or None,
+    )
+    resumed_records = checkpoint.outcome_count() if checkpoint else 0
+    start = time.perf_counter()
+    report = engine.run(
+        samples_per_seizure=samples,
+        patient_ids=patient_ids,
+        max_failures=None if args.max_failures < 0 else args.max_failures,
+        checkpoint=checkpoint,
+    )
+    elapsed = time.perf_counter() - start
 
     _print_report_table(report)
     if report.n_failures:
@@ -798,7 +776,7 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
         f"{engine.effective_workers(fresh)} worker(s))"
     )
     if args.json:
-        return _write_report_json(args.json, report)
+        _write_report_json(args.json, report)
     return 0
 
 
@@ -818,23 +796,15 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     work_digest = None
     expected_config = None
     if wants_scale:
-        try:
-            tasks, config = _resolve_shard_cohort(args)
-        except (ValueError, ReproError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        tasks, config = _resolve_shard_cohort(args)
         work_digest = work_list_digest(tasks)
         expected_config = config_digest(config)
-    try:
-        result = merge_checkpoints(
-            args.out,
-            args.sources,
-            work_digest=work_digest,
-            expected_config=expected_config,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = merge_checkpoints(
+        args.out,
+        args.sources,
+        work_digest=work_digest,
+        expected_config=expected_config,
+    )
     print(
         f"merged {result['sources']} shard journal(s) into {args.out}: "
         f"{result['outcomes']} outcome(s), {result['duplicates']} "
@@ -843,19 +813,22 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_shard_cohort(args: argparse.Namespace):
+def _resolve_shard_cohort(
+    args: argparse.Namespace, chunk_s: float | None = None
+):
     """Resolve the scale/filter flags into ``(tasks, engine_config)``
     exactly the way ``repro cohort`` would — the planned shards must add
-    up to the run a single node would execute.
-
-    Raises ``ValueError`` for bad flag values (caller prints and exits
-    2, matching the other commands).
+    up to the run a single node would execute.  ``chunk_s`` never
+    changes the configuration digest; passing it here only refuses a bad
+    value before any plan is written.
     """
-    samples, duration_range_s, patient_ids = _validated_cohort_scale(
-        args, ReproSettings.from_env()
-    )
+    samples, duration_range_s, patient_ids = _cohort_scale(args)
     dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
-    engine = CohortEngine(dataset, executor="serial")
+    engine = CohortEngine(
+        dataset,
+        executor="serial",
+        chunk_s=chunk_s if chunk_s is not None else DEFAULT_CHUNK_S,
+    )
     tasks = cohort_tasks(
         dataset, samples_per_seizure=samples, patient_ids=patient_ids
     )
@@ -863,27 +836,15 @@ def _resolve_shard_cohort(args: argparse.Namespace):
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    try:
-        tasks, config = _resolve_shard_cohort(args)
-    except (ValueError, ReproError) as exc:
-        # ValueError for bad flag values, DataError/EngineError for a
-        # dataset or patient filter the cohort cannot satisfy.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tasks, config = _resolve_shard_cohort(args)
     out_dir = Path(args.out_dir)
     if sorted(out_dir.glob("shard-*.json")):
-        print(
-            f"error: {out_dir} already contains a shard plan; point "
-            f"--out-dir at a fresh directory or delete the old plan",
-            file=sys.stderr,
+        raise ValueError(
+            f"{out_dir} already contains a shard plan; point "
+            f"--out-dir at a fresh directory or delete the old plan"
         )
-        return 2
-    try:
-        specs = plan_shards(tasks, config, args.shards, strategy=args.strategy)
-        write_plan(out_dir, specs)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    specs = plan_shards(tasks, config, args.shards, strategy=args.strategy)
+    write_plan(out_dir, specs)
     sizes = ", ".join(str(len(s.tasks)) for s in specs)
     print(
         f"planned {len(specs)} shard(s) ({args.strategy}) over "
@@ -896,33 +857,28 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
-    if args.chunk_s is not None and args.chunk_s <= 0:
-        print("error: --chunk-s must be positive", file=sys.stderr)
-        return 2
     journal = args.journal or str(Path(args.manifest).with_suffix(".ckpt"))
-    try:
-        spec = ShardSpec.load(args.manifest)
-        if not spec.tasks:
-            print(
-                f"shard {spec.shard_index}/{spec.n_shards}: 0 task(s), "
-                f"nothing to run"
-            )
-            return 0
-        ckpt = CohortCheckpoint(journal)
-        restored = ckpt.outcome_count()
-        start = time.perf_counter()
-        report = run_shard(
-            spec,
-            journal=ckpt,
-            executor=args.executor,
-            max_workers=args.workers,
-            chunk_s=args.chunk_s,
-            store_dir=args.store or None,
+    spec = ShardSpec.load(args.manifest)
+    ckpt = CohortCheckpoint(journal)
+    restored = ckpt.outcome_count()
+    start = time.perf_counter()
+    # Even an empty shard goes through run_shard, which checks the
+    # scheduling knobs and the manifest's config digest.
+    report = run_shard(
+        spec,
+        journal=ckpt,
+        executor=args.executor,
+        max_workers=args.workers,
+        chunk_s=args.chunk_s,
+        store_dir=args.store or None,
+    )
+    elapsed = time.perf_counter() - start
+    if not spec.tasks:
+        print(
+            f"shard {spec.shard_index}/{spec.n_shards}: 0 task(s), "
+            f"nothing to run"
         )
-        elapsed = time.perf_counter() - start
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 0
     print(
         f"shard {spec.shard_index}/{spec.n_shards}: {report.n_records} "
         f"record(s) complete ({restored} restored, "
@@ -933,12 +889,8 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_collect(args: argparse.Namespace) -> int:
-    try:
-        specs = load_plan(args.plan_dir)
-        statuses = collect_shards(args.plan_dir, specs=specs)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    specs = load_plan(args.plan_dir)
+    statuses = collect_shards(args.plan_dir, specs=specs)
     print(f"{'shard':>5}  {'tasks':>5}  {'done':>5}  {'missing':>7}  state")
     for status in statuses:
         if status.complete:
@@ -962,75 +914,53 @@ def _cmd_shard_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_merge(args: argparse.Namespace) -> int:
-    try:
-        specs = load_plan(args.plan_dir)
-        stats = merge_shards(args.plan_dir, args.out, specs=specs)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    specs = load_plan(args.plan_dir)
+    stats = merge_shards(args.plan_dir, args.out, specs=specs)
     print(
         f"merged {stats['sources']} shard journal(s) into {args.out}: "
         f"{stats['outcomes']} outcome(s), {stats['duplicates']} "
         f"duplicate(s) collapsed, {stats['dropped']} dead line(s) dropped"
     )
     if args.report:
-        try:
-            report = merged_report(args.plan_dir, args.out, specs=specs)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = merged_report(args.plan_dir, args.out, specs=specs)
         _print_report_table(report)
-        return _write_report_json(args.report, report)
+        _write_report_json(args.report, report)
     return 0
 
 
 def _cmd_shard_orchestrate(args: argparse.Namespace) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.chunk_s is not None and args.chunk_s <= 0:
-        print("error: --chunk-s must be positive", file=sys.stderr)
-        return 2
-    try:
-        tasks, config = _resolve_shard_cohort(args)
-    except (ValueError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tasks, config = _resolve_shard_cohort(args, chunk_s=args.chunk_s)
     out_dir = Path(args.out_dir)
-    try:
-        specs = plan_shards(tasks, config, args.shards, strategy=args.strategy)
-        if sorted(out_dir.glob("shard-*.json")):
-            # Resume semantics: an existing plan is reused so completed
-            # shards are skipped and partial ones continue — but only if
-            # it describes exactly this cohort, scale, and partition; a
-            # mismatched directory must never be silently overwritten.
-            existing = load_plan(out_dir)
-            if existing != specs:
-                print(
-                    f"error: {out_dir} holds a plan for a different "
-                    f"run (cohort, scale, shard count, or strategy "
-                    f"differ); point --out-dir elsewhere or delete it",
-                    file=sys.stderr,
-                )
-                return 2
-            specs = existing
-        else:
-            write_plan(out_dir, specs)
-        start = time.perf_counter()
-        report, summary = orchestrate(
-            out_dir,
-            specs=specs,
-            jobs=args.jobs,
-            shard_workers=args.shard_workers,
-            executor=args.executor,
-            store_dir=args.store or None,
-            chunk_s=args.chunk_s,
-            fail_fast=not args.keep_going,
-        )
-        elapsed = time.perf_counter() - start
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    launch = {
+        "jobs": args.jobs,
+        "shard_workers": args.shard_workers,
+        "executor": args.executor,
+        "store_dir": args.store or None,
+        "chunk_s": args.chunk_s,
+        "fail_fast": not args.keep_going,
+    }
+    # The launcher refuses bad knobs on construction: do it before a
+    # plan is written, so a bad value leaves no manifest behind.
+    ShardLauncher(out_dir, **launch)
+    specs = plan_shards(tasks, config, args.shards, strategy=args.strategy)
+    if sorted(out_dir.glob("shard-*.json")):
+        # Resume semantics: an existing plan is reused so completed
+        # shards are skipped and partial ones continue — but only if
+        # it describes exactly this cohort, scale, and partition; a
+        # mismatched directory must never be silently overwritten.
+        existing = load_plan(out_dir)
+        if existing != specs:
+            raise ValueError(
+                f"{out_dir} holds a plan for a different "
+                f"run (cohort, scale, shard count, or strategy "
+                f"differ); point --out-dir elsewhere or delete it"
+            )
+        specs = existing
+    else:
+        write_plan(out_dir, specs)
+    start = time.perf_counter()
+    report, summary = orchestrate(out_dir, specs=specs, **launch)
+    elapsed = time.perf_counter() - start
     launched = summary["launched"]
     print(
         f"orchestrated {summary['shards']} shard(s) in {elapsed:.1f} s: "
@@ -1040,7 +970,7 @@ def _cmd_shard_orchestrate(args: argparse.Namespace) -> int:
     )
     _print_report_table(report)
     if args.json:
-        return _write_report_json(args.json, report)
+        _write_report_json(args.json, report)
     return 0
 
 
@@ -1057,42 +987,37 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.dir):
-        print(f"error: no feature store directory at {args.dir}", file=sys.stderr)
-        return 2
-    try:
-        store = DiskFeatureStore(args.dir)
-        if args.store_command == "stats":
-            print(f"store: {args.dir}")
-            print(f"entries: {len(store)}")
-            print(f"bytes: {store.total_bytes()}")
-        elif args.store_command == "verify":
-            counts = store.verify()
+        raise ValueError(f"no feature store directory at {args.dir}")
+    store = DiskFeatureStore(args.dir)
+    if args.store_command == "stats":
+        print(f"store: {args.dir}")
+        print(f"entries: {len(store)}")
+        print(f"bytes: {store.total_bytes()}")
+    elif args.store_command == "verify":
+        counts = store.verify()
+        print(
+            f"{counts['entries']} entries ({counts['bytes']} bytes): "
+            f"{counts['ok']} ok, {counts['corrupt']} corrupt, "
+            f"{counts['stale']} stale"
+        )
+        if counts["corrupt"] or counts["stale"]:
             print(
-                f"{counts['entries']} entries ({counts['bytes']} bytes): "
-                f"{counts['ok']} ok, {counts['corrupt']} corrupt, "
-                f"{counts['stale']} stale"
+                "verification failed: run `repro store gc` to remove "
+                "broken entries",
+                file=sys.stderr,
             )
-            if counts["corrupt"] or counts["stale"]:
-                print(
-                    "verification failed: run `repro store gc` to remove "
-                    "broken entries",
-                    file=sys.stderr,
-                )
-                return 1
-        elif args.store_command == "gc":
-            result = store.gc(max_bytes=args.max_bytes)
-            print(
-                f"removed {result['removed_corrupt']} corrupt and "
-                f"{result['removed_stale']} stale entries, evicted "
-                f"{result['evicted']} over the size bound; "
-                f"{result['entries']} entries ({result['bytes']} bytes) kept"
-            )
-        else:  # clear
-            removed = store.clear()
-            print(f"removed {removed} entries from {args.dir}")
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            return 1
+    elif args.store_command == "gc":
+        result = store.gc(max_bytes=args.max_bytes)
+        print(
+            f"removed {result['removed_corrupt']} corrupt and "
+            f"{result['removed_stale']} stale entries, evicted "
+            f"{result['evicted']} over the size bound; "
+            f"{result['entries']} entries ({result['bytes']} bytes) kept"
+        )
+    else:  # clear
+        removed = store.clear()
+        print(f"removed {removed} entries from {args.dir}")
     return 0
 
 
@@ -1129,20 +1054,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     from .service.manager import SessionManager
     from .service.replayer import Replayer
 
-    if args.duration_min <= 0 or args.duration_max < args.duration_min:
-        print("error: invalid duration range", file=sys.stderr)
-        return 2
-    try:
-        manager = SessionManager(_service_config(args))
-        replayer = Replayer(manager, speed=args.speed, chunk_s=args.chunk_s)
-        dataset = SyntheticEEGDataset(
-            duration_range_s=(args.duration_min * 60.0, args.duration_max * 60.0)
-        )
-        source = dataset.sample_source(args.patient, args.seizure, args.sample)
-        report = replayer.replay(source)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    manager = SessionManager(_service_config(args))
+    replayer = Replayer(manager, speed=args.speed, chunk_s=args.chunk_s)
+    dataset = SyntheticEEGDataset(
+        duration_range_s=(args.duration_min * 60.0, args.duration_max * 60.0)
+    )
+    source = dataset.sample_source(args.patient, args.seizure, args.sample)
+    report = replayer.replay(source)
     if args.json:
         body = {
             "replay": report.to_dict(),
@@ -1183,14 +1101,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .api import start_service
     from .service.fleet import ServiceShardPool
 
-    if args.max_seconds is not None and args.max_seconds <= 0:
-        print("error: --max-seconds must be positive", file=sys.stderr)
-        return 2
-    try:
-        config = _service_config(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # The one numeric flag no library call owns.  Written so that NaN
+    # fails too: it would otherwise time out at once and exit 0.
+    if args.max_seconds is not None and not (
+        math.isfinite(args.max_seconds) and args.max_seconds > 0
+    ):
+        raise ValueError("--max-seconds must be positive")
+    config = _service_config(args)
 
     async def wait_for_exit(stop_requested: asyncio.Event) -> None:
         """Block until the deadline or a termination signal — whichever
@@ -1255,9 +1172,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:  # pragma: no cover - non-unix fallback
         print("interrupted", file=sys.stderr)
         return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.json:
         print(
             json.dumps(
@@ -1278,7 +1192,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (see the module docstring)."""
     args = build_parser().parse_args(argv)
     handlers = {
         "label": _cmd_label,
@@ -1291,7 +1205,11 @@ def main(argv: list[str] | None = None) -> int:
         "replay": _cmd_replay,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

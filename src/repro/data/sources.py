@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Iterator
@@ -142,8 +143,8 @@ class RecordSource(ABC):
 
     def chunk_samples(self, chunk_s: float) -> int:
         """Samples per streamed chunk for a chunk length in seconds."""
-        if chunk_s <= 0:
-            raise DataError(f"chunk_s must be positive, got {chunk_s}")
+        if not (math.isfinite(chunk_s) and chunk_s > 0):
+            raise DataError(f"chunk_s must be finite and positive, got {chunk_s}")
         return max(1, int(round(chunk_s * self.fs)))
 
     def window_labels(

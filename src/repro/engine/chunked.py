@@ -22,6 +22,7 @@ engine results == sequential-pipeline results.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -121,12 +122,12 @@ def extract_features_from_source(
     FeatureError
         If the record is shorter than one window (same contract as the
         batch path — zero-row matrices are never silently produced) or
-        ``chunk_s`` is not positive.
+        ``chunk_s`` is not finite and positive.
     """
     extractor = extractor or Paper10FeatureExtractor()
     spec = spec or WindowSpec(length_s=4.0, step_s=1.0)
-    if chunk_s <= 0:
-        raise FeatureError(f"chunk_s must be positive, got {chunk_s}")
+    if not (math.isfinite(chunk_s) and chunk_s > 0):
+        raise FeatureError(f"chunk_s must be finite and positive, got {chunk_s}")
     if spec.n_windows(source.n_samples, source.fs) == 0:
         raise FeatureError(
             f"record of {source.duration_s:.1f}s shorter than one "

@@ -325,7 +325,9 @@ class CohortEngine:
                 f"min_overlap must be in (0, 1], got {min_overlap}"
             )
         if not (math.isfinite(chunk_s) and chunk_s > 0):
-            raise EngineError(f"chunk_s must be finite and > 0, got {chunk_s}")
+            raise EngineError(
+                f"chunk_s (--chunk-s) must be finite and > 0, got {chunk_s}"
+            )
         if cache_capacity < 1:
             raise EngineError(
                 f"cache_capacity must be >= 1, got {cache_capacity}"

@@ -52,6 +52,7 @@ re-collects, merges, and returns the verified report.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -691,13 +692,15 @@ class ShardLauncher:
         python: str | None = None,
     ) -> None:
         if jobs is not None and jobs < 1:
-            raise ShardError(f"jobs must be >= 1, got {jobs}")
+            raise ShardError(f"jobs (--jobs) must be >= 1, got {jobs}")
         if shard_workers is not None and shard_workers < 1:
             raise ShardError(
                 f"shard_workers must be >= 1 or None, got {shard_workers}"
             )
-        if chunk_s is not None and chunk_s <= 0:
-            raise ShardError(f"chunk_s must be positive, got {chunk_s}")
+        if chunk_s is not None and not (math.isfinite(chunk_s) and chunk_s > 0):
+            raise ShardError(
+                f"chunk_s (--chunk-s) must be finite and positive, got {chunk_s}"
+            )
         self.plan_dir = Path(plan_dir)
         self.jobs = jobs
         #: Worker-pool size *inside* each shard (default 1: concurrency

@@ -20,6 +20,7 @@ materialized record.  That comparison is the service's acceptance gate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -100,10 +101,10 @@ class Replayer:
         speed: float | None = 1.0,
         chunk_s: float = 1.0,
     ) -> None:
-        if speed is not None and speed < 0:
-            raise ServiceError(f"speed must be >= 0, got {speed}")
-        if chunk_s <= 0:
-            raise ServiceError(f"chunk_s must be positive, got {chunk_s}")
+        if speed is not None and not (math.isfinite(speed) and speed >= 0):
+            raise ServiceError(f"speed must be finite and >= 0, got {speed}")
+        if not (math.isfinite(chunk_s) and chunk_s > 0):
+            raise ServiceError(f"chunk_s must be finite and positive, got {chunk_s}")
         # `is not None`, not truthiness: an empty manager has len() == 0.
         self.manager = manager if manager is not None else SessionManager()
         self.speed = float(speed) if speed else 0.0

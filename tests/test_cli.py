@@ -939,6 +939,87 @@ class TestServe:
         assert all("latency" not in s for s in snapshot["shards"])
 
 
+class TestErrorExit:
+    """Bad input ends in one ``error:`` line and exit code 2, never a
+    traceback — checked on the real process, as a user would run it."""
+
+    SCALE = ["--patients", "8", "--duration-min", "5", "--duration-max", "6"]
+
+    @staticmethod
+    def _run(argv):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=300,
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "simulate-unknown-patient",
+            "label-missing-record",
+            "lifetime-negative-rate",
+            "serve-nan-max-seconds",
+            "replay-nan-chunk",
+            "shard-run-nan-chunk",
+            "orchestrate-nan-chunk",
+            "orchestrate-zero-jobs",
+            "orchestrate-zero-shard-workers",
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, case, tmp_path):
+        plan_dir = tmp_path / "plan"
+        orchestrate = [
+            "shard", "orchestrate", "--out-dir", str(plan_dir),
+            "--shards", "2", *self.SCALE, "--executor", "serial",
+        ]
+        if case == "shard-run-nan-chunk":
+            # Four tasks over five shards: the last manifest is empty,
+            # and an empty shard must refuse a bad knob as well.
+            assert main(
+                ["shard", "plan", "--out-dir", str(plan_dir),
+                 "--shards", "5", *self.SCALE]
+            ) == 0
+        argv = {
+            "simulate-unknown-patient": ["simulate", "--patient", "99"],
+            "label-missing-record": [
+                "label", str(tmp_path / "absent"), "--avg-duration", "60",
+            ],
+            "lifetime-negative-rate": ["lifetime", "--seizures-per-day", "-1"],
+            "serve-nan-max-seconds": ["serve", "--max-seconds", "nan"],
+            "replay-nan-chunk": [
+                "replay", "--duration-min", "5", "--duration-max", "6",
+                "--chunk-s", "nan",
+            ],
+            "shard-run-nan-chunk": [
+                "shard", "run", str(plan_dir / "shard-004.json"),
+                "--chunk-s", "nan",
+            ],
+            "orchestrate-nan-chunk": [*orchestrate, "--chunk-s", "nan"],
+            "orchestrate-zero-jobs": [*orchestrate, "--jobs", "0"],
+            "orchestrate-zero-shard-workers": [
+                *orchestrate, "--shard-workers", "0",
+            ],
+        }[case]
+        proc = self._run(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        if case.startswith("orchestrate"):
+            # Refused before the plan was written: nothing to clean up.
+            assert not list(plan_dir.glob("shard-*.json"))
+
+
 class TestServeSignals:
     """`repro serve` drains before exiting on SIGTERM — subprocess-level,
     because signal delivery and exit codes are the contract."""

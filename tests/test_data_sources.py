@@ -166,8 +166,9 @@ class TestSyntheticRecordSource:
 
     def test_bad_chunk_size_rejected(self, dataset):
         source = dataset.sample_source(1, 0, 0)
-        with pytest.raises(DataError, match="chunk_s"):
-            next(source.iter_chunks(0.0))
+        for chunk_s in (0.0, float("nan")):
+            with pytest.raises(DataError, match="chunk_s"):
+                next(source.iter_chunks(chunk_s))
 
 
 #: (patient, seizure) of a clean record, one with the Table-II outlier

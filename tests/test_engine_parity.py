@@ -102,8 +102,9 @@ class TestChunkedEqualsBatch:
         assert chunked.feature_names == batch.feature_names
 
     def test_bad_chunk_size_rejected(self, sample_record):
-        with pytest.raises(FeatureError, match="chunk_s"):
-            extract_features_chunked(sample_record, chunk_s=0.0)
+        for chunk_s in (0.0, float("nan")):
+            with pytest.raises(FeatureError, match="chunk_s"):
+                extract_features_chunked(sample_record, chunk_s=chunk_s)
 
 
 class TestChunkSizeInvariance:

@@ -491,8 +491,9 @@ class TestLauncherPolicies:
             ShardLauncher(tmp_path, jobs=0)
         with pytest.raises(ShardError, match="shard_workers"):
             ShardLauncher(tmp_path, shard_workers=0)
-        with pytest.raises(ShardError, match="chunk_s"):
-            ShardLauncher(tmp_path, chunk_s=0.0)
+        for chunk_s in (0.0, float("nan")):
+            with pytest.raises(ShardError, match="chunk_s"):
+                ShardLauncher(tmp_path, chunk_s=chunk_s)
 
 
 class TestOrchestrateEndToEnd:

@@ -83,12 +83,14 @@ class TestPacing:
 
 class TestValidation:
     def test_bad_speed_raises(self):
-        with pytest.raises(ServiceError):
-            Replayer(speed=-1.0)
+        for speed in (-1.0, float("nan")):
+            with pytest.raises(ServiceError):
+                Replayer(speed=speed)
 
     def test_bad_chunk_raises(self):
-        with pytest.raises(ServiceError):
-            Replayer(chunk_s=0.0)
+        for chunk_s in (0.0, float("nan")):
+            with pytest.raises(ServiceError):
+                Replayer(chunk_s=chunk_s)
 
     def test_geometry_mismatch_raises(self):
         manager = SessionManager(ServiceConfig(fs=512.0))
