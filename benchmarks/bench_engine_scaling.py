@@ -44,7 +44,7 @@ def test_engine_scaling(benchmark):
 
     engine = CohortEngine(dataset, executor="serial")
     start = time.perf_counter()
-    baseline_report = engine.run_sequential(tasks)
+    baseline_report = engine.run(tasks)
     sequential_s = time.perf_counter() - start
     baseline_json = baseline_report.to_json()
 

@@ -78,7 +78,6 @@ def _kernel_input(name: str, rng: np.random.Generator) -> np.ndarray:
 
 #: The parameter set each kernel is timed under.
 KERNEL_PARAMS = {
-    "approximate_entropy": {"m": 2, "k": 0.2},
     "band_powers": {
         "fs": 256.0,
         "bands": ((4.0, 8.0), (0.0, 128.0), (0.5, 4.0)),
@@ -87,7 +86,6 @@ KERNEL_PARAMS = {
     "permutation_entropy": {"order": 3},
     "renyi_entropy": {"alpha": 2.0},
     "sample_entropy": {"m": 2, "k": 0.2},
-    "shannon_entropy": {},
 }
 
 

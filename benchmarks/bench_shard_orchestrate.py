@@ -52,7 +52,7 @@ def test_shard_orchestrate_parity_and_overhead():
 
     engine = CohortEngine(dataset, executor="serial")
     start = time.perf_counter()
-    sequential = engine.run_sequential(tasks)
+    sequential = engine.run(tasks)
     sequential_s = time.perf_counter() - start
     baseline_json = sequential.to_json()
 

@@ -42,12 +42,7 @@ def main() -> None:
     # Fan out across a process pool.  Records are regenerated inside the
     # workers from their coordinates; only task tuples cross the
     # process boundary.
-    # cache_capacity >= the work list keeps every record's features
-    # memoized across the runs below (the default of 8 would LRU-thrash
-    # an 11-record sequential scan).
-    engine = CohortEngine(
-        dataset, max_workers=4, executor="process", cache_capacity=16
-    )
+    engine = CohortEngine(dataset, max_workers=4, executor="process")
     start = time.perf_counter()
     report = engine.run(tasks)
     parallel_s = time.perf_counter() - start
@@ -67,9 +62,12 @@ def main() -> None:
 
     # The equivalence contract: the sequential path produces the exact
     # same report — same labels, same metrics, byte-identical JSON —
-    # regardless of worker count or scheduling.
+    # regardless of worker count or scheduling.  cache_capacity >= the
+    # work list keeps every record's features memoized across the two
+    # serial runs (the default of 8 would LRU-thrash an 11-record scan).
+    serial = CohortEngine(dataset, executor="serial", cache_capacity=16)
     start = time.perf_counter()
-    sequential = engine.run_sequential(tasks)
+    sequential = serial.run(tasks)
     sequential_s = time.perf_counter() - start
     identical = sequential.to_json() == report.to_json()
     print(f"\nsequential path: {sequential_s:.1f} s")
@@ -78,8 +76,8 @@ def main() -> None:
 
     # The in-process feature cache memoizes (record, extractor, spec):
     # re-running the serial path is nearly free on the extraction side.
-    engine.run_sequential(tasks)
-    print(f"feature cache after re-run: {engine.cache_stats()}")
+    serial.run(tasks)
+    print(f"feature cache after re-run: {serial.cache_stats()}")
 
 
 if __name__ == "__main__":

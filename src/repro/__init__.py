@@ -62,7 +62,6 @@ from .engine import (
     ShardSpec,
     cohort_tasks,
     collect_shards,
-    extract_features_chunked,
     extract_features_from_source,
     merge_checkpoints,
     merge_shards,
@@ -182,7 +181,6 @@ __all__ = [
     "ShardSpec",
     "cohort_tasks",
     "collect_shards",
-    "extract_features_chunked",
     "extract_features_from_source",
     "merge_checkpoints",
     "merge_shards",

@@ -148,7 +148,7 @@ def evaluate_cohort(
     durations or an explicit range is given).
 
     Extra keyword arguments go to :class:`~repro.engine.executor
-    .CohortEngine` (``grid_step``, ``store_dir``, ...); the report is the
+    .CohortEngine` (``chunk_s``, ``store_dir``, ...); the report is the
     engine's usual :class:`~repro.engine.report.CohortReport`.
     """
     settings = settings or ReproSettings.from_env()

@@ -30,6 +30,7 @@ experiment can be replayed exactly from its configuration.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,30 @@ from .seizures import LazySeizureOverlay
 from .sources import SignalPatch, SyntheticRecordSource
 from .synthetic import draw_block_entropy
 
-__all__ = ["SeizureEvent", "SyntheticEEGDataset"]
+__all__ = ["SeizureEvent", "SyntheticEEGDataset", "check_duration_range"]
 
 # Purpose tags folded into seed material so different record types drawn
 # for the same (patient, seizure, sample) triple are independent.
 _PURPOSE_SAMPLE = 1
 _PURPOSE_FREE = 2
 _PURPOSE_MONITOR = 3
+
+
+def check_duration_range(duration_range_s) -> tuple[float, float]:
+    """A record-duration range ``(lo, hi)`` in seconds, as floats.
+
+    Refused with :class:`~repro.exceptions.DataError` unless both bounds
+    are finite and ``0 < lo <= hi``, so a bad range fails before any
+    record is drawn (numpy's uniform draw would overflow on ``inf`` and
+    raise on a reversed range).
+    """
+    lo, hi = (float(bound) for bound in duration_range_s)
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
+        raise DataError(
+            f"invalid duration range {tuple(duration_range_s)}: need "
+            f"finite bounds with 0 < min <= max"
+        )
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -93,13 +111,10 @@ class SyntheticEEGDataset:
     ) -> None:
         if fs <= 0:
             raise DataError(f"sampling rate must be positive, got {fs}")
-        lo, hi = duration_range_s
-        if not 0 < lo <= hi:
-            raise DataError(f"invalid duration range {duration_range_s}")
+        self.duration_range_s = check_duration_range(duration_range_s)
         self.patients = tuple(patients)
         self.fs = float(fs)
         self.seed = int(seed)
-        self.duration_range_s = (float(lo), float(hi))
         self._events = self._draw_inventory()
 
     # ------------------------------------------------------------------
@@ -190,7 +205,7 @@ class SyntheticEEGDataset:
         event = self.event(patient_id, seizure_index)
         rng = self._rng(patient_id, seizure_index, sample_index, _PURPOSE_SAMPLE)
 
-        lo, hi = duration_range_s or self.duration_range_s
+        lo, hi = check_duration_range(duration_range_s or self.duration_range_s)
         duration_s = float(rng.uniform(lo, hi))
         seiz_s = event.duration_s
         if seiz_s >= duration_s * 0.5:

@@ -12,8 +12,9 @@ pool aborts — and resumable via the persistent feature store.
 * :class:`RecordTask` / :func:`cohort_tasks` — the shardable work list;
 * :class:`CohortReport` — deterministic Table I/II-style aggregation,
   including the per-task failures section;
-* :func:`extract_features_chunked` — the engine's bounded-memory record
-  path, bit-identical to batch extraction;
+* :func:`extract_features_from_source` — the engine's bounded-memory
+  record path, bit-identical to batch extraction (in-memory records go
+  through :func:`repro.api.extract`);
 * :class:`FeatureCache` — LRU memo keyed by (record, extractor, spec);
 * :class:`DiskFeatureStore` — its persistent second tier (atomic writes,
   versioned header, load-or-recompute, size-bounded LRU eviction and
@@ -35,7 +36,7 @@ detector its predecessors trained, so it runs record by record through
 :meth:`~repro.selflearning.pipeline.SelfLearningPipeline.observe_record`.
 """
 
-from .cache import FeatureCache, feature_cache_key, source_cache_key
+from .cache import FeatureCache, source_cache_key
 from .checkpoint import (
     DEFAULT_COMPACT_DEAD_LINES,
     CohortCheckpoint,
@@ -43,12 +44,7 @@ from .checkpoint import (
     merge_checkpoints,
     work_list_digest,
 )
-from .chunked import (
-    DEFAULT_CHUNK_S,
-    coalesce_chunks,
-    extract_features_chunked,
-    extract_features_from_source,
-)
+from .chunked import DEFAULT_CHUNK_S, extract_features_from_source
 from .executor import EXECUTORS, CohortEngine, EngineConfig
 from .report import CohortReport, PatientSummary, RecordOutcome
 from .sharding import (
@@ -86,13 +82,10 @@ __all__ = [
     "ShardLauncher",
     "ShardSpec",
     "ShardStatus",
-    "coalesce_chunks",
     "cohort_tasks",
     "collect_shards",
     "config_digest",
-    "extract_features_chunked",
     "extract_features_from_source",
-    "feature_cache_key",
     "load_plan",
     "merge_checkpoints",
     "merge_shards",

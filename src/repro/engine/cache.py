@@ -37,14 +37,13 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..data.records import EEGRecord
-from ..data.sources import ArrayRecordSource, RecordSource, record_content_digest
+from ..data.sources import RecordSource, record_content_digest
 from ..exceptions import EngineError
 from ..features.base import FeatureExtractor, FeatureMatrix
 from ..signals.windowing import WindowSpec
 from .chunked import DEFAULT_CHUNK_S, extract_features_from_source
 
-__all__ = ["FeatureCache", "feature_cache_key", "source_cache_key"]
+__all__ = ["FeatureCache", "source_cache_key"]
 
 
 def _extractor_fingerprint(extractor: FeatureExtractor) -> str:
@@ -106,14 +105,6 @@ def source_cache_key(
         float(spec.length_s),
         float(spec.step_s),
     )
-
-
-def feature_cache_key(
-    record: EEGRecord, extractor: FeatureExtractor, spec: WindowSpec
-) -> tuple:
-    """:func:`source_cache_key` for an in-memory record (same key as the
-    streamed path over identical content — the two tiers stay shared)."""
-    return source_cache_key(ArrayRecordSource(record), extractor, spec)
 
 
 class FeatureCache:
@@ -185,18 +176,6 @@ class FeatureCache:
                 self.store.save(key, feats)
         self._insert(key, feats)
         return feats
-
-    def get_or_extract(
-        self,
-        record: EEGRecord,
-        extractor: FeatureExtractor,
-        spec: WindowSpec,
-        chunk_s: float = DEFAULT_CHUNK_S,
-    ) -> FeatureMatrix:
-        """:meth:`get_or_extract_source` over an in-memory record."""
-        return self.get_or_extract_source(
-            ArrayRecordSource(record), extractor, spec, chunk_s
-        )
 
     def _insert(self, key: tuple, feats: FeatureMatrix) -> None:
         with self._lock:

@@ -13,7 +13,7 @@ File format
 -----------
 Line 1 is a header naming the journal format version plus two digests:
 the *work digest* (over the exact task list) and the *config digest*
-(over every engine-configuration field that can change an outcome).  A
+(over the dataset and pipeline that fix every outcome).  A
 journal written by a different work list or configuration is rejected
 with :class:`~repro.exceptions.CheckpointError` — silently merging it
 could fabricate a report no single run ever produced.  Each following
@@ -175,8 +175,8 @@ def work_list_digest(tasks) -> str:
 
 
 def config_digest(config) -> str:
-    """Digest of every :class:`EngineConfig` field that can change an
-    outcome.
+    """Digest of everything in an :class:`EngineConfig` run that can
+    change an outcome: the dataset, plus the fixed pipeline.
 
     Scheduling knobs (executor kind, worker count, ``chunk_s``, cache
     capacity, store paths) are deliberately excluded: the equivalence
@@ -184,31 +184,23 @@ def config_digest(config) -> str:
     checkpoint taken under one of them is valid under any other.
     """
     dataset = config.dataset
-    extractor = config.extractor
-    if extractor is None:
-        extractor_id = "default"
-    else:
-        # Class plus instance configuration, as for the feature cache key.
-        from .cache import _extractor_fingerprint
-
-        extractor_id = (
-            f"{type(extractor).__qualname__}:{_extractor_fingerprint(extractor)}"
-        )
     material = repr(
         (
             dataset.patients,
             dataset.fs,
             dataset.seed,
             dataset.duration_range_s,
-            extractor_id,
-            float(config.spec.length_s),
-            float(config.spec.step_s),
-            # A constant (the engine runs one Algorithm 1), kept in the
-            # tuple so existing journals and shard manifests keep their
-            # config digest.
+            # The pipeline the engine always runs (the paper's 10
+            # features, 4 s / 1 s windows, the fast Algorithm 1 at grid
+            # step 4, 50 % scoring overlap).  These literals were once
+            # configuration fields; they stay in the tuple so existing
+            # journals and shard manifests keep their config digest.
+            "default",
+            4.0,
+            1.0,
             "fast",
-            config.grid_step,
-            float(config.min_overlap),
+            4,
+            0.5,
         )
     )
     return hashlib.blake2b(material.encode(), digest_size=16).hexdigest()

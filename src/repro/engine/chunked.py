@@ -11,9 +11,9 @@ Since the streaming data-plane refactor the input is a
 :class:`~repro.data.sources.RecordSource`, so the *signal itself* is
 produced in bounded chunks too — a multi-hour synthetic or EDF record
 flows source -> chunks -> streaming extractor without ever existing as
-one array.  :func:`extract_features_chunked` keeps the original
-record-taking signature by wrapping in an
-:class:`~repro.data.sources.ArrayRecordSource`.
+one array.  An in-memory record goes through the same path wrapped in
+an :class:`~repro.data.sources.ArrayRecordSource` (see
+:func:`repro.api.extract`).
 
 This is the invocation the engine's equivalence contract is stated
 against: chunked extraction == batch extraction at any chunk size, hence
@@ -23,65 +23,22 @@ engine results == sequential-pipeline results.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..data.records import EEGRecord
-from ..data.sources import ArrayRecordSource, RecordSource
+from ..data.sources import RecordSource
 from ..exceptions import FeatureError
 from ..features.base import FeatureExtractor, FeatureMatrix
 from ..features.paper10 import Paper10FeatureExtractor
 from ..core.streaming import StreamingFeatureExtractor
 from ..signals.windowing import WindowSpec
 
-__all__ = [
-    "DEFAULT_CHUNK_S",
-    "coalesce_chunks",
-    "extract_features_chunked",
-    "extract_features_from_source",
-]
+__all__ = ["DEFAULT_CHUNK_S", "extract_features_from_source"]
 
 #: Default chunk length fed to the streaming extractor (seconds).  At the
 #: paper's 256 Hz x 2 channels this bounds the working set to ~240 kB per
 #: in-flight chunk regardless of record duration.
 DEFAULT_CHUNK_S = 60.0
-
-
-def coalesce_chunks(
-    chunks: Iterable[np.ndarray], min_samples: int
-) -> Iterator[np.ndarray]:
-    """Merge successive chunks until each emitted piece has at least
-    ``min_samples`` samples (the final piece may be shorter).
-
-    Guards the extractor push path against pathologically small
-    ``chunk_s``: every ``StreamingFeatureExtractor.push`` re-buffers up
-    to one window of history, so pushing one-sample chunks would cost
-    O(n_samples * window) — quadratic-feeling on long records.  Coalesced
-    to at least one window step, the push count (and hence total
-    re-buffering) is the same as running at ``chunk_s == step_s``, while
-    results stay bit-identical (the streaming extractor is invariant to
-    how the sample stream is split).  Memory stays bounded: at most
-    ``min_samples`` plus one producer chunk is ever held.
-    """
-    if min_samples < 1:
-        raise FeatureError(f"min_samples must be >= 1, got {min_samples}")
-    pending: list[np.ndarray] = []
-    have = 0
-    for chunk in chunks:
-        pending.append(chunk)
-        have += chunk.shape[1]
-        if have >= min_samples:
-            yield (
-                pending[0]
-                if len(pending) == 1
-                else np.concatenate(pending, axis=1)
-            )
-            pending, have = [], 0
-    if pending:
-        yield (
-            pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
-        )
 
 
 def extract_features_from_source(
@@ -107,9 +64,10 @@ def extract_features_from_source(
     spec:
         Window geometry; defaults to the paper's 4 s / 1 s step.
     chunk_s:
-        Samples are streamed in chunks of this many seconds.  Chunks
-        smaller than one window step are coalesced before pushing (see
-        :func:`coalesce_chunks`); results are identical either way.
+        Samples are streamed in chunks of this many seconds, but never
+        less than one window step: every push re-buffers up to one
+        window of history, so one-sample chunks would cost
+        O(n_samples * window).  Results are identical at any size.
 
     Returns
     -------
@@ -137,9 +95,10 @@ def extract_features_from_source(
     stream = StreamingFeatureExtractor(
         extractor, fs=source.fs, spec=spec, n_channels=source.n_channels
     )
-    min_push = max(1, spec.step_samples(source.fs))
     parts = []
-    for chunk in coalesce_chunks(source.iter_chunks(chunk_s), min_push):
+    # Chunks of at least one step: RecordSource.chunk_samples rounds
+    # seconds to samples exactly as WindowSpec.step_samples does.
+    for chunk in source.iter_chunks(max(chunk_s, spec.step_s)):
         rows = stream.push(chunk)
         if rows.size:
             parts.append(rows)
@@ -150,22 +109,4 @@ def extract_features_from_source(
         feature_names=extractor.feature_names,
         spec=spec,
         fs=source.fs,
-    )
-
-
-def extract_features_chunked(
-    record: EEGRecord,
-    extractor: FeatureExtractor | None = None,
-    spec: WindowSpec | None = None,
-    chunk_s: float = DEFAULT_CHUNK_S,
-) -> FeatureMatrix:
-    """Extract every sliding-window feature row of ``record`` chunk-wise.
-
-    The in-memory compatibility form of
-    :func:`extract_features_from_source` (the record is wrapped in an
-    :class:`~repro.data.sources.ArrayRecordSource`); same results, same
-    error contract, ``chunk_s`` of any positive size accepted.
-    """
-    return extract_features_from_source(
-        ArrayRecordSource(record), extractor, spec, chunk_s
     )

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.deviation import deviation, normalized_deviation
 from ..core.labeling import APosterioriLabeler
@@ -58,23 +58,20 @@ from ..data.dataset import SyntheticEEGDataset
 from ..data.records import SeizureAnnotation, interval_window_labels
 from ..data.sources import RecordSource
 from ..exceptions import EngineError
-from ..features.base import FeatureExtractor
 from ..ml.metrics import classification_report
 from ..settings import EXECUTORS
-from ..signals.windowing import WindowSpec
 from .cache import FeatureCache
-from .checkpoint import (
-    DEFAULT_COMPACT_DEAD_LINES,
-    CohortCheckpoint,
-    config_digest,
-    work_list_digest,
-)
+from .checkpoint import CohortCheckpoint, config_digest, work_list_digest
 from .chunked import DEFAULT_CHUNK_S
 from .report import CohortReport, RecordOutcome
 from .store import DiskFeatureStore
 from .tasks import RecordTask, cohort_tasks
 
 __all__ = ["EngineConfig", "CohortEngine", "EXECUTORS"]
+
+#: Window/annotation overlap fraction for the sensitivity/specificity
+#: scoring (same convention as :meth:`EEGRecord.window_labels`).
+SCORING_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -83,17 +80,15 @@ class EngineConfig:
 
     Shipped once per worker (pickled for process pools), so it must stay
     small: the dataset is a few kB of profile parameters, never signal.
+    The pipeline itself is fixed — the paper's 10 features on 4 s / 1 s
+    windows, Algorithm 1 with grid step 4, scored at
+    :data:`SCORING_OVERLAP` — so every field here is the dataset or a
+    scheduling/resource knob that never changes a report byte.
     """
 
     dataset: SyntheticEEGDataset
-    extractor: FeatureExtractor | None = None
-    spec: WindowSpec = field(default_factory=lambda: WindowSpec(4.0, 1.0))
-    grid_step: int = 4
     chunk_s: float = DEFAULT_CHUNK_S
     cache_capacity: int = 8
-    #: Window/annotation overlap fraction for the sensitivity/specificity
-    #: scoring (same convention as :meth:`EEGRecord.window_labels`).
-    min_overlap: float = 0.5
     #: Directory of the shared disk feature store (``None``: memory-only
     #: caching).  A path, not a store object, so the config stays small
     #: and picklable; each worker opens its own handle onto the same
@@ -109,11 +104,7 @@ class _WorkerContext:
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        self.labeler = APosterioriLabeler(
-            extractor=config.extractor,
-            spec=config.spec,
-            grid_step=config.grid_step,
-        )
+        self.labeler = APosterioriLabeler()
         store = (
             DiskFeatureStore(config.store_dir, max_bytes=config.store_max_bytes)
             if config.store_dir
@@ -174,14 +165,13 @@ class _WorkerContext:
         n_windows: int,
         ann: SeizureAnnotation,
     ) -> RecordOutcome:
-        cfg = self.config
         spec = self.labeler.spec
         truth = source.annotations[0]
         truth_labels = source.window_labels(
-            spec.length_s, spec.step_s, cfg.min_overlap
+            spec.length_s, spec.step_s, SCORING_OVERLAP
         )
         pred_labels = interval_window_labels(
-            [ann], n_windows, spec.length_s, spec.step_s, cfg.min_overlap
+            [ann], n_windows, spec.length_s, spec.step_s, SCORING_OVERLAP
         )
         n = min(truth_labels.size, pred_labels.size)
         scores = classification_report(truth_labels[:n], pred_labels[:n])
@@ -258,13 +248,10 @@ class CohortEngine:
         ``"process"`` (the default when ``None``: true parallelism for
         the numpy/Python mix of the feature extractors) or ``"serial"``
         (no pool — the reference path the parity tests compare against).
-    extractor / spec / grid_step:
-        Pipeline configuration, as for
-        :class:`~repro.core.labeling.APosterioriLabeler`.
-    chunk_s / cache_capacity / min_overlap:
+    chunk_s / cache_capacity:
         See :class:`EngineConfig`.  ``chunk_s`` must be finite and
-        positive, ``cache_capacity`` and ``grid_step`` at least 1; a bad
-        value raises :class:`EngineError` here, before any worker starts.
+        positive, ``cache_capacity`` at least 1; a bad value raises
+        :class:`EngineError` here, before any worker starts.
     store_dir:
         Directory of the persistent feature store.  When set, workers
         read/write feature matrices there (write-temp-then-rename, so a
@@ -276,12 +263,9 @@ class CohortEngine:
         evicted past it (``None``: unbounded).  See
         :meth:`DiskFeatureStore.gc` / the ``repro store`` CLI for
         offline lifecycle management.
-    checkpoint_compact_dead_lines:
-        Automatic journal-compaction cadence for checkpoints the engine
-        opens from a *path*: when resuming observes at least this many
-        dead journal lines, the journal is compacted before new appends
-        (``None`` disables; a :class:`CohortCheckpoint` object passed to
-        :meth:`run` keeps its own setting).
+
+    The pipeline is not configurable: the engine runs the paper's Sec.
+    VI-A protocol (see :class:`EngineConfig`).
     """
 
     def __init__(
@@ -290,15 +274,10 @@ class CohortEngine:
         *,
         max_workers: int | None = None,
         executor: str | None = None,
-        extractor: FeatureExtractor | None = None,
-        spec: WindowSpec | None = None,
-        grid_step: int = 4,
         chunk_s: float = DEFAULT_CHUNK_S,
         cache_capacity: int = 8,
-        min_overlap: float = 0.5,
         store_dir: str | None = None,
         store_max_bytes: int | None = None,
-        checkpoint_compact_dead_lines: int | None = DEFAULT_COMPACT_DEAD_LINES,
     ) -> None:
         if executor is None:
             executor = EXECUTORS[0]
@@ -312,18 +291,6 @@ class CohortEngine:
             raise EngineError(
                 f"store_max_bytes must be >= 1 or None, got {store_max_bytes}"
             )
-        if (
-            checkpoint_compact_dead_lines is not None
-            and checkpoint_compact_dead_lines < 1
-        ):
-            raise EngineError(
-                f"checkpoint_compact_dead_lines must be >= 1 or None, got "
-                f"{checkpoint_compact_dead_lines}"
-            )
-        if not 0.0 < min_overlap <= 1.0:
-            raise EngineError(
-                f"min_overlap must be in (0, 1], got {min_overlap}"
-            )
         if not (math.isfinite(chunk_s) and chunk_s > 0):
             raise EngineError(
                 f"chunk_s (--chunk-s) must be finite and > 0, got {chunk_s}"
@@ -332,19 +299,12 @@ class CohortEngine:
             raise EngineError(
                 f"cache_capacity must be >= 1, got {cache_capacity}"
             )
-        if grid_step < 1:
-            raise EngineError(f"grid_step must be >= 1, got {grid_step}")
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.executor = executor
-        self.checkpoint_compact_dead_lines = checkpoint_compact_dead_lines
         self.config = EngineConfig(
             dataset=dataset,
-            extractor=extractor,
-            spec=spec or WindowSpec(4.0, 1.0),
-            grid_step=grid_step,
             chunk_s=chunk_s,
             cache_capacity=cache_capacity,
-            min_overlap=min_overlap,
             store_dir=str(store_dir) if store_dir else None,
             store_max_bytes=store_max_bytes,
         )
@@ -364,11 +324,10 @@ class CohortEngine:
         return self._local_context().cache.stats()
 
     # ------------------------------------------------------------------
-    def effective_workers(self, n_tasks: int, executor: str | None = None) -> int:
+    def effective_workers(self, n_tasks: int) -> int:
         """Workers a run of ``n_tasks`` will actually use (pool size is
         capped by the task count; the serial path uses exactly one)."""
-        kind = executor or self.executor
-        if kind == "serial":
+        if self.executor == "serial":
             return 1
         return max(1, min(self.max_workers, n_tasks))
 
@@ -379,7 +338,6 @@ class CohortEngine:
         samples_per_seizure: int = 1,
         patient_ids: list[int] | tuple[int, ...] | None = None,
         duration_range_s: tuple[float, float] | None = None,
-        executor: str | None = None,
         max_failures: int | None = None,
         checkpoint: str | os.PathLike | CohortCheckpoint | None = None,
     ) -> CohortReport:
@@ -387,9 +345,6 @@ class CohortEngine:
 
         With no explicit ``tasks``, the Sec. VI-A work list is built via
         :func:`~repro.engine.tasks.cohort_tasks` from the keyword knobs.
-        ``executor`` overrides the configured kind for this call only —
-        the engine itself is never mutated, so concurrent runs with
-        different kinds cannot interfere.
 
         A task whose pipeline raises no longer aborts the run: the
         exception is captured into a failure outcome and reported under
@@ -414,17 +369,10 @@ class CohortEngine:
         :class:`~repro.exceptions.CheckpointError`; a corrupt or
         stale-version journal silently resets (everything re-runs).
         Failed tasks are never journaled and therefore always retried
-        on resume.  A journal opened from a path inherits the engine's
-        ``checkpoint_compact_dead_lines`` cadence: resuming through
-        enough dead lines triggers an automatic compaction before any
-        new outcome is appended.
+        on resume.  A journal opened from a path gets
+        :class:`CohortCheckpoint`'s default compaction cadence; pass a
+        :class:`CohortCheckpoint` object to choose another.
         """
-        if executor is None:
-            executor = self.executor
-        elif executor not in EXECUTORS:
-            raise EngineError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
         if max_failures is not None and max_failures < 0:
             raise EngineError(
                 f"max_failures must be >= 0 or None, got {max_failures}"
@@ -446,10 +394,7 @@ class CohortEngine:
             journal = (
                 checkpoint
                 if isinstance(checkpoint, CohortCheckpoint)
-                else CohortCheckpoint(
-                    checkpoint,
-                    compact_dead_lines=self.checkpoint_compact_dead_lines,
-                )
+                else CohortCheckpoint(checkpoint)
             )
             completed = journal.begin(
                 work_list_digest(tasks), config_digest(self.config)
@@ -471,7 +416,7 @@ class CohortEngine:
         outcomes = list(completed.values())
         try:
             outcomes += self._collect(
-                pending, executor, max_failures, journal, n_total=len(tasks)
+                pending, max_failures, journal, n_total=len(tasks)
             )
         finally:
             if journal is not None:
@@ -495,7 +440,6 @@ class CohortEngine:
     def _collect(
         self,
         pending: tuple[RecordTask, ...],
-        executor: str,
         max_failures: int | None,
         journal: CohortCheckpoint | None,
         n_total: int,
@@ -510,7 +454,7 @@ class CohortEngine:
         """
         if not pending:
             return []
-        n_workers = self.effective_workers(len(pending), executor)
+        n_workers = self.effective_workers(len(pending))
         outcomes: list[RecordOutcome] = []
         failures: list[RecordOutcome] = []
 
@@ -535,7 +479,7 @@ class CohortEngine:
                 f"{n_total} tasks, cancelling the rest: {detail}"
             )
 
-        if executor == "serial" or n_workers == 1:
+        if n_workers == 1:
             context = self._local_context()
             for task in pending:
                 if not admit(context.process_safe(task)):
@@ -556,15 +500,3 @@ class CohortEngine:
         finally:
             pool.shutdown(wait=True)
         return outcomes
-
-    def run_sequential(
-        self,
-        tasks: tuple[RecordTask, ...] | list[RecordTask] | None = None,
-        **kwargs,
-    ) -> CohortReport:
-        """The reference path: same pipeline, one task at a time, no pool.
-
-        Exists so callers (parity tests, the scaling bench) can name the
-        baseline explicitly instead of re-configuring the engine.
-        """
-        return self.run(tasks, executor="serial", **kwargs)

@@ -567,7 +567,7 @@ def collect_shards(
     statuses = []
     for spec in specs:
         path = journal_path(plan_dir, spec.shard_index)
-        journal = CohortCheckpoint(path, compact_dead_lines=None)
+        journal = CohortCheckpoint(path)
         try:
             done = journal.load(spec.shard_work, spec.config)
         except CheckpointError as exc:
@@ -643,7 +643,7 @@ def merged_report(
     """
     specs = tuple(specs) if specs is not None else load_plan(plan_dir)
     full = reconstruct_work_list(specs)
-    journal = CohortCheckpoint(merged, compact_dead_lines=None)
+    journal = CohortCheckpoint(merged)
     try:
         done = journal.load(specs[0].work, specs[0].config)
     except CheckpointError as exc:

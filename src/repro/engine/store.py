@@ -4,7 +4,7 @@ The in-process :class:`~repro.engine.cache.FeatureCache` dies with the
 worker; every new session re-extracts every feature matrix from scratch,
 which dominates cohort-run cost.  :class:`DiskFeatureStore` persists
 matrices under a digest of the exact-identity
-:func:`~repro.engine.cache.feature_cache_key`, so repeated sessions (and
+:func:`~repro.engine.cache.source_cache_key`, so repeated sessions (and
 re-runs after a crash) skip extraction for every unchanged record.
 
 Durability rules
@@ -116,7 +116,8 @@ def _verify_entry(
 
 
 def store_key_digest(key: tuple) -> str:
-    """Stable hex digest of a :func:`feature_cache_key` tuple.
+    """Stable hex digest of a :func:`~repro.engine.cache.source_cache_key`
+    tuple.
 
     The key is built from primitives (strings, floats, shape tuples)
     whose ``repr`` is stable across processes and sessions, so the

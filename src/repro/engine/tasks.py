@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..data.dataset import SyntheticEEGDataset
+from ..data.dataset import SyntheticEEGDataset, check_duration_range
 from ..exceptions import EngineError
 
 __all__ = ["RecordTask", "cohort_tasks"]
@@ -37,6 +37,8 @@ class RecordTask:
                 f"seizure/sample indices must be >= 0, got "
                 f"{self.seizure_index}/{self.sample_index}"
             )
+        if self.duration_range_s is not None:
+            check_duration_range(self.duration_range_s)
 
     @property
     def key(self) -> tuple[int, int, int]:

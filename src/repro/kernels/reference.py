@@ -14,18 +14,15 @@ import numpy as np
 
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
-from ..entropy.sample import approximate_entropy, sample_entropy
-from ..entropy.shannon import shannon_entropy
+from ..entropy.sample import sample_entropy
 from ..exceptions import FeatureError
 from ..features.wavelet_features import dwt_details
 from ..signals.spectral import band_power_from_psd, welch_psd
 
 __all__ = [
     "sample_entropy_reference",
-    "approximate_entropy_reference",
     "permutation_entropy_reference",
     "renyi_entropy_reference",
-    "shannon_entropy_reference",
     "dwt_details_reference",
     "band_powers_reference",
 ]
@@ -50,16 +47,6 @@ def sample_entropy_reference(
     windows = _check_windows(windows)
     return np.array(
         [sample_entropy(row, m=m, k=k, r=r) for row in windows], dtype=float
-    )
-
-
-def approximate_entropy_reference(
-    windows: np.ndarray, m: int = 2, k: float = 0.2, r: float | None = None
-) -> np.ndarray:
-    windows = _check_windows(windows)
-    return np.array(
-        [approximate_entropy(row, m=m, k=k, r=r) for row in windows],
-        dtype=float,
     )
 
 
@@ -91,16 +78,6 @@ def renyi_entropy_reference(
             renyi_entropy(row, alpha=alpha, bins=bins, normalize=normalize)
             for row in windows
         ],
-        dtype=float,
-    )
-
-
-def shannon_entropy_reference(
-    windows: np.ndarray, bins: int = 16, normalize: bool = False
-) -> np.ndarray:
-    windows = _check_windows(windows)
-    return np.array(
-        [shannon_entropy(row, bins=bins, normalize=normalize) for row in windows],
         dtype=float,
     )
 

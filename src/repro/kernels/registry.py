@@ -1,4 +1,4 @@
-"""Registry of batched feature kernels: 7 kernels x 2 backends.
+"""Registry of batched feature kernels: 5 kernels x 2 backends.
 
 Per-window feature extraction (entropies, DWT subbands, band powers)
 dominates cohort wall-clock.  Each kernel has two implementations
@@ -53,13 +53,11 @@ _REGISTRY: dict[str, dict[str, Callable]] = {
         "vectorized": getattr(_vec, f"{name}_vectorized"),
     }
     for name in (
-        "approximate_entropy",
         "band_powers",
         "dwt_details",
         "permutation_entropy",
         "renyi_entropy",
         "sample_entropy",
-        "shannon_entropy",
     )
 }
 

@@ -59,10 +59,8 @@ from .reference import _check_windows
 
 __all__ = [
     "sample_entropy_vectorized",
-    "approximate_entropy_vectorized",
     "permutation_entropy_vectorized",
     "renyi_entropy_vectorized",
-    "shannon_entropy_vectorized",
     "dwt_details_vectorized",
     "band_powers_vectorized",
 ]
@@ -78,7 +76,7 @@ _PSD_CHUNK_BYTES = 256 * 1024
 
 
 # ---------------------------------------------------------------------------
-# Template matching (sample / approximate entropy)
+# Template matching (sample entropy)
 # ---------------------------------------------------------------------------
 
 
@@ -112,7 +110,7 @@ def _template_distances(windows: np.ndarray, m: int):
 def _prepare_tolerance(
     windows: np.ndarray, m: int, k: float, r: float | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared (out, live_rows, r_per_row) setup for SampEn/ApEn kernels.
+    """Shared (out, live_rows, r_per_row) setup for the SampEn kernel.
 
     ``out`` starts at the degenerate value 0.0; ``live_rows`` indexes the
     rows that need matching (non-constant, or all rows when ``r`` is
@@ -163,28 +161,6 @@ def sample_entropy_vectorized(
     out[live] = [
         _sampen_value(int(bi), int(ai), n, m) for bi, ai in zip(b, a)
     ]
-    return out
-
-
-def approximate_entropy_vectorized(
-    windows: np.ndarray, m: int = 2, k: float = 0.2, r: float | None = None
-) -> np.ndarray:
-    windows = _check_windows(windows)
-    out, live, r_rows = _prepare_tolerance(windows, m, k, r)
-    if live.size == 0:
-        return out
-    n_vec = windows.shape[1] - m + 1
-    r_live = r_rows[live, None, None]
-    # Per-template match counts, self-match included (ApEn's C_i).
-    counts = np.empty((live.size, n_vec), dtype=np.int64)
-    counts_next = np.empty((live.size, n_vec - 1), dtype=np.int64)
-    for rows, dist, dist_next in _template_distances(windows[live], m):
-        counts[rows] = (dist <= r_live[rows]).sum(axis=2)
-        counts_next[rows] = (dist_next <= r_live[rows]).sum(axis=2)
-    # phi: mean log self-inclusive match rate per row.
-    phi = np.mean(np.log(counts / n_vec), axis=1)
-    phi_next = np.mean(np.log(counts_next / (n_vec - 1)), axis=1)
-    out[live] = phi - phi_next
     return out
 
 
@@ -265,7 +241,7 @@ def permutation_entropy_vectorized(
 
 
 # ---------------------------------------------------------------------------
-# Histogram entropies (Shannon / Rényi)
+# Histogram entropy (Rényi; its alpha -> 1 limit is Shannon)
 # ---------------------------------------------------------------------------
 
 
@@ -334,25 +310,6 @@ def _positive_p_groups(counts: np.ndarray, n: int):
         rows = np.nonzero(n_pos == u)[0]
         vals = counts[rows][positive[rows]].reshape(rows.size, int(u))
         yield rows, vals / n
-
-
-def shannon_entropy_vectorized(
-    windows: np.ndarray, bins: int = 16, normalize: bool = False
-) -> np.ndarray:
-    if bins < 2:
-        raise SignalError(f"need at least 2 histogram bins, got {bins}")
-    windows = _check_windows(windows)
-    n_windows, n = windows.shape
-    out = np.zeros(n_windows)
-    if n == 0:
-        return out
-    live, counts = _live_histograms(windows, bins)
-    for rows, p in _positive_p_groups(counts, n):
-        h = -np.sum(p * np.log2(p), axis=1)
-        if normalize:
-            h = h / math.log2(bins)
-        out[live[rows]] = h
-    return out
 
 
 def renyi_entropy_vectorized(

@@ -966,6 +966,8 @@ class TestErrorExit:
         "case",
         [
             "simulate-unknown-patient",
+            "simulate-inf-duration",
+            "cohort-inf-duration",
             "label-missing-record",
             "lifetime-negative-rate",
             "serve-nan-max-seconds",
@@ -991,6 +993,10 @@ class TestErrorExit:
             ) == 0
         argv = {
             "simulate-unknown-patient": ["simulate", "--patient", "99"],
+            "simulate-inf-duration": ["simulate", "--duration-max", "inf"],
+            "cohort-inf-duration": [
+                "cohort", "--patients", "8", "--duration-max", "inf",
+            ],
             "label-missing-record": [
                 "label", str(tmp_path / "absent"), "--avg-duration", "60",
             ],
@@ -1015,6 +1021,10 @@ class TestErrorExit:
         assert proc.stderr.startswith("error:"), proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        if case.endswith("inf-duration"):
+            # Refused by the dataset before any record is drawn, not
+            # reported as every record failing.
+            assert "invalid duration range" in proc.stderr, proc.stderr
         if case.startswith("orchestrate"):
             # Refused before the plan was written: nothing to clean up.
             assert not list(plan_dir.glob("shard-*.json"))

@@ -116,3 +116,29 @@ class TestValidation:
     def test_bad_duration_range_raises(self):
         with pytest.raises(DataError):
             SyntheticEEGDataset(duration_range_s=(100.0, 50.0))
+
+    #: Ranges numpy's uniform draw cannot take: it overflowed on an
+    #: infinite bound and raised on a reversed one.
+    BAD_RANGES = [
+        (300.0, float("inf")),
+        (float("nan"), 400.0),
+        (600.0, 300.0),
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_RANGES)
+    def test_constructor_refuses_unusable_range(self, bad):
+        with pytest.raises(DataError, match="invalid duration range"):
+            SyntheticEEGDataset(duration_range_s=bad)
+
+    @pytest.mark.parametrize("bad", BAD_RANGES)
+    def test_per_call_override_refuses_unusable_range(self, bad):
+        dataset = SyntheticEEGDataset(duration_range_s=(300.0, 360.0))
+        with pytest.raises(DataError, match="invalid duration range"):
+            dataset.sample_source(1, 0, 0, duration_range_s=bad)
+
+    @pytest.mark.parametrize("bad", BAD_RANGES)
+    def test_record_task_refuses_unusable_range(self, bad):
+        from repro.engine import RecordTask
+
+        with pytest.raises(DataError, match="invalid duration range"):
+            RecordTask(1, 0, 0, duration_range_s=bad)

@@ -27,8 +27,10 @@ from repro.engine import (
     RecordOutcome,
     RecordTask,
     cohort_tasks,
-    extract_features_chunked,
+    source_cache_key,
 )
+from repro.api import extract
+from repro.data.sources import ArrayRecordSource
 from repro.exceptions import EngineError, FeatureError
 from repro.features.extraction import extract_features
 from repro.features.paper10 import Paper10FeatureExtractor
@@ -94,7 +96,7 @@ class TestChunkedEqualsBatch:
     def test_exact_equality(self, sample_record, chunk_s):
         extractor = Paper10FeatureExtractor()
         batch = extract_features(sample_record, extractor)
-        chunked = extract_features_chunked(
+        chunked = extract(
             sample_record, extractor, chunk_s=chunk_s
         )
         assert chunked.values.shape == batch.values.shape
@@ -104,7 +106,7 @@ class TestChunkedEqualsBatch:
     def test_bad_chunk_size_rejected(self, sample_record):
         for chunk_s in (0.0, float("nan")):
             with pytest.raises(FeatureError, match="chunk_s"):
-                extract_features_chunked(sample_record, chunk_s=chunk_s)
+                extract(sample_record, chunk_s=chunk_s)
 
 
 class TestChunkSizeInvariance:
@@ -191,7 +193,7 @@ class TestChunkSizeInvariance:
             fs=FS,
         )
         spec = WindowSpec(4.0, 1.0)
-        tiny = extract_features_chunked(record, spec=spec, chunk_s=0.01)
+        tiny = extract(record, spec=spec, chunk_s=0.01)
         n_pushes = calls["n"]
         assert n_pushes <= 31  # one push per 1 s step (+ final partial)
         calls["n"] = 0
@@ -248,13 +250,13 @@ class TestStreamingPassCount:
         assert calls["n"] == len(self.TASKS)
 
     def test_array_source_miss_streams_twice(self, sample_record, monkeypatch):
-        from repro.data.sources import ArrayRecordSource
-
         calls = self.count_passes(monkeypatch, ArrayRecordSource)
         cache = FeatureCache(capacity=2)
-        cache.get_or_extract(sample_record, Paper10FeatureExtractor(), WindowSpec(4.0, 1.0))
+        source = ArrayRecordSource(sample_record)
+        extractor, spec = Paper10FeatureExtractor(), WindowSpec(4.0, 1.0)
+        cache.get_or_extract_source(source, extractor, spec)
         assert calls["n"] == 2  # content digest + extraction
-        cache.get_or_extract(sample_record, Paper10FeatureExtractor(), WindowSpec(4.0, 1.0))
+        cache.get_or_extract_source(source, extractor, spec)
         assert calls["n"] == 3  # a memory hit still digests the content
 
 
@@ -282,12 +284,9 @@ class TestEngineParity:
         engine = CohortEngine(dataset, max_workers=4, executor="process")
         self.check_report(engine.run(COHORT_TASKS), expected)
 
-    def test_run_sequential_matches(self, dataset, expected):
-        engine = CohortEngine(dataset, max_workers=4, executor="process")
-        self.check_report(engine.run_sequential(COHORT_TASKS), expected)
-        # run_sequential must not clobber the configured execution mode.
-        assert engine.executor == "process"
-        assert engine.max_workers == 4
+    def test_serial_matches(self, dataset, expected):
+        engine = CohortEngine(dataset, max_workers=4, executor="serial")
+        self.check_report(engine.run(COHORT_TASKS), expected)
 
 
 class TestEngineValidation:
@@ -311,12 +310,6 @@ class TestEngineValidation:
         assert payload["outcomes"] == []
         assert payload["median_delta_s"] == 0.0
 
-    def test_run_rejects_unknown_executor_override(self, dataset):
-        engine = CohortEngine(dataset, executor="serial")
-        for kind in ("fleet", "thread"):
-            with pytest.raises(EngineError, match=re.escape(REFUSED_KIND)):
-                engine.run(COHORT_TASKS, executor=kind)
-
     @pytest.mark.parametrize(
         "knob, value",
         [
@@ -325,8 +318,6 @@ class TestEngineValidation:
             ("chunk_s", float("nan")),
             ("chunk_s", float("inf")),
             ("cache_capacity", 0),
-            ("grid_step", 0),
-            ("min_overlap", 0.0),
         ],
     )
     def test_rejects_bad_pipeline_knob(self, dataset, knob, value):
@@ -339,7 +330,8 @@ class TestEngineValidation:
         engine = CohortEngine(dataset, max_workers=8, executor="process")
         assert engine.effective_workers(3) == 3  # capped by task count
         assert engine.effective_workers(20) == 8
-        assert engine.effective_workers(20, executor="serial") == 1
+        serial = CohortEngine(dataset, max_workers=8, executor="serial")
+        assert serial.effective_workers(20) == 1
 
     def test_unknown_patient_in_work_list(self, dataset):
         with pytest.raises(EngineError, match="unknown patient"):
@@ -363,8 +355,9 @@ class TestFeatureCache:
         cache = FeatureCache(capacity=2)
         extractor = Paper10FeatureExtractor()
         spec = WindowSpec(4.0, 1.0)
-        first = cache.get_or_extract(sample_record, extractor, spec)
-        second = cache.get_or_extract(sample_record, extractor, spec)
+        source = ArrayRecordSource(sample_record)
+        first = cache.get_or_extract_source(source, extractor, spec)
+        second = cache.get_or_extract_source(source, extractor, spec)
         assert second is first
         assert cache.stats() == {
             "hits": 1, "misses": 1, "evictions": 0, "size": 1,
@@ -374,7 +367,7 @@ class TestFeatureCache:
         cache = FeatureCache(capacity=4)
         extractor = Paper10FeatureExtractor()
         spec = WindowSpec(4.0, 1.0)
-        cache.get_or_extract(sample_record, extractor, spec)
+        cache.get_or_extract_source(ArrayRecordSource(sample_record), extractor, spec)
         tweaked = EEGRecord(
             data=sample_record.data + 1.0,
             fs=sample_record.fs,
@@ -383,7 +376,7 @@ class TestFeatureCache:
             patient_id=sample_record.patient_id,
             record_id=sample_record.record_id,  # same id, different data
         )
-        cache.get_or_extract(tweaked, extractor, spec)
+        cache.get_or_extract_source(ArrayRecordSource(tweaked), extractor, spec)
         assert cache.stats()["misses"] == 2
         assert cache.stats()["hits"] == 0
 
@@ -393,9 +386,9 @@ class TestFeatureCache:
         spec = WindowSpec(4.0, 1.0)
         rec_a = dataset.generate_seizure_free(1, 20.0, 0)
         rec_b = dataset.generate_seizure_free(1, 20.0, 1)
-        cache.get_or_extract(rec_a, extractor, spec)
-        cache.get_or_extract(rec_b, extractor, spec)
-        cache.get_or_extract(rec_a, extractor, spec)
+        cache.get_or_extract_source(ArrayRecordSource(rec_a), extractor, spec)
+        cache.get_or_extract_source(ArrayRecordSource(rec_b), extractor, spec)
+        cache.get_or_extract_source(ArrayRecordSource(rec_a), extractor, spec)
         stats = cache.stats()
         assert stats["evictions"] == 2
         assert stats["misses"] == 3
@@ -409,8 +402,6 @@ class TestFeatureCache:
         # numpy elides the middle of large-array reprs; the fingerprint
         # must hash the bytes, not the repr, or configs differing only
         # mid-array would collide.
-        from repro.engine import feature_cache_key
-
         class ArrayConfigExtractor(Paper10FeatureExtractor):
             def __init__(self, weights):
                 super().__init__()
@@ -420,11 +411,11 @@ class TestFeatureCache:
         w2 = np.zeros(2000)
         w2[1000] = 1.0
         spec = WindowSpec(4.0, 1.0)
-        key1 = feature_cache_key(
-            seizure_free_record, ArrayConfigExtractor(w1), spec
+        key1 = source_cache_key(
+            ArrayRecordSource(seizure_free_record), ArrayConfigExtractor(w1), spec
         )
-        key2 = feature_cache_key(
-            seizure_free_record, ArrayConfigExtractor(w2), spec
+        key2 = source_cache_key(
+            ArrayRecordSource(seizure_free_record), ArrayConfigExtractor(w2), spec
         )
         assert key1 != key2
 
@@ -433,11 +424,12 @@ class TestFeatureCache:
         # two must never hit each other's entries.
         cache = FeatureCache(capacity=4)
         spec = WindowSpec(4.0, 1.0)
-        a = cache.get_or_extract(
-            seizure_free_record, Paper10FeatureExtractor(renyi_alpha=2.0), spec
+        source = ArrayRecordSource(seizure_free_record)
+        a = cache.get_or_extract_source(
+            source, Paper10FeatureExtractor(renyi_alpha=2.0), spec
         )
-        b = cache.get_or_extract(
-            seizure_free_record, Paper10FeatureExtractor(renyi_alpha=1.5), spec
+        b = cache.get_or_extract_source(
+            source, Paper10FeatureExtractor(renyi_alpha=1.5), spec
         )
         assert cache.stats()["hits"] == 0
         assert cache.stats()["misses"] == 2
@@ -554,13 +546,15 @@ class TestShortRecordContract:
 
     def test_chunked_extraction_raises(self):
         with pytest.raises(FeatureError, match="shorter than one"):
-            extract_features_chunked(self.short_record())
+            extract(self.short_record())
 
     def test_cache_path_raises_and_caches_nothing(self):
         cache = FeatureCache(capacity=2)
         with pytest.raises(FeatureError, match="shorter than one"):
-            cache.get_or_extract(
-                self.short_record(), Paper10FeatureExtractor(), WindowSpec(4.0, 1.0)
+            cache.get_or_extract_source(
+                ArrayRecordSource(self.short_record()),
+                Paper10FeatureExtractor(),
+                WindowSpec(4.0, 1.0),
             )
         assert len(cache) == 0
 

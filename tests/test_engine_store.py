@@ -12,11 +12,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import extract
+from repro.data.sources import ArrayRecordSource
 from repro.engine import (
     DiskFeatureStore,
     FeatureCache,
-    extract_features_chunked,
-    feature_cache_key,
+    source_cache_key,
     store_key_digest,
 )
 from repro.exceptions import EngineError, FeatureError
@@ -33,12 +34,12 @@ def extractor():
 
 @pytest.fixture(scope="module")
 def feats(sample_record, extractor):
-    return extract_features_chunked(sample_record, extractor, SPEC)
+    return extract(sample_record, extractor, SPEC)
 
 
 @pytest.fixture(scope="module")
 def key(sample_record, extractor):
-    return feature_cache_key(sample_record, extractor, SPEC)
+    return source_cache_key(ArrayRecordSource(sample_record), extractor, SPEC)
 
 
 class TestRoundTrip:
@@ -389,38 +390,40 @@ class TestCacheIntegration:
         assert warm.to_json() == cold.to_json()
 
     def test_cold_then_restored(self, tmp_path, sample_record, extractor):
+        source = ArrayRecordSource(sample_record)
         store = DiskFeatureStore(tmp_path)
         cache = FeatureCache(capacity=4, store=store)
-        first = cache.get_or_extract(sample_record, extractor, SPEC)
+        first = cache.get_or_extract_source(source, extractor, SPEC)
         assert store.stats()["writes"] == 1
 
         # A fresh cache (new process, conceptually) over the same store:
         # the matrix is restored from disk, not re-extracted.
         store2 = DiskFeatureStore(tmp_path)
         cache2 = FeatureCache(capacity=4, store=store2)
-        restored = cache2.get_or_extract(sample_record, extractor, SPEC)
+        restored = cache2.get_or_extract_source(source, extractor, SPEC)
         assert np.array_equal(restored.values, first.values)
         assert store2.stats() == {
             "hits": 1, "misses": 0, "writes": 0, "corrupt": 0, "stale": 0,
             "write_errors": 0, "evictions": 0,
         }
         # Second access is a pure memory hit; disk untouched.
-        cache2.get_or_extract(sample_record, extractor, SPEC)
+        cache2.get_or_extract_source(source, extractor, SPEC)
         assert cache2.stats()["hits"] == 1
         assert cache2.stats()["store"]["hits"] == 1
 
     def test_corrupt_entry_falls_back_to_recompute(
         self, tmp_path, sample_record, extractor
     ):
+        source = ArrayRecordSource(sample_record)
         store = DiskFeatureStore(tmp_path)
         cache = FeatureCache(capacity=4, store=store)
-        feats = cache.get_or_extract(sample_record, extractor, SPEC)
-        key = feature_cache_key(sample_record, extractor, SPEC)
+        feats = cache.get_or_extract_source(source, extractor, SPEC)
+        key = source_cache_key(source, extractor, SPEC)
         path = store.path_for(key)
         path.write_bytes(path.read_bytes()[:40])
 
         cache2 = FeatureCache(capacity=4, store=store)
-        recomputed = cache2.get_or_extract(sample_record, extractor, SPEC)
+        recomputed = cache2.get_or_extract_source(source, extractor, SPEC)
         assert np.array_equal(recomputed.values, feats.values)
         assert store.stats()["corrupt"] == 1
         # The recompute healed the entry on disk.
@@ -434,10 +437,10 @@ class TestCacheIntegration:
         store = DiskFeatureStore(tmp_path)
         cache = FeatureCache(capacity=2, store=store)
         with pytest.raises(FeatureError, match="shorter than one"):
-            cache.get_or_extract(short, extractor, SPEC)
+            cache.get_or_extract_source(ArrayRecordSource(short), extractor, SPEC)
         assert len(store) == 0
 
     def test_stats_without_store_keep_legacy_shape(self, sample_record, extractor):
         cache = FeatureCache(capacity=2)
-        cache.get_or_extract(sample_record, extractor, SPEC)
+        cache.get_or_extract_source(ArrayRecordSource(sample_record), extractor, SPEC)
         assert "store" not in cache.stats()

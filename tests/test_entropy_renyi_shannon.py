@@ -57,6 +57,22 @@ class TestShannon:
         h = shannon_entropy(rng.standard_normal(1000), bins=32)
         assert h <= math.log2(32)
 
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            # A range too small for 16 finite-width bins (np.histogram
+            # raises on it) counts as constant; a normal row is
+            # unaffected.
+            ([5e-324, 0.0, 0.0, 0.0], 0.0),
+            ([1.0, 2.0, 3.0, 4.0], 2.0),
+            # A wider spread, still below 16 finite-width bins.
+            ([0.0, 24 * 5e-324, 0.0, 0.0], 0.0),
+        ],
+        ids=["subnormal", "normal", "wider-subnormal"],
+    )
+    def test_subnormal_spread_is_zero(self, row, expected):
+        assert shannon_entropy(np.array(row)) == expected
+
     def test_invalid_bins_raises(self, rng):
         with pytest.raises(SignalError):
             shannon_entropy(rng.standard_normal(100), bins=1)

@@ -37,10 +37,6 @@ CONTRACTS = {
         ({"m": 2, "k": 0.2}, {"m": 2, "k": 0.35}, {"m": 3}, {"m": 2, "r": 0.5}),
         (4, 8, 16, 48),
     ),
-    "approximate_entropy": (
-        ({"m": 2, "k": 0.2}, {"m": 3, "k": 0.35}),
-        (4, 8, 16, 48),
-    ),
     "permutation_entropy": (
         (
             {"order": 3},
@@ -60,7 +56,6 @@ CONTRACTS = {
         ),
         (8, 16, 64),
     ),
-    "shannon_entropy": (({}, {"bins": 8, "normalize": True}), (8, 16, 64)),
     "dwt_details": (({"level": 2}, {"level": 7}), (256, 257)),
     "band_powers": (
         (
@@ -78,10 +73,8 @@ CONTRACTS = {
 #: arbitrary lengths are exercised on extra lengths beyond the base ones.
 EXTRA_LENGTHS = {
     "sample_entropy": (5, 33, 129),
-    "approximate_entropy": (5, 33, 129),
     "permutation_entropy": (5, 33, 129),
     "renyi_entropy": (5, 33, 129),
-    "shannon_entropy": (5, 33, 129),
     "dwt_details": (320, 640),
     "band_powers": (128, 640),
 }
@@ -156,15 +149,13 @@ def _assert_bitwise(name, params_sets, battery):
 class TestDifferentialHarness:
     """Seeded random-signal battery, parameterized over the registry."""
 
-    def test_all_seven_kernels_registered(self):
+    def test_all_five_kernels_registered(self):
         assert KERNELS == [
-            "approximate_entropy",
             "band_powers",
             "dwt_details",
             "permutation_entropy",
             "renyi_entropy",
             "sample_entropy",
-            "shannon_entropy",
         ]
         for name in KERNELS:
             backends = available_backends(name)
@@ -249,10 +240,8 @@ class TestEntropyEdgeCases:
 
     ENTROPY_KERNELS = (
         "sample_entropy",
-        "approximate_entropy",
         "permutation_entropy",
         "renyi_entropy",
-        "shannon_entropy",
     )
 
     @pytest.mark.parametrize("name", ENTROPY_KERNELS)
@@ -262,7 +251,7 @@ class TestEntropyEdgeCases:
         out = get_kernel(name, prefer=backend)(windows)
         np.testing.assert_array_equal(out, np.zeros(4))
 
-    @pytest.mark.parametrize("name", ("renyi_entropy", "shannon_entropy"))
+    @pytest.mark.parametrize("name", ("renyi_entropy",))
     @pytest.mark.parametrize("backend", ("reference", "vectorized"))
     def test_subnormal_spread_is_zero(self, name, backend):
         kern = get_kernel(name, prefer=backend)
@@ -274,7 +263,7 @@ class TestEntropyEdgeCases:
             # A constant row in the same batch must not change how the
             # subnormal row's edges are computed (an array-endpoint
             # linspace switches formula for every row when any row's
-            # step is 0, which once scored this row 0.678 / 0.811).
+            # step is 0, which once scored this row 0.678).
             ([[0.0, 24 * 5e-324, 0.0, 0.0], [3.25] * 4], [0.0, 0.0]),
         )
         for windows, expected in cases:
@@ -365,7 +354,6 @@ FUZZ_CASES = (
     ("permutation_entropy", {"order": 5}),
     ("permutation_entropy", {"order": 7}),
     ("renyi_entropy", {"alpha": 2.0}),
-    ("shannon_entropy", {}),
 )
 
 

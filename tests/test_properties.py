@@ -12,12 +12,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.api import extract
 from repro.core.algorithm import a_posteriori_reference
 from repro.core.deviation import deviation, normalized_deviation
 from repro.core.fast import a_posteriori_fast
 from repro.core.aggregation import geometric_mean
 from repro.data.records import EEGRecord, SeizureAnnotation
-from repro.engine import extract_features_chunked
 from repro.features.base import FeatureExtractor
 from repro.features.extraction import extract_features
 from repro.entropy.permutation import permutation_entropy
@@ -180,7 +180,7 @@ class TestEngineChunkedProperties:
         record = _random_record(seed, duration)
         extractor = _CheapStatsExtractor()
         batch = extract_features(record, extractor)
-        chunked = extract_features_chunked(record, extractor, chunk_s=chunk_s)
+        chunked = extract(record, extractor, chunk_s=chunk_s)
         assert chunked.values.shape == batch.values.shape
         assert np.array_equal(chunked.values, batch.values)
 
@@ -195,7 +195,7 @@ class TestEngineChunkedProperties:
     ):
         record = _random_record(seed, duration)
         chunk_s = data.draw(st.floats(min_value=1.0, max_value=30.0))
-        feats = extract_features_chunked(
+        feats = extract(
             record, _CheapStatsExtractor(), chunk_s=chunk_s
         ).values
         length = feats.shape[0]
@@ -229,7 +229,7 @@ class TestEngineChunkedProperties:
         # L = W + 1: exactly one candidate window.  Both implementations
         # must survive the degenerate geometry and agree on the single
         # distance instead of erroring or disagreeing on normalization.
-        feats = extract_features_chunked(
+        feats = extract(
             _random_record(seed, duration), _CheapStatsExtractor(), chunk_s=3.0
         ).values
         window = feats.shape[0] - 1
