@@ -55,9 +55,12 @@ class StreamingFeatureExtractor:
         self.n_channels = n_channels
         self._win = self.spec.length_samples(self.fs)
         self._step = self.spec.step_samples(self.fs)
-        # Ring of the last window worth of samples plus one step of slack.
+        # Samples no emitted window needs yet: buffer columns
+        # [_head, _tail), with room after _tail for the next chunk.
         self._buffer = np.empty((n_channels, 0))
-        self._consumed = 0  # samples already dropped from the buffer head
+        self._head = 0
+        self._tail = 0
+        self._consumed = 0  # samples already dropped before _head
         self._next_window = 0  # index of the next window to emit
 
     @property
@@ -73,25 +76,27 @@ class StreamingFeatureExtractor:
             raise FeatureError(
                 f"chunk must be ({self.n_channels}, n) samples, got {chunk.shape}"
             )
-        self._buffer = np.concatenate([self._buffer, chunk], axis=1)
+        self._append(chunk)
 
         # Every window whose last sample arrived in this push is ready;
         # featurize them all in one batched call (a strided view over the
         # buffer, no window copies) so the streaming path hits the same
         # batched kernels as whole-record extraction.
-        avail = self._consumed + self._buffer.shape[1]
+        avail = self._consumed + self._tail - self._head
         if avail < self._win:
             n_ready = 0
         else:
             n_ready = (avail - self._win) // self._step + 1 - self._next_window
         if n_ready > 0:
-            start0 = self._next_window * self._step - self._consumed
-            view = np.lib.stride_tricks.sliding_window_view(
-                self._buffer, self._win, axis=1
+            start = self._head + self._next_window * self._step - self._consumed
+            row, col = self._buffer.strides
+            # (window, channel, sample) view: window i starts i steps on.
+            tensor = np.ndarray(
+                (n_ready, self.n_channels, self._win),
+                buffer=self._buffer,
+                offset=start * col,
+                strides=(self._step * col, row, col),
             )
-            tensor = view[
-                :, start0 : start0 + (n_ready - 1) * self._step + 1 : self._step
-            ].transpose(1, 0, 2)
             rows = self.extractor.extract_batch(tensor, self.fs)
             self._next_window += n_ready
         else:
@@ -101,10 +106,28 @@ class StreamingFeatureExtractor:
         keep_from_abs = self._next_window * self._step
         drop = keep_from_abs - self._consumed
         if drop > 0:
-            self._buffer = self._buffer[:, drop:]
+            self._head += drop
             self._consumed = keep_from_abs
 
         return rows
+
+    def _append(self, chunk: np.ndarray) -> None:
+        """Write ``chunk`` after the retained samples.
+
+        When it does not fit behind them, the retained samples move to
+        the front of a new buffer sized for them, the chunk and one more
+        step, so a stream of equal chunks copies each retained sample a
+        bounded number of times and the buffer never outgrows the
+        largest chunk by more than a window and a step.
+        """
+        n = chunk.shape[1]
+        if self._tail + n > self._buffer.shape[1]:
+            kept = self._tail - self._head
+            grown = np.empty((self.n_channels, kept + n + self._step))
+            grown[:, :kept] = self._buffer[:, self._head : self._tail]
+            self._buffer, self._head, self._tail = grown, 0, kept
+        self._buffer[:, self._tail : self._tail + n] = chunk
+        self._tail += n
 
     def finalize(self) -> int:
         """Declare the stream finished; returns the total windows emitted.
@@ -120,7 +143,7 @@ class StreamingFeatureExtractor:
             empty feature matrices by switching to streaming.
         """
         if self._next_window == 0:
-            total = self._consumed + self._buffer.shape[1]
+            total = self._consumed + self._tail - self._head
             raise FeatureError(
                 f"stream of {total / self.fs:.1f}s shorter than one "
                 f"{self.spec.length_s:.1f}s window"

@@ -69,6 +69,20 @@ def check_duration_range(duration_range_s) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_duration(duration_s) -> float:
+    """One record's duration in seconds, as a float.
+
+    Refused with :class:`~repro.exceptions.DataError` unless finite and
+    positive, as :func:`check_duration_range` refuses a range: an
+    infinite duration overflowed the sample count and NaN failed inside
+    numpy.
+    """
+    duration = float(duration_s)
+    if not (math.isfinite(duration) and duration > 0):
+        raise DataError(f"duration must be finite and positive, got {duration_s}")
+    return duration
+
+
 @dataclass(frozen=True)
 class SeizureEvent:
     """One seizure of the inventory: identity plus its fixed duration."""
@@ -366,8 +380,7 @@ class SyntheticEEGDataset:
     ) -> SyntheticRecordSource:
         """Streaming form of :meth:`generate_seizure_free` (pure
         background: an entropy key and no overlay patches)."""
-        if duration_s <= 0:
-            raise DataError(f"duration must be positive, got {duration_s}")
+        duration_s = _check_duration(duration_s)
         prof = self.profile(patient_id)
         rng = self._rng(patient_id, 0, sample_index, _PURPOSE_FREE)
         entropy = draw_block_entropy(rng)
@@ -409,6 +422,7 @@ class SyntheticEEGDataset:
         this builds the record's recipe — the background entropy key and
         one lazy overlay per seizure — without generating a sample.
         """
+        duration_s = _check_duration(duration_s)
         prof = self.profile(patient_id)
         rng = self._rng(patient_id, 0, sample_index, _PURPOSE_MONITOR)
         events = [self.event(patient_id, k) for k in seizure_indices]

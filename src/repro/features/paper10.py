@@ -131,20 +131,18 @@ class Paper10FeatureExtractor(FeatureExtractor):
         # the scalar path, with the dummy divisor never reaching output.
         rel = np.where(total > 0, theta / np.where(total > 0, total, 1.0), 0.0)
 
+        out = np.empty((n_windows, self.n_features))
+        out[:, 0] = theta[:n_windows]
+        out[:, 1] = rel[:n_windows]
+        out[:, 2] = bp[:n_windows, 2]
+        out[:, 3] = rel[n_windows:]
         perm = get_kernel("permutation_entropy")
-        return np.column_stack(
-            [
-                theta[:n_windows],
-                rel[:n_windows],
-                bp[:n_windows, 2],
-                rel[n_windows:],
-                perm(details[7], order=5),
-                perm(details[7], order=7),
-                perm(details[6], order=7),
-                get_kernel("renyi_entropy")(
-                    details[3], alpha=self._renyi_alpha
-                ),
-                get_kernel("sample_entropy")(details[6], m=2, k=0.20),
-                get_kernel("sample_entropy")(details[6], m=2, k=0.35),
-            ]
+        out[:, 4] = perm(details[7], order=5)
+        out[:, 5] = perm(details[7], order=7)
+        out[:, 6] = perm(details[6], order=7)
+        out[:, 7] = get_kernel("renyi_entropy")(
+            details[3], alpha=self._renyi_alpha
         )
+        # Both SampEn tolerances from one std and one distance pass.
+        out[:, 8:] = get_kernel("sample_entropy")(details[6], m=2, k=(0.20, 0.35))
+        return out

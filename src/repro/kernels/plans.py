@@ -100,6 +100,12 @@ def band_plan(
     return BandPlan(fs * np.sum(hann_window(n) ** 2), tuple(entries))
 
 
+#: Largest fused DWT level, in bytes of its ``(K, 2, rows, half)`` tap
+#: products: about a quarter of a 2 MiB per-core L2.  Above it a level
+#: accumulates tap by tap (see :class:`WaveletPlan`).
+_FUSED_BYTES = 512 * 1024
+
+
 @lru_cache(maxsize=64)
 def _polyphase_schedule(
     n: int, taps: int, level: int
@@ -148,14 +154,36 @@ class WaveletPlan:
     Each level gathers its input once into a polyphase layout: the even
     and odd samples of the circularly wrapped (and, for odd lengths,
     edge-repeat-padded) level input, each a contiguous lane per row.
-    Tap ``t`` of the dyadically downsampled correlation then reads one
-    shifted slice of the ``t % 2`` phase, and one pass applies the
-    stacked bank column ``[h[t]; g[t]]`` to it, writing approximation
-    and detail together into a ``(2, rows, half)`` accumulator.  Taps
-    are accumulated in place in ascending order, multiply then add —
-    the accumulation order of ``np.convolve``'s small-kernel path — so
-    every row reproduces ``repro.signals.wavelet.dwt_single``
-    bit-for-bit.
+    Tap ``t`` of the dyadically downsampled correlation reads one
+    shifted slice of the ``t % 2`` phase, scaled by the bank column
+    ``[h[t]; g[t]]``, which gives approximation and detail together.
+
+    Every output must be the sum of its ``K`` tap products in ascending
+    tap order, multiply then add — the accumulation order of
+    ``np.convolve``'s small-kernel path — so that each row reproduces
+    ``repro.signals.wavelet.dwt_single`` bit-for-bit.  A level runs in
+    one of two forms that keep that order:
+
+    - **fused** (small levels): one multiply writes every tap product
+      into a ``(K, 2, rows, half)`` array, read through a strided view
+      of the polyphase lanes, and one ``np.add.reduce`` over axis 0
+      sums them.  A reduction along a non-inner axis adds whole slices
+      in index order (``out = p[0]; out += p[1]; ...``), which is the
+      sequential order.  The tap axis is never the inner one: the
+      ``(2, rows, half)`` block behind it is contiguous with at least
+      two elements.  A sum along the contiguous inner axis would not
+      do: numpy's pairwise sum runs an eight-way unrolled loop from 8
+      operands up (db4 has 8 taps), which reorders them.
+    - **per tap** (large levels): one multiply and one in-place add per
+      tap into a ``(2, rows, half)`` accumulator.  This streams through
+      two accumulator-sized buffers where the fused form would write
+      ``K`` times as many bytes, so it is the faster form once the
+      product outgrows the cache (``_FUSED_BYTES``).
+
+    The form is chosen per level from the size of its product, a
+    function of the batch shape alone, so a 1-4 window service call
+    runs fused at every level and a 57-window cohort call runs its two
+    or three largest levels per tap.
     """
 
     def __init__(self, wavelet: int = 4, level: int = 7) -> None:
@@ -168,8 +196,14 @@ class WaveletPlan:
         self.h.setflags(write=False)
         self.g.setflags(write=False)
         bank = np.stack([self.h, self.g])
+        taps = bank.shape[1]
         # One (2, 1, 1) column per tap, broadcast over (2, rows, half).
-        self._taps = tuple(bank[:, t, None, None] for t in range(bank.shape[1]))
+        self._taps = tuple(bank[:, t, None, None] for t in range(taps))
+        # Daubechies banks have an even tap count, so tap t = 2 s + p is
+        # (pair s, phase p): entry [s, p, c] is bank[c, 2 s + p].
+        self._pairs = np.ascontiguousarray(bank.T).reshape(
+            taps // 2, 2, 2, 1, 1
+        )
 
     def details_batch(self, windows: np.ndarray) -> dict[int, np.ndarray]:
         """Detail coefficients of every window, keyed by level.
@@ -196,24 +230,54 @@ class WaveletPlan:
                 f"signal too short for {self.level}-level decomposition "
                 f"({n} samples per window)"
             )
-        if not np.all(np.isfinite(windows)):
+        if not np.isfinite(windows).all():
             raise FeatureError("window contains NaN or infinite samples")
-        taps = self._taps
+        taps = len(self._taps)
         approx = windows
         details: dict[int, np.ndarray] = {}
-        schedule = _polyphase_schedule(n, len(taps), self.level)
+        schedule = _polyphase_schedule(n, taps, self.level)
         for lvl, (index, half) in enumerate(schedule, start=1):
             poly = np.take(approx, index, axis=1)  # (rows, 2, half + (K-1)//2)
-            acc = np.empty((2, rows, half))
-            term = np.empty((2, rows, half))
-            np.multiply(taps[0], poly[:, 0, :half], out=acc)
-            for t in range(1, len(taps)):
-                shift = t // 2
-                np.multiply(taps[t], poly[:, t % 2, shift : shift + half], out=term)
-                acc += term
+            if 16 * taps * rows * half <= _FUSED_BYTES:
+                acc = self._fused_level(poly, rows, half)
+            else:
+                acc = self._per_tap_level(poly, rows, half)
             approx = acc[0]
             details[lvl] = acc[1]
         return details
+
+    def _fused_level(self, poly: np.ndarray, rows: int, half: int) -> np.ndarray:
+        """``(2, rows, half)`` approximation and detail: one multiply
+        over every tap, then one sequential reduction along the tap
+        axis."""
+        row, phase, sample = poly.strides
+        # [s, p, 0, r, j] = poly[r, p, s + j]: tap 2 s + p's slice of
+        # phase p, broadcast over the bank's two filters.  (An ndarray
+        # over poly's buffer costs far less than as_strided per call.)
+        view = np.ndarray(
+            (len(self._pairs), 2, 1, rows, half),
+            buffer=poly,
+            strides=(sample, phase, 0, row, sample),
+        )
+        products = np.multiply(self._pairs, view)
+        return np.add.reduce(
+            products.reshape(len(self._taps), 2, rows, half), axis=0
+        )
+
+    def _per_tap_level(
+        self, poly: np.ndarray, rows: int, half: int
+    ) -> np.ndarray:
+        """``(2, rows, half)`` approximation and detail, accumulated in
+        place one tap at a time."""
+        taps = self._taps
+        acc = np.empty((2, rows, half))
+        term = np.empty((2, rows, half))
+        np.multiply(taps[0], poly[:, 0, :half], out=acc)
+        for t in range(1, len(taps)):
+            shift = t // 2
+            np.multiply(taps[t], poly[:, t % 2, shift : shift + half], out=term)
+            acc += term
+        return acc
 
 
 @lru_cache(maxsize=16)

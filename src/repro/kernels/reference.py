@@ -15,7 +15,7 @@ import numpy as np
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
 from ..entropy.sample import sample_entropy
-from ..exceptions import FeatureError
+from ..exceptions import FeatureError, SignalError
 from ..features.wavelet_features import dwt_details
 from ..signals.spectral import band_power_from_psd, welch_psd
 
@@ -41,13 +41,39 @@ def _check_windows(windows: np.ndarray) -> np.ndarray:
     return windows
 
 
+def _tolerances(
+    k: float | tuple[float, ...], r: float | None
+) -> tuple[float, ...]:
+    """The SampEn tolerance factors of one kernel call.
+
+    ``k`` is one factor or a tuple of them; a tuple asks for one output
+    column per factor.  An explicit ``r`` overrides ``k`` and so takes
+    the single-factor form only.
+    """
+    if not isinstance(k, tuple):
+        return (k,)
+    if not k:
+        raise SignalError("need at least one tolerance factor k")
+    if r is not None:
+        raise SignalError("an explicit r takes a single tolerance, not a k tuple")
+    return k
+
+
 def sample_entropy_reference(
-    windows: np.ndarray, m: int = 2, k: float = 0.2, r: float | None = None
+    windows: np.ndarray,
+    m: int = 2,
+    k: float | tuple[float, ...] = 0.2,
+    r: float | None = None,
 ) -> np.ndarray:
+    """SampEn per window: ``(n_windows,)``, or ``(n_windows, len(k))``
+    when ``k`` is a tuple of tolerance factors."""
     windows = _check_windows(windows)
-    return np.array(
-        [sample_entropy(row, m=m, k=k, r=r) for row in windows], dtype=float
-    )
+    ks = _tolerances(k, r)
+    out = np.array(
+        [[sample_entropy(row, m=m, k=kk, r=r) for kk in ks] for row in windows],
+        dtype=float,
+    ).reshape(windows.shape[0], len(ks))
+    return out if isinstance(k, tuple) else out[:, 0]
 
 
 def permutation_entropy_reference(

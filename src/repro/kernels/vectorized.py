@@ -9,13 +9,19 @@ bits the per-window reference produces.  Three rules make that work:
    along rows all act per element or per 1-D lane, so a batched call
    equals a loop of scalar calls bit-for-bit.
 2. **Reductions must see the same operand sequence.**  numpy reduces
-   with pairwise summation whose tree depends on the reduced length, so
-   sums/means/stds are taken along ``axis=1`` of contiguous rows with
-   exactly the reference's row length — never over padded or masked
-   rows.  Where the reference sums a *variable*-length vector per
-   window (the positive histogram bins, the observed ordinal patterns),
-   rows are grouped by that length and each group reduced over a
-   compacted ``(rows, length)`` array.
+   a contiguous lane with pairwise summation whose tree depends on the
+   lane's length, so sums/means/stds are taken along ``axis=1`` of
+   contiguous rows with exactly the reference's row length — never
+   over padded or masked rows.  Where the reference sums a
+   *variable*-length vector per window (the positive histogram bins,
+   the observed ordinal patterns), each row's operands are laid out so
+   that one padded axis-1 sum replays that row's own tree: numpy sums
+   fewer than 8 operands one by one, and otherwise keeps eight lane
+   sums, combines them in a fixed tree and adds the remainder one by
+   one, so the zero padding goes between a row's lane part and its
+   remainder, where adding ``+0.0`` changes nothing
+   (:func:`_compacted_row_sums`).  That costs the same few calls for a
+   1-window batch as for a cohort chunk.
 3. **Integer work is exact.**  Template-match counts, ordinal-pattern
    Lehmer codes and histogram bin indices are integers; any evaluation
    order gives identical values.  Lehmer digit ``j`` of an embedded
@@ -31,15 +37,22 @@ bits the per-window reference produces.  Three rules make that work:
    map's boundary corrections, so the counts match ``np.histogram``
    everywhere, including its pathological rounding cases.
 
-The DWT kernel follows rule 1 through its accumulation order.  Each
-level gathers its wrapped (odd lengths edge-repeat-padded) input once
-into a polyphase layout — the even and the odd samples, a contiguous
-lane each per row — and runs one pass per filter tap: the stacked
-``(2, K)`` bank ``[h; g]`` multiplies the tap's shifted phase slice
-and the product is added in place to a ``(2, rows, half)``
-approximation/detail accumulator, taps in ascending order.  That is
-the scalar correlation's multiply-then-add sequence per output, so
-every coefficient matches bit-for-bit (see
+The DWT kernel follows rules 1 and 2 through its accumulation order.
+Each level gathers its wrapped (odd lengths edge-repeat-padded) input
+once into a polyphase layout — the even and the odd samples, a
+contiguous lane each per row — and every output must be the sum of its
+``K`` tap products in ascending tap order, the scalar correlation's
+multiply-then-add sequence.  Small levels (a service call's 1-4
+windows) fuse the taps: one multiply writes all ``(K, 2, rows, half)``
+products of the stacked ``[h; g]`` bank through a strided view of the
+lanes, and one ``np.add.reduce`` over the tap axis sums them.  A
+reduction along a non-inner axis adds whole slices in index order, so
+it is sequential; a sum of the taps along the contiguous inner axis
+would instead run numpy's pairwise sum, whose eight-way unrolled loop
+reorders 8 or more operands (db4 has 8 taps).  Levels whose products
+would outgrow the cache (a cohort chunk's first levels) accumulate tap
+by tap into a ``(2, rows, half)`` accumulator instead, in the same
+order.  Either way every coefficient matches bit-for-bit (see
 :class:`~repro.kernels.plans.WaveletPlan`).
 
 ``tests/test_kernels_parity.py`` verifies all of this bitwise against
@@ -55,7 +68,7 @@ import numpy as np
 
 from ..exceptions import SignalError
 from .plans import band_plan, embedding_plan, hann_window, wavelet_plan
-from .reference import _check_windows
+from .reference import _check_windows, _tolerances
 
 __all__ = [
     "sample_entropy_vectorized",
@@ -108,27 +121,30 @@ def _template_distances(windows: np.ndarray, m: int):
 
 
 def _prepare_tolerance(
-    windows: np.ndarray, m: int, k: float, r: float | None
+    windows: np.ndarray, m: int, ks: tuple[float, ...], r: float | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared (out, live_rows, r_per_row) setup for the SampEn kernel.
 
-    ``out`` starts at the degenerate value 0.0; ``live_rows`` indexes the
-    rows that need matching (non-constant, or all rows when ``r`` is
-    explicit), exactly mirroring the scalar functions' early returns.
+    ``out`` starts at the degenerate value 0.0, one column per
+    tolerance; ``live_rows`` indexes the rows that need matching
+    (non-constant, or all rows when ``r`` is explicit), exactly
+    mirroring the scalar functions' early returns.  ``r_per_row`` holds
+    each live candidate's ``k * std`` per tolerance (or ``r``), from one
+    std pass however many tolerances there are.
     """
     if m < 1:
         raise SignalError(f"template length m must be >= 1, got {m}")
     n_windows, n = windows.shape
-    out = np.zeros(n_windows)
+    out = np.zeros((n_windows, len(ks)))
     if n < m + 2:
-        return out, np.empty(0, dtype=np.intp), np.empty(0)
+        return out, np.empty(0, dtype=np.intp), np.empty((0, len(ks)))
     if r is None:
         sd = np.std(windows, axis=1)
         live = np.nonzero(sd != 0.0)[0]
-        r_rows = k * sd
+        r_rows = sd[:, None] * np.array(ks)
     else:
         live = np.arange(n_windows, dtype=np.intp)
-        r_rows = np.full(n_windows, float(r))
+        r_rows = np.full((n_windows, 1), float(r))
     return out, live, r_rows
 
 
@@ -143,25 +159,85 @@ def _sampen_value(b: int, a: int, n: int, m: int) -> float:
 
 
 def sample_entropy_vectorized(
-    windows: np.ndarray, m: int = 2, k: float = 0.2, r: float | None = None
+    windows: np.ndarray,
+    m: int = 2,
+    k: float | tuple[float, ...] = 0.2,
+    r: float | None = None,
 ) -> np.ndarray:
     windows = _check_windows(windows)
-    out, live, r_rows = _prepare_tolerance(windows, m, k, r)
-    if live.size == 0:
-        return out
-    n = windows.shape[1]
-    n_vec = n - m + 1
-    r_live = r_rows[live, None, None]
-    b = np.empty(live.size, dtype=np.int64)
-    a = np.empty(live.size, dtype=np.int64)
-    # Ordered pairs i != j within tolerance: all hits minus self-matches.
-    for rows, dist, dist_next in _template_distances(windows[live], m):
-        b[rows] = (dist <= r_live[rows]).sum(axis=(1, 2)) - n_vec
-        a[rows] = (dist_next <= r_live[rows]).sum(axis=(1, 2)) - (n_vec - 1)
-    out[live] = [
-        _sampen_value(int(bi), int(ai), n, m) for bi, ai in zip(b, a)
-    ]
-    return out
+    ks = _tolerances(k, r)
+    out, live, r_rows = _prepare_tolerance(windows, m, ks, r)
+    if live.size:
+        n = windows.shape[1]
+        n_vec = n - m + 1
+        # (tolerances, live rows, 1, 1): every tolerance is compared
+        # against the same distance tensors.
+        r_live = r_rows[live].T[:, :, None, None]
+        b = np.empty((len(r_live), live.size), dtype=np.int64)
+        a = np.empty((len(r_live), live.size), dtype=np.int64)
+        # Ordered pairs i != j within tolerance: all hits minus
+        # self-matches.
+        for rows, dist, dist_next in _template_distances(windows[live], m):
+            r_chunk = r_live[:, rows]
+            b[:, rows] = (dist <= r_chunk).sum(axis=(2, 3)) - n_vec
+            a[:, rows] = (dist_next <= r_chunk).sum(axis=(2, 3)) - (n_vec - 1)
+        out[live] = [
+            [_sampen_value(bi, ai, n, m) for bi, ai in zip(b_row, a_row)]
+            for b_row, a_row in zip(b.T.tolist(), a.T.tolist())
+        ]
+    return out if isinstance(k, tuple) else out[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# Exact per-row sums of variable-length vectors
+# ---------------------------------------------------------------------------
+
+#: numpy's pairwise-summation block: a contiguous sum of at most this
+#: many operands is one unrolled block, longer ones split in halves.
+_PAIRWISE_BLOCK = 128
+
+
+def _compacted_row_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each row's compacted terms, bit for bit, in one
+    reduction for the whole batch.
+
+    ``mask`` is a ``(rows, width)`` bool array and ``terms`` holds one
+    value per set entry, in row-major order; row ``r``'s operands are
+    its ``u`` terms, summed as the 1-D vector the per-window reference
+    builds.  numpy sums ``u < 8`` operands one by one and otherwise
+    keeps eight lane sums over the first ``u - u % 8`` operands,
+    combines them as ``((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 +
+    l7))``, and adds the last ``u % 8`` one by one.  So each row is laid
+    out in a zero-filled ``(rows, top + 7)`` array, ``top`` being the
+    largest such lane part in the batch: the row's lane part at the
+    front, then zeros up to column ``top``, then its remainder.  One
+    contiguous axis-1 sum then adds every row's operands in its own
+    order, padded only with ``+0.0`` — which changes no sum, since no
+    term is ``-0.0`` (entropy terms are ``p * log2(p)`` or ``p ** alpha``
+    with ``p > 0``).  Rows of 128 operands or more would be split into
+    halves by numpy, so a batch holding one is summed row by row.
+    """
+    rows = mask.shape[0]
+    rank = mask.cumsum(axis=1)
+    n_terms = rank[:, -1]
+    most = int(n_terms.max(initial=0))
+    if most >= _PAIRWISE_BLOCK:
+        ends = np.cumsum(n_terms).tolist()
+        return np.array(
+            [terms[a:b].sum() for a, b in zip([0] + ends[:-1], ends)],
+            dtype=float,
+        )
+    top = most & -8
+    span = top + 7
+    # Column of each term in the flat padded array: its 0-based rank in
+    # its row, moved past the zero gap when it belongs to the remainder.
+    col = rank + np.arange(-1, rows * span - 1, span)[:, None]
+    if top:
+        lanes = n_terms & -8
+        col += np.where(rank > lanes[:, None], (top - lanes)[:, None], 0)
+    padded = np.zeros(rows * span)
+    padded[col[mask]] = terms
+    return padded.reshape(rows, span).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +271,10 @@ def permutation_entropy_vectorized(
     if np.isnan(windows).any():
         raise SignalError("ordinal patterns are undefined for NaN samples")
     n_windows, n = windows.shape
-    out = np.zeros(n_windows)
     idx = embedding_plan(n, order, delay)
     n_vec = idx.shape[0]
     if n_vec < 1 or n_windows == 0:
-        return out
+        return np.zeros(n_windows)
 
     weights = _lehmer_weights(order)
     codes = np.empty((n_windows, n_vec), dtype=np.int64)
@@ -215,29 +290,22 @@ def permutation_entropy_vectorized(
         lower = emb[..., None, :] < emb[..., :, None]
         codes[s : s + chunk] = lower.reshape(-1, n_vec, order * order) @ weights
 
-    # Per-row pattern frequencies by run-length over sorted codes; the
-    # ascending-value order matches np.unique's.  Rows are grouped by
-    # their number of distinct patterns so each group's entropy sum runs
-    # over a compacted (rows, n_distinct) array — the same pairwise
-    # reduction the reference applies to its length-n_distinct vector.
-    sorted_codes = np.sort(codes, axis=1)
-    boundary = np.ones((n_windows, n_vec), dtype=bool)
-    boundary[:, 1:] = sorted_codes[:, 1:] != sorted_codes[:, :-1]
-    distinct = boundary.sum(axis=1)
-    denom = math.log2(math.factorial(order)) if normalize else None
-    for u in np.unique(distinct):
-        rows = np.nonzero(distinct == u)[0]
-        starts = np.nonzero(boundary[rows])[1].reshape(rows.size, int(u))
-        ends = np.concatenate(
-            [starts[:, 1:], np.full((rows.size, 1), n_vec, dtype=starts.dtype)],
-            axis=1,
-        )
-        p = (ends - starts) / n_vec
-        h = -np.sum(p * np.log2(p), axis=1)
-        if denom is not None:
-            h = h / denom
-        out[rows] = h
-    return out
+    # Per-row pattern frequencies by run length over the sorted codes
+    # (ascending, like np.unique's).  Every row opens with a boundary,
+    # so with one closing sentinel the run lengths are the gaps between
+    # consecutive boundaries of the flattened batch.
+    codes.sort(axis=1)
+    flags = np.empty(n_windows * n_vec + 1, dtype=bool)
+    flags[-1] = True
+    boundary = flags[:-1].reshape(n_windows, n_vec)
+    boundary[:, 0] = True
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=boundary[:, 1:])
+    edges = np.flatnonzero(flags)
+    p = (edges[1:] - edges[:-1]) / n_vec
+    h = -_compacted_row_sums(p * np.log2(p), boundary)
+    if normalize:
+        h = h / math.log2(math.factorial(order))
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +368,6 @@ def _live_histograms(
     return live, counts.reshape(live.size, bins)
 
 
-def _positive_p_groups(counts: np.ndarray, n: int):
-    """Yield ``(row_indices, p)`` with ``p`` the compacted positive-bin
-    probabilities, grouping rows by their positive-bin count so axis-1
-    reductions see the reference's exact operand length."""
-    positive = counts > 0
-    n_pos = positive.sum(axis=1)
-    for u in np.unique(n_pos):
-        rows = np.nonzero(n_pos == u)[0]
-        vals = counts[rows][positive[rows]].reshape(rows.size, int(u))
-        yield rows, vals / n
-
-
 def renyi_entropy_vectorized(
     windows: np.ndarray,
     alpha: float = 2.0,
@@ -328,15 +384,15 @@ def renyi_entropy_vectorized(
     if n == 0:
         return out
     live, counts = _live_histograms(windows, bins)
-    shannon_limit = abs(alpha - 1.0) < 1e-12
-    for rows, p in _positive_p_groups(counts, n):
-        if shannon_limit:
-            h = -np.sum(p * np.log2(p), axis=1)
-        else:
-            h = np.log2(np.sum(p**alpha, axis=1)) / (1.0 - alpha)
-        if normalize:
-            h = h / math.log2(bins)
-        out[live[rows]] = h
+    positive = counts > 0
+    p = counts[positive] / n
+    if abs(alpha - 1.0) < 1e-12:
+        h = -_compacted_row_sums(p * np.log2(p), positive)
+    else:
+        h = np.log2(_compacted_row_sums(p**alpha, positive)) / (1.0 - alpha)
+    if normalize:
+        h = h / math.log2(bins)
+    out[live] = h
     return out
 
 

@@ -136,6 +136,22 @@ class TestValidation:
         with pytest.raises(DataError, match="invalid duration range"):
             dataset.sample_source(1, 0, 0, duration_range_s=bad)
 
+    #: Record durations the sample count cannot take: inf overflowed
+    #: ``int(round(...))`` and NaN raised a bare ValueError.
+    BAD_DURATIONS = [float("inf"), float("nan"), -float("inf"), 0.0]
+
+    @pytest.mark.parametrize("bad", BAD_DURATIONS)
+    def test_seizure_free_source_refuses_unusable_duration(self, bad):
+        dataset = SyntheticEEGDataset(duration_range_s=(300.0, 360.0))
+        with pytest.raises(DataError, match="finite and positive"):
+            dataset.seizure_free_source(1, bad, 0)
+
+    @pytest.mark.parametrize("bad", BAD_DURATIONS)
+    def test_monitoring_source_refuses_unusable_duration(self, bad):
+        dataset = SyntheticEEGDataset(duration_range_s=(300.0, 360.0))
+        with pytest.raises(DataError, match="finite and positive"):
+            dataset.monitoring_source(1, bad, [0])
+
     @pytest.mark.parametrize("bad", BAD_RANGES)
     def test_record_task_refuses_unusable_range(self, bad):
         from repro.engine import RecordTask

@@ -34,7 +34,13 @@ KERNELS = sorted(registered_kernels())
 #: Per-kernel parameter sets and base window lengths of the battery.
 CONTRACTS = {
     "sample_entropy": (
-        ({"m": 2, "k": 0.2}, {"m": 2, "k": 0.35}, {"m": 3}, {"m": 2, "r": 0.5}),
+        (
+            {"m": 2, "k": 0.2},
+            {"m": 2, "k": 0.35},
+            {"m": 2, "k": (0.2, 0.35)},
+            {"m": 3},
+            {"m": 2, "r": 0.5},
+        ),
         (4, 8, 16, 48),
     ),
     "permutation_entropy": (
@@ -339,6 +345,53 @@ class TestEntropyEdgeCases:
         assert np.all(np.isfinite(ref))
         assert ref[0] == sample_entropy(windows[0], m=2, r=0.5)
 
+    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
+    def test_sample_entropy_tolerance_tuple_is_one_column_per_k(
+        self, backend, rng
+    ):
+        kern = get_kernel("sample_entropy", prefer=backend)
+        windows = rng.standard_normal((5, 16))
+        windows[2] = 1.5  # constant: 0.0 in every column
+        both = kern(windows, m=2, k=(0.2, 0.35))
+        assert both.shape == (5, 2)
+        np.testing.assert_array_equal(both[:, 0], kern(windows, m=2, k=0.2))
+        np.testing.assert_array_equal(both[:, 1], kern(windows, m=2, k=0.35))
+        assert kern(np.zeros((0, 16)), k=(0.2, 0.35)).shape == (0, 2)
+        with pytest.raises(SignalError, match="explicit r"):
+            kern(windows, k=(0.2, 0.35), r=0.5)
+        with pytest.raises(SignalError, match="at least one"):
+            kern(windows, k=())
+
+    @pytest.mark.parametrize("order", (6, 7))
+    def test_permutation_rows_past_one_pairwise_block(self, order, rng):
+        # 400-sample rows have ~390 distinct patterns at these orders:
+        # more operands than one block of numpy's pairwise sum.
+        windows = rng.standard_normal((5, 400))
+        windows[3] = np.round(windows[3])  # fewer patterns in one row
+        ref = get_kernel("permutation_entropy", prefer="reference")
+        vec = get_kernel("permutation_entropy", prefer="vectorized")
+        np.testing.assert_array_equal(
+            vec(windows, order=order).view(np.int64),
+            ref(windows, order=order).view(np.int64),
+        )
+
+    def test_compacted_row_sums_match_numpy_sum(self, rng):
+        # The exact per-row sum behind the permutation and Renyi
+        # kernels, against np.sum of each compacted row, at operand
+        # counts on both sides of every pairwise-summation boundary.
+        from repro.kernels.vectorized import _compacted_row_sums
+
+        for width in (1, 5, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 300):
+            mask = rng.random((6, width)) < rng.uniform(0.2, 1.0, (6, 1))
+            mask[:, 0] = True
+            mask[0] = True
+            values = -rng.random((6, width)) * 10.0 ** rng.integers(-8, 8, (6, width))
+            expected = [np.sum(values[r][mask[r]]) for r in range(6)]
+            got = _compacted_row_sums(values[mask], mask)
+            np.testing.assert_array_equal(
+                got.view(np.int64), np.array(expected).view(np.int64)
+            )
+
     def test_embedding_indices_short_series(self):
         assert embedding_indices(3, 5).shape == (0, 5)
         grid = embedding_indices(6, 2, delay=2)
@@ -348,12 +401,14 @@ class TestEntropyEdgeCases:
 
 
 #: Differential fuzz targets: every histogram and ordinal-pattern kernel
-#: configuration the extractors use, plus order 3.
+#: configuration the extractors use, plus order 3, and the two-tolerance
+#: SampEn call of the Paper-10 extractor.
 FUZZ_CASES = (
     ("permutation_entropy", {"order": 3}),
     ("permutation_entropy", {"order": 5}),
     ("permutation_entropy", {"order": 7}),
     ("renyi_entropy", {"alpha": 2.0}),
+    ("sample_entropy", {"m": 2, "k": (0.2, 0.35)}),
 )
 
 
