@@ -5,17 +5,20 @@ Runs ``perfbench/run.py`` at least three times per named workload and
 appends one entry per workload (and per checkout) to a root
 ``BENCH_<area>.json``: ``BENCH_engine.json`` for the cohort workloads,
 ``BENCH_service.json`` for the service ones.  An entry holds the git
-sha, the ``src/`` line count and ``nproc`` from perfbench's details
-line, the workload seed, the median, interquartile range and every run
-of ``media_s_per_cpu_s``, ``setup_s`` and ``peak_rss_mb``, and each
-run's parity verdict and operation counts (``correct``, ``attempted``,
-``failed``), since a run is also judged by its failed share.
+sha, the ``src/`` digest and line count and ``nproc`` from perfbench's
+details line, the checkout's role, the workload seed, the median,
+interquartile range and every run of ``media_s_per_cpu_s``, ``setup_s``
+and ``peak_rss_mb``, and each run's parity verdict and operation counts
+(``correct``, ``attempted``, ``failed``), since a run is also judged by
+its failed share.
 
 Usage::
 
     python benchmarks/trajectory.py --workload cohort-cold --workload cohort-warm
     python benchmarks/trajectory.py --workload cohort-warm --repeats 5 \\
         --checkout ../parent --checkout . [--seed 7]
+    python benchmarks/trajectory.py --workload cohort-cold --repeats 10 \\
+        --checkout ../parent --checkout ../parent-copy
     python benchmarks/trajectory.py compare PARENT_SHA CHANGE_SHA \\
         [--workload W] [--seed N]
 
@@ -23,19 +26,31 @@ With several ``--checkout`` directories (each a checkout of this
 repository with its own ``perfbench/``), the runs interleave: round
 ``r`` runs every checkout once, in reversed order on odd rounds, so a
 before/after comparison is made of alternating pairs.  ``--seed`` is
-passed through to perfbench (default: perfbench's own, 2019).
+passed through to perfbench (default: perfbench's own, 2019).  Each
+checkout's role follows from the git sha and ``src/`` digest perfbench
+reports for it: the first of several checkouts is the ``parent``; a
+later one with the parent's sha and digest is ``aa``, a second copy of
+the parent run to measure how far unchanged code moves between
+checkouts; any other is a ``change``, as is a lone checkout.
 
-``compare`` reads the entries of the two commits (git sha prefixes)
-back from the ``BENCH_*.json`` files, matches each change entry with
-the parent entry recorded beside it, and pairs run ``i`` of the parent
-with run ``i`` of the change.  For every workload and metric it prints the pairs, the
-change's wins (in the metric's better direction, ties counting for
-neither side), both medians, the median ratio, the parent's IQR and
-whether the gap between the medians exceeds it, how much worse the
-change reads against the metric's bound in ``BENCHMARK.json``, and the
-correct/attempted/failed counts of each side.  A gain holds when the
-change wins at least nine tenths of the pairs and the gap exceeds the
-parent's IQR.
+``compare`` reads the entries of the two commits back from the
+``BENCH_*.json`` files -- each argument is a prefix of either the git
+sha or the ``src/`` digest, so a change benchmarked from an uncommitted
+or scratch-commit tree is found by its source -- matches each change
+entry with the parent entry recorded beside it, and pairs run ``i`` of
+the parent with run ``i`` of the change.  For every workload and metric
+it prints the pairs, the change's wins (in the metric's better
+direction, ties counting for neither side), both medians, the median
+ratio, the parent's IQR and whether the gap between the medians exceeds
+it, how much worse the change reads against the metric's bound in
+``BENCHMARK.json``, and the correct/attempted/failed counts of each
+side.  Where an ``aa`` entry was recorded beside the parent, its ratio
+and win count against that parent are printed too.  A gain holds when
+the change wins at least nine tenths of the pairs, the gap exceeds the
+parent's IQR and, given an A/A set, the change moves further from the
+parent, in its better direction, than the A/A copy moved either way;
+a result that passes the first two tests but not the third is printed
+as within noise.
 """
 
 from __future__ import annotations
@@ -79,7 +94,7 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
-def entry(workload: str, runs: list[tuple[dict, dict]]) -> dict:
+def entry(workload: str, runs: list[tuple[dict, dict]], role: str) -> dict:
     details = runs[0][0]
     env = details["environment"]
     results = [result for _, result in runs]
@@ -93,6 +108,8 @@ def entry(workload: str, runs: list[tuple[dict, dict]]) -> dict:
     return {
         "workload": workload,
         "git_sha": env["git_sha"],
+        "src_digest": env["src_digest"],
+        "role": role,
         "src_lines": env["src_lines"],
         "nproc": env["nproc"],
         "seed": details["seed"],
@@ -137,6 +154,36 @@ def metric_bounds() -> dict[str, tuple[str, float]]:
     return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
+def checkout_roles(envs: list[dict]) -> list[str]:
+    """The role of each checkout, given perfbench's ``environment`` of
+    each in ``--checkout`` order (see the module docstring)."""
+    if len(envs) == 1:
+        return ["change"]
+    parent = (envs[0]["git_sha"], envs[0]["src_digest"])
+    return ["parent"] + [
+        "aa" if (env["git_sha"], env["src_digest"]) == parent else "change"
+        for env in envs[1:]
+    ]
+
+
+def names_commit(entry: dict, prefix: str) -> bool:
+    """Whether ``prefix`` starts the entry's git sha or its ``src/``
+    digest (entries recorded before the digest was kept have none)."""
+    return entry["git_sha"].startswith(prefix) or entry.get(
+        "src_digest", ""
+    ).startswith(prefix)
+
+
+def paired_runs(couples: list[tuple[dict, dict]], name: str) -> list[tuple]:
+    """Run ``i`` of the first entry with run ``i`` of the second, for
+    every couple, in order."""
+    return [
+        pair for x, y in couples
+        for pair in zip(x["metrics"].get(name, {}).get("runs", []),
+                        y["metrics"].get(name, {}).get("runs", []))
+    ]
+
+
 def compare_rows(
     entries: list[dict],
     parent: str,
@@ -147,15 +194,19 @@ def compare_rows(
 ) -> list[dict]:
     """One row per (workload, metric) with both commits' paired runs.
 
-    Every change entry (sha prefix ``change``, and ``seed`` when given)
-    is matched with the parent entry recorded beside it: the nearest
-    entry of the same workload, seed and run count whose sha starts
-    with ``parent``, searched outwards through the run of entries of
-    that workload around it, as one trajectory invocation writes them.
-    Run ``i`` of the parent entry pairs with run ``i`` of the change
-    entry, and the pairs of every matched couple are pooled in file
-    order.  ``bounds`` maps each metric to its better direction and
-    regression bound (:func:`metric_bounds`).
+    ``parent`` and ``change`` are prefixes of a git sha or a ``src/``
+    digest (:func:`names_commit`); an entry with a role counts only in
+    that role (entries recorded before roles were kept count in either).
+    Every change entry (and ``seed``, when given) is matched with the
+    parent entry recorded beside it: the nearest entry of the same
+    workload, seed and run count that names ``parent``, searched
+    outwards through the run of entries of that workload around it, as
+    one trajectory invocation writes them.  Run ``i`` of the parent entry pairs with
+    run ``i`` of the change entry, and the pairs of every matched couple
+    are pooled in file order.  Entries with role ``aa`` are matched with
+    their parent the same way and give each row its A/A ratio and win
+    count (``None`` without an A/A set).  ``bounds`` maps each metric to
+    its better direction and regression bound (:func:`metric_bounds`).
     """
     def recorded_with(i: int) -> dict | None:
         mine = entries[i]
@@ -165,24 +216,33 @@ def compare_rows(
                 return None
             for j in near:
                 other = entries[j]
-                if (other["git_sha"].startswith(parent)
+                if (names_commit(other, parent)
+                        and other.get("role", "parent") == "parent"
                         and other["workload"] == mine["workload"]
                         and other.get("seed") == mine.get("seed")
                         and len(other["runs"]) == len(mine["runs"])):
                     return other
         return None
 
+    def couples_of(workload: str, wanted) -> list[tuple[dict, dict]]:
+        found = [
+            (recorded_with(i), e) for i, e in enumerate(entries)
+            if e["workload"] == workload and wanted(e)
+            and (seed is None or e.get("seed") == seed)
+        ]
+        return [(a, b) for a, b in found if a is not None]
+
     names = workloads or sorted({e["workload"] for e in entries})
     rows = []
     for workload in names:
-        couples = [
-            (recorded_with(i), e) for i, e in enumerate(entries)
-            if e["git_sha"].startswith(change) and e["workload"] == workload
-            and (seed is None or e.get("seed") == seed)
-        ]
-        couples = [(a, b) for a, b in couples if a is not None]
+        couples = couples_of(
+            workload,
+            lambda e: names_commit(e, change)
+            and e.get("role", "change") == "change",
+        )
         if not couples:
             continue
+        aa_couples = couples_of(workload, lambda e: e.get("role") == "aa")
         before = [a for a, _ in couples]
         after = [b for _, b in couples]
         counts = [
@@ -192,11 +252,7 @@ def compare_rows(
         ]
         for name in METRICS:
             better, bound = bounds[name]
-            pairs = [
-                pair for x, y in couples
-                for pair in zip(x["metrics"].get(name, {}).get("runs", []),
-                                y["metrics"].get(name, {}).get("runs", []))
-            ]
+            pairs = paired_runs(couples, name)
             if not pairs:
                 continue
             a, b = [x for x, _ in pairs], [y for _, y in pairs]
@@ -204,6 +260,15 @@ def compare_rows(
             wins = sum(sign * (y - x) > 0 for x, y in pairs)
             med_a, med_b = statistics.median(a), statistics.median(b)
             iqr = summarize(a)["iqr"]
+            aa_pairs = paired_runs(aa_couples, name)
+            aa = None
+            if aa_pairs:
+                aa = {
+                    "pairs": len(aa_pairs),
+                    "wins": sum(sign * (y - x) > 0 for x, y in aa_pairs),
+                    "ratio": statistics.median(y for _, y in aa_pairs)
+                    / statistics.median(x for x, _ in aa_pairs),
+                }
             rows.append({
                 "workload": workload,
                 "metric": name,
@@ -218,25 +283,45 @@ def compare_rows(
                 "bound": bound,
                 "parent_runs": counts[0],
                 "change_runs": counts[1],
+                "aa": aa,
+                "verdict": verdict(len(pairs), wins, abs(med_b - med_a) > iqr,
+                                   sign * (med_b / med_a - 1.0), aa),
             })
     return rows
 
 
+def verdict(
+    pairs: int, wins: int, gap_exceeds_iqr: bool, gain: float, aa: dict | None
+) -> str:
+    """``"gain"`` when the change wins at least nine tenths of the pairs,
+    its median gap exceeds the parent's IQR and its relative gain (in the
+    metric's better direction) exceeds the A/A copy's relative move in
+    either direction; ``"within noise"`` when only the A/A test fails;
+    ``""`` otherwise."""
+    if not (wins * 10 >= 9 * pairs and gap_exceeds_iqr):
+        return ""
+    if aa is not None and gain <= abs(aa["ratio"] - 1.0):
+        return "within noise"
+    return "gain"
+
+
 def print_compare(rows: list[dict]) -> None:
     for r in rows:
-        gain = (r["wins"] * 10 >= 9 * r["pairs"]) and r["gap_exceeds_iqr"]
         pc, cc = r["parent_runs"], r["change_runs"]
+        aa = r["aa"]
         print(
             f"{r['workload']:<15} {r['metric']:<18} pairs {r['pairs']:>2}  "
             f"wins {r['wins']:>2}/{r['pairs']:<2}  "
             f"median {r['parent_median']:.6g} -> {r['change_median']:.6g}  "
             f"ratio {r['ratio']:.4f}  parent IQR {r['parent_iqr']:.4g}  "
             f"gap > IQR {'yes' if r['gap_exceeds_iqr'] else 'no'}  "
-            f"worse {r['worse_frac'] * 100:.1f}% (bound {r['bound'] * 100:.0f}%)  "
+            + (f"A/A ratio {aa['ratio']:.4f} wins {aa['wins']}/{aa['pairs']}  "
+               if aa else "A/A none  ")
+            + f"worse {r['worse_frac'] * 100:.1f}% (bound {r['bound'] * 100:.0f}%)  "
             f"runs correct/attempted/failed "
             f"{pc['correct']}/{pc['attempted']}/{pc['failed']} -> "
             f"{cc['correct']}/{cc['attempted']}/{cc['failed']}"
-            f"{'  GAIN' if gain else ''}"
+            f"{'  ' + r['verdict'].upper() if r['verdict'] else ''}"
         )
 
 
@@ -245,8 +330,8 @@ def compare_main(argv: list[str]) -> int:
         prog="trajectory.py compare",
         description="Pair two commits' recorded runs, metric by metric.",
     )
-    parser.add_argument("parent", help="git sha (prefix) of the parent")
-    parser.add_argument("change", help="git sha (prefix) of the change")
+    parser.add_argument("parent", help="git sha or src/ digest (prefix) of the parent")
+    parser.add_argument("change", help="git sha or src/ digest (prefix) of the change")
     parser.add_argument("--workload", action="append", default=None)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
@@ -272,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < MIN_REPEATS:
         parser.error(f"--repeats must be at least {MIN_REPEATS}")
     checkouts = [os.path.abspath(c) for c in args.checkout or [ROOT]]
+    if len(set(checkouts)) != len(checkouts):
+        parser.error("each --checkout must be a different directory")
 
     for workload in args.workload:
         runs: dict[str, list] = {c: [] for c in checkouts}
@@ -282,8 +369,11 @@ def main(argv: list[str] | None = None) -> int:
                 value = result["metrics"].get("media_s_per_cpu_s", {}).get("value")
                 print(f"{workload} round {rnd} {checkout}: correct={result['correct']} "
                       f"media_s_per_cpu_s={value}", flush=True)
-        for checkout in checkouts:
-            new = entry(workload, runs[checkout])
+        roles = checkout_roles(
+            [runs[c][0][0]["environment"] for c in checkouts]
+        )
+        for checkout, role in zip(checkouts, roles):
+            new = entry(workload, runs[checkout], role)
             append(bench_file(workload), new)
             print(json.dumps(new), flush=True)
     return 0

@@ -23,6 +23,13 @@ index.  :meth:`BackgroundEEGModel.iter_blocks` yields them one at a time
 to :class:`repro.data.sources.SyntheticRecordSource`, the one path every
 synthetic record is made by, so a multi-hour record streams in bounded
 chunks without ever materializing the full waveform.
+
+Each block mixes unit-variance sources, and a source is built with as
+little per-sample work as its spectrum allows (generator version 3):
+the pink floor is drawn directly as rfft bins and inverted by one
+``irfft``, and the alpha burst's envelope and frequency-jitter walk —
+both far below 1 Hz — are drawn every :data:`CONTROL_STEP` samples and
+linearly interpolated.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import numpy as np
 from ..exceptions import DataError
 
 __all__ = [
+    "CONTROL_STEP",
     "GEN_BLOCK_S",
     "GENERATOR_VERSION",
     "BackgroundEEGModel",
@@ -58,8 +66,17 @@ GEN_BLOCK_S = 60.0
 #: state before it, the duration and the morphology), not its samples,
 #: so an edit to the ictal shaping (:func:`repro.data.seizures
 #: .shape_ictal`, :func:`shape_pink`, the cross-fade) must bump it too.
-#: History: 1, direct-convolution envelope; 2, running-sum envelope.
-GENERATOR_VERSION = 2
+#: History: 1, direct-convolution envelope; 2, running-sum envelope;
+#: 3, pink floor drawn as rfft bins, alpha envelope and frequency
+#: jitter drawn on the control grid (:data:`CONTROL_STEP`).
+GENERATOR_VERSION = 3
+
+#: Samples per control-grid step.  A background source's slow components
+#: — the alpha envelope (3 s timescale) and frequency-jitter walk, both
+#: band-limited far below 1 Hz — are drawn at ``fs / CONTROL_STEP`` and
+#: linearly interpolated to the full rate.  Below ~11 Hz the step shrinks
+#: (:func:`_control_step`) so the envelope keeps its 3 s timescale.
+CONTROL_STEP = 16
 
 
 def draw_block_entropy(rng: np.random.Generator) -> tuple[int, ...]:
@@ -91,15 +108,46 @@ def block_spans(n_samples: int, fs: float) -> list[tuple[int, int]]:
     return spans
 
 
+def _pink_shaping(
+    n: int, fs: float, exponent: float, f_floor: float
+) -> np.ndarray:
+    """Amplitude shaping of an ``n``-sample rfft to a 1/f^exponent power
+    spectrum: flat below ``f_floor``, zero at DC."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    shaping = np.ones_like(freqs)
+    above = freqs >= f_floor
+    shaping[above] = (f_floor / freqs[above]) ** (exponent / 2.0)
+    shaping[0] = 0.0  # remove DC
+    return shaping
+
+
 def pink_noise(
     n: int, rng: np.random.Generator, exponent: float = 1.0, fs: float = 256.0,
     f_floor: float = 0.3,
 ) -> np.ndarray:
-    """Generate 1/f^exponent noise of unit variance: :func:`shape_pink`
-    of ``n`` white samples drawn from ``rng``."""
+    """Generate 1/f^exponent noise of unit variance, flat below
+    ``f_floor`` and without DC.
+
+    The rfft bins are drawn from ``rng`` directly — i.i.d. complex
+    normal, which is how the spectrum of white Gaussian noise is
+    distributed — shaped in place and inverted by one ``irfft``.
+    """
     if n < 2:
         raise DataError(f"need at least 2 samples, got {n}")
-    return shape_pink(rng.standard_normal(n), exponent, fs, f_floor)
+    k = n // 2 + 1
+    spec = rng.standard_normal(2 * k).view(np.complex128)
+    shaping = _pink_shaping(n, fs, exponent, f_floor)
+    if n % 2 == 0:
+        # White noise's Nyquist bin is real with the full bin variance; a
+        # drawn bin's real part carries half of it, and irfft drops the
+        # imaginary part.
+        shaping[-1] *= np.sqrt(2.0)
+    spec *= shaping
+    shaped = np.fft.irfft(spec, n=n)
+    sd = shaped.std()
+    if sd != 0.0:
+        shaped /= sd
+    return shaped
 
 
 def shape_pink(
@@ -113,12 +161,7 @@ def shape_pink(
     """
     n = white.size
     spec = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    shaping = np.ones_like(freqs)
-    above = freqs >= f_floor
-    shaping[above] = (f_floor / freqs[above]) ** (exponent / 2.0)
-    shaping[0] = 0.0  # remove DC
-    shaped = np.fft.irfft(spec * shaping, n=n)
+    shaped = np.fft.irfft(spec * _pink_shaping(n, fs, exponent, f_floor), n=n)
     sd = shaped.std()
     if sd == 0.0:
         return shaped
@@ -151,6 +194,13 @@ def smooth_envelope(
     sm = _moving_average(_moving_average(raw, kernel), kernel)[:n]
     sm = (sm - sm.mean()) / (sm.std() + 1e-12)
     return 1.0 / (1.0 + np.exp(-2.0 * sm))
+
+
+def _control_step(fs: float) -> int:
+    """Samples per control-grid step at ``fs`` Hz: :data:`CONTROL_STEP`,
+    or ``floor(1.5 * fs)`` (at least 1) below ~11 Hz, where a full step
+    would stretch the envelope's minimum two-point kernel past 3 s."""
+    return max(1, min(CONTROL_STEP, int(1.5 * fs)))
 
 
 @dataclass(frozen=True)
@@ -191,14 +241,21 @@ class BackgroundEEGModel:
 
     def _one_source(self, n: int, fs: float, rng: np.random.Generator) -> np.ndarray:
         floor = pink_noise(n, rng, self.pink_exponent, fs)
-        t = np.arange(n) / fs
-        env = smooth_envelope(n, rng, fs, timescale_s=3.0)
+        step = _control_step(fs)
+        m = (n - 2) // step + 2  # points from sample 0 to at or past n - 1
+        env = smooth_envelope(m, rng, fs / step, timescale_s=3.0)
         phase = rng.uniform(0, 2 * np.pi)
         # Slight frequency jitter keeps the alpha line realistic.
-        freq_jitter = 0.3 * np.cumsum(rng.standard_normal(n)) / np.sqrt(n)
-        alpha = env * np.sin(2 * np.pi * self.alpha_freq_hz * t + phase + freq_jitter)
-        alpha_rms = alpha.std() + 1e-12
-        return floor + self.alpha_fraction * alpha / alpha_rms
+        walk = 0.3 * np.cumsum(rng.standard_normal(m)) / np.sqrt(m)
+        positions, knots = np.arange(n) / step, np.arange(m, dtype=float)
+        alpha = 2 * np.pi * self.alpha_freq_hz * (np.arange(n) / fs)
+        alpha += phase
+        alpha += np.interp(positions, knots, walk)
+        np.sin(alpha, out=alpha)
+        alpha *= np.interp(positions, knots, env)
+        alpha *= self.alpha_fraction / (alpha.std() + 1e-12)
+        floor += alpha
+        return floor
 
     def _block_source(
         self, n: int, fs: float, entropy: tuple[int, ...], key: tuple[int, ...]
@@ -245,13 +302,15 @@ class BackgroundEEGModel:
         for index, (start, stop) in enumerate(block_spans(n_samples, fs)):
             n = stop - start
             shared = self._block_source(n, fs, entropy, (index, 0))
-            chans = []
-            for ch in range(n_channels):
-                local = self._block_source(n, fs, entropy, (index, ch + 1))
-                mix = w_shared * shared + w_local * local
-                mix = mix / (mix.std() + 1e-12) * self.amplitude_uv
-                chans.append(mix)
-            out = np.vstack(chans)
+            shared *= w_shared
+            out = np.empty((n_channels, n))
+            for ch, mix in enumerate(out):
+                np.multiply(
+                    self._block_source(n, fs, entropy, (index, ch + 1)),
+                    w_local, out=mix,
+                )
+                mix += shared
+                mix *= self.amplitude_uv / (mix.std() + 1e-12)
             if self.line_noise_uv > 0:
                 # Absolute time keeps the 50 Hz line coherent across
                 # block boundaries.

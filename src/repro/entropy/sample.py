@@ -15,7 +15,37 @@ import numpy as np
 
 from ..exceptions import SignalError
 
-__all__ = ["embedding_indices", "sample_entropy", "approximate_entropy"]
+__all__ = [
+    "embedding_indices",
+    "sample_entropy",
+    "approximate_entropy",
+    "tolerance_std",
+]
+
+
+def tolerance_std(x: np.ndarray) -> np.ndarray:
+    """``np.std(x, axis=-1)``, the ``k * std`` tolerance base, without
+    overflow.
+
+    A finite row whose squared deviations overflow (samples near
+    +-1e300) has an infinite ``np.std``.  Such a row is scaled by the
+    power of two that brings its largest magnitude into [0.5, 1), its
+    std taken there and scaled back.  Scaling by a power of two is
+    exact for every sample it leaves in the normal range, so the result
+    is the row's std as if nothing had overflowed; every other row keeps
+    ``np.std``'s bits.
+    """
+    with np.errstate(over="ignore"):
+        sd = np.std(x, axis=-1)
+    if np.isfinite(sd).all():
+        return sd
+    over = ~np.isfinite(sd) & np.isfinite(x).all(axis=-1)
+    sd = np.array(sd)
+    rows, flat = x.reshape(-1, x.shape[-1]), sd.reshape(-1)
+    for i in np.flatnonzero(over):
+        exp = int(np.frexp(np.max(np.abs(rows[i])))[1])
+        flat[i] = np.ldexp(np.std(np.ldexp(rows[i], -exp)), exp)
+    return sd
 
 
 def embedding_indices(n: int, m: int, delay: int = 1) -> np.ndarray:
@@ -92,7 +122,7 @@ def sample_entropy(
     if n < m + 2:
         return 0.0
     if r is None:
-        sd = float(np.std(x))
+        sd = float(tolerance_std(x))
         if sd == 0.0:
             return 0.0
         r = k * sd
@@ -130,7 +160,7 @@ def approximate_entropy(
     if n < m + 2:
         return 0.0
     if r is None:
-        sd = float(np.std(x))
+        sd = float(tolerance_std(x))
         if sd == 0.0:
             return 0.0
         r = k * sd

@@ -66,6 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..entropy.sample import tolerance_std
 from ..exceptions import SignalError
 from .plans import band_plan, embedding_plan, hann_window, wavelet_plan
 from .reference import _check_windows, _tolerances
@@ -139,7 +140,7 @@ def _prepare_tolerance(
     if n < m + 2:
         return out, np.empty(0, dtype=np.intp), np.empty((0, len(ks)))
     if r is None:
-        sd = np.std(windows, axis=1)
+        sd = tolerance_std(windows)
         live = np.nonzero(sd != 0.0)[0]
         r_rows = sd[:, None] * np.array(ks)
     else:

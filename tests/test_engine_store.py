@@ -370,7 +370,8 @@ class TestVerifyAndGC:
 class TestCacheIntegration:
     def test_store_hit_synthesizes_nothing(self, dataset, tmp_path, monkeypatch):
         # A warm run keys every record by recipe and loads its features:
-        # neither the background nor the seizure overlay may be shaped.
+        # neither the background's pink floor may be drawn nor the
+        # seizure overlay shaped.
         from repro.data import seizures, synthetic
         from repro.engine import CohortEngine
 
@@ -380,9 +381,9 @@ class TestCacheIntegration:
         ).run(patient_ids=patients)
 
         def no_synthesis(*args, **kwargs):
-            raise AssertionError("pink noise shaped on a store hit")
+            raise AssertionError("pink noise synthesized on a store hit")
 
-        monkeypatch.setattr(synthetic, "shape_pink", no_synthesis)
+        monkeypatch.setattr(synthetic, "pink_noise", no_synthesis)
         monkeypatch.setattr(seizures, "shape_pink", no_synthesis)
         warm = CohortEngine(
             dataset, executor="serial", store_dir=str(tmp_path)

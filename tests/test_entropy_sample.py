@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.entropy.sample import approximate_entropy, sample_entropy
+from repro.entropy.sample import (
+    approximate_entropy,
+    sample_entropy,
+    tolerance_std,
+)
 from repro.exceptions import SignalError
 
 
@@ -116,3 +120,35 @@ class TestEmbeddingIndices:
         a = _count_matches(x[embedding_indices(x.size, 3)], r)
         assert a > 0 and b > 0
         assert sample_entropy(x, m=2, k=0.2) == -np.log(a / b)
+
+
+class TestToleranceStd:
+    def test_equals_np_std_on_ordinary_rows(self, rng):
+        x = rng.standard_normal((5, 64)) * [[1e-300], [1.0], [1e3], [1e150], [0.0]]
+        np.testing.assert_array_equal(tolerance_std(x), np.std(x, axis=1))
+        assert tolerance_std(x[1]) == np.std(x[1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_row_is_rescaled_exactly(self, rng):
+        y = rng.standard_normal((3, 64))
+        big = y * 2.0**996
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.std(big, axis=1)).any()
+        np.testing.assert_array_equal(
+            tolerance_std(big), np.ldexp(np.std(y, axis=1), 996)
+        )
+        assert tolerance_std(big[0]) == np.ldexp(np.std(y[0]), 996)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_rows_are_left_alone(self):
+        x = np.array([[1.0, np.inf, 2.0], [1.0, 2.0, 4.0]])
+        with np.errstate(invalid="ignore"):
+            sd = tolerance_std(x)
+        assert np.isnan(sd[0]) and sd[1] == np.std(x[1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entropy", [sample_entropy, approximate_entropy])
+    def test_entropy_invariant_to_power_of_two_scale(self, entropy, rng):
+        y = rng.standard_normal(96)
+        assert entropy(y * 2.0**996) == entropy(y)
+        assert entropy(y * 2.0**-40) == entropy(y)

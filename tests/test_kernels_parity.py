@@ -469,6 +469,27 @@ class TestDifferentialFuzz:
             )
 
 
+class TestSampEnOverflow:
+    """A window whose squared deviations overflow keeps its tolerance:
+    SampEn is invariant to a power-of-two scale, even one that takes
+    ``np.std`` past the float range, and no overflow warning escapes."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_scaled_past_overflow_equals_unscaled(self, backend):
+        y = np.random.default_rng(5).standard_normal((6, 48))
+        y[3] = np.repeat([0.5, -0.25], 24)
+        kernel = get_kernel("sample_entropy", prefer=backend)
+        for params in ({"m": 2, "k": (0.2, 0.35)}, {"m": 3, "k": 0.2}):
+            out = kernel(y * 2.0**996, **params)
+            ref = kernel(y, **params)
+            np.testing.assert_array_equal(
+                out.view(np.int64), ref.view(np.int64), err_msg=str(params)
+            )
+        for row in y:
+            assert sample_entropy(row * 2.0**996) == sample_entropy(row)
+
+
 class TestShortWindowContract:
     """Windows too short to decompose raise FeatureError on every path."""
 

@@ -30,7 +30,7 @@ BOUNDS = {
 }
 
 
-def entry(sha, workload, media, setup, rss, failed=0, seed=2019):
+def entry(sha, workload, media, setup, rss, failed=0, seed=2019, **extra):
     runs = [
         {"correct": True, "attempted": 100, "failed": failed} for _ in media
     ]
@@ -38,6 +38,7 @@ def entry(sha, workload, media, setup, rss, failed=0, seed=2019):
         "workload": workload,
         "git_sha": sha,
         "seed": seed,
+        **extra,
         "runs": runs,
         "metrics": {
             "media_s_per_cpu_s": {"runs": media},
@@ -152,6 +153,128 @@ class TestCompare:
         assert "wins  9/10" in out[0] and out[0].endswith("GAIN")
         assert not out[1].endswith("GAIN")
         assert trajectory.main(["compare", "aaaa", "ffff"]) == 1
+
+
+#: An A/B set recorded from a scratch commit that never entered history
+#: (found by its src/ digest), then an A/A set of the same parent: a
+#: second copy of it read 12 % faster, so the A/B set's 10 % gain in
+#: 10 of 10 pairs is within noise.
+AA_ENTRIES = [
+    entry("aaaa1111", "cohort-cold", [100.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, src_digest="d1d1", role="parent"),
+    entry("eeee5555", "cohort-cold", [110.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, src_digest="d2d2", role="change"),
+    entry("aaaa1111", "cohort-cold", [100.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, src_digest="d1d1", role="parent"),
+    entry("aaaa1111", "cohort-cold", [112.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, src_digest="d1d1", role="aa"),
+]
+
+
+class TestAARole:
+    def test_src_digest_names_the_change(self, trajectory):
+        by_sha = trajectory.compare_rows(AA_ENTRIES, "aaaa", "eeee", BOUNDS)
+        by_digest = trajectory.compare_rows(AA_ENTRIES, "d1d1", "d2d2", BOUNDS)
+        assert by_sha == by_digest
+        assert by_sha[0]["pairs"] == 10 and by_sha[0]["wins"] == 10
+
+    def test_entries_count_only_in_their_role(self, trajectory):
+        # The A/A copy carries the parent's sha and digest; it must not
+        # stand in for the parent beside the change, nor be a change.
+        assert trajectory.compare_rows(AA_ENTRIES[2:], "aaaa", "aaaa", BOUNDS) == []
+        # A later set that runs this change as its parent is not paired
+        # with the earlier parent found near it.
+        later = AA_ENTRIES[:2] + [
+            entry("eeee5555", "cohort-cold", [90.0] * 10, [0.4] * 10,
+                  [50.0] * 10, role="parent"),
+            entry("ffff6666", "cohort-cold", [95.0] * 10, [0.4] * 10,
+                  [50.0] * 10, role="change"),
+        ]
+        media = trajectory.compare_rows(later, "aaaa", "eeee", BOUNDS)[0]
+        assert media["pairs"] == 10 and media["change_median"] == 114.5
+        media = trajectory.compare_rows(AA_ENTRIES, "aaaa", "eeee", BOUNDS)[0]
+        assert media["parent_median"] == 104.5
+
+    def test_aa_turns_a_ten_of_ten_win_into_within_noise(self, trajectory):
+        media = rows_by_metric(trajectory.compare_rows(
+            AA_ENTRIES, "aaaa", "eeee", BOUNDS
+        ))["media_s_per_cpu_s"]
+        assert media["wins"] == 10 and media["gap_exceeds_iqr"]
+        assert media["aa"] == {
+            "pairs": 10, "wins": 10, "ratio": pytest.approx(116.5 / 104.5)
+        }
+        assert media["verdict"] == "within noise"
+        # Without the A/A set the same pairs are a gain.
+        alone = rows_by_metric(trajectory.compare_rows(
+            AA_ENTRIES[:2], "aaaa", "eeee", BOUNDS
+        ))["media_s_per_cpu_s"]
+        assert alone["aa"] is None and alone["verdict"] == "gain"
+
+    def test_gain_clears_a_small_aa_move(self, trajectory):
+        quiet = [dict(e) for e in AA_ENTRIES]
+        quiet[3] = entry("aaaa1111", "cohort-cold",
+                         [101.0 + i for i in range(10)], [0.4] * 10,
+                         [50.0] * 10, role="aa")
+        media = rows_by_metric(trajectory.compare_rows(
+            quiet, "aaaa", "eeee", BOUNDS
+        ))["media_s_per_cpu_s"]
+        assert media["aa"]["ratio"] < media["ratio"]
+        assert media["verdict"] == "gain"
+
+    def test_compare_prints_the_aa_columns(self, trajectory, tmp_path,
+                                           monkeypatch, capsys):
+        (tmp_path / "BENCH_engine.json").write_text(json.dumps(AA_ENTRIES))
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+            (tmp_path / "BENCHMARK.json").write_text(fh.read())
+        monkeypatch.setattr(trajectory, "ROOT", str(tmp_path))
+        assert trajectory.main(["compare", "aaaa", "d2d2"]) == 0
+        media = capsys.readouterr().out.splitlines()[0]
+        assert "A/A ratio 1.1148 wins 10/10" in media
+        assert media.endswith("WITHIN NOISE")
+
+    def test_roles_follow_the_checkouts(self, trajectory, tmp_path, monkeypatch):
+        # perfbench reports each checkout's git sha and src/ digest; the
+        # role follows from them, so a copy of the parent cannot be
+        # recorded as a change, nor a change as an A/A copy.
+        environments = {
+            "parent": {"git_sha": "abc", "src_digest": "d1"},
+            "copy": {"git_sha": "abc", "src_digest": "d1"},
+            "dirty": {"git_sha": "abc", "src_digest": "d2"},
+            "change": {"git_sha": "def", "src_digest": "d3"},
+        }
+        result = {
+            "correct": True, "attempted": 1, "failed": 0,
+            "metrics": {name: {"unit": "x", "value": 1.0}
+                        for name in trajectory.METRICS},
+        }
+
+        def run_once(checkout, workload, seed):
+            env = environments[os.path.basename(checkout)]
+            details = {"environment": {**env, "src_lines": 1, "nproc": 2},
+                       "seed": 2019, "seconds": 1.0}
+            return details, result
+
+        monkeypatch.setattr(trajectory, "ROOT", str(tmp_path))
+        monkeypatch.setattr(trajectory, "run_once", run_once)
+
+        def record(*names):
+            argv = ["--workload", "cohort-cold"]
+            for name in names:
+                argv += ["--checkout", str(tmp_path / name)]
+            assert trajectory.main(argv) == 0
+
+        record("parent", "change")
+        record("parent", "copy")
+        record("parent", "dirty", "copy")
+        record("change")
+        recorded = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        assert [e["role"] for e in recorded] == [
+            "parent", "change", "parent", "aa", "parent", "change", "aa",
+            "change",
+        ]
+        assert [e["src_digest"] for e in recorded[:4]] == ["d1", "d3", "d1", "d1"]
+        with pytest.raises(SystemExit):
+            record("parent", "parent")
 
 
 class TestSeedPassThrough:
