@@ -18,7 +18,7 @@ Usage::
     python benchmarks/trajectory.py --workload cohort-warm --repeats 5 \\
         --checkout ../parent --checkout . [--seed 7]
     python benchmarks/trajectory.py --workload cohort-cold --repeats 10 \\
-        --checkout ../parent --checkout ../parent-copy
+        --checkout ../parent --checkout ../parent-copy --checkout .
     python benchmarks/trajectory.py compare PARENT_SHA CHANGE_SHA \\
         [--workload W] [--seed N]
 
@@ -45,7 +45,11 @@ ratio, the parent's IQR and whether the gap between the medians exceeds
 it, how much worse the change reads against the metric's bound in
 ``BENCHMARK.json``, and the correct/attempted/failed counts of each
 side.  Where an ``aa`` entry was recorded beside the parent, its ratio
-and win count against that parent are printed too.  A gain holds when
+and win count against that parent are printed too, with the set they
+come from: the A/A copy run in the same invocation as the A/B pairs
+(``--checkout parent --checkout parent-copy --checkout change``) when
+there is one, since sets from different invocations spread more than
+runs inside one, else every A/A set of the workload pooled.  A gain holds when
 the change wins at least nine tenths of the pairs, the gap exceeds the
 parent's IQR and, given an A/A set, the change moves further from the
 parent, in its better direction, than the A/A copy moved either way;
@@ -205,7 +209,10 @@ def compare_rows(
     run ``i`` of the change entry, and the pairs of every matched couple
     are pooled in file order.  Entries with role ``aa`` are matched with
     their parent the same way and give each row its A/A ratio and win
-    count (``None`` without an A/A set).  ``bounds`` maps each metric to
+    count (``None`` without an A/A set): from the A/A sets recorded
+    beside the row's own parent entries when there are any
+    (``aa_source`` ``"same invocation"``), else from every A/A set of
+    the workload pooled (``"pooled"``).  ``bounds`` maps each metric to
     its better direction and regression bound (:func:`metric_bounds`).
     """
     def recorded_with(i: int) -> dict | None:
@@ -243,6 +250,13 @@ def compare_rows(
         if not couples:
             continue
         aa_couples = couples_of(workload, lambda e: e.get("role") == "aa")
+        # An A/A set recorded in the same invocation as the A/B set (its
+        # parent entry is the A/B parent entry) measured the same host
+        # state; only without one are the A/A sets of other invocations
+        # pooled.
+        same = [c for c in aa_couples if any(c[0] is a for a, _ in couples)]
+        aa_source = "same invocation" if same else "pooled" if aa_couples else None
+        aa_couples = same or aa_couples
         before = [a for a, _ in couples]
         after = [b for _, b in couples]
         counts = [
@@ -284,6 +298,7 @@ def compare_rows(
                 "parent_runs": counts[0],
                 "change_runs": counts[1],
                 "aa": aa,
+                "aa_source": aa_source,
                 "verdict": verdict(len(pairs), wins, abs(med_b - med_a) > iqr,
                                    sign * (med_b / med_a - 1.0), aa),
             })
@@ -315,8 +330,8 @@ def print_compare(rows: list[dict]) -> None:
             f"median {r['parent_median']:.6g} -> {r['change_median']:.6g}  "
             f"ratio {r['ratio']:.4f}  parent IQR {r['parent_iqr']:.4g}  "
             f"gap > IQR {'yes' if r['gap_exceeds_iqr'] else 'no'}  "
-            + (f"A/A ratio {aa['ratio']:.4f} wins {aa['wins']}/{aa['pairs']}  "
-               if aa else "A/A none  ")
+            + (f"A/A ratio {aa['ratio']:.4f} wins {aa['wins']}/{aa['pairs']} "
+               f"({r['aa_source']})  " if aa else "A/A none  ")
             + f"worse {r['worse_frac'] * 100:.1f}% (bound {r['bound'] * 100:.0f}%)  "
             f"runs correct/attempted/failed "
             f"{pc['correct']}/{pc['attempted']}/{pc['failed']} -> "

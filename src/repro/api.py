@@ -36,22 +36,20 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
-from .data.dataset import SyntheticEEGDataset
-from .data.records import EEGRecord
-from .data.sources import ArrayRecordSource, EDFRecordSource, RecordSource
-from .engine.chunked import extract_features_from_source
-from .engine.executor import CohortEngine
 from .exceptions import DataError
-from .service.client import ServiceClient
-from .service.config import ServiceConfig
-from .service.fleet import ServiceShardPool
-from .service.ingest import DetectionService
 from .settings import ReproSettings
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .data.dataset import SyntheticEEGDataset
+    from .data.records import EEGRecord
+    from .data.sources import RecordSource
     from .engine.report import CohortReport
     from .features.base import FeatureExtractor
     from .features.extraction import FeatureMatrix
+    from .service.client import ServiceClient
+    from .service.config import ServiceConfig
+    from .service.fleet import ServiceShardPool
+    from .service.ingest import DetectionService
     from .signals.windowing import WindowSpec
 
 __all__ = [
@@ -87,6 +85,10 @@ def open_source(
       ``duration_range_s``) — the synthetic cohort sample from
       ``dataset`` (a default :class:`SyntheticEEGDataset` when omitted).
     """
+    from .data.dataset import SyntheticEEGDataset
+    from .data.records import EEGRecord
+    from .data.sources import ArrayRecordSource, EDFRecordSource, RecordSource
+
     if record is not None:
         if isinstance(record, RecordSource):
             return record
@@ -116,6 +118,10 @@ def extract(
     :func:`~repro.features.extraction.extract_features` by the streaming
     contract.
     """
+    from .data.records import EEGRecord
+    from .data.sources import ArrayRecordSource
+    from .engine.chunked import extract_features_from_source
+
     if isinstance(source, EEGRecord):
         source = ArrayRecordSource(source)
     kwargs: dict = {}
@@ -151,6 +157,9 @@ def evaluate_cohort(
     .CohortEngine` (``chunk_s``, ``store_dir``, ...); the report is the
     engine's usual :class:`~repro.engine.report.CohortReport`.
     """
+    from .data.dataset import SyntheticEEGDataset
+    from .engine.executor import CohortEngine
+
     settings = settings or ReproSettings.from_env()
     dataset = dataset or SyntheticEEGDataset()
     if samples_per_seizure is None:
@@ -192,6 +201,10 @@ def start_service(
     is sync on the former and a coroutine on the latter.  The returned
     service is constructed but not yet running.
     """
+    from .service.config import ServiceConfig
+    from .service.fleet import ServiceShardPool
+    from .service.ingest import DetectionService
+
     if config is None:
         config = ServiceConfig.from_settings(settings, **config_overrides)
     elif config_overrides:
@@ -218,6 +231,8 @@ def connect(
     a context manager.  ``handshake=False`` speaks the versionless
     legacy protocol (accepted while the service has auth disabled).
     """
+    from .service.client import ServiceClient
+
     return ServiceClient(
         host, port, token=token, handshake=handshake, timeout=timeout
     )

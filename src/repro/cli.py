@@ -59,37 +59,14 @@ import sys
 import time
 from pathlib import Path
 
-from .core.diagnostics import label_confidence
-from .core.deviation import deviation, normalized_deviation
-from .core.labeling import APosterioriLabeler
-from .data.dataset import SyntheticEEGDataset
-from .data.edf import load_record
-from .data.sampling import PAPER_DURATION_RANGE_S
-from .engine import (
+from .exceptions import ReproError
+from .settings import (
+    BACKPRESSURE_POLICIES,
     DEFAULT_CHUNK_S,
     EXECUTORS,
     SHARD_STRATEGIES,
-    CohortCheckpoint,
-    CohortEngine,
-    DiskFeatureStore,
-    ShardLauncher,
-    ShardSpec,
-    cohort_tasks,
-    collect_shards,
-    config_digest,
-    load_plan,
-    merge_checkpoints,
-    merge_shards,
-    merged_report,
-    orchestrate,
-    plan_shards,
-    run_shard,
-    work_list_digest,
-    write_plan,
+    ReproSettings,
 )
-from .exceptions import ReproError
-from .platform.battery import WearablePlatform
-from .settings import BACKPRESSURE_POLICIES, ReproSettings
 
 __all__ = ["build_parser", "main", "resolve_cohort_scale"]
 
@@ -582,6 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
+    from .core.deviation import deviation, normalized_deviation
+    from .core.diagnostics import label_confidence
+    from .core.labeling import APosterioriLabeler
+    from .data.edf import load_record
+
     record = load_record(args.basepath)
     labeler = APosterioriLabeler()
     result = labeler.label(record, args.avg_duration)
@@ -600,6 +582,10 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .core.deviation import deviation, normalized_deviation
+    from .core.labeling import APosterioriLabeler
+    from .data.dataset import SyntheticEEGDataset
+
     dataset = SyntheticEEGDataset(
         duration_range_s=(args.duration_min * 60.0, args.duration_max * 60.0)
     )
@@ -628,6 +614,8 @@ def resolve_cohort_scale(
     on a malformed env value; the range and the sample count are checked
     by the dataset and the work list built from them.
     """
+    from .data.sampling import PAPER_DURATION_RANGE_S
+
     settings = settings or ReproSettings.from_env()
     samples = args.samples
     if samples is None:
@@ -708,6 +696,10 @@ def _write_report_json(path: str, report) -> None:
 
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
+    from .data.dataset import SyntheticEEGDataset
+    from .engine.checkpoint import CohortCheckpoint
+    from .engine.executor import CohortEngine
+
     samples, duration_range_s, patient_ids = _cohort_scale(args)
     if args.resume and not args.checkpoint:
         raise ValueError("--resume requires --checkpoint")
@@ -781,6 +773,8 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
+    from .engine.checkpoint import config_digest, merge_checkpoints, work_list_digest
+
     # Any scale/filter flag means "the merged journal must resume the
     # full work list those flags describe": rebuild the exact task list
     # and engine configuration the way `repro cohort` would, and pin
@@ -822,6 +816,10 @@ def _resolve_shard_cohort(
     changes the configuration digest; passing it here only refuses a bad
     value before any plan is written.
     """
+    from .data.dataset import SyntheticEEGDataset
+    from .engine.executor import CohortEngine
+    from .engine.tasks import cohort_tasks
+
     samples, duration_range_s, patient_ids = _cohort_scale(args)
     dataset = SyntheticEEGDataset(duration_range_s=duration_range_s)
     engine = CohortEngine(
@@ -836,6 +834,8 @@ def _resolve_shard_cohort(
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
+    from .engine.sharding import plan_shards, write_plan
+
     tasks, config = _resolve_shard_cohort(args)
     out_dir = Path(args.out_dir)
     if sorted(out_dir.glob("shard-*.json")):
@@ -857,6 +857,9 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
+    from .engine.checkpoint import CohortCheckpoint
+    from .engine.sharding import ShardSpec, run_shard
+
     journal = args.journal or str(Path(args.manifest).with_suffix(".ckpt"))
     spec = ShardSpec.load(args.manifest)
     ckpt = CohortCheckpoint(journal)
@@ -889,6 +892,8 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_collect(args: argparse.Namespace) -> int:
+    from .engine.sharding import collect_shards, load_plan
+
     specs = load_plan(args.plan_dir)
     statuses = collect_shards(args.plan_dir, specs=specs)
     print(f"{'shard':>5}  {'tasks':>5}  {'done':>5}  {'missing':>7}  state")
@@ -914,6 +919,8 @@ def _cmd_shard_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_merge(args: argparse.Namespace) -> int:
+    from .engine.sharding import load_plan, merge_shards, merged_report
+
     specs = load_plan(args.plan_dir)
     stats = merge_shards(args.plan_dir, args.out, specs=specs)
     print(
@@ -929,6 +936,14 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_orchestrate(args: argparse.Namespace) -> int:
+    from .engine.sharding import (
+        ShardLauncher,
+        load_plan,
+        orchestrate,
+        plan_shards,
+        write_plan,
+    )
+
     tasks, config = _resolve_shard_cohort(args, chunk_s=args.chunk_s)
     out_dir = Path(args.out_dir)
     launch = {
@@ -986,6 +1001,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
+    from .engine.store import DiskFeatureStore
+
     if not os.path.isdir(args.dir):
         raise ValueError(f"no feature store directory at {args.dir}")
     store = DiskFeatureStore(args.dir)
@@ -1022,6 +1039,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_lifetime(args: argparse.Namespace) -> int:
+    from .platform.battery import WearablePlatform
+
     platform = WearablePlatform()
     if args.labeling_only:
         budget = platform.labeling_only_budget(args.seizures_per_day)
@@ -1051,6 +1070,7 @@ def _stable_telemetry(snapshot: dict) -> dict:
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
 
+    from .data.dataset import SyntheticEEGDataset
     from .service.manager import SessionManager
     from .service.replayer import Replayer
 

@@ -5,54 +5,7 @@ rationale): a deterministic synthetic cohort of 9 patients / 45 seizures
 with paper-matched structure, plus EDF-format persistence.
 """
 
-from .artifacts import ArtifactSpec, artifact_waveforms, generate_artifact
-from .dataset import SeizureEvent, SyntheticEEGDataset
-from .edf import (
-    EDFHeader,
-    load_record,
-    read_edf,
-    read_edf_header,
-    read_summary,
-    save_record,
-    write_edf,
-    write_summary,
-)
-from .sources import (
-    DEFAULT_SOURCE_CHUNK_S,
-    ArrayRecordSource,
-    EDFRecordSource,
-    RecordSource,
-    SignalPatch,
-    SyntheticRecordSource,
-    rechunk,
-    record_content_digest,
-)
-from .montage import (
-    ELECTRODES_1020,
-    F7T3,
-    F8T4,
-    PAPER_PAIRS,
-    BipolarPair,
-    bipolar_from_referential,
-)
-from .patients import PAPER_PATIENTS, PatientProfile, patient_by_id
-from .records import EEGRecord, SeizureAnnotation
-from .sampling import (
-    DEFAULT_DURATION_RANGE_S,
-    DEFAULT_SAMPLES_PER_SEIZURE,
-    PAPER_DURATION_RANGE_S,
-    EvaluationSample,
-    iter_evaluation_samples,
-)
-from .seizures import SeizureMorphology, generate_ictal
-from .synthetic import (
-    GEN_BLOCK_S,
-    BackgroundEEGModel,
-    block_spans,
-    draw_block_entropy,
-    pink_noise,
-    smooth_envelope,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "ArtifactSpec",
@@ -101,3 +54,33 @@ __all__ = [
     "pink_noise",
     "smooth_envelope",
 ]
+
+_EXPORTS = {
+    ".artifacts": ("ArtifactSpec", "artifact_waveforms", "generate_artifact"),
+    ".dataset": ("SeizureEvent", "SyntheticEEGDataset"),
+    ".edf": (
+        "EDFHeader", "load_record", "read_edf", "read_edf_header", "read_summary", "save_record",
+        "write_edf", "write_summary",
+    ),
+    ".sources": (
+        "DEFAULT_SOURCE_CHUNK_S", "ArrayRecordSource", "EDFRecordSource", "RecordSource",
+        "SignalPatch", "SyntheticRecordSource", "rechunk", "record_content_digest",
+    ),
+    ".montage": (
+        "ELECTRODES_1020", "F7T3", "F8T4", "PAPER_PAIRS", "BipolarPair",
+        "bipolar_from_referential",
+    ),
+    ".patients": ("PAPER_PATIENTS", "PatientProfile", "patient_by_id"),
+    ".records": ("EEGRecord", "SeizureAnnotation"),
+    ".sampling": (
+        "DEFAULT_DURATION_RANGE_S", "DEFAULT_SAMPLES_PER_SEIZURE", "PAPER_DURATION_RANGE_S",
+        "EvaluationSample", "iter_evaluation_samples",
+    ),
+    ".seizures": ("SeizureMorphology", "generate_ictal"),
+    ".synthetic": (
+        "GEN_BLOCK_S", "BackgroundEEGModel", "block_spans", "draw_block_entropy", "pink_noise",
+        "smooth_envelope",
+    ),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

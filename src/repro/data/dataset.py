@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,24 @@ def check_duration_range(duration_range_s) -> tuple[float, float]:
             f"finite bounds with 0 < min <= max"
         )
     return lo, hi
+
+
+def _check_seed(seed) -> int:
+    """The dataset seed as an int.
+
+    Refused with :class:`~repro.exceptions.DataError` unless it is a
+    non-negative integral value: ``int()`` silently truncated 1.5 to
+    seed 1, and NaN or infinity raised a bare numpy or ``int()`` error.
+    An integral float (``3.0``) is the same seed as the int.
+    """
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        number = float(seed)
+        value = int(number) if math.isfinite(number) and number.is_integer() else -1
+    if value < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def _check_duration(duration_s) -> float:
@@ -123,12 +142,12 @@ class SyntheticEEGDataset:
         seed: int = 2019,
         duration_range_s: tuple[float, float] = (1800.0, 3600.0),
     ) -> None:
-        if fs <= 0:
-            raise DataError(f"sampling rate must be positive, got {fs}")
+        if not (math.isfinite(fs) and fs > 0):
+            raise DataError(f"sampling rate must be finite and positive, got {fs}")
         self.duration_range_s = check_duration_range(duration_range_s)
         self.patients = tuple(patients)
         self.fs = float(fs)
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self._events = self._draw_inventory()
 
     # ------------------------------------------------------------------

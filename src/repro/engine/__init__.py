@@ -36,34 +36,7 @@ detector its predecessors trained, so it runs record by record through
 :meth:`~repro.selflearning.pipeline.SelfLearningPipeline.observe_record`.
 """
 
-from .cache import FeatureCache, source_cache_key
-from .checkpoint import (
-    DEFAULT_COMPACT_DEAD_LINES,
-    CohortCheckpoint,
-    config_digest,
-    merge_checkpoints,
-    work_list_digest,
-)
-from .chunked import DEFAULT_CHUNK_S, extract_features_from_source
-from .executor import EXECUTORS, CohortEngine, EngineConfig
-from .report import CohortReport, PatientSummary, RecordOutcome
-from .sharding import (
-    SHARD_STRATEGIES,
-    ShardLauncher,
-    ShardSpec,
-    ShardStatus,
-    collect_shards,
-    load_plan,
-    merge_shards,
-    merged_report,
-    orchestrate,
-    partition_tasks,
-    plan_shards,
-    run_shard,
-    write_plan,
-)
-from .store import DiskFeatureStore, store_key_digest
-from .tasks import RecordTask, cohort_tasks
+from .. import _lazy_exports
 
 __all__ = [
     "DEFAULT_CHUNK_S",
@@ -99,3 +72,23 @@ __all__ = [
     "work_list_digest",
     "write_plan",
 ]
+
+_EXPORTS = {
+    ".cache": ("FeatureCache", "source_cache_key"),
+    ".checkpoint": (
+        "DEFAULT_COMPACT_DEAD_LINES", "CohortCheckpoint", "config_digest", "merge_checkpoints",
+        "work_list_digest",
+    ),
+    ".chunked": ("DEFAULT_CHUNK_S", "extract_features_from_source"),
+    ".executor": ("EXECUTORS", "CohortEngine", "EngineConfig"),
+    ".report": ("CohortReport", "PatientSummary", "RecordOutcome"),
+    ".sharding": (
+        "SHARD_STRATEGIES", "ShardLauncher", "ShardSpec", "ShardStatus", "collect_shards",
+        "load_plan", "merge_shards", "merged_report", "orchestrate", "partition_tasks",
+        "plan_shards", "run_shard", "write_plan",
+    ),
+    ".store": ("DiskFeatureStore", "store_key_digest"),
+    ".tasks": ("RecordTask", "cohort_tasks"),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -31,14 +31,10 @@ from ..exceptions import FeatureError
 from ..features.base import FeatureExtractor, FeatureMatrix
 from ..features.paper10 import Paper10FeatureExtractor
 from ..core.streaming import StreamingFeatureExtractor
+from ..settings import DEFAULT_CHUNK_S
 from ..signals.windowing import WindowSpec
 
 __all__ = ["DEFAULT_CHUNK_S", "extract_features_from_source"]
-
-#: Default chunk length fed to the streaming extractor (seconds).  At the
-#: paper's 256 Hz x 2 channels this bounds the working set to ~240 kB per
-#: in-flight chunk regardless of record duration.
-DEFAULT_CHUNK_S = 60.0
 
 
 def extract_features_from_source(

@@ -62,6 +62,7 @@ from pathlib import Path
 
 from ..data.dataset import SyntheticEEGDataset
 from ..exceptions import CheckpointError, ShardError
+from ..settings import SHARD_STRATEGIES
 from .checkpoint import (
     CohortCheckpoint,
     _line_checksum,
@@ -92,12 +93,6 @@ __all__ = [
     "run_shard",
     "write_plan",
 ]
-
-#: Supported partition strategies.  ``contiguous`` keeps each shard's
-#: records adjacent (best disk-store locality per machine); ``strided``
-#: deals tasks round-robin (best load balance when record cost varies
-#: systematically along the list, e.g. by patient).
-SHARD_STRATEGIES = ("contiguous", "strided")
 
 #: Manifest kind tag + format version; a manifest of a different kind
 #: or version is refused outright — manifests are small operator-written

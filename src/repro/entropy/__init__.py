@@ -5,10 +5,7 @@ Rényi entropy, plus Shannon / approximate / spectral entropy for the
 e-Glass real-time feature family.
 """
 
-from .permutation import ordinal_patterns, permutation_entropy
-from .renyi import renyi_entropy
-from .sample import approximate_entropy, sample_entropy
-from .shannon import shannon_entropy, spectral_entropy
+from .. import _lazy_exports
 
 __all__ = [
     "ordinal_patterns",
@@ -19,3 +16,12 @@ __all__ = [
     "shannon_entropy",
     "spectral_entropy",
 ]
+
+_EXPORTS = {
+    ".permutation": ("ordinal_patterns", "permutation_entropy"),
+    ".renyi": ("renyi_entropy",),
+    ".sample": ("approximate_entropy", "sample_entropy"),
+    ".shannon": ("shannon_entropy", "spectral_entropy"),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

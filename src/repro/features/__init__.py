@@ -1,23 +1,7 @@
 """Feature substrate: the paper's 10 features, the e-Glass 54-feature
 family, backward elimination, normalization and windowed extraction."""
 
-from .base import FeatureExtractor, FeatureMatrix
-from .eglass import (
-    N_EGLASS_PER_CHANNEL,
-    EGlassFeatureExtractor,
-    eglass_feature_names,
-)
-from .extraction import extract_features, extract_labeled_features
-from .normalize import ZScoreScaler, zscore
-from .paper10 import PAPER10_FEATURE_NAMES, Paper10FeatureExtractor
-from .selection import (
-    SelectionResult,
-    backward_elimination,
-    fisher_mean_score,
-    fisher_ratio,
-    nearest_centroid_score,
-)
-from .wavelet_features import dwt_details, subband_energy, subband_stats
+from .. import _lazy_exports
 
 __all__ = [
     "FeatureExtractor",
@@ -40,3 +24,18 @@ __all__ = [
     "subband_energy",
     "subband_stats",
 ]
+
+_EXPORTS = {
+    ".base": ("FeatureExtractor", "FeatureMatrix"),
+    ".eglass": ("N_EGLASS_PER_CHANNEL", "EGlassFeatureExtractor", "eglass_feature_names"),
+    ".extraction": ("extract_features", "extract_labeled_features"),
+    ".normalize": ("ZScoreScaler", "zscore"),
+    ".paper10": ("PAPER10_FEATURE_NAMES", "Paper10FeatureExtractor"),
+    ".selection": (
+        "SelectionResult", "backward_elimination", "fisher_mean_score", "fisher_ratio",
+        "nearest_centroid_score",
+    ),
+    ".wavelet_features": ("dwt_details", "subband_energy", "subband_stats"),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -16,22 +16,7 @@ produces byte-identical reports under either — the engine parity suite
 enforces exactly that.
 """
 
-from __future__ import annotations
-
-from .plans import (
-    BandPlan,
-    WaveletPlan,
-    band_plan,
-    embedding_plan,
-    hann_window,
-    wavelet_plan,
-)
-from .registry import (
-    BACKENDS,
-    available_backends,
-    get_kernel,
-    registered_kernels,
-)
+from .. import _lazy_exports
 
 __all__ = [
     "BACKENDS",
@@ -45,3 +30,12 @@ __all__ = [
     "BandPlan",
     "band_plan",
 ]
+
+_EXPORTS = {
+    ".plans": (
+        "BandPlan", "WaveletPlan", "band_plan", "embedding_plan", "hann_window", "wavelet_plan",
+    ),
+    ".registry": ("BACKENDS", "available_backends", "get_kernel", "registered_kernels"),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -2,9 +2,7 @@
 trigger events, and the pipeline that turns missed seizures into
 personalized training data."""
 
-from .detector import DetectionEvent, RealTimeDetector
-from .events import EventKind, PatientTrigger, TimelineEvent
-from .pipeline import SelfLearningPipeline, SelfLearningReport
+from .. import _lazy_exports
 
 __all__ = [
     "DetectionEvent",
@@ -15,3 +13,11 @@ __all__ = [
     "SelfLearningPipeline",
     "SelfLearningReport",
 ]
+
+_EXPORTS = {
+    ".detector": ("DetectionEvent", "RealTimeDetector"),
+    ".events": ("EventKind", "PatientTrigger", "TimelineEvent"),
+    ".pipeline": ("SelfLearningPipeline", "SelfLearningReport"),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

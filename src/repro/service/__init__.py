@@ -20,26 +20,7 @@ record, for any chunking — the batch/stream parity discipline extended
 to the live path.
 """
 
-from .admission import AdmissionGate
-from .client import ServiceClient
-from .config import ServiceConfig
-from .fleet import ServiceShardPool, shard_index_of
-from .framing import PROTOCOL_VERSION
-from .ingest import DetectionService
-from .manager import IngestResult, SessionManager, SessionSummary
-from .replayer import Replayer, ReplayReport
-from .session import (
-    DetectorSession,
-    FeatureThresholdDetector,
-    ForestWindowDetector,
-    WindowDecision,
-    WindowDetector,
-    batch_window_decisions,
-    decisions_from_scores,
-    detector_from_state,
-    detector_state_of,
-)
-from .telemetry import LatencySummary, ServiceTelemetry, telemetry_to_json
+from .. import _lazy_exports
 
 __all__ = [
     "AdmissionGate",
@@ -67,3 +48,22 @@ __all__ = [
     "shard_index_of",
     "telemetry_to_json",
 ]
+
+_EXPORTS = {
+    ".admission": ("AdmissionGate",),
+    ".client": ("ServiceClient",),
+    ".config": ("ServiceConfig",),
+    ".fleet": ("ServiceShardPool", "shard_index_of"),
+    ".framing": ("PROTOCOL_VERSION",),
+    ".ingest": ("DetectionService",),
+    ".manager": ("IngestResult", "SessionManager", "SessionSummary"),
+    ".replayer": ("Replayer", "ReplayReport"),
+    ".session": (
+        "DetectorSession", "FeatureThresholdDetector", "ForestWindowDetector", "WindowDecision",
+        "WindowDetector", "batch_window_decisions", "decisions_from_scores", "detector_from_state",
+        "detector_state_of",
+    ),
+    ".telemetry": ("LatencySummary", "ServiceTelemetry", "telemetry_to_json"),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

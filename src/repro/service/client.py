@@ -29,6 +29,8 @@ It is not thread-safe; use one client per thread.
 
 from __future__ import annotations
 
+import math
+import numbers
 import socket
 
 import numpy as np
@@ -63,7 +65,9 @@ class ServiceClient:
         Send the versioned hello on connect (default).  ``False`` speaks
         the versionless legacy protocol.
     timeout:
-        Socket timeout in seconds for connect and every reply.
+        Socket timeout in seconds for connect and every reply; anything
+        but a finite positive number is refused with
+        :class:`~repro.exceptions.ServiceError` before connecting.
 
     Usable as a context manager; exiting disconnects the socket (open
     sessions survive server-side — close them explicitly when the
@@ -78,6 +82,12 @@ class ServiceClient:
         handshake: bool = True,
         timeout: float = 30.0,
     ) -> None:
+        if not (
+            isinstance(timeout, numbers.Real) and math.isfinite(timeout) and timeout > 0
+        ):
+            raise ServiceError(
+                f"timeout must be a finite positive number of seconds, got {timeout!r}"
+            )
         try:
             self._sock = socket.create_connection(
                 (host, port), timeout=timeout

@@ -12,6 +12,10 @@ A snapshot captures the environment once, so a long-lived process (the
 detection service) keeps a consistent configuration even if the
 environment changes underneath it.  ``from_env(mapping)`` parses the
 given mapping and never reads or writes ``os.environ``.
+
+The engine constants the ``repro`` parser shows as choices and defaults
+(:data:`EXECUTORS`, :data:`DEFAULT_CHUNK_S`, :data:`SHARD_STRATEGIES`)
+live here too, so building the parser imports no engine module.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ __all__ = [
     "ENV_SERVICE_CHUNK_RATE",
     "ENV_SERVICE_REPLAY_BUFFER",
     "EXECUTORS",
+    "DEFAULT_CHUNK_S",
+    "SHARD_STRATEGIES",
     "BACKPRESSURE_POLICIES",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_REPLAY_BUFFER",
@@ -62,6 +68,17 @@ ENV_SERVICE_REPLAY_BUFFER = "REPRO_SERVICE_REPLAY_BUFFER"
 #: true parallelism for the numpy/Python mix of the extractors;
 #: ``serial`` runs every task in the calling process.
 EXECUTORS = ("process", "serial")
+
+#: Default chunk length fed to the streaming extractor (seconds).  At the
+#: paper's 256 Hz x 2 channels this bounds the working set to ~240 kB per
+#: in-flight chunk regardless of record duration.
+DEFAULT_CHUNK_S = 60.0
+
+#: Supported shard partition strategies.  ``contiguous`` keeps each
+#: shard's records adjacent (best disk-store locality per machine);
+#: ``strided`` deals tasks round-robin (best load balance when record
+#: cost varies systematically along the list, e.g. by patient).
+SHARD_STRATEGIES = ("contiguous", "strided")
 
 #: ``reject`` refuses the new chunk (the caller sees a rejected
 #: IngestResult / BackpressureError); ``shed-oldest`` drops the oldest

@@ -6,28 +6,7 @@ canonical EEG bands, and the 4-second / 75%-overlap sliding-window
 geometry.
 """
 
-from .spectral import (
-    EEG_BANDS,
-    band_power,
-    median_frequency,
-    peak_frequency,
-    periodogram,
-    relative_band_power,
-    spectral_edge_frequency,
-    total_power,
-    welch_psd,
-)
-from .wavelet import (
-    daubechies_filter,
-    dwt_max_level,
-    dwt_single,
-    idwt_single,
-    quadrature_mirror,
-    subband_frequencies,
-    wavedec,
-    waverec,
-)
-from .windowing import WindowSpec, sliding_windows, window_count, window_matrix
+from .. import _lazy_exports
 
 __all__ = [
     "EEG_BANDS",
@@ -52,3 +31,17 @@ __all__ = [
     "window_count",
     "window_matrix",
 ]
+
+_EXPORTS = {
+    ".spectral": (
+        "EEG_BANDS", "band_power", "median_frequency", "peak_frequency", "periodogram",
+        "relative_band_power", "spectral_edge_frequency", "total_power", "welch_psd",
+    ),
+    ".wavelet": (
+        "daubechies_filter", "dwt_max_level", "dwt_single", "idwt_single", "quadrature_mirror",
+        "subband_frequencies", "wavedec", "waverec",
+    ),
+    ".windowing": ("WindowSpec", "sliding_windows", "window_count", "window_matrix"),
+}
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -13,7 +13,7 @@ from repro.data.sources import (
     EDFRecordSource,
     SyntheticRecordSource,
 )
-from repro.exceptions import DataError
+from repro.exceptions import DataError, ServiceError
 from repro.features.extraction import extract_features
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.service import DetectionService, ServiceClient, ServiceConfig
@@ -161,6 +161,15 @@ class TestConnect:
                 return await loop.run_in_executor(None, stream)
 
         assert run_async(go()) == batch
+
+
+    #: At the parent ±inf raised a bare OverflowError ("timestamp out of
+    #: range for platform time_t") and -1 a bare ValueError.
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), -1, 0, float("nan")])
+    def test_refuses_unusable_timeout_before_connecting(self, bad):
+        for dial in (api.connect, ServiceClient):
+            with pytest.raises(ServiceError, match="timeout must be a finite positive"):
+                dial("127.0.0.1", 9, timeout=bad)
 
 
 def run_async(coro):

@@ -117,6 +117,26 @@ class TestValidation:
         with pytest.raises(DataError):
             SyntheticEEGDataset(duration_range_s=(100.0, 50.0))
 
+    #: Seeds ``int()`` truncated (1.5 ran seed 1) or failed on with a
+    #: bare error: ValueError for NaN and -1, OverflowError for ±inf.
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), -float("inf"), -1])
+    def test_refuses_unusable_seed(self, bad):
+        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+            SyntheticEEGDataset(seed=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_refuses_non_finite_fs(self, bad):
+        with pytest.raises(DataError, match="sampling rate must be finite and positive"):
+            SyntheticEEGDataset(fs=bad)
+
+    def test_integral_seeds_keep_their_records(self):
+        kwargs = {"duration_range_s": (300.0, 320.0)}
+        digest = SyntheticEEGDataset(seed=7, **kwargs).sample_source(1, 0, 0).recipe_digest()
+        for same in (7.0, np.int64(7)):
+            dataset = SyntheticEEGDataset(seed=same, **kwargs)
+            assert dataset.seed == 7 and type(dataset.seed) is int
+            assert dataset.sample_source(1, 0, 0).recipe_digest() == digest
+
     #: Ranges numpy's uniform draw cannot take: it overflowed on an
     #: infinite bound and raised on a reversed one.
     BAD_RANGES = [

@@ -277,6 +277,68 @@ class TestAARole:
             record("parent", "parent")
 
 
+#: Two invocations: the first recorded a noisy A/A copy (25 % faster),
+#: the second, with ``--checkout parent --checkout parent-copy
+#: --checkout change``, a quiet one (1 % faster) beside the change.
+TWO_AA_ENTRIES = [
+    entry("aaaa1111", "cohort-cold", [100.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, role="parent"),
+    entry("aaaa1111", "cohort-cold", [125.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, role="aa"),
+    entry("aaaa1111", "cohort-cold", [100.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, role="parent"),
+    entry("aaaa1111", "cohort-cold", [101.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, role="aa"),
+    entry("eeee5555", "cohort-cold", [110.0 + i for i in range(10)],
+          [0.4] * 10, [50.0] * 10, role="change"),
+]
+
+
+class TestSameInvocationAA:
+    def test_same_invocation_set_decides(self, trajectory):
+        media = rows_by_metric(trajectory.compare_rows(
+            TWO_AA_ENTRIES, "aaaa", "eeee", BOUNDS
+        ))["media_s_per_cpu_s"]
+        assert media["aa_source"] == "same invocation"
+        assert media["aa"] == {
+            "pairs": 10, "wins": 10, "ratio": pytest.approx(105.5 / 104.5)
+        }
+        assert media["verdict"] == "gain"
+
+    def test_other_invocations_are_pooled_without_one(self, trajectory):
+        # Without the quiet copy, the change's own invocation has no A/A
+        # set: the noisy copy of the other invocation is used, and it
+        # outweighs the gain.
+        noisy_only = TWO_AA_ENTRIES[:3] + TWO_AA_ENTRIES[4:]
+        media = rows_by_metric(trajectory.compare_rows(
+            noisy_only, "aaaa", "eeee", BOUNDS
+        ))["media_s_per_cpu_s"]
+        assert media["aa_source"] == "pooled"
+        assert media["aa"]["ratio"] == pytest.approx(129.5 / 104.5)
+        assert media["verdict"] == "within noise"
+
+    def test_checkout_order_does_not_matter(self, trajectory):
+        # The quiet copy recorded after the change is still beside the
+        # same parent entry.
+        reordered = TWO_AA_ENTRIES[:3] + TWO_AA_ENTRIES[4:] + TWO_AA_ENTRIES[3:4]
+        media = rows_by_metric(trajectory.compare_rows(
+            reordered, "aaaa", "eeee", BOUNDS
+        ))["media_s_per_cpu_s"]
+        assert media["aa_source"] == "same invocation"
+        assert media["verdict"] == "gain"
+
+    def test_compare_prints_the_set_used(self, trajectory, tmp_path,
+                                         monkeypatch, capsys):
+        (tmp_path / "BENCH_engine.json").write_text(json.dumps(TWO_AA_ENTRIES))
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+            (tmp_path / "BENCHMARK.json").write_text(fh.read())
+        monkeypatch.setattr(trajectory, "ROOT", str(tmp_path))
+        assert trajectory.main(["compare", "aaaa", "eeee"]) == 0
+        media = capsys.readouterr().out.splitlines()[0]
+        assert "A/A ratio 1.0096 wins 10/10 (same invocation)" in media
+        assert media.endswith("GAIN")
+
+
 class TestSeedPassThrough:
     def test_seed_reaches_perfbench(self, trajectory, monkeypatch):
         seen = []
