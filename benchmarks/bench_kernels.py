@@ -15,6 +15,12 @@ results as µs per window.  At 1 and 4 windows the vectorized path is
 asserted no slower than the reference loop, again as an in-process
 best-of-N comparison.
 
+The DWT kernel's sliding form is timed on its own: ``details_batch``
+on a sliding view of one stream (a 57-window cohort chunk and a whole
+14 min record, 4 s windows at a 1 s hop) against the same windows
+copied contiguous, which run per window.  The outputs are asserted
+bitwise equal and the sliding form >= 2x faster, again in process.
+
 ``REPRO_BENCH_QUICK=1`` shrinks the batch for the CI smoke leg.
 """
 
@@ -30,7 +36,12 @@ import numpy as np
 import repro.kernels
 from conftest import print_table, save_results
 from repro.features.paper10 import Paper10FeatureExtractor
-from repro.kernels import available_backends, get_kernel, registered_kernels
+from repro.kernels import (
+    available_backends,
+    get_kernel,
+    registered_kernels,
+    wavelet_plan,
+)
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "").strip() not in ("", "0")
 
@@ -56,6 +67,15 @@ SMALL_BATCHES = (1, 4, 57)
 #: call takes about a millisecond, so many repeats stay cheap and tame
 #: scheduler noise.
 SMALL_REPEATS = 50 if QUICK else 200
+
+
+#: Windows per sliding-view DWT call: a cohort chunk and a whole
+#: 14 min record through ``extract_features``.
+SLIDING_BATCHES = (57, 800)
+#: The asserted floor for the per-window / sliding DWT time ratio.
+SLIDING_FLOOR = 2.0
+#: The hop of the paper's 4 s / 1 s windows, in samples.
+HOP_SAMPLES = 256
 
 
 def _best_of(fn, *args, repeats: int = REPEATS, **kwargs) -> float:
@@ -195,5 +215,60 @@ def test_kernel_backends_speed():
         )
 
 
+def test_sliding_dwt_speed():
+    rng = np.random.default_rng(7)
+    plan = wavelet_plan(4, 7)
+    rows = []
+    payload: dict = {"quick": QUICK, "batches": {}}
+    for n in SLIDING_BATCHES:
+        stream = rng.standard_normal((n - 1) * HOP_SAMPLES + WINDOW_SAMPLES)
+        view = np.lib.stride_tricks.sliding_window_view(
+            stream, WINDOW_SAMPLES
+        )[::HOP_SAMPLES]
+        contiguous = np.ascontiguousarray(view)
+        sliding = plan.details_batch(view)
+        for lvl, coeffs in plan.details_batch(contiguous).items():
+            np.testing.assert_array_equal(
+                sliding[lvl].view(np.int64), coeffs.view(np.int64)
+            )
+        del sliding, coeffs  # hold no outputs across the timed calls
+        # Alternate the two forms, each going first in every other
+        # round: a call runs faster or slower depending on the blocks the
+        # call before it freed, so neither form may always follow the
+        # other.
+        forms = (("per_window", contiguous), ("sliding", view))
+        best = {"per_window": float("inf"), "sliding": float("inf")}
+        for i in range(max(15, 36000 // n)):
+            for form, batch in forms[:: 1 if i % 2 else -1]:
+                t0 = time.perf_counter()
+                plan.details_batch(batch)
+                best[form] = min(best[form], time.perf_counter() - t0)
+        timings = best
+        ratio = timings["per_window"] / timings["sliding"]
+        rows.append(
+            [
+                f"dwt {n}-window sliding view",
+                f"{timings['per_window'] * 1e3:.2f}",
+                f"{timings['sliding'] * 1e3:.2f}",
+                f"{ratio:.2f}x",
+            ]
+        )
+        payload["batches"][n] = {**timings, "speedup": ratio}
+
+    print_table(
+        "DWT details: sliding view vs the same windows contiguous"
+        + (" (quick)" if QUICK else ""),
+        ["batch", "per-window ms", "sliding ms", "speedup"],
+        rows,
+    )
+    save_results("bench_kernels_sliding" + ("_quick" if QUICK else ""), payload)
+    for n, call in payload["batches"].items():
+        assert call["speedup"] >= SLIDING_FLOOR, (
+            f"the sliding DWT of {n} windows is only {call['speedup']:.2f}x "
+            f"faster than per window (floor {SLIDING_FLOOR:.0f}x)"
+        )
+
+
 if __name__ == "__main__":
     test_kernel_backends_speed()
+    test_sliding_dwt_speed()

@@ -54,7 +54,6 @@ import numpy as np
 from ..exceptions import DataError
 from .records import EEGRecord, SeizureAnnotation, duration_window_labels
 from .synthetic import GENERATOR_VERSION, BackgroundEEGModel
-from . import edf as _edf
 
 __all__ = [
     "DEFAULT_SOURCE_CHUNK_S",
@@ -422,8 +421,10 @@ class EDFRecordSource(RecordSource):
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
+        from .edf import read_edf_header
+
         self.path = path
-        self.header = _edf.read_edf_header(path)
+        self.header = read_edf_header(path)
         self.fs = self.header.fs
         self.n_channels = self.header.n_signals
         self.n_samples = self.header.n_samples
@@ -435,12 +436,14 @@ class EDFRecordSource(RecordSource):
     def iter_chunks(
         self, chunk_s: float = DEFAULT_SOURCE_CHUNK_S
     ) -> Iterator[np.ndarray]:
+        from .edf import iter_edf_record_groups
+
         step = self.chunk_samples(chunk_s)
         spr = self.header.samples_per_record
         # Read at least one chunk's worth of data records per group so
         # group decoding cost stays amortized at tiny chunk sizes.
         per_read = max(1, -(-step // spr))
-        groups = _edf.iter_edf_record_groups(self.path, self.header, per_read)
+        groups = iter_edf_record_groups(self.path, self.header, per_read)
         emitted = 0
         for chunk in rechunk(groups, step):
             if emitted >= self.n_samples:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from ..core.deviation import deviation, normalized_deviation
@@ -485,6 +484,9 @@ class CohortEngine:
                 if not admit(context.process_safe(task)):
                     raise strict_error()
             return outcomes
+
+        # Only a pool run loads the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         pool = ProcessPoolExecutor(
             max_workers=n_workers,

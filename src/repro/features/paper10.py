@@ -24,11 +24,15 @@ level 7.  These are exactly the inputs of Algorithm 1 (its ``F = 10``).
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
 from ..entropy.sample import sample_entropy
+from ..exceptions import FeatureError
 from ..signals.spectral import band_power_from_psd, welch_psd
 from .base import FeatureExtractor
 from .wavelet_features import dwt_details
@@ -55,14 +59,37 @@ class Paper10FeatureExtractor(FeatureExtractor):
     Parameters
     ----------
     dwt_level:
-        Decomposition depth (paper: 7).
+        Decomposition depth (paper: 7), an integer of at least 7: the
+        features read the level 3, 6 and 7 details.
     renyi_alpha:
-        Order of the Rényi entropy (the paper does not state it; 2 is the
-        standard choice in the EEG literature and is documented as such in
-        EXPERIMENTS.md).
+        Order of the Rényi entropy, finite and positive (the paper does
+        not state it; 2 is the standard choice in the EEG literature and
+        is documented as such in EXPERIMENTS.md).
+
+    Raises
+    ------
+    FeatureError
+        For a ``dwt_level`` that is not an integer >= 7 (``bool``
+        included) or a ``renyi_alpha`` that is not finite and positive.
     """
 
     def __init__(self, dwt_level: int = 7, renyi_alpha: float = 2.0) -> None:
+        if (
+            isinstance(dwt_level, bool)
+            or not isinstance(dwt_level, numbers.Integral)
+            or dwt_level < 7
+        ):
+            raise FeatureError(
+                f"dwt_level must be an integer >= 7, got {dwt_level!r}"
+            )
+        if not (
+            isinstance(renyi_alpha, numbers.Real)
+            and math.isfinite(renyi_alpha)
+            and renyi_alpha > 0
+        ):
+            raise FeatureError(
+                f"renyi_alpha must be finite and positive, got {renyi_alpha!r}"
+            )
         self._dwt_level = dwt_level
         self._renyi_alpha = renyi_alpha
 

@@ -15,6 +15,7 @@ invisible to results (the parity suites enforce this).
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -105,6 +106,19 @@ def band_plan(
 #: accumulates tap by tap (see :class:`WaveletPlan`).
 _FUSED_BYTES = 512 * 1024
 
+#: The sliding form's cap on a fused level, in the same bytes: glibc's
+#: default mmap threshold.  Its stream levels are one long row, and a
+#: larger fused product is mapped and page-faulted on every call: under
+#: ``_FUSED_BYTES``, level 2 of a 57-window view fused 491 KB and took
+#: 0.24 ms inside the call, against 0.08 ms tap by tap; under a 256 KiB
+#: cap, level 3 (245 KB) took twice as long as the per-window path's.
+_SLIDING_FUSED_BYTES = 128 * 1024
+
+#: Fewest rows of a sliding view that run the sliding form (see
+#: :class:`WaveletPlan`).  Below it the form's fixed per-level calls
+#: cost more than the shared coefficients save.
+_SLIDING_MIN_ROWS = 8
+
 
 @lru_cache(maxsize=64)
 def _polyphase_schedule(
@@ -143,6 +157,63 @@ def _polyphase_schedule(
     return tuple(schedule)
 
 
+class _SlidingLevel(NamedTuple):
+    """One level of a sliding-view decomposition (see
+    :func:`_sliding_schedule`).
+
+    A window's ``half`` coefficients are its ``shared`` leading ones,
+    read off the stream, then ``half - shared`` computed from its
+    ``edge``-long edge array.  Each ``runs`` entry ``(start, stop,
+    from_stream, source)`` fills edge positions ``[start, stop)`` from
+    position ``source`` on of either the window's part of the previous
+    level's stream or its previous-level coefficients past the shared
+    ones.
+    """
+
+    half: int
+    shared: int
+    edge: int
+    runs: tuple[tuple[int, int, bool, int], ...]
+
+
+@lru_cache(maxsize=64)
+def _sliding_schedule(
+    n: int, taps: int, level: int
+) -> tuple[_SlidingLevel, ...]:
+    """Per-level split of a ``level``-deep DWT of ``n``-sample windows
+    cut from one stream, for ``n`` divisible by ``2 ** level``.
+
+    Coefficient ``j`` of a level reads input positions ``2 j`` to
+    ``2 j + taps - 1``.  When none of them wraps and each is shared (a
+    raw sample always is), the coefficient equals the stream's
+    coefficient at the window's offset plus ``j``, computed from the
+    same inputs in the same tap order.  Those form a prefix of
+    ``(shared_in - taps) // 2 + 1`` coefficients.  The rest read the
+    edge array: the level input's positions from ``2 * shared`` to its
+    end, then its first ``taps - 2``, with wrapped positions taken
+    modulo the input length.
+    """
+    schedule = []
+    shared_in = n  # every raw sample is a stream sample
+    for _ in range(level):
+        half = n // 2
+        shared = max(0, (shared_in - taps) // 2 + 1)
+        pos = (2 * shared + np.arange(2 * (half - shared) + taps - 2)) % n
+        runs: list[list] = []
+        for col, p in enumerate(pos.tolist()):
+            from_stream = p < shared_in
+            source = p if from_stream else p - shared_in
+            if runs and runs[-1][2:] == [from_stream, source - col + runs[-1][0]]:
+                runs[-1][1] = col + 1  # the previous run continues
+            else:
+                runs.append([col, col + 1, from_stream, source])
+        schedule.append(
+            _SlidingLevel(half, shared, pos.size, tuple(map(tuple, runs)))
+        )
+        n, shared_in = half, shared
+    return tuple(schedule)
+
+
 class WaveletPlan:
     """One window geometry's DWT execution plan.
 
@@ -151,29 +222,27 @@ class WaveletPlan:
     stacked as the ``(2, K)`` bank ``[h; g]`` — and runs the batched
     multilevel decomposition.
 
-    Each level gathers its input once into a polyphase layout: the even
-    and odd samples of the circularly wrapped (and, for odd lengths,
-    edge-repeat-padded) level input, each a contiguous lane per row.
-    Tap ``t`` of the dyadically downsampled correlation reads one
-    shifted slice of the ``t % 2`` phase, scaled by the bank column
-    ``[h[t]; g[t]]``, which gives approximation and detail together.
-
     Every output must be the sum of its ``K`` tap products in ascending
     tap order, multiply then add — the accumulation order of
     ``np.convolve``'s small-kernel path — so that each row reproduces
-    ``repro.signals.wavelet.dwt_single`` bit-for-bit.  A level runs in
-    one of two forms that keep that order:
+    ``repro.signals.wavelet.dwt_single`` bit-for-bit.  A level's inputs
+    are read through a strided view in which tap ``t = 2 s + p`` of
+    output ``j`` sits at pair ``s``, phase ``p``, position ``j``, and
+    the level runs in one of two forms that keep that order:
 
     - **fused** (small levels): one multiply writes every tap product
-      into a ``(K, 2, rows, half)`` array, read through a strided view
-      of the polyphase lanes, and one ``np.add.reduce`` over axis 0
-      sums them.  A reduction along a non-inner axis adds whole slices
-      in index order (``out = p[0]; out += p[1]; ...``), which is the
-      sequential order.  The tap axis is never the inner one: the
-      ``(2, rows, half)`` block behind it is contiguous with at least
-      two elements.  A sum along the contiguous inner axis would not
-      do: numpy's pairwise sum runs an eight-way unrolled loop from 8
-      operands up (db4 has 8 taps), which reorders them.
+      into a C-ordered ``(K, 2, rows, half)`` array, and one
+      ``np.add.reduce`` over axis 0 sums them.  A reduction along a
+      non-inner axis adds whole slices in index order (``out = p[0];
+      out += p[1]; ...``), which is the sequential order.  The tap axis
+      is never the inner one: the multiply allocates its products in C
+      order (``order="C"``), so the ``(2, rows, half)`` block behind
+      the tap axis is contiguous with at least two elements.  Left to
+      its default (``"K"``, follow the inputs), the multiply may lay
+      the tap axis out innermost for some strided views, and a sum
+      along the contiguous inner axis would run numpy's pairwise sum,
+      whose eight-way unrolled loop reorders 8 or more operands (db4
+      has 8 taps).
     - **per tap** (large levels): one multiply and one in-place add per
       tap into a ``(2, rows, half)`` accumulator.  This streams through
       two accumulator-sized buffers where the fused form would write
@@ -181,16 +250,45 @@ class WaveletPlan:
       product outgrows the cache (``_FUSED_BYTES``).
 
     The form is chosen per level from the size of its product, a
-    function of the batch shape alone, so a 1-4 window service call
-    runs fused at every level and a 57-window cohort call runs its two
-    or three largest levels per tap.
+    function of the batch shape alone (the sliding path below caps a
+    fused level at ``_SLIDING_FUSED_BYTES``).
+
+    A batch takes one of two paths, chosen from its shape and strides:
+
+    - **per window**: each level gathers its input once into a
+      polyphase layout — the even and odd samples of the circularly
+      wrapped (and, for odd lengths, edge-repeat-padded) level input, a
+      contiguous lane each per row.  A 1-4 window service call runs
+      fused at every level, a 57-window cohort call runs its two or
+      three largest levels per tap.
+    - **sliding**: the rows are one sliding view of a single buffer
+      (unit sample stride, a positive row stride shorter than the
+      window and a multiple of ``2 ** level`` samples, a window length
+      divisible by ``2 ** level``) with at least ``_SLIDING_MIN_ROWS``
+      rows, as ``window_tensor`` and the streaming extractor hand over.
+      Each level is computed once over the stream the windows span.
+      A window's coefficient whose taps do not wrap reads the same
+      inputs as the stream coefficient at the window's offset, so it
+      *is* that coefficient: at 1024 samples and a 256-sample hop a
+      window shares 509 of 512 level-1 coefficients with the stream
+      and 2 of 8 at level 7.  Only the wrapped ones are computed per
+      window, from a small edge array (the window's last level inputs,
+      then its first ``K - 2``), laid out with the windows along the
+      inner axis.  Both parts sum the same ``K`` products in the same
+      order, so every row carries the per-window path's bits, and
+      finiteness is checked once over the stream.  At 57 windows this
+      computes about 17k coefficient pairs instead of 58k.
     """
 
     def __init__(self, wavelet: int = 4, level: int = 7) -> None:
-        if level < 1:
-            raise FeatureError(f"level must be >= 1, got {level}")
+        if (
+            isinstance(level, bool)
+            or not isinstance(level, numbers.Integral)
+            or level < 1
+        ):
+            raise FeatureError(f"level must be an integer >= 1, got {level!r}")
         self.wavelet = wavelet
-        self.level = level
+        self.level = int(level)
         self.h = daubechies_filter(wavelet)
         self.g = quadrature_mirror(self.h)
         self.h.setflags(write=False)
@@ -230,6 +328,10 @@ class WaveletPlan:
                 f"signal too short for {self.level}-level decomposition "
                 f"({n} samples per window)"
             )
+        if rows >= _SLIDING_MIN_ROWS:
+            hop = self._sliding_hop(windows)
+            if hop:
+                return self._sliding_details(windows, hop)
         if not np.isfinite(windows).all():
             raise FeatureError("window contains NaN or infinite samples")
         taps = len(self._taps)
@@ -238,49 +340,134 @@ class WaveletPlan:
         schedule = _polyphase_schedule(n, taps, self.level)
         for lvl, (index, half) in enumerate(schedule, start=1):
             poly = np.take(approx, index, axis=1)  # (rows, 2, half + (K-1)//2)
-            if 16 * taps * rows * half <= _FUSED_BYTES:
-                acc = self._fused_level(poly, rows, half)
-            else:
-                acc = self._per_tap_level(poly, rows, half)
+            row, phase, sample = poly.strides
+            acc = self._correlate(poly, (sample, phase, row, sample), rows, half)
             approx = acc[0]
             details[lvl] = acc[1]
         return details
 
-    def _fused_level(self, poly: np.ndarray, rows: int, half: int) -> np.ndarray:
-        """``(2, rows, half)`` approximation and detail: one multiply
-        over every tap, then one sequential reduction along the tap
-        axis."""
-        row, phase, sample = poly.strides
-        # [s, p, 0, r, j] = poly[r, p, s + j]: tap 2 s + p's slice of
-        # phase p, broadcast over the bank's two filters.  (An ndarray
-        # over poly's buffer costs far less than as_strided per call.)
-        view = np.ndarray(
-            (len(self._pairs), 2, 1, rows, half),
-            buffer=poly,
-            strides=(sample, phase, 0, row, sample),
-        )
-        products = np.multiply(self._pairs, view)
-        return np.add.reduce(
-            products.reshape(len(self._taps), 2, rows, half), axis=0
-        )
+    def _sliding_hop(self, windows: np.ndarray) -> int:
+        """The row stride in samples of a batch that runs the sliding
+        form (see the class docstring), else 0."""
+        row, sample = windows.strides
+        n = windows.shape[1]
+        if (
+            sample == windows.itemsize
+            and 0 < row < n * sample
+            and row % (sample << self.level) == 0
+            and n % (1 << self.level) == 0
+        ):
+            return row // sample
+        return 0
 
-    def _per_tap_level(
-        self, poly: np.ndarray, rows: int, half: int
+    def _sliding_details(
+        self, windows: np.ndarray, hop: int
+    ) -> dict[int, np.ndarray]:
+        """:meth:`details_batch` of rows that start ``hop`` samples apart
+        in one buffer: each level once over the stream they span, plus
+        each window's wrapped coefficients."""
+        rows, n = windows.shape
+        item = windows.itemsize
+        stream = np.lib.stride_tricks.as_strided(
+            windows, ((rows - 1) * hop + n,), (item,), writeable=False
+        )
+        if not np.isfinite(stream).all():
+            raise FeatureError("window contains NaN or infinite samples")
+        details: dict[int, np.ndarray] = {}
+        # Each window's part of the level input's stream, one row per
+        # window, and its level-input coefficients past that part, one
+        # column per window.
+        lanes, tail = windows, None
+        for lvl, step in enumerate(
+            _sliding_schedule(n, len(self._taps), self.level), start=1
+        ):
+            out = np.empty((rows, step.half))
+            if step.edge:
+                # Windows along the inner axis, so the tap products run
+                # along contiguous rows.
+                edge = np.empty((step.edge, rows))
+                for start, stop, from_stream, source in step.runs:
+                    end = source + stop - start
+                    if from_stream:
+                        edge[start:stop] = lanes[:, source:end].T
+                    else:
+                        edge[start:stop] = tail[source:end]
+                line = rows * item
+                acc = self._correlate(
+                    edge, (2 * line, line, 2 * line, item),
+                    step.half - step.shared, rows, _SLIDING_FUSED_BYTES,
+                )
+                tail = acc[0]
+                out[:, step.shared :] = acc[1].T
+            if step.shared:
+                # The stream's even and odd samples, a contiguous lane
+                # each, as in the per-window polyphase layout.
+                count = (stream.size - len(self._taps)) // 2 + 1
+                width = count + len(self._pairs) - 1
+                poly = stream[: 2 * width].reshape(width, 2).T.copy()
+                acc = self._correlate(
+                    poly, (item, width * item, 0, item), 1, count,
+                    _SLIDING_FUSED_BYTES,
+                )[:, 0]
+                stream = acc[0]
+                strides = ((hop >> lvl) * item, item)
+                lanes = np.ndarray(
+                    (rows, step.shared), buffer=stream, strides=strides
+                )
+                out[:, : step.shared] = np.ndarray(
+                    (rows, step.shared), buffer=acc[1], strides=strides
+                )
+            details[lvl] = out
+        return details
+
+    def _correlate(
+        self,
+        source: np.ndarray,
+        strides: tuple[int, int, int, int],
+        first: int,
+        second: int,
+        fused_bytes: int = _FUSED_BYTES,
     ) -> np.ndarray:
-        """``(2, rows, half)`` approximation and detail, accumulated in
-        place one tap at a time."""
+        """``(2, first, second)`` approximation and detail of ``source``,
+        fused while the tap products take at most ``fused_bytes``.
+
+        ``strides`` are the byte steps ``(pair, phase, across, along)``:
+        tap ``t = 2 s + p`` of output ``[a, b]`` reads ``source`` at
+        ``s * pair + p * phase + a * across + b * along`` bytes.
+        """
+        pair, phase, across, along = strides
+        pairs = len(self._pairs)
+        # [s, p, 0, a, b]: tap 2 s + p's input of output [a, b],
+        # broadcast over the bank's two filters.  (An ndarray over the
+        # source's buffer costs far less than as_strided per call.)
+        view = np.ndarray(
+            (pairs, 2, 1, first, second),
+            buffer=source,
+            strides=(pair, phase, 0, across, along),
+        )
+        if 32 * pairs * first * second <= fused_bytes:
+            products = np.multiply(self._pairs, view, order="C")
+            return np.add.reduce(
+                products.reshape(2 * pairs, 2, first, second), axis=0
+            )
         taps = self._taps
-        acc = np.empty((2, rows, half))
-        term = np.empty((2, rows, half))
-        np.multiply(taps[0], poly[:, 0, :half], out=acc)
+        acc = np.empty((2, first, second))
+        term = np.empty((2, first, second))
+        np.multiply(taps[0], view[0, 0], out=acc)
         for t in range(1, len(taps)):
-            shift = t // 2
-            np.multiply(taps[t], poly[:, t % 2, shift : shift + half], out=term)
+            np.multiply(taps[t], view[t // 2, t % 2], out=term)
             acc += term
         return acc
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def wavelet_plan(wavelet: int = 4, level: int = 7) -> WaveletPlan:
-    """Cached :class:`WaveletPlan` for a (wavelet order, depth) pair."""
+    """Cached :class:`WaveletPlan` for a (wavelet order, depth) pair.
+
+    The cache is typed, so ``level=7.0`` always reaches
+    :class:`WaveletPlan`, which refuses it: an untyped cache treats it
+    as the key ``7``, returning the level-7 plan when that is cached and
+    caching a plan built for ``7.0`` for every later level-7 caller when
+    it is not.
+    """
     return WaveletPlan(wavelet, level)

@@ -45,18 +45,33 @@ contiguous lane each per row — and every output must be the sum of its
 multiply-then-add sequence.  Small levels (a service call's 1-4
 windows) fuse the taps: one multiply writes all ``(K, 2, rows, half)``
 products of the stacked ``[h; g]`` bank through a strided view of the
-lanes, and one ``np.add.reduce`` over the tap axis sums them.  A
-reduction along a non-inner axis adds whole slices in index order, so
-it is sequential; a sum of the taps along the contiguous inner axis
-would instead run numpy's pairwise sum, whose eight-way unrolled loop
-reorders 8 or more operands (db4 has 8 taps).  Levels whose products
-would outgrow the cache (a cohort chunk's first levels) accumulate tap
-by tap into a ``(2, rows, half)`` accumulator instead, in the same
-order.  Either way every coefficient matches bit-for-bit (see
+lanes into a C-ordered array, and one ``np.add.reduce`` over the tap
+axis sums them.  A reduction along a non-inner axis adds whole slices
+in index order, so it is sequential; a sum of the taps along the
+contiguous inner axis would instead run numpy's pairwise sum, whose
+eight-way unrolled loop reorders 8 or more operands (db4 has 8 taps).
+Levels whose products would outgrow the cache (a cohort chunk's first
+levels) accumulate tap by tap into a ``(2, rows, half)`` accumulator
+instead, in the same order.
+
+A batch whose rows are one sliding view of a single buffer — what
+``window_tensor`` and the streaming extractor pass, 4 s windows at a
+1 s hop — with at least 8 rows, a hop that is a multiple of
+``2 ** level`` samples and a window length divisible by it, is
+decomposed once as a stream.  A window coefficient whose taps do not
+wrap reads exactly the inputs of the stream coefficient at the window's
+offset, so it is copied from there; only the few wrapped coefficients
+per level are computed per window, from an edge array of the window's
+last and first level inputs.  Both sum the same tap products in the
+same order, so the rows keep the per-window bits while each sample is
+decomposed once instead of four times.  Either way every coefficient
+matches the reference bit-for-bit (see
 :class:`~repro.kernels.plans.WaveletPlan`).
 
 ``tests/test_kernels_parity.py`` verifies all of this bitwise against
-the reference on a seeded battery of signal shapes.
+the reference on a seeded battery of signal shapes, and
+``tests/test_kernels_sliding.py`` the sliding form against the
+per-window form and the reference.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.seizures import SeizureMorphology, generate_ictal
+from repro.exceptions import FeatureError
 from repro.features.paper10 import PAPER10_FEATURE_NAMES, Paper10FeatureExtractor
 
 FS = 256.0
@@ -35,6 +36,45 @@ class TestDefinition:
         f7 = [n for n in PAPER10_FEATURE_NAMES if n.startswith("F7T3")]
         f8 = [n for n in PAPER10_FEATURE_NAMES if n.startswith("F8T4")]
         assert len(f7) == 3 and len(f8) == 7
+
+
+class TestParameters:
+    """Parameters the extractor cannot extract with are refused when it
+    is built, not at the first window."""
+
+    @pytest.mark.parametrize(
+        "level", (5, 6, 1.5, 7.0, True, "7", None), ids=repr
+    )
+    def test_refuses_unusable_dwt_level(self, level):
+        with pytest.raises(FeatureError, match="dwt_level must be an integer >= 7"):
+            Paper10FeatureExtractor(dwt_level=level)
+
+    @pytest.mark.parametrize(
+        "alpha", (float("nan"), float("inf"), -float("inf"), 0.0, -1.0, "2"),
+        ids=repr,
+    )
+    def test_refuses_unusable_renyi_alpha(self, alpha):
+        with pytest.raises(FeatureError, match="renyi_alpha must be finite and positive"):
+            Paper10FeatureExtractor(renyi_alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        ({"dwt_level": 8}, {"dwt_level": np.int64(7)}, {"renyi_alpha": 1},
+         {"renyi_alpha": 0.5}),
+        ids=repr,
+    )
+    def test_accepts_usable_parameters(self, kwargs, rng):
+        extractor = Paper10FeatureExtractor(**kwargs)
+        batch = rng.standard_normal((3, 2, int(4 * FS)))
+        values = extractor.extract_batch(batch, FS)
+        assert values.shape == (3, 10) and np.isfinite(values).all()
+
+    def test_default_cache_identity_unchanged(self):
+        # The store and cache key an extractor by its attribute reprs:
+        # the defaults must keep the exact values they always had.
+        assert vars(Paper10FeatureExtractor()) == {
+            "_dwt_level": 7, "_renyi_alpha": 2.0,
+        }
 
 
 class TestValues:

@@ -107,6 +107,8 @@ def test_cohort_entry_loads_only_the_cohort_path():
     assert not _hits(loaded, (
         "repro.service", "repro.cli", "repro.api", "repro.engine.sharding",
         "repro.platform", "repro.selflearning", "asyncio", "ssl",
+        # A serial run needs neither the process pool nor the EDF reader.
+        "concurrent.futures.process", "multiprocessing", "repro.data.edf",
     ))
     assert len(_repro_modules(loaded)) <= 50, sorted(_repro_modules(loaded))
 

@@ -604,6 +604,16 @@ class TestPlans:
         assert wavelet_plan(4, 7) is wavelet_plan(4, 7)
         assert wavelet_plan(4, 2) is not wavelet_plan(4, 7)
 
+    @pytest.mark.parametrize("level", (7.0, 1.5, True, 0, "7"), ids=repr)
+    def test_wavelet_plan_refuses_non_integer_level(self, level, rng):
+        # 7.0 == 7 shares the plan cache's key: a plan built for it
+        # would be handed to every later level-7 caller.
+        with pytest.raises(FeatureError, match="level must be an integer >= 1"):
+            get_kernel("dwt_details")(rng.standard_normal((2, 256)), level=level)
+        assert wavelet_plan(4, 7).level == 7
+        details = get_kernel("dwt_details")(rng.standard_normal((2, 256)), level=7)
+        assert sorted(details) == list(range(1, 8))
+
     def test_details_batch_rows_match_scalar_dwt(self, rng):
         windows = rng.standard_normal((5, 1024))
         batched = wavelet_plan(4, 7).details_batch(windows)
