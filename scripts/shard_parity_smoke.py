@@ -13,8 +13,14 @@ Run by the ``shard-parity`` CI job (and runnable locally):
 4. orchestrate: ``repro shard orchestrate`` over the same plan
    directory, which resumes the killed shard from its journal, runs the
    untouched shards, collects, merges, and writes the report;
-5. assert:      the orchestrated report is byte-identical to the
-   single-node baseline.
+5. collect:     ``repro shard collect`` must report full coverage;
+6. assert:      the orchestrated report is byte-identical to the
+   single-node baseline;
+7. merge:       ``repro shard merge`` over the same plan writes a second
+   merged journal and report; the report must equal the baseline and
+   the journal orchestrate's ``merged.ckpt``, byte for byte;
+8. resume:      ``repro cohort --checkpoint <merged> --resume`` must
+   restore every record and process none.
 
 Exercises the real distributed process tree end to end — manifest
 plumbing, per-shard subprocess launch, journal resume across a hard
@@ -60,10 +66,16 @@ KILL_DEADLINE_S = 120.0
 RUN_TIMEOUT_S = 600.0
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, capture: bool = False) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "repro", *args]
     print(f"$ {' '.join(cmd)}")
-    return subprocess.run(cmd, timeout=RUN_TIMEOUT_S)
+    proc = subprocess.run(
+        cmd, timeout=RUN_TIMEOUT_S, capture_output=capture, text=capture
+    )
+    if capture:
+        print(proc.stdout, end="")
+        print(proc.stderr, end="", file=sys.stderr)
+    return proc
 
 
 def journaled_records(checkpoint: Path) -> int:
@@ -90,6 +102,8 @@ def main() -> int:
     sharded = workdir / "sharded.json"
     plan_dir = workdir / "plan"
     shard0_journal = plan_dir / "shard-000.ckpt"
+    merged = workdir / "merged.ckpt"
+    merged_json = workdir / "merged.json"
 
     print("--- 1. uninterrupted single-node baseline")
     proc = run_cli(
@@ -166,6 +180,37 @@ def main() -> int:
         f"OK: orchestrated report is byte-identical to the single-node "
         f"baseline ({len(baseline.read_bytes())} bytes)"
     )
+
+    print("--- 7. shard merge the same plan, compare journal and report")
+    proc = run_cli(
+        "shard", "merge", str(plan_dir),
+        "--out", str(merged), "--report", str(merged_json),
+    )
+    if proc.returncode != 0:
+        print(f"FAIL: shard merge exited {proc.returncode}")
+        return 1
+    if merged_json.read_bytes() != baseline.read_bytes():
+        print("FAIL: shard merge report differs from the single-node run")
+        return 1
+    if merged.read_bytes() != (plan_dir / "merged.ckpt").read_bytes():
+        print("FAIL: shard merge journal differs from orchestrate's")
+        return 1
+    print("OK: shard merge report and journal match baseline and orchestrate")
+
+    print("--- 8. resume the full cohort from the merged journal")
+    n = CohortCheckpoint(merged).outcome_count()
+    proc = run_cli(
+        "cohort", *SCALE_ARGS, "--workers", "2",
+        "--checkpoint", str(merged), "--resume", capture=True,
+    )
+    if proc.returncode != 0:
+        print(f"FAIL: resumed cohort exited {proc.returncode}")
+        return 1
+    expected = f"{n} record(s) restored from {merged}, 0 processed this run"
+    if n != 8 or expected not in proc.stdout:
+        print(f"FAIL: expected {expected!r} with 8 records restored")
+        return 1
+    print(f"OK: the merged journal resumes all {n} records, none processed")
     return 0
 
 

@@ -123,7 +123,6 @@ __all__ = [
     "cohort_tasks",
     "collect_shards",
     "extract_features_from_source",
-    "merge_checkpoints",
     "merge_shards",
     "merged_report",
     "orchestrate",
@@ -190,8 +189,8 @@ _EXPORTS = {
     ".engine": (
         "CohortCheckpoint", "CohortEngine", "CohortReport", "DiskFeatureStore", "FeatureCache",
         "RecordTask", "ShardLauncher", "ShardSpec", "cohort_tasks", "collect_shards",
-        "extract_features_from_source", "merge_checkpoints", "merge_shards", "merged_report",
-        "orchestrate", "plan_shards", "run_shard", "write_plan",
+        "extract_features_from_source", "merge_shards", "merged_report", "orchestrate",
+        "plan_shards", "run_shard", "write_plan",
     ),
     ".data": (
         "ArrayRecordSource", "EDFRecordSource", "EEGRecord", "PAPER_PATIENTS", "PatientProfile",

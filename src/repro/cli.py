@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine commands cover the library's main entry points without writing any
+Eight commands cover the library's main entry points without writing any
 code:
 
 * ``label``    — run the a-posteriori labeling algorithm on an EDF record
@@ -15,13 +15,12 @@ code:
   the streaming data plane's chunk size (results are identical at any
   value — only the memory/IO granularity changes); ``--compact``
   rewrites a long-lived journal from its parsed outcomes;
-* ``checkpoint`` — journal tooling: ``merge`` combines shard journals of
-  one work list into a single resumable checkpoint;
 * ``shard``    — the distributed front-end: ``plan`` partitions a cohort
   into self-contained shard manifests, ``run`` executes one manifest as
   an independent checkpointed run (the unit a remote machine would
   execute), ``collect`` validates shard journals and reports coverage,
-  ``merge`` folds them into one checkpoint (+ optional report), and
+  ``merge`` folds them into one checkpoint (+ optional report) — the
+  one way shard journals combine — and
   ``orchestrate`` drives the whole plan -> launch -> collect -> merge
   loop over local subprocesses in one command;
 * ``store``    — lifecycle management for a persistent feature store
@@ -79,9 +78,9 @@ _PAPER_SAMPLES_PER_SEIZURE = 100
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
-    """The cohort scale/filter knobs, shared by ``repro cohort``,
-    ``repro checkpoint merge`` and the shard subcommands (same semantics
-    and precedence everywhere)."""
+    """The cohort scale/filter knobs, shared by ``repro cohort`` and the
+    ``shard plan``/``shard orchestrate`` subcommands (same semantics and
+    precedence everywhere)."""
     parser.add_argument(
         "--patients",
         default="",
@@ -267,35 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the canonical CohortReport JSON to this file",
     )
-
-    p_ckpt = sub.add_parser(
-        "checkpoint", help="cohort checkpoint journal tooling"
-    )
-    ckpt_sub = p_ckpt.add_subparsers(dest="checkpoint_command", required=True)
-    p_merge = ckpt_sub.add_parser(
-        "merge",
-        help="merge shard journals of one work list into a single "
-        "resumable checkpoint",
-        description="Merge shard journals of one work list into a single "
-        "resumable checkpoint. Without scale flags the shards must agree "
-        "on one work digest, which the merged journal keeps; any scale "
-        "flag switches the merged journal's work digest to the full work "
-        "list those flags describe, resolved as for `repro cohort`.",
-    )
-    p_merge.add_argument(
-        "sources",
-        nargs="+",
-        metavar="SHARD",
-        help="shard checkpoint files to merge (all must share one "
-        "engine-configuration digest)",
-    )
-    p_merge.add_argument(
-        "--out",
-        required=True,
-        metavar="PATH",
-        help="destination checkpoint (must not exist; written atomically)",
-    )
-    _add_scale_args(p_merge)
 
     p_shard = sub.add_parser(
         "shard",
@@ -677,9 +647,9 @@ def _cohort_scale(
     """Resolve the shared cohort scale/filter flags over the environment.
 
     The single source of truth for every command that must agree with
-    ``repro cohort`` on what a set of scale flags means (``cohort``,
-    ``checkpoint merge``, the ``shard`` family — byte parity between
-    them depends on identical resolution).
+    ``repro cohort`` on what a set of scale flags means (``cohort`` and
+    ``shard plan``/``shard orchestrate`` — byte parity between them
+    depends on identical resolution).
     """
     samples, duration_range_s = resolve_cohort_scale(
         args, ReproSettings.from_env()
@@ -697,7 +667,7 @@ def _write_report_json(path: str, report) -> None:
 
 def _cmd_cohort(args: argparse.Namespace) -> int:
     from .data.dataset import SyntheticEEGDataset
-    from .engine.checkpoint import CohortCheckpoint
+    from .engine.checkpoint import DEFAULT_COMPACT_DEAD_LINES, CohortCheckpoint
     from .engine.executor import CohortEngine
 
     samples, duration_range_s, patient_ids = _cohort_scale(args)
@@ -761,7 +731,7 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
         if checkpoint.auto_compactions:
             print(
                 f"checkpoint: journal auto-compacted (dead-line weight "
-                f"reached {checkpoint.compact_dead_lines})"
+                f"reached {DEFAULT_COMPACT_DEAD_LINES})"
             )
     print(
         f"executed in {elapsed:.1f} s ({engine.executor}, "
@@ -769,41 +739,6 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
     )
     if args.json:
         _write_report_json(args.json, report)
-    return 0
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from .engine.checkpoint import config_digest, merge_checkpoints, work_list_digest
-
-    # Any scale/filter flag means "the merged journal must resume the
-    # full work list those flags describe": rebuild the exact task list
-    # and engine configuration the way `repro cohort` would, and pin
-    # both digests.  With no flags, the shards must already agree on one
-    # work digest (e.g. copies of a single journal).
-    wants_scale = (
-        args.samples is not None
-        or args.duration_min is not None
-        or args.duration_max is not None
-        or args.paper_scale
-        or bool(args.patients.strip())
-    )
-    work_digest = None
-    expected_config = None
-    if wants_scale:
-        tasks, config = _resolve_shard_cohort(args)
-        work_digest = work_list_digest(tasks)
-        expected_config = config_digest(config)
-    result = merge_checkpoints(
-        args.out,
-        args.sources,
-        work_digest=work_digest,
-        expected_config=expected_config,
-    )
-    print(
-        f"merged {result['sources']} shard journal(s) into {args.out}: "
-        f"{result['outcomes']} outcome(s), {result['duplicates']} "
-        f"duplicate(s) collapsed, {result['dropped']} dead line(s) dropped"
-    )
     return 0
 
 
@@ -925,8 +860,8 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
     stats = merge_shards(args.plan_dir, args.out, specs=specs)
     print(
         f"merged {stats['sources']} shard journal(s) into {args.out}: "
-        f"{stats['outcomes']} outcome(s), {stats['duplicates']} "
-        f"duplicate(s) collapsed, {stats['dropped']} dead line(s) dropped"
+        f"{stats['outcomes']} outcome(s), {stats['dropped']} dead line(s) "
+        f"dropped"
     )
     if args.report:
         report = merged_report(args.plan_dir, args.out, specs=specs)
@@ -1218,7 +1153,6 @@ def main(argv: list[str] | None = None) -> int:
         "label": _cmd_label,
         "simulate": _cmd_simulate,
         "cohort": _cmd_cohort,
-        "checkpoint": _cmd_checkpoint,
         "shard": _cmd_shard,
         "store": _cmd_store,
         "lifetime": _cmd_lifetime,

@@ -60,7 +60,6 @@ __all__ = [
     "config_digest",
     "extract_features_from_source",
     "load_plan",
-    "merge_checkpoints",
     "merge_shards",
     "merged_report",
     "orchestrate",
@@ -76,8 +75,7 @@ __all__ = [
 _EXPORTS = {
     ".cache": ("FeatureCache", "source_cache_key"),
     ".checkpoint": (
-        "DEFAULT_COMPACT_DEAD_LINES", "CohortCheckpoint", "config_digest", "merge_checkpoints",
-        "work_list_digest",
+        "DEFAULT_COMPACT_DEAD_LINES", "CohortCheckpoint", "config_digest", "work_list_digest",
     ),
     ".chunked": ("DEFAULT_CHUNK_S", "extract_features_from_source"),
     ".executor": ("EXECUTORS", "CohortEngine", "EngineConfig"),

@@ -56,7 +56,6 @@ __all__ = [
     "DEFAULT_COMPACT_DEAD_LINES",
     "CohortCheckpoint",
     "config_digest",
-    "merge_checkpoints",
     "work_list_digest",
 ]
 
@@ -224,108 +223,6 @@ def _outcome_from_dict(data) -> RecordOutcome | None:
         return None
 
 
-def merge_checkpoints(
-    dest: str | os.PathLike,
-    sources: list[str | os.PathLike] | tuple[str | os.PathLike, ...],
-    *,
-    work_digest: str | None = None,
-    expected_config: str | None = None,
-) -> dict[str, int]:
-    """Merge shard journals of one work list into a single resumable one.
-
-    The first step of the distributed-sharding story: N machines each run
-    a disjoint slice of ``cohort_tasks(...)`` with their own
-    ``--checkpoint`` journal; merging the journals yields a checkpoint
-    the *full* work list resumes from, skipping every record any shard
-    completed.
-
-    Every source journal must carry a valid header and the **same config
-    digest** — outcomes produced under different engine configurations
-    must never be merged into one report's history.  Shard *work*
-    digests legitimately differ (each shard journaled its own slice), so
-    the caller names the merged run's identity via ``work_digest``
-    (``work_list_digest(full_task_list)``); when omitted, every source
-    must already share one work digest (e.g. merging after journal
-    copies) and that shared value is preserved.  ``expected_config``
-    (when given) additionally pins the configuration the merged run will
-    use — shards written under anything else are rejected.  Any mismatch
-    raises :class:`CheckpointError` before the destination is touched.
-
-    Duplicate task keys across shards collapse to the first occurrence —
-    outcomes are pure functions of their task, so duplicates are
-    byte-identical re-runs, not conflicts.  Outcomes whose task keys the
-    merged run's work list does not name are harmless: the engine
-    restores only outcomes of tasks it was actually asked to run, so a
-    superset journal can never leak foreign records into a report.  The
-    destination must not already exist (merging is a create, never an
-    overwrite) and is written atomically.
-
-    Returns ``{"sources", "outcomes", "duplicates", "dropped"}``.
-    """
-    if not sources:
-        raise CheckpointError("no source checkpoints to merge")
-    dest = Path(dest)
-    if dest.exists():
-        raise CheckpointError(
-            f"merge destination {dest} already exists; refusing to "
-            f"overwrite it — delete the file or pick a fresh path"
-        )
-    headers: list[dict] = []
-    merged: dict[tuple[int, int, int], RecordOutcome] = {}
-    duplicates = 0
-    dropped = 0
-    for src in sources:
-        journal = CohortCheckpoint(src)
-        header, done = journal._scan()
-        if header is None:
-            raise CheckpointError(
-                f"{src} is missing or has no valid checkpoint header; "
-                f"refusing to merge an untrustworthy journal"
-            )
-        headers.append(header)
-        dropped += journal.dropped
-        for key in sorted(done):
-            if key in merged:
-                duplicates += 1
-            else:
-                merged[key] = done[key]
-
-    configs = {h.get("config") for h in headers}
-    if len(configs) != 1:
-        raise CheckpointError(
-            f"cannot merge checkpoints written under different engine "
-            f"configurations (config digests {sorted(configs)}); shards "
-            f"of one run must share one configuration"
-        )
-    if expected_config is not None and configs != {expected_config}:
-        raise CheckpointError(
-            f"source checkpoints were written under config digest "
-            f"{configs.pop()!r}, but the merged run expects "
-            f"{expected_config!r}; the shard runs used a different "
-            f"engine configuration"
-        )
-    works = {h.get("work") for h in headers}
-    if work_digest is None:
-        if len(works) != 1:
-            raise CheckpointError(
-                f"source checkpoints carry different work digests "
-                f"({sorted(works)}); pass the merged run's work digest "
-                f"(work_list_digest over the full task list) explicitly"
-            )
-        work_digest = works.pop()
-
-    _write_journal(
-        dest, work_digest, configs.pop(), merged,
-        f"cannot write merged checkpoint {dest}",
-    )
-    return {
-        "sources": len(headers),
-        "outcomes": len(merged),
-        "duplicates": duplicates,
-        "dropped": dropped,
-    }
-
-
 class CohortCheckpoint:
     """Append-only journal of one run's completed record outcomes.
 
@@ -333,13 +230,13 @@ class CohortCheckpoint:
     ----------
     path:
         Journal file location (parent directories created on demand).
-    compact_dead_lines:
-        Automatic compaction cadence: when :meth:`begin` observes at
-        least this many dead lines (tracked under :attr:`dropped` — the
-        journal's dead-line weight), it runs :meth:`compact` before
-        opening for appends, so long-lived journals shed kill debris and
-        duplicate appends without an operator remembering to.  ``None``
-        disables the cadence (manual :meth:`compact` still works).
+
+    When :meth:`begin` observes at least :data:`DEFAULT_COMPACT_DEAD_LINES`
+    dead lines (tracked under :attr:`dropped` — the journal's dead-line
+    weight), it runs :meth:`compact` before opening for appends, so
+    long-lived journals shed kill debris and duplicate appends without an
+    operator remembering to.  Shard journals of one plan combine into a
+    full-run journal through :func:`repro.engine.sharding.merge_shards`.
 
     Usage (what :meth:`CohortEngine.run` does internally)::
 
@@ -356,19 +253,8 @@ class CohortCheckpoint:
     #: then reset (every task re-runs) rather than being misread.
     VERSION = 1
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        compact_dead_lines: int | None = DEFAULT_COMPACT_DEAD_LINES,
-    ) -> None:
-        if compact_dead_lines is not None and compact_dead_lines < 1:
-            raise CheckpointError(
-                f"compact_dead_lines must be >= 1 or None, got "
-                f"{compact_dead_lines}"
-            )
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.compact_dead_lines = compact_dead_lines
         self._handle: io.TextIOBase | None = None
         #: Dead-line weight of the most recent scan: outcome lines a
         #: resume would not restore (truncated/corrupt/duplicate).
@@ -488,8 +374,8 @@ class CohortCheckpoint:
         rewritten with a fresh header.  Digest mismatches raise before
         anything is touched on disk.
 
-        When the load observes at least :attr:`compact_dead_lines` dead
-        lines, the journal is compacted first (the engine's automatic
+        When the load observes at least :data:`DEFAULT_COMPACT_DEAD_LINES`
+        dead lines, the journal is compacted first (the engine's automatic
         cadence): the dead weight a kill or duplicate append left behind
         is rewritten away exactly when it is next used, never while
         *this* journal holds the file open.  Like every journal write,
@@ -502,10 +388,7 @@ class CohortCheckpoint:
         journals to its own file.
         """
         done = self.load(work_digest, config_digest)
-        if (
-            self.compact_dead_lines is not None
-            and self.dropped >= self.compact_dead_lines
-        ):
+        if self.dropped >= DEFAULT_COMPACT_DEAD_LINES:
             # dropped > 0 implies a valid same-digest header (a reset or
             # foreign journal never counts dead lines), so compaction is
             # safe and preserves exactly what the load restored.  It is

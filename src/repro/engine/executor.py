@@ -400,10 +400,11 @@ class CohortEngine:
             )
             # Restore only outcomes this work list actually names.  The
             # digest check already rejects foreign journals, but a
-            # merged journal stamped for this run (checkpoint merge with
-            # an explicit work digest) may still carry shard outcomes
-            # outside the list — those must never leak into the report,
-            # which is defined as exactly the work list's records.
+            # journal whose header names this run may still carry
+            # outcome lines outside the list (a larger run's journal
+            # restamped with this work digest) — those must never leak
+            # into the report, which is defined as exactly the work
+            # list's records.
             task_keys = {t.key for t in tasks}
             completed = {
                 key: outcome

@@ -4,8 +4,8 @@ The front-end that turns the single-node :class:`~repro.engine.executor
 .CohortEngine` into a fleet.  Everything below builds on invariants the
 engine already guarantees — :class:`~repro.engine.tasks.RecordTask`
 work lists are pure coordinates, every outcome is a pure function of its
-task, and :func:`~repro.engine.checkpoint.merge_checkpoints` folds shard
-journals into one resumable history — so the whole distributed story
+task, and a :class:`~repro.engine.checkpoint.CohortCheckpoint` journal
+restores a run's completed outcomes — so the whole distributed story
 reduces to four small verbs:
 
 ``plan``
@@ -29,11 +29,13 @@ reduces to four small verbs:
     shards reassemble into *exactly* the planned work list (checked by
     digest, so a lost or doctored manifest cannot hide).
 ``merge``
-    :func:`merge_shards` + :func:`merged_report` fold complete shard
-    journals into one checkpoint and aggregate the restored outcomes
-    into a :class:`~repro.engine.report.CohortReport` byte-identical to
-    an uninterrupted single-node run — the same parity contract the
-    engine's own resume path honors.
+    :func:`merge_shards` writes the outcomes collect restored from
+    complete shard journals into one full-run checkpoint (each journal
+    is scanned once), and :func:`merged_report` aggregates it into a
+    :class:`~repro.engine.report.CohortReport` byte-identical to an
+    uninterrupted single-node run — the same parity contract the
+    engine's own resume path honors.  This is the only way shard
+    journals combine.
 
 :class:`ShardLauncher` drives the loop with a *local subprocess*
 backend: each shard runs as ``python -m repro shard run <manifest>`` —
@@ -57,7 +59,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..data.dataset import SyntheticEEGDataset
@@ -66,8 +68,8 @@ from ..settings import SHARD_STRATEGIES
 from .checkpoint import (
     CohortCheckpoint,
     _line_checksum,
+    _write_journal,
     config_digest,
-    merge_checkpoints,
     work_list_digest,
 )
 from .executor import CohortEngine
@@ -526,10 +528,15 @@ class ShardStatus:
     spec: ShardSpec
     journal: Path
     #: Restorable outcomes in the journal that belong to this shard's
-    #: task list (a missing journal counts 0 — the shard never started).
-    done: int
+    #: task list, keyed by task (a missing journal restores none — the
+    #: shard never started).  :func:`merge_shards` writes these.
+    outcomes: dict = field(repr=False)
     #: Dead journal lines observed while scanning (compaction candidates).
     dropped: int
+
+    @property
+    def done(self) -> int:
+        return len(self.outcomes)
 
     @property
     def total(self) -> int:
@@ -572,7 +579,7 @@ def collect_shards(
             ShardStatus(
                 spec=spec,
                 journal=path,
-                done=sum(1 for key in done if key in keys),
+                outcomes={k: o for k, o in done.items() if k in keys},
                 dropped=journal.dropped,
             )
         )
@@ -598,9 +605,16 @@ def merge_shards(
     Requires every shard complete (merge of a partial fleet would write
     a checkpoint that *looks* resumable but silently re-runs the holes
     on a machine that expected a finished run — collect first, merge
-    once).  Empty shards contribute no journal and are skipped.
-    ``statuses`` lets a caller that just collected (``orchestrate``)
-    pass its result in instead of paying a second full journal scan.
+    once).  Empty shards contribute no journal and are skipped.  The
+    outcomes written are the ones :func:`collect_shards` restored, so
+    each shard journal is scanned once; ``statuses`` lets a caller that
+    just collected (``orchestrate``) pass its result in instead of
+    paying a second scan.  The merged journal carries the plan's work
+    and config digests, so the full work list resumes from it.  ``out``
+    must not exist (a merge is a create, never an overwrite) and is
+    written atomically.
+
+    Returns ``{"sources", "outcomes", "dropped"}``.
     """
     specs = tuple(specs) if specs is not None else load_plan(plan_dir)
     if statuses is None:
@@ -612,15 +626,27 @@ def merge_shards(
             f"{_incomplete_detail(incomplete)}; run the missing shards "
             f"(`repro shard run` / `repro shard orchestrate`) first"
         )
-    sources = [s.journal for s in statuses if s.spec.tasks]
+    sources = [s for s in statuses if s.spec.tasks]
     if not sources:
         raise ShardError("plan contains no tasks; nothing to merge")
-    return merge_checkpoints(
-        out,
-        sources,
-        work_digest=specs[0].work,
-        expected_config=specs[0].config,
+    out = Path(out)
+    if out.exists():
+        raise ShardError(
+            f"merge destination {out} already exists; refusing to "
+            f"overwrite it — delete the file or pick a fresh path"
+        )
+    # A plan's slices are disjoint (load_plan proves it), so no key
+    # repeats across shards.
+    merged = {key: o for s in sources for key, o in s.outcomes.items()}
+    _write_journal(
+        out, specs[0].work, specs[0].config, merged,
+        f"cannot write merged checkpoint {out}",
     )
+    return {
+        "sources": len(sources),
+        "outcomes": len(merged),
+        "dropped": sum(s.dropped for s in sources),
+    }
 
 
 def merged_report(
@@ -684,7 +710,6 @@ class ShardLauncher:
         store_dir: str | None = None,
         chunk_s: float | None = None,
         fail_fast: bool = True,
-        python: str | None = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ShardError(f"jobs (--jobs) must be >= 1, got {jobs}")
@@ -706,13 +731,12 @@ class ShardLauncher:
         self.store_dir = store_dir
         self.chunk_s = chunk_s
         self.fail_fast = fail_fast
-        self.python = python or sys.executable
 
     def command(self, spec: ShardSpec) -> list[str]:
         """The exact subprocess invocation for one shard (also what a
         remote backend would ship)."""
         cmd = [
-            self.python,
+            sys.executable,
             "-m",
             "repro",
             "shard",
@@ -781,8 +805,8 @@ class ShardLauncher:
                             env=env,
                         )
                     except OSError as exc:
-                        # Bad `python` path, ENOMEM: a launch failure is
-                        # a shard failure, reported cleanly.
+                        # ENOMEM, EAGAIN: a launch failure is a shard
+                        # failure, reported cleanly.
                         log.close()
                         raise ShardError(
                             f"cannot launch shard {spec.shard_index}: {exc}"
@@ -838,14 +862,13 @@ def orchestrate(
     store_dir: str | None = None,
     chunk_s: float | None = None,
     fail_fast: bool = True,
-    merged_name: str = MERGED_NAME,
 ) -> tuple[CohortReport, dict]:
     """The whole plan -> run -> collect -> merge loop, one call.
 
     Launches only *incomplete* shards (a previously killed or failed
     fleet resumes: complete shards are never re-run, partial shards
     resume from their journals), re-collects to verify full coverage,
-    merges into ``plan_dir/merged_name`` (an existing merged checkpoint
+    merges into ``plan_dir/merged.ckpt`` (an existing merged checkpoint
     is regenerated — it is derived data), and returns ``(report,
     summary)`` where the report is byte-identical to a single-node run.
     """
@@ -885,10 +908,9 @@ def orchestrate(
             "shards": len(specs),
             "sources": 0,
             "outcomes": 0,
-            "duplicates": 0,
             "dropped": 0,
         }
-    merged = plan_dir / merged_name
+    merged = plan_dir / MERGED_NAME
     if merged.exists():
         merged.unlink()
     stats = merge_shards(plan_dir, merged, specs=specs, statuses=statuses)

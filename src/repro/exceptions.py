@@ -44,8 +44,9 @@ class FeatureError(ReproError):
 
 
 class KernelError(FeatureError):
-    """Raised by the feature-kernel registry: an unknown kernel name, or
-    an unknown backend name passed as ``prefer``."""
+    """Raised by the feature-kernel registry: an unknown kernel name, an
+    unknown backend name passed as ``prefer``, or a ``dwt_details``
+    wavelet order outside the bitwise contract of both backends."""
 
 
 class LabelingError(ReproError):

@@ -15,7 +15,7 @@ import numpy as np
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
 from ..entropy.sample import sample_entropy
-from ..exceptions import FeatureError, SignalError
+from ..exceptions import FeatureError, KernelError, SignalError
 from ..features.wavelet_features import dwt_details
 from ..signals.spectral import band_power_from_psd, welch_psd
 
@@ -39,6 +39,21 @@ def _check_windows(windows: np.ndarray) -> np.ndarray:
             f"kernels take (n_windows, n_samples) batches, got {windows.shape}"
         )
     return windows
+
+
+#: Daubechies orders the ``dwt_details`` kernel accepts: the ones whose
+#: vectorized coefficients are bitwise those of the reference.  From
+#: db6 up (12+ taps) the two backends differ in the last bits.
+DWT_WAVELET_ORDERS = range(1, 6)
+
+
+def _check_wavelet(wavelet: int) -> None:
+    if wavelet not in DWT_WAVELET_ORDERS:
+        raise KernelError(
+            f"dwt_details supports Daubechies orders "
+            f"{DWT_WAVELET_ORDERS[0]}-{DWT_WAVELET_ORDERS[-1]}, got "
+            f"{wavelet!r}"
+        )
 
 
 def _tolerances(
@@ -112,6 +127,7 @@ def dwt_details_reference(
     windows: np.ndarray, level: int = 7, wavelet: int = 4
 ) -> dict[int, np.ndarray]:
     """Per-level detail coefficients, ``{lvl: (n_windows, n_coeffs)}``."""
+    _check_wavelet(wavelet)
     windows = _check_windows(windows)
     per_row = [dwt_details(row, level=level, wavelet=wavelet) for row in windows]
     return {

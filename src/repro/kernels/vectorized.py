@@ -84,7 +84,7 @@ import numpy as np
 from ..entropy.sample import tolerance_std
 from ..exceptions import SignalError
 from .plans import band_plan, embedding_plan, hann_window, wavelet_plan
-from .reference import _check_windows, _tolerances
+from .reference import _check_wavelet, _check_windows, _tolerances
 
 __all__ = [
     "sample_entropy_vectorized",
@@ -420,6 +420,7 @@ def renyi_entropy_vectorized(
 def dwt_details_vectorized(
     windows: np.ndarray, level: int = 7, wavelet: int = 4
 ) -> dict[int, np.ndarray]:
+    _check_wavelet(wavelet)
     return wavelet_plan(wavelet, level).details_batch(windows)
 
 

@@ -12,6 +12,7 @@ thousands of sessions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..exceptions import ServiceError
@@ -36,7 +37,8 @@ class ServiceConfig:
     ----------
     fs / n_channels:
         Signal geometry every session of this service expects (the
-        paper's wearable: 2 bipolar channels at 256 Hz).
+        paper's wearable: 2 bipolar channels at 256 Hz).  ``fs`` must be
+        finite and positive.
     extractor / spec:
         Feature definition and window geometry.  Defaults match the
         batch pipeline (10 selected features over 4 s / 1 s windows), so
@@ -52,7 +54,9 @@ class ServiceConfig:
         neither is ever silent.
     threshold:
         Default decision threshold for sessions that do not bring their
-        own detector.
+        own detector: a window is positive when its score is ``>=`` the
+        threshold.  NaN is refused; ``+inf`` means no finite score is
+        ever positive, ``-inf`` that every window is.
     workers:
         Worker shard processes of the service.  ``1`` (the default) is
         the single-process :class:`~repro.service.ingest
@@ -95,8 +99,10 @@ class ServiceConfig:
     replay_buffer: int = DEFAULT_REPLAY_BUFFER
 
     def __post_init__(self) -> None:
-        if self.fs <= 0:
-            raise ServiceError(f"fs must be positive, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ServiceError(
+                f"fs must be finite and positive, got {self.fs}"
+            )
         if self.n_channels < 1:
             raise ServiceError(
                 f"n_channels must be >= 1, got {self.n_channels}"
@@ -109,6 +115,10 @@ class ServiceConfig:
             raise ServiceError(
                 f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
                 f"got {self.backpressure!r}"
+            )
+        if math.isnan(self.threshold):
+            raise ServiceError(
+                f"threshold must be a number, got {self.threshold}"
             )
         if self.workers < 1:
             raise ServiceError(

@@ -536,6 +536,22 @@ class TestCohortCompact:
         assert "4 record(s) restored" in out
         assert "0 processed this run" in out
 
+    def test_resume_reports_auto_compaction(self, tmp_path, capsys):
+        from repro.engine import DEFAULT_COMPACT_DEAD_LINES
+
+        argv, ckpt = self._checkpointed_run(tmp_path)
+        duplicate = ckpt.read_text().splitlines(keepends=True)[1]
+        with open(ckpt, "a") as fh:
+            fh.write(duplicate * DEFAULT_COMPACT_DEAD_LINES)
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"journal auto-compacted (dead-line weight reached "
+            f"{DEFAULT_COMPACT_DEAD_LINES})"
+        ) in out
+        assert len(ckpt.read_text().splitlines()) == 5
+
     def test_compact_requires_checkpoint(self, capsys):
         code = main(["cohort", "--compact"])
         err = capsys.readouterr().err
@@ -553,104 +569,6 @@ class TestCohortCompact:
         err = capsys.readouterr().err
         assert code == 2
         assert "no valid checkpoint" in err
-
-
-class TestCheckpointMerge:
-    """``repro checkpoint merge``: shard journals -> one resumable journal."""
-
-    SCALE = ["--patients", "8", "--duration-min", "5", "--duration-max", "6"]
-
-    def _shards(self, tmp_path):
-        # Build two shard journals over patient 8's work list with the
-        # exact dataset/config the cohort CLI would use at these flags.
-        from repro.data import SyntheticEEGDataset
-        from repro.engine import CohortEngine, cohort_tasks
-
-        dataset = SyntheticEEGDataset(duration_range_s=(300.0, 360.0))
-        tasks = cohort_tasks(dataset, patient_ids=[8])
-        engine = CohortEngine(dataset, executor="serial")
-        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        engine.run(tasks[:2], checkpoint=a)
-        engine.run(tasks[2:], checkpoint=b)
-        return a, b
-
-    def test_merge_then_resume_full_run(self, tmp_path, capsys):
-        a, b = self._shards(tmp_path)
-        merged = tmp_path / "merged.ckpt"
-        capsys.readouterr()
-        code = main(
-            [
-                "checkpoint", "merge",
-                "--out", str(merged),
-                *self.SCALE,
-                str(a), str(b),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "merged 2 shard journal(s)" in out
-        assert "4 outcome(s)" in out
-        # The merged journal resumes the full cohort run: all restored.
-        code = main(
-            [
-                "cohort",
-                *self.SCALE,
-                "--executor", "serial",
-                "--checkpoint", str(merged),
-                "--resume",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "4 record(s) restored" in out
-        assert "0 processed this run" in out
-
-    def test_merge_without_scale_flags_requires_agreement(
-        self, tmp_path, capsys
-    ):
-        a, b = self._shards(tmp_path)
-        code = main(
-            ["checkpoint", "merge", "--out", str(tmp_path / "m.ckpt"),
-             str(a), str(b)]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "work digest" in err
-
-    def test_merge_wrong_scale_flags_rejected(self, tmp_path, capsys):
-        # Shards were run at 5-6 min records; merging "for" a 7-8 min
-        # run is a different engine configuration and must be refused.
-        a, b = self._shards(tmp_path)
-        code = main(
-            [
-                "checkpoint", "merge",
-                "--out", str(tmp_path / "m.ckpt"),
-                "--patients", "8",
-                "--duration-min", "7",
-                "--duration-max", "8",
-                str(a), str(b),
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "different" in err
-
-    def test_merge_existing_destination_refused(self, tmp_path, capsys):
-        a, b = self._shards(tmp_path)
-        dest = tmp_path / "exists.ckpt"
-        dest.write_text("precious\n")
-        code = main(
-            ["checkpoint", "merge", "--out", str(dest), *self.SCALE,
-             str(a), str(b)]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "already exists" in err
-        assert dest.read_text() == "precious\n"
-
-    def test_checkpoint_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["checkpoint"])
 
 
 class TestShardCLI:
@@ -764,6 +682,45 @@ class TestShardCLI:
         assert "merged 3 shard journal(s)" in out
         assert "cohort: 4 records" in out
         assert report_json.read_bytes() == single.read_bytes()
+
+    def run_plan(self, tmp_path, capsys):
+        plan_dir, _ = self.plan(tmp_path, capsys)
+        for i in range(3):
+            assert main(
+                ["shard", "run", str(plan_dir / f"shard-00{i}.json"),
+                 "--executor", "serial"]
+            ) == 0
+        capsys.readouterr()
+        return plan_dir
+
+    def test_merge_then_resume_full_run(self, tmp_path, capsys):
+        plan_dir = self.run_plan(tmp_path, capsys)
+        merged = tmp_path / "merged.ckpt"
+        assert main(["shard", "merge", str(plan_dir), "--out", str(merged)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"merged 3 shard journal(s) into {merged}: 4 outcome(s), "
+            f"0 dead line(s) dropped"
+        ) in out
+        # The merged journal resumes the full cohort run: all restored.
+        code = main(
+            ["cohort", *self.SCALE, "--executor", "serial",
+             "--checkpoint", str(merged), "--resume"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "4 record(s) restored" in out
+        assert "0 processed this run" in out
+
+    def test_merge_existing_destination_refused(self, tmp_path, capsys):
+        plan_dir = self.run_plan(tmp_path, capsys)
+        dest = tmp_path / "exists.ckpt"
+        dest.write_bytes(b"precious\n")
+        code = main(["shard", "merge", str(plan_dir), "--out", str(dest)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "already exists" in err
+        assert dest.read_bytes() == b"precious\n"
 
     def test_rerun_resumes_completed_shard(self, tmp_path, capsys):
         plan_dir, _ = self.plan(tmp_path, capsys)

@@ -20,15 +20,22 @@ import pytest
 
 from repro.data import SyntheticEEGDataset
 from repro.engine import (
+    DEFAULT_COMPACT_DEAD_LINES,
     CohortCheckpoint,
     CohortEngine,
     RecordTask,
     cohort_tasks,
     config_digest,
+    merge_shards,
+    plan_shards,
+    run_shard,
     work_list_digest,
+    write_plan,
 )
 from repro.engine import executor as executor_module
-from repro.exceptions import CheckpointError, EngineError
+from repro.engine.checkpoint import _header_line
+from repro.engine.sharding import journal_path
+from repro.exceptions import CheckpointError, EngineError, ShardError
 
 POISONED = RecordTask(1, 999, 0)
 
@@ -542,11 +549,11 @@ class TestCompaction:
 
 class TestAutoCompactionCadence:
     """The automatic cadence: ``begin()`` compacts the journal when its
-    dead-line weight crosses ``compact_dead_lines`` — long-lived
+    dead-line weight reaches ``DEFAULT_COMPACT_DEAD_LINES`` — long-lived
     journals shed kill debris without an operator running ``--compact``.
     """
 
-    def dirty_journal(self, dataset, tasks, tmp_path, dead=4):
+    def dirty_journal(self, dataset, tasks, tmp_path, dead):
         path = tmp_path / "run.ckpt"
         CohortEngine(dataset, executor="serial").run(tasks, checkpoint=path)
         duplicate = path.read_text().splitlines(keepends=True)[1]
@@ -557,8 +564,10 @@ class TestAutoCompactionCadence:
     def test_begin_compacts_past_the_threshold(
         self, dataset, tasks, tmp_path, baseline
     ):
-        path = self.dirty_journal(dataset, tasks, tmp_path, dead=4)
-        journal = CohortCheckpoint(path, compact_dead_lines=4)
+        path = self.dirty_journal(
+            dataset, tasks, tmp_path, dead=DEFAULT_COMPACT_DEAD_LINES
+        )
+        journal = CohortCheckpoint(path)
         report = CohortEngine(dataset, executor="serial").run(
             tasks, checkpoint=journal
         )
@@ -569,25 +578,21 @@ class TestAutoCompactionCadence:
     def test_below_threshold_journal_untouched(
         self, dataset, tasks, tmp_path
     ):
-        path = self.dirty_journal(dataset, tasks, tmp_path, dead=3)
+        path = self.dirty_journal(
+            dataset, tasks, tmp_path, dead=DEFAULT_COMPACT_DEAD_LINES - 1
+        )
         before = path.read_bytes()
-        journal = CohortCheckpoint(path, compact_dead_lines=4)
+        journal = CohortCheckpoint(path)
         CohortEngine(dataset, executor="serial").run(tasks, checkpoint=journal)
         assert journal.auto_compactions == 0
+        assert journal.dropped == DEFAULT_COMPACT_DEAD_LINES - 1
         assert path.read_bytes() == before  # fully restored: no appends
-
-    def test_none_disables_the_cadence(self, dataset, tasks, tmp_path):
-        path = self.dirty_journal(dataset, tasks, tmp_path, dead=10)
-        journal = CohortCheckpoint(path, compact_dead_lines=None)
-        CohortEngine(dataset, executor="serial").run(tasks, checkpoint=journal)
-        assert journal.auto_compactions == 0
-        assert journal.dropped == 10
 
     def test_default_cadence_ignores_normal_kill_debris(
         self, dataset, tasks, tmp_path, monkeypatch
     ):
         """An interrupted run leaves at most one partial line: far below
-        the default threshold, so ordinary resumes never pay a rewrite."""
+        the threshold, so ordinary resumes never pay a rewrite."""
         path = tmp_path / "run.ckpt"
         interrupt_after(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
@@ -607,13 +612,15 @@ class TestAutoCompactionCadence:
         """Compaction is an optimization over derived data: if the
         rewrite fails (read-only tree, quota), the resume proceeds
         exactly as it would have without the cadence."""
-        path = self.dirty_journal(dataset, tasks, tmp_path, dead=5)
+        path = self.dirty_journal(
+            dataset, tasks, tmp_path, dead=DEFAULT_COMPACT_DEAD_LINES
+        )
 
         def failing_compact(self):
             raise CheckpointError("disk at quota")
 
         monkeypatch.setattr(CohortCheckpoint, "compact", failing_compact)
-        journal = CohortCheckpoint(path, compact_dead_lines=2)
+        journal = CohortCheckpoint(path)
         report = CohortEngine(dataset, executor="serial").run(
             tasks, checkpoint=journal
         )
@@ -622,43 +629,38 @@ class TestAutoCompactionCadence:
 
     def test_dead_weight_resets_per_scan(self, dataset, tasks, tmp_path):
         path = self.dirty_journal(dataset, tasks, tmp_path, dead=2)
-        journal = CohortCheckpoint(path, compact_dead_lines=None)
+        journal = CohortCheckpoint(path)
         journal.outcome_count()
         journal.outcome_count()
         assert journal.dropped == 2  # repeated probes never inflate it
 
-    def test_invalid_threshold_rejected(self, tmp_path):
-        with pytest.raises(CheckpointError, match="compact_dead_lines"):
-            CohortCheckpoint(tmp_path / "x.ckpt", compact_dead_lines=0)
-
 
 class TestMergeCheckpoints:
-    """``merge_checkpoints``: shard journals of one work list combine
-    into a single journal the full run resumes from."""
+    """Shard journals of one plan combine, through ``merge_shards``, into
+    a single journal the full run resumes from."""
 
-    def shard_journals(self, dataset, tasks, tmp_path, split=2):
-        paths = []
-        for i, shard in enumerate((tasks[:split], tasks[split:])):
-            path = tmp_path / f"shard{i}.ckpt"
-            CohortEngine(dataset, executor="serial").run(
-                shard, checkpoint=path
-            )
-            paths.append(path)
-        return paths
+    def plan(self, dataset, tasks, tmp_path, run=True):
+        config = CohortEngine(dataset, executor="serial").config
+        plan_dir = tmp_path / "plan"
+        specs = plan_shards(tasks, config, 2)
+        write_plan(plan_dir, specs)
+        if run:
+            for spec in specs:
+                run_shard(
+                    spec,
+                    journal=journal_path(plan_dir, spec.shard_index),
+                    dataset=dataset,
+                    executor="serial",
+                )
+        return plan_dir, specs
 
     def test_merged_journal_resumes_the_full_work_list(
         self, dataset, tasks, tmp_path, baseline, counter
     ):
-        from repro.engine import merge_checkpoints
-
-        shards = self.shard_journals(dataset, tasks, tmp_path)
+        plan_dir, specs = self.plan(dataset, tasks, tmp_path)
         merged = tmp_path / "merged.ckpt"
-        result = merge_checkpoints(
-            merged, shards, work_digest=work_list_digest(tasks)
-        )
-        assert result == {
-            "sources": 2, "outcomes": len(tasks), "duplicates": 0, "dropped": 0,
-        }
+        result = merge_shards(plan_dir, merged, specs=specs)
+        assert result == {"sources": 2, "outcomes": len(tasks), "dropped": 0}
         counter["n"] = 0
         report = CohortEngine(dataset, executor="serial").run(
             tasks, checkpoint=merged
@@ -666,131 +668,98 @@ class TestMergeCheckpoints:
         assert counter["n"] == 0  # every shard outcome restored
         assert report.to_json() == baseline
 
-    def test_overlapping_shards_collapse_duplicates(
-        self, dataset, tasks, tmp_path
+    def test_each_shard_journal_is_scanned_once(
+        self, dataset, tasks, tmp_path, monkeypatch
     ):
-        from repro.engine import merge_checkpoints
+        plan_dir, specs = self.plan(dataset, tasks, tmp_path)
+        scanned = []
+        scan = CohortCheckpoint._scan
 
-        a = tmp_path / "a.ckpt"
-        b = tmp_path / "b.ckpt"
-        CohortEngine(dataset, executor="serial").run(tasks[:3], checkpoint=a)
-        CohortEngine(dataset, executor="serial").run(tasks[1:], checkpoint=b)
-        merged = tmp_path / "merged.ckpt"
-        result = merge_checkpoints(
-            merged, [a, b], work_digest=work_list_digest(tasks)
-        )
-        assert result["outcomes"] == len(tasks)
-        assert result["duplicates"] == 2
+        def counting_scan(self):
+            scanned.append(self.path.name)
+            return scan(self)
 
-    def test_differing_work_digests_require_explicit_target(
-        self, dataset, tasks, tmp_path
-    ):
-        from repro.engine import merge_checkpoints
-
-        shards = self.shard_journals(dataset, tasks, tmp_path)
-        with pytest.raises(CheckpointError, match="work digest"):
-            merge_checkpoints(tmp_path / "merged.ckpt", shards)
-        assert not (tmp_path / "merged.ckpt").exists()
-
-    def test_identical_work_digests_merge_without_target(
-        self, dataset, tasks, tmp_path, baseline
-    ):
-        import shutil
-
-        from repro.engine import merge_checkpoints
-
-        path = tmp_path / "run.ckpt"
-        CohortEngine(dataset, executor="serial").run(tasks, checkpoint=path)
-        copy = tmp_path / "copy.ckpt"
-        shutil.copy(path, copy)
-        merged = tmp_path / "merged.ckpt"
-        result = merge_checkpoints(merged, [path, copy])
-        assert result["duplicates"] == len(tasks)
-        report = CohortEngine(dataset, executor="serial").run(
-            tasks, checkpoint=merged
-        )
-        assert report.to_json() == baseline
+        monkeypatch.setattr(CohortCheckpoint, "_scan", counting_scan)
+        merge_shards(plan_dir, tmp_path / "merged.ckpt", specs=specs)
+        assert sorted(scanned) == ["shard-000.ckpt", "shard-001.ckpt"]
 
     def test_config_mismatch_rejected(self, dataset, tasks, tmp_path):
-        from repro.data import SyntheticEEGDataset
-        from repro.engine import merge_checkpoints
-
-        other = SyntheticEEGDataset(
-            seed=7, duration_range_s=(300.0, 360.0)
+        plan_dir, specs = self.plan(dataset, tasks, tmp_path, run=False)
+        run_shard(
+            specs[0],
+            journal=journal_path(plan_dir, 0),
+            dataset=dataset,
+            executor="serial",
         )
-        a = tmp_path / "a.ckpt"
-        b = tmp_path / "b.ckpt"
-        CohortEngine(dataset, executor="serial").run(tasks[:2], checkpoint=a)
-        CohortEngine(other, executor="serial").run(tasks[2:], checkpoint=b)
-        with pytest.raises(CheckpointError, match="configurations"):
-            merge_checkpoints(
-                tmp_path / "merged.ckpt",
-                [a, b],
-                work_digest=work_list_digest(tasks),
-            )
+        # Shard 1's slice, journaled under another engine configuration.
+        CohortEngine(reseed(dataset), executor="serial").run(
+            specs[1].tasks, checkpoint=journal_path(plan_dir, 1)
+        )
+        merged = tmp_path / "merged.ckpt"
+        with pytest.raises(ShardError, match="shard 1.*different run"):
+            merge_shards(plan_dir, merged, specs=specs)
+        assert not merged.exists()
 
     def test_expected_config_pin_rejected_on_mismatch(
         self, dataset, tasks, tmp_path
     ):
-        from repro.engine import merge_checkpoints
-
-        shards = self.shard_journals(dataset, tasks, tmp_path)
-        with pytest.raises(CheckpointError, match="expects"):
-            merge_checkpoints(
-                tmp_path / "merged.ckpt",
-                shards,
-                work_digest=work_list_digest(tasks),
-                expected_config="not-the-config",
+        # The shards agree with each other, but not with the plan: the
+        # plan's config digest is the pin.
+        plan_dir, specs = self.plan(dataset, tasks, tmp_path, run=False)
+        for spec in specs:
+            CohortEngine(reseed(dataset), executor="serial").run(
+                spec.tasks, checkpoint=journal_path(plan_dir, spec.shard_index)
             )
+        merged = tmp_path / "merged.ckpt"
+        with pytest.raises(ShardError, match="shard 0.*different run"):
+            merge_shards(plan_dir, merged, specs=specs)
+        assert not merged.exists()
 
     def test_existing_destination_refused(self, dataset, tasks, tmp_path):
-        from repro.engine import merge_checkpoints
-
-        shards = self.shard_journals(dataset, tasks, tmp_path)
+        plan_dir, specs = self.plan(dataset, tasks, tmp_path)
         dest = tmp_path / "merged.ckpt"
         dest.write_text("precious\n")
-        with pytest.raises(CheckpointError, match="already exists"):
-            merge_checkpoints(
-                dest, shards, work_digest=work_list_digest(tasks)
-            )
+        with pytest.raises(ShardError, match="already exists"):
+            merge_shards(plan_dir, dest, specs=specs)
         assert dest.read_text() == "precious\n"
 
     def test_invalid_source_journal_refused(self, dataset, tasks, tmp_path):
-        from repro.engine import merge_checkpoints
+        # An emptied shard journal restores nothing: the plan is no
+        # longer complete, so no merged journal is written.
+        plan_dir, specs = self.plan(dataset, tasks, tmp_path)
+        journal_path(plan_dir, 1).write_text("")
+        merged = tmp_path / "merged.ckpt"
+        with pytest.raises(ShardError, match="incomplete.*shard 1"):
+            merge_shards(plan_dir, merged, specs=specs)
+        assert not merged.exists()
 
-        shards = self.shard_journals(dataset, tasks, tmp_path)
-        empty = tmp_path / "empty.ckpt"
-        empty.write_text("")
-        with pytest.raises(CheckpointError, match="no valid checkpoint"):
-            merge_checkpoints(
-                tmp_path / "merged.ckpt",
-                shards + [empty],
-                work_digest=work_list_digest(tasks),
-            )
-
-    def test_no_sources_refused(self, tmp_path):
-        from repro.engine import merge_checkpoints
-
-        with pytest.raises(CheckpointError, match="no source"):
-            merge_checkpoints(tmp_path / "merged.ckpt", [])
+    def test_no_sources_refused(self, dataset, tmp_path):
+        plan_dir, specs = self.plan(dataset, (), tmp_path)
+        with pytest.raises(ShardError, match="nothing to merge"):
+            merge_shards(plan_dir, tmp_path / "merged.ckpt", specs=specs)
 
     def test_outcomes_outside_the_work_list_never_leak(
         self, dataset, tasks, tmp_path
     ):
-        # A merged journal stamped (by operator override) with a SUBSET
-        # work digest still carries every shard outcome; resuming the
-        # subset must restore only its own records — the report is
-        # defined as exactly the work list, never the journal superset.
-        from repro.engine import merge_checkpoints
-
-        shards = self.shard_journals(dataset, tasks, tmp_path)
-        subset = tasks[:3]
+        # A full-run merged journal restamped with a SUBSET work digest
+        # still carries every shard outcome; resuming the subset must
+        # restore only its own records — the report is defined as
+        # exactly the work list, never the journal superset.
+        plan_dir, specs = self.plan(dataset, tasks, tmp_path)
         merged = tmp_path / "merged.ckpt"
-        merge_checkpoints(
-            merged, shards, work_digest=work_list_digest(subset)
+        merge_shards(plan_dir, merged, specs=specs)
+        subset = tasks[:3]
+        lines = merged.read_text().splitlines(keepends=True)
+        restamped = tmp_path / "subset.ckpt"
+        restamped.write_text(
+            "".join(
+                [_header_line(work_list_digest(subset), specs[0].config)]
+                + lines[1:]
+            )
         )
+        assert CohortCheckpoint(restamped).outcome_count() == len(tasks)
         report = CohortEngine(dataset, executor="serial").run(
-            subset, checkpoint=merged
+            subset, checkpoint=restamped
         )
         direct = CohortEngine(dataset, executor="serial").run(subset)
         assert report.n_records == len(subset)

@@ -62,7 +62,20 @@ CONTRACTS = {
         ),
         (8, 16, 64),
     ),
-    "dwt_details": (({"level": 2}, {"level": 7}), (256, 257)),
+    # db4 is the paper's wavelet; orders 1-5 are the whole contract
+    # (6 and up are refused, see TestRegistryResolution).
+    "dwt_details": (
+        (
+            {"level": 2},
+            {"level": 7},
+            *(
+                {"level": level, "wavelet": wavelet}
+                for wavelet in (1, 2, 3, 5)
+                for level in (2, 7)
+            ),
+        ),
+        (256, 257),
+    ),
     "band_powers": (
         (
             {"fs": 256.0, "bands": ((4.0, 8.0), (0.0, 128.0), (0.5, 4.0))},
@@ -235,6 +248,13 @@ class TestRegistryResolution:
     def test_unknown_backend_raises(self):
         with pytest.raises(KernelError, match="unknown kernel backend"):
             get_kernel("sample_entropy", prefer="turbo")
+
+    @pytest.mark.parametrize("backend", ("reference", "vectorized"))
+    @pytest.mark.parametrize("wavelet", (6, 8))
+    def test_dwt_wavelet_outside_the_contract_raises(self, backend, wavelet):
+        kern = get_kernel("dwt_details", prefer=backend)
+        with pytest.raises(KernelError, match="Daubechies orders 1-5"):
+            kern(np.zeros((2, 256)), level=2, wavelet=wavelet)
 
     def test_kernel_error_is_a_feature_error(self):
         assert issubclass(KernelError, FeatureError)

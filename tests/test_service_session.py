@@ -162,6 +162,28 @@ class TestLifecycle:
         assert session.samples_ingested == 1500
 
 
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"fs": float("nan")}, "fs must be finite and positive, got nan"),
+            ({"fs": float("inf")}, "fs must be finite and positive, got inf"),
+            ({"fs": 0.0}, "fs must be finite and positive, got 0.0"),
+            ({"threshold": float("nan")}, "threshold must be a number, got nan"),
+        ],
+    )
+    def test_non_finite_knobs_refused(self, knobs, message):
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            ServiceConfig(**knobs)
+
+    def test_infinite_threshold_is_never_or_always_positive(self):
+        scores = np.array([-1e300, 0.0, 1e300])
+        for threshold, positive in ((float("inf"), False), (-float("inf"), True)):
+            config = ServiceConfig(threshold=threshold)
+            decisions = decisions_from_scores(scores, 0, 1.0, config.threshold)
+            assert [d.positive for d in decisions] == [positive] * 3
+
+
 class TestDetectors:
     def test_threshold_detector_selects_column(self):
         det = FeatureThresholdDetector(feature_index=2, threshold=1.0)
