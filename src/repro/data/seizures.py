@@ -129,7 +129,10 @@ def shape_ictal(
 
     The channels carry the same discharge with channel-specific phase
     lag and gain (seizures in the temporal lobes project to both F7T3
-    and F8T4 with asymmetric amplitude).
+    and F8T4 with asymmetric amplitude).  Each channel's roughness is
+    its drawn white noise through :func:`~repro.data.synthetic
+    .shape_pink`, which shapes at the next 5-smooth FFT length and crops
+    back to the seizure's own.
     """
     waxing_phase, channels = draw
     n = channels[0][2].size

@@ -25,15 +25,23 @@ synthetic record is made by, so a multi-hour record streams in bounded
 chunks without ever materializing the full waveform.
 
 Each block mixes unit-variance sources, and a source is built with as
-little per-sample work as its spectrum allows (generator version 3):
+little per-sample work as its spectrum allows (generator version 4):
 the pink floor is drawn directly as rfft bins and inverted by one
 ``irfft``, and the alpha burst's envelope and frequency-jitter walk —
-both far below 1 Hz — are drawn every :data:`CONTROL_STEP` samples and
-linearly interpolated.
+both far below 1 Hz — are drawn every :data:`CONTROL_STEP` samples.
+The burst ``env·sin(ωt + φ)`` is mixed as ``A·sin ωt + B·cos ωt``:
+``A = env·cos φ`` and ``B = env·sin φ`` are taken on the control grid
+and linearly interpolated by one broadcast, and the carriers ``sin ωt``
+and ``cos ωt`` are computed once per block geometry and shared
+read-only by every source (a tail block reads a prefix).  Seizure
+roughness (:func:`shape_pink`) is shaped at the next 5-smooth FFT
+length and cropped.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -68,8 +76,11 @@ GEN_BLOCK_S = 60.0
 #: .shape_ictal`, :func:`shape_pink`, the cross-fade) must bump it too.
 #: History: 1, direct-convolution envelope; 2, running-sum envelope;
 #: 3, pink floor drawn as rfft bins, alpha envelope and frequency
-#: jitter drawn on the control grid (:data:`CONTROL_STEP`).
-GENERATOR_VERSION = 3
+#: jitter drawn on the control grid (:data:`CONTROL_STEP`); 4, alpha
+#: burst as control-grid quadrature factors on shared ``sin ωt`` and
+#: ``cos ωt`` carriers, interpolated by broadcast, and seizure shaping
+#: at 5-smooth FFT lengths.
+GENERATOR_VERSION = 4
 
 #: Samples per control-grid step.  A background source's slow components
 #: — the alpha envelope (3 s timescale) and frequency-jitter walk, both
@@ -99,7 +110,7 @@ def block_spans(n_samples: int, fs: float) -> list[tuple[int, int]]:
     """
     if n_samples < 2:
         raise DataError(f"need at least 2 samples, got {n_samples}")
-    block = max(2, int(round(GEN_BLOCK_S * fs)))
+    block = _block_samples(fs)
     starts = list(range(0, n_samples, block))
     spans = [(s, min(s + block, n_samples)) for s in starts]
     if len(spans) > 1 and spans[-1][1] - spans[-1][0] < 2:
@@ -108,16 +119,39 @@ def block_spans(n_samples: int, fs: float) -> list[tuple[int, int]]:
     return spans
 
 
+def _block_samples(fs: float) -> int:
+    """Samples in a full generation block at ``fs`` Hz."""
+    return max(2, int(round(GEN_BLOCK_S * fs)))
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest 5-smooth length (2^a·3^b·5^c) >= ``n``: an FFT of a
+    length with a large prime factor costs 10-20x one of this length."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            scale = (-(-n // p35) - 1).bit_length()  # ceil(log2(n / p35))
+            best = min(best, p35 << scale)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=4)
 def _pink_shaping(
     n: int, fs: float, exponent: float, f_floor: float
 ) -> np.ndarray:
     """Amplitude shaping of an ``n``-sample rfft to a 1/f^exponent power
-    spectrum: flat below ``f_floor``, zero at DC."""
+    spectrum: flat below ``f_floor``, zero at DC.  Cached and read-only:
+    every source of a full block shares one."""
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     shaping = np.ones_like(freqs)
     above = freqs >= f_floor
     shaping[above] = (f_floor / freqs[above]) ** (exponent / 2.0)
     shaping[0] = 0.0  # remove DC
+    shaping.flags.writeable = False
     return shaping
 
 
@@ -136,13 +170,12 @@ def pink_noise(
         raise DataError(f"need at least 2 samples, got {n}")
     k = n // 2 + 1
     spec = rng.standard_normal(2 * k).view(np.complex128)
-    shaping = _pink_shaping(n, fs, exponent, f_floor)
+    spec *= _pink_shaping(n, fs, exponent, f_floor)
     if n % 2 == 0:
         # White noise's Nyquist bin is real with the full bin variance; a
         # drawn bin's real part carries half of it, and irfft drops the
         # imaginary part.
-        shaping[-1] *= np.sqrt(2.0)
-    spec *= shaping
+        spec[-1] *= np.sqrt(2.0)
     shaped = np.fft.irfft(spec, n=n)
     sd = shaped.std()
     if sd != 0.0:
@@ -157,11 +190,16 @@ def shape_pink(
     """Shape a white vector to 1/f^exponent noise of unit variance via FFT.
 
     ``f_floor`` flattens the spectrum below that frequency so the variance
-    does not blow up at DC (scalp EEG is AC-coupled anyway).
+    does not blow up at DC (scalp EEG is AC-coupled anyway).  The FFT
+    runs on ``white`` zero-padded to the next 5-smooth length
+    (:func:`_smooth_length`), and the shaped signal is cropped back to
+    ``white.size`` before it is normalized.
     """
     n = white.size
-    spec = np.fft.rfft(white)
-    shaped = np.fft.irfft(spec * _pink_shaping(n, fs, exponent, f_floor), n=n)
+    n_fft = _smooth_length(n)
+    spec = np.fft.rfft(white, n=n_fft)
+    spec *= _pink_shaping(n_fft, fs, exponent, f_floor)
+    shaped = np.fft.irfft(spec, n=n_fft)[:n]
     sd = shaped.std()
     if sd == 0.0:
         return shaped
@@ -185,8 +223,8 @@ def smooth_envelope(
     ``timescale_s`` seconds and squashing through a logistic; models the
     waxing/waning of rhythmic EEG activity.
     """
-    if timescale_s <= 0:
-        raise DataError(f"timescale must be positive, got {timescale_s}")
+    if not (math.isfinite(timescale_s) and timescale_s > 0):
+        raise DataError(f"timescale must be positive and finite, got {timescale_s}")
     kernel = max(2, int(round(timescale_s * fs)))
     raw = rng.standard_normal(n + 2 * kernel)
     # Two moving-average passes (triangular kernel): kills the per-sample
@@ -201,6 +239,63 @@ def _control_step(fs: float) -> int:
     or ``floor(1.5 * fs)`` (at least 1) below ~11 Hz, where a full step
     would stretch the envelope's minimum two-point kernel past 3 s."""
     return max(1, min(CONTROL_STEP, int(1.5 * fs)))
+
+
+def _step_fractions(rows: int, step: int) -> np.ndarray:
+    """``frac[j, r]``, the offset from control point ``j`` that
+    ``np.interp`` takes for sample ``j·step + r`` at position
+    ``(j·step + r) / step``: exactly ``r / step`` when ``step`` is a
+    power of two, within an ulp of it otherwise."""
+    frac = np.arange(rows * step).reshape(rows, step) / step
+    frac -= np.arange(rows)[:, None]
+    return frac
+
+
+def _lerp(knots: np.ndarray, frac: np.ndarray, n: int) -> np.ndarray:
+    """``np.interp(np.arange(n) / step, np.arange(knots.size), knots)``,
+    bit for bit, as one broadcast over the control steps: ``frac`` is
+    :func:`_step_fractions` with at least ``knots.size - 1`` rows, and
+    the knots must span every sample (``knots.size >= (n - 2) // step
+    + 2``)."""
+    rows, step = knots.size - 1, frac.shape[1]
+    out = np.empty(rows * step + 1)
+    grid = out[:-1].reshape(rows, step)
+    np.multiply(np.diff(knots)[:, None], frac[:rows], out=grid)
+    grid += knots[:-1, None]
+    out[-1] = knots[-1]
+    return out[:n]
+
+
+@functools.lru_cache(maxsize=4)
+def _carrier_table(
+    size: int, fs: float, freq_hz: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(frac, sin ωt, cos ωt)`` of a ``size``-sample source
+    at ``fs`` Hz, with ``ω = 2π·freq_hz`` and ``t`` from the block start;
+    ``frac`` is the :func:`_step_fractions` of its control grid."""
+    step = _control_step(fs)
+    omega_t = 2 * np.pi * freq_hz * (np.arange(size) / fs)
+    table = (
+        _step_fractions((size - 2) // step + 1, step),
+        np.sin(omega_t),
+        np.cos(omega_t),
+    )
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _carrier(
+    n: int, fs: float, freq_hz: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_carrier_table` for an ``n``-sample source.  Every block
+    (a folded one included) reads a prefix of the one table sized for
+    the longest block at ``fs``, so the samples of a block never depend
+    on which blocks were built before it."""
+    frac, sin_wt, cos_wt = _carrier_table(
+        max(n, _block_samples(fs) + 1), fs, freq_hz
+    )
+    return frac, sin_wt[:n], cos_wt[:n]
 
 
 @dataclass(frozen=True)
@@ -232,6 +327,12 @@ class BackgroundEEGModel:
     line_noise_uv: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "amplitude_uv", "pink_exponent", "alpha_fraction",
+            "alpha_freq_hz", "line_noise_uv",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.amplitude_uv <= 0:
             raise DataError("amplitude_uv must be positive")
         if not 0.0 <= self.shared_fraction <= 1.0:
@@ -246,13 +347,15 @@ class BackgroundEEGModel:
         env = smooth_envelope(m, rng, fs / step, timescale_s=3.0)
         phase = rng.uniform(0, 2 * np.pi)
         # Slight frequency jitter keeps the alpha line realistic.
-        walk = 0.3 * np.cumsum(rng.standard_normal(m)) / np.sqrt(m)
-        positions, knots = np.arange(n) / step, np.arange(m, dtype=float)
-        alpha = 2 * np.pi * self.alpha_freq_hz * (np.arange(n) / fs)
-        alpha += phase
-        alpha += np.interp(positions, knots, walk)
-        np.sin(alpha, out=alpha)
-        alpha *= np.interp(positions, knots, env)
+        phase += 0.3 * np.cumsum(rng.standard_normal(m)) / np.sqrt(m)
+        # env·sin(ωt + φ) = (env·cos φ)·sin ωt + (env·sin φ)·cos ωt: the
+        # slow factors on the control grid, the carriers shared.
+        frac, sin_wt, cos_wt = _carrier(n, fs, self.alpha_freq_hz)
+        alpha = _lerp(env * np.cos(phase), frac, n)
+        alpha *= sin_wt
+        quadrature = _lerp(env * np.sin(phase), frac, n)
+        quadrature *= cos_wt
+        alpha += quadrature
         alpha *= self.alpha_fraction / (alpha.std() + 1e-12)
         floor += alpha
         return floor

@@ -138,9 +138,9 @@ class TestStreamingLabeler:
         # time even after rows are evicted.
         rec = dataset.generate_sample(8, 1, 0)
         truth = rec.annotations[0]
-        lookback = rec.duration_s * 0.7
-        if truth.onset_s < rec.duration_s - lookback + 60:
-            pytest.skip("seizure not inside the retained lookback for this draw")
+        # Retain the seizure plus a minute before it, and no more.
+        lookback = rec.duration_s - truth.onset_s + 60.0
+        assert lookback < rec.duration_s, "the draw leaves nothing to evict"
         labeler = StreamingLabeler(
             avg_seizure_duration_s=dataset.mean_seizure_duration(8),
             fs=rec.fs,

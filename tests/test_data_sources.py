@@ -9,6 +9,7 @@ how a record was streamed.
 
 import dataclasses
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -228,6 +229,18 @@ class TestLazySeizureOverlay:
         assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
         assert lazy_rng.random() == eager_rng.random()
 
+    def test_padded_shaping_keeps_the_draw(self):
+        # 9007 samples is prime, so the roughness is shaped at a padded
+        # FFT length; the draw still takes exactly the 9007 white samples
+        # per channel that the eager path takes.
+        args = (9007 / 256.0, 256.0, SeizureMorphology(), 30.0)
+        eager_rng, lazy_rng = np.random.default_rng(7), np.random.default_rng(7)
+        eager = seizure_overlay(generate_ictal(*args, eager_rng), 256.0)
+        overlay = LazySeizureOverlay(*args, lazy_rng)
+        assert overlay.n_samples == 9007
+        assert lazy_rng.bit_generator.state == eager_rng.bit_generator.state
+        assert overlay.rows().tobytes() == eager.tobytes()
+
     def test_monitoring_waves_follow_the_draw_order(self, dataset):
         # Entropy key, then the slack parts, then each seizure's ictal
         # draw, every overlay scaled by the nominal background level.
@@ -380,13 +393,14 @@ def lazy_seizure_source(
 
 
 #: ``record_content_digest(pinned_source())`` at the pinned generator
-#: version, by the SIMD target numpy's float64 ``exp``/``sin`` loops run
-#: on (AVX-512 rounds differently from AVX2 and the x86-64-v2 baseline).
-PINNED_VERSION = 3
+#: version, by the SIMD target numpy's float64 ``exp``/``sin``/``cos``
+#: loops run on (AVX-512 rounds differently from AVX2 and the x86-64-v2
+#: baseline).
+PINNED_VERSION = 4
 PINNED_DIGESTS = {
-    "X86_V4": "6b026d0e739c678e3bf582334260a0a5",
-    "X86_V3": "c65b3f900a003a418b4b8ab91e928e09",
-    "baseline(X86_V2)": "c65b3f900a003a418b4b8ab91e928e09",
+    "X86_V4": "8b194e7d02b1cced92745c5727528f15",
+    "X86_V3": "0626bc2b68dc52a03d7bdb3f7ee93d79",
+    "baseline(X86_V2)": "0626bc2b68dc52a03d7bdb3f7ee93d79",
 }
 
 #: ``record_content_digest`` of :func:`pinned_sample_source`, whose
@@ -394,9 +408,9 @@ PINNED_DIGESTS = {
 #: to the ictal shaping moves this pin even though no recipe digest
 #: moves.
 PINNED_SAMPLE_DIGESTS = {
-    "X86_V4": "98dc2c103594acd7696d123baef670bd",
-    "X86_V3": "19d417c49424fd4d3af417a211285aed",
-    "baseline(X86_V2)": "19d417c49424fd4d3af417a211285aed",
+    "X86_V4": "8d46983d9f47a19fd4e9eaef3331c6e1",
+    "X86_V3": "e840d63a18077e2acacb8719e315601e",
+    "baseline(X86_V2)": "e840d63a18077e2acacb8719e315601e",
 }
 
 
@@ -404,6 +418,25 @@ def pinned_sample_source() -> SyntheticRecordSource:
     """A short dataset sample (300 s at 64 Hz) with a lazy ictal overlay."""
     dataset = SyntheticEEGDataset(fs=64.0, duration_range_s=(300.0, 300.0))
     return dataset.sample_source(1, 0, 0)
+
+
+def pinned_state() -> tuple[str | None, str, str]:
+    """``(target, digest, sample digest)``: the one SIMD target numpy's
+    float64 ``exp``/``sin``/``cos`` loops run on (``None`` if they
+    differ), then the content digests of :func:`pinned_source` and
+    :func:`pinned_sample_source`."""
+    from numpy.lib import introspect
+
+    loops = introspect.opt_func_info(
+        func_name="^(exp|sin|cos)$", signature="float64"
+    )
+    targets = {loops[name]["dd"]["current"] for name in ("exp", "sin", "cos")}
+    target = targets.pop() if len(targets) == 1 else None
+    return (
+        target,
+        record_content_digest(pinned_source()),
+        record_content_digest(pinned_sample_source()),
+    )
 
 
 class TestRecipeDigest:
@@ -414,22 +447,43 @@ class TestRecipeDigest:
         # A store keyed by recipe serves whatever was extracted under the
         # same recipe digest.  Any edit that changes the waveform must
         # therefore bump GENERATOR_VERSION, and these pins with it.
-        introspect = pytest.importorskip("numpy.lib.introspect")
-        loops = introspect.opt_func_info(func_name="^(exp|sin)$", signature="float64")
-        targets = {loops[name]["dd"]["current"] for name in ("exp", "sin")}
-        target = targets.pop() if len(targets) == 1 else None
-        digest = record_content_digest(pinned_source())
-        sample = record_content_digest(pinned_sample_source())
+        pytest.importorskip("numpy.lib.introspect")
+        target, digest, sample = pinned_state()
         if target not in PINNED_DIGESTS:
-            pytest.skip(f"no pin for float64 exp/sin on {loops}: {digest}, {sample}")
+            pytest.skip(f"no pin for float64 exp/sin/cos on {target}: {digest}, {sample}")
         assert (GENERATOR_VERSION, digest) == (
             PINNED_VERSION, PINNED_DIGESTS[target]
         ), "the waveform changed: bump GENERATOR_VERSION and re-pin"
         if target not in PINNED_SAMPLE_DIGESTS:
-            pytest.skip(f"no sample pin for float64 exp/sin on {target}: {sample}")
+            pytest.skip(f"no sample pin for float64 exp/sin/cos on {target}: {sample}")
         assert (GENERATOR_VERSION, sample) == (
             PINNED_VERSION, PINNED_SAMPLE_DIGESTS[target]
         ), "the seizure overlay changed: bump GENERATOR_VERSION and re-pin"
+
+    @pytest.mark.parametrize(
+        "disabled, target",
+        [("X86_V4", "X86_V3"), ("X86_V4 X86_V3", "baseline(X86_V2)")],
+        ids=["X86_V3", "baseline"],
+    )
+    def test_pins_hold_on_the_lower_simd_targets(self, disabled, target):
+        # The pins of the targets this host does not select by itself,
+        # checked in a child process whose numpy dispatches to them.
+        pytest.importorskip("numpy.lib.introspect")
+        if pinned_state()[0] != "X86_V4":
+            pytest.skip("the lower targets are selected from an X86_V4 host")
+        code = (
+            f"import json, sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from test_data_sources import pinned_state\n"
+            "print(json.dumps(pinned_state()))\n"
+        )
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert json.loads(out.splitlines()[-1]) == [
+            target, PINNED_DIGESTS[target], PINNED_SAMPLE_DIGESTS[target],
+        ]
 
     @pytest.mark.parametrize(
         "overrides",

@@ -1,7 +1,13 @@
-"""The background generator's version-3 source: the control grid spans
-every sample and keeps the envelope's 3 s timescale at any rate, tiny
+"""The background generator's version-4 source: the control grid spans
+every sample and keeps the envelope's 3 s timescale at any rate, its
+broadcast interpolation is ``np.interp`` bit for bit, the shared carrier
+table cannot make a block depend on the blocks built before it, tiny
 and folded blocks stay finite, the drawn pink bins carry white noise's
-spectrum, and streaming still re-slices the same blocks."""
+spectrum, seizure shaping runs at 5-smooth lengths, non-finite model
+parameters are refused, and streaming still re-slices the same
+blocks."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +20,9 @@ from repro.data.synthetic import (
     GENERATOR_VERSION,
     BackgroundEEGModel,
     pink_noise,
+    smooth_envelope,
 )
+from repro.exceptions import DataError
 
 ENTROPY = (11, 22, 33, 44)
 
@@ -67,6 +75,83 @@ class TestControlGrid:
         assert abs(kernel * step_s - 3.0) <= step_s / 2 + 1e-12
 
 
+class TestBroadcastInterpolation:
+    @pytest.mark.parametrize("step", range(1, 17))
+    def test_bitwise_np_interp(self, step):
+        # Whole rows, one sample past a knot, a last sample on the last
+        # knot, and block-sized lengths with and without a tail.
+        for n in (2, 3, step + 1, step + 2, 2 * step + 1, 961, 15360, 15361):
+            m = (n - 2) // step + 2
+            knots = np.random.default_rng(n).standard_normal(m)
+            expected = np.interp(np.arange(n) / step, np.arange(m, dtype=float), knots)
+            # A table with spare rows, as a tail block reads it.
+            frac = synthetic._step_fractions(m + 3, step)
+            got = synthetic._lerp(knots, frac, n)
+            assert got.tobytes() == expected.tobytes(), (step, n)
+
+
+class TestCarrierTable:
+    def test_fill_order_cannot_matter(self):
+        # A tail block and whole blocks read one table; building either
+        # record first must give the other the same bits.
+        fs = 64.0
+        model = BackgroundEEGModel(line_noise_uv=5.0)
+        lengths = (1000, 2 * block_samples(fs) + 1)
+
+        def record(n):
+            return np.concatenate(list(model.iter_blocks(n, fs, ENTROPY)), axis=1)
+
+        runs = []
+        for order in (lengths, lengths[::-1]):
+            synthetic._carrier_table.cache_clear()
+            runs.append({n: record(n).tobytes() for n in order})
+        assert runs[0] == runs[1]
+
+    def test_table_is_read_only_and_small(self):
+        frac, sin_wt, cos_wt = synthetic._carrier(1000, 256.0, 10.0)
+        for array in (frac, sin_wt, cos_wt):
+            assert not array.flags.writeable
+        table = synthetic._carrier_table(block_samples(256.0) + 1, 256.0, 10.0)
+        assert sum(array.nbytes for array in table) < 512 * 1024
+
+
+class TestSeizureShapingLength:
+    @pytest.mark.parametrize("n", [8, 9, 97, 9007, 13187, 14486, 15360])
+    def test_padded_length_is_the_next_5_smooth(self, n):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        n_fft = synthetic._smooth_length(n)
+        assert n_fft >= n and smooth(n_fft)
+        assert not any(smooth(k) for k in range(n, n_fft))
+
+    @pytest.mark.parametrize("n", [9007, 13187])
+    def test_cropped_shape_keeps_the_contract(self, n):
+        shaped = synthetic.shape_pink(np.random.default_rng(n).standard_normal(n))
+        assert shaped.shape == (n,)
+        assert np.isclose(shaped.std(), 1.0)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["amplitude_uv", "alpha_fraction", "alpha_freq_hz", "pink_exponent",
+         "line_noise_uv"],
+    )
+    def test_model_refuses(self, field, value):
+        with pytest.raises(DataError, match=field):
+            BackgroundEEGModel(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_envelope_refuses_timescale(self, value):
+        with pytest.raises(DataError, match="timescale"):
+            smooth_envelope(100, np.random.default_rng(0), 16.0, timescale_s=value)
+
+
 class TestPinkBins:
     @pytest.mark.parametrize("n", [16, 17])
     def test_white_spectrum_including_nyquist(self, n):
@@ -116,7 +201,7 @@ class TestChunkInvariance:
     )
     @pytest.mark.parametrize("chunk_s", [0.5, 7.3, 60.0, 600.0])
     def test_streaming_re_slices_the_same_blocks(self, n_blocks, tail, chunk_s):
-        assert GENERATOR_VERSION == 3
+        assert GENERATOR_VERSION == 4
         fs = 64.0
         n = n_blocks * block_samples(fs) + tail
         model = BackgroundEEGModel(line_noise_uv=5.0)
