@@ -10,7 +10,8 @@ details line, the checkout's role, the workload seed, the median,
 interquartile range and every run of ``media_s_per_cpu_s``, ``setup_s``
 and ``peak_rss_mb``, and each run's parity verdict and operation counts
 (``correct``, ``attempted``, ``failed``), since a run is also judged by
-its failed share.
+its failed share.  Every entry of one invocation carries the same
+``invocation`` id.
 
 Usage::
 
@@ -37,8 +38,8 @@ checkouts; any other is a ``change``, as is a lone checkout.
 ``BENCH_*.json`` files -- each argument is a prefix of either the git
 sha or the ``src/`` digest, so a change benchmarked from an uncommitted
 or scratch-commit tree is found by its source -- matches each change
-entry with the parent entry recorded beside it, and pairs run ``i`` of
-the parent with run ``i`` of the change.  For every workload and metric
+entry with the parent entry recorded beside it in the same invocation,
+and pairs run ``i`` of the parent with run ``i`` of the change.  For every workload and metric
 it prints the pairs, the change's wins (in the metric's better
 direction, ties counting for neither side), both medians, the median
 ratio, the parent's IQR and whether the gap between the medians exceeds
@@ -60,16 +61,23 @@ as within noise.
 from __future__ import annotations
 
 import argparse
+import calendar
 import json
 import os
 import statistics
 import subprocess
 import sys
 import time
+import uuid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("media_s_per_cpu_s", "setup_s", "peak_rss_mb")
 MIN_REPEATS = 3
+#: Entries written before the ``invocation`` id was kept carry only the
+#: second they were written at.  One invocation writes its entries of a
+#: workload back to back; two invocations' entries of a workload are at
+#: least one round of runs (tens of seconds) apart.
+LEGACY_SLACK_S = 5
 
 
 def bench_file(workload: str) -> str:
@@ -98,7 +106,9 @@ def summarize(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
 
 
-def entry(workload: str, runs: list[tuple[dict, dict]], role: str) -> dict:
+def entry(
+    workload: str, runs: list[tuple[dict, dict]], role: str, invocation: str
+) -> dict:
     details = runs[0][0]
     env = details["environment"]
     results = [result for _, result in runs]
@@ -125,6 +135,7 @@ def entry(workload: str, runs: list[tuple[dict, dict]], role: str) -> dict:
             for r in results
         ],
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "invocation": invocation,
         "metrics": metrics,
     }
 
@@ -178,6 +189,21 @@ def names_commit(entry: dict, prefix: str) -> bool:
     ).startswith(prefix)
 
 
+def same_invocation(a: dict, b: dict) -> bool:
+    """Whether two entries were written by one invocation: the same
+    ``invocation`` id, or for entries written before it was kept,
+    ``recorded`` stamps at most :data:`LEGACY_SLACK_S` apart.  Entries
+    with neither are told apart by their place in the file alone."""
+    if "invocation" in a or "invocation" in b:
+        return a.get("invocation") == b.get("invocation")
+    if "recorded" in a and "recorded" in b:
+        gap = calendar.timegm(
+            time.strptime(a["recorded"], "%Y-%m-%dT%H:%M:%SZ")
+        ) - calendar.timegm(time.strptime(b["recorded"], "%Y-%m-%dT%H:%M:%SZ"))
+        return abs(gap) <= LEGACY_SLACK_S
+    return True
+
+
 def paired_runs(couples: list[tuple[dict, dict]], name: str) -> list[tuple]:
     """Run ``i`` of the first entry with run ``i`` of the second, for
     every couple, in order."""
@@ -203,9 +229,10 @@ def compare_rows(
     that role (entries recorded before roles were kept count in either).
     Every change entry (and ``seed``, when given) is matched with the
     parent entry recorded beside it: the nearest entry of the same
-    workload, seed and run count that names ``parent``, searched
-    outwards through the run of entries of that workload around it, as
-    one trajectory invocation writes them.  Run ``i`` of the parent entry pairs with
+    workload, seed, run count and invocation (:func:`same_invocation`)
+    that names ``parent``, searched outwards through the run of entries
+    of that workload around it, as one trajectory invocation writes
+    them.  Run ``i`` of the parent entry pairs with
     run ``i`` of the change entry, and the pairs of every matched couple
     are pooled in file order.  Entries with role ``aa`` are matched with
     their parent the same way and give each row its A/A ratio and win
@@ -227,7 +254,8 @@ def compare_rows(
                         and other.get("role", "parent") == "parent"
                         and other["workload"] == mine["workload"]
                         and other.get("seed") == mine.get("seed")
-                        and len(other["runs"]) == len(mine["runs"])):
+                        and len(other["runs"]) == len(mine["runs"])
+                        and same_invocation(other, mine)):
                     return other
         return None
 
@@ -374,6 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = [os.path.abspath(c) for c in args.checkout or [ROOT]]
     if len(set(checkouts)) != len(checkouts):
         parser.error("each --checkout must be a different directory")
+    invocation = uuid.uuid4().hex
 
     for workload in args.workload:
         runs: dict[str, list] = {c: [] for c in checkouts}
@@ -388,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             [runs[c][0][0]["environment"] for c in checkouts]
         )
         for checkout, role in zip(checkouts, roles):
-            new = entry(workload, runs[checkout], role)
+            new = entry(workload, runs[checkout], role, invocation)
             append(bench_file(workload), new)
             print(json.dumps(new), flush=True)
     return 0

@@ -700,7 +700,6 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
         chunk_s=args.chunk_s if args.chunk_s is not None else DEFAULT_CHUNK_S,
         store_dir=args.store or None,
     )
-    resumed_records = checkpoint.outcome_count() if checkpoint else 0
     start = time.perf_counter()
     report = engine.run(
         samples_per_seizure=samples,
@@ -709,6 +708,7 @@ def _cmd_cohort(args: argparse.Namespace) -> int:
         checkpoint=checkpoint,
     )
     elapsed = time.perf_counter() - start
+    resumed_records = checkpoint.restored if checkpoint else 0
 
     _print_report_table(report)
     if report.n_failures:
@@ -798,7 +798,6 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
     journal = args.journal or str(Path(args.manifest).with_suffix(".ckpt"))
     spec = ShardSpec.load(args.manifest)
     ckpt = CohortCheckpoint(journal)
-    restored = ckpt.outcome_count()
     start = time.perf_counter()
     # Even an empty shard goes through run_shard, which checks the
     # scheduling knobs and the manifest's config digest.
@@ -817,6 +816,7 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
             f"nothing to run"
         )
         return 0
+    restored = ckpt.restored
     print(
         f"shard {spec.shard_index}/{spec.n_shards}: {report.n_records} "
         f"record(s) complete ({restored} restored, "

@@ -16,6 +16,8 @@ module implements that path:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..data.records import SeizureAnnotation
@@ -45,8 +47,10 @@ class StreamingFeatureExtractor:
         spec: WindowSpec | None = None,
         n_channels: int = 2,
     ) -> None:
-        if fs <= 0:
-            raise FeatureError(f"sampling rate must be positive, got {fs}")
+        if not (math.isfinite(fs) and fs > 0):
+            raise FeatureError(
+                f"sampling rate must be finite and positive, got {fs}"
+            )
         if n_channels < 1:
             raise FeatureError("need at least one channel")
         self.extractor = extractor or Paper10FeatureExtractor()
@@ -155,8 +159,8 @@ class RollingFeatureBuffer:
     """Bounded FIFO of the most recent feature rows (the lookback hour)."""
 
     def __init__(self, capacity: int, n_features: int) -> None:
-        if capacity < 1:
-            raise FeatureError("capacity must be >= 1")
+        if not capacity >= 1:
+            raise FeatureError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rows = np.empty((0, n_features))
         #: window index (stream time) of the first retained row

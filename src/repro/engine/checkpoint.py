@@ -259,6 +259,9 @@ class CohortCheckpoint:
         #: Dead-line weight of the most recent scan: outcome lines a
         #: resume would not restore (truncated/corrupt/duplicate).
         self.dropped = 0
+        #: Outcomes the last :meth:`begin` restored (what a resume's
+        #: "N record(s) restored" reports, without a second scan).
+        self.restored = 0
         #: Automatic compactions triggered by :meth:`begin`.
         self.auto_compactions = 0
         #: Failed appends (disk full, mount lost mid-run): the run kept
@@ -388,6 +391,7 @@ class CohortCheckpoint:
         journals to its own file.
         """
         done = self.load(work_digest, config_digest)
+        self.restored = len(done)
         if self.dropped >= DEFAULT_COMPACT_DEAD_LINES:
             # dropped > 0 implies a valid same-digest header (a reset or
             # foreign journal never counts dead lines), so compaction is

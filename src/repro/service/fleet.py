@@ -47,8 +47,14 @@ Three hardening layers sit on top of the PR 9 pool:
   with a ``shard-death`` error frame — explicitly, never silently.
 * **Hot-swap** — :meth:`ServiceShardPool.swap_detector` broadcasts a
   serialized retrained forest to every shard's ``swap_detector`` verb;
-  each shard drains and swaps under its session locks, so the swap
-  lands at a window boundary without dropping sessions.
+  each shard decides every queued chunk and swaps under its session
+  locks, so the swap lands at a window boundary without dropping
+  sessions.
+
+Inside a shard, the frame loop only queues an admitted chunk; the
+consumer thread decides a session once it is due (see
+:mod:`repro.service.manager`), and ``poll``/``close`` decide their own
+session inline.
 
 Shutdown drains: :meth:`ServiceShardPool.stop` sends every shard a
 ``shutdown`` frame, and the shard decides every admitted chunk before
@@ -131,9 +137,12 @@ def shard_index_of(session_id: str, n_shards: int) -> int:
 # ---------------------------------------------------------------------------
 # The verb table (runs in every shard, and in the single-process service)
 # ---------------------------------------------------------------------------
-#: Verbs answered only once every admitted chunk is decided (so a swap
-#: lands at a window boundary); the pool's own verbs drain too.
-BARRIER_OPS = frozenset({"poll", "close", "swap_detector"})
+#: Verbs answered only once every session's admitted chunks are decided
+#: (so a swap lands at the same window boundary in every session); the
+#: pool's own verbs are global barriers too.  ``poll`` and ``close`` are
+#: not: each decides only its own session's queue, inline, so one
+#: session never waits on another's backlog.
+BARRIER_OPS = frozenset({"swap_detector"})
 POOL_OPS = frozenset({"drain", "shutdown"})
 
 
@@ -143,11 +152,15 @@ def shard_dispatch(
     """Answer one frame against a session manager: the service's only
     verb table, and its wire-protocol reference.
 
-    ``dirty`` is the consumer's queue as ``put(session_id)`` (after an
-    admitted chunk) and ``join()`` (the barrier before
-    :data:`BARRIER_OPS` and :data:`POOL_OPS`): a shard's
-    :class:`queue.Queue`, or the single-process service's asyncio queue
-    after it drained it on the event loop.
+    ``dirty`` is the consumer's queue: an admitted chunk that makes its
+    session due (:meth:`SessionManager.claim_due`: :data:`~repro.service
+    .manager.DECIDE_WINDOWS` window steps queued, or a full queue) is
+    handed over with ``put_nowait(session_id)`` — a shard's
+    :class:`queue.Queue`, or the single-process service's
+    :class:`asyncio.Queue`.  Other chunks stay queued until their own
+    session's ``poll`` or ``close`` decides them inline, or a barrier:
+    :data:`BARRIER_OPS` and :data:`POOL_OPS` first decide every
+    session's queue (:meth:`SessionManager.pump_all`).
 
     Requests are JSON objects with an ``op`` field (the ``hello``
     handshake is answered earlier, by :mod:`repro.service.admission`):
@@ -160,17 +173,20 @@ def shard_dispatch(
         One signal chunk (:func:`~repro.service.framing.chunk_message`);
         replies with the :class:`IngestResult`.
     ``{"op": "poll", "session": id, "max": k?}``
-        Drain up to ``k`` decided windows.
+        Decide the session's queued chunks, then drain up to ``k``
+        decided windows.
     ``{"op": "close", "session": id}``
-        Finalize; replies with the :class:`SessionSummary`.
+        Decide the session's queued chunks and finalize; replies with
+        the :class:`SessionSummary`.
     ``{"op": "swap_detector", "state": detector}``
-        Hot-swap every open session, and the default for new ones.
+        Decide every session's queued chunks, then hot-swap every open
+        session, and the default for new ones.
     ``{"op": "telemetry"}``
         The :meth:`~repro.service.telemetry.ServiceTelemetry.snapshot`,
         latency bucket counts included.
     ``{"op": "drain"}`` / ``{"op": "shutdown"}``
-        Wait until every admitted chunk is decided; ``shutdown`` also
-        returns the final snapshot.
+        Decide every admitted chunk; ``shutdown`` also returns the final
+        snapshot.
 
     ``drain`` and ``shutdown`` are the pool's own; client frames never
     carry them this far.  A missing or null ``session`` answers
@@ -181,7 +197,7 @@ def shard_dispatch(
     try:
         op = message.get("op")
         if op in BARRIER_OPS or op in POOL_OPS:
-            dirty.join()
+            manager.pump_all()
         if op == "open":
             state = message.get("state")
             detector = None if state is None else detector_from_state(state)
@@ -193,8 +209,8 @@ def shard_dispatch(
                 decode_chunk(message),
                 seq=message.get("seq"),
             )
-            if result.accepted:
-                dirty.put(result.session_id)
+            if result.accepted and manager.claim_due(result.session_id):
+                dirty.put_nowait(result.session_id)
             return result.to_reply()
         if op == "poll":
             events = manager.poll_events(
@@ -230,18 +246,18 @@ def _session_of(message: dict) -> str:
 def consume(
     manager: SessionManager, dirty: "queue.Queue[str | None]"
 ) -> None:
-    """A shard's consumer loop: decide one queued chunk per dirty entry,
-    until a ``None`` sentinel."""
+    """A shard's consumer loop, until a ``None`` sentinel: for each
+    session handed over as due, decide its queued chunks while it stays
+    due, in joined blocks of up to
+    :data:`~repro.service.manager.DECIDE_WINDOWS` window steps."""
     while True:
         session_id = dirty.get()
+        if session_id is None:
+            return
         try:
-            if session_id is None:
-                return
-            manager.pump(session_id, max_chunks=1)
+            manager.pump(session_id, due_only=True)
         except ServiceError:
             pass  # closed with chunks in flight — accounted at close
-        finally:
-            dirty.task_done()
 
 
 def _shard_worker_main(
@@ -249,9 +265,10 @@ def _shard_worker_main(
 ) -> None:
     """One shard process: a SessionManager, a consumer thread, a frame loop.
 
-    The frame loop is the producer (admission only, so backpressure
-    verdicts return immediately); the consumer thread decides queued
-    chunks one at a time.
+    The frame loop is the producer (admission, so backpressure verdicts
+    return immediately, plus the inline decisions of ``poll``, ``close``
+    and the barriers); the consumer thread decides the sessions that
+    became due.
     """
     # Termination is the parent's job (shutdown frame, then EOF): a
     # terminal SIGINT/SIGTERM aimed at the process group must not kill
@@ -261,12 +278,13 @@ def _shard_worker_main(
 
     manager = SessionManager(config)
     dirty: "queue.Queue[str | None]" = queue.Queue()
-    threading.Thread(
+    consumer = threading.Thread(
         target=consume,
         args=(manager, dirty),
         name=f"shard-{shard_index}-consumer",
         daemon=True,
-    ).start()
+    )
+    consumer.start()
 
     conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     conn.connect(socket_path)
@@ -283,7 +301,7 @@ def _shard_worker_main(
                 break
     finally:
         dirty.put(None)
-        dirty.join()
+        consumer.join()
         conn.close()
 
 

@@ -3,9 +3,11 @@
 :class:`DetectionService` puts an asyncio face on a
 :class:`~repro.service.manager.SessionManager`: producers ``await
 ingest(...)`` (in-process) or speak a small length-prefixed socket
-protocol (:meth:`DetectionService.serve`), and one consumer task drains
-session queues through the detectors.  Backpressure propagates
-unchanged — a full queue surfaces the manager's
+protocol (:meth:`DetectionService.serve`).  An admitted chunk is only
+queued: one consumer task decides a session once it is due
+(:meth:`~repro.service.manager.SessionManager.claim_due`), and a
+session's ``poll`` or ``close`` decides its own queue inline.
+Backpressure propagates unchanged — a full queue surfaces the manager's
 :class:`~repro.service.manager.IngestResult` to the async caller and as
 an error frame to socket clients.
 
@@ -19,14 +21,13 @@ answer with; the ``hello`` handshake is :mod:`repro.service.admission`'s.
 from __future__ import annotations
 
 import asyncio
-import types
 
 import numpy as np
 
 from ..exceptions import ServiceError
 from .admission import AdmissionGate, serve_connection
 from .config import ServiceConfig
-from .fleet import BARRIER_OPS, POOL_OPS, shard_dispatch
+from .fleet import POOL_OPS, shard_dispatch
 from .framing import MAX_FRAME_BYTES, decode_chunk, error_frame
 from .manager import IngestResult, SessionManager
 from .session import WindowDetector
@@ -58,12 +59,8 @@ class DetectionService:
             manager if manager is not None else SessionManager(config)
         )
         self.gate = AdmissionGate(self.manager.config, self.manager.telemetry)
+        #: Sessions handed to the consumer as due, each at most once.
         self._dirty: asyncio.Queue[str] = asyncio.Queue()
-        # The put()/join() view shard_dispatch takes; join() has nothing
-        # to wait for, as _dispatch drains before every barrier verb.
-        self._drained = types.SimpleNamespace(
-            put=self._dirty.put_nowait, join=lambda: None
-        )
         self._consumer: asyncio.Task | None = None
         self._server: asyncio.base_events.Server | None = None
 
@@ -99,24 +96,27 @@ class DetectionService:
         return self.snapshot()
 
     async def drain(self) -> None:
-        """Wait until every admitted chunk has been decided."""
-        await self._dirty.join()
+        """Decide every admitted chunk of every session (the global
+        barrier)."""
+        self.manager.pump_all()
 
     async def _consume(self) -> None:
-        """The single consumer: decide one queued chunk per wakeup.
+        """The single consumer: for each session handed over as due,
+        decide its queued chunks while it stays due.
 
-        Chunk decisions are numpy-bound; running them on the loop keeps
-        the service single-process and deterministic, and one-chunk
-        granularity keeps the loop responsive between decisions.
+        A session is due once :data:`~repro.service.manager
+        .DECIDE_WINDOWS` window steps or a full queue are waiting, so a
+        wakeup decides one joined block of up to 16 windows, not one
+        chunk.  Decisions are numpy-bound; running them on the loop
+        keeps the service single-process and deterministic, and the
+        block cap keeps the loop responsive between decisions.
         """
         while True:
             session_id = await self._dirty.get()
             try:
-                self.manager.pump(session_id, max_chunks=1)
+                self.manager.pump(session_id, due_only=True)
             except ServiceError:
                 pass  # session closed with chunks in flight — accounted there
-            finally:
-                self._dirty.task_done()
 
     # ------------------------------------------------------------------
     # In-process async API
@@ -129,23 +129,26 @@ class DetectionService:
     async def ingest(
         self, session_id: str, chunk: np.ndarray, seq: int | None = None
     ) -> IngestResult:
-        """Offer one chunk; schedules the decision on the consumer task.
+        """Offer one chunk; never decides it inline.
 
         The returned result is the *admission* verdict (backpressure is
-        synchronous and explicit); the decision itself happens on the
-        consumer — poll or close to collect events.
+        synchronous and explicit).  The chunk is decided by the consumer
+        task once its session is due, or by the session's own poll or
+        close — poll or close to collect events.
         """
         result = self.manager.ingest(session_id, chunk, seq=seq)
-        if result.accepted:
+        if result.accepted and self.manager.claim_due(session_id):
             self._dirty.put_nowait(session_id)
         return result
 
     async def poll_events(self, session_id: str, max_events: int | None = None):
+        """Decide this session's queued chunks, then collect decisions."""
         return self.manager.poll_events(session_id, max_events)
 
     async def close_session(self, session_id: str, drain: bool = True):
-        # The manager's close drains the queue itself; consumer wakeups
-        # for already-decided chunks are absorbed by the pump no-op.
+        # The manager's close decides the queue itself; a consumer
+        # wakeup left for the closed session is absorbed by the pump's
+        # unknown-session error.
         return self.manager.close_session(session_id, drain=drain)
 
     async def swap_detector(self, detector: WindowDetector) -> int:
@@ -184,12 +187,8 @@ class DetectionService:
 
     async def _dispatch(self, message: dict) -> dict:
         """Answer one client frame with :func:`shard_dispatch`, keeping
-        only the transport's part: refuse the pool-internal verbs, and
-        drain on the event loop before a barrier verb so other
-        connections stay served."""
+        only the transport's part: refuse the pool-internal verbs."""
         op = message.get("op")
         if op in POOL_OPS:
             return error_frame(ServiceError(f"unknown op {op!r}"))
-        if op in BARRIER_OPS:
-            await self.drain()
-        return shard_dispatch(self.manager, self._drained, message)
+        return shard_dispatch(self.manager, self._dirty, message)

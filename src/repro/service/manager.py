@@ -2,9 +2,21 @@
 
 :class:`SessionManager` is the service's hot core.  Each session gets a
 bounded ingest queue (admitted-but-undecided chunks) and a monotonically
-checked sequence counter; a processing pump drains queues through the
-session's detector and stamps every chunk's ingest→decision latency into
-the shared telemetry.
+checked sequence counter; :meth:`SessionManager.pump` decides queued
+chunks through the session's detector and stamps every chunk's
+ingest→decision latency into the shared telemetry.
+
+Decide on demand: an admitted chunk is only queued.  A session becomes
+*due* for its host's consumer once its queued samples reach
+:data:`DECIDE_WINDOWS` window steps or its queue is full, whichever
+comes first (:meth:`SessionManager.claim_due`); otherwise its chunks
+wait for the session's own ``poll`` or ``close``, which decide them
+inline, or for a global drain.  A pump joins consecutive queued chunks
+into one detector push of at most :data:`DECIDE_WINDOWS` steps, so the
+extraction kernels see blocks of up to 16 windows instead of one
+chunk's worth.  Decisions are bitwise those of deciding every chunk on
+arrival (streaming extraction is chunking-invariant and scoring is per
+row); only their timing moves.
 
 Backpressure is explicit, never silent:
 
@@ -40,7 +52,17 @@ from .config import ServiceConfig
 from .session import DetectorSession, WindowDecision, WindowDetector
 from .telemetry import ServiceTelemetry
 
-__all__ = ["IngestResult", "SessionSummary", "SessionManager"]
+__all__ = ["DECIDE_WINDOWS", "IngestResult", "SessionSummary", "SessionManager"]
+
+#: Window steps of queued signal that make a session due for its
+#: consumer, and the most one joined detector push decides.  Paper-10
+#: extraction sets the knee: on a 2-core Intel Xeon (numpy 2.4) a call
+#: cost 0.17 ms per window at 4 windows (one 4 s chunk), 0.097 ms at
+#: 16, 0.073 ms at 32 and 0.078 ms at 64.  On the bulk replay benchmark
+#: (perfbench service-replay), 16 read x1.85 throughput at +4 % peak
+#: RSS, 32 x2.25 at +9 %, and 64 (a whole 16-chunk poll interval)
+#: x2.9 at +15 %, past that benchmark's 10 % RSS bound.
+DECIDE_WINDOWS = 16
 
 
 @dataclass(frozen=True)
@@ -50,7 +72,9 @@ class IngestResult:
     ``accepted`` is False only under the ``reject`` policy with a full
     queue; ``shed`` counts *other* (older) chunks dropped to admit this
     one under ``shed-oldest``.  ``queued`` is the session queue depth
-    after the call.
+    after the call: chunks wait there until the session is due or
+    polled, so it reads up to the chunks of :data:`DECIDE_WINDOWS`
+    steps between polls.
     """
 
     session_id: str
@@ -108,12 +132,18 @@ class SessionSummary:
 class _SessionState:
     """A hosted session plus its ingest queue and bookkeeping."""
 
-    __slots__ = ("session", "queue", "lock", "next_seq", "shed")
+    __slots__ = (
+        "session", "queue", "samples", "handed", "lock", "next_seq", "shed",
+    )
 
     def __init__(self, session: DetectorSession) -> None:
         self.session = session
         #: (seq, ingest perf_counter timestamp, chunk)
         self.queue: deque[tuple[int, float, np.ndarray]] = deque()
+        #: Samples per channel across the queued chunks.
+        self.samples = 0
+        #: A hand-off to the consumer is outstanding (see claim_due).
+        self.handed = False
         self.lock = threading.Lock()
         self.next_seq = 0
         self.shed = 0
@@ -140,6 +170,11 @@ class SessionManager:
         self.config = config or ServiceConfig()
         self.telemetry = telemetry or ServiceTelemetry()
         self._sessions: dict[str, _SessionState] = {}
+        #: Queued samples that make a session due, and the most one
+        #: joined push takes (DECIDE_WINDOWS window steps).
+        self._block_samples = DECIDE_WINDOWS * self.config.spec.step_samples(
+            self.config.fs
+        )
         self._lock = threading.Lock()
         #: Detector given to sessions opened without one; ``None`` keeps
         #: the config-threshold default.  Installed by :meth:`swap_detector`.
@@ -252,12 +287,13 @@ class SessionManager:
                     return result
                 # shed-oldest: make room by dropping from the head.
                 while len(state.queue) >= self.config.queue_depth:
-                    state.queue.popleft()
+                    state.samples -= state.queue.popleft()[2].shape[1]
                     shed += 1
                 state.shed += shed
                 self.telemetry.chunks_dropped(shed)
             state.next_seq += 1
             state.queue.append((state.next_seq - 1, time.perf_counter(), chunk))
+            state.samples += chunk.shape[1]
             depth = len(state.queue)
         self.telemetry.chunk_ingested(depth)
         return IngestResult(
@@ -273,6 +309,28 @@ class SessionManager:
         with state.lock:
             return len(state.queue)
 
+    def _due(self, state: _SessionState) -> bool:
+        return (
+            state.samples >= self._block_samples
+            or len(state.queue) >= self.config.queue_depth
+        )
+
+    def claim_due(self, session_id: str) -> bool:
+        """Whether the caller should hand the session to its consumer now.
+
+        True when the session's queued samples reach
+        :data:`DECIDE_WINDOWS` window steps or its queue is full, and no
+        hand-off is outstanding; the consumer's
+        ``pump(session_id, due_only=True)`` ends the hand-off.  So a
+        host's consumer queue holds each session at most once.
+        """
+        state = self._state(session_id)
+        with state.lock:
+            if state.handed or not self._due(state):
+                return False
+            state.handed = True
+            return True
+
     # ------------------------------------------------------------------
     # Live detector hot-swap
     # ------------------------------------------------------------------
@@ -281,11 +339,12 @@ class SessionManager:
         default for sessions opened afterwards.
 
         Each session swaps under its own state lock — the same lock
-        :meth:`pump` holds while deciding a chunk — so the swap always
-        lands *between* chunk decisions, i.e. at a window boundary:
-        every window is scored wholly by the old or wholly by the new
-        detector, never half-way.  No session is dropped, no queued
-        chunk is lost.  Returns the number of live sessions swapped.
+        :meth:`pump` holds while deciding a block of chunks — so the
+        swap always lands *between* decisions, i.e. at a window
+        boundary: every window is scored wholly by the old or wholly by
+        the new detector, never half-way.  No session is dropped, no
+        queued chunk is lost.  Returns the number of live sessions
+        swapped.
 
         Callers wanting a deterministic swap point (the hot-swap
         parity tests, the shard ``swap_detector`` verb) drain first so
@@ -307,30 +366,59 @@ class SessionManager:
     # ------------------------------------------------------------------
     # Pump (consumer side)
     # ------------------------------------------------------------------
-    def pump(self, session_id: str, max_chunks: int | None = None) -> int:
+    def pump(
+        self,
+        session_id: str,
+        max_chunks: int | None = None,
+        due_only: bool = False,
+    ) -> int:
         """Decide queued chunks of one session, oldest first.
 
-        Each processed chunk's ingest→decision latency lands in
-        telemetry.  Returns the number of windows decided.
+        Consecutive chunks are joined into one detector push while the
+        joined block stays within :data:`DECIDE_WINDOWS` window steps; a
+        larger chunk goes alone.  Each block is popped and decided under
+        the session lock.  Every chunk's ingest→decision latency lands in
+        telemetry.  ``max_chunks`` caps the chunks decided.
+        ``due_only`` is the consumer's call after a :meth:`claim_due`
+        hand-off: it ends the hand-off and decides only while the queue
+        is still due, so a hand-off that a ``poll`` already served
+        decides nothing.  Returns the number of windows decided.
         """
         state = self._state(session_id)
+        if due_only:
+            with state.lock:
+                state.handed = False
         windows = 0
         processed = 0
         while max_chunks is None or processed < max_chunks:
             with state.lock:
-                if not state.queue:
+                if not state.queue or (due_only and not self._due(state)):
                     break
-                _seq, t_ingest, chunk = state.queue.popleft()
-                n_new = state.session.push_chunk(chunk)
-                self.telemetry.chunk_decided(
-                    time.perf_counter() - t_ingest, n_new
-                )
+                block = [state.queue.popleft()]
+                size = block[0][2].shape[1]
+                while (
+                    state.queue
+                    and (max_chunks is None or processed + len(block) < max_chunks)
+                    and size + state.queue[0][2].shape[1] <= self._block_samples
+                ):
+                    block.append(state.queue.popleft())
+                    size += block[-1][2].shape[1]
+                state.samples -= size
+                n_new = state.session.push_chunks([c for _, _, c in block])
+                now = time.perf_counter()
+                # The windows count once, on the chunk that completed them.
+                for i, (_seq, t_ingest, _chunk) in enumerate(block, 1):
+                    self.telemetry.chunk_decided(
+                        now - t_ingest, n_new if i == len(block) else 0
+                    )
             windows += n_new
-            processed += 1
+            processed += len(block)
         return windows
 
     def pump_all(self) -> int:
-        """One round-robin pass: drain every session's queue fully."""
+        """One pass over every session: decide every queued chunk (the
+        global barrier of ``drain``, ``shutdown`` and
+        ``swap_detector``)."""
         windows = 0
         for session_id in self.session_ids:
             try:
@@ -345,6 +433,10 @@ class SessionManager:
     def poll_events(
         self, session_id: str, max_events: int | None = None
     ) -> list[WindowDecision]:
+        """Decide the session's queued chunks, then drain up to
+        ``max_events`` decisions (oldest first).  Only this session's
+        queue is decided: a poll never waits on another session."""
+        self.pump(session_id)
         state = self._state(session_id)
         with state.lock:
             return state.session.poll_events(max_events)
@@ -368,6 +460,7 @@ class SessionManager:
             dropped = len(state.queue)
             if dropped:
                 state.queue.clear()
+                state.samples = 0
                 state.shed += dropped
                 self.telemetry.chunks_dropped(dropped)
             session = state.session

@@ -10,10 +10,10 @@ wearable's live arrival process and ``speed=32`` stress-tests 32
 patients' worth of a single stream.  ``speed=0`` (or ``None``) disables
 pacing entirely for deterministic tests and benchmarks.
 
-Each replay pumps the session inline after every ingest (one producer,
-one consumer, strict order), collects every decision, and closes the
-session at the end — so the returned :class:`ReplayReport` carries the
-complete decision stream, directly comparable to
+Each replay polls the session after every ingest (the poll decides the
+chunk inline; one producer, strict order), collects every decision, and
+closes the session at the end — so the returned :class:`ReplayReport`
+carries the complete decision stream, directly comparable to
 :func:`~repro.service.session.batch_window_decisions` on the
 materialized record.  That comparison is the service's acceptance gate.
 """
@@ -154,7 +154,7 @@ class Replayer:
                     )
                 chunks += 1
                 media_s += chunk.shape[1] / source.fs
-                self.manager.pump(session_id)
+                # The poll decides the chunk inline, before collecting.
                 decisions.extend(self.manager.poll_events(session_id))
         finally:
             summary = self.manager.close_session(session_id)

@@ -23,9 +23,11 @@ kernel backends) to the live path.
 
 from __future__ import annotations
 
+import math
 import numbers
 from abc import ABC, abstractmethod
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +106,11 @@ class FeatureThresholdDetector(WindowDetector):
             raise ServiceError(
                 f"feature_index must be >= 0, got {feature_index}"
             )
+        threshold = float(threshold)
+        if math.isnan(threshold):
+            raise ServiceError(f"threshold must be a number, got {threshold}")
         self.feature_index = feature_index
-        self.threshold = float(threshold)
+        self.threshold = threshold
 
     def scores(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -273,13 +278,29 @@ class DetectorSession:
     def push_chunk(self, chunk: np.ndarray) -> int:
         """Ingest one sample block; returns the number of windows that
         completed (and were decided) inside it."""
+        return self.push_chunks((chunk,))
+
+    def push_chunks(self, chunks: Sequence[np.ndarray]) -> int:
+        """Ingest consecutive sample blocks with one extraction and one
+        scoring call; each still counts as one chunk.  Returns the
+        number of windows that completed inside them.
+
+        The decisions are those of pushing the blocks one at a time:
+        streaming extraction gives the same bits at any chunking, and
+        detectors score per row.
+        """
         if self.closed:
             raise ServiceError(
                 f"session {self.session_id!r} is closed"
             )
-        rows = self.stream.push(chunk)
-        self.chunks_ingested += 1
-        self.samples_ingested += np.asarray(chunk).shape[-1]
+        block = (
+            np.asarray(chunks[0])
+            if len(chunks) == 1
+            else np.concatenate(chunks, axis=-1)
+        )
+        rows = self.stream.push(block)
+        self.chunks_ingested += len(chunks)
+        self.samples_ingested += block.shape[-1]
         n_new = rows.shape[0]
         if n_new:
             first = self.stream.windows_emitted - n_new

@@ -9,6 +9,7 @@ and time, which the deviation metric and the labeler both rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,10 +37,14 @@ class WindowSpec:
     step_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.length_s <= 0:
-            raise SignalError(f"window length must be positive, got {self.length_s}")
-        if self.step_s <= 0:
-            raise SignalError(f"window step must be positive, got {self.step_s}")
+        if not (math.isfinite(self.length_s) and self.length_s > 0):
+            raise SignalError(
+                f"window length must be finite and positive, got {self.length_s}"
+            )
+        if not (math.isfinite(self.step_s) and self.step_s > 0):
+            raise SignalError(
+                f"window step must be finite and positive, got {self.step_s}"
+            )
         if self.step_s > self.length_s:
             raise SignalError(
                 f"step ({self.step_s}s) larger than window ({self.length_s}s) "

@@ -313,6 +313,26 @@ class TestCohortResumability:
         assert "(process, 1 worker(s))" in out
         assert first.read_bytes() == resumed.read_bytes()
 
+    def test_resume_scans_the_journal_once(self, tmp_path, capsys, monkeypatch):
+        from repro.engine.checkpoint import CohortCheckpoint
+
+        ckpt = tmp_path / "run.ckpt"
+        assert main(self._cohort_args("--checkpoint", str(ckpt))) == 0
+        capsys.readouterr()
+        scanned = []
+        scan = CohortCheckpoint._scan
+
+        def counting_scan(self):
+            scanned.append(self.path.name)
+            return scan(self)
+
+        monkeypatch.setattr(CohortCheckpoint, "_scan", counting_scan)
+        code = main(self._cohort_args("--checkpoint", str(ckpt), "--resume"))
+        assert code == 0
+        assert "4 record(s) restored" in capsys.readouterr().out
+        # The restored count comes from the engine's own load.
+        assert scanned == ["run.ckpt"]
+
     def test_existing_checkpoint_without_resume_errors(self, tmp_path, capsys):
         ckpt = tmp_path / "run.ckpt"
         assert main(self._cohort_args("--checkpoint", str(ckpt))) == 0
@@ -732,6 +752,29 @@ class TestShardCLI:
                      "--executor", "serial"]) == 0
         out = capsys.readouterr().out
         assert "(1 restored, 0 processed" in out
+
+    def test_rerun_scans_the_shard_journal_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.engine.checkpoint import CohortCheckpoint
+
+        plan_dir, _ = self.plan(tmp_path, capsys)
+        manifest = plan_dir / "shard-001.json"
+        assert main(["shard", "run", str(manifest),
+                     "--executor", "serial"]) == 0
+        capsys.readouterr()
+        scanned = []
+        scan = CohortCheckpoint._scan
+
+        def counting_scan(self):
+            scanned.append(self.path.name)
+            return scan(self)
+
+        monkeypatch.setattr(CohortCheckpoint, "_scan", counting_scan)
+        assert main(["shard", "run", str(manifest),
+                     "--executor", "serial"]) == 0
+        assert "(1 restored, 0 processed" in capsys.readouterr().out
+        assert scanned == ["shard-001.ckpt"]
 
     def test_run_rejects_bad_chunk_and_missing_manifest(
         self, tmp_path, capsys

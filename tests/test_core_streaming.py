@@ -98,6 +98,15 @@ class TestStreamingExtractor:
         assert np.allclose(out, 1.0)
 
 
+class TestStreamingExtractorGuards:
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
+    def test_non_finite_fs_raises_feature_error(self, fs):
+        # The sign-only guard let NaN through to a bare ValueError and
+        # inf to a bare OverflowError.
+        with pytest.raises(FeatureError, match="finite and positive"):
+            StreamingFeatureExtractor(fs=fs)
+
+
 class TestRollingBuffer:
     def test_capacity_enforced(self):
         buf = RollingFeatureBuffer(capacity=5, n_features=2)
@@ -114,6 +123,10 @@ class TestRollingBuffer:
     def test_invalid_capacity_raises(self):
         with pytest.raises(FeatureError):
             RollingFeatureBuffer(capacity=0, n_features=2)
+
+    def test_nan_capacity_raises(self):
+        with pytest.raises(FeatureError, match="capacity must be >= 1"):
+            RollingFeatureBuffer(capacity=float("nan"), n_features=2)
 
 
 class TestStreamingLabeler:

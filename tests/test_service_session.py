@@ -196,6 +196,15 @@ class TestDetectors:
         with pytest.raises(ServiceError):
             FeatureThresholdDetector(feature_index=5).scores(np.zeros((2, 3)))
 
+    def test_threshold_detector_refuses_nan_threshold(self):
+        # ServiceConfig's rule and message; +-inf stays allowed there too.
+        with pytest.raises(
+            ServiceError, match=re.escape("threshold must be a number, got nan")
+        ):
+            FeatureThresholdDetector(threshold=float("nan"))
+        for threshold in (float("inf"), -float("inf")):
+            assert FeatureThresholdDetector(threshold=threshold).threshold == threshold
+
     def test_decisions_from_scores_threshold_boundary(self):
         decisions = decisions_from_scores(
             np.array([0.4, 0.5, 0.6]), 10, 1.0, 0.5

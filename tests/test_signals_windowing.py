@@ -38,6 +38,16 @@ class TestWindowSpec:
         with pytest.raises(SignalError):
             WindowSpec(length, step)
 
+    @pytest.mark.parametrize(
+        "length,step",
+        [(float("nan"), 1.0), (float("inf"), 1.0), (4.0, float("nan"))],
+    )
+    def test_non_finite_geometry_raises_signal_error(self, length, step):
+        # Accepted once, these failed later with a bare ValueError or
+        # OverflowError when resolved against a sampling rate.
+        with pytest.raises(SignalError, match="finite and positive"):
+            WindowSpec(length, step)
+
 
 class TestIteration:
     def test_windows_cover_expected_ranges(self):

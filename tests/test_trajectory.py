@@ -339,6 +339,91 @@ class TestSameInvocationAA:
         assert media.endswith("GAIN")
 
 
+def two_invocations(key, first, first_warm, second, second_warm):
+    """Two invocations, each recording cohort-cold (parent, A/A copy,
+    change) and then cohort-warm (parent, change); ``key`` is the field
+    telling them apart, with one value per workload set."""
+    def cold(sha, media, role):
+        return entry(sha, "cohort-cold", media, [0.4] * 10, [50.0] * 10,
+                     role=role)
+
+    def warm(sha, role):
+        return entry(sha, "cohort-warm", [500.0] * 3, [1.2] * 3, [44.0] * 3,
+                     role=role)
+
+    def mark(value, *entries):
+        return [dict(e, **{key: value}) for e in entries]
+
+    return (
+        mark(first,
+             cold("aaaa1111", [100.0 + i for i in range(10)], "parent"),
+             cold("aaaa1111", [125.0 + i for i in range(10)], "aa"),
+             cold("eeee5555", [90.0 + i for i in range(10)], "change"))
+        + mark(first_warm, warm("aaaa1111", "parent"), warm("eeee5555", "change"))
+        + mark(second,
+               cold("bbbb2222", [100.0 + i for i in range(10)], "parent"),
+               cold("bbbb2222", [101.0 + i for i in range(10)], "aa"),
+               cold("eeee5555", [110.0 + i for i in range(10)], "change"))
+        + mark(second_warm, warm("bbbb2222", "parent"), warm("eeee5555", "change"))
+    )
+
+
+class TestInvocationPairing:
+    """The same change measured against two parents in two invocations,
+    with cohort-cold and cohort-warm entries alternating in the file: a
+    change entry pairs only with the parent of its own invocation."""
+
+    @pytest.mark.parametrize("key, values", [
+        ("invocation", ("first", "first", "second", "second")),
+        # Entries written before the id was kept: their stamps, one of
+        # them a second late.
+        ("recorded", ("2026-10-19T08:22:39Z", "2026-10-19T08:24:51Z",
+                      "2026-10-19T08:33:16Z", "2026-10-19T08:35:30Z")),
+    ])
+    def test_change_pairs_within_its_invocation(self, trajectory, key, values):
+        entries = two_invocations(key, *values)
+        if key == "recorded":
+            entries[7]["recorded"] = "2026-10-19T08:33:17Z"
+        media = rows_by_metric(trajectory.compare_rows(
+            entries, "bbbb", "eeee", BOUNDS, ["cohort-cold"]
+        ))["media_s_per_cpu_s"]
+        assert media["pairs"] == 10
+        assert media["change_median"] == 114.5
+        assert media["aa_source"] == "same invocation"
+        assert media["aa"]["ratio"] == pytest.approx(105.5 / 104.5)
+        assert media["verdict"] == "gain"
+        first = rows_by_metric(trajectory.compare_rows(
+            entries, "aaaa", "eeee", BOUNDS, ["cohort-cold"]
+        ))["media_s_per_cpu_s"]
+        assert first["pairs"] == 10 and first["change_median"] == 94.5
+
+    def test_each_invocation_writes_one_id(self, trajectory, tmp_path,
+                                           monkeypatch):
+        result = {
+            "correct": True, "attempted": 1, "failed": 0,
+            "metrics": {name: {"unit": "x", "value": 1.0}
+                        for name in trajectory.METRICS},
+        }
+
+        def run_once(checkout, workload, seed):
+            env = {"git_sha": os.path.basename(checkout), "src_digest": "d",
+                   "src_lines": 1, "nproc": 2}
+            return {"environment": env, "seed": 2019, "seconds": 1.0}, result
+
+        monkeypatch.setattr(trajectory, "ROOT", str(tmp_path))
+        monkeypatch.setattr(trajectory, "run_once", run_once)
+        for _ in range(2):
+            assert trajectory.main([
+                "--workload", "cohort-cold", "--workload", "cohort-warm",
+                "--checkout", str(tmp_path / "p"), "--checkout", str(tmp_path / "c"),
+            ]) == 0
+        ids = [e["invocation"] for e in json.loads(
+            (tmp_path / "BENCH_engine.json").read_text())]
+        assert len(ids) == 8
+        assert len(set(ids[:4])) == len(set(ids[4:])) == 1
+        assert ids[0] != ids[4]
+
+
 class TestSeedPassThrough:
     def test_seed_reaches_perfbench(self, trajectory, monkeypatch):
         seen = []
