@@ -13,7 +13,11 @@ actually issues — 1 window (a live session's closing window), 4 (a
 replayed 4 s chunk) and 57 (a cohort chunk) — and written to the
 results as µs per window.  At 1 and 4 windows the vectorized path is
 asserted no slower than the reference loop, again as an in-process
-best-of-N comparison.
+best-of-N comparison.  The 16- and 64-window rows time what a service
+session's push passes: a sliding view over one buffered stream (4 s
+windows at a 1 s hop), 16 and 64 being the joined blocks of 4 and 16
+queued 4 s chunks.  They are printed, not asserted; they are the
+figures behind ``repro.service.manager.DECIDE_WINDOWS``.
 
 The DWT kernel's sliding form is timed on its own: ``details_batch``
 on a sliding view of one stream (a 57-window cohort chunk and a whole
@@ -63,6 +67,8 @@ REPEATS = 2 if QUICK else 5
 #: Per-call batch sizes of the service-live, service-replay and cohort
 #: extraction paths.
 SMALL_BATCHES = (1, 4, 57)
+#: Per-call batch sizes timed on a session's sliding view.
+SESSION_BATCHES = (16, 64)
 #: Best-of-N repeats of a 1-window call (fewer for larger batches): a
 #: call takes about a millisecond, so many repeats stay cheap and tame
 #: scheduler noise.
@@ -125,6 +131,17 @@ def _paper10_per_backend(extractor, batch, repeats: int) -> dict:
     return timings
 
 
+def _session_view(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` windows as a session's push passes them to ``extract_batch``:
+    a (window, channel, sample) sliding view over one two-channel
+    stream, window i starting i hops on."""
+    stream = rng.standard_normal((2, (n - 1) * HOP_SAMPLES + WINDOW_SAMPLES))
+    view = np.lib.stride_tricks.sliding_window_view(
+        stream, WINDOW_SAMPLES, axis=1
+    )[:, ::HOP_SAMPLES]
+    return view.transpose(1, 0, 2)
+
+
 def test_kernel_backends_speed():
     rng = np.random.default_rng(42)
     rows = []
@@ -148,6 +165,7 @@ def test_kernel_backends_speed():
                 f"{ref * 1e3:.1f}",
                 f"{timings['vectorized'] * 1e3:.1f}",
                 f"{ref / timings['vectorized']:.1f}x",
+                f"{timings['vectorized'] / N_WINDOWS * 1e6:.1f}",
             ]
         )
         payload["kernels"][name] = {
@@ -166,6 +184,7 @@ def test_kernel_backends_speed():
             f"{e2e['reference'] * 1e3:.1f}",
             f"{e2e['vectorized'] * 1e3:.1f}",
             f"{speedup:.1f}x",
+            f"{e2e['vectorized'] / N_WINDOWS * 1e6:.1f}",
         ]
     )
     payload["end_to_end"] = {**e2e, "speedup": speedup}
@@ -173,20 +192,30 @@ def test_kernel_backends_speed():
     # Per-call cost at the service and cohort batch sizes, where fixed
     # numpy dispatch rather than per-window math sets the price.
     payload["small_batches"] = {}
-    for n in SMALL_BATCHES:
+    payload["session_batches"] = {}
+    calls = [
+        ("small_batches", f"paper10 {n}-window call", n, batch[:n])
+        for n in SMALL_BATCHES
+    ] + [
+        ("session_batches", f"paper10 {n}-window sliding view", n,
+         _session_view(rng, n))
+        for n in SESSION_BATCHES
+    ]
+    for key, label, n, windows in calls:
         per_call = _paper10_per_backend(
-            extractor, batch[:n], max(5, SMALL_REPEATS // n)
+            extractor, windows, max(5, SMALL_REPEATS // n)
         )
         ratio = per_call["reference"] / per_call["vectorized"]
         rows.append(
             [
-                f"paper10 {n}-window call",
+                label,
                 f"{per_call['reference'] * 1e3:.2f}",
                 f"{per_call['vectorized'] * 1e3:.2f}",
                 f"{ratio:.2f}x",
+                f"{per_call['vectorized'] / n * 1e6:.1f}",
             ]
         )
-        payload["small_batches"][n] = {
+        payload[key][n] = {
             **per_call,
             "speedup": ratio,
             "us_per_window": {
@@ -197,7 +226,7 @@ def test_kernel_backends_speed():
     print_table(
         f"Feature kernels: {N_WINDOWS} windows"
         + (" (quick)" if QUICK else ""),
-        ["kernel", "ref ms", "vec ms", "vec speedup"],
+        ["kernel", "ref ms", "vec ms", "vec speedup", "vec µs/window"],
         rows,
     )
     save_results("bench_kernels" + ("_quick" if QUICK else ""), payload)

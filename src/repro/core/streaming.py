@@ -17,6 +17,7 @@ module implements that path:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,14 +31,27 @@ from .algorithm import DetectionResult
 
 __all__ = ["StreamingFeatureExtractor", "RollingFeatureBuffer", "StreamingLabeler"]
 
+#: Capacity a stream's sample buffer may keep after a push, in windows
+#: plus steps (5,120 samples per channel for 4 s / 1 s windows at
+#: 256 Hz, 20 s of signal).  A live stream's 1-4 s chunks stay below it;
+#: a service block of 64 steps goes past it and is released.
+RELEASE_WINDOWS = 4
+
 
 class StreamingFeatureExtractor:
     """Incremental sliding-window feature extraction.
 
-    Feed chunks with :meth:`push`; each call returns the feature rows of
-    every window that *completed* inside the chunk, identical (to
+    Feed chunks with :meth:`push`, or several consecutive chunks at once
+    with :meth:`push_chunks`; each call returns the feature rows of
+    every window that *completed* inside them, identical (to
     floating-point equality) to batch extraction over the concatenated
     stream.
+
+    Between pushes the stream holds the samples no emitted window has
+    used yet (less than one window) in a buffer of at most
+    :data:`RELEASE_WINDOWS` windows plus steps: chunks of a few seconds
+    reuse one buffer, and a larger push hands its buffer back once its
+    windows are out.
     """
 
     def __init__(
@@ -59,6 +73,9 @@ class StreamingFeatureExtractor:
         self.n_channels = n_channels
         self._win = self.spec.length_samples(self.fs)
         self._step = self.spec.step_samples(self.fs)
+        #: Buffer capacity (samples per channel) past which a push
+        #: releases the buffer down to the samples it still needs.
+        self.release_samples = RELEASE_WINDOWS * (self._win + self._step)
         # Samples no emitted window needs yet: buffer columns
         # [_head, _tail), with room after _tail for the next chunk.
         self._buffer = np.empty((n_channels, 0))
@@ -73,14 +90,28 @@ class StreamingFeatureExtractor:
 
     def push(self, chunk: np.ndarray) -> np.ndarray:
         """Feed samples; returns an (n_new_windows, n_features) array."""
-        chunk = np.asarray(chunk, dtype=float)
-        if chunk.ndim == 1:
-            chunk = chunk[None, :]
-        if chunk.ndim != 2 or chunk.shape[0] != self.n_channels:
-            raise FeatureError(
-                f"chunk must be ({self.n_channels}, n) samples, got {chunk.shape}"
-            )
-        self._append(chunk)
+        return self.push_chunks((chunk,))
+
+    def push_chunks(self, chunks: Sequence[np.ndarray]) -> np.ndarray:
+        """Feed consecutive sample blocks as one push.
+
+        The rows are bitwise those of pushing the blocks' concatenation
+        (or each block in turn): the blocks are copied straight into the
+        buffer, and every window completed by them is featurized in one
+        batched call.
+        """
+        blocks = []
+        for chunk in chunks:
+            chunk = np.asarray(chunk, dtype=float)
+            if chunk.ndim == 1:
+                chunk = chunk[None, :]
+            if chunk.ndim != 2 or chunk.shape[0] != self.n_channels:
+                raise FeatureError(
+                    f"chunk must be ({self.n_channels}, n) samples, "
+                    f"got {chunk.shape}"
+                )
+            blocks.append(chunk)
+        self._append(blocks)
 
         # Every window whose last sample arrived in this push is ready;
         # featurize them all in one batched call (a strided view over the
@@ -112,26 +143,33 @@ class StreamingFeatureExtractor:
         if drop > 0:
             self._head += drop
             self._consumed = keep_from_abs
+        # A block push grew the buffer to the block's size: hand that
+        # memory back, keeping only the overlap tail.
+        if self._buffer.shape[1] > self.release_samples:
+            self._buffer = self._buffer[:, self._head : self._tail].copy()
+            self._head, self._tail = 0, self._buffer.shape[1]
 
         return rows
 
-    def _append(self, chunk: np.ndarray) -> None:
-        """Write ``chunk`` after the retained samples.
+    def _append(self, blocks: list[np.ndarray]) -> None:
+        """Write ``blocks`` after the retained samples.
 
-        When it does not fit behind them, the retained samples move to
-        the front of a new buffer sized for them, the chunk and one more
-        step, so a stream of equal chunks copies each retained sample a
-        bounded number of times and the buffer never outgrows the
-        largest chunk by more than a window and a step.
+        When they do not fit behind them, the retained samples move to
+        the front of a new buffer sized once for them, the blocks and
+        one more step, so a stream of equal chunks copies each retained
+        sample a bounded number of times and the buffer never outgrows
+        the largest push by more than a window and a step.
         """
-        n = chunk.shape[1]
+        n = sum(block.shape[1] for block in blocks)
         if self._tail + n > self._buffer.shape[1]:
             kept = self._tail - self._head
             grown = np.empty((self.n_channels, kept + n + self._step))
             grown[:, :kept] = self._buffer[:, self._head : self._tail]
             self._buffer, self._head, self._tail = grown, 0, kept
-        self._buffer[:, self._tail : self._tail + n] = chunk
-        self._tail += n
+        for block in blocks:
+            width = block.shape[1]
+            self._buffer[:, self._tail : self._tail + width] = block
+            self._tail += width
 
     def finalize(self) -> int:
         """Declare the stream finished; returns the total windows emitted.
@@ -156,13 +194,23 @@ class StreamingFeatureExtractor:
 
 
 class RollingFeatureBuffer:
-    """Bounded FIFO of the most recent feature rows (the lookback hour)."""
+    """Bounded FIFO of the most recent feature rows (the lookback hour).
+
+    The rows live in a backing array of up to twice the capacity; new
+    rows are written after the retained ones, and only when the backing
+    array is full are the retained rows copied to the front of a fresh
+    one.  So :meth:`extend` costs amortized O(new rows), and an array
+    :attr:`rows` returned earlier never changes.
+    """
 
     def __init__(self, capacity: int, n_features: int) -> None:
         if not capacity >= 1:
             raise FeatureError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._rows = np.empty((0, n_features))
+        self._data = np.empty((0, n_features))
+        # Retained rows: _data[_start:_end].
+        self._start = 0
+        self._end = 0
         #: window index (stream time) of the first retained row
         self.first_index = 0
 
@@ -170,18 +218,32 @@ class RollingFeatureBuffer:
         rows = np.asarray(rows, dtype=float)
         if rows.size == 0:
             return
-        self._rows = np.concatenate([self._rows, rows], axis=0)
-        overflow = self._rows.shape[0] - self.capacity
-        if overflow > 0:
-            self._rows = self._rows[overflow:]
-            self.first_index += overflow
+        if rows.ndim != 2 or rows.shape[1] != self._data.shape[1]:
+            raise FeatureError(
+                f"rows must be (n, {self._data.shape[1]}) features, "
+                f"got {rows.shape}"
+            )
+        n = rows.shape[0]
+        self.first_index += max(0, len(self) + n - self.capacity)
+        if n > self.capacity:
+            # Only the newest ``capacity`` of these rows survive.
+            rows = rows[n - self.capacity :]
+            n = self.capacity
+        if self._end + n > self._data.shape[0]:
+            kept = min(self._end - self._start, self.capacity - n)
+            grown = np.empty((2 * (kept + n), self._data.shape[1]))
+            grown[:kept] = self._data[self._end - kept : self._end]
+            self._data, self._start, self._end = grown, 0, kept
+        self._data[self._end : self._end + n] = rows
+        self._end += n
+        self._start = max(self._start, self._end - self.capacity)
 
     @property
     def rows(self) -> np.ndarray:
-        return self._rows
+        return self._data[self._start : self._end]
 
     def __len__(self) -> int:
-        return self._rows.shape[0]
+        return self._end - self._start
 
 
 class StreamingLabeler:

@@ -145,24 +145,22 @@ class Paper10FeatureExtractor(FeatureExtractor):
         details = get_kernel("dwt_details")(windows[:, 1], level=self._dwt_level)
 
         # One PSD per channel feeds all band powers, as in extract_window:
-        # a single call over the F7T3 rows stacked on the F8T4 rows (the
-        # kernel's rows are independent lanes).  F8T4's delta is unused.
-        pair = windows[:, :2].transpose(1, 0, 2).reshape(
-            2 * n_windows, windows.shape[2]
-        )
+        # a single call with both channels as lanes, which the kernel
+        # copies to contiguous rows a chunk at a time (no whole-batch
+        # copy of a sliding view).  F8T4's delta is unused.
         bp = get_kernel("band_powers")(
-            pair, fs=fs, bands=("theta", (0.0, fs / 2.0), "delta")
+            windows[:, :2], fs=fs, bands=("theta", (0.0, fs / 2.0), "delta")
         )
-        theta, total = bp[:, 0], bp[:, 1]
+        theta, total = bp[..., 0], bp[..., 1]
         # Guarded relative powers: same division (or 0.0) per window as
         # the scalar path, with the dummy divisor never reaching output.
         rel = np.where(total > 0, theta / np.where(total > 0, total, 1.0), 0.0)
 
         out = np.empty((n_windows, self.n_features))
-        out[:, 0] = theta[:n_windows]
-        out[:, 1] = rel[:n_windows]
-        out[:, 2] = bp[:n_windows, 2]
-        out[:, 3] = rel[n_windows:]
+        out[:, 0] = theta[:, 0]
+        out[:, 1] = rel[:, 0]
+        out[:, 2] = bp[:, 0, 2]
+        out[:, 3] = rel[:, 1]
         perm = get_kernel("permutation_entropy")
         out[:, 4] = perm(details[7], order=5)
         out[:, 5] = perm(details[7], order=7)

@@ -145,11 +145,17 @@ def band_powers_reference(
 
     Matches the extractors' usage exactly: one full-window Hann segment
     per window (``nperseg = n_samples``), every band integrated from
-    that single PSD.
+    that single PSD.  A ``(n_windows, n_lanes, n_samples)`` batch (one
+    lane per channel) gives ``(n_windows, n_lanes, len(bands))``, each
+    lane its own PSD.
     """
+    windows = np.asarray(windows, dtype=float)
+    shape = windows.shape[:-1] + (len(bands),)
+    if windows.ndim == 3:
+        windows = windows.reshape(-1, windows.shape[-1])
     windows = _check_windows(windows)
     out = np.empty((windows.shape[0], len(bands)), dtype=float)
     for i, row in enumerate(windows):
         freqs, psd = welch_psd(row, fs, nperseg=row.size)
         out[i] = [band_power_from_psd(freqs, psd, band) for band in bands]
-    return out
+    return out.reshape(shape)

@@ -13,7 +13,9 @@ extraction all hit the same code:
 
 Every kernel is *batched*: it takes a 2-D ``(n_windows, n_samples)``
 array of per-window series and returns one value row per window (or a
-dict of per-level arrays, for the DWT kernel).
+dict of per-level arrays, for the DWT kernel).  ``band_powers`` also
+takes ``(n_windows, n_lanes, n_samples)`` — one lane per channel — and
+returns ``(n_windows, n_lanes, n_bands)``.
 
 The bitwise identity is what keeps cohort reports byte-identical across
 backends; ``tests/test_kernels_parity.py`` enforces it on a seeded

@@ -429,8 +429,11 @@ def band_powers_vectorized(
     fs: float,
     bands: tuple[tuple[float, float] | str, ...],
 ) -> np.ndarray:
-    windows = _check_windows(windows)
-    n_windows, n = windows.shape
+    windows = np.asarray(windows, dtype=float)
+    lanes = windows.ndim == 3
+    if not lanes:
+        windows = _check_windows(windows)[:, None]
+    n_windows, n_lanes, n = windows.shape
     if n < 8:
         raise SignalError(
             f"signal too short for spectral estimation ({n} samples)"
@@ -441,13 +444,17 @@ def band_powers_vectorized(
         raise SignalError(f"sampling frequency must be positive, got {fs}")
     plan = band_plan(n, fs, bands)
     win = hann_window(n)
-    out = np.empty((n_windows, len(bands)))
-    chunk = max(1, _PSD_CHUNK_BYTES // (8 * n))
+    out = np.empty((n_windows * n_lanes, len(bands)))
+    chunk = max(1, _PSD_CHUNK_BYTES // (8 * n * max(1, n_lanes)))
     for s in range(0, n_windows, chunk):
         # Single full-window Hann segment per row — the extractors' Welch
         # configuration (nperseg = window length, so no averaging).  The
         # in-place steps round exactly like their out-of-place spelling.
-        rows = windows[s : s + chunk]
+        # A lanes batch (say both channels of a sliding view) becomes
+        # contiguous rows one chunk at a time, never as a whole.
+        rows = np.ascontiguousarray(windows[s : s + chunk]).reshape(-1, n)
+        lo = s * n_lanes
+        hi = lo + rows.shape[0]
         seg = rows - rows.mean(axis=1, keepdims=True)
         seg *= win
         psd = np.abs(np.fft.rfft(seg, axis=1))
@@ -458,7 +465,7 @@ def band_powers_vectorized(
             psd[:, -1] /= 2.0
         for col, (bins, spacing) in enumerate(plan.bands):
             if isinstance(bins, int):
-                out[s : s + chunk, col] = psd[:, bins] * spacing
+                out[lo:hi, col] = psd[:, bins] * spacing
             else:
                 # np.trapezoid's formula, spelled out: its internal
                 # broadcast product comes back non-C-ordered for 2-D
@@ -470,5 +477,5 @@ def band_powers_vectorized(
                 addends = np.ascontiguousarray(
                     spacing * (yband[:, 1:] + yband[:, :-1]) / 2.0
                 )
-                out[s : s + chunk, col] = addends.sum(axis=1)
-    return out
+                out[lo:hi, col] = addends.sum(axis=1)
+    return out.reshape(n_windows, n_lanes, len(bands)) if lanes else out

@@ -106,7 +106,7 @@ class DetectionService:
 
         A session is due once :data:`~repro.service.manager
         .DECIDE_WINDOWS` window steps or a full queue are waiting, so a
-        wakeup decides one joined block of up to 16 windows, not one
+        wakeup decides one joined block of up to 64 windows, not one
         chunk.  Decisions are numpy-bound; running them on the loop
         keeps the service single-process and deterministic, and the
         block cap keeps the loop responsive between decisions.

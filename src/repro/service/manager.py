@@ -13,8 +13,11 @@ comes first (:meth:`SessionManager.claim_due`); otherwise its chunks
 wait for the session's own ``poll`` or ``close``, which decide them
 inline, or for a global drain.  A pump joins consecutive queued chunks
 into one detector push of at most :data:`DECIDE_WINDOWS` steps, so the
-extraction kernels see blocks of up to 16 windows instead of one
-chunk's worth.  Decisions are bitwise those of deciding every chunk on
+extraction kernels see blocks of up to 64 windows instead of one
+chunk's worth.  The push copies the chunks straight into the session's
+stream buffer, which hands the block's memory back once its windows are
+decided: between blocks a session holds its queue and less than one
+window of signal.  Decisions are bitwise those of deciding every chunk on
 arrival (streaming extraction is chunking-invariant and scoring is per
 row); only their timing moves.
 
@@ -55,14 +58,19 @@ from .telemetry import ServiceTelemetry
 __all__ = ["DECIDE_WINDOWS", "IngestResult", "SessionSummary", "SessionManager"]
 
 #: Window steps of queued signal that make a session due for its
-#: consumer, and the most one joined detector push decides.  Paper-10
-#: extraction sets the knee: on a 2-core Intel Xeon (numpy 2.4) a call
-#: cost 0.17 ms per window at 4 windows (one 4 s chunk), 0.097 ms at
-#: 16, 0.073 ms at 32 and 0.078 ms at 64.  On the bulk replay benchmark
-#: (perfbench service-replay), 16 read x1.85 throughput at +4 % peak
-#: RSS, 32 x2.25 at +9 %, and 64 (a whole 16-chunk poll interval)
-#: x2.9 at +15 %, past that benchmark's 10 % RSS bound.
-DECIDE_WINDOWS = 16
+#: consumer, and the most one joined detector push decides: one 16-chunk
+#: poll interval of 4 s chunks.  Paper-10 extraction on a session's
+#: sliding view sets it (the per-call table of
+#: ``benchmarks/bench_kernels.py``; 2-core Intel Xeon, numpy 2.4): a
+#: call costs 0.14 ms per window at 4 windows (one 4 s chunk), 0.065-
+#: 0.070 ms at 16 and 0.040-0.046 ms at 64.  On the bulk replay
+#: benchmark (perfbench service-replay), 64 against 16 read x1.4-1.5
+#: throughput at +4-5 % peak RSS; that RSS holds because a push copies
+#: the chunks straight into the stream buffer, which is released after
+#: the block (see ``StreamingFeatureExtractor``).  Without the two, 64
+#: alone read +11 % (49.0 against 44.2 MB), past that benchmark's 10 %
+#: bound.
+DECIDE_WINDOWS = 64
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,14 @@ class IngestResult:
 
     def to_reply(self) -> dict:
         """The ``chunk`` verb's ok-reply."""
-        return {"ok": True, **dataclasses.asdict(self)}
+        return {
+            "ok": True,
+            "session_id": self.session_id,
+            "accepted": self.accepted,
+            "queued": self.queued,
+            "shed": self.shed,
+            "reason": self.reason,
+        }
 
     @classmethod
     def from_reply(cls, reply: dict) -> "IngestResult":
@@ -113,11 +128,16 @@ class SessionSummary:
 
     def to_reply(self) -> dict:
         """The ``close`` verb's ok-reply."""
-        return dict(
-            dataclasses.asdict(self),
-            ok=True,
-            trailing_events=[e.to_dict() for e in self.trailing_events],
-        )
+        return {
+            "session_id": self.session_id,
+            "windows": self.windows,
+            "chunks": self.chunks,
+            "samples": self.samples,
+            "shed": self.shed,
+            "trailing_events": [e.to_dict() for e in self.trailing_events],
+            "error": self.error,
+            "ok": True,
+        }
 
     @classmethod
     def from_reply(cls, reply: dict) -> "SessionSummary":

@@ -230,9 +230,10 @@ class DetectorSession:
     size, including partial windows), featurizes every window that
     completes inside it, scores the rows, and buffers the resulting
     :class:`WindowDecision` events until ``poll_events`` collects them.
-    The session never holds more signal than one window plus one chunk
-    (the streaming extractor's bound); decisions accumulate only until
-    polled.
+    Between pushes the session holds less than one window of signal, in
+    a buffer the streaming extractor bounds; during a push it holds one
+    window plus the pushed block (one chunk, or one joined block of
+    :meth:`push_chunks`).  Decisions accumulate only until polled.
 
     Lifecycle: ``closed`` sessions refuse pushes.  :meth:`finalize`
     declares the stream finished and mirrors
@@ -282,8 +283,10 @@ class DetectorSession:
 
     def push_chunks(self, chunks: Sequence[np.ndarray]) -> int:
         """Ingest consecutive sample blocks with one extraction and one
-        scoring call; each still counts as one chunk.  Returns the
-        number of windows that completed inside them.
+        scoring call; each still counts as one chunk.  The blocks are
+        copied straight into the stream's buffer, never joined into one
+        array first.  Returns the number of windows that completed
+        inside them.
 
         The decisions are those of pushing the blocks one at a time:
         streaming extraction gives the same bits at any chunking, and
@@ -293,14 +296,9 @@ class DetectorSession:
             raise ServiceError(
                 f"session {self.session_id!r} is closed"
             )
-        block = (
-            np.asarray(chunks[0])
-            if len(chunks) == 1
-            else np.concatenate(chunks, axis=-1)
-        )
-        rows = self.stream.push(block)
+        rows = self.stream.push_chunks(chunks)
         self.chunks_ingested += len(chunks)
-        self.samples_ingested += block.shape[-1]
+        self.samples_ingested += sum(np.shape(chunk)[-1] for chunk in chunks)
         n_new = rows.shape[0]
         if n_new:
             first = self.stream.windows_emitted - n_new

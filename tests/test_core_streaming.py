@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.streaming import (
+    RELEASE_WINDOWS,
     RollingFeatureBuffer,
     StreamingFeatureExtractor,
     StreamingLabeler,
@@ -98,6 +101,71 @@ class TestStreamingExtractor:
         assert np.allclose(out, 1.0)
 
 
+def bits(rows):
+    return np.ascontiguousarray(rows).view(np.int64)
+
+
+class TestPushChunks:
+    """``push_chunks(blocks)`` is one push of the blocks' concatenation:
+    same rows to the bit, same stream state afterwards."""
+
+    STREAM = 30.0 * np.random.default_rng(5).standard_normal((2, 120 * 256))
+
+    @settings(deadline=None)
+    @given(
+        lead=st.integers(min_value=0, max_value=3000),
+        sizes=st.lists(st.integers(min_value=0, max_value=3000), max_size=8),
+        tail=st.integers(min_value=1, max_value=1500),
+    )
+    def test_equals_push_of_concatenation(self, lead, sizes, tail):
+        stream = self.STREAM
+        joined = StreamingFeatureExtractor(fs=FS)
+        split = StreamingFeatureExtractor(fs=FS)
+        edges = np.cumsum([lead, *sizes, tail])
+        assert edges[-1] <= stream.shape[1]
+        blocks = np.split(stream[:, : edges[-1]], edges[:-1], axis=1)
+        for extractor in (joined, split):
+            extractor.push(blocks[0])
+        middle = stream[:, edges[0] : edges[-2]]
+        assert np.array_equal(
+            bits(split.push_chunks(blocks[1:-1])), bits(joined.push(middle))
+        )
+        assert split.windows_emitted == joined.windows_emitted
+        # The next push continues both streams alike.
+        assert np.array_equal(
+            bits(split.push(blocks[-1])), bits(joined.push(blocks[-1]))
+        )
+
+    def test_invalid_block_leaves_stream_untouched(self):
+        stream = StreamingFeatureExtractor(fs=FS)
+        with pytest.raises(FeatureError):
+            stream.push_chunks([np.zeros((2, 600)), np.zeros((3, 600))])
+        assert stream.push(np.zeros((2, 1024))).shape[0] == 1
+
+    def test_block_buffer_is_released(self):
+        # A 64 s block grows the buffer past the bound; once its windows
+        # are out the stream keeps only the samples the next window
+        # needs, within RELEASE_WINDOWS windows plus steps.
+        stream = StreamingFeatureExtractor(fs=FS)
+        bound = RELEASE_WINDOWS * (1024 + 256)
+        assert stream.release_samples == bound
+        stream.push_chunks(np.split(self.STREAM[:, : 64 * 256], 16, axis=1))
+        assert stream._buffer.shape[1] <= bound
+        assert stream._buffer.shape[1] < 1024  # less than one window
+
+    @pytest.mark.parametrize("seconds", [1, 4])
+    def test_live_chunks_stay_below_the_bound(self, seconds):
+        # Live 1 s and 4 s chunks never grow the buffer to the release
+        # bound, so they never pay for a release.
+        stream = StreamingFeatureExtractor(fs=FS)
+        width = seconds * 256
+        widest = 0
+        for start in range(0, 60 * 256, width):
+            stream.push(self.STREAM[:, start : start + width])
+            widest = max(widest, stream._buffer.shape[1])
+        assert widest <= stream.release_samples
+
+
 class TestStreamingExtractorGuards:
     @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
     def test_non_finite_fs_raises_feature_error(self, fs):
@@ -127,6 +195,49 @@ class TestRollingBuffer:
     def test_nan_capacity_raises(self):
         with pytest.raises(FeatureError, match="capacity must be >= 1"):
             RollingFeatureBuffer(capacity=float("nan"), n_features=2)
+
+    def test_wrong_feature_count_raises(self):
+        buf = RollingFeatureBuffer(capacity=3, n_features=2)
+        with pytest.raises(FeatureError, match="rows must be"):
+            buf.extend(np.ones((2, 1)))
+
+    @pytest.mark.parametrize("capacity", [1, 7, 60])
+    def test_matches_naive_concatenation(self, capacity):
+        # The reference keeps the latest ``capacity`` rows by
+        # re-concatenating on every push, as the buffer once did.
+        rng = np.random.default_rng(capacity)
+        buf = RollingFeatureBuffer(capacity=capacity, n_features=3)
+        ref = np.empty((0, 3))
+        dropped = 0
+        held = []
+        for _ in range(300):
+            n = int(rng.choice([0, 1, 2, 5, capacity - 1, capacity + 3]))
+            rows = rng.standard_normal((max(n, 0), 3))
+            buf.extend(rows)
+            ref = np.concatenate([ref, rows])
+            dropped += max(0, ref.shape[0] - capacity)
+            ref = ref[-capacity:]
+            assert len(buf) == ref.shape[0]
+            assert buf.first_index == dropped
+            assert np.array_equal(buf.rows, ref)
+            held.append((buf.rows, ref))
+        # Rows handed out earlier are never overwritten.
+        for rows, expected in held:
+            assert np.array_equal(rows, expected)
+
+    def test_extend_cost_is_amortized(self):
+        # One push per second of an hour's lookback copies each row a
+        # bounded number of times, not the whole lookback per push.
+        buf = RollingFeatureBuffer(capacity=3600, n_features=10)
+        rows = np.ones((1, 10))
+        backings = set()
+        for _ in range(4 * 3600):
+            buf.extend(rows)
+            backings.add(id(buf._data))
+        assert len(buf) == 3600
+        assert buf._data.shape[0] <= 2 * 3600
+        # Doubling to the capacity, then one compaction per capacity rows.
+        assert len(backings) <= 16
 
 
 class TestStreamingLabeler:

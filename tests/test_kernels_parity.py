@@ -583,6 +583,31 @@ class TestShortWindowContract:
                 kern(np.ones((2, 64)), fs=256.0, bands=("not_a_band",))
 
 
+class TestBandPowerLanes:
+    """A ``(windows, lanes, samples)`` band-power batch is the 2-D call
+    on each lane's rows, bit for bit, on both backends: the Paper-10
+    extractor passes both channels of a sliding view as lanes."""
+
+    @pytest.mark.parametrize("n_windows", [1, 4, 17, 64])
+    def test_lanes_equal_rows(self, rng, n_windows):
+        stream = 30.0 * rng.standard_normal((2, (n_windows + 3) * 256))
+        view = np.lib.stride_tricks.sliding_window_view(
+            stream, 1024, axis=1
+        )[:, ::256].transpose(1, 0, 2)
+        bands = ("theta", (0.0, 128.0), "delta")
+        for backend in ("reference", "vectorized"):
+            kern = get_kernel("band_powers", prefer=backend)
+            lanes = kern(view, fs=256.0, bands=bands)
+            assert lanes.shape == (view.shape[0], 2, 3)
+            for lane in range(2):
+                rows = kern(
+                    np.ascontiguousarray(view[:, lane]), fs=256.0, bands=bands
+                )
+                np.testing.assert_array_equal(
+                    lanes[:, lane].view(np.int64), rows.view(np.int64)
+                )
+
+
 class TestPlans:
     def test_embedding_plan_cached_and_read_only(self):
         a = embedding_plan(64, 2)

@@ -38,9 +38,12 @@ _LEN = struct.Struct(">I")
 
 
 def chunk_sizes():
-    # 4 s chunks join four to a block; 4097 samples overshoot one block.
+    # 4 s chunks join DECIDE_WINDOWS // 4 to a block; one sample more
+    # than a block overshoots it.
     return st.one_of(
-        st.sampled_from([STEP, 4 * STEP, DECIDE_WINDOWS * STEP, 4097]),
+        st.sampled_from(
+            [STEP, 4 * STEP, DECIDE_WINDOWS * STEP, DECIDE_WINDOWS * STEP + 1]
+        ),
         st.integers(min_value=1, max_value=6 * STEP),
     )
 
@@ -239,7 +242,7 @@ class TestPerSessionBarrier:
         try:
             for sid in ("a", "b"):
                 shard_dispatch(manager, dirty, {"op": "open", "session": sid})
-            for seq in range(2):  # 8 s: half of a due block
+            for seq in range(2):  # 8 s: short of a due block
                 block = sample_record.data[:, seq * 4 * FS : (seq + 1) * 4 * FS]
                 assert shard_dispatch(
                     manager, dirty, chunk_message("b", seq, block)
@@ -300,8 +303,12 @@ class TestPerSessionBarrier:
         assert closed["windows"] == 5 and len(closed["trailing_events"]) == 5
 
 
+#: 4 s chunks that make up one block of DECIDE_WINDOWS window steps.
+CHUNKS_PER_BLOCK = DECIDE_WINDOWS // 4
+
+
 class TestJoinedBlocks:
-    def test_backlog_is_decided_in_blocks_of_at_most_16_windows(
+    def test_backlog_is_decided_in_blocks_of_at_most_decide_windows(
         self, sample_record, monkeypatch
     ):
         calls = []
@@ -314,18 +321,33 @@ class TestJoinedBlocks:
         monkeypatch.setattr(Paper10FeatureExtractor, "extract_batch", spy)
         manager = SessionManager(ServiceConfig())
         manager.open_session("p")
-        for seq in range(16):  # a 64 s backlog of 4 s chunks
+        n_chunks = 4 * CHUNKS_PER_BLOCK  # a backlog of four blocks
+        for seq in range(n_chunks):
             block = sample_record.data[:, seq * 4 * FS : (seq + 1) * 4 * FS]
             manager.ingest("p", block, seq=seq)
         assert calls == []  # ingest never decides
         events = manager.poll_events("p")
-        assert len(events) == 61
-        # Four pushes of 16 s: the first completes 13 windows, the
-        # others 16 each.
-        assert calls == [13, 16, 16, 16]
+        assert len(events) == 4 * DECIDE_WINDOWS - 3
+        # Four pushes of one block each: the first completes three
+        # windows fewer than its steps (a 4 s window needs 4 steps), the
+        # others one window per step.
+        assert calls == [DECIDE_WINDOWS - 3] + 3 * [DECIDE_WINDOWS]
         snapshot = manager.snapshot()
-        assert snapshot["chunks"]["processed"] == 16
-        assert snapshot["latency"]["count"] == 16
+        assert snapshot["chunks"]["processed"] == n_chunks
+        assert snapshot["latency"]["count"] == n_chunks
+
+    def test_decided_block_releases_its_buffer(self, sample_record):
+        # Between blocks a session keeps its queue and an overlap tail,
+        # not a block-sized sample buffer.
+        manager = SessionManager(ServiceConfig())
+        session = manager.open_session("p")
+        for seq in range(CHUNKS_PER_BLOCK):
+            block = sample_record.data[:, seq * 4 * FS : (seq + 1) * 4 * FS]
+            manager.ingest("p", block, seq=seq)
+        assert manager.pump("p") == DECIDE_WINDOWS - 3
+        stream = session.stream
+        assert DECIDE_WINDOWS * STEP > stream.release_samples
+        assert stream._buffer.shape[1] <= stream.release_samples
 
     def test_a_larger_chunk_goes_alone(self, sample_record):
         manager = SessionManager(ServiceConfig())
@@ -342,15 +364,15 @@ class TestHandOff:
         manager = SessionManager(ServiceConfig())
         manager.open_session("p")
         four_s = np.zeros((2, 4 * FS))
-        for _ in range(3):
+        for _ in range(CHUNKS_PER_BLOCK - 1):
             manager.ingest("p", four_s)
-            assert not manager.claim_due("p")  # 12 steps queued
+            assert not manager.claim_due("p")  # short of a block
         manager.ingest("p", four_s)
-        assert manager.claim_due("p")  # 16 steps: due
+        assert manager.claim_due("p")  # DECIDE_WINDOWS steps: due
         manager.ingest("p", four_s)
         assert not manager.claim_due("p")  # already handed over
         # The consumer decides the due block; the 4 s left over wait.
-        assert manager.pump("p", due_only=True) == 13
+        assert manager.pump("p", due_only=True) == DECIDE_WINDOWS - 3
         assert manager.queue_depth("p") == 1
         assert not manager.claim_due("p")
 
@@ -366,7 +388,7 @@ class TestHandOff:
     def test_served_hand_off_decides_nothing(self, policy):
         manager = SessionManager(ServiceConfig(backpressure=policy))
         manager.open_session("p")
-        manager.ingest("p", np.zeros((2, 16 * FS)))
+        manager.ingest("p", np.zeros((2, DECIDE_WINDOWS * STEP)))
         assert manager.claim_due("p")
         manager.poll_events("p")  # the poll decides before the consumer
         manager.ingest("p", np.zeros((2, 4 * FS)))

@@ -1,13 +1,18 @@
 """SessionManager: bounded queues, ordering, backpressure, close semantics."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import BackpressureError, ServiceError
 from repro.features.base import FeatureExtractor
 from repro.service import (
+    IngestResult,
     ServiceConfig,
     SessionManager,
+    SessionSummary,
+    WindowDecision,
     batch_window_decisions,
 )
 
@@ -302,3 +307,39 @@ class TestTelemetryCounters:
         assert snapshot["queue"]["high_water"] == 2
         assert snapshot["latency"]["count"] == 2
         assert snapshot["windows"]["decided"] == 7
+
+
+class TestReplies:
+    """The ``chunk`` and ``close`` ok-replies, pinned key by key: the
+    wire protocol serializes them with ``json.dumps``, so their key
+    order is part of the reply bytes."""
+
+    def test_ingest_reply(self):
+        result = IngestResult(
+            session_id="p", accepted=False, queued=3, shed=1, reason="full"
+        )
+        reply = result.to_reply()
+        assert json.dumps(reply) == (
+            '{"ok": true, "session_id": "p", "accepted": false, '
+            '"queued": 3, "shed": 1, "reason": "full"}'
+        )
+        assert IngestResult.from_reply(reply) == result
+
+    @pytest.mark.parametrize("error", [None, "FeatureError: too short"])
+    def test_summary_reply(self, error):
+        event = WindowDecision(
+            window_index=4, onset_s=4.0, score=0.25, positive=False
+        )
+        summary = SessionSummary(
+            session_id="p", windows=5, chunks=2, samples=2048, shed=0,
+            trailing_events=(event,), error=error,
+        )
+        reply = summary.to_reply()
+        assert json.dumps(reply) == (
+            '{"session_id": "p", "windows": 5, "chunks": 2, '
+            '"samples": 2048, "shed": 0, "trailing_events": '
+            '[{"window_index": 4, "onset_s": 4.0, "score": 0.25, '
+            '"positive": false}], "error": ' + json.dumps(error)
+            + ', "ok": true}'
+        )
+        assert SessionSummary.from_reply(reply) == summary
