@@ -228,8 +228,8 @@ def connect(
     service enforces auth) and returns a
     :class:`~repro.service.client.ServiceClient` — ``open`` / ``push`` /
     ``poll`` / ``close`` with the service's own result types, usable as
-    a context manager.  ``handshake=False`` speaks the versionless
-    legacy protocol (accepted while the service has auth disabled).
+    a context manager.  ``handshake=False`` skips the hello
+    (accepted while the service has auth disabled).
     """
     from .service.client import ServiceClient
 

@@ -17,6 +17,7 @@ module implements that path:
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -155,17 +156,22 @@ class StreamingFeatureExtractor:
         """Write ``blocks`` after the retained samples.
 
         When they do not fit behind them, the retained samples move to
-        the front of a new buffer sized once for them, the blocks and
-        one more step, so a stream of equal chunks copies each retained
-        sample a bounded number of times and the buffer never outgrows
-        the largest push by more than a window and a step.
+        the front: of this buffer when it can hold them and the blocks,
+        else of a new buffer sized once for them, the blocks and one
+        more step.  So a stream of equal chunks settles on one buffer,
+        and the buffer never outgrows the largest push by more than a
+        window and a step.
         """
         n = sum(block.shape[1] for block in blocks)
         if self._tail + n > self._buffer.shape[1]:
             kept = self._tail - self._head
-            grown = np.empty((self.n_channels, kept + n + self._step))
-            grown[:, :kept] = self._buffer[:, self._head : self._tail]
-            self._buffer, self._head, self._tail = grown, 0, kept
+            if kept + n <= self._buffer.shape[1]:
+                target = self._buffer
+            else:
+                target = np.empty((self.n_channels, kept + n + self._step))
+            # numpy buffers an overlapping in-place move.
+            target[:, :kept] = self._buffer[:, self._head : self._tail]
+            self._buffer, self._head, self._tail = target, 0, kept
         for block in blocks:
             width = block.shape[1]
             self._buffer[:, self._tail : self._tail + width] = block
@@ -204,8 +210,14 @@ class RollingFeatureBuffer:
     """
 
     def __init__(self, capacity: int, n_features: int) -> None:
-        if not capacity >= 1:
-            raise FeatureError(f"capacity must be >= 1, got {capacity}")
+        if (
+            not isinstance(capacity, numbers.Integral)
+            or isinstance(capacity, bool)
+            or capacity < 1
+        ):
+            raise FeatureError(
+                f"capacity must be >= 1 and integral, got {capacity!r}"
+            )
         self.capacity = capacity
         self._data = np.empty((0, n_features))
         # Retained rows: _data[_start:_end].

@@ -9,9 +9,11 @@ enforces the three client-facing policies of
 :class:`~repro.service.config.ServiceConfig`:
 
 * **handshake** — a versioned ``hello`` frame (``{"op": "hello",
-  "version": 1, "token": ...}``).  Unknown versions are refused with a
-  ``protocol`` error frame and a clean close.  Versionless legacy
-  clients (no hello at all) keep working while auth is disabled.
+  "version": 2, "token": ...}``, :data:`~repro.service.framing
+  .PROTOCOL_VERSION`).  Unknown versions, version 1 (base64 chunk
+  samples) among them, are refused with a ``protocol`` error frame and
+  a clean close.  Clients that send no hello at all speak the same
+  frames and keep working while auth is disabled.
 * **auth** — with ``auth_tokens`` configured, every connection must
   hello with a listed token before any other op; violations get an
   ``auth`` error frame and a clean close.

@@ -17,9 +17,8 @@ field names (:func:`~repro.service.framing.exception_for`):
 
 On connect the client performs the versioned ``hello`` handshake
 (:data:`~repro.service.framing.PROTOCOL_VERSION`, plus the auth token
-when one is given).  ``handshake=False`` speaks the PR 7 legacy
-protocol — no hello at all — which servers accept while auth is
-disabled.
+when one is given).  ``handshake=False`` sends no hello at all, which
+servers accept while auth is disabled; the frames are the same.
 
 The client is deliberately synchronous (a blocking socket and two
 ``makefile`` wrappers): it serves examples, benchmarks, smoke scripts,
@@ -62,8 +61,8 @@ class ServiceClient:
         Auth token for services with ``auth_tokens`` configured;
         ``None`` connects anonymously (valid while auth is disabled).
     handshake:
-        Send the versioned hello on connect (default).  ``False`` speaks
-        the versionless legacy protocol.
+        Send the versioned hello on connect (default).  ``False`` skips
+        it (accepted while the service has auth disabled).
     timeout:
         Socket timeout in seconds for connect and every reply; anything
         but a finite positive number is refused with

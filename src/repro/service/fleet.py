@@ -19,8 +19,9 @@ PR 7 parity contract across the pool: per-session decision streams are
 byte-identical to the single-process service for any chunking and any
 worker count.
 
-Parent↔shard IPC speaks the same length-prefixed JSON frames as the
-client protocol (:mod:`repro.service.framing`), over one Unix-domain
+Parent↔shard IPC speaks the same length-prefixed frames as the client
+protocol (:mod:`repro.service.framing`: JSON, with chunk samples as a
+raw float64 tail), over one Unix-domain
 stream socket per shard.  The parent pipelines requests (FIFO futures
 per shard; the single-threaded worker answers in order), so many client
 connections keep every shard busy without per-request round-trip
@@ -163,15 +164,19 @@ def shard_dispatch(
     session's queue (:meth:`SessionManager.pump_all`).
 
     Requests are JSON objects with an ``op`` field (the ``hello``
-    handshake is answered earlier, by :mod:`repro.service.admission`):
+    handshake is answered earlier, by :mod:`repro.service.admission`);
+    a chunk's samples travel as the frame's binary tail, which
+    :func:`~repro.service.framing.decode_payload` hands over as ``data``:
 
     ``{"op": "open", "session": id, "state": detector?}``
         Register a session, scoring with the serialized
         :meth:`~repro.selflearning.detector.RealTimeDetector.to_state`
         forest when ``state`` is given.
-    ``{"op": "chunk", "session": id, "seq": n?, "shape": [c, n], "data": b64}``
-        One signal chunk (:func:`~repro.service.framing.chunk_message`);
-        replies with the :class:`IngestResult`.
+    ``{"op": "chunk", "session": id, "seq": n?, "shape": [c, n], "data": bytes}``
+        One signal chunk (:func:`~repro.service.framing.chunk_message`):
+        ``c·n`` row-major float64 samples.  Replies with the
+        :class:`IngestResult`; a JSON ``data`` value (a version-1 base64
+        string) gets a ``protocol`` error frame.
     ``{"op": "poll", "session": id, "max": k?}``
         Decide the session's queued chunks, then drain up to ``k``
         decided windows.

@@ -1,12 +1,27 @@
-"""The service's wire codec: length-prefixed JSON frames, shared by
-every transport.
+"""The service's wire codec: length-prefixed frames, shared by every
+transport.
 
-One frame is ``[4-byte big-endian payload length][UTF-8 JSON object]``.
+One frame is ``[4-byte big-endian payload length][payload]``.  Every
+payload is a UTF-8 JSON object, except a ``chunk``'s: its samples
+travel as raw bytes behind a small JSON header,
+
+``b"\\x00"`` ``[4-byte header length]`` ``[sorted-key JSON header]``
+``[row-major float64 samples]``,
+
+where the header's ``data`` field holds the sample byte count.  No
+JSON payload can begin with ``\\x00``, so the first byte tells the two
+forms apart.  In memory a chunk frame is a dict like any other, with
+the samples as a bytes-like ``data`` value: :func:`encode_frame` writes
+a dict whose ``data`` is bytes-like in the binary form, and
+:func:`decode_payload` gives the tail back as a read-only
+``memoryview`` of the payload.
+
 The codec grew up inside :mod:`repro.service.ingest` for the client
 socket protocol; the multi-process shard pool (:mod:`repro.service
-.fleet`) speaks the *same* frames over its parent↔worker pipes, so the
-encode/decode/limit logic lives here once and both transports import
-it — a frame captured on either wire is readable by the same tooling.
+.fleet`) speaks the *same* frames over its parent↔worker pipes and
+keeps them in its re-home journal, so the encode/decode/limit logic
+lives here once and both transports import it — a frame captured on
+either wire is readable by the same tooling.
 
 Two I/O flavors cover both sides of the shard boundary:
 
@@ -20,17 +35,15 @@ raising :class:`~repro.exceptions.ServiceError` on violations; a clean
 EOF reads as ``None`` so callers can tell "peer hung up" from "peer
 sent garbage".
 
-Chunk payloads (the hot frame) carry row-major float64 samples as
-base64 — :func:`chunk_message` / :func:`decode_chunk` are the only
-encode/decode pair, so the parent can route a client's chunk frame to a
-shard verbatim and the shard decodes it exactly as the single-process
-service would.
+:func:`chunk_message` / :func:`decode_chunk` are the only sample
+encode/decode pair, so the parent can route a client's chunk frame to
+a shard verbatim and the shard decodes it exactly as the
+single-process service would.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 import struct
 from typing import BinaryIO
@@ -66,30 +79,83 @@ __all__ = [
 #: garbage frame allocating gigabytes).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Version of the socket protocol spoken after a ``hello`` handshake.
-#: Versionless clients (no hello frame) speak the PR 7 legacy protocol,
-#: which stays accepted while the service has auth disabled.
-PROTOCOL_VERSION = 1
+#: Version of the socket protocol a ``hello`` handshake names.  Version
+#: 2 carries chunk samples as a raw float64 tail (version 1 sent them as
+#: base64 inside the JSON).  Clients that send no hello speak the same
+#: frames; they stay accepted while the service has auth disabled.
+PROTOCOL_VERSION = 2
 
 _LEN = struct.Struct(">I")
 
+#: First byte of a binary chunk payload, followed by the header length.
+_CHUNK_MARK = b"\x00"
+_CHUNK_HEAD = len(_CHUNK_MARK) + _LEN.size
 
-def encode_frame(message: dict) -> bytes:
-    """One canonical frame: length prefix + compact sorted-key JSON."""
-    payload = json.dumps(
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
+def _json(message: dict) -> bytes:
+    return json.dumps(
         message, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+
+
+def encode_frame(message: dict) -> bytes:
+    """One canonical frame: length prefix + compact sorted-key JSON, or
+    for a message whose ``data`` is bytes-like, the binary chunk form
+    (JSON header with ``data`` as the byte count, then the bytes)."""
+    data = message.get("data")
+    if isinstance(data, _BYTES_LIKE):
+        header = _json({**message, "data": len(data)})
+        return b"".join((
+            _LEN.pack(_CHUNK_HEAD + len(header) + len(data)),
+            _CHUNK_MARK,
+            _LEN.pack(len(header)),
+            header,
+            data,
+        ))
+    payload = _json(message)
     return _LEN.pack(len(payload)) + payload
 
 
-def decode_payload(payload: bytes) -> dict:
-    """Parse and validate one frame's payload bytes."""
+def _json_object(text: bytes) -> dict:
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = json.loads(str(text, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ServiceError(f"malformed frame: {exc}") from None
     if not isinstance(message, dict):
         raise ServiceError("frame payload must be a JSON object")
+    return message
+
+
+def decode_payload(payload: bytes) -> dict:
+    """Parse and validate one frame's payload bytes: a JSON object, or a
+    chunk's JSON header with its sample tail as ``data``."""
+    if payload[:1] != _CHUNK_MARK:
+        return _json_object(payload)
+    if len(payload) < _CHUNK_HEAD:
+        raise ServiceError("malformed frame: truncated chunk header")
+    (size,) = _LEN.unpack_from(payload, len(_CHUNK_MARK))
+    start = _CHUNK_HEAD + size
+    if start > len(payload):
+        raise ServiceError(
+            f"malformed frame: chunk header of {size} bytes overruns "
+            f"the {len(payload)}-byte payload"
+        )
+    message = _json_object(payload[_CHUNK_HEAD:start])
+    if message.get("op") != "chunk":
+        raise ServiceError(
+            f"malformed frame: op {message.get('op')!r} carries a "
+            f"binary tail; only chunk frames do"
+        )
+    declared = message.get("data")
+    tail = len(payload) - start
+    if type(declared) is not int or declared != tail:
+        raise ServiceError(
+            f"malformed frame: chunk header declares {declared!r} "
+            f"sample bytes, the payload carries {tail}"
+        )
+    message["data"] = memoryview(payload)[start:]
     return message
 
 
@@ -142,14 +208,20 @@ def _check_length(length: int) -> None:
 # asyncio flavor
 # ---------------------------------------------------------------------------
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:
-    """Read one frame from an asyncio stream; ``None`` on clean EOF."""
+    """Read one frame from an asyncio stream; ``None`` on EOF.
+
+    As in :func:`read_frame_sync`, a mid-frame EOF (the peer hung up
+    between prefix and the payload's end) reads as ``None``: a stream
+    cut inside a frame holds no request to answer.
+    """
     try:
         head = await reader.readexactly(_LEN.size)
+        (length,) = _LEN.unpack(head)
+        _check_length(length)
+        payload = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionResetError):
         return None
-    (length,) = _LEN.unpack(head)
-    _check_length(length)
-    return decode_payload(await reader.readexactly(length))
+    return decode_payload(payload)
 
 
 def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
@@ -188,7 +260,8 @@ def write_frame_sync(fp: BinaryIO, message: dict) -> None:
 # chunk payloads
 # ---------------------------------------------------------------------------
 def chunk_message(session_id: str, seq: int | None, chunk: np.ndarray) -> dict:
-    """Build the ``chunk`` frame for one sample block.
+    """Build the ``chunk`` frame for one sample block, its samples as
+    raw float64 bytes (a copy, so the caller may reuse ``chunk``).
 
     The inverse of :func:`decode_chunk`; benchmarks, tests, and the
     shard pool's in-process ingest path all build their frames here so
@@ -201,7 +274,7 @@ def chunk_message(session_id: str, seq: int | None, chunk: np.ndarray) -> dict:
         "op": "chunk",
         "session": str(session_id),
         "shape": list(chunk.shape),
-        "data": base64.b64encode(chunk.tobytes()).decode("ascii"),
+        "data": chunk.tobytes(),
     }
     if seq is not None:
         message["seq"] = int(seq)
@@ -209,10 +282,20 @@ def chunk_message(session_id: str, seq: int | None, chunk: np.ndarray) -> dict:
 
 
 def decode_chunk(message: dict) -> np.ndarray:
-    """Decode a ``chunk`` frame's samples back into a float64 array."""
+    """Decode a ``chunk`` frame's samples back into a float64 array.
+
+    The array owns its memory: the payload it was read from may live on
+    (the pool's re-home journal keeps admitted frames).
+    """
+    raw = message.get("data")
+    if not isinstance(raw, _BYTES_LIKE):
+        raise ServiceError(
+            f"bad chunk frame: samples travel as the frame's binary tail "
+            f"(protocol version {PROTOCOL_VERSION}), got 'data' of type "
+            f"{type(raw).__name__}"
+        )
     try:
         shape = tuple(int(v) for v in message["shape"])
-        raw = base64.b64decode(message["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"bad chunk frame: {exc}") from None
     if len(shape) != 2 or shape[0] < 1 or shape[1] < 0:

@@ -11,8 +11,9 @@ Backpressure propagates unchanged — a full queue surfaces the manager's
 :class:`~repro.service.manager.IngestResult` to the async caller and as
 an error frame to socket clients.
 
-Wire protocol: one length-prefixed JSON frame per message, both
-directions (:mod:`repro.service.framing`).  The verbs and their replies
+Wire protocol: one length-prefixed frame per message, both directions:
+JSON, except that a chunk's samples follow its JSON header as raw
+float64 bytes (:mod:`repro.service.framing`).  The verbs and their replies
 are documented on :func:`~repro.service.fleet.shard_dispatch`, the one
 verb table this service and every shard of the multi-process pool
 answer with; the ``hello`` handshake is :mod:`repro.service.admission`'s.

@@ -1036,7 +1036,6 @@ class TestServeSignals:
 
     @staticmethod
     def _serve_and_sigterm(extra_args, feed_session=False):
-        import base64
         import os
         import signal as signal_module
         import socket as socket_module
@@ -1045,6 +1044,8 @@ class TestServeSignals:
         import sys
 
         import numpy as np
+
+        from repro.service.framing import chunk_message, encode_frame
 
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -1066,8 +1067,7 @@ class TestServeSignals:
                 length = struct.Struct(">I")
                 with socket_module.create_connection(("127.0.0.1", port)) as sock:
                     def send(message):
-                        payload = json.dumps(message).encode()
-                        sock.sendall(length.pack(len(payload)) + payload)
+                        sock.sendall(encode_frame(message))
                         head = b""
                         while len(head) < 4:
                             head += sock.recv(4 - len(head))
@@ -1080,13 +1080,7 @@ class TestServeSignals:
                     assert send({"op": "open", "session": "p"})["ok"]
                     data = np.zeros((2, 1024), dtype=np.float64)
                     for seq in range(3):
-                        reply = send({
-                            "op": "chunk",
-                            "session": "p",
-                            "seq": seq,
-                            "shape": [2, 1024],
-                            "data": base64.b64encode(data.tobytes()).decode(),
-                        })
+                        reply = send(chunk_message("p", seq, data))
                         assert reply["ok"] and reply["accepted"]
             proc.send_signal(signal_module.SIGTERM)
             out, err = proc.communicate(timeout=120)

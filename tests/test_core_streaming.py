@@ -165,6 +165,21 @@ class TestPushChunks:
             widest = max(widest, stream._buffer.shape[1])
         assert widest <= stream.release_samples
 
+    @pytest.mark.parametrize("seconds", [1, 4])
+    def test_live_stream_settles_on_one_buffer(self, seconds):
+        # Once the first window is out, the retained samples move to the
+        # front of the buffer in place: a live stream stops allocating.
+        stream = StreamingFeatureExtractor(fs=FS)
+        width = seconds * 256
+        replaced, buffer = 0, None
+        for start in range(0, 32 * 256, width):
+            stream.push(self.STREAM[:, start : start + width])
+            if stream.windows_emitted:
+                replaced += buffer is not None and stream._buffer is not buffer
+                buffer = stream._buffer
+        assert stream.windows_emitted == 29
+        assert replaced <= 1
+
 
 class TestStreamingExtractorGuards:
     @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
@@ -195,6 +210,18 @@ class TestRollingBuffer:
     def test_nan_capacity_raises(self):
         with pytest.raises(FeatureError, match="capacity must be >= 1"):
             RollingFeatureBuffer(capacity=float("nan"), n_features=2)
+
+    @pytest.mark.parametrize("capacity", [2.5, 3.0, True, float("nan"), "3"])
+    def test_non_integer_capacity_raises(self, capacity):
+        # 2.5 was accepted and its first overflowing extend raised a
+        # bare TypeError from the slice arithmetic.
+        with pytest.raises(FeatureError, match="integral"):
+            RollingFeatureBuffer(capacity=capacity, n_features=2)
+
+    def test_numpy_integer_capacity_accepted(self):
+        buf = RollingFeatureBuffer(capacity=np.int64(2), n_features=1)
+        buf.extend(np.arange(3.0).reshape(3, 1))
+        assert buf.rows.ravel().tolist() == [1.0, 2.0]
 
     def test_wrong_feature_count_raises(self):
         buf = RollingFeatureBuffer(capacity=3, n_features=2)

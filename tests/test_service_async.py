@@ -2,7 +2,6 @@
 protocol, and service-vs-batch parity through the async path."""
 
 import asyncio
-import base64
 import json
 import struct
 
@@ -16,6 +15,7 @@ from repro.service import (
     SessionManager,
     batch_window_decisions,
 )
+from repro.service.framing import chunk_message, encode_frame
 
 FS = 256
 _LEN = struct.Struct(">I")
@@ -26,22 +26,10 @@ def run(coro):
 
 
 async def request(reader, writer, message):
-    payload = json.dumps(message).encode()
-    writer.write(_LEN.pack(len(payload)) + payload)
+    writer.write(encode_frame(message))
     await writer.drain()
     (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
     return json.loads(await reader.readexactly(length))
-
-
-def chunk_frame(session, seq, chunk):
-    chunk = np.ascontiguousarray(chunk, dtype=np.float64)
-    return {
-        "op": "chunk",
-        "session": session,
-        "seq": seq,
-        "shape": list(chunk.shape),
-        "data": base64.b64encode(chunk.tobytes()).decode(),
-    }
 
 
 class TestInProcessAsync:
@@ -146,7 +134,7 @@ class TestSocketProtocol:
                         reply = await request(
                             reader,
                             writer,
-                            chunk_frame(
+                            chunk_message(
                                 "p", seq, sample_record.data[:, lo : lo + 5 * FS]
                             ),
                         )
@@ -205,10 +193,10 @@ class TestSocketProtocol:
                 try:
                     await request(reader, writer, {"op": "open", "session": "p"})
                     await request(
-                        reader, writer, chunk_frame("p", 0, np.zeros((2, FS)))
+                        reader, writer, chunk_message("p", 0, np.zeros((2, FS)))
                     )
                     reply = await request(
-                        reader, writer, chunk_frame("p", 5, np.zeros((2, FS)))
+                        reader, writer, chunk_message("p", 5, np.zeros((2, FS)))
                     )
                 finally:
                     writer.close()
@@ -233,7 +221,7 @@ class TestSocketProtocol:
                             "op": "chunk",
                             "session": "p",
                             "shape": [2, 100],
-                            "data": base64.b64encode(b"short").decode(),
+                            "data": b"short",
                         },
                     )
                 finally:
@@ -314,7 +302,7 @@ class TestSocketProtocol:
                             ))
                         reply = await request(
                             reader, writer,
-                            chunk_frame("p", seq, record.data[:, lo : lo + step]),
+                            chunk_message("p", seq, record.data[:, lo : lo + step]),
                         )
                         assert reply["ok"] and reply["accepted"]
                     polled = await request(
@@ -370,7 +358,7 @@ class TestConcurrentClients:
                         lo = seq * 5 * FS
                         chunk = sample_record.data[:, lo : lo + 5 * FS]
                         replies = await asyncio.gather(*(
-                            request(r, w, chunk_frame(f"c{i}", seq, chunk))
+                            request(r, w, chunk_message(f"c{i}", seq, chunk))
                             for i, (r, w) in enumerate(conns)
                         ))
                         assert all(
@@ -416,7 +404,7 @@ class TestConcurrentClients:
                     bad, good = await asyncio.gather(
                         request(r1, w1, {"op": "bogus"}),
                         request(
-                            r2, w2, chunk_frame("b", 0, np.zeros((2, FS)))
+                            r2, w2, chunk_message("b", 0, np.zeros((2, FS)))
                         ),
                     )
                     after = await request(
@@ -451,7 +439,7 @@ class TestConcurrentClients:
                     eof = await r1.read(1)
                     # Client 2's connection is untouched.
                     survivor = await request(
-                        r2, w2, chunk_frame("b", 0, np.zeros((2, FS)))
+                        r2, w2, chunk_message("b", 0, np.zeros((2, FS)))
                     )
                 finally:
                     for writer in (w1, w2):

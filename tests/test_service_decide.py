@@ -29,7 +29,7 @@ from repro.service import (
     batch_window_decisions,
 )
 from repro.service.fleet import consume, shard_dispatch
-from repro.service.framing import chunk_message
+from repro.service.framing import chunk_message, encode_frame
 from repro.service.manager import DECIDE_WINDOWS
 
 FS = 256
@@ -259,12 +259,8 @@ class TestPerSessionBarrier:
             consumer.join()
 
     def test_socket_poll_leaves_other_sessions_queued(self, sample_record):
-        def frame(message):
-            payload = json.dumps(message).encode()
-            return _LEN.pack(len(payload)) + payload
-
         async def request(reader, writer, message):
-            writer.write(frame(message))
+            writer.write(encode_frame(message))
             await writer.drain()
             (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
             return json.loads(await reader.readexactly(length))

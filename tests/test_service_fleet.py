@@ -27,7 +27,7 @@ from repro.service import (
     shard_index_of,
 )
 from repro.service.fleet import consume, shard_dispatch
-from repro.service.framing import chunk_message
+from repro.service.framing import chunk_message, encode_frame
 
 FS = 256
 _LEN = struct.Struct(">I")
@@ -38,8 +38,7 @@ def run(coro):
 
 
 async def request(reader, writer, message):
-    payload = json.dumps(message).encode()
-    writer.write(_LEN.pack(len(payload)) + payload)
+    writer.write(encode_frame(message))
     await writer.drain()
     (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
     return json.loads(await reader.readexactly(length))
@@ -377,8 +376,7 @@ class TestOneWireProtocol:
         try:
             replies = []
             for message in frames + [{"op": "telemetry"}]:
-                payload = json.dumps(message).encode()
-                writer.write(_LEN.pack(len(payload)) + payload)
+                writer.write(encode_frame(message))
                 await writer.drain()
                 (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
                 replies.append(await reader.readexactly(length))
