@@ -25,6 +25,15 @@ on a sliding view of one stream (a 57-window cohort chunk and a whole
 copied contiguous, which run per window.  The outputs are asserted
 bitwise equal and the sliding form >= 2x faster, again in process.
 
+Page faults are printed, not asserted: the 57- and 64-window
+sliding-view Paper-10 calls (a cohort chunk and a service block) run
+with one 60 s synthesis block generated between calls, as in a cohort
+pass, and each call's µs per window and minor page faults
+(``resource.getrusage``) are reported.  A temporary allocated fresh
+per call may be mapped and faulted page by page on every call; the
+kernels' per-thread workspace (``repro.kernels.workspace``) exists to
+keep that figure near zero.
+
 ``REPRO_BENCH_QUICK=1`` shrinks the batch for the CI smoke leg.
 """
 
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import os
+import resource
 import time
 from unittest import mock
 
@@ -39,6 +49,7 @@ import numpy as np
 
 import repro.kernels
 from conftest import print_table, save_results
+from repro.data.synthetic import BackgroundEEGModel
 from repro.features.paper10 import Paper10FeatureExtractor
 from repro.kernels import (
     available_backends,
@@ -298,6 +309,58 @@ def test_sliding_dwt_speed():
         )
 
 
+#: Per-call batch sizes of the page-fault rows: a cohort chunk and a
+#: service block.
+FAULT_BATCHES = (57, 64)
+#: Calls per batch size in the page-fault rows.
+FAULT_CALLS = 30 if QUICK else 150
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def test_paper10_page_faults():
+    """µs per window and minor faults per sliding-view Paper-10 call,
+    with a synthesis block generated between calls.  Printed only."""
+    rng = np.random.default_rng(11)
+    extractor = Paper10FeatureExtractor()
+    model = BackgroundEEGModel()
+    rows = []
+    payload: dict = {"quick": QUICK, "batches": {}}
+    for n in FAULT_BATCHES:
+        view = _session_view(rng, n)
+        extractor.extract_batch(view, 256.0)  # warm-up
+        seconds, faults = [], []
+        for i in range(FAULT_CALLS):
+            # One 60 s record block, as a cohort pass synthesizes
+            # between its extraction calls.
+            block = next(model.iter_blocks(60 * 256, 256.0, (i,)))
+            del block
+            f0, t0 = _minor_faults(), time.perf_counter()
+            extractor.extract_batch(view, 256.0)
+            seconds.append(time.perf_counter() - t0)
+            faults.append(_minor_faults() - f0)
+        us_per_window = float(np.median(seconds)) / n * 1e6
+        faults_per_call = float(np.mean(faults))
+        rows.append(
+            [f"paper10 {n}-window sliding view", f"{us_per_window:.1f}",
+             f"{faults_per_call:.1f}"]
+        )
+        payload["batches"][n] = {
+            "us_per_window": us_per_window,
+            "minor_faults_per_call": faults_per_call,
+        }
+    print_table(
+        "Paper-10 calls between synthesis blocks (median µs, mean faults)"
+        + (" (quick)" if QUICK else ""),
+        ["batch", "µs/window", "minor faults/call"],
+        rows,
+    )
+    save_results("bench_kernels_faults" + ("_quick" if QUICK else ""), payload)
+
+
 if __name__ == "__main__":
     test_kernel_backends_speed()
     test_sliding_dwt_speed()
+    test_paper10_page_faults()

@@ -26,6 +26,7 @@ from ..data.records import SeizureAnnotation
 from ..exceptions import FeatureError, LabelingError
 from ..features.base import FeatureExtractor
 from ..features.paper10 import Paper10FeatureExtractor
+from ..kernels.workspace import scratch
 from ..signals.windowing import WindowSpec
 from .fast import a_posteriori_fast
 from .algorithm import DetectionResult
@@ -34,8 +35,13 @@ __all__ = ["StreamingFeatureExtractor", "RollingFeatureBuffer", "StreamingLabele
 
 #: Capacity a stream's sample buffer may keep after a push, in windows
 #: plus steps (5,120 samples per channel for 4 s / 1 s windows at
-#: 256 Hz, 20 s of signal).  A live stream's 1-4 s chunks stay below it;
-#: a service block of 64 steps goes past it and is released.
+#: 256 Hz, 20 s of signal).  A live stream's 1-4 s chunks stay below it
+#: and reuse a buffer of the stream's own.  A larger push (a service
+#: block of 64 steps, a cohort's 60 s chunk: 262-279 KB, past the
+#: 128 KiB where glibc's ``malloc`` maps a fresh allocation and faults it
+#: page by page) is laid out in the thread's workspace block buffer
+#: (:mod:`repro.kernels.workspace`) and released at the end of the push,
+#: down to a copy of the samples the stream still needs.
 RELEASE_WINDOWS = 4
 
 
@@ -51,8 +57,9 @@ class StreamingFeatureExtractor:
     Between pushes the stream holds the samples no emitted window has
     used yet (less than one window) in a buffer of at most
     :data:`RELEASE_WINDOWS` windows plus steps: chunks of a few seconds
-    reuse one buffer, and a larger push hands its buffer back once its
-    windows are out.
+    reuse one buffer, and a larger push runs in the thread's workspace
+    block buffer and keeps a copy of what it needs once its windows are
+    out.
     """
 
     def __init__(
@@ -113,9 +120,25 @@ class StreamingFeatureExtractor:
                 )
             blocks.append(chunk)
         self._append(blocks)
+        try:
+            return self._extract_ready()
+        finally:
+            # Drop samples no future window needs.
+            keep_from_abs = self._next_window * self._step
+            drop = keep_from_abs - self._consumed
+            if drop > 0:
+                self._head += drop
+                self._consumed = keep_from_abs
+            # A block push wrote into a block-sized workspace buffer:
+            # keep only the overlap tail, in a buffer of the stream's
+            # own, even when extraction failed.
+            if self._buffer.shape[1] > self.release_samples:
+                self._buffer = self._buffer[:, self._head : self._tail].copy()
+                self._head, self._tail = 0, self._buffer.shape[1]
 
-        # Every window whose last sample arrived in this push is ready;
-        # featurize them all in one batched call (a strided view over the
+    def _extract_ready(self) -> np.ndarray:
+        """Feature rows of every window whose last sample has arrived."""
+        # Featurize them all in one batched call (a strided view over the
         # buffer, no window copies) so the streaming path hits the same
         # batched kernels as whole-record extraction.
         avail = self._consumed + self._tail - self._head
@@ -123,33 +146,19 @@ class StreamingFeatureExtractor:
             n_ready = 0
         else:
             n_ready = (avail - self._win) // self._step + 1 - self._next_window
-        if n_ready > 0:
-            start = self._head + self._next_window * self._step - self._consumed
-            row, col = self._buffer.strides
-            # (window, channel, sample) view: window i starts i steps on.
-            tensor = np.ndarray(
-                (n_ready, self.n_channels, self._win),
-                buffer=self._buffer,
-                offset=start * col,
-                strides=(self._step * col, row, col),
-            )
-            rows = self.extractor.extract_batch(tensor, self.fs)
-            self._next_window += n_ready
-        else:
-            rows = np.empty((0, self.extractor.n_features))
-
-        # Drop samples no future window needs.
-        keep_from_abs = self._next_window * self._step
-        drop = keep_from_abs - self._consumed
-        if drop > 0:
-            self._head += drop
-            self._consumed = keep_from_abs
-        # A block push grew the buffer to the block's size: hand that
-        # memory back, keeping only the overlap tail.
-        if self._buffer.shape[1] > self.release_samples:
-            self._buffer = self._buffer[:, self._head : self._tail].copy()
-            self._head, self._tail = 0, self._buffer.shape[1]
-
+        if n_ready <= 0:
+            return np.empty((0, self.extractor.n_features))
+        start = self._head + self._next_window * self._step - self._consumed
+        row, col = self._buffer.strides
+        # (window, channel, sample) view: window i starts i steps on.
+        tensor = np.ndarray(
+            (n_ready, self.n_channels, self._win),
+            buffer=self._buffer,
+            offset=start * col,
+            strides=(self._step * col, row, col),
+        )
+        rows = self.extractor.extract_batch(tensor, self.fs)
+        self._next_window += n_ready
         return rows
 
     def _append(self, blocks: list[np.ndarray]) -> None:
@@ -165,10 +174,15 @@ class StreamingFeatureExtractor:
         n = sum(block.shape[1] for block in blocks)
         if self._tail + n > self._buffer.shape[1]:
             kept = self._tail - self._head
+            width = kept + n + self._step
             if kept + n <= self._buffer.shape[1]:
                 target = self._buffer
+            elif width > self.release_samples:
+                # Released at the end of this push: one buffer per
+                # thread serves every stream's block pushes.
+                target = scratch("stream.block", (self.n_channels, width))
             else:
-                target = np.empty((self.n_channels, kept + n + self._step))
+                target = np.empty((self.n_channels, width))
             # numpy buffers an overlapping in-place move.
             target[:, :kept] = self._buffer[:, self._head : self._tail]
             self._buffer, self._head, self._tail = target, 0, kept

@@ -15,7 +15,15 @@ import numpy as np
 from ..exceptions import SignalError
 from .shannon import binnable
 
-__all__ = ["renyi_entropy"]
+__all__ = ["renyi_entropy", "check_order"]
+
+
+def check_order(alpha: float) -> None:
+    """Refuse a Rényi order that is not finite and positive."""
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise SignalError(
+            f"Renyi order alpha must be finite and positive, got {alpha}"
+        )
 
 
 def renyi_entropy(
@@ -32,9 +40,9 @@ def renyi_entropy(
         Input series (e.g. DWT level-3 coefficients of one window).
     alpha:
         Entropy order; ``alpha -> 1`` recovers Shannon entropy, which is
-        used as the limit case here.  Must be positive and the estimator is
-        undefined for ``alpha == 1`` only formally — we dispatch to the
-        Shannon formula there.
+        used as the limit case here.  Must be finite and positive; the
+        estimator is undefined for ``alpha == 1`` only formally — we
+        dispatch to the Shannon formula there.
     bins:
         Number of equal-width histogram bins over the data range.
     normalize:
@@ -47,8 +55,7 @@ def renyi_entropy(
         (see :func:`~repro.entropy.shannon.binnable`) carry no amplitude
         information and return 0.0.
     """
-    if alpha <= 0:
-        raise SignalError(f"Renyi order alpha must be positive, got {alpha}")
+    check_order(alpha)
     if bins < 2:
         raise SignalError(f"need at least 2 histogram bins, got {bins}")
     x = np.asarray(x, dtype=float)

@@ -20,7 +20,18 @@ __all__ = [
     "sample_entropy",
     "approximate_entropy",
     "tolerance_std",
+    "check_tolerance",
 ]
+
+
+def check_tolerance(k: float, r: float | None) -> None:
+    """Refuse a tolerance factor ``k`` or an absolute tolerance ``r``
+    that is not finite and >= 0 (``r`` may be None)."""
+    for name, value in (("k", k), ("r", r)):
+        if value is not None and not (value >= 0 and math.isfinite(value)):
+            raise SignalError(
+                f"tolerance {name} must be finite and >= 0, got {value}"
+            )
 
 
 def tolerance_std(x: np.ndarray) -> np.ndarray:
@@ -118,6 +129,7 @@ def sample_entropy(
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
     if m < 1:
         raise SignalError(f"template length m must be >= 1, got {m}")
+    check_tolerance(k, r)
     n = x.size
     if n < m + 2:
         return 0.0
@@ -156,6 +168,7 @@ def approximate_entropy(
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
     if m < 1:
         raise SignalError(f"template length m must be >= 1, got {m}")
+    check_tolerance(k, r)
     n = x.size
     if n < m + 2:
         return 0.0

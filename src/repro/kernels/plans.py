@@ -25,6 +25,7 @@ from ..entropy.sample import embedding_indices
 from ..exceptions import FeatureError, SignalError
 from ..signals.spectral import EEG_BANDS
 from ..signals.wavelet import daubechies_filter, quadrature_mirror
+from .workspace import scratch
 
 __all__ = [
     "WaveletPlan",
@@ -108,10 +109,14 @@ _FUSED_BYTES = 512 * 1024
 
 #: The sliding form's cap on a fused level, in the same bytes: glibc's
 #: default mmap threshold.  Its stream levels are one long row, and a
-#: larger fused product is mapped and page-faulted on every call: under
-#: ``_FUSED_BYTES``, level 2 of a 57-window view fused 491 KB and took
-#: 0.24 ms inside the call, against 0.08 ms tap by tap; under a 256 KiB
-#: cap, level 3 (245 KB) took twice as long as the per-window path's.
+#: larger fused product allocated per call is mapped and page-faulted on
+#: every call: under ``_FUSED_BYTES``, level 2 of a 57-window view fused
+#: 491 KB and took 0.24 ms inside the call, against 0.08 ms tap by tap.
+#: Written into the workspace instead, levels fused up to
+#: ``_FUSED_BYTES`` were still no faster (0.60 against 0.59 ms for a
+#: 57-window view, 0.49 against 0.44 ms at 64) and would hold ~500 KB
+#: more of it, so larger levels keep running tap by tap, into workspace
+#: accumulators.
 _SLIDING_FUSED_BYTES = 128 * 1024
 
 #: Fewest rows of a sliding view that run the sliding form (see
@@ -277,7 +282,10 @@ class WaveletPlan:
       inner axis.  Both parts sum the same ``K`` products in the same
       order, so every row carries the per-window path's bits, and
       finiteness is checked once over the stream.  At 57 windows this
-      computes about 17k coefficient pairs instead of 58k.
+      computes about 17k coefficient pairs instead of 58k.  The stream
+      levels' polyphase copies and per-tap accumulators (123 KB each at
+      level 1 of a 57-window view) live in the per-thread workspace;
+      the detail arrays returned are the call's own.
     """
 
     def __init__(self, wavelet: int = 4, level: int = 7) -> None:
@@ -404,10 +412,13 @@ class WaveletPlan:
                 # each, as in the per-window polyphase layout.
                 count = (stream.size - len(self._taps)) // 2 + 1
                 width = count + len(self._pairs) - 1
-                poly = stream[: 2 * width].reshape(width, 2).T.copy()
+                poly = scratch("dwt.poly", (2, width))
+                np.copyto(poly, stream[: 2 * width].reshape(width, 2).T)
+                # The level's stream in workspace slots taken in turn:
+                # the next level still reads this one through ``lanes``.
                 acc = self._correlate(
                     poly, (item, width * item, 0, item), 1, count,
-                    _SLIDING_FUSED_BYTES,
+                    _SLIDING_FUSED_BYTES, f"dwt.stream{lvl % 2}",
                 )[:, 0]
                 stream = acc[0]
                 strides = ((hop >> lvl) * item, item)
@@ -427,13 +438,16 @@ class WaveletPlan:
         first: int,
         second: int,
         fused_bytes: int = _FUSED_BYTES,
+        slot: str | None = None,
     ) -> np.ndarray:
         """``(2, first, second)`` approximation and detail of ``source``,
         fused while the tap products take at most ``fused_bytes``.
 
         ``strides`` are the byte steps ``(pair, phase, across, along)``:
         tap ``t = 2 s + p`` of output ``[a, b]`` reads ``source`` at
-        ``s * pair + p * phase + a * across + b * along`` bytes.
+        ``s * pair + p * phase + a * across + b * along`` bytes.  A
+        per-tap level accumulates into workspace ``slot`` when one is
+        named, so its result is a workspace view.
         """
         pair, phase, across, along = strides
         pairs = len(self._pairs)
@@ -451,8 +465,11 @@ class WaveletPlan:
                 products.reshape(2 * pairs, 2, first, second), axis=0
             )
         taps = self._taps
-        acc = np.empty((2, first, second))
-        term = np.empty((2, first, second))
+        shape = (2, first, second)
+        if slot is None:
+            acc, term = np.empty(shape), np.empty(shape)
+        else:
+            acc, term = scratch(slot, shape), scratch("dwt.term", shape)
         np.multiply(taps[0], view[0, 0], out=acc)
         for t in range(1, len(taps)):
             np.multiply(taps[t], view[t // 2, t % 2], out=term)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
-from ..entropy.sample import sample_entropy
+from ..entropy.sample import check_tolerance, sample_entropy
 from ..exceptions import FeatureError, KernelError, SignalError
 from ..features.wavelet_features import dwt_details
 from ..signals.spectral import band_power_from_psd, welch_psd
@@ -66,11 +66,14 @@ def _tolerances(
     the single-factor form only.
     """
     if not isinstance(k, tuple):
+        check_tolerance(k, r)
         return (k,)
     if not k:
         raise SignalError("need at least one tolerance factor k")
     if r is not None:
         raise SignalError("an explicit r takes a single tolerance, not a k tuple")
+    for factor in k:
+        check_tolerance(factor, None)
     return k
 
 

@@ -10,12 +10,15 @@ the feature extractors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..exceptions import SignalError
 
 __all__ = [
     "EEG_BANDS",
+    "check_rate",
     "periodogram",
     "welch_psd",
     "band_power",
@@ -48,6 +51,14 @@ def _validate_signal(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def check_rate(fs: float) -> None:
+    """Refuse a sampling frequency that is not finite and positive."""
+    if not (fs > 0 and math.isfinite(fs)):
+        raise SignalError(
+            f"sampling frequency must be finite and positive, got {fs}"
+        )
+
+
 def periodogram(
     x: np.ndarray, fs: float, detrend: bool = True, window: str = "boxcar"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -71,8 +82,7 @@ def periodogram(
         ``trapezoid(psd, freqs)`` approximates the signal variance.
     """
     x = _validate_signal(x)
-    if fs <= 0:
-        raise SignalError(f"sampling frequency must be positive, got {fs}")
+    check_rate(fs)
     if detrend:
         x = x - x.mean()
     n = x.size
@@ -112,8 +122,7 @@ def welch_psd(
     ``nperseg`` a single full-length segment is used.
     """
     x = _validate_signal(x)
-    if fs <= 0:
-        raise SignalError(f"sampling frequency must be positive, got {fs}")
+    check_rate(fs)
     if not 0.0 <= overlap < 1.0:
         raise SignalError(f"overlap must be in [0, 1), got {overlap}")
     nperseg = int(min(nperseg, x.size))

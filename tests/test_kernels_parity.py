@@ -18,6 +18,7 @@ from repro.entropy.renyi import renyi_entropy
 from repro.entropy.sample import embedding_indices, sample_entropy
 from repro.exceptions import FeatureError, KernelError, SignalError
 from repro.features.paper10 import Paper10FeatureExtractor
+from repro.signals.spectral import band_power, welch_psd
 from repro.kernels import (
     available_backends,
     band_plan,
@@ -581,6 +582,48 @@ class TestShortWindowContract:
                 kern(np.ones((2, 64)), fs=256.0, bands=((8.0, 4.0),))
             with pytest.raises(KeyError):
                 kern(np.ones((2, 64)), fs=256.0, bands=("not_a_band",))
+
+
+_ROWS = np.random.default_rng(3).standard_normal((3, 64))
+
+#: Each kernel parameter that must be finite (and positive, or >= 0 for
+#: a tolerance), set to a bad value through every entry point: both
+#: backends of the kernel and the scalar functions behind them.
+_PARAMETER_CALLS = {
+    f"band_powers[{b}] fs": lambda v, b=b: get_kernel("band_powers", b)(
+        _ROWS, fs=v, bands=("theta",)
+    )
+    for b in ("reference", "vectorized")
+} | {
+    f"renyi_entropy[{b}] alpha": lambda v, b=b: get_kernel(
+        "renyi_entropy", b
+    )(_ROWS, alpha=v)
+    for b in ("reference", "vectorized")
+} | {
+    f"sample_entropy[{b}] {name}": lambda v, b=b, name=name: get_kernel(
+        "sample_entropy", b
+    )(_ROWS, **{name: v})
+    for b in ("reference", "vectorized")
+    for name in ("k", "r")
+} | {
+    "sample_entropy[vectorized] k tuple": lambda v: get_kernel(
+        "sample_entropy"
+    )(_ROWS, k=(0.2, v)),
+    "welch_psd fs": lambda v: welch_psd(_ROWS[0], v),
+    "band_power fs": lambda v: band_power(_ROWS[0], v, "theta"),
+    "renyi_entropy alpha": lambda v: renyi_entropy(_ROWS[0], alpha=v),
+    "sample_entropy k": lambda v: sample_entropy(_ROWS[0], k=v),
+    "sample_entropy r": lambda v: sample_entropy(_ROWS[0], r=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("call", sorted(_PARAMETER_CALLS))
+def test_non_finite_or_negative_parameter_raises(call, value):
+    # NaN used to flow through to NaN features or a SampEn count, inf
+    # to a bare ZeroDivisionError (fs) or NaN with warnings (alpha).
+    with pytest.raises(SignalError, match="must be finite"):
+        _PARAMETER_CALLS[call](value)
 
 
 class TestBandPowerLanes:
