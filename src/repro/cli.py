@@ -58,7 +58,7 @@ import sys
 import time
 from pathlib import Path
 
-from .exceptions import ReproError
+from .exceptions import ReproError, ServiceError, positive
 from .settings import (
     BACKPRESSURE_POLICIES,
     DEFAULT_CHUNK_S,
@@ -518,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
-        help="exit after S seconds (default: run until interrupted; "
-        "SIGTERM/SIGINT drain admitted chunks before exiting)",
+        help="exit after S seconds (default, or inf: run until "
+        "interrupted; SIGTERM/SIGINT drain admitted chunks before exiting)",
     )
     p_serve.add_argument(
         "--json", action="store_true",
@@ -1056,23 +1056,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .api import start_service
     from .service.fleet import ServiceShardPool
 
-    # The one numeric flag no library call owns.  Written so that NaN
-    # fails too: it would otherwise time out at once and exit 0.
-    if args.max_seconds is not None and not (
-        math.isfinite(args.max_seconds) and args.max_seconds > 0
+    # The one numeric flag no library call owns.  +inf, like no flag,
+    # serves until interrupted.
+    max_seconds = args.max_seconds
+    if max_seconds is not None and (
+        positive(max_seconds, "--max-seconds", ServiceError, inf=True) == math.inf
     ):
-        raise ValueError("--max-seconds must be positive")
+        max_seconds = None
     config = _service_config(args)
 
     async def wait_for_exit(stop_requested: asyncio.Event) -> None:
         """Block until the deadline or a termination signal — whichever
         comes first — so both paths funnel through the graceful drain."""
-        if args.max_seconds is None:  # pragma: no cover - interactive mode
+        if max_seconds is None:  # pragma: no cover - interactive mode
             await stop_requested.wait()
             return
         try:
             await asyncio.wait_for(
-                stop_requested.wait(), timeout=args.max_seconds
+                stop_requested.wait(), timeout=max_seconds
             )
         except TimeoutError:
             pass

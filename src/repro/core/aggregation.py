@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..exceptions import LabelingError
+from ..exceptions import LabelingError, integer, positive
 
 __all__ = [
     "geometric_mean",
@@ -89,7 +89,10 @@ def score_seizure(
     deltas_s: Sequence[float],
     delta_norms: Sequence[float],
 ) -> SeizureScore:
-    """Aggregate one seizure's samples: mean delta, geomean delta_norm."""
+    """Aggregate one seizure's samples: mean delta, geomean delta_norm.
+    ``patient_id`` is an integer >= 1, ``seizure_index`` one >= 0."""
+    integer(patient_id, "patient_id", LabelingError, 1)
+    integer(seizure_index, "seizure_index", LabelingError)
     if len(deltas_s) == 0 or len(deltas_s) != len(delta_norms):
         raise LabelingError(
             f"need equal nonzero sample counts, got {len(deltas_s)} / "
@@ -146,9 +149,9 @@ def fraction_within(
 
     Reproduces Sec. VI-A's "73.3% of the seizures are detected within 15
     seconds, 86.7% within 30 seconds and 93.3% within one minute".
+    ``threshold_s`` is finite and positive.
     """
-    if threshold_s <= 0:
-        raise LabelingError(f"threshold must be positive, got {threshold_s}")
+    positive(threshold_s, "threshold_s", LabelingError)
     scores = list(seizure_scores)
     if not scores:
         raise LabelingError("no seizure scores given")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import LabelingError
+from ..exceptions import LabelingError, integer, matrix, positive
 
 __all__ = ["DetectionResult", "a_posteriori_reference", "validate_inputs"]
 
@@ -61,23 +61,20 @@ class DetectionResult:
         return self.position, self.position + self.window_length
 
 
-def validate_inputs(features: np.ndarray, window_length: int) -> np.ndarray:
-    """Shared input validation for both implementations."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        raise LabelingError(
-            f"features must be (L, F), got shape {features.shape}"
-        )
+def validate_inputs(
+    features: np.ndarray, window_length: int, grid_step: int = 4
+) -> np.ndarray:
+    """Shared input validation for both implementations: a finite
+    ``(L, F)`` matrix, an integer ``1 <= W < L`` and an integer
+    ``grid_step >= 1`` that a float can hold (it divides ``L - W``)."""
+    features = matrix(features, "features", LabelingError)
     length = features.shape[0]
-    if window_length < 1:
-        raise LabelingError(f"window length W must be >= 1, got {window_length}")
-    if window_length >= length:
+    if integer(window_length, "window length W", LabelingError, 1) >= length:
         raise LabelingError(
             f"window length W={window_length} must be smaller than the "
             f"number of feature points L={length}"
         )
-    if not np.all(np.isfinite(features)):
-        raise LabelingError("features contain NaN or infinite values")
+    positive(integer(grid_step, "grid_step", LabelingError, 1), "grid_step", LabelingError)
     return features
 
 
@@ -125,17 +122,13 @@ def a_posteriori_reference(
     (a pure-Python transcription would be ~100x slower at identical
     semantics), but the window/point loops mirror the pseudo-code.
     """
-    features = validate_inputs(features, window_length)
-    if grid_step < 1:
-        raise LabelingError(f"grid_step must be >= 1, got {grid_step}")
+    features = validate_inputs(features, window_length, grid_step)
     if normalize:
         features = _normalize(features)
     length, _ = features.shape
     w = window_length
-    grid = np.arange(0, length, grid_step)
-    normalizer = (length - w) / grid_step
-    if normalizer <= 0:
-        raise LabelingError("degenerate geometry: (L - W) / grid_step <= 0")
+    grid = np.arange(0, length, min(grid_step, length))  # [0] for any step >= L
+    normalizer = (length - w) / grid_step  # > 0: W < L and grid_step >= 1
 
     distances = np.empty(length - w)
     for i in range(length - w):

@@ -14,7 +14,7 @@ edge.
 from __future__ import annotations
 
 from ..data.records import SeizureAnnotation
-from ..exceptions import LabelingError
+from ..exceptions import LabelingError, positive
 
 __all__ = ["deviation", "max_deviation", "normalized_deviation"]
 
@@ -31,10 +31,7 @@ def max_deviation(truth: SeizureAnnotation, signal_length_s: float) -> float:
     """The normalizer ``N`` of Eq. 2: the worst possible deviation for a
     seizure centred at ``truth``'s midpoint in a record of the given
     length."""
-    if signal_length_s <= 0:
-        raise LabelingError(
-            f"signal length must be positive, got {signal_length_s}"
-        )
+    positive(signal_length_s, "signal_length_s", LabelingError)
     mid = truth.midpoint_s
     if mid > signal_length_s:
         raise LabelingError(

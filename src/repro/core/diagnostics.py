@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import LabelingError
+from ..exceptions import LabelingError, integer
 from .algorithm import DetectionResult
 
 __all__ = ["LabelDiagnostics", "label_confidence", "top_k_detections"]
@@ -99,8 +99,7 @@ def top_k_detections(result: DetectionResult, k: int) -> list[int]:
     Returns positions in decreasing distance order; fewer than ``k`` are
     returned when the curve cannot host ``k`` disjoint windows.
     """
-    if k < 1:
-        raise LabelingError(f"k must be >= 1, got {k}")
+    integer(k, "k", LabelingError, 1)
     distances = np.asarray(result.distances, dtype=float).copy()
     w = result.window_length
     picks: list[int] = []

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import LabelingError
 from .algorithm import DetectionResult, _normalize, validate_inputs
 
 __all__ = ["a_posteriori_fast", "grid_distance_sums"]
@@ -74,7 +73,7 @@ def _window_grid_correction(
     length, n_feat = features.shape
     w = window_length
     n_win = length - w
-    grid = np.arange(0, length, grid_step)
+    grid = np.arange(0, length, min(grid_step, length))  # [0] for any step >= L
     band = grid[:, None] + np.arange(1 - w, w)  # (m, 2W - 1) point indices
     outside = (band < 0) | (band >= length)
     band = np.clip(band, 0, length - 1)
@@ -103,17 +102,13 @@ def a_posteriori_fast(
 ) -> DetectionResult:
     """Fast Algorithm 1; same inputs, outputs and semantics as
     :func:`~repro.core.algorithm.a_posteriori_reference`."""
-    features = validate_inputs(features, window_length)
-    if grid_step < 1:
-        raise LabelingError(f"grid_step must be >= 1, got {grid_step}")
+    features = validate_inputs(features, window_length, grid_step)
     if normalize:
         features = _normalize(features)
     length, _ = features.shape
     w = window_length
-    grid = np.arange(0, length, grid_step)
-    normalizer = (length - w) / grid_step
-    if normalizer <= 0:
-        raise LabelingError("degenerate geometry: (L - W) / grid_step <= 0")
+    grid = np.arange(0, length, min(grid_step, length))  # [0] for any step >= L
+    normalizer = (length - w) / grid_step  # > 0: W < L and grid_step >= 1
 
     # Full-grid sums per point, then sliding-window sums over the window.
     point_sums = grid_distance_sums(features, grid)  # (L, F)

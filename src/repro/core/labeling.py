@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.records import EEGRecord, SeizureAnnotation
-from ..exceptions import LabelingError
+from ..exceptions import LabelingError, integer, positive
 from ..features.base import FeatureExtractor, FeatureMatrix
 from ..features.extraction import extract_features
 from ..features.paper10 import Paper10FeatureExtractor
@@ -57,7 +57,7 @@ class APosterioriLabeler:
         Window geometry; defaults to 4 s windows, 1 s step, making feature
         indices equal to seconds.
     grid_step:
-        Outside-point subsampling (paper: 4).
+        Outside-point subsampling (paper: 4), an integer >= 1.
     """
 
     def __init__(
@@ -68,17 +68,13 @@ class APosterioriLabeler:
     ) -> None:
         self.extractor = extractor or Paper10FeatureExtractor()
         self.spec = spec or WindowSpec(length_s=4.0, step_s=1.0)
-        self.grid_step = grid_step
+        self.grid_step = integer(grid_step, "grid_step", LabelingError, 1)
 
     # ------------------------------------------------------------------
     def window_length_for(self, avg_seizure_duration_s: float) -> int:
         """Convert the expert prior (mean seizure duration, seconds) to
         Algorithm 1's ``W`` in feature steps."""
-        if avg_seizure_duration_s <= 0:
-            raise LabelingError(
-                f"average seizure duration must be positive, got "
-                f"{avg_seizure_duration_s}"
-            )
+        positive(avg_seizure_duration_s, "avg_seizure_duration_s", LabelingError)
         w = int(round(avg_seizure_duration_s / self.spec.step_s))
         return max(w, 1)
 

@@ -16,14 +16,12 @@ module implements that path:
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Sequence
 
 import numpy as np
 
 from ..data.records import SeizureAnnotation
-from ..exceptions import FeatureError, LabelingError
+from ..exceptions import FeatureError, LabelingError, integer, positive
 from ..features.base import FeatureExtractor
 from ..features.paper10 import Paper10FeatureExtractor
 from ..kernels.workspace import scratch
@@ -69,12 +67,8 @@ class StreamingFeatureExtractor:
         spec: WindowSpec | None = None,
         n_channels: int = 2,
     ) -> None:
-        if not (math.isfinite(fs) and fs > 0):
-            raise FeatureError(
-                f"sampling rate must be finite and positive, got {fs}"
-            )
-        if n_channels < 1:
-            raise FeatureError("need at least one channel")
+        positive(fs, "sampling rate", FeatureError)
+        integer(n_channels, "n_channels", FeatureError, 1)
         self.extractor = extractor or Paper10FeatureExtractor()
         self.fs = float(fs)
         self.spec = spec or WindowSpec(4.0, 1.0)
@@ -224,15 +218,7 @@ class RollingFeatureBuffer:
     """
 
     def __init__(self, capacity: int, n_features: int) -> None:
-        if (
-            not isinstance(capacity, numbers.Integral)
-            or isinstance(capacity, bool)
-            or capacity < 1
-        ):
-            raise FeatureError(
-                f"capacity must be >= 1 and integral, got {capacity!r}"
-            )
-        self.capacity = capacity
+        self.capacity = integer(capacity, "capacity", FeatureError, 1)
         self._data = np.empty((0, n_features))
         # Retained rows: _data[_start:_end].
         self._start = 0
@@ -291,8 +277,8 @@ class StreamingLabeler:
         extractor: FeatureExtractor | None = None,
         spec: WindowSpec | None = None,
     ) -> None:
-        if avg_seizure_duration_s <= 0:
-            raise LabelingError("average seizure duration must be positive")
+        positive(avg_seizure_duration_s, "avg_seizure_duration_s", LabelingError)
+        positive(lookback_s, "lookback_s", LabelingError)
         if lookback_s <= 2 * avg_seizure_duration_s:
             raise LabelingError("lookback must exceed twice the seizure duration")
         self.spec = spec or WindowSpec(4.0, 1.0)

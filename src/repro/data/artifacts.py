@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, at_least, positive
 from .synthetic import smooth_envelope
 
 __all__ = ["ArtifactSpec", "artifact_waveforms", "generate_artifact"]
@@ -60,12 +60,9 @@ class ArtifactSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise DataError(f"unknown artifact kind {self.kind!r}; use one of {_KINDS}")
-        if self.start_s < 0:
-            raise DataError("artifact start must be >= 0")
-        if self.duration_s <= 0:
-            raise DataError("artifact duration must be positive")
-        if self.amplitude_gain <= 0:
-            raise DataError("artifact amplitude gain must be positive")
+        at_least(self.start_s, "start_s", DataError, 0)
+        positive(self.duration_s, "duration_s", DataError)
+        positive(self.amplitude_gain, "amplitude_gain", DataError)
 
 
 def generate_artifact(

@@ -30,13 +30,11 @@ experiment can be replayed exactly from its configuration.
 from __future__ import annotations
 
 import functools
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, at_least, integer, positive
 from .artifacts import ArtifactSpec, artifact_waveforms
 from .patients import PAPER_PATIENTS, PatientProfile
 from .records import EEGRecord, SeizureAnnotation
@@ -61,13 +59,14 @@ def check_duration_range(duration_range_s) -> tuple[float, float]:
     record is drawn (numpy's uniform draw would overflow on ``inf`` and
     raise on a reversed range).
     """
-    lo, hi = (float(bound) for bound in duration_range_s)
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
+    lo, hi = duration_range_s
+    try:
+        at_least(hi, "max", DataError, positive(lo, "min", DataError))
+    except DataError as exc:
         raise DataError(
-            f"invalid duration range {tuple(duration_range_s)}: need "
-            f"finite bounds with 0 < min <= max"
-        )
-    return lo, hi
+            f"invalid duration range {tuple(duration_range_s)}: {exc}"
+        ) from None
+    return float(lo), float(hi)
 
 
 def _check_seed(seed) -> int:
@@ -78,14 +77,9 @@ def _check_seed(seed) -> int:
     seed 1, and NaN or infinity raised a bare numpy or ``int()`` error.
     An integral float (``3.0``) is the same seed as the int.
     """
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        number = float(seed)
-        value = int(number) if math.isfinite(number) and number.is_integer() else -1
-    if value < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
+    if isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    return int(integer(seed, "seed", DataError))
 
 
 def _check_duration(duration_s) -> float:
@@ -96,10 +90,7 @@ def _check_duration(duration_s) -> float:
     infinite duration overflowed the sample count and NaN failed inside
     numpy.
     """
-    duration = float(duration_s)
-    if not (math.isfinite(duration) and duration > 0):
-        raise DataError(f"duration must be finite and positive, got {duration_s}")
-    return duration
+    return float(positive(duration_s, "duration", DataError))
 
 
 @dataclass(frozen=True)
@@ -126,10 +117,10 @@ class SyntheticEEGDataset:
     patients:
         Cohort profiles (default: the paper-matched nine).
     fs:
-        Sampling frequency (paper/CHB-MIT: 256 Hz).
+        Sampling frequency (paper/CHB-MIT: 256 Hz), finite and positive.
     seed:
-        Root seed; all generated records are pure functions of
-        (seed, patient, seizure, sample).
+        Root seed, a non-negative integer; all generated records are
+        pure functions of (seed, patient, seizure, sample).
     duration_range_s:
         Record length range for :meth:`generate_sample`.  The paper uses
         (1800, 3600); benches may shrink this for tractable runtimes.
@@ -142,8 +133,7 @@ class SyntheticEEGDataset:
         seed: int = 2019,
         duration_range_s: tuple[float, float] = (1800.0, 3600.0),
     ) -> None:
-        if not (math.isfinite(fs) and fs > 0):
-            raise DataError(f"sampling rate must be finite and positive, got {fs}")
+        positive(fs, "sampling rate", DataError)
         self.duration_range_s = check_duration_range(duration_range_s)
         self.patients = tuple(patients)
         self.fs = float(fs)
@@ -171,6 +161,12 @@ class SyntheticEEGDataset:
     def _rng(
         self, patient: int, seizure: int, sample: int, purpose: int
     ) -> np.random.Generator:
+        """The generator of one record: a pure function of the dataset
+        seed and the record's integer coordinates."""
+        for name, value in (
+            ("patient_id", patient), ("seizure_index", seizure), ("sample_index", sample)
+        ):
+            integer(value, name, DataError)
         ss = np.random.SeedSequence([self.seed, purpose, patient, seizure, sample])
         return np.random.default_rng(ss)
 
@@ -194,10 +190,12 @@ class SyntheticEEGDataset:
         )
 
     def seizure_events(self, patient_id: int | None = None) -> list[SeizureEvent]:
-        """All seizure events, optionally restricted to one patient."""
+        """All seizure events, optionally restricted to one of this
+        dataset's patients (another id raises :class:`DataError`)."""
         events = sorted(self._events.values(), key=lambda e: e.key)
         if patient_id is None:
             return events
+        self.profile(patient_id)
         return [e for e in events if e.patient_id == patient_id]
 
     def event(self, patient_id: int, seizure_index: int) -> SeizureEvent:

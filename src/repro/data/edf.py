@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, integer
 from .records import EEGRecord, SeizureAnnotation
 
 __all__ = [
@@ -275,10 +275,7 @@ def iter_edf_record_groups(
     group is bit-identical to :func:`read_edf`'s array (before padding
     trim).  Peak memory is one group, whatever the file length.
     """
-    if records_per_read < 1:
-        raise DataError(
-            f"records_per_read must be >= 1, got {records_per_read}"
-        )
+    integer(records_per_read, "records_per_read", DataError, 1)
     ns = header.n_signals
     spr = header.samples_per_record
     span = [

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import DataError
+from ..exceptions import DataError, at_least, finite, integer, positive
 from .seizures import SeizureMorphology
 from .synthetic import BackgroundEEGModel
 
@@ -54,6 +54,12 @@ class PatientProfile:
         paper's 373-443 s outlier deviations.
     artifact_gain:
         Burst amplitude relative to background RMS.
+
+    Counts are integers (``patient_id`` and ``n_seizures`` >= 1,
+    ``clutter_bursts`` >= 0); durations and gains are finite and
+    positive, except ``seizure_jitter_s`` in ``[0, mean_seizure_s)``, a
+    finite ``artifact_offset_s`` of either sign and an
+    ``artifact_duration_s`` of 0 or more.
     """
 
     patient_id: int
@@ -83,20 +89,23 @@ class PatientProfile:
     clutter_duration_s: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.clutter_bursts < 0 or self.clutter_gain <= 0:
-            raise DataError("invalid clutter configuration")
-        if self.patient_id < 1:
-            raise DataError("patient_id must be >= 1")
-        if self.n_seizures < 1:
-            raise DataError("each patient needs at least one seizure")
-        if self.mean_seizure_s <= 0:
-            raise DataError("mean seizure duration must be positive")
-        if not 0 <= self.seizure_jitter_s < self.mean_seizure_s:
-            raise DataError("seizure jitter must be in [0, mean)")
-        if self.artifact_near_seizure is not None and not (
-            0 <= self.artifact_near_seizure < self.n_seizures
+        integer(self.patient_id, "patient_id", DataError, 1)
+        integer(self.n_seizures, "n_seizures", DataError, 1)
+        positive(self.mean_seizure_s, "mean_seizure_s", DataError)
+        if at_least(self.seizure_jitter_s, "seizure_jitter_s", DataError, 0) >= (
+            self.mean_seizure_s
         ):
+            raise DataError("seizure jitter must be in [0, mean)")
+        if self.artifact_near_seizure is not None and integer(
+            self.artifact_near_seizure, "artifact_near_seizure", DataError
+        ) >= self.n_seizures:
             raise DataError("artifact_near_seizure index out of range")
+        finite(self.artifact_offset_s, "artifact_offset_s", DataError)
+        positive(self.artifact_gain, "artifact_gain", DataError)
+        at_least(self.artifact_duration_s, "artifact_duration_s", DataError, 0)
+        integer(self.clutter_bursts, "clutter_bursts", DataError)
+        positive(self.clutter_gain, "clutter_gain", DataError)
+        positive(self.clutter_duration_s, "clutter_duration_s", DataError)
 
     @property
     def effective_artifact_duration_s(self) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, at_least, finite, positive, within
 
 __all__ = [
     "SeizureAnnotation",
@@ -25,7 +25,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeizureAnnotation:
-    """A labeled seizure interval ``[onset_s, offset_s]`` in record time."""
+    """A labeled seizure interval ``[onset_s, offset_s]`` in record time:
+    finite, ``0 <= onset_s < offset_s``."""
 
     onset_s: float
     offset_s: float
@@ -35,11 +36,10 @@ class SeizureAnnotation:
     source: str = "expert"
 
     def __post_init__(self) -> None:
-        if self.onset_s < 0:
-            raise DataError(f"onset must be >= 0, got {self.onset_s}")
-        if self.offset_s <= self.onset_s:
+        at_least(self.onset_s, "onset_s", DataError, 0)
+        if finite(self.offset_s, "offset_s", DataError) <= self.onset_s:
             raise DataError(
-                f"offset ({self.offset_s}) must exceed onset ({self.onset_s})"
+                f"offset_s ({self.offset_s}) must exceed onset_s ({self.onset_s})"
             )
 
     @property
@@ -74,7 +74,8 @@ class EEGRecord:
     data:
         Array of shape (n_channels, n_samples), in microvolts.
     fs:
-        Sampling frequency in Hz (CHB-MIT and the paper: 256).
+        Sampling frequency in Hz (CHB-MIT and the paper: 256), finite
+        and positive.
     channel_names:
         One name per row of ``data`` (default: ("F7T3", "F8T4")).
     annotations:
@@ -94,8 +95,7 @@ class EEGRecord:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2:
             raise DataError(f"data must be (channels, samples), got {self.data.shape}")
-        if self.fs <= 0:
-            raise DataError(f"sampling frequency must be positive, got {self.fs}")
+        positive(self.fs, "fs", DataError)
         if len(self.channel_names) != self.data.shape[0]:
             raise DataError(
                 f"{len(self.channel_names)} channel names for "
@@ -220,8 +220,7 @@ def duration_window_labels(
     here, so the batch and streamed scoring paths cannot drift on the
     edge handling.
     """
-    if step_s <= 0:
-        raise DataError(f"step must be positive, got {step_s}")
+    positive(step_s, "step", DataError)
     n_win = int((duration_s - window_s) // step_s) + 1 if (
         duration_s >= window_s
     ) else 0
@@ -245,8 +244,7 @@ def interval_window_labels(
     cohort engine's predicted-label masks both delegate here, so the
     convention cannot drift between the truth and prediction sides.
     """
-    if not 0.0 < min_overlap <= 1.0:
-        raise DataError(f"min_overlap must be in (0, 1], got {min_overlap}")
+    within(min_overlap, "min_overlap", DataError, "(0, 1]")
     t0 = np.arange(max(n_windows, 0)) * step_s
     t1 = t0 + window_s
     inter = np.zeros(t0.size)

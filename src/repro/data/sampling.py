@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .dataset import SeizureEvent, SyntheticEEGDataset
+from ..exceptions import DataError, integer
+from .dataset import SeizureEvent, SyntheticEEGDataset, check_duration_range
 from .records import EEGRecord
 
 __all__ = [
@@ -48,17 +49,25 @@ def iter_evaluation_samples(
 ) -> Iterator[EvaluationSample]:
     """Yield evaluation samples for every seizure (optionally one patient).
 
-    Records are generated lazily; nothing is cached, so memory stays flat
-    regardless of the total sample count.
+    ``samples_per_seizure`` is an integer >= 1; it, ``patient_id`` and
+    ``duration_range_s`` are checked on the call, not on the first
+    sample.  Records are generated lazily; nothing is cached, so memory
+    stays flat regardless of the total sample count.
     """
-    for event in dataset.seizure_events(patient_id):
-        for sample_index in range(samples_per_seizure):
-            record = dataset.generate_sample(
+    integer(samples_per_seizure, "samples_per_seizure", DataError, 1)
+    if duration_range_s is not None:
+        check_duration_range(duration_range_s)
+    return (
+        EvaluationSample(
+            event=event,
+            sample_index=sample_index,
+            record=dataset.generate_sample(
                 event.patient_id,
                 event.seizure_index,
                 sample_index,
                 duration_range_s=duration_range_s,
-            )
-            yield EvaluationSample(
-                event=event, sample_index=sample_index, record=record
-            )
+            ),
+        )
+        for event in dataset.seizure_events(patient_id)
+        for sample_index in range(samples_per_seizure)
+    )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, positive, within
 from .synthetic import shape_pink
 
 __all__ = [
@@ -70,16 +70,12 @@ class SeizureMorphology:
     buildup_fraction: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.onset_freq_hz <= 0 or self.offset_freq_hz <= 0:
-            raise DataError("discharge frequencies must be positive")
-        if not 0 < self.sharpness <= 1.0:
-            raise DataError(f"sharpness must be in (0, 1], got {self.sharpness}")
-        if not 0 <= self.chaos < 1.0:
-            raise DataError(f"chaos must be in [0, 1), got {self.chaos}")
-        if not 0 < self.buildup_fraction < 0.5:
-            raise DataError("buildup_fraction must be in (0, 0.5)")
-        if self.amplitude_gain <= 0:
-            raise DataError("amplitude_gain must be positive")
+        positive(self.onset_freq_hz, "onset_freq_hz", DataError)
+        positive(self.offset_freq_hz, "offset_freq_hz", DataError)
+        positive(self.amplitude_gain, "amplitude_gain", DataError)
+        within(self.sharpness, "sharpness", DataError, "(0, 1]")
+        within(self.chaos, "chaos", DataError, "[0, 1)")
+        within(self.buildup_fraction, "buildup_fraction", DataError, "(0, 0.5)")
 
 
 def _sharpen(wave: np.ndarray, exponent: float) -> np.ndarray:
@@ -89,9 +85,7 @@ def _sharpen(wave: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _ictal_samples(duration_s: float, fs: float) -> int:
-    if duration_s <= 0:
-        raise DataError(f"duration must be positive, got {duration_s}")
-    n = int(round(duration_s * fs))
+    n = int(round(positive(duration_s, "duration", DataError) * fs))
     if n < 8:
         raise DataError("seizure too short to synthesize (<8 samples)")
     return n

@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import os
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, integer, positive
 from .records import EEGRecord, SeizureAnnotation, duration_window_labels
 from .synthetic import GENERATOR_VERSION, BackgroundEEGModel
 
@@ -83,8 +82,7 @@ def rechunk(
     views into producer chunks; each sample range is emitted exactly
     once, so in-place mutation by the consumer is safe.
     """
-    if chunk_samples < 1:
-        raise DataError(f"chunk_samples must be >= 1, got {chunk_samples}")
+    integer(chunk_samples, "chunk_samples", DataError, 1)
     pending: list[np.ndarray] = []
     have = 0
     for chunk in chunks:
@@ -142,8 +140,7 @@ class RecordSource(ABC):
 
     def chunk_samples(self, chunk_s: float) -> int:
         """Samples per streamed chunk for a chunk length in seconds."""
-        if not (math.isfinite(chunk_s) and chunk_s > 0):
-            raise DataError(f"chunk_s must be finite and positive, got {chunk_s}")
+        positive(chunk_s, "chunk_s", DataError)
         return max(1, int(round(chunk_s * self.fs)))
 
     def window_labels(
@@ -323,10 +320,9 @@ class SyntheticRecordSource(RecordSource):
         patient_id: str = "",
         record_id: str = "",
     ) -> None:
-        if n_samples < 2:
-            raise DataError(f"need at least 2 samples, got {n_samples}")
-        if fs <= 0:
-            raise DataError(f"sampling rate must be positive, got {fs}")
+        integer(n_samples, "n_samples", DataError, 2)
+        positive(fs, "sampling rate", DataError)
+        integer(n_channels, "n_channels", DataError, 1)
         for patch in patches:
             if not 0 <= patch.channel < n_channels:
                 raise DataError(f"patch channel {patch.channel} out of range")
@@ -466,8 +462,11 @@ def record_content_digest(
     — so the value is invariant to the chunk size used to stream *and*
     identical between a source and its materialized record.  This is the
     record component of the feature cache/store key: re-runs over the
-    same data hit regardless of ``--chunk-s``.
+    same data hit regardless of ``--chunk-s``.  ``digest_size`` is
+    blake2b's, an integer in [1, 64] bytes.
     """
+    if integer(digest_size, "digest_size", DataError, 1) > 64:
+        raise DataError(f"digest_size must be at most 64, got {digest_size!r}")
     if isinstance(source, EEGRecord):
         source = ArrayRecordSource(source)
     hashers = [

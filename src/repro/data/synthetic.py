@@ -41,13 +41,12 @@ length and cropped.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ..exceptions import DataError
+from ..exceptions import DataError, at_least, finite, integer, positive, within
 
 __all__ = [
     "CONTROL_STEP",
@@ -223,8 +222,7 @@ def smooth_envelope(
     ``timescale_s`` seconds and squashing through a logistic; models the
     waxing/waning of rhythmic EEG activity.
     """
-    if not (math.isfinite(timescale_s) and timescale_s > 0):
-        raise DataError(f"timescale must be positive and finite, got {timescale_s}")
+    positive(timescale_s, "timescale", DataError)
     kernel = max(2, int(round(timescale_s * fs)))
     raw = rng.standard_normal(n + 2 * kernel)
     # Two moving-average passes (triangular kernel): kills the per-sample
@@ -327,18 +325,12 @@ class BackgroundEEGModel:
     line_noise_uv: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "amplitude_uv", "pink_exponent", "alpha_fraction",
-            "alpha_freq_hz", "line_noise_uv",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.amplitude_uv <= 0:
-            raise DataError("amplitude_uv must be positive")
-        if not 0.0 <= self.shared_fraction <= 1.0:
-            raise DataError("shared_fraction must be in [0, 1]")
-        if self.alpha_fraction < 0:
-            raise DataError("alpha_fraction must be >= 0")
+        positive(self.amplitude_uv, "amplitude_uv", DataError)
+        finite(self.pink_exponent, "pink_exponent", DataError)
+        at_least(self.alpha_fraction, "alpha_fraction", DataError, 0)
+        finite(self.alpha_freq_hz, "alpha_freq_hz", DataError)
+        within(self.shared_fraction, "shared_fraction", DataError, "[0, 1]")
+        finite(self.line_noise_uv, "line_noise_uv", DataError)
 
     def _one_source(self, n: int, fs: float, rng: np.random.Generator) -> np.ndarray:
         floor = pink_noise(n, rng, self.pink_exponent, fs)
@@ -396,10 +388,8 @@ class BackgroundEEGModel:
         is *the* definition of the record's background waveform.  Peak
         memory is one block, whatever the record duration.
         """
-        if fs <= 0:
-            raise DataError(f"sampling rate must be positive, got {fs}")
-        if n_channels < 1:
-            raise DataError("need at least one channel")
+        positive(fs, "sampling rate", DataError)
+        integer(n_channels, "n_channels", DataError, 1)
         w_shared = np.sqrt(self.shared_fraction)
         w_local = np.sqrt(1.0 - self.shared_fraction)
         for index, (start, stop) in enumerate(block_spans(n_samples, fs)):

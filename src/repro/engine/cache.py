@@ -38,7 +38,7 @@ from collections import OrderedDict
 import numpy as np
 
 from ..data.sources import RecordSource, record_content_digest
-from ..exceptions import EngineError
+from ..exceptions import EngineError, integer
 from ..features.base import FeatureExtractor, FeatureMatrix
 from ..signals.windowing import WindowSpec
 from .chunked import DEFAULT_CHUNK_S, extract_features_from_source
@@ -126,9 +126,7 @@ class FeatureCache:
     """
 
     def __init__(self, capacity: int = 8, store=None) -> None:
-        if capacity < 1:
-            raise EngineError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = integer(capacity, "capacity", EngineError, 1)
         self.store = store
         self.hits = 0
         self.misses = 0

@@ -22,12 +22,11 @@ engine results == sequential-pipeline results.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 
 from ..data.sources import RecordSource
-from ..exceptions import FeatureError
+from ..exceptions import FeatureError, positive
 from ..features.base import FeatureExtractor, FeatureMatrix
 from ..features.paper10 import Paper10FeatureExtractor
 from ..core.streaming import StreamingFeatureExtractor
@@ -80,8 +79,7 @@ def extract_features_from_source(
     """
     extractor = extractor or Paper10FeatureExtractor()
     spec = spec or WindowSpec(length_s=4.0, step_s=1.0)
-    if not (math.isfinite(chunk_s) and chunk_s > 0):
-        raise FeatureError(f"chunk_s must be finite and positive, got {chunk_s}")
+    positive(chunk_s, "chunk_s", FeatureError)
     if spec.n_windows(source.n_samples, source.fs) == 0:
         raise FeatureError(
             f"record of {source.duration_s:.1f}s shorter than one "

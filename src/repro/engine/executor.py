@@ -47,7 +47,6 @@ uninterrupted run.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -56,7 +55,7 @@ from ..core.labeling import APosterioriLabeler
 from ..data.dataset import SyntheticEEGDataset
 from ..data.records import SeizureAnnotation, interval_window_labels
 from ..data.sources import RecordSource
-from ..exceptions import EngineError
+from ..exceptions import EngineError, integer, positive
 from ..ml.metrics import classification_report
 from ..settings import EXECUTORS
 from .cache import FeatureCache
@@ -284,20 +283,12 @@ class CohortEngine:
             raise EngineError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
-        if max_workers is not None and max_workers < 1:
-            raise EngineError(f"max_workers must be >= 1, got {max_workers}")
-        if store_max_bytes is not None and store_max_bytes < 1:
-            raise EngineError(
-                f"store_max_bytes must be >= 1 or None, got {store_max_bytes}"
-            )
-        if not (math.isfinite(chunk_s) and chunk_s > 0):
-            raise EngineError(
-                f"chunk_s (--chunk-s) must be finite and > 0, got {chunk_s}"
-            )
-        if cache_capacity < 1:
-            raise EngineError(
-                f"cache_capacity must be >= 1, got {cache_capacity}"
-            )
+        if max_workers is not None:
+            integer(max_workers, "max_workers", EngineError, 1)
+        if store_max_bytes is not None:
+            integer(store_max_bytes, "store_max_bytes", EngineError, 1)
+        positive(chunk_s, "chunk_s (--chunk-s)", EngineError)
+        integer(cache_capacity, "cache_capacity", EngineError, 1)
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.executor = executor
         self.config = EngineConfig(
@@ -372,10 +363,8 @@ class CohortEngine:
         :class:`CohortCheckpoint`'s default compaction cadence; pass a
         :class:`CohortCheckpoint` object to choose another.
         """
-        if max_failures is not None and max_failures < 0:
-            raise EngineError(
-                f"max_failures must be >= 0 or None, got {max_failures}"
-            )
+        if max_failures is not None:
+            integer(max_failures, "max_failures", EngineError)
         if tasks is None:
             tasks = cohort_tasks(
                 self.config.dataset,

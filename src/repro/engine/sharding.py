@@ -54,7 +54,6 @@ re-collects, merges, and returns the verified report.
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -62,8 +61,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..data.dataset import SyntheticEEGDataset
-from ..exceptions import CheckpointError, ShardError
+from ..data.dataset import SyntheticEEGDataset, check_duration_range
+from ..exceptions import CheckpointError, ShardError, at_least, integer, positive
 from ..settings import SHARD_STRATEGIES
 from .checkpoint import (
     CohortCheckpoint,
@@ -134,8 +133,7 @@ def partition_tasks(
     ``"strided"``.
     """
     tasks = tuple(tasks)
-    if n_shards < 1:
-        raise ShardError(f"n_shards must be >= 1, got {n_shards}")
+    integer(n_shards, "n_shards", ShardError, 1)
     if strategy not in SHARD_STRATEGIES:
         raise ShardError(
             f"strategy must be one of {SHARD_STRATEGIES}, got {strategy!r}"
@@ -146,17 +144,14 @@ def partition_tasks(
                 "weights require the contiguous strategy; strided is a "
                 "fixed round-robin and cannot honor per-task costs"
             )
-        weights = [float(w) for w in weights]
+        weights = [
+            float(at_least(weight, f"weights[{index}]", ShardError, 0))
+            for index, weight in enumerate(weights)
+        ]
         if len(weights) != len(tasks):
             raise ShardError(
                 f"weights length {len(weights)} != task count {len(tasks)}"
             )
-        for index, weight in enumerate(weights):
-            if not (weight >= 0.0) or weight == float("inf"):
-                raise ShardError(
-                    f"weights[{index}] must be finite and >= 0, "
-                    f"got {weights[index]!r}"
-                )
         # Greedy LPT: heaviest task first, onto the lightest shard.
         order = sorted(range(len(tasks)), key=lambda i: (-weights[i], i))
         loads = [0.0] * n_shards
@@ -209,7 +204,9 @@ class ShardSpec:
     tasks: tuple[RecordTask, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.shard_index < self.n_shards:
+        check_duration_range(self.duration_range_s)
+        integer(self.n_shards, "n_shards", ShardError, 1)
+        if integer(self.shard_index, "shard_index", ShardError) >= self.n_shards:
             raise ShardError(
                 f"shard_index must be in [0, {self.n_shards}), got "
                 f"{self.shard_index}"
@@ -711,16 +708,12 @@ class ShardLauncher:
         chunk_s: float | None = None,
         fail_fast: bool = True,
     ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ShardError(f"jobs (--jobs) must be >= 1, got {jobs}")
-        if shard_workers is not None and shard_workers < 1:
-            raise ShardError(
-                f"shard_workers must be >= 1 or None, got {shard_workers}"
-            )
-        if chunk_s is not None and not (math.isfinite(chunk_s) and chunk_s > 0):
-            raise ShardError(
-                f"chunk_s (--chunk-s) must be finite and positive, got {chunk_s}"
-            )
+        if jobs is not None:
+            integer(jobs, "jobs (--jobs)", ShardError, 1)
+        if shard_workers is not None:
+            integer(shard_workers, "shard_workers", ShardError, 1)
+        if chunk_s is not None:
+            positive(chunk_s, "chunk_s (--chunk-s)", ShardError)
         self.plan_dir = Path(plan_dir)
         self.jobs = jobs
         #: Worker-pool size *inside* each shard (default 1: concurrency

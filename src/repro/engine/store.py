@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..exceptions import EngineError, ReproError
+from ..exceptions import EngineError, ReproError, integer
 from ..features.base import FeatureMatrix
 from ..signals.windowing import WindowSpec
 
@@ -152,10 +152,8 @@ class DiskFeatureStore:
         self, root: str | os.PathLike, max_bytes: int | None = None
     ) -> None:
         self.root = Path(root)
-        if max_bytes is not None and max_bytes < 1:
-            raise EngineError(
-                f"max_bytes must be >= 1 or None, got {max_bytes}"
-            )
+        if max_bytes is not None:
+            integer(max_bytes, "max_bytes", EngineError, 1)
         self.max_bytes = max_bytes
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -237,10 +235,8 @@ class DiskFeatureStore:
         (default: the store's own bound).  Returns removal counts and
         the surviving entry count/size.
         """
-        if max_bytes is not None and max_bytes < 0:
-            raise EngineError(
-                f"gc max_bytes must be >= 0 or None, got {max_bytes}"
-            )
+        if max_bytes is not None:
+            integer(max_bytes, "max_bytes", EngineError)
         removed = {"corrupt": 0, "stale": 0}
         for path in self.entry_paths():
             status = self._classify(path)

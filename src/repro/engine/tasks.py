@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..data.dataset import SyntheticEEGDataset, check_duration_range
-from ..exceptions import EngineError
+from ..exceptions import EngineError, integer
 
 __all__ = ["RecordTask", "cohort_tasks"]
 
@@ -30,13 +30,9 @@ class RecordTask:
     duration_range_s: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.patient_id < 1:
-            raise EngineError(f"patient_id must be >= 1, got {self.patient_id}")
-        if self.seizure_index < 0 or self.sample_index < 0:
-            raise EngineError(
-                f"seizure/sample indices must be >= 0, got "
-                f"{self.seizure_index}/{self.sample_index}"
-            )
+        integer(self.patient_id, "patient_id", EngineError, 1)
+        integer(self.seizure_index, "seizure_index", EngineError)
+        integer(self.sample_index, "sample_index", EngineError)
         if self.duration_range_s is not None:
             check_duration_range(self.duration_range_s)
 
@@ -57,10 +53,7 @@ def cohort_tasks(
     One task per (seizure, sample) pair, in canonical order — the Sec.
     VI-A protocol expressed as an explicit, shardable work list.
     """
-    if samples_per_seizure < 1:
-        raise EngineError(
-            f"samples_per_seizure must be >= 1, got {samples_per_seizure}"
-        )
+    integer(samples_per_seizure, "samples_per_seizure", EngineError, 1)
     if patient_ids is not None:
         known = {p.patient_id for p in dataset.patients}
         unknown = sorted(set(patient_ids) - known)

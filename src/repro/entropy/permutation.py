@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..exceptions import SignalError
+from ..exceptions import SignalError, integer
 
 __all__ = ["lehmer_codes", "ordinal_patterns", "permutation_entropy"]
 
@@ -50,10 +50,8 @@ def ordinal_patterns(x: np.ndarray, order: int, delay: int = 1) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
-    if order < 2:
-        raise SignalError(f"permutation order must be >= 2, got {order}")
-    if delay < 1:
-        raise SignalError(f"delay must be >= 1, got {delay}")
+    integer(order, "order", SignalError, 2)
+    integer(delay, "delay", SignalError, 1)
     if np.isnan(x).any():
         raise SignalError("ordinal patterns are undefined for NaN samples")
     n_vec = x.size - (order - 1) * delay

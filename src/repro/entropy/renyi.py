@@ -12,18 +12,10 @@ import math
 
 import numpy as np
 
-from ..exceptions import SignalError
+from ..exceptions import SignalError, integer, positive
 from .shannon import binnable
 
-__all__ = ["renyi_entropy", "check_order"]
-
-
-def check_order(alpha: float) -> None:
-    """Refuse a Rényi order that is not finite and positive."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise SignalError(
-            f"Renyi order alpha must be finite and positive, got {alpha}"
-        )
+__all__ = ["renyi_entropy"]
 
 
 def renyi_entropy(
@@ -44,7 +36,8 @@ def renyi_entropy(
         estimator is undefined for ``alpha == 1`` only formally — we
         dispatch to the Shannon formula there.
     bins:
-        Number of equal-width histogram bins over the data range.
+        Number of equal-width histogram bins over the data range, an
+        integer >= 2.
     normalize:
         Divide by ``log2(bins)`` to map into [0, 1].
 
@@ -55,9 +48,8 @@ def renyi_entropy(
         (see :func:`~repro.entropy.shannon.binnable`) carry no amplitude
         information and return 0.0.
     """
-    check_order(alpha)
-    if bins < 2:
-        raise SignalError(f"need at least 2 histogram bins, got {bins}")
+    positive(alpha, "alpha", SignalError)
+    integer(bins, "bins", SignalError, 2)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")

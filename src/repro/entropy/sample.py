@@ -13,25 +13,14 @@ import math
 
 import numpy as np
 
-from ..exceptions import SignalError
+from ..exceptions import SignalError, at_least, integer
 
 __all__ = [
     "embedding_indices",
     "sample_entropy",
     "approximate_entropy",
     "tolerance_std",
-    "check_tolerance",
 ]
-
-
-def check_tolerance(k: float, r: float | None) -> None:
-    """Refuse a tolerance factor ``k`` or an absolute tolerance ``r``
-    that is not finite and >= 0 (``r`` may be None)."""
-    for name, value in (("k", k), ("r", r)):
-        if value is not None and not (value >= 0 and math.isfinite(value)):
-            raise SignalError(
-                f"tolerance {name} must be finite and >= 0, got {value}"
-            )
 
 
 def tolerance_std(x: np.ndarray) -> np.ndarray:
@@ -108,12 +97,13 @@ def sample_entropy(
     x:
         Input series.
     m:
-        Template length (default 2, the standard choice).
+        Template length (default 2, the standard choice), an integer >= 1.
     k:
         Tolerance as a fraction of the series' standard deviation (the
         paper's ``k`` parameter: 0.2 and 0.35); ignored if ``r`` is given.
+        Finite and >= 0.
     r:
-        Absolute tolerance; overrides ``k``.
+        Absolute tolerance, finite and >= 0; overrides ``k``.
 
     Returns
     -------
@@ -127,9 +117,10 @@ def sample_entropy(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
-    if m < 1:
-        raise SignalError(f"template length m must be >= 1, got {m}")
-    check_tolerance(k, r)
+    integer(m, "m", SignalError, 1)
+    at_least(k, "k", SignalError, 0)
+    if r is not None:
+        at_least(r, "r", SignalError, 0)
     n = x.size
     if n < m + 2:
         return 0.0
@@ -166,9 +157,10 @@ def approximate_entropy(
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")
-    if m < 1:
-        raise SignalError(f"template length m must be >= 1, got {m}")
-    check_tolerance(k, r)
+    integer(m, "m", SignalError, 1)
+    at_least(k, "k", SignalError, 0)
+    if r is not None:
+        at_least(r, "r", SignalError, 0)
     n = x.size
     if n < m + 2:
         return 0.0

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ..exceptions import SignalError
+from ..exceptions import SignalError, integer
 from ..signals.spectral import welch_psd
 
 __all__ = ["shannon_entropy", "spectral_entropy"]
@@ -35,8 +35,7 @@ def shannon_entropy(x: np.ndarray, bins: int = 16, normalize: bool = False) -> f
     return 0.0; ``normalize`` maps to [0, 1] by dividing by
     ``log2(bins)``.
     """
-    if bins < 2:
-        raise SignalError(f"need at least 2 histogram bins, got {bins}")
+    integer(bins, "bins", SignalError, 2)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise SignalError(f"expected 1-D series, got shape {x.shape}")

@@ -1,12 +1,33 @@
-"""Exception hierarchy for the :mod:`repro` package.
+"""Exception hierarchy for the :mod:`repro` package, and the one rule
+by which every public constructor and function refuses a bad input.
 
 All errors raised by this library derive from :class:`ReproError` so that
 callers can catch library-specific failures with a single ``except`` clause.
+
+The checks at the end of the module (:func:`finite`, :func:`positive`,
+:func:`at_least`, :func:`integer`, :func:`within` and :func:`matrix`)
+are that rule.  Each takes the value, the name to report and the
+caller's :class:`ReproError` subclass, returns the value unchanged, and
+otherwise raises ``error("{name} must be ..., got {value!r}")``:
+
+* NaN is never a number, and a bool is never a number or a count;
+* +-inf passes only where the caller passes ``inf=True``, because the
+  parameter documents what an infinite value means;
+* an int is compared exactly and never converted to float
+  (``math.isfinite(10**400)`` raises ``OverflowError``): a count may be
+  as large as it likes, while a real-valued knob, which the program
+  computes with as a float, refuses an int beyond the float range.
+
+The module imports no numpy, so the ``repro`` parser and
+:mod:`repro.settings` can use the checks too.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
+import sys
 
 
 class ServiceErrorCode(str, enum.Enum):
@@ -138,3 +159,88 @@ class ModelError(ReproError):
 class PlatformError(ReproError):
     """Raised by the wearable-platform model for inconsistent configurations,
     e.g. duty cycles that do not sum to at most 100%."""
+
+
+# ----------------------------------------------------------------------
+# The refusal rule (see the module docstring)
+# ----------------------------------------------------------------------
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(value, name: str, error: type[Exception], rule: str, inf: bool):
+    """``value`` if it is a real number other than NaN that a float can
+    hold, and finite unless ``inf``; else ``error`` naming ``rule``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            usable = -_FLOAT_MAX <= value <= _FLOAT_MAX
+        else:
+            usable = math.isfinite(value) or inf and not math.isnan(value)
+        if usable:
+            return value
+    raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def finite(value, name: str, error: type[Exception], *, inf: bool = False):
+    """``value``, a finite real number (or +-inf too, with ``inf``)."""
+    return _number(value, name, error, "a number" if inf else "finite", inf)
+
+
+def positive(value, name: str, error: type[Exception], *, inf: bool = False):
+    """``value``, a finite real number > 0 (or +inf too, with ``inf``)."""
+    rule = "positive" if inf else "finite and positive"
+    if _number(value, name, error, rule, inf) > 0:
+        return value
+    raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def at_least(
+    value, name: str, error: type[Exception], minimum: float, *, inf: bool = False
+):
+    """``value``, a finite real number >= ``minimum`` (or +inf too, with
+    ``inf``)."""
+    rule = f">= {minimum}" if inf else f"finite and >= {minimum}"
+    if _number(value, name, error, rule, inf) >= minimum:
+        return value
+    raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def integer(value, name: str, error: type[Exception], minimum: int = 0):
+    """``value``, an integer (``numbers.Integral``, not a bool) >=
+    ``minimum``.  An integral float such as ``3.0`` is refused too: a
+    count that arrived as a float is a bug upstream."""
+    if (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= minimum
+    ):
+        return value
+    rule = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+    raise error(f"{name} must be {rule}, got {value!r}")
+
+
+def within(value, name: str, error: type[Exception], interval: str):
+    """``value``, a real number inside ``interval``, written as in the
+    message: ``"[0, 1)"`` is ``0 <= value < 1``.  NaN and +-inf fall
+    outside every finite interval."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    number = _number(value, name, error, f"in {interval}", True)
+    if (low <= number if interval[0] == "[" else low < number) and (
+        number <= high if interval[-1] == "]" else number < high
+    ):
+        return value
+    raise error(f"{name} must be in {interval}, got {value!r}")
+
+
+def matrix(values, name: str, error: type[Exception], *, finite: bool = True):
+    """``values`` as a float ``(n, F)`` array whose entries are all finite
+    (unchecked when ``finite`` is false, for per-window callers whose
+    rows were checked upstream)."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise error(f"{name} must be an (n, F) matrix, got shape {values.shape}")
+    if finite and not np.isfinite(values).all():
+        raise error(f"{name} contain NaN or infinite values")
+    return values

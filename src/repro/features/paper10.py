@@ -24,15 +24,12 @@ level 7.  These are exactly the inputs of Algorithm 1 (its ``F = 10``).
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
 from ..entropy.sample import sample_entropy
-from ..exceptions import FeatureError
+from ..exceptions import FeatureError, integer, positive
 from ..signals.spectral import band_power_from_psd, welch_psd
 from .base import FeatureExtractor
 from .wavelet_features import dwt_details
@@ -74,24 +71,8 @@ class Paper10FeatureExtractor(FeatureExtractor):
     """
 
     def __init__(self, dwt_level: int = 7, renyi_alpha: float = 2.0) -> None:
-        if (
-            isinstance(dwt_level, bool)
-            or not isinstance(dwt_level, numbers.Integral)
-            or dwt_level < 7
-        ):
-            raise FeatureError(
-                f"dwt_level must be an integer >= 7, got {dwt_level!r}"
-            )
-        if not (
-            isinstance(renyi_alpha, numbers.Real)
-            and math.isfinite(renyi_alpha)
-            and renyi_alpha > 0
-        ):
-            raise FeatureError(
-                f"renyi_alpha must be finite and positive, got {renyi_alpha!r}"
-            )
-        self._dwt_level = dwt_level
-        self._renyi_alpha = renyi_alpha
+        self._dwt_level = integer(dwt_level, "dwt_level", FeatureError, 7)
+        self._renyi_alpha = positive(renyi_alpha, "renyi_alpha", FeatureError)
 
     @property
     def feature_names(self) -> tuple[str, ...]:

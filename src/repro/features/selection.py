@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..exceptions import FeatureError
+from ..exceptions import FeatureError, integer, matrix
 
 __all__ = [
     "fisher_ratio",
@@ -32,10 +32,8 @@ Scorer = Callable[[np.ndarray, np.ndarray], float]
 
 
 def _check_xy(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(values, dtype=float)
+    values = matrix(values, "features", FeatureError)
     labels = np.asarray(labels)
-    if values.ndim != 2:
-        raise FeatureError(f"expected (n, F) feature array, got {values.shape}")
     if labels.shape != (values.shape[0],):
         raise FeatureError(
             f"labels shape {labels.shape} incompatible with {values.shape[0]} rows"
@@ -152,12 +150,13 @@ def backward_elimination(
     Parameters
     ----------
     values, labels:
-        Training data, shape (n, F) and (n,).
+        Training data, shape (n, F) and (n,); the values finite.
     scorer:
         Subset criterion; higher is better.
     min_features:
         Stop eliminating when this many features remain (they occupy the
-        top of the ranking in elimination-score order).
+        top of the ranking in elimination-score order); an integer in
+        ``[1, F]``.
     feature_names:
         Optional; only used to validate length.
     """
@@ -167,7 +166,7 @@ def backward_elimination(
         raise FeatureError(
             f"{len(feature_names)} names for {n_feat} feature columns"
         )
-    if not 1 <= min_features <= n_feat:
+    if integer(min_features, "min_features", FeatureError, 1) > n_feat:
         raise FeatureError(f"min_features must be in [1, {n_feat}]")
 
     remaining = list(range(n_feat))

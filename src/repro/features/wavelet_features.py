@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import FeatureError, SignalError
+from ..exceptions import FeatureError, SignalError, integer
 from ..signals.wavelet import wavedec
 
 __all__ = ["dwt_details", "subband_energy", "subband_stats"]
@@ -26,8 +26,7 @@ def dwt_details(
     signal cover roughly the ``[256/2^(k+1), 256/2^k]`` Hz band, so level 7
     sits in the low-delta range where ictal rhythms concentrate.
     """
-    if level < 1:
-        raise FeatureError(f"level must be >= 1, got {level}")
+    integer(level, "level", FeatureError, 1)
     try:
         coeffs = wavedec(np.asarray(x, dtype=float), level, wavelet)
     except SignalError as exc:

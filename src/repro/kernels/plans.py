@@ -15,14 +15,13 @@ invisible to results (the parity suites enforce this).
 
 from __future__ import annotations
 
-import numbers
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from ..entropy.sample import embedding_indices
-from ..exceptions import FeatureError, SignalError
+from ..exceptions import FeatureError, SignalError, integer
 from ..signals.spectral import EEG_BANDS
 from ..signals.wavelet import daubechies_filter, quadrature_mirror
 from .workspace import scratch
@@ -289,12 +288,7 @@ class WaveletPlan:
     """
 
     def __init__(self, wavelet: int = 4, level: int = 7) -> None:
-        if (
-            isinstance(level, bool)
-            or not isinstance(level, numbers.Integral)
-            or level < 1
-        ):
-            raise FeatureError(f"level must be an integer >= 1, got {level!r}")
+        integer(level, "level", FeatureError, 1)
         self.wavelet = wavelet
         self.level = int(level)
         self.h = daubechies_filter(wavelet)

@@ -14,8 +14,8 @@ import numpy as np
 
 from ..entropy.permutation import permutation_entropy
 from ..entropy.renyi import renyi_entropy
-from ..entropy.sample import check_tolerance, sample_entropy
-from ..exceptions import FeatureError, KernelError, SignalError
+from ..entropy.sample import sample_entropy
+from ..exceptions import FeatureError, KernelError, SignalError, at_least
 from ..features.wavelet_features import dwt_details
 from ..signals.spectral import band_power_from_psd, welch_psd
 
@@ -63,17 +63,19 @@ def _tolerances(
 
     ``k`` is one factor or a tuple of them; a tuple asks for one output
     column per factor.  An explicit ``r`` overrides ``k`` and so takes
-    the single-factor form only.
+    the single-factor form only.  Each factor, and ``r``, must be finite
+    and >= 0.
     """
     if not isinstance(k, tuple):
-        check_tolerance(k, r)
-        return (k,)
+        if r is not None:
+            at_least(r, "r", SignalError, 0)
+        return (at_least(k, "k", SignalError, 0),)
     if not k:
         raise SignalError("need at least one tolerance factor k")
     if r is not None:
         raise SignalError("an explicit r takes a single tolerance, not a k tuple")
     for factor in k:
-        check_tolerance(factor, None)
+        at_least(factor, "k", SignalError, 0)
     return k
 
 

@@ -87,10 +87,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..entropy.renyi import check_order
 from ..entropy.sample import tolerance_std
-from ..exceptions import SignalError
-from ..signals.spectral import check_rate
+from ..exceptions import SignalError, integer, positive
 from .plans import band_plan, embedding_plan, hann_window, wavelet_plan
 from .reference import _check_wavelet, _check_windows, _tolerances
 from .workspace import scratch
@@ -166,8 +164,7 @@ def _prepare_tolerance(
     each live candidate's ``k * std`` per tolerance (or ``r``), from one
     std pass however many tolerances there are.
     """
-    if m < 1:
-        raise SignalError(f"template length m must be >= 1, got {m}")
+    integer(m, "m", SignalError, 1)
     n_windows, n = windows.shape
     out = np.zeros((n_windows, len(ks)))
     if n < m + 2:
@@ -298,10 +295,8 @@ def permutation_entropy_vectorized(
     normalize: bool = True,
 ) -> np.ndarray:
     windows = _check_windows(windows)
-    if order < 2:
-        raise SignalError(f"permutation order must be >= 2, got {order}")
-    if delay < 1:
-        raise SignalError(f"delay must be >= 1, got {delay}")
+    integer(order, "order", SignalError, 2)
+    integer(delay, "delay", SignalError, 1)
     if np.isnan(windows).any():
         raise SignalError("ordinal patterns are undefined for NaN samples")
     n_windows, n = windows.shape
@@ -408,21 +403,20 @@ def renyi_entropy_vectorized(
     bins: int = 16,
     normalize: bool = False,
 ) -> np.ndarray:
-    check_order(alpha)
-    if bins < 2:
-        raise SignalError(f"need at least 2 histogram bins, got {bins}")
+    positive(alpha, "alpha", SignalError)
+    integer(bins, "bins", SignalError, 2)
     windows = _check_windows(windows)
     n_windows, n = windows.shape
     out = np.zeros(n_windows)
     if n == 0:
         return out
     live, counts = _live_histograms(windows, bins)
-    positive = counts > 0
-    p = counts[positive] / n
+    occupied = counts > 0
+    p = counts[occupied] / n
     if abs(alpha - 1.0) < 1e-12:
-        h = -_compacted_row_sums(p * np.log2(p), positive)
+        h = -_compacted_row_sums(p * np.log2(p), occupied)
     else:
-        h = np.log2(_compacted_row_sums(p**alpha, positive)) / (1.0 - alpha)
+        h = np.log2(_compacted_row_sums(p**alpha, occupied)) / (1.0 - alpha)
     if normalize:
         h = h / math.log2(bins)
     out[live] = h
@@ -457,7 +451,7 @@ def band_powers_vectorized(
         )
     if not np.all(np.isfinite(windows)):
         raise SignalError("signal contains NaN or infinite values")
-    check_rate(fs)
+    positive(fs, "fs", SignalError)
     plan = band_plan(n, fs, bands)
     win = hann_window(n)
     out = np.empty((n_windows * n_lanes, len(bands)))

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ModelError
-from .tree import DecisionTreeClassifier, NodeTable, frozen
+from ..exceptions import ModelError, integer
+from .tree import DecisionTreeClassifier, NodeTable, check_growth, frozen
 
 __all__ = ["RandomForestClassifier"]
 
@@ -27,7 +27,7 @@ class RandomForestClassifier:
     Parameters
     ----------
     n_estimators:
-        Number of trees.
+        Number of trees, an integer >= 1.
     max_depth / min_samples_split / min_samples_leaf:
         Per-tree regularization, as in
         :class:`~repro.ml.tree.DecisionTreeClassifier`.
@@ -40,8 +40,9 @@ class RandomForestClassifier:
         so classes appear in equal proportion — useful because seizure
         windows are a small minority in EEG records.
     random_state:
-        Seed; each tree gets an independent child generator, so fits are
-        reproducible and trees are decorrelated.
+        Seed, a non-negative integer or ``None``; each tree gets an
+        independent child generator, so fits are reproducible and trees
+        are decorrelated.
     """
 
     def __init__(
@@ -55,8 +56,10 @@ class RandomForestClassifier:
         class_weight: str | None = None,
         random_state: int | None = 0,
     ) -> None:
-        if n_estimators < 1:
-            raise ModelError(f"n_estimators must be >= 1, got {n_estimators}")
+        integer(n_estimators, "n_estimators", ModelError, 1)
+        check_growth(max_depth, min_samples_split, min_samples_leaf, max_features)
+        if random_state is not None:
+            integer(random_state, "random_state", ModelError)
         if class_weight not in (None, "balanced"):
             raise ModelError(f"class_weight must be None or 'balanced', got {class_weight!r}")
         self.n_estimators = n_estimators

@@ -12,9 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ModelError
+from ..exceptions import ModelError, at_least, integer, matrix
 
 __all__ = ["KMeans", "KMedoids", "cluster_seizure_labels"]
+
+
+def _check_common(n_clusters: int, max_iter: int, random_state: int | None) -> None:
+    integer(n_clusters, "n_clusters", ModelError, 1)
+    integer(max_iter, "max_iter", ModelError, 1)
+    if random_state is not None:
+        integer(random_state, "random_state", ModelError)
 
 
 class KMeans:
@@ -23,13 +30,13 @@ class KMeans:
     Parameters
     ----------
     n_clusters:
-        Number of clusters ``k``.
+        Number of clusters ``k``, an integer >= 1.
     n_init:
-        Independent restarts; the inertia-best run wins.
+        Independent restarts, an integer >= 1; the inertia-best run wins.
     max_iter / tol:
-        Lloyd iteration limits.
+        Lloyd iteration limits: an integer >= 1 and a finite shift >= 0.
     random_state:
-        Seed for initialization.
+        Seed for initialization, a non-negative integer or ``None``.
     """
 
     def __init__(
@@ -40,12 +47,11 @@ class KMeans:
         tol: float = 1e-6,
         random_state: int | None = 0,
     ) -> None:
-        if n_clusters < 1:
-            raise ModelError(f"n_clusters must be >= 1, got {n_clusters}")
+        _check_common(n_clusters, max_iter, random_state)
         self.n_clusters = n_clusters
-        self.n_init = n_init
+        self.n_init = integer(n_init, "n_init", ModelError, 1)
         self.max_iter = max_iter
-        self.tol = tol
+        self.tol = at_least(tol, "tol", ModelError, 0)
         self.random_state = random_state
         self.centers_: np.ndarray | None = None
         self.inertia_: float | None = None
@@ -69,7 +75,7 @@ class KMeans:
         return np.asarray(centers)
 
     def fit(self, values: np.ndarray) -> "KMeans":
-        values = self._check_x(values)
+        values = matrix(values, "features", ModelError)
         if values.shape[0] < self.n_clusters:
             raise ModelError(
                 f"{values.shape[0]} samples < {self.n_clusters} clusters"
@@ -110,19 +116,10 @@ class KMeans:
     def predict(self, values: np.ndarray) -> np.ndarray:
         if self.centers_ is None:
             raise ModelError("k-means is not fitted")
-        return self._assign(self._check_x(values), self.centers_)
+        return self._assign(matrix(values, "features", ModelError), self.centers_)
 
     def fit_predict(self, values: np.ndarray) -> np.ndarray:
         return self.fit(values).predict(values)
-
-    @staticmethod
-    def _check_x(values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ModelError(f"expected (n, F) array, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ModelError("features contain NaN or infinite values")
-        return values
 
 
 class KMedoids:
@@ -130,6 +127,8 @@ class KMedoids:
 
     Medoids are constrained to be data points, making the method robust to
     the heavy-tailed feature distributions EEG artifacts produce.
+    ``n_clusters``, ``max_iter`` and ``random_state`` are checked as for
+    :class:`KMeans`.
     """
 
     def __init__(
@@ -138,8 +137,7 @@ class KMedoids:
         max_iter: int = 50,
         random_state: int | None = 0,
     ) -> None:
-        if n_clusters < 1:
-            raise ModelError(f"n_clusters must be >= 1, got {n_clusters}")
+        _check_common(n_clusters, max_iter, random_state)
         self.n_clusters = n_clusters
         self.max_iter = max_iter
         self.random_state = random_state
@@ -147,7 +145,7 @@ class KMedoids:
         self.medoids_: np.ndarray | None = None
 
     def fit(self, values: np.ndarray) -> "KMedoids":
-        values = KMeans._check_x(values)
+        values = matrix(values, "features", ModelError)
         n = values.shape[0]
         if n < self.n_clusters:
             raise ModelError(f"{n} samples < {self.n_clusters} clusters")
@@ -175,7 +173,7 @@ class KMedoids:
     def predict(self, values: np.ndarray) -> np.ndarray:
         if self.medoids_ is None:
             raise ModelError("k-medoids is not fitted")
-        values = KMeans._check_x(values)
+        values = matrix(values, "features", ModelError)
         d = np.linalg.norm(values[:, None, :] - self.medoids_[None, :, :], axis=2)
         return np.argmin(d, axis=1)
 

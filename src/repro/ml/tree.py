@@ -21,9 +21,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ModelError
+from ..exceptions import ModelError, integer, matrix
 
-__all__ = ["DecisionTreeClassifier", "NodeTable"]
+__all__ = ["DecisionTreeClassifier", "NodeTable", "check_growth"]
+
+
+def check_growth(
+    max_depth: int | None,
+    min_samples_split: int,
+    min_samples_leaf: int,
+    max_features: int | str | None,
+) -> None:
+    """Refuse tree-growth parameters outside their documented ranges
+    (:class:`~repro.exceptions.ModelError`); a forest checks the ones it
+    hands its trees at construction, not at ``fit``."""
+    if max_depth is not None:
+        integer(max_depth, "max_depth", ModelError, 1)
+    integer(min_samples_split, "min_samples_split", ModelError, 2)
+    integer(min_samples_leaf, "min_samples_leaf", ModelError, 1)
+    if max_features is not None and max_features != "sqrt":
+        integer(max_features, "max_features", ModelError, 1)
 
 
 def frozen(values, dtype) -> np.ndarray:
@@ -119,15 +136,18 @@ class DecisionTreeClassifier:
     Parameters
     ----------
     max_depth:
-        Maximum tree depth (root = depth 0); ``None`` grows until pure.
+        Maximum tree depth (root = depth 0), an integer >= 1; ``None``
+        grows until pure.
     min_samples_split:
-        Minimum node size eligible for splitting.
+        Minimum node size eligible for splitting, an integer >= 2.
     min_samples_leaf:
-        Minimum samples each child must retain.
+        Minimum samples each child must retain, an integer >= 1.
     max_features:
-        Features examined per node: ``None`` (all), ``"sqrt"``, or an int.
+        Features examined per node: ``None`` (all), ``"sqrt"``, or an
+        integer >= 1.
     random_state:
-        Seed or Generator for feature subsampling.
+        Seed (a non-negative integer) or Generator for feature
+        subsampling.
     """
 
     def __init__(
@@ -138,12 +158,11 @@ class DecisionTreeClassifier:
         max_features: int | str | None = None,
         random_state: int | np.random.Generator | None = None,
     ) -> None:
-        if max_depth is not None and max_depth < 1:
-            raise ModelError(f"max_depth must be >= 1 or None, got {max_depth}")
-        if min_samples_split < 2:
-            raise ModelError(f"min_samples_split must be >= 2, got {min_samples_split}")
-        if min_samples_leaf < 1:
-            raise ModelError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+        check_growth(max_depth, min_samples_split, min_samples_leaf, max_features)
+        if random_state is not None and not isinstance(
+            random_state, np.random.Generator
+        ):
+            integer(random_state, "random_state", ModelError)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -176,10 +195,8 @@ class DecisionTreeClassifier:
             n_try = n_features
         elif self.max_features == "sqrt":
             n_try = max(1, int(np.sqrt(n_features)))
-        elif isinstance(self.max_features, int) and self.max_features >= 1:
-            n_try = min(self.max_features, n_features)
         else:
-            raise ModelError(f"invalid max_features {self.max_features!r}")
+            n_try = min(self.max_features, n_features)
 
         feature: list[int] = []
         threshold: list[float] = []
@@ -431,24 +448,17 @@ class DecisionTreeClassifier:
     # ------------------------------------------------------------------
     @staticmethod
     def _check_xy(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = np.asarray(values, dtype=float)
+        values = matrix(values, "features", ModelError)
         labels = np.asarray(labels)
-        if values.ndim != 2:
-            raise ModelError(f"expected (n, F) features, got {values.shape}")
         if labels.shape != (values.shape[0],):
             raise ModelError(
                 f"labels shape {labels.shape} incompatible with {values.shape[0]} rows"
             )
-        if values.shape[0] < 1:
+        if values.shape[0] == 0:
             raise ModelError("cannot fit on an empty dataset")
-        if not np.all(np.isfinite(values)):
-            raise ModelError("features contain NaN or infinite values")
         return values, labels
 
     def _check_fitted_x(self, values: np.ndarray) -> np.ndarray:
         if self._table is None:
             raise ModelError("tree is not fitted; call fit() first")
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ModelError(f"expected (n, F) features, got {values.shape}")
-        return values
+        return matrix(values, "features", ModelError, finite=False)

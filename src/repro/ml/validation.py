@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..data.records import EEGRecord, SeizureAnnotation
-from ..exceptions import ModelError
+from ..exceptions import ModelError, at_least, integer, within
 from ..features.base import FeatureExtractor
 from ..features.extraction import extract_labeled_features
 from ..signals.windowing import WindowSpec
@@ -107,10 +107,13 @@ def build_balanced_training_set(
         in the experiments).
     context_s:
         Interictal margin kept around each seizure (gives the classifier
-        nearby negatives, as training on seizure-only segments would).
+        nearby negatives, as training on seizure-only segments would),
+        finite and >= 0.
     seed:
-        Subsampling seed.
+        Subsampling seed, a non-negative integer.
     """
+    at_least(context_s, "context_s", ModelError, 0)
+    integer(seed, "seed", ModelError)
     spec = spec or WindowSpec(length_s=4.0, step_s=1.0)
     pos_rows, neg_rows = [], []
     names: tuple[str, ...] | None = None
@@ -171,8 +174,7 @@ def train_test_split(
     """Random (optionally stratified) split; returns (Xtr, Xte, ytr, yte)."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
-    if not 0.0 < test_fraction < 1.0:
-        raise ModelError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    within(test_fraction, "test_fraction", ModelError, "(0, 1)")
     if values.shape[0] != labels.shape[0]:
         raise ModelError("values/labels length mismatch")
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import PlatformError
+from ..exceptions import PlatformError, at_least, integer
 from .mcu import ADS1299, PAPER_BATTERY, STM32L151, AnalogFrontEnd, Battery, Microcontroller
 from .power import PowerBudget, Task
 
@@ -38,10 +38,10 @@ def labeling_duty_cycle(seizures_per_day: float) -> float:
     """CPU duty of the a-posteriori labeler at a given seizure frequency.
 
     One seizure a day gives 1 h of processing per 24 h = 4.17%; one a
-    month gives 0.139%.
+    month gives 0.139%.  ``seizures_per_day`` is finite and >= 0, and
+    at most 24 (a full day of labeling).
     """
-    if seizures_per_day < 0:
-        raise PlatformError("seizure frequency must be >= 0")
+    at_least(seizures_per_day, "seizures_per_day", PlatformError, 0)
     duty = seizures_per_day * LABELING_HOURS_PER_SEIZURE / 24.0
     if duty > 1.0:
         raise PlatformError(
@@ -85,8 +85,7 @@ class WearablePlatform:
     n_electrode_pairs: int = 2
 
     def __post_init__(self) -> None:
-        if self.n_electrode_pairs < 1:
-            raise PlatformError("need at least one electrode pair")
+        integer(self.n_electrode_pairs, "n_electrode_pairs", PlatformError, 1)
 
     # ------------------------------------------------------------------
     @property

@@ -15,14 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import PlatformError
+from ..exceptions import PlatformError, at_least, integer, positive
 
 __all__ = ["Microcontroller", "AnalogFrontEnd", "Battery", "STM32L151", "ADS1299", "PAPER_BATTERY"]
 
 
 @dataclass(frozen=True)
 class Microcontroller:
-    """MCU profile: compute and memory resources plus current draws."""
+    """MCU profile: compute and memory resources plus current draws.
+
+    Frequencies and the active current are finite and positive, memory
+    sizes integers >= 1, and the idle current finite, >= 0 and below
+    the active current.
+    """
 
     name: str
     max_freq_hz: float
@@ -32,19 +37,19 @@ class Microcontroller:
     idle_current_ma: float
 
     def __post_init__(self) -> None:
-        if self.max_freq_hz <= 0:
-            raise PlatformError("max_freq_hz must be positive")
-        if self.ram_bytes <= 0 or self.flash_bytes <= 0:
-            raise PlatformError("memory sizes must be positive")
-        if self.active_current_ma <= 0 or self.idle_current_ma < 0:
-            raise PlatformError("invalid current draws")
+        positive(self.max_freq_hz, "max_freq_hz", PlatformError)
+        integer(self.ram_bytes, "ram_bytes", PlatformError, 1)
+        integer(self.flash_bytes, "flash_bytes", PlatformError, 1)
+        positive(self.active_current_ma, "active_current_ma", PlatformError)
+        at_least(self.idle_current_ma, "idle_current_ma", PlatformError, 0)
         if self.idle_current_ma >= self.active_current_ma:
             raise PlatformError("idle current must be below active current")
 
 
 @dataclass(frozen=True)
 class AnalogFrontEnd:
-    """EEG acquisition front-end profile (per electrode pair)."""
+    """EEG acquisition front-end profile (per electrode pair): a finite
+    positive current and sample rate, and an integer ``adc_bits >= 1``."""
 
     name: str
     current_per_channel_ma: float
@@ -52,30 +57,23 @@ class AnalogFrontEnd:
     max_sample_rate_hz: float
 
     def __post_init__(self) -> None:
-        if self.current_per_channel_ma <= 0:
-            raise PlatformError("acquisition current must be positive")
-        if self.adc_bits < 1:
-            raise PlatformError("adc_bits must be >= 1")
-        if self.max_sample_rate_hz <= 0:
-            raise PlatformError("max sample rate must be positive")
+        positive(self.current_per_channel_ma, "current_per_channel_ma", PlatformError)
+        integer(self.adc_bits, "adc_bits", PlatformError, 1)
+        positive(self.max_sample_rate_hz, "max_sample_rate_hz", PlatformError)
 
 
 @dataclass(frozen=True)
 class Battery:
-    """Battery profile."""
+    """Battery profile: a finite and positive capacity."""
 
     capacity_mah: float
 
     def __post_init__(self) -> None:
-        if self.capacity_mah <= 0:
-            raise PlatformError("battery capacity must be positive")
+        positive(self.capacity_mah, "capacity_mah", PlatformError)
 
     def lifetime_hours(self, average_current_ma: float) -> float:
         """Hours of operation at a constant average current draw."""
-        if average_current_ma <= 0:
-            raise PlatformError(
-                f"average current must be positive, got {average_current_ma}"
-            )
+        positive(average_current_ma, "average_current_ma", PlatformError)
         return self.capacity_mah / average_current_ma
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import PlatformError
+from ..exceptions import PlatformError, at_least, integer, positive
 from .mcu import Microcontroller, STM32L151
 
 __all__ = [
@@ -31,8 +31,10 @@ def raw_buffer_bytes(
     sample_bits: int = 16,
 ) -> int:
     """Bytes needed to buffer raw EEG samples."""
-    if duration_s <= 0 or fs <= 0 or n_channels < 1 or sample_bits < 1:
-        raise PlatformError("invalid raw-buffer parameters")
+    positive(duration_s, "duration_s", PlatformError)
+    positive(fs, "fs", PlatformError)
+    integer(n_channels, "n_channels", PlatformError, 1)
+    integer(sample_bits, "sample_bits", PlatformError, 1)
     return int(duration_s * fs) * n_channels * ((sample_bits + 7) // 8)
 
 
@@ -49,10 +51,11 @@ def feature_buffer_bytes(
     ``3600 * 10 * 4 = 144 KB``; scratch/double-buffering overhead brings
     the budget to the paper's 240 KB figure at ``overhead_factor ~ 1.67``.
     """
-    if duration_s <= 0 or n_features < 1 or feature_step_s <= 0:
-        raise PlatformError("invalid feature-buffer parameters")
-    if bytes_per_feature < 1 or overhead_factor < 1.0:
-        raise PlatformError("invalid storage parameters")
+    positive(duration_s, "duration_s", PlatformError)
+    integer(n_features, "n_features", PlatformError, 1)
+    positive(feature_step_s, "feature_step_s", PlatformError)
+    integer(bytes_per_feature, "bytes_per_feature", PlatformError, 1)
+    at_least(overhead_factor, "overhead_factor", PlatformError, 1)
     n_rows = int(duration_s / feature_step_s)
     return int(n_rows * n_features * bytes_per_feature * overhead_factor)
 

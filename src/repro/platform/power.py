@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import PlatformError
+from ..exceptions import PlatformError, at_least, within
 
 __all__ = ["Task", "PowerBudget"]
 
@@ -37,12 +37,8 @@ class Task:
     duty_cycle: float
 
     def __post_init__(self) -> None:
-        if self.current_ma < 0:
-            raise PlatformError(f"{self.name}: current must be >= 0")
-        if not 0.0 <= self.duty_cycle <= 1.0:
-            raise PlatformError(
-                f"{self.name}: duty cycle must be in [0, 1], got {self.duty_cycle}"
-            )
+        at_least(self.current_ma, f"{self.name}: current_ma", PlatformError, 0)
+        within(self.duty_cycle, f"{self.name}: duty_cycle", PlatformError, "[0, 1]")
 
     @property
     def average_current_ma(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import PlatformError
+from ..exceptions import PlatformError, integer
 
 __all__ = ["QFormat", "quantize", "dequantize", "quantization_rms_error"]
 
@@ -34,8 +34,8 @@ class QFormat:
     frac_bits: int
 
     def __post_init__(self) -> None:
-        if self.integer_bits < 0 or self.frac_bits < 0:
-            raise PlatformError("bit counts must be nonnegative")
+        integer(self.integer_bits, "integer_bits", PlatformError)
+        integer(self.frac_bits, "frac_bits", PlatformError)
         if self.total_bits < 2:
             raise PlatformError("need at least a sign bit and one value bit")
         if self.total_bits > 32:

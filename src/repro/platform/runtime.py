@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exceptions import PlatformError
+from ..exceptions import PlatformError, integer, positive
 from .mcu import Microcontroller, STM32L151
 
 __all__ = ["operation_count", "RuntimeModel"]
@@ -30,8 +30,9 @@ def operation_count(
     """
     if signal_length <= window_length:
         raise PlatformError("L must exceed W")
-    if window_length < 1 or n_features < 1 or grid_step < 1:
-        raise PlatformError("invalid geometry")
+    integer(window_length, "window_length", PlatformError, 1)
+    integer(n_features, "n_features", PlatformError, 1)
+    integer(grid_step, "grid_step", PlatformError, 1)
     n_windows = signal_length - window_length
     return float(n_windows) * window_length * (n_windows / grid_step) * n_features
 
@@ -46,17 +47,16 @@ class RuntimeModel:
         Target microcontroller.
     cycles_per_op:
         Average clock cycles per inner-loop operation (load, subtract,
-        abs, accumulate).  6 cycles is a reasonable figure for a
-        Cortex-M3 without SIMD on float32 emulated in fixed point; treat
-        as a calibration knob.
+        abs, accumulate), finite and positive.  6 cycles is a reasonable
+        figure for a Cortex-M3 without SIMD on float32 emulated in fixed
+        point; treat as a calibration knob.
     """
 
     mcu: Microcontroller = STM32L151
     cycles_per_op: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.cycles_per_op <= 0:
-            raise PlatformError("cycles_per_op must be positive")
+        positive(self.cycles_per_op, "cycles_per_op", PlatformError)
 
     def processing_time_s(
         self,
@@ -78,8 +78,8 @@ class RuntimeModel:
     ) -> float:
         """Processing time divided by signal time; <= 1 means the paper's
         "one second of signal in one second" claim holds for this geometry."""
-        if signal_length_s <= 0 or feature_rate_hz <= 0:
-            raise PlatformError("invalid signal geometry")
+        positive(signal_length_s, "signal_length_s", PlatformError)
+        positive(feature_rate_hz, "feature_rate_hz", PlatformError)
         length = int(signal_length_s * feature_rate_hz)
         t = self.processing_time_s(length, window_length, n_features, grid_step)
         return t / signal_length_s

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.records import EEGRecord
-from ..exceptions import ModelError
+from ..exceptions import ModelError, integer, within
 from ..features.base import FeatureExtractor
 from ..features.eglass import EGlassFeatureExtractor
 from ..features.extraction import extract_features, extract_labeled_features
@@ -50,15 +50,17 @@ class RealTimeDetector:
     spec:
         Window geometry (default 4 s / 1 s, as in the paper).
     n_estimators / max_depth:
-        Forest capacity.
+        Forest capacity, as for
+        :class:`~repro.ml.forest.RandomForestClassifier`.
     threshold:
-        Seizure probability above which a window is positive.
+        Seizure probability above which a window is positive, in (0, 1).
     min_consecutive:
         Windows that must be consecutively positive before an alarm is
         raised — standard debouncing in wearable detectors; 3 windows at
         1 s step adds 3 s latency and suppresses isolated false windows.
+        An integer >= 1.
     seed:
-        Forest seed.
+        Forest seed, a non-negative integer.
     """
 
     extractor: FeatureExtractor = field(default_factory=EGlassFeatureExtractor)
@@ -70,10 +72,12 @@ class RealTimeDetector:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.threshold < 1.0:
-            raise ModelError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.min_consecutive < 1:
-            raise ModelError("min_consecutive must be >= 1")
+        integer(self.n_estimators, "n_estimators", ModelError, 1)
+        if self.max_depth is not None:
+            integer(self.max_depth, "max_depth", ModelError, 1)
+        within(self.threshold, "threshold", ModelError, "(0, 1)")
+        integer(self.min_consecutive, "min_consecutive", ModelError, 1)
+        integer(self.seed, "seed", ModelError)
         self._scaler = ZScoreScaler()
         self._forest = None
 

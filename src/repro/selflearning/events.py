@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..data.records import SeizureAnnotation
-from ..exceptions import DataError
+from ..exceptions import DataError, at_least, positive
 
 __all__ = ["EventKind", "TimelineEvent", "PatientTrigger"]
 
@@ -38,8 +38,7 @@ class TimelineEvent:
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise DataError(f"event time must be >= 0, got {self.time_s}")
+        at_least(self.time_s, "time_s", DataError, 0)
 
 
 @dataclass(frozen=True)
@@ -49,20 +48,19 @@ class PatientTrigger:
     Attributes
     ----------
     press_time_s:
-        When the button was pressed, in record time.
+        When the button was pressed, in record time (finite, >= 0).
     lookback_s:
         How far back the labeler searches (paper: one hour — patients
-        recover from post-ictal impaired consciousness within an hour).
+        recover from post-ictal impaired consciousness within an hour);
+        finite and positive.
     """
 
     press_time_s: float
     lookback_s: float = 3600.0
 
     def __post_init__(self) -> None:
-        if self.press_time_s < 0:
-            raise DataError("press time must be >= 0")
-        if self.lookback_s <= 0:
-            raise DataError("lookback must be positive")
+        at_least(self.press_time_s, "press_time_s", DataError, 0)
+        positive(self.lookback_s, "lookback_s", DataError)
 
     def search_interval(self, record_duration_s: float) -> tuple[float, float]:
         """The [t0, t1) slice of the record the labeler should examine."""
@@ -82,10 +80,8 @@ class PatientTrigger:
     ) -> "PatientTrigger":
         """Model the paper's recovery behaviour: the patient presses the
         button ``recovery_s`` after seizure offset (within the hour)."""
-        if recovery_s < 0 or recovery_s >= lookback_s:
-            raise DataError(
-                "recovery must be nonnegative and shorter than the lookback"
-            )
+        if at_least(recovery_s, "recovery_s", DataError, 0) >= lookback_s:
+            raise DataError("recovery must be shorter than the lookback")
         return PatientTrigger(
             press_time_s=ann.offset_s + recovery_s, lookback_s=lookback_s
         )

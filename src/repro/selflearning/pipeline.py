@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from ..core.diagnostics import label_confidence
 from ..core.labeling import APosterioriLabeler, LabelingResult
 from ..data.records import EEGRecord, SeizureAnnotation
-from ..exceptions import ModelError
+from ..exceptions import ModelError, integer, positive, within
 from ..ml.validation import build_balanced_training_set
 from .detector import RealTimeDetector
 from .events import EventKind, PatientTrigger, TimelineEvent
@@ -84,21 +84,24 @@ class SelfLearningPipeline:
     detector:
         The supervised real-time detector to self-train.
     avg_seizure_duration_s:
-        The single expert prior the methodology consumes.
+        The single expert prior the methodology consumes, finite and
+        positive.
     seizure_free_pool:
         Interictal records used as the negative half of the balanced
         training sets.
     min_train_seizures:
         Self-labels required before the first training (paper's validation
-        uses 2-5 seizures).
+        uses 2-5 seizures), an integer >= 1.
     lookback_s:
-        The patient-trigger search horizon (paper: one hour).
+        The patient-trigger search horizon (paper: one hour), finite and
+        positive.
     min_confidence:
         Optional quality gate (an extension over the paper): self-labels
         whose detection confidence — the normalized margin over the best
         non-overlapping competitor window — falls below this threshold are
         discarded instead of entering the training buffer.  Quarantines
-        the artifact-stolen labels behind Table II's outliers.
+        the artifact-stolen labels behind Table II's outliers.  In
+        ``[0, 1)``.
     """
 
     def __init__(
@@ -111,23 +114,21 @@ class SelfLearningPipeline:
         lookback_s: float = 3600.0,
         min_confidence: float = 0.0,
     ) -> None:
-        if avg_seizure_duration_s <= 0:
-            raise ModelError("average seizure duration must be positive")
-        if min_train_seizures < 1:
-            raise ModelError("min_train_seizures must be >= 1")
+        self.avg_seizure_duration_s = positive(
+            avg_seizure_duration_s, "avg_seizure_duration_s", ModelError
+        )
+        self.min_train_seizures = integer(
+            min_train_seizures, "min_train_seizures", ModelError, 1
+        )
+        self.lookback_s = positive(lookback_s, "lookback_s", ModelError)
+        self.min_confidence = within(
+            min_confidence, "min_confidence", ModelError, "[0, 1)"
+        )
         if not seizure_free_pool:
             raise ModelError("need at least one seizure-free record for negatives")
         self.labeler = labeler
         self.detector = detector
-        self.avg_seizure_duration_s = avg_seizure_duration_s
         self.seizure_free_pool = list(seizure_free_pool)
-        if not 0.0 <= min_confidence < 1.0:
-            raise ModelError(
-                f"min_confidence must be in [0, 1), got {min_confidence}"
-            )
-        self.min_train_seizures = min_train_seizures
-        self.lookback_s = lookback_s
-        self.min_confidence = min_confidence
         self.n_rejected_labels = 0
         #: (record, self-annotation) pairs accumulated across records.
         self.training_buffer: list[tuple[EEGRecord, SeizureAnnotation]] = []

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 from typing import Awaitable, Callable
 
@@ -220,7 +221,7 @@ class AdmissionGate:
 
     def _screen_open(self, conn: ClientConnection, message: dict) -> dict | None:
         limit = self.config.max_sessions_per_client
-        if limit <= 0:
+        if not limit:  # 0: unlimited
             return None
         held = self._sessions.get(conn.client_key, ())
         session_id = str(message.get("session"))
@@ -236,7 +237,7 @@ class AdmissionGate:
 
     def _screen_chunk(self, conn: ClientConnection) -> dict | None:
         rate = self.config.chunk_rate
-        if rate <= 0:
+        if rate in (0, math.inf):  # unlimited
             return None
         now = self._clock()
         bucket = self._buckets.get(conn.client_key)

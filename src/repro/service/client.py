@@ -28,13 +28,11 @@ It is not thread-safe; use one client per thread.
 
 from __future__ import annotations
 
-import math
-import numbers
 import socket
 
 import numpy as np
 
-from ..exceptions import ServiceError
+from ..exceptions import ServiceError, positive
 from ..selflearning.detector import RealTimeDetector
 from .framing import (
     PROTOCOL_VERSION,
@@ -81,12 +79,7 @@ class ServiceClient:
         handshake: bool = True,
         timeout: float = 30.0,
     ) -> None:
-        if not (
-            isinstance(timeout, numbers.Real) and math.isfinite(timeout) and timeout > 0
-        ):
-            raise ServiceError(
-                f"timeout must be a finite positive number of seconds, got {timeout!r}"
-            )
+        positive(timeout, "timeout", ServiceError)
         try:
             self._sock = socket.create_connection(
                 (host, port), timeout=timeout

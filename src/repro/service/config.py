@@ -12,16 +12,16 @@ thousands of sessions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from ..exceptions import ServiceError
+from ..exceptions import ServiceError, finite, integer, positive
 from ..features.base import FeatureExtractor
 from ..features.paper10 import Paper10FeatureExtractor
 from ..settings import (
-    BACKPRESSURE_POLICIES,
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_REPLAY_BUFFER,
+    SERVICE_CHECKS,
+    SERVICE_FIELDS,
     ReproSettings,
 )
 from ..signals.windowing import WindowSpec
@@ -38,7 +38,7 @@ class ServiceConfig:
     fs / n_channels:
         Signal geometry every session of this service expects (the
         paper's wearable: 2 bipolar channels at 256 Hz).  ``fs`` must be
-        finite and positive.
+        finite and positive, ``n_channels`` an integer >= 1.
     extractor / spec:
         Feature definition and window geometry.  Defaults match the
         batch pipeline (10 selected features over 4 s / 1 s windows), so
@@ -75,7 +75,8 @@ class ServiceConfig:
         unlimited.
     chunk_rate:
         Sustained chunk frames/second budget per client, enforced as a
-        token bucket with one second of burst; 0 means unlimited.
+        token bucket with one second of burst; 0 and ``+inf`` both mean
+        unlimited.
     replay_buffer:
         Admitted chunks the shard-pool parent journals per session.  A
         killed worker is restarted and its sessions re-homed by
@@ -99,50 +100,15 @@ class ServiceConfig:
     replay_buffer: int = DEFAULT_REPLAY_BUFFER
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise ServiceError(
-                f"fs must be finite and positive, got {self.fs}"
-            )
-        if self.n_channels < 1:
-            raise ServiceError(
-                f"n_channels must be >= 1, got {self.n_channels}"
-            )
-        if self.queue_depth < 1:
-            raise ServiceError(
-                f"queue_depth must be >= 1, got {self.queue_depth}"
-            )
-        if self.backpressure not in BACKPRESSURE_POLICIES:
-            raise ServiceError(
-                f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
-                f"got {self.backpressure!r}"
-            )
-        if math.isnan(self.threshold):
-            raise ServiceError(
-                f"threshold must be a number, got {self.threshold}"
-            )
-        if self.workers < 1:
-            raise ServiceError(
-                f"workers must be >= 1, got {self.workers}"
-            )
+        positive(self.fs, "fs", ServiceError)
+        integer(self.n_channels, "n_channels", ServiceError, 1)
+        finite(self.threshold, "threshold", ServiceError, inf=True)
         if not isinstance(self.auth_tokens, tuple):
             # Normalize lists (CLI --auth-token append) into the frozen
             # tuple form so configs stay hashable and comparable.
             object.__setattr__(self, "auth_tokens", tuple(self.auth_tokens))
-        if any(not token for token in self.auth_tokens):
-            raise ServiceError("auth_tokens must not contain empty tokens")
-        if self.max_sessions_per_client < 0:
-            raise ServiceError(
-                f"max_sessions_per_client must be >= 0, got "
-                f"{self.max_sessions_per_client}"
-            )
-        if not self.chunk_rate >= 0:
-            raise ServiceError(
-                f"chunk_rate must be >= 0, got {self.chunk_rate}"
-            )
-        if self.replay_buffer < 0:
-            raise ServiceError(
-                f"replay_buffer must be >= 0, got {self.replay_buffer}"
-            )
+        for name, check in SERVICE_CHECKS.items():
+            check(getattr(self, name), name)
 
     @classmethod
     def from_settings(
@@ -153,14 +119,7 @@ class ServiceConfig:
         (environment knobs), with explicit keyword overrides winning."""
         if settings is None:
             settings = ReproSettings.from_env()
-        values: dict = {
-            "queue_depth": settings.service_queue_depth,
-            "backpressure": settings.service_backpressure,
-            "workers": settings.service_workers,
-            "auth_tokens": settings.service_auth_tokens,
-            "max_sessions_per_client": settings.service_max_sessions,
-            "chunk_rate": settings.service_chunk_rate,
-            "replay_buffer": settings.service_replay_buffer,
+        values = {
+            knob: getattr(settings, name) for name, knob in SERVICE_FIELDS.items()
         }
-        values.update(overrides)
-        return cls(**values)
+        return cls(**{**values, **overrides})

@@ -90,7 +90,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..exceptions import ReproError, ServiceError, ShardDeathError
+from ..exceptions import ReproError, ServiceError, ShardDeathError, integer
 from ..selflearning.detector import RealTimeDetector
 from .admission import AdmissionGate, serve_connection
 from .config import ServiceConfig
@@ -129,8 +129,7 @@ def shard_index_of(session_id: str, n_shards: int) -> int:
     route must be identical in every parent process, test, and tool
     that wants to predict where a session lives.
     """
-    if n_shards < 1:
-        raise ServiceError(f"n_shards must be >= 1, got {n_shards}")
+    integer(n_shards, "n_shards", ServiceError, 1)
     digest = hashlib.sha256(str(session_id).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % n_shards
 
@@ -145,6 +144,13 @@ def shard_index_of(session_id: str, n_shards: int) -> int:
 #: session never waits on another's backlog.
 BARRIER_OPS = frozenset({"swap_detector"})
 POOL_OPS = frozenset({"drain", "shutdown"})
+
+
+def listen_port(port: int) -> None:
+    """Refuse a listener port before anything starts: it must be an
+    integer in [0, 65535] (0 lets the OS choose)."""
+    if integer(port, "port", ServiceError) > 65535:
+        raise ServiceError(f"port must be in [0, 65535], got {port!r}")
 
 
 def shard_dispatch(
@@ -488,11 +494,10 @@ class ServiceShardPool:
         workers: int | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.n_workers = workers if workers is not None else self.config.workers
-        if self.n_workers < 1:
-            raise ServiceError(
-                f"workers must be >= 1, got {self.n_workers}"
-            )
+        self.n_workers = integer(
+            self.config.workers if workers is None else workers,
+            "workers", ServiceError, 1,
+        )
         #: Parent-side collector: admission + resilience counters (the
         #: shards count sessions/chunks/latency; merge overlays this).
         self.telemetry = ServiceTelemetry()
@@ -1089,6 +1094,7 @@ class ServiceShardPool:
     ) -> tuple[str, int]:
         """Start the client listener; same wire protocol as the
         single-process service, with frames routed to the owning shard."""
+        listen_port(port)
         await self.start()
         self._server = await asyncio.start_server(
             self._handle_client, host, port

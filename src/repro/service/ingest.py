@@ -28,7 +28,7 @@ import numpy as np
 from ..exceptions import ServiceError
 from .admission import AdmissionGate, serve_connection
 from .config import ServiceConfig
-from .fleet import POOL_OPS, shard_dispatch
+from .fleet import POOL_OPS, listen_port, shard_dispatch
 from .framing import MAX_FRAME_BYTES, decode_chunk, error_frame
 from .manager import IngestResult, SessionManager
 from .session import WindowDetector
@@ -174,6 +174,7 @@ class DetectionService:
     ) -> tuple[str, int]:
         """Start the length-prefixed socket listener; returns the bound
         ``(host, port)`` (``port=0`` lets the OS choose)."""
+        listen_port(port)
         await self.start()
         self._server = await asyncio.start_server(
             self._handle_client, host, port

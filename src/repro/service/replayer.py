@@ -20,12 +20,11 @@ materialized record.  That comparison is the service's acceptance gate.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 from ..data.sources import RecordSource
-from ..exceptions import ServiceError
+from ..exceptions import ServiceError, at_least, positive
 from .manager import SessionManager, SessionSummary
 from .session import WindowDecision, WindowDetector
 
@@ -88,7 +87,7 @@ class Replayer:
     speed:
         Media-time / wall-time ratio.  ``1.0`` is live speed, larger is
         faster-than-real-time, and ``0``/``None`` disables pacing (the
-        replay runs flat out and ``max_lag_s`` stays 0).
+        replay runs flat out and ``max_lag_s`` stays 0).  Finite and >= 0.
     chunk_s:
         Media seconds per ingested chunk — the simulated transport's
         packetization.  Decision *content* is chunk-invariant (the
@@ -101,10 +100,9 @@ class Replayer:
         speed: float | None = 1.0,
         chunk_s: float = 1.0,
     ) -> None:
-        if speed is not None and not (math.isfinite(speed) and speed >= 0):
-            raise ServiceError(f"speed must be finite and >= 0, got {speed}")
-        if not (math.isfinite(chunk_s) and chunk_s > 0):
-            raise ServiceError(f"chunk_s must be finite and positive, got {chunk_s}")
+        if speed is not None:
+            at_least(speed, "speed", ServiceError, 0)
+        positive(chunk_s, "chunk_s", ServiceError)
         # `is not None`, not truthiness: an empty manager has len() == 0.
         self.manager = manager if manager is not None else SessionManager()
         self.speed = float(speed) if speed else 0.0

@@ -23,8 +23,6 @@ kernel backends) to the live path.
 
 from __future__ import annotations
 
-import math
-import numbers
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Sequence
@@ -34,7 +32,7 @@ import numpy as np
 
 from ..core.streaming import StreamingFeatureExtractor
 from ..data.records import EEGRecord
-from ..exceptions import ServiceError
+from ..exceptions import ServiceError, finite, integer
 from ..features.extraction import extract_features
 from ..selflearning.detector import RealTimeDetector
 from .config import ServiceConfig
@@ -98,19 +96,14 @@ class FeatureThresholdDetector(WindowDetector):
     The degenerate-but-deterministic baseline the service tests and the
     latency benchmark use — no fitted state to ship, and trivially pure
     per row.  ``feature_index`` selects the scored column of the
-    configured extractor's output.
+    configured extractor's output.  ``threshold`` refuses NaN; as for
+    :attr:`ServiceConfig.threshold`, ``+inf`` means no finite score is
+    ever positive and ``-inf`` that every window is.
     """
 
     def __init__(self, feature_index: int = 0, threshold: float = 0.0) -> None:
-        if feature_index < 0:
-            raise ServiceError(
-                f"feature_index must be >= 0, got {feature_index}"
-            )
-        threshold = float(threshold)
-        if math.isnan(threshold):
-            raise ServiceError(f"threshold must be a number, got {threshold}")
-        self.feature_index = feature_index
-        self.threshold = threshold
+        self.feature_index = integer(feature_index, "feature_index", ServiceError)
+        self.threshold = float(finite(threshold, "threshold", ServiceError, inf=True))
 
     def scores(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -313,14 +306,8 @@ class DetectorSession:
 
     def poll_events(self, max_events: int | None = None) -> list[WindowDecision]:
         """Drain buffered decisions (oldest first), up to ``max_events``."""
-        if max_events is not None and (
-            isinstance(max_events, bool)
-            or not isinstance(max_events, numbers.Integral)
-            or max_events < 1
-        ):
-            raise ServiceError(
-                f"max_events must be an int >= 1 or None, got {max_events!r}"
-            )
+        if max_events is not None:
+            integer(max_events, "max_events", ServiceError, 1)
         take = (
             len(self._events)
             if max_events is None

@@ -24,7 +24,7 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
-from .exceptions import ServiceError
+from .exceptions import ServiceError, at_least, integer
 
 __all__ = [
     "ENV_SAMPLES_PER_SEIZURE",
@@ -42,6 +42,8 @@ __all__ = [
     "BACKPRESSURE_POLICIES",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_REPLAY_BUFFER",
+    "SERVICE_CHECKS",
+    "SERVICE_FIELDS",
     "ReproSettings",
 ]
 
@@ -93,6 +95,46 @@ DEFAULT_QUEUE_DEPTH = 64
 #: while bounding parent memory; 0 disables resilience entirely
 #: (a dead shard then errors its sessions, the PR 9 behavior).
 DEFAULT_REPLAY_BUFFER = 256
+
+#: Each :class:`ReproSettings` service field and the
+#: :class:`~repro.service.config.ServiceConfig` field it defaults.
+SERVICE_FIELDS = {
+    "service_queue_depth": "queue_depth",
+    "service_backpressure": "backpressure",
+    "service_workers": "workers",
+    "service_auth_tokens": "auth_tokens",
+    "service_max_sessions": "max_sessions_per_client",
+    "service_chunk_rate": "chunk_rate",
+    "service_replay_buffer": "replay_buffer",
+}
+
+
+def _choice_of(value, name: str) -> None:
+    if value not in BACKPRESSURE_POLICIES:
+        raise ServiceError(
+            f"{name} must be one of {BACKPRESSURE_POLICIES}, got {value!r}"
+        )
+
+
+def _tokens_of(value, name: str) -> None:
+    if any(not token for token in value):
+        raise ServiceError(f"{name} must not contain empty tokens")
+
+
+#: The refusal rule of each service knob, by ``ServiceConfig`` field:
+#: ``check(value, name)`` raises :class:`~repro.exceptions.ServiceError`
+#: under the caller's own field name.  ``ReproSettings`` and
+#: ``ServiceConfig`` both run these, so the two cannot drift apart.
+#: ``chunk_rate`` alone accepts ``+inf``, meaning unlimited like 0.
+SERVICE_CHECKS = {
+    "queue_depth": lambda value, name: integer(value, name, ServiceError, 1),
+    "backpressure": _choice_of,
+    "workers": lambda value, name: integer(value, name, ServiceError, 1),
+    "auth_tokens": _tokens_of,
+    "max_sessions_per_client": lambda value, name: integer(value, name, ServiceError),
+    "chunk_rate": lambda value, name: at_least(value, name, ServiceError, 0, inf=True),
+    "replay_buffer": lambda value, name: integer(value, name, ServiceError),
+}
 
 
 def _int_at_least(
@@ -197,7 +239,7 @@ class ReproSettings:
     service_chunk_rate:
         :envvar:`REPRO_SERVICE_CHUNK_RATE` — sustained chunk
         frames/second budget per client, enforced as a token bucket
-        with one second of burst (0 = unlimited).
+        with one second of burst (0 or ``inf`` = unlimited).
     service_replay_buffer:
         :envvar:`REPRO_SERVICE_REPLAY_BUFFER` — admitted chunks the
         shard-pool parent journals per session so a killed worker's
@@ -216,35 +258,10 @@ class ReproSettings:
     service_replay_buffer: int = DEFAULT_REPLAY_BUFFER
 
     def __post_init__(self) -> None:
-        if self.service_queue_depth < 1:
-            raise ServiceError(
-                f"service_queue_depth must be >= 1, got "
-                f"{self.service_queue_depth}"
-            )
-        if self.service_backpressure not in BACKPRESSURE_POLICIES:
-            raise ServiceError(
-                f"service_backpressure must be one of "
-                f"{BACKPRESSURE_POLICIES}, got {self.service_backpressure!r}"
-            )
-        if self.service_workers < 1:
-            raise ServiceError(
-                f"service_workers must be >= 1, got {self.service_workers}"
-            )
-        if self.service_max_sessions < 0:
-            raise ServiceError(
-                f"service_max_sessions must be >= 0, got "
-                f"{self.service_max_sessions}"
-            )
-        if not self.service_chunk_rate >= 0:
-            raise ServiceError(
-                f"service_chunk_rate must be >= 0, got "
-                f"{self.service_chunk_rate}"
-            )
-        if self.service_replay_buffer < 0:
-            raise ServiceError(
-                f"service_replay_buffer must be >= 0, got "
-                f"{self.service_replay_buffer}"
-            )
+        if self.samples_per_seizure is not None:
+            integer(self.samples_per_seizure, "samples_per_seizure", ValueError, 1)
+        for name, knob in SERVICE_FIELDS.items():
+            SERVICE_CHECKS[knob](getattr(self, name), name)
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "ReproSettings":

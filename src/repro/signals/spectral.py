@@ -10,15 +10,12 @@ the feature extractors.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..exceptions import SignalError
+from ..exceptions import SignalError, integer, positive, within
 
 __all__ = [
     "EEG_BANDS",
-    "check_rate",
     "periodogram",
     "welch_psd",
     "band_power",
@@ -51,14 +48,6 @@ def _validate_signal(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def check_rate(fs: float) -> None:
-    """Refuse a sampling frequency that is not finite and positive."""
-    if not (fs > 0 and math.isfinite(fs)):
-        raise SignalError(
-            f"sampling frequency must be finite and positive, got {fs}"
-        )
-
-
 def periodogram(
     x: np.ndarray, fs: float, detrend: bool = True, window: str = "boxcar"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +58,7 @@ def periodogram(
     x:
         1-D real signal.
     fs:
-        Sampling frequency in Hz.
+        Sampling frequency in Hz, finite and positive.
     detrend:
         Subtract the mean before transforming (default True).
     window:
@@ -82,7 +71,7 @@ def periodogram(
         ``trapezoid(psd, freqs)`` approximates the signal variance.
     """
     x = _validate_signal(x)
-    check_rate(fs)
+    positive(fs, "fs", SignalError)
     if detrend:
         x = x - x.mean()
     n = x.size
@@ -119,12 +108,14 @@ def welch_psd(
 
     Segments of ``nperseg`` samples with fractional ``overlap`` are
     windowed, transformed and averaged.  If the signal is shorter than
-    ``nperseg`` a single full-length segment is used.
+    ``nperseg`` a single full-length segment is used.  ``fs`` must be
+    finite and positive, ``nperseg`` an integer >= 1 and ``overlap`` in
+    [0, 1).
     """
     x = _validate_signal(x)
-    check_rate(fs)
-    if not 0.0 <= overlap < 1.0:
-        raise SignalError(f"overlap must be in [0, 1), got {overlap}")
+    positive(fs, "fs", SignalError)
+    integer(nperseg, "nperseg", SignalError, 1)
+    within(overlap, "overlap", SignalError, "[0, 1)")
     nperseg = int(min(nperseg, x.size))
     step = max(1, int(round(nperseg * (1.0 - overlap))))
     starts = range(0, x.size - nperseg + 1, step)
@@ -214,8 +205,7 @@ def spectral_edge_frequency(
     x: np.ndarray, fs: float, edge: float = 0.95
 ) -> float:
     """Frequency below which ``edge`` of the total spectral power lies."""
-    if not 0.0 < edge < 1.0:
-        raise SignalError(f"edge fraction must be in (0, 1), got {edge}")
+    within(edge, "edge", SignalError, "(0, 1)")
     freqs, psd = welch_psd(x, fs, nperseg=_validate_signal(x).size)
     cum = np.cumsum(psd)
     if cum[-1] <= 0:

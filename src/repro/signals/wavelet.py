@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from ..exceptions import SignalError
+from ..exceptions import SignalError, integer
 
 __all__ = [
     "daubechies_filter",
@@ -235,8 +235,7 @@ def wavedec(
         If ``level`` is not positive or the signal is too short for the
         requested depth (fewer than 2 samples at some stage).
     """
-    if level < 1:
-        raise SignalError(f"decomposition level must be >= 1, got {level}")
+    integer(level, "decomposition level", SignalError, 1)
     h = daubechies_filter(wavelet) if isinstance(wavelet, int) else np.asarray(wavelet, float)
     approx = np.asarray(x, dtype=float)
     details: list[np.ndarray] = []
@@ -280,6 +279,5 @@ def subband_frequencies(fs: float, level: int) -> tuple[float, float]:
     256 Hz the level-7 details cover ~1-2 Hz (delta range), which is why the
     paper's selected entropy features concentrate on levels 6-7.
     """
-    if level < 1:
-        raise SignalError(f"level must be >= 1, got {level}")
+    integer(level, "level", SignalError, 1)
     return fs / 2 ** (level + 1), fs / 2**level

@@ -9,13 +9,12 @@ and time, which the deviation metric and the labeler both rely on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from ..exceptions import SignalError
+from ..exceptions import SignalError, positive
 
 __all__ = ["WindowSpec", "sliding_windows", "window_count", "window_matrix"]
 
@@ -37,14 +36,8 @@ class WindowSpec:
     step_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.length_s) and self.length_s > 0):
-            raise SignalError(
-                f"window length must be finite and positive, got {self.length_s}"
-            )
-        if not (math.isfinite(self.step_s) and self.step_s > 0):
-            raise SignalError(
-                f"window step must be finite and positive, got {self.step_s}"
-            )
+        positive(self.length_s, "window length", SignalError)
+        positive(self.step_s, "window step", SignalError)
         if self.step_s > self.length_s:
             raise SignalError(
                 f"step ({self.step_s}s) larger than window ({self.length_s}s) "

@@ -168,7 +168,7 @@ class TestConnect:
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), -1, 0, float("nan")])
     def test_refuses_unusable_timeout_before_connecting(self, bad):
         for dial in (api.connect, ServiceClient):
-            with pytest.raises(ServiceError, match="timeout must be a finite positive"):
+            with pytest.raises(ServiceError, match="timeout must be finite and positive"):
                 dial("127.0.0.1", 9, timeout=bad)
 
 

@@ -208,14 +208,14 @@ class TestRollingBuffer:
             RollingFeatureBuffer(capacity=0, n_features=2)
 
     def test_nan_capacity_raises(self):
-        with pytest.raises(FeatureError, match="capacity must be >= 1"):
+        with pytest.raises(FeatureError, match="capacity must be an integer >= 1"):
             RollingFeatureBuffer(capacity=float("nan"), n_features=2)
 
     @pytest.mark.parametrize("capacity", [2.5, 3.0, True, float("nan"), "3"])
     def test_non_integer_capacity_raises(self, capacity):
         # 2.5 was accepted and its first overflowing extend raised a
         # bare TypeError from the slice arithmetic.
-        with pytest.raises(FeatureError, match="integral"):
+        with pytest.raises(FeatureError, match="capacity must be an integer"):
             RollingFeatureBuffer(capacity=capacity, n_features=2)
 
     def test_numpy_integer_capacity_accepted(self):
