@@ -244,7 +244,7 @@ def interval_window_labels(
     cohort engine's predicted-label masks both delegate here, so the
     convention cannot drift between the truth and prediction sides.
     """
-    within(min_overlap, "min_overlap", DataError, "(0, 1]")
+    within(min_overlap, "min_overlap", DataError, 0, 1, low_open=True)
     t0 = np.arange(max(n_windows, 0)) * step_s
     t1 = t0 + window_s
     inter = np.zeros(t0.size)

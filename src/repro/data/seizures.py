@@ -73,9 +73,12 @@ class SeizureMorphology:
         positive(self.onset_freq_hz, "onset_freq_hz", DataError)
         positive(self.offset_freq_hz, "offset_freq_hz", DataError)
         positive(self.amplitude_gain, "amplitude_gain", DataError)
-        within(self.sharpness, "sharpness", DataError, "(0, 1]")
-        within(self.chaos, "chaos", DataError, "[0, 1)")
-        within(self.buildup_fraction, "buildup_fraction", DataError, "(0, 0.5)")
+        within(self.sharpness, "sharpness", DataError, 0, 1, low_open=True)
+        within(self.chaos, "chaos", DataError, 0, 1, high_open=True)
+        within(
+            self.buildup_fraction, "buildup_fraction", DataError, 0, 0.5,
+            low_open=True, high_open=True,
+        )
 
 
 def _sharpen(wave: np.ndarray, exponent: float) -> np.ndarray:

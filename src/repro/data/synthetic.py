@@ -329,7 +329,7 @@ class BackgroundEEGModel:
         finite(self.pink_exponent, "pink_exponent", DataError)
         at_least(self.alpha_fraction, "alpha_fraction", DataError, 0)
         finite(self.alpha_freq_hz, "alpha_freq_hz", DataError)
-        within(self.shared_fraction, "shared_fraction", DataError, "[0, 1]")
+        within(self.shared_fraction, "shared_fraction", DataError, 0, 1)
         finite(self.line_noise_uv, "line_noise_uv", DataError)
 
     def _one_source(self, n: int, fs: float, rng: np.random.Generator) -> np.ndarray:

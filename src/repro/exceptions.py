@@ -166,31 +166,38 @@ class PlatformError(ReproError):
 # ----------------------------------------------------------------------
 
 _FLOAT_MAX = sys.float_info.max
+_INF = math.inf
 
 
-def _number(value, name: str, error: type[Exception], rule: str, inf: bool):
-    """``value`` if it is a real number other than NaN that a float can
-    hold, and finite unless ``inf``; else ``error`` naming ``rule``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral):
-            usable = -_FLOAT_MAX <= value <= _FLOAT_MAX
-        else:
-            usable = math.isfinite(value) or inf and not math.isnan(value)
-        if usable:
-            return value
-    raise error(f"{name} must be {rule}, got {value!r}")
+def _real(value, inf: bool) -> bool:
+    """Whether ``value`` is a real number other than NaN that a float can
+    hold, and finite unless ``inf``.  Exact ``float`` and ``int`` take
+    the first two branches, so a kernel's per-call checks stay cheap."""
+    kind = type(value)
+    if kind is float:
+        return value == value and (inf or -_INF < value < _INF)
+    if kind is int:
+        return -_FLOAT_MAX <= value <= _FLOAT_MAX
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, numbers.Integral):
+        return -_FLOAT_MAX <= value <= _FLOAT_MAX
+    return math.isfinite(value) or inf and not math.isnan(value)
 
 
 def finite(value, name: str, error: type[Exception], *, inf: bool = False):
     """``value``, a finite real number (or +-inf too, with ``inf``)."""
-    return _number(value, name, error, "a number" if inf else "finite", inf)
+    if _real(value, inf):
+        return value
+    rule = "a number" if inf else "finite"
+    raise error(f"{name} must be {rule}, got {value!r}")
 
 
 def positive(value, name: str, error: type[Exception], *, inf: bool = False):
     """``value``, a finite real number > 0 (or +inf too, with ``inf``)."""
-    rule = "positive" if inf else "finite and positive"
-    if _number(value, name, error, rule, inf) > 0:
+    if _real(value, inf) and value > 0:
         return value
+    rule = "positive" if inf else "finite and positive"
     raise error(f"{name} must be {rule}, got {value!r}")
 
 
@@ -199,9 +206,9 @@ def at_least(
 ):
     """``value``, a finite real number >= ``minimum`` (or +inf too, with
     ``inf``)."""
-    rule = f">= {minimum}" if inf else f"finite and >= {minimum}"
-    if _number(value, name, error, rule, inf) >= minimum:
+    if _real(value, inf) and value >= minimum:
         return value
+    rule = f">= {minimum}" if inf else f"finite and >= {minimum}"
     raise error(f"{name} must be {rule}, got {value!r}")
 
 
@@ -210,25 +217,36 @@ def integer(value, name: str, error: type[Exception], minimum: int = 0):
     ``minimum``.  An integral float such as ``3.0`` is refused too: a
     count that arrived as a float is a bug upstream."""
     if (
-        isinstance(value, numbers.Integral)
+        type(value) is int
+        or isinstance(value, numbers.Integral)
         and not isinstance(value, bool)
-        and value >= minimum
-    ):
+    ) and value >= minimum:
         return value
     rule = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
     raise error(f"{name} must be {rule}, got {value!r}")
 
 
-def within(value, name: str, error: type[Exception], interval: str):
-    """``value``, a real number inside ``interval``, written as in the
-    message: ``"[0, 1)"`` is ``0 <= value < 1``.  NaN and +-inf fall
-    outside every finite interval."""
-    low, high = (float(bound) for bound in interval[1:-1].split(","))
-    number = _number(value, name, error, f"in {interval}", True)
-    if (low <= number if interval[0] == "[" else low < number) and (
-        number <= high if interval[-1] == "]" else number < high
+def within(
+    value,
+    name: str,
+    error: type[Exception],
+    low: float,
+    high: float,
+    *,
+    low_open: bool = False,
+    high_open: bool = False,
+):
+    """``value``, a real number from ``low`` to ``high``; each end is
+    closed unless its ``*_open`` flag is set, so ``within(x, ..., 0, 1,
+    high_open=True)`` is ``0 <= x < 1``, reported as ``[0, 1)``.  NaN
+    and +-inf fall outside every finite interval."""
+    if (
+        _real(value, False)
+        and (low < value if low_open else low <= value)
+        and (value < high if high_open else value <= high)
     ):
         return value
+    interval = f"{'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
     raise error(f"{name} must be in {interval}, got {value!r}")
 
 

@@ -174,7 +174,7 @@ def train_test_split(
     """Random (optionally stratified) split; returns (Xtr, Xte, ytr, yte)."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
-    within(test_fraction, "test_fraction", ModelError, "(0, 1)")
+    within(test_fraction, "test_fraction", ModelError, 0, 1, low_open=True, high_open=True)
     if values.shape[0] != labels.shape[0]:
         raise ModelError("values/labels length mismatch")
     rng = np.random.default_rng(seed)

@@ -38,7 +38,7 @@ class Task:
 
     def __post_init__(self) -> None:
         at_least(self.current_ma, f"{self.name}: current_ma", PlatformError, 0)
-        within(self.duty_cycle, f"{self.name}: duty_cycle", PlatformError, "[0, 1]")
+        within(self.duty_cycle, f"{self.name}: duty_cycle", PlatformError, 0, 1)
 
     @property
     def average_current_ma(self) -> float:

@@ -75,7 +75,7 @@ class RealTimeDetector:
         integer(self.n_estimators, "n_estimators", ModelError, 1)
         if self.max_depth is not None:
             integer(self.max_depth, "max_depth", ModelError, 1)
-        within(self.threshold, "threshold", ModelError, "(0, 1)")
+        within(self.threshold, "threshold", ModelError, 0, 1, low_open=True, high_open=True)
         integer(self.min_consecutive, "min_consecutive", ModelError, 1)
         integer(self.seed, "seed", ModelError)
         self._scaler = ZScoreScaler()

@@ -122,7 +122,7 @@ class SelfLearningPipeline:
         )
         self.lookback_s = positive(lookback_s, "lookback_s", ModelError)
         self.min_confidence = within(
-            min_confidence, "min_confidence", ModelError, "[0, 1)"
+            min_confidence, "min_confidence", ModelError, 0, 1, high_open=True
         )
         if not seizure_free_pool:
             raise ModelError("need at least one seizure-free record for negatives")

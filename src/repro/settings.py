@@ -144,7 +144,9 @@ def _int_at_least(
     default: int | None,
     error: type[Exception],
 ) -> int | None:
-    """``env[name]`` as an integer ``>= minimum``; blank means ``default``."""
+    """``env[name]`` as an integer ``>= minimum``; blank means ``default``.
+    The refusal names the variable; ``int()`` never yields +-inf, so the
+    shared check's ``inf=True`` only spares the message its "finite"."""
     raw = env.get(name, "").strip()
     if not raw:
         return default
@@ -152,9 +154,7 @@ def _int_at_least(
         value = int(raw)
     except ValueError:
         raise error(f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise error(f"{name} must be >= {minimum}, got {value}")
-    return value
+    return at_least(value, name, error, minimum, inf=True)
 
 
 def _non_negative_float(

@@ -115,7 +115,7 @@ def welch_psd(
     x = _validate_signal(x)
     positive(fs, "fs", SignalError)
     integer(nperseg, "nperseg", SignalError, 1)
-    within(overlap, "overlap", SignalError, "[0, 1)")
+    within(overlap, "overlap", SignalError, 0, 1, high_open=True)
     nperseg = int(min(nperseg, x.size))
     step = max(1, int(round(nperseg * (1.0 - overlap))))
     starts = range(0, x.size - nperseg + 1, step)
@@ -205,7 +205,7 @@ def spectral_edge_frequency(
     x: np.ndarray, fs: float, edge: float = 0.95
 ) -> float:
     """Frequency below which ``edge`` of the total spectral power lies."""
-    within(edge, "edge", SignalError, "(0, 1)")
+    within(edge, "edge", SignalError, 0, 1, low_open=True, high_open=True)
     freqs, psd = welch_psd(x, fs, nperseg=_validate_signal(x).size)
     cum = np.cumsum(psd)
     if cum[-1] <= 0:

@@ -420,20 +420,42 @@ def pinned_sample_source() -> SyntheticRecordSource:
     return dataset.sample_source(1, 0, 0)
 
 
-def pinned_state() -> tuple[str | None, str, str]:
-    """``(target, digest, sample digest)``: the one SIMD target numpy's
-    float64 ``exp``/``sin``/``cos`` loops run on (``None`` if they
-    differ), then the content digests of :func:`pinned_source` and
-    :func:`pinned_sample_source`."""
+#: ``(NPY_DISABLE_CPU_FEATURES, target)`` of the SIMD targets below the
+#: X86_V4 a current x86 host selects by itself.
+LOWER_SIMD_TARGETS = [("X86_V4", "X86_V3"), ("X86_V4 X86_V3", "baseline(X86_V2)")]
+
+
+def simd_target() -> str | None:
+    """The one SIMD target numpy's float64 ``exp``/``sin``/``cos`` loops
+    run on in this process (``None`` if they differ)."""
     from numpy.lib import introspect
 
     loops = introspect.opt_func_info(
         func_name="^(exp|sin|cos)$", signature="float64"
     )
     targets = {loops[name]["dd"]["current"] for name in ("exp", "sin", "cos")}
-    target = targets.pop() if len(targets) == 1 else None
+    return targets.pop() if len(targets) == 1 else None
+
+
+def run_on_simd_target(code: str, disabled: str) -> str:
+    """The last stdout line of ``code`` run in a child interpreter whose
+    numpy has the ``disabled`` CPU features switched off; the tests
+    directory is on its path."""
+    prelude = f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+    out = subprocess.run(
+        [sys.executable, "-c", prelude + code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    return out.splitlines()[-1]
+
+
+def pinned_state() -> tuple[str | None, str, str]:
+    """``(target, digest, sample digest)``: :func:`simd_target`, then the
+    content digests of :func:`pinned_source` and
+    :func:`pinned_sample_source`."""
     return (
-        target,
+        simd_target(),
         record_content_digest(pinned_source()),
         record_content_digest(pinned_sample_source()),
     )
@@ -461,27 +483,20 @@ class TestRecipeDigest:
         ), "the seizure overlay changed: bump GENERATOR_VERSION and re-pin"
 
     @pytest.mark.parametrize(
-        "disabled, target",
-        [("X86_V4", "X86_V3"), ("X86_V4 X86_V3", "baseline(X86_V2)")],
-        ids=["X86_V3", "baseline"],
+        "disabled, target", LOWER_SIMD_TARGETS, ids=["X86_V3", "baseline"]
     )
     def test_pins_hold_on_the_lower_simd_targets(self, disabled, target):
         # The pins of the targets this host does not select by itself,
         # checked in a child process whose numpy dispatches to them.
         pytest.importorskip("numpy.lib.introspect")
-        if pinned_state()[0] != "X86_V4":
+        if simd_target() != "X86_V4":
             pytest.skip("the lower targets are selected from an X86_V4 host")
         code = (
-            f"import json, sys; sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "import json\n"
             "from test_data_sources import pinned_state\n"
             "print(json.dumps(pinned_state()))\n"
         )
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True,
-            capture_output=True, text=True,
-        ).stdout
-        assert json.loads(out.splitlines()[-1]) == [
+        assert json.loads(run_on_simd_target(code, disabled)) == [
             target, PINNED_DIGESTS[target], PINNED_SAMPLE_DIGESTS[target],
         ]
 

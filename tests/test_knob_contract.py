@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import inspect
 import io
+import json
 import math
 import os
 import warnings
@@ -42,6 +44,7 @@ import repro
 from repro import api
 from repro.cli import build_parser, main
 from repro.exceptions import ReproError
+from test_data_sources import LOWER_SIMD_TARGETS, run_on_simd_target, simd_target
 
 NAN = float("nan")
 INF = float("inf")
@@ -495,14 +498,29 @@ class TestCliContract:
         assert _files(tmp_path, *cli_inputs.values()) == before, argv
 
 
-def test_cohort_report_bytes_are_pinned(tmp_path):
-    """The baseline cohort report's bytes, which no refusal may move."""
-    import hashlib
-
+@pytest.mark.parametrize(
+    "disabled, target",
+    [("", "X86_V4"), *LOWER_SIMD_TARGETS],
+    ids=["X86_V4", "X86_V3", "baseline"],
+)
+def test_cohort_report_bytes_are_pinned(disabled, target, tmp_path):
+    """The baseline cohort report's bytes, which no refusal may move, on
+    each SIMD target numpy's float64 loops run on, each in a child
+    process whose numpy dispatches to it."""
+    pytest.importorskip("numpy.lib.introspect")
+    if simd_target() != "X86_V4":
+        pytest.skip("the SIMD targets are selected from an X86_V4 host")
     out = tmp_path / "cohort.json"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["cohort", "--patients", "1,8", "--executor", "serial",
-                     "--json", str(out)]) == 0
+    code = (
+        "import contextlib, io, json\n"
+        "from repro.cli import main\n"
+        "from test_data_sources import simd_target\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['cohort', '--patients', '1,8', '--executor', 'serial',\n"
+        f"                 '--json', {str(out)!r}])\n"
+        "print(json.dumps([code, simd_target()]))\n"
+    )
+    assert json.loads(run_on_simd_target(code, disabled)) == [0, target]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "62609c465aa98dc410d64e7029c81ad6868169d46502c8ae0df8ce3705af76fb"
     )
