@@ -64,7 +64,6 @@ def main() -> None:
             run_shard(
                 spec,
                 journal=plan_dir / f"shard-{spec.shard_index:03d}.ckpt",
-                dataset=dataset,
                 executor="serial",
             )
 
@@ -74,7 +73,6 @@ def main() -> None:
         run_shard(
             specs[0],
             journal=plan_dir / "shard-000.ckpt",
-            dataset=dataset,
             executor="serial",
         )
         print(f"shard 0 re-run: {restored} record(s) restored, 0 recomputed")

@@ -17,7 +17,13 @@ over a socket:
    clients continue undisturbed;
 6. assert: merged telemetry records exactly one restart, one re-homed
    session, zero lost sessions, and the admission denials — then write
-   the snapshot as a CI artifact.
+   the snapshot as a CI artifact;
+7. a second leg serves a ``replay_buffer=0`` pool, which journals no
+   chunk, and SIGKILLs the shard of a session that admitted chunks:
+   that session gets a ``shard-death`` error frame, the survivor's
+   stream still equals the batch decisions, a session opened on the
+   restarted shard streams batch-identical decisions, and telemetry
+   reads one restart and one lost session.
 
 Exercises the full wire path (hello handshake, framing, admission
 gate, shard routing, parent-side journaling) end to end across a real
@@ -58,6 +64,95 @@ def pick_sessions(workers: int) -> tuple[str, str]:
         by_shard.setdefault(shard_index_of(session_id, workers), session_id)
         candidate += 1
     return by_shard[0], by_shard[1]
+
+
+def unjournaled_leg(record, batch) -> None:
+    """Kill a shard of a ``replay_buffer=0`` pool (see step 7)."""
+    from repro import api
+    from repro.exceptions import ServiceErrorCode, ShardDeathError
+    from repro.service import ServiceConfig, ServiceShardPool, shard_index_of
+
+    step = CHUNK_S * int(record.fs)
+    offsets = list(range(0, record.n_samples, step))
+    half = len(offsets) // 2
+    victim_sid, survivor_sid = pick_sessions(2)
+    # A session id routed to the victim's shard, opened after the kill.
+    fresh_sid = next(
+        sid for sid in (f"smoke-fresh-{k}" for k in range(100))
+        if shard_index_of(sid, 2) == shard_index_of(victim_sid, 2)
+    )
+
+    def stream(client, sid, seqs) -> list:
+        for seq in seqs:
+            lo = offsets[seq]
+            result = client.push(sid, record.data[:, lo : lo + step], seq=seq)
+            assert result.accepted, (sid, seq, result.reason)
+        return client.poll(sid)
+
+    def finish(client, sid) -> list:
+        summary = client.close(sid)
+        assert summary.error is None, summary
+        return list(summary.trailing_events)
+
+    async def go() -> dict:
+        config = ServiceConfig(workers=2, queue_depth=64, replay_buffer=0)
+        async with ServiceShardPool(config) as pool:
+            host, port = await pool.serve()
+            loop = asyncio.get_running_loop()
+            client = None
+            survivor = []
+
+            def first_half() -> None:
+                nonlocal client
+                client = api.connect(host, port)
+                client.open(victim_sid)
+                client.open(survivor_sid)
+                stream(client, victim_sid, range(half))
+                survivor.extend(stream(client, survivor_sid, range(half)))
+
+            def after_kill() -> None:
+                lo = offsets[half]
+                try:
+                    client.push(
+                        victim_sid, record.data[:, lo : lo + step], seq=half
+                    )
+                except ShardDeathError as exc:
+                    assert exc.code is ServiceErrorCode.SHARD_DEATH, exc
+                    print(f"victim session lost: {exc}")
+                else:
+                    raise AssertionError("the unjournaled session survived")
+                survivor.extend(
+                    stream(client, survivor_sid, range(half, len(offsets)))
+                )
+                survivor.extend(finish(client, survivor_sid))
+                client.open(fresh_sid)
+                fresh = stream(client, fresh_sid, range(len(offsets)))
+                fresh += finish(client, fresh_sid)
+                if fresh != batch:
+                    raise AssertionError(
+                        "a session on the restarted shard diverged from batch"
+                    )
+                client.disconnect()
+
+            await loop.run_in_executor(None, first_half)
+            victim = pool.shard_of(victim_sid)
+            pid = pool.worker_pid(victim)
+            print(f"replay_buffer=0: SIGKILL shard {victim} (pid {pid})")
+            os.kill(pid, signal.SIGKILL)
+            await asyncio.sleep(0.3)
+            await loop.run_in_executor(None, after_kill)
+            merged = await pool.stop()
+        if survivor != batch:
+            raise AssertionError("the survivor session diverged from batch")
+        return merged
+
+    resilience = asyncio.run(go())["resilience"]
+    assert resilience["shard_restarts"] == 1, resilience
+    assert resilience["sessions_lost"] == 1, resilience
+    print(
+        f"replay_buffer=0: victim lost, survivor and restarted shard "
+        f"byte-identical to batch; resilience={resilience}"
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -179,7 +274,12 @@ def main(argv: list[str]) -> int:
 
     out.write_text(json.dumps(merged, sort_keys=True, separators=(",", ":")))
     print(f"merged fleet telemetry written to {out}")
-    print("OK: restart + re-homing parity and structured denials verified")
+
+    unjournaled_leg(record, batch)
+    print(
+        "OK: restart + re-homing parity, structured denials and the "
+        "replay_buffer=0 loss verified"
+    )
     return 0
 
 

@@ -63,7 +63,6 @@ from .settings import (
     BACKPRESSURE_POLICIES,
     DEFAULT_CHUNK_S,
     EXECUTORS,
-    SHARD_STRATEGIES,
     ReproSettings,
 )
 
@@ -287,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, required=True, metavar="N",
         help="number of shards to partition the work list into",
     )
-    p_splan.add_argument(
-        "--strategy", choices=SHARD_STRATEGIES, default="contiguous",
-        help="partition strategy (default: contiguous)",
-    )
     _add_scale_args(p_splan)
 
     p_srun = shard_sub.add_parser(
@@ -358,10 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sorch.add_argument(
         "--shards", type=int, required=True, metavar="N",
         help="number of shards",
-    )
-    p_sorch.add_argument(
-        "--strategy", choices=SHARD_STRATEGIES, default="contiguous",
-        help="partition strategy (default: contiguous)",
     )
     _add_scale_args(p_sorch)
     p_sorch.add_argument(
@@ -513,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay-buffer", type=int, default=None, metavar="N",
         help="per-session journal bound (admitted chunks) for re-homing "
         "sessions after a worker shard dies (default: "
-        "$REPRO_SERVICE_REPLAY_BUFFER, else 256; 0 disables restart "
-        "and re-homing)",
+        "$REPRO_SERVICE_REPLAY_BUFFER, else 256; at 0 a dead shard "
+        "is still restarted, but its sessions that admitted a chunk "
+        "are lost)",
     )
     p_serve.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
@@ -778,11 +770,11 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
             f"{out_dir} already contains a shard plan; point "
             f"--out-dir at a fresh directory or delete the old plan"
         )
-    specs = plan_shards(tasks, config, args.shards, strategy=args.strategy)
+    specs = plan_shards(tasks, config, args.shards)
     write_plan(out_dir, specs)
     sizes = ", ".join(str(len(s.tasks)) for s in specs)
     print(
-        f"planned {len(specs)} shard(s) ({args.strategy}) over "
+        f"planned {len(specs)} shard(s) over "
         f"{len(tasks)} task(s) -> {out_dir}"
     )
     print(f"shard sizes: {sizes}")
@@ -892,7 +884,7 @@ def _cmd_shard_orchestrate(args: argparse.Namespace) -> int:
     # The launcher refuses bad knobs on construction: do it before a
     # plan is written, so a bad value leaves no manifest behind.
     ShardLauncher(out_dir, **launch)
-    specs = plan_shards(tasks, config, args.shards, strategy=args.strategy)
+    specs = plan_shards(tasks, config, args.shards)
     if sorted(out_dir.glob("shard-*.json")):
         # Resume semantics: an existing plan is reused so completed
         # shards are skipped and partial ones continue — but only if
@@ -902,8 +894,8 @@ def _cmd_shard_orchestrate(args: argparse.Namespace) -> int:
         if existing != specs:
             raise ValueError(
                 f"{out_dir} holds a plan for a different "
-                f"run (cohort, scale, shard count, or strategy "
-                f"differ); point --out-dir elsewhere or delete it"
+                f"run (cohort, scale, or shard count differ); "
+                f"point --out-dir elsewhere or delete it"
             )
         specs = existing
     else:

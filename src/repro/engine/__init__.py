@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_CHUNK_S",
     "DEFAULT_COMPACT_DEAD_LINES",
     "EXECUTORS",
-    "SHARD_STRATEGIES",
     "CohortCheckpoint",
     "CohortEngine",
     "CohortReport",
@@ -81,7 +80,7 @@ _EXPORTS = {
     ".executor": ("EXECUTORS", "CohortEngine", "EngineConfig"),
     ".report": ("CohortReport", "PatientSummary", "RecordOutcome"),
     ".sharding": (
-        "SHARD_STRATEGIES", "ShardLauncher", "ShardSpec", "ShardStatus", "collect_shards",
+        "ShardLauncher", "ShardSpec", "ShardStatus", "collect_shards",
         "load_plan", "merge_shards", "merged_report", "orchestrate", "partition_tasks",
         "plan_shards", "run_shard", "write_plan",
     ),

@@ -10,8 +10,8 @@ reduces to four small verbs:
 
 ``plan``
     :func:`plan_shards` deterministically partitions a work list into N
-    :class:`ShardSpec` manifests (contiguous slices or strided
-    round-robin), each a self-contained JSON file carrying the *full*
+    :class:`ShardSpec` manifests (contiguous slices), each a
+    self-contained JSON file carrying the *full*
     run's work/config digests plus the shard's own task coordinates.  A
     manifest is everything a machine needs to run its slice — no shared
     state, no coordinator connection.
@@ -62,8 +62,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..data.dataset import SyntheticEEGDataset, check_duration_range
-from ..exceptions import CheckpointError, ShardError, at_least, integer, positive
-from ..settings import SHARD_STRATEGIES
+from ..exceptions import CheckpointError, ShardError, integer, positive
 from .checkpoint import (
     CohortCheckpoint,
     _line_checksum,
@@ -76,7 +75,6 @@ from .report import CohortReport
 from .tasks import RecordTask
 
 __all__ = [
-    "SHARD_STRATEGIES",
     "ShardLauncher",
     "ShardSpec",
     "ShardStatus",
@@ -98,76 +96,25 @@ __all__ = [
 #: Manifest kind tag + format version; a manifest of a different kind
 #: or version is refused outright — manifests are small operator-written
 #: configuration, so unlike journals they fail loud, never degrade.
+#: Version 2 dropped the ``strategy`` field: every plan is contiguous.
 _MANIFEST_KIND = "repro-shard-spec"
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 
 #: Default name of the merged checkpoint ``orchestrate`` writes.
 MERGED_NAME = "merged.ckpt"
 
 
-def partition_tasks(
-    tasks,
-    n_shards: int,
-    strategy: str = "contiguous",
-    weights=None,
-) -> tuple[tuple[RecordTask, ...], ...]:
-    """Split a work list into ``n_shards`` deterministic slices.
+def partition_tasks(tasks, n_shards: int) -> tuple[tuple[RecordTask, ...], ...]:
+    """Split a work list into ``n_shards`` deterministic contiguous slices.
 
-    Every task lands in exactly one shard; shards may legitimately be
-    empty when ``n_shards`` exceeds the task count (a fixed fleet
-    pointed at a small cohort).  ``contiguous`` spreads the remainder
-    over the leading shards so sizes differ by at most one; ``strided``
-    is ``tasks[i::n_shards]``.
-
-    ``weights`` — one non-negative finite cost per task (e.g. record
-    duration in seconds) — switches ``contiguous`` to a greedy
-    longest-processing-time assignment: tasks are placed heaviest-first
-    onto the currently lightest shard, which bounds the makespan at
-    4/3 of optimal even under heavy skew.  The assignment is fully
-    deterministic (ties break by shard fill count, then shard index,
-    and equal-weight tasks place in work-list order) and each shard
-    preserves original work-list order internally.  Weighted
-    partitioning is a launch-time balancing aid only: shards no longer
-    interleave by a closed form, so weighted plans cannot be rebuilt by
-    :func:`reconstruct_work_list` and ``weights`` cannot combine with
-    ``"strided"``.
+    Every task lands in exactly one shard, and the remainder spreads
+    over the leading shards so sizes differ by at most one; shards may
+    legitimately be empty when ``n_shards`` exceeds the task count (a
+    fixed fleet pointed at a small cohort).  Concatenating the slices in
+    shard order gives the work list back (:func:`reconstruct_work_list`).
     """
     tasks = tuple(tasks)
     integer(n_shards, "n_shards", ShardError, 1)
-    if strategy not in SHARD_STRATEGIES:
-        raise ShardError(
-            f"strategy must be one of {SHARD_STRATEGIES}, got {strategy!r}"
-        )
-    if weights is not None:
-        if strategy == "strided":
-            raise ShardError(
-                "weights require the contiguous strategy; strided is a "
-                "fixed round-robin and cannot honor per-task costs"
-            )
-        weights = [
-            float(at_least(weight, f"weights[{index}]", ShardError, 0))
-            for index, weight in enumerate(weights)
-        ]
-        if len(weights) != len(tasks):
-            raise ShardError(
-                f"weights length {len(weights)} != task count {len(tasks)}"
-            )
-        # Greedy LPT: heaviest task first, onto the lightest shard.
-        order = sorted(range(len(tasks)), key=lambda i: (-weights[i], i))
-        loads = [0.0] * n_shards
-        assigned: list[list[int]] = [[] for _ in range(n_shards)]
-        for index in order:
-            shard = min(
-                range(n_shards),
-                key=lambda s: (loads[s], len(assigned[s]), s),
-            )
-            loads[shard] += weights[index]
-            assigned[shard].append(index)
-        return tuple(
-            tuple(tasks[i] for i in sorted(bucket)) for bucket in assigned
-        )
-    if strategy == "strided":
-        return tuple(tasks[i::n_shards] for i in range(n_shards))
     base, rem = divmod(len(tasks), n_shards)
     slices = []
     start = 0
@@ -191,15 +138,13 @@ class ShardSpec:
 
     shard_index: int
     n_shards: int
-    strategy: str
     #: Digest of the full planned work list (all shards share it).
     work: str
     #: Digest of the engine configuration the plan was built under.
     config: str
     #: Dataset duration range (seconds) — the one dataset knob the
     #: manifest must carry to rebuild the engine; everything else in the
-    #: config digest is the package default (a custom dataset can still
-    #: be injected via :func:`run_shard`'s ``dataset`` parameter).
+    #: config digest is the package default.
     duration_range_s: tuple[float, float]
     tasks: tuple[RecordTask, ...]
 
@@ -210,11 +155,6 @@ class ShardSpec:
             raise ShardError(
                 f"shard_index must be in [0, {self.n_shards}), got "
                 f"{self.shard_index}"
-            )
-        if self.strategy not in SHARD_STRATEGIES:
-            raise ShardError(
-                f"strategy must be one of {SHARD_STRATEGIES}, got "
-                f"{self.strategy!r}"
             )
 
     @property
@@ -235,7 +175,6 @@ class ShardSpec:
             "version": _MANIFEST_VERSION,
             "shard_index": self.shard_index,
             "n_shards": self.n_shards,
-            "strategy": self.strategy,
             "work": self.work,
             "config": self.config,
             "duration_range_s": list(self.duration_range_s),
@@ -303,7 +242,6 @@ class ShardSpec:
             return cls(
                 shard_index=payload["shard_index"],
                 n_shards=payload["n_shards"],
-                strategy=payload["strategy"],
                 work=payload["work"],
                 config=payload["config"],
                 duration_range_s=(float(lo), float(hi)),
@@ -344,8 +282,6 @@ def plan_shards(
     tasks,
     config,
     n_shards: int,
-    *,
-    strategy: str = "contiguous",
 ) -> tuple[ShardSpec, ...]:
     """Partition a work list under an engine configuration into specs.
 
@@ -355,14 +291,13 @@ def plan_shards(
     contract guarantees they cannot change a byte).
     """
     tasks = tuple(tasks)
-    slices = partition_tasks(tasks, n_shards, strategy)
+    slices = partition_tasks(tasks, n_shards)
     work = work_list_digest(tasks)
     cfg = config_digest(config)
     return tuple(
         ShardSpec(
             shard_index=index,
             n_shards=n_shards,
-            strategy=strategy,
             work=work,
             config=cfg,
             duration_range_s=config.dataset.duration_range_s,
@@ -388,14 +323,14 @@ def load_plan(plan_dir: str | os.PathLike) -> tuple[ShardSpec, ...]:
 
     Beyond per-file checksums, the set as a whole must be coherent:
 
-    * every spec agrees on (n_shards, strategy, work, config, duration
-      range) — shards of one run, not a mixture of plans;
+    * every spec agrees on (n_shards, work, config, duration range) —
+      shards of one run, not a mixture of plans;
     * shard indices are exactly ``0..n_shards-1``, each once — a lost
       or duplicated manifest cannot pass;
     * no task key appears in two shards — overlapping specs would make
       two machines claim the same record (and the merge would silently
       prefer one, hiding the planning bug);
-    * re-assembling the slices per the strategy reproduces a work list
+    * concatenating the slices in shard order reproduces a work list
       whose digest equals the plan's ``work`` — so missing *or* extra
       tasks are caught even though the full list is never stored.
     """
@@ -406,13 +341,13 @@ def load_plan(plan_dir: str | os.PathLike) -> tuple[ShardSpec, ...]:
     specs = tuple(ShardSpec.load(p) for p in paths)
 
     identities = {
-        (s.n_shards, s.strategy, s.work, s.config, s.duration_range_s)
+        (s.n_shards, s.work, s.config, s.duration_range_s)
         for s in specs
     }
     if len(identities) != 1:
         raise ShardError(
             f"manifests under {plan_dir} disagree on their plan identity "
-            f"(n_shards/strategy/work/config); they belong to different "
+            f"(n_shards/work/config); they belong to different "
             f"runs — re-plan into a fresh directory"
         )
     n_shards = specs[0].n_shards
@@ -449,20 +384,7 @@ def load_plan(plan_dir: str | os.PathLike) -> tuple[ShardSpec, ...]:
 def reconstruct_work_list(specs) -> tuple[RecordTask, ...]:
     """Invert :func:`partition_tasks` over a validated spec set."""
     ordered = sorted(specs, key=lambda s: s.shard_index)
-    if not ordered:
-        return ()
-    if ordered[0].strategy == "contiguous":
-        return tuple(t for spec in ordered for t in spec.tasks)
-    slices = [spec.tasks for spec in ordered]
-    n = len(slices)
-    total = sum(len(s) for s in slices)
-    try:
-        return tuple(slices[i % n][i // n] for i in range(total))
-    except IndexError:
-        raise ShardError(
-            "shard sizes are inconsistent with a strided partition; the "
-            "manifest set is not a partition of one work list"
-        )
+    return tuple(t for spec in ordered for t in spec.tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +392,15 @@ def run_shard(
     spec: ShardSpec,
     *,
     journal: str | os.PathLike | CohortCheckpoint,
-    dataset: SyntheticEEGDataset | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
     chunk_s: float | None = None,
     store_dir: str | None = None,
-    max_failures: int | None = 0,
 ) -> CohortReport:
     """Execute one shard as an independent checkpointed engine run.
 
-    Rebuilds the engine from the manifest (or an injected ``dataset``
-    for library callers with non-default datasets) and *verifies* the
-    rebuilt configuration digests to the manifest's ``config`` before
+    Rebuilds the engine from the manifest and *verifies* the rebuilt
+    configuration digests to the manifest's ``config`` before
     any record work — a shard silently running the wrong configuration
     would poison the merge, so drift fails here, loudly.
 
@@ -490,14 +409,12 @@ def run_shard(
     another shard's journal (or any foreign file) is rejected by the
     checkpoint layer.  Scheduling knobs (executor kind, worker count,
     chunk size, store) stay per-shard because the equivalence contract
-    keeps them out of the result bytes.  ``max_failures`` defaults to
-    strict: one poisoned record fails the shard (its journal keeps every
-    completed record, so the retry is cheap).
+    keeps them out of the result bytes.  A shard is strict: one poisoned
+    record fails it (its journal keeps every completed record, so the
+    retry is cheap).
     """
-    if dataset is None:
-        dataset = SyntheticEEGDataset(duration_range_s=spec.duration_range_s)
     engine = CohortEngine(
-        dataset,
+        SyntheticEEGDataset(duration_range_s=spec.duration_range_s),
         executor=executor,
         max_workers=max_workers,
         store_dir=store_dir,
@@ -515,7 +432,7 @@ def run_shard(
         # An empty shard is a complete shard: nothing to run, nothing to
         # journal (collect counts it 0/0).
         return CohortReport.from_outcomes(())
-    return engine.run(spec.tasks, checkpoint=journal, max_failures=max_failures)
+    return engine.run(spec.tasks, checkpoint=journal, max_failures=0)
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ class ServiceErrorCode(str, enum.Enum):
     AUTH = "auth"
     #: A per-client quota (open sessions, chunk rate) was exceeded.
     QUOTA = "quota"
-    #: A session's bounded ingest queue refused the chunk (reject policy).
-    BACKPRESSURE = "backpressure"
     #: Malformed frame, unknown op/version, bad session state — the
     #: default for every :class:`ServiceError` without a sharper code.
     PROTOCOL = "protocol"
@@ -134,21 +132,11 @@ class QuotaError(ServiceError):
 
 class ShardDeathError(ServiceError):
     """Raised when a worker shard died and the operation's session could
-    not be transparently re-homed (resilience disabled, the session's
-    replay journal overflowed, or the restarted shard failed to come
-    up)."""
+    not be re-homed on its restarted incarnation (the session admitted
+    more chunks than its replay journal holds, or the restarted shard
+    failed to come up)."""
 
     code = ServiceErrorCode.SHARD_DEATH
-
-
-class BackpressureError(ServiceError):
-    """Raised under the ``reject`` backpressure policy when a session's
-    bounded ingest queue is full and the caller asked for strict
-    admission (:meth:`SessionManager.ingest` with ``strict=True``).  The
-    non-strict path surfaces the same condition as a rejected
-    :class:`~repro.service.manager.IngestResult` instead."""
-
-    code = ServiceErrorCode.BACKPRESSURE
 
 
 class ModelError(ReproError):

@@ -11,8 +11,7 @@ result types (:class:`~repro.service.manager.IngestResult`,
 dicts.  Error frames come back as the typed exceptions their ``code``
 field names (:func:`~repro.service.framing.exception_for`):
 :class:`~repro.exceptions.AuthError`, :class:`~repro.exceptions
-.QuotaError`, :class:`~repro.exceptions.BackpressureError`,
-:class:`~repro.exceptions.ShardDeathError`, or plain
+.QuotaError`, :class:`~repro.exceptions.ShardDeathError`, or plain
 :class:`~repro.exceptions.ServiceError` for protocol faults.
 
 On connect the client performs the versioned ``hello`` handshake

@@ -82,8 +82,9 @@ class ServiceConfig:
         killed worker is restarted and its sessions re-homed by
         replaying these journals, byte-identical to an unkilled run; a
         session whose journal overflowed the bound is surfaced as lost
-        (``shard-death``) instead of silently diverging.  0 disables
-        resilience (a dead shard errors its sessions).
+        (``shard-death``) instead of silently diverging.  0 journals no
+        chunk: a dead shard is still restarted and its open-only
+        sessions re-homed, but a session that admitted a chunk is lost.
     """
 
     fs: float = 256.0

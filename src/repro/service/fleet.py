@@ -36,16 +36,17 @@ Three hardening layers sit on top of the PR 9 pool:
   :class:`~repro.service.admission.AdmissionGate`: versioned ``hello``
   handshake, token auth, and per-client session/chunk-rate quotas, all
   enforced in the parent before a frame ever reaches a shard.
-* **Resilience** — with ``config.replay_buffer >= 1`` the parent
-  journals every *acknowledged* session-shaping frame (open with its
-  detector state, admitted chunks, detector swaps).  When a worker
-  dies, the pool respawns it on the same IPC socket and re-homes the
-  dead shard's sessions by replaying their journals; because window
+* **Resilience** — the parent journals every *acknowledged*
+  session-shaping frame (open with its detector state, admitted chunks
+  up to ``config.replay_buffer`` of them, detector swaps).  When a
+  worker dies, the pool respawns it on the same IPC socket and re-homes
+  the dead shard's sessions by replaying their journals; because window
   decisions are a pure function of the admitted sample stream and the
   detector schedule, re-homed decision streams are byte-identical to
-  an unkilled run.  A session whose journal overflowed the bound (or
-  that shed chunks) cannot be reproduced and is surfaced as *lost*
-  with a ``shard-death`` error frame — explicitly, never silently.
+  an unkilled run.  A session whose journal overflowed the bound (at
+  ``replay_buffer=0``, any session that admitted a chunk) or that shed
+  chunks cannot be reproduced and is surfaced as *lost* with a
+  ``shard-death`` error frame — explicitly, never silently.
 * **Hot-swap** — :meth:`ServiceShardPool.swap_detector` broadcasts a
   serialized retrained forest to every shard's ``swap_detector`` verb;
   each shard decides every queued chunk and swaps under its session
@@ -428,7 +429,10 @@ class _SessionRecord:
     The journal is bounded by ``replay_buffer`` admitted chunks; a
     session that outgrows it (or sheds chunks, whose timing-dependent
     drop pattern cannot be reproduced) is marked unreplayable and will
-    be surfaced as lost if its shard dies.
+    be surfaced as lost if its shard dies.  Swaps stay bounded too: a
+    swap right after another replaces it (see :meth:`add_swap`), so the
+    journal holds at most one swap after the open and after each
+    journaled chunk.
     """
 
     __slots__ = (
@@ -436,10 +440,10 @@ class _SessionRecord:
         "unreplayable",
     )
 
-    def __init__(self, session_id: str, shard: int) -> None:
+    def __init__(self, session_id: str, shard: int, opened: dict) -> None:
         self.session_id = session_id
         self.shard = shard
-        self.journal: list[dict] = []
+        self.journal: list[dict] = [opened]
         self.chunks = 0
         self.events_delivered = 0
         self.unreplayable: str | None = None
@@ -454,13 +458,22 @@ class _SessionRecord:
         self.chunks += 1
         if self.chunks > capacity:
             self.mark_unreplayable(
-                f"journal overflowed the {capacity}-chunk replay buffer"
+                f"it admitted more chunks than replay_buffer={capacity} "
+                f"journals"
             )
             return
         self.journal.append(frame)
 
-    def add_frame(self, frame: dict) -> None:
-        if not self.unreplayable:
+    def add_swap(self, frame: dict) -> None:
+        """Journal a ``swap_detector``.  A swap whose predecessor is a
+        swap replaces it: a swap decides every queued chunk before it
+        installs its detector, and no chunk of this session came
+        between the two, so the earlier detector scores no window."""
+        if self.unreplayable:
+            return
+        if self.journal[-1].get("op") == "swap_detector":
+            self.journal[-1] = frame
+        else:
             self.journal.append(frame)
 
 
@@ -480,24 +493,18 @@ class ServiceShardPool:
     object cannot cross a process boundary), and :meth:`snapshot` is a
     coroutine (it asks every shard).
 
-    With ``config.replay_buffer >= 1`` (the default) the pool is
-    self-healing: a dead worker is respawned and its sessions re-homed
-    from their parent-side journals, byte-identical to an unkilled run
-    (see the module docstring).  ``replay_buffer=0`` restores the PR 9
-    behavior — a dead shard fails its sessions' requests with
-    ``shard-death`` errors and the survivors carry on.
+    The pool is self-healing: a dead worker is respawned and its
+    sessions re-homed from their parent-side journals, byte-identical
+    to an unkilled run (see the module docstring).  A session whose
+    journal cannot reproduce it — more admitted chunks than
+    ``config.replay_buffer``, so any chunk at ``0`` — fails its
+    requests with ``shard-death`` errors, while the restarted shard
+    serves every other session.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        workers: int | None = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.n_workers = integer(
-            self.config.workers if workers is None else workers,
-            "workers", ServiceError, 1,
-        )
+        self.n_workers = self.config.workers
         #: Parent-side collector: admission + resilience counters (the
         #: shards count sessions/chunks/latency; merge overlays this).
         self.telemetry = ServiceTelemetry()
@@ -538,10 +545,6 @@ class ServiceShardPool:
         pid = self._clients[index].process.pid
         assert pid is not None
         return pid
-
-    @property
-    def resilient(self) -> bool:
-        return self.config.replay_buffer >= 1
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -626,9 +629,7 @@ class ServiceShardPool:
             writer.close()
 
     def _arm(self, client: _ShardClient) -> None:
-        """Wire the eager-restart death callback (resilient pools only)."""
-        if not self.resilient:
-            return
+        """Wire the eager-restart death callback."""
         index = client.index
 
         def on_death() -> None:
@@ -744,12 +745,6 @@ class ServiceShardPool:
             if self._stopping:
                 raise ShardDeathError(
                     f"shard {index} died during shutdown"
-                )
-            if not self.resilient:
-                self._ready[index].set()
-                raise ShardDeathError(
-                    f"shard {index} died (resilience disabled: "
-                    f"replay_buffer=0)"
                 )
             try:
                 await self._restart_shard(index)
@@ -897,7 +892,7 @@ class ServiceShardPool:
         except ShardDeathError:
             raise
         except ServiceError as exc:
-            if self._stopping or not self.resilient:
+            if self._stopping:
                 raise ShardDeathError(str(exc)) from None
             await self._ensure_shard(index)
             try:
@@ -910,36 +905,27 @@ class ServiceShardPool:
     # ------------------------------------------------------------------
     async def _session_request(self, message: dict) -> dict:
         """Route one session-scoped frame to its shard and book its
-        effects into the replay journal (resilient pools)."""
+        effects into the replay journal."""
         session_id = str(message["session"])
         op = message.get("op")
-        if self.resilient:
-            if op == "open":
+        if op == "open":
+            self._lost.pop(session_id, None)
+            # Pin the open-time detector: a session opened after a
+            # hot-swap must re-home under the swapped default, not the
+            # config default.
+            if message.get("state") is None and self._detector_state is not None:
+                message = dict(message, state=self._detector_state)
+        elif session_id in self._lost:
+            reason = self._lost[session_id]
+            if op == "close":
                 self._lost.pop(session_id, None)
-                # Pin the open-time detector: a session opened after a
-                # hot-swap must re-home under the swapped default, not
-                # the config default.
-                if (
-                    message.get("state") is None
-                    and self._detector_state is not None
-                ):
-                    message = dict(message, state=self._detector_state)
-            elif session_id in self._lost:
-                reason = self._lost[session_id]
-                if op == "close":
-                    self._lost.pop(session_id, None)
-                raise ShardDeathError(
-                    f"session {session_id!r} was lost in a shard restart: "
-                    f"{reason}"
-                )
+            raise ShardDeathError(
+                f"session {session_id!r} was lost in a shard restart: "
+                f"{reason}"
+            )
         index = self.shard_of(session_id)
         reply = await self._shard_request(index, message)
-        if (
-            not reply.get("ok")
-            and self.resilient
-            and op != "open"
-            and session_id in self._lost
-        ):
+        if not reply.get("ok") and op != "open" and session_id in self._lost:
             # The request raced a restart that declared this session
             # lost: surface the loss, not the fresh shard's confused
             # "no open session" protocol error.
@@ -947,12 +933,12 @@ class ServiceShardPool:
                 f"session {session_id!r} was lost in a shard restart: "
                 f"{self._lost[session_id]}"
             )
-        if self.resilient and reply.get("ok"):
+        if reply.get("ok"):
             record = self._records.get(session_id)
             if op == "open":
-                record = _SessionRecord(session_id, index)
-                record.add_frame(dict(message))
-                self._records[session_id] = record
+                self._records[session_id] = _SessionRecord(
+                    session_id, index, dict(message)
+                )
             elif record is not None and op == "chunk":
                 if reply.get("accepted"):
                     if reply.get("shed", 0) > 0:
@@ -1042,13 +1028,12 @@ class ServiceShardPool:
             if not reply.get("ok"):
                 raise exception_for(reply)
             total += int(reply.get("sessions", 0))
-            if self.resilient:
-                # Journal the swap into every session homed on this
-                # shard, at acknowledgement order — replay will apply it
-                # between exactly the chunks it originally fell between.
-                for record in self._records.values():
-                    if record.shard == index:
-                        record.add_frame(dict(frame))
+            # Journal the swap into every session homed on this shard,
+            # at acknowledgement order — replay will apply it between
+            # exactly the chunks it originally fell between.
+            for record in self._records.values():
+                if record.shard == index:
+                    record.add_swap(frame)
         self._detector_state = state
         return total
 

@@ -52,7 +52,6 @@ import numpy as np
 
 from ..exceptions import (
     AuthError,
-    BackpressureError,
     QuotaError,
     ServiceError,
     ServiceErrorCode,
@@ -164,7 +163,6 @@ def decode_payload(payload: bytes) -> dict:
 _CODE_CLASSES: dict[str, type[ServiceError]] = {
     ServiceErrorCode.AUTH.value: AuthError,
     ServiceErrorCode.QUOTA.value: QuotaError,
-    ServiceErrorCode.BACKPRESSURE.value: BackpressureError,
     ServiceErrorCode.PROTOCOL.value: ServiceError,
     ServiceErrorCode.SHARD_DEATH.value: ShardDeathError,
 }

@@ -8,8 +8,8 @@ queued: one consumer task decides a session once it is due
 (:meth:`~repro.service.manager.SessionManager.claim_due`), and a
 session's ``poll`` or ``close`` decides its own queue inline.
 Backpressure propagates unchanged — a full queue surfaces the manager's
-:class:`~repro.service.manager.IngestResult` to the async caller and as
-an error frame to socket clients.
+:class:`~repro.service.manager.IngestResult` to the async caller, and to
+socket clients as the ``chunk`` verb's ok-reply with ``accepted: false``.
 
 Wire protocol: one length-prefixed frame per message, both directions:
 JSON, except that a chunk's samples follow its JSON header as raw
@@ -48,17 +48,8 @@ class DetectionService:
     as an async context manager.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        manager: SessionManager | None = None,
-    ) -> None:
-        if config is not None and manager is not None:
-            raise ServiceError("pass config or manager, not both")
-        # `is not None`, not truthiness: an empty manager has len() == 0.
-        self.manager = (
-            manager if manager is not None else SessionManager(config)
-        )
+    def __init__(self, config: ServiceConfig | None = None) -> None:
+        self.manager = SessionManager(config)
         self.gate = AdmissionGate(self.manager.config, self.manager.telemetry)
         #: Sessions handed to the consumer as due, each at most once.
         self._dirty: asyncio.Queue[str] = asyncio.Queue()
@@ -146,11 +137,11 @@ class DetectionService:
         """Decide this session's queued chunks, then collect decisions."""
         return self.manager.poll_events(session_id, max_events)
 
-    async def close_session(self, session_id: str, drain: bool = True):
+    async def close_session(self, session_id: str):
         # The manager's close decides the queue itself; a consumer
         # wakeup left for the closed session is absorbed by the pump's
         # unknown-session error.
-        return self.manager.close_session(session_id, drain=drain)
+        return self.manager.close_session(session_id)
 
     async def swap_detector(self, detector: WindowDetector) -> int:
         """Drain, then hot-swap every open session's detector.

@@ -24,9 +24,8 @@ row); only their timing moves.
 Backpressure is explicit, never silent:
 
 * ``reject`` — a full queue refuses the new chunk.  The caller sees
-  ``IngestResult(accepted=False)`` (or :class:`~repro.exceptions
-  .BackpressureError` under ``strict=True``) and telemetry counts the
-  rejection.
+  ``IngestResult(accepted=False)`` (on the wire, an ok-reply with
+  ``accepted: false``) and telemetry counts the rejection.
 * ``shed-oldest`` — a full queue drops its *oldest* queued chunk to
   admit the newest (fresh data beats stale data for a live detector).
   The shed count comes back in the ``IngestResult`` and telemetry; a
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import BackpressureError, FeatureError, ServiceError
+from ..exceptions import FeatureError, ServiceError
 from .config import ServiceConfig
 from .session import DetectorSession, WindowDecision, WindowDetector
 from .telemetry import ServiceTelemetry
@@ -176,19 +175,13 @@ class SessionManager:
     ----------
     config:
         Shared :class:`~repro.service.config.ServiceConfig` (geometry,
-        queue depth, backpressure policy).
-    telemetry:
-        Shared :class:`~repro.service.telemetry.ServiceTelemetry`; a
-        fresh collector is created when omitted.
+        queue depth, backpressure policy).  The manager keeps its own
+        :class:`~repro.service.telemetry.ServiceTelemetry` collector.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        telemetry: ServiceTelemetry | None = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.telemetry = telemetry or ServiceTelemetry()
+        self.telemetry = ServiceTelemetry()
         self._sessions: dict[str, _SessionState] = {}
         #: Queued samples that make a session due, and the most one
         #: joined push takes (DECIDE_WINDOWS window steps).
@@ -246,7 +239,6 @@ class SessionManager:
         session_id: str,
         chunk: np.ndarray,
         seq: int | None = None,
-        strict: bool = False,
     ) -> IngestResult:
         """Offer one chunk to a session's bounded queue.
 
@@ -263,8 +255,7 @@ class SessionManager:
         so it takes no ``seq`` and never reaches the consumer.
 
         Returns the :class:`IngestResult`; under the ``reject`` policy a
-        full queue returns ``accepted=False`` (or raises
-        :class:`~repro.exceptions.BackpressureError` when ``strict``).
+        full queue returns ``accepted=False``.
         """
         state = self._state(session_id)
         chunk = np.asarray(chunk, dtype=float)
@@ -292,19 +283,12 @@ class SessionManager:
             if len(state.queue) >= self.config.queue_depth:
                 if self.config.backpressure == "reject":
                     self.telemetry.chunk_rejected()
-                    result = IngestResult(
+                    return IngestResult(
                         session_id=session_id,
                         accepted=False,
                         queued=len(state.queue),
                         reason="queue full (policy: reject)",
                     )
-                    if strict:
-                        raise BackpressureError(
-                            f"session {session_id!r}: ingest queue full "
-                            f"({self.config.queue_depth} chunks), chunk "
-                            f"rejected"
-                        )
-                    return result
                 # shed-oldest: make room by dropping from the head.
                 while len(state.queue) >= self.config.queue_depth:
                     state.samples -= state.queue.popleft()[2].shape[1]
@@ -386,20 +370,14 @@ class SessionManager:
     # ------------------------------------------------------------------
     # Pump (consumer side)
     # ------------------------------------------------------------------
-    def pump(
-        self,
-        session_id: str,
-        max_chunks: int | None = None,
-        due_only: bool = False,
-    ) -> int:
+    def pump(self, session_id: str, due_only: bool = False) -> int:
         """Decide queued chunks of one session, oldest first.
 
         Consecutive chunks are joined into one detector push while the
         joined block stays within :data:`DECIDE_WINDOWS` window steps; a
         larger chunk goes alone.  Each block is popped and decided under
         the session lock.  Every chunk's ingest→decision latency lands in
-        telemetry.  ``max_chunks`` caps the chunks decided.
-        ``due_only`` is the consumer's call after a :meth:`claim_due`
+        telemetry.  ``due_only`` is the consumer's call after a :meth:`claim_due`
         hand-off: it ends the hand-off and decides only while the queue
         is still due, so a hand-off that a ``poll`` already served
         decides nothing.  Returns the number of windows decided.
@@ -409,8 +387,7 @@ class SessionManager:
             with state.lock:
                 state.handed = False
         windows = 0
-        processed = 0
-        while max_chunks is None or processed < max_chunks:
+        while True:
             with state.lock:
                 if not state.queue or (due_only and not self._due(state)):
                     break
@@ -418,7 +395,6 @@ class SessionManager:
                 size = block[0][2].shape[1]
                 while (
                     state.queue
-                    and (max_chunks is None or processed + len(block) < max_chunks)
                     and size + state.queue[0][2].shape[1] <= self._block_samples
                 ):
                     block.append(state.queue.popleft())
@@ -432,7 +408,6 @@ class SessionManager:
                         now - t_ingest, n_new if i == len(block) else 0
                     )
             windows += n_new
-            processed += len(block)
         return windows
 
     def pump_all(self) -> int:
@@ -461,22 +436,21 @@ class SessionManager:
         with state.lock:
             return state.session.poll_events(max_events)
 
-    def close_session(self, session_id: str, drain: bool = True) -> SessionSummary:
+    def close_session(self, session_id: str) -> SessionSummary:
         """Finalize and deregister a session.
 
-        ``drain`` first decides any still-queued chunks (a disconnect
-        must not lose admitted data); with ``drain=False`` the queued
-        chunks are counted as shed instead — again surfaced, not
-        silent.  Finalization follows the streaming contract: no
-        trailing window for a partial tail, and a stream shorter than
-        one window reports the batch path's short-record error in
-        :attr:`SessionSummary.error`.
+        Every still-queued chunk is decided first: a disconnect must not
+        lose admitted data.  Finalization follows the streaming
+        contract: no trailing window for a partial tail, and a stream
+        shorter than one window reports the batch path's short-record
+        error in :attr:`SessionSummary.error`.
         """
         state = self._state(session_id)
-        if drain:
-            self.pump(session_id)
+        self.pump(session_id)
         error: str | None = None
         with state.lock:
+            # A chunk admitted by another thread after the pump is
+            # counted as shed: surfaced, not silent.
             dropped = len(state.queue)
             if dropped:
                 state.queue.clear()

@@ -7,8 +7,8 @@ a :class:`~repro.service.manager.SessionManager` session paced against
 the wall clock — chunk ``k`` is offered no earlier than ``t_media(k) /
 speed`` after the replay started, so ``speed=1.0`` reproduces the
 wearable's live arrival process and ``speed=32`` stress-tests 32
-patients' worth of a single stream.  ``speed=0`` (or ``None``) disables
-pacing entirely for deterministic tests and benchmarks.
+patients' worth of a single stream.  ``speed=0`` disables pacing
+entirely for deterministic tests and benchmarks.
 
 Each replay polls the session after every ingest (the poll decides the
 chunk inline; one producer, strict order), collects every decision, and
@@ -86,8 +86,8 @@ class Replayer:
         manager is created when omitted.
     speed:
         Media-time / wall-time ratio.  ``1.0`` is live speed, larger is
-        faster-than-real-time, and ``0``/``None`` disables pacing (the
-        replay runs flat out and ``max_lag_s`` stays 0).  Finite and >= 0.
+        faster-than-real-time, and ``0`` disables pacing (the replay
+        runs flat out and ``max_lag_s`` stays 0).  Finite and >= 0.
     chunk_s:
         Media seconds per ingested chunk — the simulated transport's
         packetization.  Decision *content* is chunk-invariant (the
@@ -97,15 +97,13 @@ class Replayer:
     def __init__(
         self,
         manager: SessionManager | None = None,
-        speed: float | None = 1.0,
+        speed: float = 1.0,
         chunk_s: float = 1.0,
     ) -> None:
-        if speed is not None:
-            at_least(speed, "speed", ServiceError, 0)
+        self.speed = float(at_least(speed, "speed", ServiceError, 0))
         positive(chunk_s, "chunk_s", ServiceError)
         # `is not None`, not truthiness: an empty manager has len() == 0.
         self.manager = manager if manager is not None else SessionManager()
-        self.speed = float(speed) if speed else 0.0
         self.chunk_s = float(chunk_s)
 
     def replay(

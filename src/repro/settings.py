@@ -14,8 +14,7 @@ environment changes underneath it.  ``from_env(mapping)`` parses the
 given mapping and never reads or writes ``os.environ``.
 
 The engine constants the ``repro`` parser shows as choices and defaults
-(:data:`EXECUTORS`, :data:`DEFAULT_CHUNK_S`, :data:`SHARD_STRATEGIES`)
-live here too, so building the parser imports no engine module.
+(:data:`EXECUTORS`, :data:`DEFAULT_CHUNK_S`) live here too, so building the parser imports no engine module.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "ENV_SERVICE_REPLAY_BUFFER",
     "EXECUTORS",
     "DEFAULT_CHUNK_S",
-    "SHARD_STRATEGIES",
     "BACKPRESSURE_POLICIES",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_REPLAY_BUFFER",
@@ -76,14 +74,8 @@ EXECUTORS = ("process", "serial")
 #: in-flight chunk regardless of record duration.
 DEFAULT_CHUNK_S = 60.0
 
-#: Supported shard partition strategies.  ``contiguous`` keeps each
-#: shard's records adjacent (best disk-store locality per machine);
-#: ``strided`` deals tasks round-robin (best load balance when record
-#: cost varies systematically along the list, e.g. by patient).
-SHARD_STRATEGIES = ("contiguous", "strided")
-
 #: ``reject`` refuses the new chunk (the caller sees a rejected
-#: IngestResult / BackpressureError); ``shed-oldest`` drops the oldest
+#: IngestResult); ``shed-oldest`` drops the oldest
 #: *queued* chunk to admit the new one, with the shed count surfaced in
 #: the result and telemetry — never a silent drop.
 BACKPRESSURE_POLICIES = ("reject", "shed-oldest")
@@ -92,8 +84,9 @@ DEFAULT_QUEUE_DEPTH = 64
 
 #: Chunks of re-homing journal the pool parent keeps per session.  256
 #: one-second chunks cover minutes of stream at the paper's geometry
-#: while bounding parent memory; 0 disables resilience entirely
-#: (a dead shard then errors its sessions, the PR 9 behavior).
+#: while bounding parent memory.  At 0 no chunk is journaled: a dead
+#: shard is still restarted, but its sessions that admitted a chunk are
+#: lost (``shard-death``).
 DEFAULT_REPLAY_BUFFER = 256
 
 #: Each :class:`ReproSettings` service field and the
@@ -243,8 +236,8 @@ class ReproSettings:
     service_replay_buffer:
         :envvar:`REPRO_SERVICE_REPLAY_BUFFER` — admitted chunks the
         shard-pool parent journals per session so a killed worker's
-        sessions can be re-homed byte-identically (0 disables
-        resilience).
+        sessions can be re-homed byte-identically (0 journals none, so
+        a session that admitted a chunk is lost with its shard).
     """
 
     samples_per_seizure: int | None = None

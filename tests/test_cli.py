@@ -609,7 +609,7 @@ class TestShardCLI:
 
     def test_plan_writes_manifests(self, tmp_path, capsys):
         plan_dir, out = self.plan(tmp_path, capsys)
-        assert "planned 3 shard(s) (contiguous) over 4 task(s)" in out
+        assert "planned 3 shard(s) over 4 task(s)" in out
         assert "work digest" in out
         assert sorted(p.name for p in plan_dir.glob("shard-*.json")) == [
             "shard-000.json", "shard-001.json", "shard-002.json",

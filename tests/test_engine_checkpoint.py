@@ -649,7 +649,6 @@ class TestMergeCheckpoints:
                 run_shard(
                     spec,
                     journal=journal_path(plan_dir, spec.shard_index),
-                    dataset=dataset,
                     executor="serial",
                 )
         return plan_dir, specs
@@ -688,7 +687,6 @@ class TestMergeCheckpoints:
         run_shard(
             specs[0],
             journal=journal_path(plan_dir, 0),
-            dataset=dataset,
             executor="serial",
         )
         # Shard 1's slice, journaled under another engine configuration.

@@ -16,6 +16,7 @@ Pins the PR 5 contract:
   terminates the fleet; keep-going runs every shard to its own end).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -39,6 +40,8 @@ from repro.engine import (
     write_plan,
 )
 from repro.engine import executor as executor_module
+from repro.cli import main
+from repro.engine.checkpoint import _line_checksum
 from repro.engine.sharding import (
     journal_path,
     manifest_path,
@@ -64,19 +67,18 @@ def baseline(dataset, tasks):
     return CohortEngine(dataset, executor="serial").run(tasks).to_json()
 
 
-def make_plan(tmp_path, tasks, config, n_shards=3, strategy="contiguous"):
+def make_plan(tmp_path, tasks, config, n_shards=3):
     plan_dir = tmp_path / "plan"
-    specs = plan_shards(tasks, config, n_shards, strategy=strategy)
+    specs = plan_shards(tasks, config, n_shards)
     write_plan(plan_dir, specs)
     return plan_dir, specs
 
 
-def run_all(plan_dir, specs, dataset):
+def run_all(plan_dir, specs):
     for spec in specs:
         run_shard(
             spec,
             journal=journal_path(plan_dir, spec.shard_index),
-            dataset=dataset,
             executor="serial",
         )
 
@@ -104,25 +106,17 @@ class TestPartition:
         assert [len(s) for s in slices] == [3, 2, 2]
         assert tuple(t for s in slices for t in s) == ts
 
-    def test_strided_split_is_round_robin(self):
-        ts = tuple(RecordTask(1, i, 0) for i in range(7))
-        slices = partition_tasks(ts, 3, "strided")
-        assert slices == (ts[0::3], ts[1::3], ts[2::3])
-
     def test_every_task_lands_exactly_once(self):
         ts = tuple(RecordTask(1, i, 0) for i in range(11))
-        for strategy in ("contiguous", "strided"):
-            slices = partition_tasks(ts, 4, strategy)
-            everything = [t for s in slices for t in s]
-            assert sorted(everything, key=lambda t: t.key) == list(ts)
+        slices = partition_tasks(ts, 4)
+        assert tuple(t for s in slices for t in s) == ts
 
     def test_more_shards_than_tasks_yields_empty_shards(self):
         ts = tuple(RecordTask(1, i, 0) for i in range(2))
-        for strategy in ("contiguous", "strided"):
-            slices = partition_tasks(ts, 5, strategy)
-            assert len(slices) == 5
-            assert sum(len(s) for s in slices) == 2
-            assert [len(s) for s in slices].count(0) == 3
+        slices = partition_tasks(ts, 5)
+        assert len(slices) == 5
+        assert sum(len(s) for s in slices) == 2
+        assert [len(s) for s in slices].count(0) == 3
 
     def test_single_shard_is_the_whole_list(self):
         ts = tuple(RecordTask(1, i, 0) for i in range(3))
@@ -132,68 +126,6 @@ class TestPartition:
         ts = (RecordTask(1, 0, 0),)
         with pytest.raises(ShardError):
             partition_tasks(ts, 0)
-        with pytest.raises(ShardError):
-            partition_tasks(ts, 2, "zigzag")
-
-
-class TestWeightedPartition:
-    def test_skewed_weights_balance_better_than_contiguous(self):
-        # One whale record and seven minnows: the naive contiguous split
-        # puts the whale plus minnows on shard 0; LPT isolates it.
-        ts = tuple(RecordTask(1, i, 0) for i in range(8))
-        weights = [100.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        slices = partition_tasks(ts, 2, weights=weights)
-        by_task = {t: w for t, w in zip(ts, weights)}
-        loads = [sum(by_task[t] for t in s) for s in slices]
-        assert max(loads) == 100.0  # whale alone; minnows share the other
-        landed = [t for s in slices for t in s]
-        assert sorted(landed, key=lambda t: t.key) == list(ts)
-
-    def test_every_task_lands_exactly_once(self):
-        ts = tuple(RecordTask(1, i, 0) for i in range(11))
-        weights = [float((i * 7) % 5 + 1) for i in range(11)]
-        slices = partition_tasks(ts, 4, weights=weights)
-        everything = [t for s in slices for t in s]
-        assert sorted(everything, key=lambda t: t.key) == list(ts)
-
-    def test_shards_preserve_work_list_order_internally(self):
-        ts = tuple(RecordTask(1, i, 0) for i in range(9))
-        weights = [5.0, 1.0, 4.0, 1.0, 3.0, 1.0, 2.0, 1.0, 1.0]
-        for shard in partition_tasks(ts, 3, weights=weights):
-            indices = [t.seizure_index for t in shard]
-            assert indices == sorted(indices)
-
-    def test_equal_weights_tie_break_is_round_robin(self):
-        ts = tuple(RecordTask(1, i, 0) for i in range(6))
-        slices = partition_tasks(ts, 3, weights=[2.0] * 6)
-        assert [len(s) for s in slices] == [2, 2, 2]
-        # Deterministic: same inputs, same assignment, every time.
-        assert partition_tasks(ts, 3, weights=[2.0] * 6) == slices
-
-    def test_zero_weights_still_spread_by_count(self):
-        ts = tuple(RecordTask(1, i, 0) for i in range(6))
-        slices = partition_tasks(ts, 3, weights=[0.0] * 6)
-        assert [len(s) for s in slices] == [2, 2, 2]
-
-    def test_more_shards_than_tasks_yields_empty_shards(self):
-        ts = tuple(RecordTask(1, i, 0) for i in range(2))
-        slices = partition_tasks(ts, 5, weights=[3.0, 1.0])
-        assert len(slices) == 5
-        assert sum(len(s) for s in slices) == 2
-        assert [len(s) for s in slices].count(0) == 3
-
-    def test_invalid_weights_raise(self):
-        ts = tuple(RecordTask(1, i, 0) for i in range(3))
-        with pytest.raises(ShardError):
-            partition_tasks(ts, 2, weights=[1.0, 2.0])  # length mismatch
-        with pytest.raises(ShardError):
-            partition_tasks(ts, 2, weights=[1.0, -1.0, 2.0])
-        with pytest.raises(ShardError):
-            partition_tasks(ts, 2, weights=[1.0, float("nan"), 2.0])
-        with pytest.raises(ShardError):
-            partition_tasks(ts, 2, weights=[1.0, float("inf"), 2.0])
-        with pytest.raises(ShardError):
-            partition_tasks(ts, 2, "strided", weights=[1.0, 1.0, 1.0])
 
 
 class TestManifests:
@@ -236,15 +168,49 @@ class TestManifests:
             ShardSpec.load(path)
 
 
+def write_version_1(path):
+    """Rewrite a manifest as the version-1 format wrote it: the same
+    fields plus ``strategy``, under a valid checksum."""
+    payload = json.loads(path.read_text())
+    payload.update(version=1, strategy="contiguous")
+    payload["checksum"] = _line_checksum(payload)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+class TestVersion1Manifest:
+    """Version 2 dropped ``strategy``; a version-1 plan must be re-planned,
+    never run."""
+
+    def test_load_plan_refuses_it(self, tmp_path, tasks, config):
+        plan_dir, _ = make_plan(tmp_path, tasks, config)
+        write_version_1(manifest_path(plan_dir, 1))
+        with pytest.raises(ShardError, match="manifest version 1;.*re-plan"):
+            load_plan(plan_dir)
+
+    def test_shard_commands_exit_2_and_write_no_journal(
+        self, tmp_path, tasks, config, capsys
+    ):
+        plan_dir, _ = make_plan(tmp_path, tasks, config)
+        manifest = manifest_path(plan_dir, 0)
+        write_version_1(manifest)
+        for argv in (
+            ["shard", "run", str(manifest), "--executor", "serial"],
+            ["shard", "collect", str(plan_dir)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert "manifest version 1;" in err[0] and "re-plan" in err[0]
+        assert not list(plan_dir.glob("*.ckpt"))
+
+
 class TestLoadPlan:
     def test_roundtrip(self, tmp_path, tasks, config):
         plan_dir, specs = make_plan(tmp_path, tasks, config)
         assert load_plan(plan_dir) == specs
 
-    def test_strided_plan_reconstructs(self, tmp_path, tasks, config):
-        plan_dir, specs = make_plan(
-            tmp_path, tasks, config, strategy="strided"
-        )
+    def test_plan_reconstructs(self, tmp_path, tasks, config):
+        plan_dir, specs = make_plan(tmp_path, tasks, config)
         assert load_plan(plan_dir) == specs
         assert reconstruct_work_list(specs) == tuple(tasks)
 
@@ -265,7 +231,6 @@ class TestLoadPlan:
         overlapping = ShardSpec(
             shard_index=1,
             n_shards=specs[1].n_shards,
-            strategy=specs[1].strategy,
             work=specs[1].work,
             config=specs[1].config,
             duration_range_s=specs[1].duration_range_s,
@@ -280,7 +245,6 @@ class TestLoadPlan:
         doctored = ShardSpec(
             shard_index=2,
             n_shards=specs[2].n_shards,
-            strategy=specs[2].strategy,
             work=specs[2].work,
             config=specs[2].config,
             duration_range_s=specs[2].duration_range_s,
@@ -300,12 +264,12 @@ class TestLoadPlan:
 
 class TestRunCollectMergeParity:
     def test_sharded_report_is_byte_identical(
-        self, tmp_path, dataset, tasks, config, baseline
+        self, tmp_path, tasks, config, baseline
     ):
         """The tentpole contract, in-process: 3 shards, run separately,
         collected, merged — one report, byte-identical to single-node."""
         plan_dir, specs = make_plan(tmp_path, tasks, config)
-        run_all(plan_dir, specs, dataset)
+        run_all(plan_dir, specs)
         statuses = collect_shards(plan_dir, specs=specs)
         assert all(s.complete for s in statuses)
         merged = plan_dir / "merged.ckpt"
@@ -314,20 +278,8 @@ class TestRunCollectMergeParity:
         report = merged_report(plan_dir, merged, specs=specs)
         assert report.to_json() == baseline
 
-    def test_strided_partition_same_bytes(
-        self, tmp_path, dataset, tasks, config, baseline
-    ):
-        plan_dir, specs = make_plan(
-            tmp_path, tasks, config, strategy="strided"
-        )
-        run_all(plan_dir, specs, dataset)
-        merged = plan_dir / "merged.ckpt"
-        merge_shards(plan_dir, merged, specs=specs)
-        report = merged_report(plan_dir, merged, specs=specs)
-        assert report.to_json() == baseline
-
     def test_empty_shards_are_complete_without_journals(
-        self, tmp_path, dataset, tasks, config, baseline
+        self, tmp_path, tasks, config, baseline
     ):
         """More shards than tasks: the empty shards run as no-ops and
         never block collect or merge."""
@@ -337,7 +289,6 @@ class TestRunCollectMergeParity:
             report = run_shard(
                 spec,
                 journal=journal_path(plan_dir, spec.shard_index),
-                dataset=dataset,
                 executor="serial",
             )
             if not spec.tasks:
@@ -350,7 +301,7 @@ class TestRunCollectMergeParity:
         assert merged_report(plan_dir, merged, specs=specs).to_json() == baseline
 
     def test_killed_shard_resumes_from_its_journal(
-        self, tmp_path, dataset, tasks, config, baseline, monkeypatch, counter
+        self, tmp_path, tasks, config, baseline, monkeypatch, counter
     ):
         """Kill shard 0 after one record; re-running the same manifest
         resumes (only the remainder executes) and the merged report is
@@ -363,14 +314,13 @@ class TestRunCollectMergeParity:
                 run_shard(
                     specs[0],
                     journal=journal_path(plan_dir, 0),
-                    dataset=dataset,
                     executor="serial",
                 )
         status = collect_shards(plan_dir, specs=specs)[0]
         assert status.done == 1 and not status.complete
 
         counter["n"] = 0
-        run_all(plan_dir, specs, dataset)
+        run_all(plan_dir, specs)
         # Shard 0 re-ran only its missing record (1), not the journaled
         # one; shards 1 and 2 ran their single records.
         assert counter["n"] == len(tasks) - 1
@@ -393,7 +343,7 @@ class TestCollectValidation:
             collect_shards(plan_dir, specs=specs)
 
     def test_sibling_shard_journal_rejected(
-        self, tmp_path, dataset, tasks, config
+        self, tmp_path, tasks, config
     ):
         """Even a journal of the *same plan's* other shard is foreign —
         its work digest names a different slice."""
@@ -401,7 +351,6 @@ class TestCollectValidation:
         run_shard(
             specs[2],
             journal=journal_path(plan_dir, 1),  # written to the wrong slot
-            dataset=dataset,
             executor="serial",
         )
         with pytest.raises(ShardError, match="shard 1"):
@@ -409,25 +358,26 @@ class TestCollectValidation:
 
     def test_config_drift_rejected_at_run(self, tmp_path, tasks, config):
         plan_dir, specs = make_plan(tmp_path, tasks, config)
-        from repro.data import SyntheticEEGDataset
-
-        drifted = SyntheticEEGDataset(duration_range_s=(240.0, 300.0))
+        # The manifest's duration range rebuilds a dataset whose config
+        # digest is not the one the plan was made under.
+        drifted = dataclasses.replace(
+            specs[0], duration_range_s=(240.0, 300.0)
+        )
         with pytest.raises(ShardError, match="config digest"):
             run_shard(
-                specs[0],
+                drifted,
                 journal=journal_path(plan_dir, 0),
-                dataset=drifted,
                 executor="serial",
             )
+        assert not journal_path(plan_dir, 0).exists()
 
     def test_merge_refuses_incomplete_plan(
-        self, tmp_path, dataset, tasks, config
+        self, tmp_path, tasks, config
     ):
         plan_dir, specs = make_plan(tmp_path, tasks, config)
         run_shard(
             specs[0],
             journal=journal_path(plan_dir, 0),
-            dataset=dataset,
             executor="serial",
         )
         with pytest.raises(ShardError, match="incomplete"):
@@ -498,7 +448,7 @@ class TestLauncherPolicies:
 
 class TestOrchestrateEndToEnd:
     def test_three_shards_one_killed_and_resumed_byte_identical(
-        self, tmp_path, dataset, tasks, config, baseline
+        self, tmp_path, tasks, config, baseline
     ):
         """The acceptance criterion: orchestrate >= 3 shards, one of
         them pre-killed mid-run, and the merged report equals the
@@ -512,7 +462,6 @@ class TestOrchestrateEndToEnd:
                 run_shard(
                     specs[0],
                     journal=journal_path(plan_dir, 0),
-                    dataset=dataset,
                     executor="serial",
                 )
         report, summary = orchestrate(

@@ -178,7 +178,7 @@ def _base(name: str, tmp: str) -> dict:
         "RecordTask": lambda: {"patient_id": 1, "seizure_index": 0},
         "ShardLauncher": lambda: {"plan_dir": os.path.join(tmp, "plan")},
         "ShardSpec": lambda: {
-            "shard_index": 0, "n_shards": 1, "strategy": "contiguous", "work": "w",
+            "shard_index": 0, "n_shards": 1, "work": "w",
             "config": "c", "duration_range_s": (300.0, 360.0), "tasks": (),
         },
         "cohort_tasks": lambda: {"dataset": _dataset(), "patient_ids": (8,)},

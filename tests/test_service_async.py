@@ -6,13 +6,10 @@ import json
 import struct
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ServiceError
 from repro.service import (
     DetectionService,
     ServiceConfig,
-    SessionManager,
     batch_window_decisions,
 )
 from repro.service.framing import chunk_message, encode_frame
@@ -75,24 +72,6 @@ class TestInProcessAsync:
         assert first.accepted
         assert not second.accepted
         assert "reject" in second.reason
-
-    def test_config_and_manager_are_exclusive(self):
-        with pytest.raises(ServiceError):
-            DetectionService(ServiceConfig(), SessionManager())
-
-    def test_external_manager_is_used(self):
-        manager = SessionManager()
-
-        async def go():
-            async with DetectionService(manager=manager) as service:
-                await service.open_session("p")
-                await service.ingest("p", np.zeros((2, 5 * FS)))
-                await service.drain()
-                return await service.close_session("p")
-
-        summary = run(go())
-        assert summary.windows == 2
-        assert manager.snapshot()["sessions"]["opened"] == 1
 
     def test_stop_drains_outstanding_chunks(self):
         async def go():

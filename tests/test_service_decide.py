@@ -31,6 +31,7 @@ from repro.service import (
 from repro.service.fleet import consume, shard_dispatch
 from repro.service.framing import chunk_message, encode_frame
 from repro.service.manager import DECIDE_WINDOWS
+from repro.service.session import DetectorSession
 
 FS = 256
 STEP = FS  # the default 4 s / 1 s window spec hops 256 samples
@@ -345,14 +346,23 @@ class TestJoinedBlocks:
         assert DECIDE_WINDOWS * STEP > stream.release_samples
         assert stream._buffer.shape[1] <= stream.release_samples
 
-    def test_a_larger_chunk_goes_alone(self, sample_record):
+    def test_a_larger_chunk_goes_alone(self, sample_record, monkeypatch):
+        pushes = []
+        push_chunks = DetectorSession.push_chunks
+
+        def spy(self, chunks):
+            pushes.append([c.shape[1] for c in chunks])
+            return push_chunks(self, chunks)
+
+        monkeypatch.setattr(DetectorSession, "push_chunks", spy)
+        big = DECIDE_WINDOWS * STEP + 6 * FS  # past one block
         manager = SessionManager(ServiceConfig())
         manager.open_session("p")
         manager.ingest("p", sample_record.data[:, : 2 * FS])
-        manager.ingest("p", sample_record.data[:, 2 * FS : 20 * FS])
-        assert manager.pump("p", max_chunks=1) == 0  # 2 s: no window yet
-        assert manager.queue_depth("p") == 1
-        assert manager.pump("p") == 17
+        manager.ingest("p", sample_record.data[:, 2 * FS : 2 * FS + big])
+        assert manager.pump("p") == (2 * FS + big) // STEP - 3
+        # The 2 s chunk cannot join the larger one: each is its own push.
+        assert pushes == [[2 * FS], [big]]
 
 
 class TestHandOff:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.exceptions import BackpressureError, ServiceError
+from repro.exceptions import ServiceError
 from repro.features.base import FeatureExtractor
 from repro.service import (
     IngestResult,
@@ -141,13 +141,6 @@ class TestBackpressure:
         assert manager.queue_depth("a") == 2
         assert manager.snapshot()["chunks"]["rejected"] == 1
 
-    def test_reject_strict_raises(self):
-        manager = small_manager(depth=1, policy="reject")
-        manager.open_session("a")
-        manager.ingest("a", chunk())
-        with pytest.raises(BackpressureError):
-            manager.ingest("a", chunk(), strict=True)
-
     def test_shed_oldest_drops_head_and_counts(self):
         manager = small_manager(depth=2, policy="shed-oldest")
         manager.open_session("a")
@@ -183,14 +176,6 @@ class TestPump:
         events = manager.poll_events("a")
         assert [e.window_index for e in events] == list(range(7))
 
-    def test_pump_max_chunks(self):
-        manager = SessionManager()
-        manager.open_session("a")
-        for _ in range(3):
-            manager.ingest("a", chunk(2.0))
-        manager.pump("a", max_chunks=2)
-        assert manager.queue_depth("a") == 1
-
     def test_pump_all_round_robin(self):
         manager = SessionManager()
         for sid in ("a", "b"):
@@ -213,16 +198,6 @@ class TestClose:
         assert [e.window_index for e in summary.trailing_events] == list(
             range(7)
         )
-
-    def test_close_without_drain_counts_shed(self):
-        manager = SessionManager()
-        manager.open_session("a")
-        manager.ingest("a", chunk(5.0))
-        manager.ingest("a", chunk(5.0))
-        summary = manager.close_session("a", drain=False)
-        assert summary.windows == 0
-        assert summary.shed == 2
-        assert manager.snapshot()["chunks"]["shed"] == 2
 
     def test_finalize_on_disconnect_matches_batch_decisions(
         self, sample_record

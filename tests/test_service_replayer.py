@@ -76,9 +76,9 @@ class TestPacing:
         assert report.speed == 0.0
         assert report.realtime_factor > 1.0
 
-    def test_speed_none_means_unpaced(self):
-        report = Replayer(speed=None, chunk_s=1.0).replay(short_source(8.0))
-        assert report.speed == 0.0
+    def test_unpaced_has_one_spelling(self):
+        with pytest.raises(ServiceError, match="speed"):
+            Replayer(speed=None)
 
 
 class TestValidation:

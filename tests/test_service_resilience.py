@@ -6,7 +6,10 @@ The hard contracts of the hardened fleet:
   decision streams *byte-identical* to an unkilled run (including
   streams partially polled before the kill);
 * a session whose journal cannot reproduce the stream is surfaced as
-  lost with a ``shard-death`` error, never silently wrong;
+  lost with a ``shard-death`` error, never silently wrong, while the
+  restarted shard serves every other session (``replay_buffer=0``
+  journals no chunk, and still restarts);
+* a run of swaps on an idle session journals only its last swap;
 * a mid-session detector hot-swap lands exactly at a window boundary:
   decisions are the old detector's for windows before the swap and the
   new detector's after, deterministically.
@@ -20,7 +23,7 @@ import threading
 
 import pytest
 
-from repro.exceptions import ServiceError, ServiceErrorCode, ShardDeathError
+from repro.exceptions import ServiceErrorCode, ShardDeathError
 from repro.service import (
     DetectionService,
     ForestWindowDetector,
@@ -322,27 +325,102 @@ class TestHotSwap:
         assert merged["resilience"]["sessions_rehomed"] == 1
 
 
-class TestDisabledResilience:
-    def test_replay_buffer_zero_keeps_sessions_dead(self, sample_record):
-        """replay_buffer=0 restores the PR 9 contract: no journal, no
-        restart — a dead shard's sessions fail with shard-death."""
+class TestUnjournaledPool:
+    def test_replay_buffer_zero_loses_only_chunk_bearing_sessions(
+        self, sample_record
+    ):
+        """At replay_buffer=0 no chunk is journaled, but the dead shard
+        is still restarted: the session that admitted a chunk is lost
+        with shard-death, the open-only session is re-homed, the
+        survivor never notices, and a session opened on the restarted
+        shard decides like the batch path."""
+        n, step = 12 * FS, 3 * FS
+        batch = batch_window_decisions(truncated(sample_record, n))
+        ids = [f"s{i}" for i in range(32)]
+        lost, idle, fresh = [s for s in ids if shard_index_of(s, 2) == 0][:3]
+        survivor = next(s for s in ids if shard_index_of(s, 2) == 1)
+
+        async def stream(pool, sid, start=0):
+            for seq, lo in enumerate(range(start, n, step), start // step):
+                result = await pool.ingest(
+                    sid, sample_record.data[:, lo : lo + step], seq=seq
+                )
+                assert result.accepted
+            events = await pool.poll_events(sid)
+            summary = await pool.close_session(sid)
+            assert summary.error is None
+            return events + list(summary.trailing_events)
 
         async def go():
-            config = ServiceConfig(workers=1, replay_buffer=0)
-            pool = ServiceShardPool(config)
-            await pool.start()
-            await pool.open_session("p")
-            await pool.ingest(
-                "p", sample_record.data[:, : 2 * FS], seq=0
-            )
-            await kill_shard(pool, 0)
-            with pytest.raises(ServiceError) as err:
-                await pool.ingest(
-                    "p", sample_record.data[:, 2 * FS : 4 * FS], seq=1
-                )
-            assert isinstance(err.value, ShardDeathError)
-            merged = await pool.stop()
-            return merged
+            config = ServiceConfig(workers=2, replay_buffer=0)
+            async with ServiceShardPool(config) as pool:
+                for sid in (lost, idle, survivor):
+                    await pool.open_session(sid)
+                for sid in (lost, survivor):
+                    await pool.ingest(
+                        sid, sample_record.data[:, :step], seq=0
+                    )
+                survivor_pid = pool.worker_pid(1)
+                await kill_shard(pool, 0)
+                with pytest.raises(ShardDeathError) as err:
+                    await pool.ingest(
+                        lost, sample_record.data[:, step : 2 * step], seq=1
+                    )
+                assert err.value.code is ServiceErrorCode.SHARD_DEATH
+                assert "lost" in str(err.value)
+                streams = {
+                    idle: await stream(pool, idle),
+                    survivor: await stream(pool, survivor, step),
+                }
+                await pool.open_session(fresh)
+                streams[fresh] = await stream(pool, fresh)
+                assert pool.worker_pid(1) == survivor_pid
+                return streams, await pool.stop()
 
-        merged = run(go())
-        assert merged["resilience"]["shard_restarts"] == 0
+        streams, merged = run(go())
+        assert streams == {idle: batch, survivor: batch, fresh: batch}
+        assert merged["resilience"]["shard_restarts"] == 1
+        assert merged["resilience"]["sessions_lost"] == 1
+        assert merged["resilience"]["sessions_rehomed"] == 1
+
+
+class TestSwapJournal:
+    def test_swaps_on_an_idle_session_keep_the_last(
+        self, sample_record, fitted_detector
+    ):
+        """A swap right after a swap replaces it in the journal, so an
+        idle session's journal stays [open, last swap] however many
+        swaps land; the session still re-homes byte-identically."""
+        n, step = 10 * FS, 2 * FS
+        config = ServiceConfig(workers=1)
+        expected = batch_window_decisions(
+            truncated(sample_record, n),
+            ForestWindowDetector(fitted_detector),
+            config,
+        )
+
+        async def go():
+            async with ServiceShardPool(config) as pool:
+                await pool.open_session("p")
+                states = [fitted_detector.to_state() for _ in range(100)]
+                for state in states:
+                    await pool.swap_detector(state)
+                journal = list(pool._records["p"].journal)
+                await kill_shard(pool, 0)
+                for seq, lo in enumerate(range(0, n, step)):
+                    await pool.ingest(
+                        "p", sample_record.data[:, lo : lo + step], seq=seq
+                    )
+                events = await pool.poll_events("p")
+                summary = await pool.close_session("p")
+                merged = await pool.stop()
+                return (
+                    states, journal,
+                    events + list(summary.trailing_events), merged,
+                )
+
+        states, journal, decided, merged = run(go())
+        assert [frame["op"] for frame in journal] == ["open", "swap_detector"]
+        assert journal[1]["state"] is states[-1]
+        assert decided == expected
+        assert merged["resilience"]["sessions_rehomed"] == 1

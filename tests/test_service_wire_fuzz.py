@@ -78,7 +78,7 @@ def served(request):
     if request.param == "single":
         running = _Served(lambda: DetectionService(config))
     else:
-        running = _Served(lambda: ServiceShardPool(config, workers=1))
+        running = _Served(lambda: ServiceShardPool(config))
     yield running
     running.stop()
 
