@@ -158,6 +158,14 @@ class TestManifests:
         with pytest.raises(ShardError, match="not a shard manifest"):
             ShardSpec.load(path)
 
+    def test_manifest_is_version_2_without_strategy(
+        self, tmp_path, tasks, config
+    ):
+        plan_dir, _ = make_plan(tmp_path, tasks, config)
+        payload = json.loads(manifest_path(plan_dir, 0).read_text())
+        assert payload["version"] == 2
+        assert "strategy" not in payload
+
     def test_future_version_rejected(self, tmp_path, tasks, config):
         plan_dir, specs = make_plan(tmp_path, tasks, config)
         path = manifest_path(plan_dir, 0)
@@ -187,21 +195,44 @@ class TestVersion1Manifest:
         with pytest.raises(ShardError, match="manifest version 1;.*re-plan"):
             load_plan(plan_dir)
 
+    def test_spec_load_refuses_it(self, tmp_path, tasks, config):
+        plan_dir, _ = make_plan(tmp_path, tasks, config)
+        path = manifest_path(plan_dir, 0)
+        write_version_1(path)
+        with pytest.raises(ShardError, match="manifest version 1;.*re-plan"):
+            ShardSpec.load(path)
+
+    @pytest.mark.parametrize(
+        "command", ["run", "collect", "merge", "orchestrate"]
+    )
     def test_shard_commands_exit_2_and_write_no_journal(
-        self, tmp_path, tasks, config, capsys
+        self, tmp_path, tasks, config, capsys, command
     ):
         plan_dir, _ = make_plan(tmp_path, tasks, config)
         manifest = manifest_path(plan_dir, 0)
         write_version_1(manifest)
-        for argv in (
-            ["shard", "run", str(manifest), "--executor", "serial"],
-            ["shard", "collect", str(plan_dir)],
-        ):
-            assert main(argv) == 2
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].startswith("error:")
-            assert "manifest version 1;" in err[0] and "re-plan" in err[0]
-        assert not list(plan_dir.glob("*.ckpt"))
+        argv = {
+            "run": ["shard", "run", str(manifest), "--executor", "serial"],
+            "collect": ["shard", "collect", str(plan_dir)],
+            "merge": [
+                "shard", "merge", str(plan_dir),
+                "--out", str(plan_dir / "merged.ckpt"),
+                "--report", str(plan_dir / "report.json"),
+            ],
+            "orchestrate": [
+                "shard", "orchestrate", "--out-dir", str(plan_dir),
+                "--shards", "3", "--patients", "8",
+                "--duration-min", "5", "--duration-max", "6",
+                "--executor", "serial",
+            ],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "manifest version 1;" in err[0] and "re-plan" in err[0]
+        assert sorted(p.name for p in plan_dir.iterdir()) == [
+            "shard-000.json", "shard-001.json", "shard-002.json",
+        ]
 
 
 class TestLoadPlan:

@@ -73,6 +73,64 @@ class TestInProcessAsync:
         assert not second.accepted
         assert "reject" in second.reason
 
+    def test_config_reaches_the_manager(self):
+        config = ServiceConfig(queue_depth=3, backpressure="shed-oldest")
+        service = DetectionService(config)
+        assert service.manager.config is config
+        default = DetectionService().manager.config
+        assert default.queue_depth == ServiceConfig().queue_depth
+
+    def test_snapshot_counts_service_sessions(self):
+        async def go():
+            async with DetectionService() as service:
+                await service.open_session("p")
+                await service.ingest("p", np.zeros((2, 5 * FS)))
+                summary = await service.close_session("p")
+                return summary, service.snapshot()
+
+        summary, snapshot = run(go())
+        assert summary.windows == 2
+        assert snapshot["sessions"]["opened"] == 1
+        assert snapshot["windows"]["decided"] == 2
+
+    def test_close_session_decides_queued_chunks(self):
+        # No consumer running: only the close can decide the chunks.
+        async def go():
+            service = DetectionService()
+            await service.open_session("p")
+            await service.ingest("p", np.zeros((2, 5 * FS)))
+            await service.ingest("p", np.zeros((2, 5 * FS)))
+            return await service.close_session("p"), service.snapshot()
+
+        summary, snapshot = run(go())
+        assert summary.windows == 7
+        assert len(summary.trailing_events) == 7
+        assert summary.shed == 0
+        assert snapshot["chunks"]["shed"] == 0
+
+    def test_rejected_chunk_is_an_ok_reply(self):
+        # The socket transport's frame handler, with no consumer: a full
+        # queue answers the chunk verb with ok and accepted false, never
+        # an error frame.
+        config = ServiceConfig(queue_depth=1, backpressure="reject")
+
+        async def go():
+            service = DetectionService(config)
+            await service._dispatch({"op": "open", "session": "p"})
+            first = await service._dispatch(
+                chunk_message("p", 0, np.zeros((2, FS)))
+            )
+            second = await service._dispatch(
+                chunk_message("p", 1, np.zeros((2, FS)))
+            )
+            return first, second
+
+        first, second = run(go())
+        assert first["ok"] and first["accepted"]
+        assert second["ok"] and not second["accepted"]
+        assert "reject" in second["reason"]
+        assert "error" not in second
+
     def test_stop_drains_outstanding_chunks(self):
         async def go():
             service = DetectionService()

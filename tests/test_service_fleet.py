@@ -225,6 +225,30 @@ class TestShardPool:
         assert merged["queue"]["depth"] == 0
         assert merged["windows"]["decided"] > 0
 
+    def test_dead_shard_is_restarted_not_a_hang(self):
+        """A shard killed with no session on it is restarted: the next
+        request it owns is answered, and stop() hears from both."""
+
+        async def go():
+            pool = ServiceShardPool(ServiceConfig(workers=2))
+            await pool.start()
+            victim = pool.shard_of("p")
+            process = pool._clients[victim].process
+            process.kill()  # SIGKILL: workers ignore SIGTERM by design
+            await asyncio.get_running_loop().run_in_executor(
+                None, process.join, 10.0
+            )
+            await pool.open_session("p")
+            assert pool.worker_pid(victim) != process.pid
+            await pool.ingest("p", np.zeros((2, 5 * FS)), seq=0)
+            summary = await pool.close_session("p")
+            return summary, await pool.stop()
+
+        summary, merged = run(go())
+        assert summary.error is None and summary.windows == 2
+        assert merged["workers"] == 2
+        assert merged["resilience"]["shard_restarts"] == 1
+
     def test_socket_front_end_routes_and_merges(self, sample_record):
         """One listener, same wire protocol, frames land on the owning
         shard; telemetry answers fleet-wide."""

@@ -176,6 +176,14 @@ class TestPump:
         events = manager.poll_events("a")
         assert [e.window_index for e in events] == list(range(7))
 
+    def test_pump_drains_every_queued_chunk(self):
+        manager = SessionManager()
+        manager.open_session("a")
+        for _ in range(3):
+            manager.ingest("a", chunk(2.0))
+        assert manager.pump("a") == 3  # 6 s of samples -> 3 windows
+        assert manager.queue_depth("a") == 0
+
     def test_pump_all_round_robin(self):
         manager = SessionManager()
         for sid in ("a", "b"):

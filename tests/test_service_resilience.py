@@ -326,16 +326,17 @@ class TestHotSwap:
 
 
 class TestUnjournaledPool:
-    def test_replay_buffer_zero_loses_only_chunk_bearing_sessions(
-        self, sample_record
-    ):
-        """At replay_buffer=0 no chunk is journaled, but the dead shard
-        is still restarted: the session that admitted a chunk is lost
-        with shard-death, the open-only session is re-homed, the
-        survivor never notices, and a session opened on the restarted
-        shard decides like the batch path."""
-        n, step = 12 * FS, 3 * FS
-        batch = batch_window_decisions(truncated(sample_record, n))
+    """At replay_buffer=0 no chunk is journaled, but the dead shard is
+    still restarted: the session that admitted a chunk is lost with
+    shard-death, the open-only session is re-homed, the survivor never
+    notices, and a session opened on the restarted shard decides like
+    the batch path.  One pool run, one test per contract."""
+
+    N, STEP = 12 * FS, 3 * FS
+
+    @pytest.fixture(scope="class")
+    def outcome(self, sample_record):
+        n, step = self.N, self.STEP
         ids = [f"s{i}" for i in range(32)]
         lost, idle, fresh = [s for s in ids if shard_index_of(s, 2) == 0][:3]
         survivor = next(s for s in ids if shard_index_of(s, 2) == 1)
@@ -348,8 +349,7 @@ class TestUnjournaledPool:
                 assert result.accepted
             events = await pool.poll_events(sid)
             summary = await pool.close_session(sid)
-            assert summary.error is None
-            return events + list(summary.trailing_events)
+            return events + list(summary.trailing_events), summary.error
 
         async def go():
             config = ServiceConfig(workers=2, replay_buffer=0)
@@ -362,42 +362,71 @@ class TestUnjournaledPool:
                     )
                 survivor_pid = pool.worker_pid(1)
                 await kill_shard(pool, 0)
-                with pytest.raises(ShardDeathError) as err:
+                try:
                     await pool.ingest(
                         lost, sample_record.data[:, step : 2 * step], seq=1
                     )
-                assert err.value.code is ServiceErrorCode.SHARD_DEATH
-                assert "lost" in str(err.value)
+                    death = None
+                except ShardDeathError as err:
+                    death = err
                 streams = {
-                    idle: await stream(pool, idle),
-                    survivor: await stream(pool, survivor, step),
+                    "idle": await stream(pool, idle),
+                    "survivor": await stream(pool, survivor, step),
                 }
                 await pool.open_session(fresh)
-                streams[fresh] = await stream(pool, fresh)
-                assert pool.worker_pid(1) == survivor_pid
-                return streams, await pool.stop()
+                streams["fresh"] = await stream(pool, fresh)
+                survivor_kept = pool.worker_pid(1) == survivor_pid
+                return death, streams, survivor_kept, await pool.stop()
 
-        streams, merged = run(go())
-        assert streams == {idle: batch, survivor: batch, fresh: batch}
-        assert merged["resilience"]["shard_restarts"] == 1
-        assert merged["resilience"]["sessions_lost"] == 1
-        assert merged["resilience"]["sessions_rehomed"] == 1
+        death, streams, survivor_kept, merged = run(go())
+        return {
+            "death": death,
+            "streams": streams,
+            "survivor_kept": survivor_kept,
+            "resilience": merged["resilience"],
+        }
+
+    @pytest.fixture(scope="class")
+    def batch(self, sample_record):
+        return batch_window_decisions(truncated(sample_record, self.N))
+
+    def test_replay_buffer_zero_loses_only_chunk_bearing_sessions(
+        self, outcome
+    ):
+        death = outcome["death"]
+        assert isinstance(death, ShardDeathError)
+        assert death.code is ServiceErrorCode.SHARD_DEATH
+        assert "lost" in str(death)
+        assert outcome["resilience"]["sessions_lost"] == 1
+
+    def test_open_only_session_is_rehomed(self, outcome, batch):
+        assert outcome["streams"]["idle"] == (batch, None)
+        assert outcome["resilience"]["sessions_rehomed"] == 1
+
+    def test_survivor_is_untouched(self, outcome, batch):
+        assert outcome["survivor_kept"]
+        assert outcome["streams"]["survivor"] == (batch, None)
+
+    def test_dead_shard_is_restarted_once(self, outcome):
+        assert outcome["resilience"]["shard_restarts"] == 1
+
+    def test_session_opened_after_restart_matches_batch(
+        self, outcome, batch
+    ):
+        assert outcome["streams"]["fresh"] == (batch, None)
 
 
 class TestSwapJournal:
-    def test_swaps_on_an_idle_session_keep_the_last(
-        self, sample_record, fitted_detector
-    ):
-        """A swap right after a swap replaces it in the journal, so an
-        idle session's journal stays [open, last swap] however many
-        swaps land; the session still re-homes byte-identically."""
-        n, step = 10 * FS, 2 * FS
+    """A swap right after a swap replaces it in the journal, so an idle
+    session's journal stays [open, last swap] however many swaps land;
+    the session still re-homes byte-identically."""
+
+    N, STEP = 10 * FS, 2 * FS
+
+    @pytest.fixture(scope="class")
+    def outcome(self, sample_record, fitted_detector):
+        n, step = self.N, self.STEP
         config = ServiceConfig(workers=1)
-        expected = batch_window_decisions(
-            truncated(sample_record, n),
-            ForestWindowDetector(fitted_detector),
-            config,
-        )
 
         async def go():
             async with ServiceShardPool(config) as pool:
@@ -420,7 +449,19 @@ class TestSwapJournal:
                 )
 
         states, journal, decided, merged = run(go())
+        expected = batch_window_decisions(
+            truncated(sample_record, n),
+            ForestWindowDetector(fitted_detector),
+            config,
+        )
+        return states, journal, decided, expected, merged
+
+    def test_swaps_on_an_idle_session_keep_the_last(self, outcome):
+        states, journal, _, _, _ = outcome
         assert [frame["op"] for frame in journal] == ["open", "swap_detector"]
         assert journal[1]["state"] is states[-1]
+
+    def test_session_rehomes_byte_identically_after_swaps(self, outcome):
+        _, _, decided, expected, merged = outcome
         assert decided == expected
         assert merged["resilience"]["sessions_rehomed"] == 1
